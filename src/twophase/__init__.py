@@ -2,16 +2,21 @@
 
 Submodules
 ----------
-records     domain types and the multi-wave design ledger
+records     domain types, the multi-wave design ledger, pi = n_s / N_s
 fpca        sparse functional PCA (PACE) and exposure derivation
 models      weighted Cox / logistic fits with influence functions
-allocation  Neyman, multi-wave, and exact integer allocation
+allocation  per-stratum influence SDs, the wave rule, and the stratified draw
 raking      IPW and generalized-raking estimation
 multiframe  Hansen-Hurwitz combination of two sampling frames
 imputation  parametric imputation and multiply-imputed influence
 simulate    synthetic populations, oracles, and the experiment harness
 fileio      CSV/JSON schemas for every artifact
 cli         the ``twophase`` command-line entry point
+
+The design core is array functions in ``allocation``, ``records`` and
+``multiframe``.  The experiment harness (``simulate``) and the CLI are I/O
+around it: the harness feeds it population arrays, the CLI records and
+ledgers mapped to rows once.
 """
 
 __version__ = "0.1.0"

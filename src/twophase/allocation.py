@@ -6,6 +6,13 @@ influence function for the target coefficient.  Later waves allocate the
 cumulative budget, close strata that are already over their optimum, and
 integerize with an exact priority algorithm that minimizes
 ``sum_s N_s^2 sigma_s^2 / n_s`` for the fixed sample size.
+
+One wave of the multi-wave design is three array functions, shared by the
+experiment harness (``simulate.run_design``) and the CLI (``design
+allocate`` / ``design draw``): :func:`influence_sd` (per-stratum SDs),
+:func:`allocate_wave` (the wave rule) and :func:`draw_within_strata` (the
+draw).  :func:`stratum_sd` and :func:`draw_sample` are the id-keyed
+adapters the CLI uses; they map record ids to rows once and call the core.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from twophase.errors import DegenerateDesignError, InfeasibleError, LedgerError
-from twophase.records import DesignLedger, DyadRecord, assign_strata
+from twophase.records import DesignLedger, DyadRecord, leaf_index
 
 __all__ = [
     "StratumStats",
@@ -26,8 +33,11 @@ __all__ = [
     "exact_allocation",
     "multiwave",
     "MultiwaveResult",
+    "allocate_wave",
+    "influence_sd",
     "stratum_sd",
     "allocation_variance",
+    "draw_within_strata",
     "draw_sample",
     "DrawResult",
 ]
@@ -164,12 +174,17 @@ def exact_allocation(stats: Sequence[StratumStats], n: int,
 
 @dataclass
 class MultiwaveResult:
-    """Wave allocation with the strata closed or capped along the way."""
+    """Wave allocation with the strata closed or capped along the way.
+
+    ``first_wave`` marks an allocation made by :func:`exact_allocation`
+    for a first wave, which closes and spills nothing itself.
+    """
 
     draws: dict[str, int]
     closed: set[str] = field(default_factory=set)
     fractional: dict[str, float] = field(default_factory=dict)
     spilled: set[str] = field(default_factory=set)
+    first_wave: bool = False
 
     @property
     def total(self) -> int:
@@ -265,69 +280,106 @@ def multiwave(stats: Sequence[StratumStats], cumulative_target: int, *,
                            spilled=spilled)
 
 
+def allocate_wave(stats: Sequence[StratumStats], target: int, wave: int, *,
+                  min_per_stratum: int = 1,
+                  pre_closed: set[str] | frozenset[str] = frozenset()) -> MultiwaveResult:
+    """The wave rule: exact allocation for a fresh first wave, multiwave after.
+
+    Wave 1 with nothing sampled yet gets ``exact_allocation(stats,
+    target)``; ``pre_closed`` strata are reported closed but not excluded.
+    Every other wave gets :func:`multiwave` for the cumulative ``target``.
+    """
+    if wave == 1 and all(s.already_sampled == 0 for s in stats):
+        draws = exact_allocation(stats, target, min_per_stratum=min_per_stratum)
+        return MultiwaveResult(draws=draws, closed=set(pre_closed), first_wave=True)
+    return multiwave(stats, target, min_per_stratum=min_per_stratum,
+                     pre_closed=pre_closed)
+
+
+def influence_sd(h: np.ndarray, assignment: np.ndarray, ids: Sequence[str],
+                 sizes: Sequence[int], already: Sequence[int], *,
+                 validated: np.ndarray | None = None, shrink: float = 0.0,
+                 ancestors: Sequence[Sequence[Sequence[int]]] | None = None,
+                 ) -> list[StratumStats]:
+    """Per-stratum influence SDs: the allocation inputs for one wave.
+
+    Rows: ``h`` (influence), ``assignment`` (stratum index into ``ids``,
+    ``sizes`` and ``already``) and ``validated`` are aligned, one entry
+    per frame-member row.  Only ``validated`` rows count (all rows when
+    it is None); within a stratum their values enter the SD in row
+    order, so a fixed row order gives a bit-for-bit fixed result.
+
+    A stratum with two or more values gets their sample SD (source
+    ``stratum``).  ``shrink`` is a pseudo-count pulling each such
+    variance toward the pooled variance of all counted rows (0: none).
+    With fewer values, a stratum borrows the SD pooled over the first
+    group in ``ancestors[s]`` (index lists, nearest ancestor first,
+    pooled in the listed order) that holds two or more values (source
+    ``parent``); failing that it takes the pooled SD (source
+    ``proportional``), or 1.0 when fewer than two rows count at all.
+    """
+    mask = np.ones(h.size, dtype=bool) if validated is None else validated
+    pooled = float(np.std(h[mask], ddof=1)) if mask.sum() >= 2 else 1.0
+    per_stratum = [h[mask & (assignment == s)] for s in range(len(ids))]
+    out = []
+    for s, vals in enumerate(per_stratum):
+        source = "stratum"
+        if vals.size >= 2:
+            v = float(np.var(vals, ddof=1))
+            if shrink > 0:
+                v = (vals.size * v + shrink * pooled ** 2) / (vals.size + shrink)
+            sd = float(np.sqrt(v))
+        else:
+            sd, source = pooled, "proportional"
+            for group in (ancestors[s] if ancestors else ()):
+                pooled_vals = np.concatenate([per_stratum[j] for j in group])
+                if pooled_vals.size >= 2:
+                    sd, source = float(np.std(pooled_vals, ddof=1)), "parent"
+                    break
+        out.append(StratumStats(id=ids[s], population_size=int(sizes[s]), sd=sd,
+                                already_sampled=int(already[s]), sd_source=source))
+    return out
+
+
 def stratum_sd(values: Mapping[str, float], assignment: Mapping[str, str],
                ledger: DesignLedger) -> list[StratumStats]:
-    """Per-leaf influence standard deviations for the next allocation.
+    """Id-keyed :func:`influence_sd` over a ledger's leaves.
 
     ``values`` maps record id to its influence value (typically records
     validated so far, or all records in wave 1); ``assignment`` maps the
-    same ids to leaf stratum ids.  Leaves with fewer than two values
-    borrow the SD pooled over the nearest ancestor's subtree (flagged
-    ``parent``); with no usable ancestor they get the overall pooled SD
-    (flagged ``proportional``), which makes Neyman allocation fall back
-    to size-proportional for those strata.
+    same ids to leaf stratum ids.  Rows are the ids of ``assignment``
+    that have a value, in ``assignment`` order.  Leaves with fewer than
+    two values borrow from their ancestors' subtrees in the ledger.
     """
     leaves = ledger.leaves()
-    leaf_ids = {s.id for s in leaves}
-    per_leaf: dict[str, list[float]] = {sid: [] for sid in leaf_ids}
-    for rid, sid in assignment.items():
-        if rid not in values:
-            continue
-        if sid not in leaf_ids:
-            raise LedgerError(f"assignment targets non-leaf stratum {sid!r}")
-        per_leaf[sid].append(float(values[rid]))
+    index = {s.id: j for j, s in enumerate(leaves)}
+    rows = [(rid, sid) for rid, sid in assignment.items() if rid in values]
+    bad = [sid for _, sid in rows if sid not in index]
+    if bad:
+        raise LedgerError(f"assignment targets non-leaf stratum {bad[0]!r}")
+    kids: dict[str | None, list[str]] = {}
+    for s in ledger.strata.values():
+        kids.setdefault(s.parent, []).append(s.id)
 
-    def descendants(root: str) -> list[str]:
-        out = []
-        stack = [root]
+    def under(root: str) -> list[int]:  # leaves below root, depth first
+        out, stack = [], [root]
         while stack:
             cur = stack.pop()
-            kids = [s.id for s in ledger.strata.values() if s.parent == cur]
-            if not kids and cur in leaf_ids:
-                out.append(cur)
-            stack.extend(kids)
+            if cur in index:
+                out.append(index[cur])
+            stack.extend(kids.get(cur, ()))
         return out
 
-    all_values = [v for vs in per_leaf.values() for v in vs]
-    pooled = float(np.std(all_values, ddof=1)) if len(all_values) >= 2 else 1.0
+    def lineage(sid: str) -> list[str]:  # ancestors, nearest first
+        parent = ledger.strata[sid].parent
+        return [] if parent is None else [parent, *lineage(parent)]
 
-    out = []
-    for leaf in leaves:
-        vals = per_leaf[leaf.id]
-        if len(vals) >= 2:
-            sd = float(np.std(vals, ddof=1))
-            source = "stratum"
-        else:
-            sd = None
-            source = "parent"
-            ancestor = leaf.parent
-            while ancestor is not None:
-                pooled_vals = [v for sid in descendants(ancestor) for v in per_leaf[sid]]
-                if len(pooled_vals) >= 2:
-                    sd = float(np.std(pooled_vals, ddof=1))
-                    break
-                ancestor = ledger.strata[ancestor].parent
-            if sd is None:
-                sd = pooled
-                source = "proportional"
-        out.append(StratumStats(
-            id=leaf.id,
-            population_size=leaf.population_size,
-            sd=sd,
-            already_sampled=leaf.total_sampled,
-            sd_source=source,
-        ))
-    return out
+    return influence_sd(
+        np.array([float(values[rid]) for rid, _ in rows], dtype=np.float64),
+        np.array([index[sid] for _, sid in rows], dtype=np.intp),
+        [s.id for s in leaves], [s.population_size for s in leaves],
+        [s.total_sampled for s in leaves],
+        ancestors=[[under(a) for a in lineage(s.id)] for s in leaves])
 
 
 @dataclass
@@ -342,43 +394,64 @@ class DrawResult:
         return [rid for ids in self.by_stratum.values() for rid in ids]
 
 
+def draw_within_strata(rng: np.random.Generator, assignment: np.ndarray,
+                       ids: Sequence[str], draws: Mapping[str, int],
+                       eligible: np.ndarray) -> list[np.ndarray]:
+    """Stratified simple random sampling without replacement, on rows.
+
+    Visits the strata in ``ids`` order (``assignment`` holds indices into
+    ``ids``).  A stratum with ``draws[id] > 0`` takes that many of its
+    ``eligible`` rows: the pool lists them in row order and one
+    ``rng.choice(pool size, want, replace=False)`` call picks them, so
+    the RNG is consumed stratum by stratum in ``ids`` order.  Returns the
+    chosen rows per stratum, ascending (empty for a zero draw).
+    """
+    chosen = []
+    for s, sid in enumerate(ids):
+        want = int(draws.get(sid, 0))
+        if want == 0:
+            chosen.append(np.empty(0, dtype=np.intp))
+            continue
+        pool = np.flatnonzero(eligible & (assignment == s))
+        if want > pool.size:
+            raise InfeasibleError(
+                f"stratum {sid!r}: allocation {want} exceeds the "
+                f"{pool.size} remaining records")
+        take = rng.choice(pool.size, size=want, replace=False)
+        chosen.append(pool[np.sort(take)])
+    return chosen
+
+
 def draw_sample(records: Sequence[DyadRecord], ledger: DesignLedger,
                 allocation: Mapping[str, int], seed: int, *,
                 wave: int | None = None) -> DrawResult:
-    """Simple random sample without replacement within each stratum.
+    """Id-keyed :func:`draw_within_strata` over a ledger's leaves.
 
-    Records already drawn in this frame are ineligible.  Records
-    validated through the other frame remain drawable and are reported in
+    Rows are the frame members sorted by id and strata are visited in
+    leaf-id order; the RNG is ``SeedSequence([seed, wave])``.  Records
+    already drawn in this frame are ineligible.  Records validated
+    through the other frame remain drawable and are reported in
     ``overlap_ids`` (their validation is reused, not repeated).
     Deterministic for a given seed and ledger state.
     """
     wave = ledger.wave_count + 1 if wave is None else wave
-    assignment = assign_strata(records, ledger)
+    members, leaves, idx = leaf_index(records, ledger)
+    leaf_ids = sorted(s.id for s in leaves)
+    for sid, want in sorted(allocation.items()):
+        if int(want) and sid not in leaf_ids:
+            raise LedgerError(f"allocation targets unknown leaf {sid!r}")
+    position = {sid: k for k, sid in enumerate(leaf_ids)}
+    order = sorted(range(len(members)), key=lambda i: members[i].id)
+    ids = [members[i].id for i in order]
+    assignment = np.array([position[leaves[idx[i]].id] for i in order], dtype=np.intp)
     already = ledger.sampled_ids()
-    eligible: dict[str, list[str]] = {sid: [] for sid in ledger.leaf_ids()}
-    for rec in records:
-        sid = assignment.get(rec.id)
-        if sid is None or rec.id in already:
-            continue
-        eligible[sid].append(rec.id)
-    validated_ids = {r.id for r in records if r.validated}
+    eligible = np.array([rid not in already for rid in ids], dtype=bool)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, wave]))
-    by_stratum: dict[str, list[str]] = {}
-    overlap: set[str] = set()
-    for sid in sorted(allocation):
-        want = int(allocation[sid])
-        if want == 0:
-            continue
-        if sid not in eligible:
-            raise LedgerError(f"allocation targets unknown leaf {sid!r}")
-        pool = sorted(eligible[sid])
-        if want > len(pool):
-            raise InfeasibleError(
-                f"stratum {sid!r}: allocation {want} exceeds the "
-                f"{len(pool)} remaining records")
-        take = rng.choice(len(pool), size=want, replace=False)
-        ids = [pool[i] for i in sorted(take)]
-        by_stratum[sid] = ids
-        overlap.update(rid for rid in ids if rid in validated_ids)
+    chosen = draw_within_strata(rng, assignment, leaf_ids, allocation, eligible)
+    by_stratum = {sid: [ids[i] for i in rows]
+                  for sid, rows in zip(leaf_ids, chosen) if int(allocation.get(sid, 0))}
+    validated_ids = {r.id for r in records if r.validated}
+    overlap = {rid for drawn in by_stratum.values() for rid in drawn
+               if rid in validated_ids}
     return DrawResult(wave=wave, by_stratum=by_stratum, overlap_ids=overlap)

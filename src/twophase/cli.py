@@ -5,11 +5,19 @@ init|allocate|split|close|draw``, ``estimate``, ``report``.  Every
 command is deterministic given its inputs and ``--seed``; failures exit
 with a distinct code per error class and a single machine-parsable
 stderr line ``error: <class>: <message>``.
+
+The commands are file I/O around the design core the experiment harness
+also runs: ``design allocate`` and ``design draw`` go through the
+id-keyed adapters ``allocation.stratum_sd`` / ``draw_sample`` to the
+array functions, and ``estimate`` turns records into columns once
+(``records.to_columns``) and weights them with
+``records.frame_arrays`` and ``multiframe.hansen_hurwitz``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -158,14 +166,12 @@ def cmd_fpca_score(args) -> int:
     gest = {}
     if args.gestation_file:
         with open(args.gestation_file) as fh:
-            import csv as _csv
-            reader = _csv.reader(fh)
+            reader = csv.reader(fh)
             next(reader)
             for row in reader:
                 gest[row[0]] = float(row[1])
-    import csv as _csv
     with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["subject_id"]
                         + [f"score_{k}" for k in range(system.n_components)]
                         + ["gestation_days", "weekly_gain"])
@@ -181,9 +187,8 @@ def cmd_fpca_score(args) -> int:
 def cmd_fpca_flag(args) -> int:
     series = fileio.read_measurements(args.measurements)
     system = fileio.read_eigensystem(args.eigensystem)
-    import csv as _csv
     with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["subject_id", "obs_index", "t_days", "weight_kg"])
         for s in series:
             for j in fpca.flag_outliers(s, system, level=args.level):
@@ -214,23 +219,15 @@ def cmd_design_allocate(args) -> int:
     ledger = fileio.read_ledger(args.ledger)
     records = fileio.read_dyads(args.dyads)
     values = fileio.read_influence(args.influence)
-    assignment = rec.assign_strata(records, ledger)
-    stats = allocation.stratum_sd(values, assignment, ledger)
-    closed_ids = {s.id for s in ledger.leaves() if s.closed}
-    if args.wave == 1 and all(s.already_sampled == 0 for s in stats):
-        draws = allocation.exact_allocation(stats, args.target,
-                                            min_per_stratum=args.min_per_stratum)
-        closed, flags = closed_ids, {}
-    else:
-        result = allocation.multiwave(stats, args.target,
-                                      min_per_stratum=args.min_per_stratum,
-                                      pre_closed=closed_ids)
-        draws, closed = result.draws, result.closed
-        flags = {"spilled": sorted(result.spilled)}
+    stats = allocation.stratum_sd(values, rec.assign_strata(records, ledger), ledger)
+    result = allocation.allocate_wave(
+        stats, args.target, args.wave, min_per_stratum=args.min_per_stratum,
+        pre_closed={s.id for s in ledger.leaves() if s.closed})
+    flags = {} if result.first_wave else {"spilled": sorted(result.spilled)}
     flags["sd_sources"] = {s.id: s.sd_source for s in stats
                            if s.sd_source != "stratum"}
-    fileio.write_allocation(args.out, draws, wave=args.wave, frame=ledger.frame,
-                            closed=closed, flags=flags)
+    fileio.write_allocation(args.out, result.draws, wave=args.wave, frame=ledger.frame,
+                            closed=result.closed, flags=flags)
     return 0
 
 
@@ -271,64 +268,26 @@ def cmd_design_draw(args) -> int:
 # estimate
 
 
-def _cox_arrays(records, phase2: bool):
-    if phase2:
-        y = np.array([r.y for r in records])
-        d = np.array([float(r.delta) for r in records])
-        x = np.array([[r.x, *r.z] for r in records])
-    else:
-        y = np.array([r.y_star for r in records])
-        d = np.array([float(r.delta_star) for r in records])
-        x = np.array([[r.x_star, *r.z_star] for r in records])
-    return y, d, x
-
-
-def _logistic_arrays(records, outcome_z: int, phase2: bool):
-    if phase2:
-        y = np.array([r.z[outcome_z] for r in records])
-        x = np.array([[1.0, r.x, *(v for j, v in enumerate(r.z) if j != outcome_z)]
-                      for r in records])
-    else:
-        y = np.array([r.z_star[outcome_z] for r in records])
-        x = np.array([[1.0, r.x_star,
-                       *(v for j, v in enumerate(r.z_star) if j != outcome_z)]
-                      for r in records])
-    return np.clip(y, 0, 1), x
-
-
-def _terms(records, model, outcome_z):
-    n_z = len(records[0].z_star)
+def _model_arrays(cols, rows, model, outcome_z, phase2):
+    """``(time or outcome, event or None, covariates)`` of ``rows`` for the model."""
+    star = "" if phase2 else "_star"
+    n_z = sum(1 for name in cols if name.startswith("z_star_"))
+    x = cols[f"x{star}"][rows]
+    zs = [cols[f"z{star}_{j}"][rows] for j in range(n_z)]
     if model == "cox":
-        return ["x"] + [f"z_{j}" for j in range(n_z)]
-    return ["intercept", "x"] + [f"z_{j}" for j in range(n_z) if j != outcome_z]
+        return (cols[f"y{star}"][rows], cols[f"delta{star}"][rows],
+                np.column_stack([x, *zs]))
+    others = [z for j, z in enumerate(zs) if j != outcome_z]
+    return (np.clip(zs[outcome_z], 0, 1), None,
+            np.column_stack([np.ones(len(rows)), x, *others]))
 
 
-def _target_index(model):
-    return 0 if model == "cox" else 1
+def _generic_mi_influence(data, model, outcome_z, mi_replicates, seed):
+    """Multiply-imputed influence from a generic per-column imputation spec.
 
-
-def _generic_mi_influence(records, model, outcome_z, mi_replicates, seed):
-    """Multiply-imputed influence from a generic per-column imputation spec."""
-    n_z = len(records[0].z_star)
-    data = {
-        "y_star": np.array([r.y_star for r in records]),
-        "delta_star": np.array([float(r.delta_star) for r in records]),
-        "x_star": np.array([r.x_star for r in records]),
-    }
-    for j in range(n_z):
-        data[f"z_star_{j}"] = np.array([r.z_star[j] for r in records])
-    validated = np.array([r.validated for r in records])
-    for name, star in (("y", "y_star"), ("delta", "delta_star"), ("x", "x_star")):
-        col = np.zeros(len(records))
-        for i, r in enumerate(records):
-            col[i] = getattr(r, name) if r.validated else 0.0
-        data[name] = col
-    for j in range(n_z):
-        col = np.zeros(len(records))
-        for i, r in enumerate(records):
-            col[i] = r.z[j] if r.validated else 0.0
-        data[f"z_{j}"] = col
-
+    ``data`` holds :func:`records.to_columns` of the analysis frame.
+    """
+    n_z = sum(1 for name in data if name.startswith("z_star_"))
     V = imputation.VariableSpec
     specs = []
     for j in range(n_z):
@@ -339,7 +298,7 @@ def _generic_mi_influence(records, model, outcome_z, mi_replicates, seed):
                    + tuple(f"z_star_{j}" for j in range(n_z))))
     specs.append(V("delta", "binary", ("delta_star", "x_star", "y_star")))
     specs.append(V("y", "continuous", ("y_star", "delta_star")))
-    model_fit = imputation.fit_imputation(data, validated, specs)
+    model_fit = imputation.fit_imputation(data, data["validated"], specs)
     if model == "cox":
         analysis = imputation.AnalysisSpec(
             kind="cox", outcome="y", event="delta",
@@ -355,113 +314,98 @@ def _generic_mi_influence(records, model, outcome_z, mi_replicates, seed):
 
 def cmd_estimate(args) -> int:
     records = fileio.read_dyads(args.dyads)
-    if args.model == "logistic":
-        frame_records = [r for r in records if r.in_asthma_frame]
+    cols = rec.to_columns(records)
+    ids = [r.id for r in records]
+    n_z = len(records[0].z_star) if records else 0
+    if args.model == "cox":
+        terms = ["x"] + [f"z_{j}" for j in range(n_z)]
+        target = 0
+        in_frame = np.ones(len(records), dtype=bool)
     else:
-        frame_records = records
-    terms = _terms(records, args.model, args.outcome_z)
-    target = _target_index(args.model)
+        if not 0 <= args.outcome_z < n_z:
+            raise SchemaError(f"--outcome-z {args.outcome_z} is out of range for "
+                              f"the {n_z} z columns of {args.dyads}")
+        terms = ["intercept", "x"] + [f"z_{j}" for j in range(n_z) if j != args.outcome_z]
+        target = 1
+        in_frame = cols["in_asthma_frame"]
+    frame_rows = np.flatnonzero(in_frame)
 
-    def fit_rows(rows, weights=None):
-        if args.model == "cox":
-            y, d, x = _cox_arrays(rows, phase2=args.method != "phase1")
-            return models.fit_cox(y, d, x, weights), (y, d, x)
-        y, x = _logistic_arrays(rows, args.outcome_z, phase2=args.method != "phase1")
-        return models.fit_logistic(y, x, weights), (y, None, x)
+    def arrays(rows, phase2):
+        return _model_arrays(cols, rows, args.model, args.outcome_z, phase2)
+
+    def phase1_fit():
+        return models.fit(args.model, *arrays(frame_rows, phase2=False))
+
+    def emit(path, rows, h):
+        fileio.write_influence(path, dict(zip([ids[i] for i in rows], h.tolist())))
 
     if args.method == "phase1":
-        fit, _ = fit_rows(frame_records)
+        fit = phase1_fit()
         fit.variance = models.sandwich_variance(fit)
-        rows_out = [("phase1", fit.coefficients, fit.se)]
         if args.emit_influence:
-            h = models.influence_for_target(fit, target)
-            fileio.write_influence(args.emit_influence,
-                                   {r.id: float(v) for r, v in
-                                    zip(frame_records, h)})
-    else:
-        ledger = fileio.read_ledger(args.ledger)
-        pis = rec.sampling_probabilities(records, ledger)
-        assignment = rec.assign_strata(records, ledger)
-        sampled_ids = ledger.sampled_ids()
-        sampled = [r for r in frame_records if r.id in sampled_ids]
-        if not all(r.validated for r in sampled):
-            raise LedgerError("a sampled record is not validated; reveal phase-2 "
-                              "data before estimating")
-        if args.frame == "multi":
-            if not args.asthma_ledger:
-                raise SchemaError("--frame multi requires --asthma-ledger")
-            ledger2 = fileio.read_ledger(args.asthma_ledger)
-            pis2 = rec.sampling_probabilities(records, ledger2)
-            assignment2 = rec.assign_strata(records, ledger2)
-            sampled2_ids = ledger2.sampled_ids()
-            fw = multiframe.combine_frames(
-                ledger.frame, ledger2.frame, pis, pis2,
-                {rid: assignment[rid] for rid in sampled_ids},
-                {rid: assignment2[rid] for rid in sampled2_ids})
-            by_id = {r.id: r for r in records}
-            frame_ids = {r.id for r in frame_records}
-            rows_rec = [by_id[r.record_id] for r in fw.rows
-                        if r.record_id in frame_ids]
-            keep = [r.record_id in frame_ids for r in fw.rows]
-            weights = fw.weights()[np.asarray(keep)]
-            strata_keys = fw.strata_keys()[np.asarray(keep)]
-            clusters = fw.cluster_ids()[np.asarray(keep)]
-            if args.emit_weights:
-                fileio.write_combined_weights(args.emit_weights, fw.rows)
-        else:
-            rows_rec = sampled
-            weights = np.array([1.0 / pis[r.id] for r in rows_rec])
-            strata_keys = np.array([assignment[r.id] for r in rows_rec])
-            clusters = None
+            emit(args.emit_influence, frame_rows, models.influence_for_target(fit, target))
+        fileio.write_estimates(args.out, [("phase1", fit.coefficients, fit.se)], terms)
+        return 0
 
-        if args.method == "ipw":
-            fit, _ = fit_rows(rows_rec, weights)
-            fit.variance = models.sandwich_variance(fit, strata_keys, clusters)
-        else:  # raking
-            if args.aux == "mi":
-                h_all = _generic_mi_influence(frame_records, args.model,
-                                              args.outcome_z,
-                                              args.mi_replicates, args.seed)
-                if args.emit_mi_influence:
-                    fileio.write_influence(
-                        args.emit_mi_influence,
-                        {r.id: float(v) for r, v in zip(frame_records, h_all)})
-                h_map = {r.id: float(v) for r, v in zip(frame_records, h_all)}
-            elif args.influence:
-                h_map = fileio.read_influence(args.influence)
-            else:
-                p1fit, _ = (lambda rows: (
-                    models.fit_cox(*_cox_arrays(rows, phase2=False)[:2],
-                                   _cox_arrays(rows, phase2=False)[2]), None))(
-                    frame_records) if args.model == "cox" else (
-                    models.fit_logistic(*_logistic_arrays(
-                        frame_records, args.outcome_z, phase2=False)), None)
-                h = models.influence_for_target(p1fit, target)
-                h_map = {r.id: float(v) for r, v in zip(frame_records, h)}
-            aux_all = np.array([[1.0, h_map[r.id]] for r in frame_records])
-            totals = aux_all.sum(axis=0)
-            aux_sample = np.array([[1.0, h_map[r.id]] for r in rows_rec])
-            if args.model == "cox":
-                y, d, x = _cox_arrays(rows_rec, phase2=True)
-                fit, cal = raking.raking_fit("cox", y, d, x, weights, aux_sample,
-                                             totals, strata=strata_keys,
-                                             clusters=clusters)
-            else:
-                y, x = _logistic_arrays(rows_rec, args.outcome_z, phase2=True)
-                fit, cal = raking.raking_fit("logistic", y, None, x, weights,
-                                             aux_sample, totals,
-                                             strata=strata_keys, clusters=clusters)
-            log.info("calibration: residual %.3g in %d iterations",
-                     cal.constraint_residual, cal.iterations)
-        name = f"{args.method}_{args.frame}" if args.method != "phase1" else "phase1"
-        if args.method == "raking":
-            name = f"raking_{args.aux}"
-        rows_out = [(name, fit.coefficients, fit.se)]
-        if args.emit_influence:
-            h = models.influence_for_target(fit, target) / weights
-            fileio.write_influence(args.emit_influence,
-                                   {r.id: float(v) for r, v in zip(rows_rec, h)})
-    fileio.write_estimates(args.out, rows_out, terms)
+    ledger = fileio.read_ledger(args.ledger)
+    pi, leaf, sampled = rec.frame_arrays(records, ledger)
+    if np.any(sampled & in_frame & ~cols["validated"]):
+        raise LedgerError("a sampled record is not validated; reveal phase-2 "
+                          "data before estimating")
+    if args.frame == "multi":
+        if not args.asthma_ledger:
+            raise SchemaError("--frame multi requires --asthma-ledger")
+        ledger2 = fileio.read_ledger(args.asthma_ledger)
+        pi2, leaf2, sampled2 = rec.frame_arrays(records, ledger2)
+        # Each frame's draws enter the combined frame in record-id order.
+        by_id = np.argsort(np.array(ids), kind="stable")
+        p_rows, s_rows = by_id[sampled[by_id]], by_id[sampled2[by_id]]
+        weights = multiframe.hansen_hurwitz(pi, pi2, p_rows, s_rows)
+        rows = np.concatenate([p_rows, s_rows])
+        frames = [ledger.frame] * p_rows.size + [ledger2.frame] * s_rows.size
+        if args.emit_weights:
+            fileio.write_combined_weights(args.emit_weights, [ids[i] for i in rows],
+                                          frames, weights)
+        strata_keys = np.array([f"{f}:{sid}" for f, sid in
+                                zip(frames, [*leaf[p_rows], *leaf2[s_rows]])])
+        keep = in_frame[rows]
+        rows, weights, strata_keys = rows[keep], weights[keep], strata_keys[keep]
+        clusters = np.array(ids)[rows]
+    else:
+        rows = np.flatnonzero(sampled & in_frame)
+        weights = 1.0 / pi[rows]
+        strata_keys = leaf[rows]
+        clusters = None
+
+    y, d, x = arrays(rows, phase2=True)
+    if args.method == "ipw":
+        fit = models.fit(args.model, y, d, x, weights)
+        fit.variance = models.sandwich_variance(fit, strata_keys, clusters)
+        name = f"ipw_{args.frame}"
+    else:  # raking on [1, h] with h the phase-1 or MI influence of the frame rows
+        if args.aux == "mi":
+            h = _generic_mi_influence({k: v[frame_rows] for k, v in cols.items()},
+                                      args.model, args.outcome_z,
+                                      args.mi_replicates, args.seed)
+            if args.emit_mi_influence:
+                emit(args.emit_mi_influence, frame_rows, h)
+        elif args.influence:
+            h_map = fileio.read_influence(args.influence)
+            h = np.array([h_map[ids[i]] for i in frame_rows])
+        else:
+            h = models.influence_for_target(phase1_fit(), target)
+        h_rows = np.full(len(records), np.nan)
+        h_rows[frame_rows] = h
+        totals = np.column_stack([np.ones(frame_rows.size), h]).sum(axis=0)
+        fit, cal = raking.raking_fit(args.model, y, d, x, weights,
+                                     np.column_stack([np.ones(rows.size), h_rows[rows]]),
+                                     totals, strata=strata_keys, clusters=clusters)
+        log.info("calibration: residual %.3g in %d iterations",
+                 cal.constraint_residual, cal.iterations)
+        name = f"raking_{args.aux}"
+    if args.emit_influence:
+        emit(args.emit_influence, rows, models.influence_for_target(fit, target) / weights)
+    fileio.write_estimates(args.out, [(name, fit.coefficients, fit.se)], terms)
     return 0
 
 
@@ -474,9 +418,8 @@ def cmd_report(args) -> int:
                 names.append(row["estimator"])
             merged.setdefault(row["term"], {})[row["estimator"]] = (row["beta"],
                                                                     row["se"])
-    import csv as _csv
     with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["term"] + [f"{n}_{c}" for n in names for c in ("beta", "se")])
         for term in merged:
             row = [term]
@@ -588,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--asthma-ledger", default=None)
     p_est.add_argument("--influence", default=None,
                        help="aux influence CSV for raking (overrides --aux naive refit)")
-    p_est.add_argument("--outcome-z", type=int, default=2,
-                       help="z index holding the logistic outcome")
+    p_est.add_argument("--outcome-z", type=int, default=1,
+                       help="z index holding the binary logistic outcome")
     p_est.add_argument("--mi-replicates", type=int,
                        default=imputation.DEFAULT_REPLICATES)
     p_est.add_argument("--seed", type=int, default=0)

@@ -357,13 +357,14 @@ def read_draw(path) -> dict:
     return payload
 
 
-def write_combined_weights(path, rows) -> None:
-    """rows: iterable of multiframe.FrameRow."""
+def write_combined_weights(path, ids: Sequence[str], frames: Sequence[str],
+                           weights: Sequence[float]) -> None:
+    """One row per combined-frame draw; the record id is its variance cluster."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "frame", "weight", "cluster"])
-        for r in rows:
-            writer.writerow([r.record_id, r.frame, _fmt(r.weight), r.record_id])
+        for rid, frame, weight in zip(ids, frames, weights):
+            writer.writerow([rid, frame, _fmt(weight), rid])
 
 
 def write_estimates(path, rows, terms: Sequence[str]) -> None:

@@ -228,6 +228,15 @@ def fit_logistic(y, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
     return FitResult(beta, variance, influence, converged, iterations, float(ll))
 
 
+def fit(kind, time_or_y, event, x, weights=None) -> FitResult:
+    """Dispatch to :func:`fit_cox` (time, event, x) or :func:`fit_logistic` (y, x)."""
+    if kind == "cox":
+        return fit_cox(time_or_y, event, x, weights)
+    if kind == "logistic":
+        return fit_logistic(time_or_y, x, weights)
+    raise ValueError(f"unknown model kind {kind!r}; expected 'cox' or 'logistic'")
+
+
 def _invert_info(info):
     try:
         inv = np.linalg.inv(info)

@@ -168,14 +168,6 @@ def dual_objective(lam, design_weights, sample_aux, population_totals) -> float:
     return float(lam @ t - d @ (np.exp(a @ lam) - 1.0))
 
 
-def _fit(kind, time_or_y, event, x, weights):
-    if kind == "cox":
-        return models.fit_cox(time_or_y, event, x, weights)
-    if kind == "logistic":
-        return models.fit_logistic(time_or_y, x, weights)
-    raise ValueError(f"unknown model kind {kind!r}; expected 'cox' or 'logistic'")
-
-
 def ipw_fit(kind, time_or_y, event, x, pi, strata=None, clusters=None) -> models.FitResult:
     """Inverse-probability-weighted fit with design-based variance.
 
@@ -187,7 +179,7 @@ def ipw_fit(kind, time_or_y, event, x, pi, strata=None, clusters=None) -> models
     pi = np.asarray(pi, dtype=np.float64)
     if np.any((pi <= 0) | (pi > 1)):
         raise ValueError("sampling probabilities must lie in (0, 1]")
-    fit = _fit(kind, time_or_y, event, x, 1.0 / pi)
+    fit = models.fit(kind, time_or_y, event, x, 1.0 / pi)
     fit.variance = models.sandwich_variance(fit, strata, clusters)
     return fit
 
@@ -208,7 +200,7 @@ def raking_fit(kind, time_or_y, event, x, base_weights, sample_aux,
     base_weights = np.asarray(base_weights, dtype=np.float64)
     cal = calibrate_weights(base_weights, sample_aux, population_totals)
     w = base_weights * cal.g
-    fit = _fit(kind, time_or_y, event, x, w)
+    fit = models.fit(kind, time_or_y, event, x, w)
 
     aux = np.atleast_2d(np.asarray(sample_aux, dtype=np.float64))
     if aux.shape[0] != w.shape[0]:

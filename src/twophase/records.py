@@ -67,6 +67,31 @@ class DyadRecord:
                        y=y, delta=delta, x=x, z=tuple(z))
 
 
+def to_columns(records: Sequence[DyadRecord]) -> dict[str, np.ndarray]:
+    """Records as named columns; row ``i`` is ``records[i]``.
+
+    Phase-1 columns are ``y_star``, ``delta_star``, ``x_star`` and
+    ``z_star_<j>``; phase-2 columns ``y``, ``delta``, ``x`` and ``z_<j>``
+    hold the validated values and 0 on the other rows.  The boolean
+    ``validated`` and ``in_asthma_frame`` columns flag the rows.
+    """
+    n_z = len(records[0].z_star) if records else 0
+
+    def column(value, dtype=np.float64):
+        return np.fromiter(map(value, records), dtype=dtype, count=len(records))
+
+    cols = {}
+    for name in ("y", "delta", "x"):
+        cols[f"{name}_star"] = column(lambda r: getattr(r, f"{name}_star"))
+        cols[name] = column(lambda r: getattr(r, name) if r.validated else 0.0)
+    for j in range(n_z):
+        cols[f"z_star_{j}"] = column(lambda r: r.z_star[j])
+        cols[f"z_{j}"] = column(lambda r: r.z[j] if r.validated else 0.0)
+    cols["validated"] = column(lambda r: r.validated, bool)
+    cols["in_asthma_frame"] = column(lambda r: r.in_asthma_frame, bool)
+    return cols
+
+
 @dataclass
 class Stratum:
     """A node of the design tree; only leaves receive new draws."""
@@ -163,12 +188,9 @@ def build_ledger(frame: str, leaf_specs: Sequence[Mapping], records: Sequence[Dy
         strata[sid] = Stratum(id=sid, frame=frame, bounds=_as_bounds(spec["bounds"]))
     ledger = DesignLedger(frame=frame, strata=strata, rng_seed=rng_seed,
                           member_flag=member_flag)
-    assignment = assign_strata(records, ledger)
-    counts: dict[str, int] = {sid: 0 for sid in strata}
-    for sid in assignment.values():
-        counts[sid] += 1
-    for sid, stratum in strata.items():
-        stratum.population_size = counts[sid]
+    _, leaves, idx = leaf_index(records, ledger)
+    for leaf, count in zip(leaves, np.bincount(idx, minlength=len(leaves))):
+        leaf.population_size = int(count)
     return ledger
 
 
@@ -208,15 +230,20 @@ def assign_strata_arrays(values: Mapping[str, np.ndarray],
     return assignment
 
 
-def assign_strata(records: Sequence[DyadRecord], ledger: DesignLedger) -> dict[str, str]:
-    """Map each frame member's id to its unique leaf stratum id."""
+def leaf_index(records: Sequence[DyadRecord],
+               ledger: DesignLedger) -> tuple[list[DyadRecord], list[Stratum], np.ndarray]:
+    """Frame members, the ledger's leaves, and each member's leaf index.
+
+    This is where record ids meet rows: row ``i`` is ``members[i]`` (the
+    frame members in ``records`` order) and ``idx[i]`` indexes
+    ``leaves`` (``ledger.leaves()`` order).
+    """
     members = ledger.members(records)
-    if not members:
-        return {}
     leaves = ledger.leaves()
-    values = _axis_values(members)
+    if not members:
+        return members, leaves, np.empty(0, dtype=np.intp)
     try:
-        idx = assign_strata_arrays(values, leaves)
+        idx = assign_strata_arrays(_axis_values(members), leaves)
     except PartitionError as exc:
         # Re-raise with the record id for easier debugging.
         msg = str(exc)
@@ -225,53 +252,69 @@ def assign_strata(records: Sequence[DyadRecord], ledger: DesignLedger) -> dict[s
             raise PartitionError(msg.replace(f"record index {bad}",
                                              f"record {members[bad].id!r}")) from None
         raise
+    return members, leaves, idx
+
+
+def assign_strata(records: Sequence[DyadRecord], ledger: DesignLedger) -> dict[str, str]:
+    """Map each frame member's id to its unique leaf stratum id."""
+    members, leaves, idx = leaf_index(records, ledger)
     return {rec.id: leaves[j].id for rec, j in zip(members, idx)}
 
 
-def effective_sample_counts(ledger: DesignLedger) -> dict[str, int]:
-    """Total draws attributed to each final leaf (inherited plus own waves)."""
-    return {s.id: s.total_sampled for s in ledger.leaves()}
+def inclusion_probabilities(counts, sizes, assignment) -> np.ndarray:
+    """Per-row inclusion probability ``pi = n_s / N_s`` of each row's stratum.
+
+    ``counts`` (draws so far, inherited ones included) and ``sizes``
+    (members) are per stratum; ``assignment`` holds each row's stratum
+    index and fixes the output order.  ``pi`` is the final-design
+    probability of a stratified simple random sample: every member of a
+    stratum gets the same value whichever wave drew it.  A stratum
+    without draws gives 0; callers that need ``pi > 0`` check first.
+    """
+    return np.asarray(counts)[assignment] / np.asarray(sizes)[assignment]
 
 
 def sampling_probability(record: DyadRecord, ledger: DesignLedger) -> float:
     """Final-design inclusion probability ``n_s / N_s`` for the record's leaf."""
     if not ledger.is_member(record):
         raise LedgerError(f"record {record.id!r} is not a member of frame {ledger.frame!r}")
-    leaf = None
-    for s in ledger.leaves():
-        if s.contains(record):
-            if leaf is not None:
-                raise PartitionError(
-                    f"record {record.id!r} matches leaves {leaf.id!r} and {s.id!r}")
-            leaf = s
-    if leaf is None:
-        raise PartitionError(f"record {record.id!r} matches no leaf stratum")
-    return _leaf_probability(record, leaf)
+    return sampling_probabilities([record], ledger)[record.id]
 
 
-def _leaf_probability(record: DyadRecord, leaf: Stratum) -> float:
-    n_s = leaf.total_sampled
-    if n_s < 1:
+def frame_arrays(records: Sequence[DyadRecord],
+                 ledger: DesignLedger) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame's design aligned with ``records``: pi, leaf id, sampled flag.
+
+    ``pi`` comes from :func:`inclusion_probabilities` on the ledger's
+    leaves.  Records outside the frame get ``pi = nan``, leaf id ``""``
+    and ``sampled = False``.  Raises LedgerError when a member's leaf has
+    no draws or more draws than members.
+    """
+    members, leaves, idx = leaf_index(records, ledger)
+    counts = np.array([s.total_sampled for s in leaves], dtype=np.intp)
+    sizes = np.array([s.population_size for s in leaves], dtype=np.intp)
+    bad = np.flatnonzero(((counts < 1) | (counts > sizes))[idx])
+    if bad.size:
+        s = leaves[idx[bad[0]]]
         raise LedgerError(
-            f"stratum {leaf.id!r} has no draws but a probability was requested "
-            f"for record {record.id!r}"
-        )
-    if n_s > leaf.population_size:
-        raise LedgerError(
-            f"stratum {leaf.id!r} records {n_s} draws for {leaf.population_size} members"
-        )
-    return n_s / leaf.population_size
+            f"stratum {s.id!r} records {s.total_sampled} draws for "
+            f"{s.population_size} members; record {members[bad[0]].id!r} has no "
+            "sampling probability")
+    member = np.array([ledger.is_member(r) for r in records], dtype=bool)
+    pi = np.full(len(records), np.nan)
+    pi[member] = inclusion_probabilities(counts, sizes, idx)
+    leaf = np.full(len(records), "", dtype=object)
+    leaf[member] = [leaves[j].id for j in idx]
+    drawn = ledger.sampled_ids()
+    sampled = np.array([r.id in drawn for r in records], dtype=bool)
+    return pi, leaf.astype(str), sampled
 
 
 def sampling_probabilities(records: Sequence[DyadRecord],
                            ledger: DesignLedger) -> dict[str, float]:
-    """Vector version of :func:`sampling_probability` over frame members."""
-    assignment = assign_strata(records, ledger)
-    by_id = {r.id: r for r in records}
-    return {
-        rid: _leaf_probability(by_id[rid], ledger.strata[sid])
-        for rid, sid in assignment.items()
-    }
+    """Id-keyed :func:`frame_arrays` probabilities of the frame members."""
+    pi = frame_arrays(records, ledger)[0]
+    return {r.id: p for r, p in zip(records, pi.tolist()) if ledger.is_member(r)}
 
 
 def split_stratum(ledger: DesignLedger, records: Sequence[DyadRecord], stratum_id: str,

@@ -7,6 +7,14 @@ The generator draws smooth weight trajectories from a low-rank
 eigendecomposition, event times from the configured hazard model, and
 pushes the truth through per-variable error models to produce the
 error-prone phase-1 columns.
+
+The experiment harness (:func:`run_design`, :func:`estimate_obesity`,
+:func:`estimate_asthma`) is array I/O around the same design core the
+CLI uses: ``allocation.influence_sd`` / ``allocate_wave`` /
+``draw_within_strata`` for each wave, ``records.inclusion_probabilities``
+for pi, and ``multiframe.hansen_hurwitz`` for the combined frame.  Its
+imputation models (``_cox_imputation_specs``,
+``_asthma_imputation_specs``) are its own.
 """
 
 from __future__ import annotations
@@ -20,13 +28,14 @@ import numpy as np
 from twophase import imputation, models, multiframe, raking
 from twophase.allocation import (
     StratumStats,
+    allocate_wave,
     allocation_variance,
-    exact_allocation,
-    multiwave,
+    draw_within_strata,
+    influence_sd,
 )
 from twophase.errors import ConvergenceError, InfeasibleError
 from twophase.fpca import FULL_TERM_DAYS, TIME_DOMAIN, EigenSystem, LongitudinalSeries
-from twophase.records import Stratum, assign_strata_arrays
+from twophase.records import Stratum, assign_strata_arrays, inclusion_probabilities
 from twophase.smoothing import trapezoid_weights
 
 ORACLE_MAX_STRATA = 5
@@ -344,10 +353,10 @@ def generate(config: SimConfig, seed: int | None = None, *,
 class DesignSpec:
     """Waves, budgets, and stratification for the scripted experiment.
 
-    Defaults mirror the published design: exposure bands at the 5th and
-    95th percentiles (plus the median), a first wave spread near-equally
-    across strata (the stated intent of the boundary choice), and later
-    waves corrected by Neyman allocation on validated influence.
+    Defaults follow the published design: exposure bands at the 10th,
+    50th and 90th percentiles, a first wave allocated by Neyman on the
+    phase-1 influence, and later waves corrected by multi-wave Neyman
+    allocation on validated influence.
     """
 
     obesity_waves: tuple[int, ...] = (252, 248, 125, 125)
@@ -356,7 +365,6 @@ class DesignSpec:
     asthma_quantiles: tuple[float, ...] = (0.05, 0.3, 0.5, 0.7, 0.95)
     followup_cuts_censored: tuple[float, ...] = (4.0, 5.0)
     followup_cuts_event: tuple[float, ...] = (3.0, 4.5)
-    wave1_mode: str = "neyman"        # "neyman" | "balanced"
     sd_shrinkage: float = 15.0        # pseudo-count toward the pooled SD
     mi_replicates_allocation: int = 4
     mi_replicates_estimator: int = 10
@@ -429,55 +437,6 @@ def asthma_strata(pop: Population, spec: DesignSpec,
     return _drop_empty(strata, assignment)
 
 
-def _sd_by_stratum(h, assignment, n_strata, validated=None, fallback=None,
-                   shrink=0.0):
-    """Sample SD of ``h`` per stratum, with a pooled fallback for thin cells.
-
-    ``shrink`` is a pseudo-count pulling each stratum's variance toward
-    the pooled variance; it stabilizes allocations driven by a handful of
-    validated records per stratum.
-    """
-    sds = np.zeros(n_strata)
-    mask = np.ones(h.size, dtype=bool) if validated is None else validated
-    pooled = float(np.std(h[mask], ddof=1)) if mask.sum() >= 2 else 1.0
-    fallback = pooled if fallback is None else fallback
-    for s in range(n_strata):
-        vals = h[mask & (assignment == s)]
-        if vals.size >= 2:
-            v = float(np.var(vals, ddof=1))
-            if shrink > 0:
-                v = (vals.size * v + shrink * pooled ** 2) / (vals.size + shrink)
-            sds[s] = float(np.sqrt(v))
-        else:
-            sds[s] = fallback
-    return sds
-
-
-def _draw_within_strata(rng, assignment, n_strata, draws, eligible):
-    chosen = []
-    for s in range(n_strata):
-        want = int(draws.get(str(s), draws.get(s, 0)))
-        if want == 0:
-            continue
-        pool = np.flatnonzero(eligible & (assignment == s))
-        if want > pool.size:
-            raise InfeasibleError(
-                f"stratum {s}: wave wants {want} of {pool.size} remaining")
-        take = rng.choice(pool.size, size=want, replace=False)
-        chosen.append(pool[np.sort(take)])
-    if not chosen:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(chosen)
-
-
-def _stats_for(strata, sds, counts):
-    return [
-        StratumStats(id=str(j), population_size=s.population_size, sd=float(sds[j]),
-                     already_sampled=int(counts[j]))
-        for j, s in enumerate(strata)
-    ]
-
-
 @dataclass
 class WaveDesign:
     """One frame's realized multi-wave design."""
@@ -490,8 +449,41 @@ class WaveDesign:
     wave_of: np.ndarray        # wave number per member row (0 = not drawn)
 
     def pi(self) -> np.ndarray:
-        per_stratum = self.counts / np.array([s.population_size for s in self.strata])
-        return per_stratum[self.assignment]
+        """Final-design inclusion probability per frame member row."""
+        sizes = [s.population_size for s in self.strata]
+        return inclusion_probabilities(self.counts, sizes, self.assignment)
+
+
+def _run_waves(strata, assignment, member_index, budgets, spec, rng, validated,
+               influence) -> WaveDesign:
+    """Run one frame's waves on the shared allocation core.
+
+    Each wave asks ``influence(wave, sampled, counts)`` for the member
+    rows' influence, the rows whose values count and the SD shrinkage,
+    then allocates the cumulative budget and draws.  Stratum ids are the
+    stratum indices as strings.  Drawn records are marked in the
+    population-length ``validated`` as they are drawn.
+    """
+    ids = [str(j) for j in range(len(strata))]
+    sizes = [s.population_size for s in strata]
+    sampled = np.zeros(assignment.size, dtype=bool)
+    counts = np.zeros(len(strata), dtype=np.intp)
+    wave_of = np.zeros(assignment.size, dtype=np.intp)
+    cumulative = 0
+    for wave, budget in enumerate(budgets, start=1):
+        cumulative += budget
+        h, rows, shrink = influence(wave, sampled, counts)
+        stats = influence_sd(h, assignment, ids, sizes, counts, validated=rows,
+                             shrink=shrink)
+        draws = allocate_wave(stats, cumulative, wave,
+                              min_per_stratum=spec.min_per_stratum).draws
+        chosen = draw_within_strata(rng, assignment, ids, draws, ~sampled)
+        idx = np.concatenate(chosen)
+        sampled[idx] = True
+        wave_of[idx] = wave
+        validated[member_index[idx]] = True
+        counts += [c.size for c in chosen]
+    return WaveDesign(strata, assignment, member_index, sampled, counts, wave_of)
 
 
 def run_design(pop: Population, spec: DesignSpec, seed: int,
@@ -500,98 +492,48 @@ def run_design(pop: Population, spec: DesignSpec, seed: int,
 
     Returns the obesity-frame and asthma-frame designs.  ``validated``
     (population-length bool) tracks records whose truth is revealed; it
-    is updated in place across waves and frames.
+    is updated in place across waves and frames.  Both frames draw from
+    one ``SeedSequence([seed, 101])`` stream, obesity waves first.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    n = pop.n
     if validated is None:
-        validated = np.zeros(n, dtype=bool)
+        validated = np.zeros(pop.n, dtype=bool)
 
-    # --- obesity frame (everyone) ---
+    # Obesity frame (everyone): wave 1 allocates on the phase-1 influence,
+    # later waves on the validated records' IPW influence.
     o_strata, o_assign = obesity_strata(pop, spec)
-    n_os = len(o_strata)
-    o_sampled = np.zeros(n, dtype=bool)
-    o_counts = np.zeros(n_os, dtype=np.intp)
-    o_wave = np.zeros(n, dtype=np.intp)
-
-    phase1_x = np.column_stack([pop.x_star, pop.z_star])
-    p1_fit = models.fit_cox(pop.y_star, pop.delta_star, phase1_x)
+    sizes = [s.population_size for s in o_strata]
+    xz = np.column_stack([pop.x, pop.z])
+    p1_fit = models.fit_cox(pop.y_star, pop.delta_star,
+                            np.column_stack([pop.x_star, pop.z_star]))
     h_naive = models.influence_for_target(p1_fit, 0)
 
-    cumulative = 0
-    for wave, budget in enumerate(spec.obesity_waves, start=1):
-        cumulative += budget
+    def obesity_influence(wave, sampled, counts):
         if wave == 1:
-            if spec.wave1_mode == "balanced":
-                # Near-equal draws per stratum: the published boundaries were
-                # chosen so the first-wave allocation came out fairly similar
-                # across strata, which oversamples the thin exposure tails.
-                sds = np.array([1.0 / max(s.population_size, 1)
-                                for s in o_strata])
-            else:
-                sds = _sd_by_stratum(h_naive, o_assign, n_os)
-            stats = _stats_for(o_strata, sds, o_counts)
-            draws = exact_allocation(stats, budget,
-                                     min_per_stratum=spec.min_per_stratum)
-        else:
-            val_rows = o_sampled
-            fit = models.fit_cox(
-                pop.y[val_rows], pop.delta[val_rows],
-                np.column_stack([pop.x[val_rows], pop.z[val_rows]]),
-                weights=1.0 / (o_counts / np.array(
-                    [s.population_size for s in o_strata]))[o_assign[val_rows]],
-            )
-            h_val = np.zeros(n)
-            w_val = fit.influence[:, 0]
-            # Per-record influence: strip the design weight back off.
-            pis = (o_counts / np.array([s.population_size
-                                        for s in o_strata]))[o_assign[val_rows]]
-            h_val[val_rows] = w_val * pis
-            sds = _sd_by_stratum(h_val, o_assign, n_os, validated=o_sampled,
-                                 shrink=spec.sd_shrinkage)
-            stats = _stats_for(o_strata, sds, o_counts)
-            draws = multiwave(stats, cumulative,
-                              min_per_stratum=spec.min_per_stratum).draws
-        idx = _draw_within_strata(rng, o_assign, n_os, draws, ~o_sampled)
-        o_sampled[idx] = True
-        o_wave[idx] = wave
-        validated[idx] = True
-        for s in range(n_os):
-            o_counts[s] += int(np.sum(o_assign[idx] == s))
+            return h_naive, None, 0.0
+        pis = inclusion_probabilities(counts, sizes, o_assign[sampled])
+        fit = models.fit_cox(pop.y[sampled], pop.delta[sampled], xz[sampled],
+                             weights=1.0 / pis)
+        h_val = np.zeros(pop.n)
+        # Per-record influence: strip the design weight back off.
+        h_val[sampled] = fit.influence[:, 0] * pis
+        return h_val, sampled, spec.sd_shrinkage
 
-    obesity = WaveDesign(o_strata, o_assign, np.arange(n), o_sampled, o_counts,
-                         o_wave)
+    obesity = _run_waves(o_strata, o_assign, np.arange(pop.n), spec.obesity_waves,
+                         spec, rng, validated, obesity_influence)
 
-    # --- asthma frame (subset; already-validated records stay drawable) ---
+    # Asthma frame (subset; already-validated records stay drawable): every
+    # wave allocates on the MI influence given everything validated so far.
     members = np.flatnonzero(pop.in_asthma_frame)
     a_strata, a_assign = asthma_strata(pop, spec, pop.in_asthma_frame)
-    n_as = len(a_strata)
-    m = members.size
-    a_sampled = np.zeros(m, dtype=bool)
-    a_counts = np.zeros(n_as, dtype=np.intp)
-    a_wave = np.zeros(m, dtype=np.intp)
 
-    cumulative = 0
-    for wave, budget in enumerate(spec.asthma_waves, start=1):
-        cumulative += budget
-        h_mi = _asthma_mi_influence(pop, validated, spec, seed + wave)
-        sds = _sd_by_stratum(h_mi[members], a_assign, n_as,
-                             shrink=spec.sd_shrinkage)
-        stats = _stats_for(a_strata, sds, a_counts)
-        if wave == 1:
-            draws = exact_allocation(stats, budget,
-                                     min_per_stratum=spec.min_per_stratum)
-        else:
-            draws = multiwave(stats, cumulative,
-                              min_per_stratum=spec.min_per_stratum).draws
-        idx = _draw_within_strata(rng, a_assign, n_as, draws, ~a_sampled)
-        a_sampled[idx] = True
-        a_wave[idx] = wave
-        validated[members[idx]] = True
-        for s in range(n_as):
-            a_counts[s] += int(np.sum(a_assign[idx] == s))
+    def asthma_influence(wave, sampled, counts):
+        h_mi = _mi_influence(pop, validated, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
+                             spec.mi_replicates_allocation, seed + wave)
+        return h_mi[members], None, spec.sd_shrinkage
 
-    asthma = WaveDesign(a_strata, a_assign, members, a_sampled, a_counts, a_wave)
+    asthma = _run_waves(a_strata, a_assign, members, spec.asthma_waves, spec, rng,
+                        validated, asthma_influence)
     return obesity, asthma
 
 
@@ -618,6 +560,13 @@ def _asthma_imputation_specs() -> list[imputation.VariableSpec]:
     ]
 
 
+COX_ANALYSIS = imputation.AnalysisSpec(
+    kind="cox", outcome="y", event="delta", covariates=("x", "z1", "z2"), target=0)
+ASTHMA_ANALYSIS = imputation.AnalysisSpec(
+    kind="logistic", outcome="asthma", event=None, covariates=("x", "z1", "delta"),
+    target=0, intercept=True)
+
+
 def _population_columns(pop: Population) -> imputation.Columns:
     return {
         "y": pop.y, "delta": pop.delta, "x": pop.x,
@@ -628,26 +577,10 @@ def _population_columns(pop: Population) -> imputation.Columns:
     }
 
 
-def _asthma_mi_influence(pop, validated, spec, seed):
-    return _asthma_mi_influence_m(pop, validated,
-                                  spec.mi_replicates_allocation, seed)
-
-
-def _asthma_mi_influence_m(pop, validated, m, seed):
+def _mi_influence(pop, validated, specs, analysis, m, seed):
+    """MI influence of ``analysis`` imputing ``specs`` from the ``validated`` rows."""
     cols = _population_columns(pop)
-    model = imputation.fit_imputation(cols, validated, _asthma_imputation_specs())
-    analysis = imputation.AnalysisSpec(
-        kind="logistic", outcome="asthma", event=None,
-        covariates=("x", "z1", "delta"), target=0, intercept=True)
-    return imputation.mi_influence(cols, model, m, analysis, seed)
-
-
-def _cox_mi_influence(pop, validated, m, seed):
-    cols = _population_columns(pop)
-    model = imputation.fit_imputation(cols, validated, _cox_imputation_specs())
-    analysis = imputation.AnalysisSpec(
-        kind="cox", outcome="y", event="delta",
-        covariates=("x", "z1", "z2"), target=0)
+    model = imputation.fit_imputation(cols, validated, specs)
     return imputation.mi_influence(cols, model, m, analysis, seed)
 
 
@@ -657,79 +590,52 @@ class EstimateRow:
     estimator: str
     beta: float
     se: float
-    converged: bool = True
 
 
-def _hh_rows(pop, obesity: "WaveDesign", asthma: "WaveDesign", members_mask=None):
-    """Hansen-Hurwitz rows (population indices, weights, strata, clusters).
+def _combined_frame(pop, obesity: WaveDesign, asthma: WaveDesign):
+    """Combined-frame population rows, Hansen-Hurwitz weights and strata.
 
-    ``members_mask`` restricts the combined frame to an analysis
-    subpopulation (the secondary endpoint uses the asthma frame only).
+    Rows list the obesity draws, then the asthma draws, each ascending;
+    the rows double as variance clusters.
     """
-    pi_o_all = obesity.pi()
-    o_rows = np.flatnonzero(obesity.sampled)
-    pi_o = {str(i): float(pi_o_all[i]) for i in range(pop.n)}
-    pi_a_member = asthma.pi()
-    pi_a = {str(asthma.member_index[j]): float(pi_a_member[j])
-            for j in range(asthma.member_index.size)}
-    sampled_o = {str(i): str(obesity.assignment[i]) for i in o_rows}
-    sampled_a = {str(asthma.member_index[j]): str(asthma.assignment[j])
-                 for j in np.flatnonzero(asthma.sampled)}
-    fw = multiframe.combine_frames("O", "A", pi_o, pi_a, sampled_o, sampled_a)
-    rows = np.array([int(r.record_id) for r in fw.rows])
-    weights = fw.weights()
-    strata_keys, clusters = multiframe.variance_groups(fw)
-    if members_mask is not None:
-        keep = members_mask[rows]
-        rows, weights = rows[keep], weights[keep]
-        strata_keys, clusters = strata_keys[keep], clusters[keep]
-    return rows, weights, strata_keys, clusters
+    pi_asthma = np.full(pop.n, np.nan)
+    pi_asthma[asthma.member_index] = asthma.pi()
+    o_rows = obesity.member_index[obesity.sampled]
+    a_rows = asthma.member_index[asthma.sampled]
+    weights = multiframe.hansen_hurwitz(obesity.pi(), pi_asthma, o_rows, a_rows)
+    strata = np.array([f"O:{j}" for j in obesity.assignment[obesity.sampled]]
+                      + [f"A:{j}" for j in asthma.assignment[asthma.sampled]])
+    return np.concatenate([o_rows, a_rows]), weights, strata
 
 
 def estimate_obesity(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
                      spec: DesignSpec, seed: int) -> list[EstimateRow]:
     """The five comparison estimators for the primary (hazard) endpoint."""
-    out = []
-    xz_star = np.column_stack([pop.x_star, pop.z_star])
-    p1 = models.fit_cox(pop.y_star, pop.delta_star, xz_star)
-    p1.variance = models.sandwich_variance(p1)
-    out.append(EstimateRow("obesity", "phase1", float(p1.coefficients[0]),
-                           float(p1.se[0])))
-    h_naive = models.influence_for_target(p1, 0)
-
     xz = np.column_stack([pop.x, pop.z])
+    p1 = models.fit_cox(pop.y_star, pop.delta_star,
+                        np.column_stack([pop.x_star, pop.z_star]))
+    p1.variance = models.sandwich_variance(p1)
+
     o_rows = np.flatnonzero(obesity.sampled)
-    pi_o_all = obesity.pi()
     sf = raking.ipw_fit("cox", pop.y[o_rows], pop.delta[o_rows], xz[o_rows],
-                        pi_o_all[o_rows], strata=obesity.assignment[o_rows])
-    out.append(EstimateRow("obesity", "ipw_sf", float(sf.coefficients[0]),
-                           float(sf.se[0])))
+                        obesity.pi()[o_rows], strata=obesity.assignment[o_rows])
 
-    rows, weights, strata_keys, clusters = _hh_rows(pop, obesity, asthma)
+    rows, weights, strata = _combined_frame(pop, obesity, asthma)
     mf = models.fit_cox(pop.y[rows], pop.delta[rows], xz[rows], weights)
-    mf.variance = models.sandwich_variance(mf, strata_keys, clusters)
-    out.append(EstimateRow("obesity", "ipw_mf", float(mf.coefficients[0]),
-                           float(mf.se[0])))
-
-    aux_nv = np.column_stack([np.ones(pop.n), h_naive])
-    fit_nv, _ = raking.raking_fit(
-        "cox", pop.y[rows], pop.delta[rows], xz[rows], weights,
-        aux_nv[rows], aux_nv.sum(axis=0), strata=strata_keys, clusters=clusters)
-    out.append(EstimateRow("obesity", "raking_nv", float(fit_nv.coefficients[0]),
-                           float(fit_nv.se[0])))
+    mf.variance = models.sandwich_variance(mf, strata, rows)
 
     validated = np.zeros(pop.n, dtype=bool)
-    validated[o_rows] = True
-    validated[asthma.member_index[asthma.sampled]] = True
-    h_mi = _cox_mi_influence(pop, validated, spec.mi_replicates_estimator,
-                             seed + 7919)
-    aux_mi = np.column_stack([np.ones(pop.n), h_mi])
-    fit_mi, _ = raking.raking_fit(
-        "cox", pop.y[rows], pop.delta[rows], xz[rows], weights,
-        aux_mi[rows], aux_mi.sum(axis=0), strata=strata_keys, clusters=clusters)
-    out.append(EstimateRow("obesity", "raking_mi", float(fit_mi.coefficients[0]),
-                           float(fit_mi.se[0])))
-    return out
+    validated[rows] = True
+    h_mi = _mi_influence(pop, validated, _cox_imputation_specs(), COX_ANALYSIS,
+                         spec.mi_replicates_estimator, seed + 7919)
+    fits = {"phase1": p1, "ipw_sf": sf, "ipw_mf": mf}
+    for name, h in (("raking_nv", models.influence_for_target(p1, 0)), ("raking_mi", h_mi)):
+        aux = np.column_stack([np.ones(pop.n), h])
+        fits[name], _ = raking.raking_fit(
+            "cox", pop.y[rows], pop.delta[rows], xz[rows], weights, aux[rows],
+            aux.sum(axis=0), strata=strata, clusters=rows)
+    return [EstimateRow("obesity", name, float(fit.coefficients[0]), float(fit.se[0]))
+            for name, fit in fits.items()]
 
 
 def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
@@ -739,7 +645,6 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
     Analysis population is the asthma frame; the working model is the
     generating one (exposure, continuous covariate, obesity indicator).
     """
-    out = []
     members = pop.in_asthma_frame
     mrows = np.flatnonzero(members)
 
@@ -748,52 +653,36 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
                 np.column_stack([np.ones(rows.size), x_col[rows], z1_col[rows],
                                  d_col[rows]]))
 
-    y1, x1 = design(pop.asthma_star, pop.delta_star, pop.x_star,
-                    pop.z_star[:, 0], mrows)
-    p1 = models.fit_logistic(y1, x1)
+    p1 = models.fit_logistic(*design(pop.asthma_star, pop.delta_star, pop.x_star,
+                                     pop.z_star[:, 0], mrows))
     p1.variance = models.sandwich_variance(p1)
-    out.append(EstimateRow("asthma", "phase1", float(p1.coefficients[1]),
-                           float(p1.se[1])))
     h_naive = np.zeros(pop.n)
     h_naive[mrows] = models.influence_for_target(p1, 1)
 
-    a_rows_member = np.flatnonzero(asthma.sampled)
-    a_rows = asthma.member_index[a_rows_member]
-    pi_a = asthma.pi()[a_rows_member]
+    a_rows = asthma.member_index[asthma.sampled]
     y_sf, x_sf = design(pop.asthma, pop.delta, pop.x, pop.z[:, 0], a_rows)
-    sf = raking.ipw_fit("logistic", y_sf, None, x_sf, pi_a,
-                        strata=asthma.assignment[a_rows_member])
-    out.append(EstimateRow("asthma", "ipw_sf", float(sf.coefficients[1]),
-                           float(sf.se[1])))
+    sf = raking.ipw_fit("logistic", y_sf, None, x_sf, asthma.pi()[asthma.sampled],
+                        strata=asthma.assignment[asthma.sampled])
 
-    rows, weights, strata_keys, clusters = _hh_rows(pop, obesity, asthma,
-                                                    members_mask=members)
+    rows, weights, strata = _combined_frame(pop, obesity, asthma)
+    validated = np.zeros(pop.n, dtype=bool)
+    validated[rows] = True
+    keep = members[rows]
+    rows, weights, strata = rows[keep], weights[keep], strata[keep]
     y_mf, x_mf = design(pop.asthma, pop.delta, pop.x, pop.z[:, 0], rows)
     mf = models.fit_logistic(y_mf, x_mf, weights)
-    mf.variance = models.sandwich_variance(mf, strata_keys, clusters)
-    out.append(EstimateRow("asthma", "ipw_mf", float(mf.coefficients[1]),
-                           float(mf.se[1])))
+    mf.variance = models.sandwich_variance(mf, strata, rows)
 
-    aux_nv = np.column_stack([np.ones(pop.n), h_naive])[:, :]
-    totals = aux_nv[mrows].sum(axis=0)
-    fit_nv, _ = raking.raking_fit(
-        "logistic", y_mf, None, x_mf, weights, aux_nv[rows], totals,
-        strata=strata_keys, clusters=clusters)
-    out.append(EstimateRow("asthma", "raking_nv", float(fit_nv.coefficients[1]),
-                           float(fit_nv.se[1])))
-
-    validated = np.zeros(pop.n, dtype=bool)
-    validated[np.flatnonzero(obesity.sampled)] = True
-    validated[a_rows] = True
-    h_mi = _asthma_mi_influence_m(pop, validated, spec.mi_replicates_estimator,
-                                  seed + 104729)
-    aux_mi = np.column_stack([np.ones(pop.n), h_mi])
-    fit_mi, _ = raking.raking_fit(
-        "logistic", y_mf, None, x_mf, weights, aux_mi[rows],
-        aux_mi[mrows].sum(axis=0), strata=strata_keys, clusters=clusters)
-    out.append(EstimateRow("asthma", "raking_mi", float(fit_mi.coefficients[1]),
-                           float(fit_mi.se[1])))
-    return out
+    h_mi = _mi_influence(pop, validated, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
+                         spec.mi_replicates_estimator, seed + 104729)
+    fits = {"phase1": p1, "ipw_sf": sf, "ipw_mf": mf}
+    for name, h in (("raking_nv", h_naive), ("raking_mi", h_mi)):
+        aux = np.column_stack([np.ones(pop.n), h])
+        fits[name], _ = raking.raking_fit(
+            "logistic", y_mf, None, x_mf, weights, aux[rows], aux[mrows].sum(axis=0),
+            strata=strata, clusters=rows)
+    return [EstimateRow("asthma", name, float(fit.coefficients[1]), float(fit.se[1]))
+            for name, fit in fits.items()]
 
 
 def estimate_all(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",

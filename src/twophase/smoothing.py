@@ -17,18 +17,6 @@ CV_SEED = 1203981  # fixed: smoothing must be deterministic per inputs
 BIN_LIMIT = 2000   # above this many points, smooth a binned summary
 
 
-def bin_scatter_1d(x, y, edges):
-    """Aggregate points into weighted bin means on ``edges`` midpoints."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
-    w = np.bincount(idx, minlength=len(edges) - 1).astype(np.float64)
-    s = np.bincount(idx, weights=y, minlength=len(edges) - 1)
-    keep = w > 0
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers[keep], s[keep] / w[keep], w[keep]
-
-
 def _prepare_1d(x, y, w=None, n_bins=401):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

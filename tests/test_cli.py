@@ -1,9 +1,11 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from twophase import fileio
+from twophase import fileio, simulate
 from twophase.cli import dispatch
 
 
@@ -117,6 +119,55 @@ class TestDesignCli:
                     "--target", 10 ** 6, "--wave", 1,
                     "--out", tmp_path / "nope.json"])
         assert code == 5
+
+
+class TestEstimateCli:
+    def test_logistic_default_outcome_is_binary_z(self, sim_dir, tmp_path):
+        assert run(["estimate", "--dyads", sim_dir / "dyads.csv",
+                    "--model", "logistic", "--method", "phase1",
+                    "--out", tmp_path / "est.csv"]) == 0
+        rows = fileio.read_estimates(tmp_path / "est.csv")
+        assert [r["term"] for r in rows] == ["intercept", "x", "z_0"]
+        assert all(np.isfinite(r["beta"]) and r["se"] > 0 for r in rows)
+
+    def test_out_of_range_outcome_z_gives_parse_exit(self, sim_dir, tmp_path, capsys):
+        code = run(["estimate", "--dyads", sim_dir / "dyads.csv",
+                    "--model", "logistic", "--method", "phase1",
+                    "--outcome-z", 2, "--out", tmp_path / "est.csv"])
+        assert code == 4
+        assert "error: parse:" in capsys.readouterr().err
+
+
+def test_wave1_allocation_matches_harness(tmp_path):
+    """The CLI's first wave reproduces the harness's first obesity wave."""
+    spec = simulate.DesignSpec()
+    pop = simulate.generate(simulate.SimConfig(n=3000), seed=21)
+    fileio.write_dyads(tmp_path / "dyads.csv", fileio.population_to_records(pop))
+    strata = simulate.obesity_strata(pop, spec)[0]
+    leaves = [{"id": s.id, "bounds": {k: [None if math.isinf(v) else float(v) for v in b]
+                                      for k, b in s.bounds.items()}}
+              for s in strata]
+    (tmp_path / "strata.json").write_text(json.dumps(leaves))
+    assert run(["design", "init", "--frame", "O", "--dyads", tmp_path / "dyads.csv",
+                "--strata", tmp_path / "strata.json",
+                "--out", tmp_path / "ledger.json"]) == 0
+    assert run(["estimate", "--dyads", tmp_path / "dyads.csv", "--model", "cox",
+                "--method", "phase1", "--out", tmp_path / "est.csv",
+                "--emit-influence", tmp_path / "h.csv"]) == 0
+    assert run(["design", "allocate", "--ledger", tmp_path / "ledger.json",
+                "--dyads", tmp_path / "dyads.csv", "--influence", tmp_path / "h.csv",
+                "--wave", 1, "--target", spec.obesity_waves[0],
+                "--min-per-stratum", spec.min_per_stratum,
+                "--out", tmp_path / "alloc.json"]) == 0
+    draws = fileio.read_allocation(tmp_path / "alloc.json")["draws"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        obesity, _ = simulate.run_design(pop, spec, seed=21)
+    wave1 = np.bincount(obesity.assignment[obesity.wave_of == 1],
+                        minlength=len(obesity.strata))
+    assert len(strata) == 24
+    assert {s.id: int(c) for s, c in zip(obesity.strata, wave1)} == draws
 
 
 class TestFpcaCli:

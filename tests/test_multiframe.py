@@ -104,7 +104,7 @@ def test_variance_groups_identity_without_overlap():
         sampled_primary={"x": "s1", "y": "s1"},
         sampled_secondary={"z": "t1"},
     )
-    strata, clusters = multiframe.variance_groups(fw)
+    strata, clusters = fw.strata_keys(), fw.cluster_ids()
     assert len(set(clusters)) == len(fw.rows)
     assert set(strata) == {"o:s1", "a:t1"}
 
@@ -117,7 +117,7 @@ def test_double_sampled_record_forms_one_cluster():
         sampled_primary={"x": "s1", "y": "s1"},
         sampled_secondary={"x": "t1"},
     )
-    strata, clusters = multiframe.variance_groups(fw)
+    strata, clusters = fw.strata_keys(), fw.cluster_ids()
     assert list(clusters).count("x") == 2
     assert len(set(clusters)) == 2
 
@@ -140,7 +140,7 @@ def test_total_estimator_ci_coverage():
         w = fw.weights()
         vals = np.array([vmap[r.record_id] for r in fw.rows])
         total = float(np.sum(w * vals))
-        strata, clusters = multiframe.variance_groups(fw)
+        strata, clusters = fw.strata_keys(), fw.cluster_ids()
         proxy = models.FitResult(
             coefficients=np.array([total]),
             variance=np.zeros((1, 1)),

@@ -128,6 +128,18 @@ class TestDesignPipeline:
         validated[asthma.member_index[asthma.sampled]] = True
         assert validated.sum() == unique
 
+    def test_counts_pinned(self, small_run):
+        # Reference draws per stratum for this design and seed: any change
+        # to the SDs, the wave rule or the draw order shows up here.
+        pop, spec, obesity, asthma = small_run
+        assert obesity.counts.tolist() == [4, 20, 19, 5, 2, 11, 9, 3, 10, 28, 28, 7,
+                                           2, 5, 5, 2, 4, 8, 9, 3, 2, 6, 6, 2]
+        assert asthma.counts.tolist() == [5, 16, 9, 8, 19, 6, 2, 7, 4, 4, 8, 2]
+        for design, waves in ((obesity, spec.obesity_waves), (asthma, spec.asthma_waves)):
+            per_wave = [int(np.sum(design.wave_of == w)) for w in (1, 2)]
+            assert per_wave == list(waves)
+            np.testing.assert_array_equal(design.sampled, design.wave_of > 0)
+
     def test_estimators_produce_finite_results(self, small_run):
         pop, spec, obesity, asthma = small_run
         with warnings.catch_warnings():
@@ -139,17 +151,49 @@ class TestDesignPipeline:
             assert np.isfinite(r.beta) and r.se > 0
 
 
+# TestExperiment's report (n = 1,500, waves 80 + 60 and 40 + 30, m = 2,
+# 3 replicates, master seed 9): (mean_beta, sd, mean_se, coverage).
+REFERENCE_REPORT = {
+    "asthma/ipw_mf": (0.768360324659421, 1.3883418300315948, 2.3814273632584277, 1.0),
+    "asthma/ipw_sf": (-0.6521840424332934, 1.4710321596776172, 3.032685952591336, 1.0),
+    "asthma/phase1": (0.7473309669177013, 0.17399176150208362, 0.7549287935730477, 1.0),
+    "asthma/raking_mi": (0.5950830624935955, 1.0340329759422937, 2.4889899615496067, 1.0),
+    "asthma/raking_nv": (0.25081180505880324, 1.4177835337117357, 2.3691726345537227, 1.0),
+    "obesity/ipw_mf": (1.41465706185079, 1.9495709662159841, 0.9125396188539799, 2 / 3),
+    "obesity/ipw_sf": (1.2694375973244125, 1.6887189359173356, 0.9038185229666414, 2 / 3),
+    "obesity/phase1": (1.0862305506727838, 1.1482042012268427, 0.5098315215435758, 2 / 3),
+    "obesity/raking_mi": (1.4663228293559003, 2.033801260779482, 1.0112280272517458, 2 / 3),
+    "obesity/raking_nv": (1.561965383860476, 2.092157691452828, 0.8764074906791447, 2 / 3),
+}
+
+
 class TestExperiment:
-    def test_reproducible_report(self):
+    @pytest.fixture(scope="class")
+    def small_report(self):
         cfg = sim.SimConfig(n=1500)
         spec = sim.DesignSpec(obesity_waves=(80, 60), asthma_waves=(40, 30),
                               mi_replicates_allocation=2,
                               mi_replicates_estimator=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = sim.run_experiment(cfg, spec, replicates=3, master_seed=9)
-            b = sim.run_experiment(cfg, spec, replicates=3, master_seed=9)
+            return [sim.run_experiment(cfg, spec, replicates=3, master_seed=9)
+                    for _ in range(2)]
+
+    def test_reproducible_report(self, small_report):
+        a, b = small_report
         assert a.estimators == b.estimators
+
+    def test_report_matches_reference(self, small_report):
+        # Reference values; the tolerance admits only last-bit rounding from
+        # the order in which combined-frame rows enter the fits.
+        report = small_report[0]
+        assert report.failures == 0
+        assert sorted(report.estimators) == sorted(REFERENCE_REPORT)
+        for key, expected in REFERENCE_REPORT.items():
+            row = report.estimators[key]
+            got = (row["mean_beta"], row["sd"], row["mean_se"], row["coverage"])
+            assert got == pytest.approx(expected, rel=1e-12, abs=0), key
+            assert row["n"] == 3
 
     def test_zero_error_estimators_agree_with_census(self):
         err = sim.ErrorModel(event_fp=0, event_fn=0, time_jitter_prob=0,
