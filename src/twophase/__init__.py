@@ -13,6 +13,8 @@ imputation  parametric imputation and multiply-imputed influence
 simulate    synthetic populations, oracles, and the experiment harness
 fileio      CSV/JSON schemas for every artifact
 cli         the ``twophase`` command-line entry point
+kernels     the numpy Breslow partial-likelihood pass and local-linear
+            smoothers
 
 The design core is array functions in ``allocation``, ``records`` and
 ``multiframe``.  The experiment harness (``simulate``) and the CLI are I/O
@@ -22,4 +24,5 @@ ledgers mapped to rows once.
 
 __version__ = "0.1.0"
 
-from twophase.kernels import BACKEND as KERNEL_BACKEND  # noqa: F401
+# The kernels are numpy only; the benchmark records this in its environment stamp.
+KERNEL_BACKEND = "python"

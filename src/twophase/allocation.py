@@ -285,12 +285,14 @@ def allocate_wave(stats: Sequence[StratumStats], target: int, wave: int, *,
                   pre_closed: set[str] | frozenset[str] = frozenset()) -> MultiwaveResult:
     """The wave rule: exact allocation for a fresh first wave, multiwave after.
 
-    Wave 1 with nothing sampled yet gets ``exact_allocation(stats,
-    target)``; ``pre_closed`` strata are reported closed but not excluded.
+    Wave 1 with nothing sampled yet gets ``exact_allocation`` of
+    ``target`` over the strata not in ``pre_closed``; those get 0 draws.
     Every other wave gets :func:`multiwave` for the cumulative ``target``.
     """
     if wave == 1 and all(s.already_sampled == 0 for s in stats):
-        draws = exact_allocation(stats, target, min_per_stratum=min_per_stratum)
+        draws = {s.id: 0 for s in stats}
+        draws.update(exact_allocation([s for s in stats if s.id not in pre_closed],
+                                      target, min_per_stratum=min_per_stratum))
         return MultiwaveResult(draws=draws, closed=set(pre_closed), first_wave=True)
     return multiwave(stats, target, min_per_stratum=min_per_stratum,
                      pre_closed=pre_closed)

@@ -176,8 +176,7 @@ def cmd_fpca_score(args) -> int:
                         + ["gestation_days", "weekly_gain"])
         for s in series:
             g = gest.get(s.subject_id, args.gestation_days)
-            xi, _ = fpca.pace_scores(s.shifted(g - fpca.FULL_TERM_DAYS), system)
-            gain = fpca.weight_change(s, system, g)
+            gain, xi = fpca.gain_and_scores(s, system, g)
             writer.writerow([s.subject_id] + [repr(float(v)) for v in xi]
                             + [repr(float(g)), repr(float(gain))])
     return 0
@@ -589,3 +588,7 @@ def dispatch(argv) -> int:
 def main() -> None:
     _configure_logging()
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -425,6 +425,12 @@ def weight_change(series: LongitudinalSeries, system: EigenSystem,
     the validated gestation length; with the default full-term length
     this is the phase-1 exposure definition.
     """
+    return gain_and_scores(series, system, gestation_days)[0]
+
+
+def gain_and_scores(series: LongitudinalSeries, system: EigenSystem,
+                    gestation_days: float = FULL_TERM_DAYS) -> tuple[float, np.ndarray]:
+    """:func:`weight_change` and the PACE scores of the re-anchored series."""
     g = float(gestation_days)
     lo, hi = system.domain()
     if g < 14 or (g - 1) > hi:
@@ -433,7 +439,7 @@ def weight_change(series: LongitudinalSeries, system: EigenSystem,
     shifted = series.shifted(g - FULL_TERM_DAYS)
     xi, _ = pace_scores(shifted, system)
     endpoints = reconstruct(xi, system, np.array([g - 1.0, 0.0]))
-    return float((endpoints[0] - endpoints[1]) / (g / 7.0))
+    return float((endpoints[0] - endpoints[1]) / (g / 7.0)), xi
 
 
 def _loo_scores(cov, resid, noise_free: bool, tol: float):

@@ -1,32 +1,188 @@
-"""Kernel backend selection.
+"""The hot numerical kernels, in numpy.
 
-Prefers the compiled Cython core and falls back to the numpy
-implementations when the extension is unavailable.  Override with
-``TWOPHASE_BACKEND=python`` (or ``c`` to require the extension).
+``cox_breslow`` and ``cox_score_residuals`` are the Breslow partial
+likelihood behind every Cox fit: the first is evaluated at each Newton and
+step-halving point, the second once at the solution.  The local-linear
+smoothers serve ``smoothing``.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from twophase import _kernels_py
 
-_requested = os.environ.get("TWOPHASE_BACKEND", "auto").lower()
+def local_linear_1d(x, y, w, grid, bandwidth):
+    """Local linear smoother with an Epanechnikov kernel.
 
-if _requested == "python":
-    _impl = _kernels_py
-else:
-    try:
-        from twophase import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        if _requested == "c":
-            raise ImportError(
-                "TWOPHASE_BACKEND=c but the compiled extension is not built"
+    Parameters
+    ----------
+    x, y, w : 1-d arrays of observation locations, values, and
+        nonnegative case weights.  ``x`` must be sorted ascending.
+    grid : evaluation points.
+    bandwidth : kernel half-width (> 0).
+
+    Returns
+    -------
+    Array of fitted values on ``grid``.  Points whose kernel window is
+    degenerate fall back to a locally-constant fit; windows with no
+    support yield NaN (callers widen the bandwidth on NaN).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
+    out = np.full(grid.shape, np.nan)
+    lo = np.searchsorted(x, grid - bandwidth, side="left")
+    hi = np.searchsorted(x, grid + bandwidth, side="right")
+    for j in range(grid.size):
+        sl = slice(lo[j], hi[j])
+        if sl.start >= sl.stop:
+            continue
+        dx = x[sl] - grid[j]
+        u = dx / bandwidth
+        k = w[sl] * np.maximum(0.75 * (1.0 - u * u), 0.0)
+        s0 = k.sum()
+        if s0 <= 0.0:
+            continue
+        s1 = k @ dx
+        s2 = k @ (dx * dx)
+        t0 = k @ y[sl]
+        t1 = k @ (y[sl] * dx)
+        det = s0 * s2 - s1 * s1
+        if det > 1e-12 * s0 * s2:
+            out[j] = (s2 * t0 - s1 * t1) / det
+        else:
+            out[j] = t0 / s0
+    return out
+
+
+def local_linear_2d(x1, x2, y, w, grid, bandwidth):
+    """Local planar smoother on scattered 2-d data, Epanechnikov product kernel.
+
+    ``x1`` must be sorted ascending (ties in any order).  Returns a
+    ``len(grid) x len(grid)`` surface; degenerate windows fall back to a
+    locally-constant fit and empty windows to NaN.
+    """
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
+    g = grid.size
+    out = np.full((g, g), np.nan)
+    lo = np.searchsorted(x1, grid - bandwidth, side="left")
+    hi = np.searchsorted(x1, grid + bandwidth, side="right")
+    for a in range(g):
+        sl = slice(lo[a], hi[a])
+        if sl.start >= sl.stop:
+            continue
+        d1 = x1[sl] - grid[a]
+        u1 = d1 / bandwidth
+        k1 = w[sl] * np.maximum(0.75 * (1.0 - u1 * u1), 0.0)
+        order = np.argsort(x2[sl], kind="stable")
+        x2s = x2[sl][order]
+        d1s = d1[order]
+        k1s = k1[order]
+        ys = y[sl][order]
+        lo2 = np.searchsorted(x2s, grid - bandwidth, side="left")
+        hi2 = np.searchsorted(x2s, grid + bandwidth, side="right")
+        for b in range(g):
+            s2w = slice(lo2[b], hi2[b])
+            if s2w.start >= s2w.stop:
+                continue
+            d2 = x2s[s2w] - grid[b]
+            u2 = d2 / bandwidth
+            k = k1s[s2w] * np.maximum(0.75 * (1.0 - u2 * u2), 0.0)
+            s00 = k.sum()
+            if s00 <= 0.0:
+                continue
+            dd1 = d1s[s2w]
+            s10 = k @ dd1
+            s01 = k @ d2
+            s20 = k @ (dd1 * dd1)
+            s11 = k @ (dd1 * d2)
+            s02 = k @ (d2 * d2)
+            t0 = k @ ys[s2w]
+            t1 = k @ (ys[s2w] * dd1)
+            t2 = k @ (ys[s2w] * d2)
+            det = (
+                s00 * (s20 * s02 - s11 * s11)
+                - s10 * (s10 * s02 - s11 * s01)
+                + s01 * (s10 * s11 - s20 * s01)
             )
-        _impl = _kernels_py
+            if abs(det) > 1e-12 * max(s00 * s20 * s02, 1e-300):
+                det1 = (
+                    t0 * (s20 * s02 - s11 * s11)
+                    - s10 * (t1 * s02 - s11 * t2)
+                    + s01 * (t1 * s11 - s20 * t2)
+                )
+                out[a, b] = det1 / det
+            else:
+                out[a, b] = t0 / s00
+    return out
 
-BACKEND: str = _impl.BACKEND
 
-local_linear_1d = _impl.local_linear_1d
-local_linear_2d = _impl.local_linear_2d
-cox_breslow = _impl.cox_breslow
+def _event_groups(event, w, eta, x, starts, group_index):
+    """Risk-set statistics at the tie groups that hold an event.
+
+    Returns ``(r, we, ew, k, s0, m)``: per-row risk ``r = w e^eta`` and
+    event weight ``we = w * event``; then, at each event group in time
+    order, the summed event weight ``ew``, the risk-set total ``s0`` of
+    ``r`` over rows from the group's first row on, and the risk-set
+    weighted covariate mean ``m``.  ``k[i]`` counts the event groups up to
+    and including row i's group, so ``k[i] - 1`` indexes row i's latest
+    event group (-1 before the first).  Groups without an event add
+    nothing to the likelihood or its derivatives.
+    """
+    r = w * np.exp(eta)
+    we = w * event
+    ew = np.bincount(group_index, weights=we, minlength=starts.size)
+    has_event = ew > 0.0
+    rows = starts[has_event]
+    s0 = np.cumsum(r[::-1])[::-1].take(rows)
+    s1 = np.cumsum((x * r[:, None])[::-1], axis=0)[::-1].take(rows, axis=0)
+    k = np.cumsum(has_event).take(group_index)
+    return r, we, ew[has_event], k, s0, s1 / s0[:, None]
+
+
+def _running_sum(values, k):
+    """Running sums of ``values`` (along axis 0) read at ``k - 1``; 0 where k is 0."""
+    total = np.cumsum(values, axis=0)
+    return np.concatenate([np.zeros((1,) + total.shape[1:]), total]).take(k, axis=0)
+
+
+def cox_breslow(event, w, eta, x, starts, group_index):
+    """Breslow partial-likelihood value, score and information.
+
+    All arrays are sorted by observed time ascending; tied times form
+    groups.  ``starts`` holds each tie group's first row (ascending) and
+    ``group_index[i]`` is row i's group number.  Both are fixed for a fit:
+    compute them once from the sorted times.
+
+    Returns ``(loglik, score, information)``.
+    """
+    r, we, ew, k, s0, m = _event_groups(event, w, eta, x, starts, group_index)
+    loglik = float(we @ eta) - float(ew @ np.log(s0))
+    score = we @ x - ew @ m
+    # info = sum_i r_i a_i x_i x_i' - sum_g ew_g m_g m_g', with a_i the
+    # Breslow cumulative hazard at row i.
+    a = _running_sum(ew / s0, k)
+    info = (x * (r * a)[:, None]).T @ x - (ew[:, None] * m).T @ m
+    info = 0.5 * (info + info.T)
+    return loglik, score, info
+
+
+def cox_score_residuals(event, w, eta, x, starts, group_index):
+    """Per-record (unweighted) score residuals at ``eta``.
+
+    Same arguments as :func:`cox_breslow`; ``sum_i w_i * residuals[i]``
+    equals its score.  Returns an ``n x p`` array.
+    """
+    _, _, ew, k, s0, m = _event_groups(event, w, eta, x, starts, group_index)
+    haz = ew / s0
+    a = _running_sum(haz, k)
+    b = _running_sum(haz[:, None] * m, k)
+    # m at row i's latest event group: only event rows use it, and an
+    # event row's own group is that group.
+    m_i = np.concatenate([np.zeros((1, x.shape[1])), m]).take(k, axis=0)
+    return event[:, None] * (x - m_i) - np.exp(eta)[:, None] * (x * a[:, None] - b)

@@ -53,17 +53,15 @@ def _prepare_cox(time, event, x):
     new_group[1:] = ts[1:] != ts[:-1]
     group_index = np.cumsum(new_group) - 1
     starts = np.flatnonzero(new_group)
-    group_first = starts[group_index]
-    return order, event[order], x[order], group_first, group_index
+    return order, event[order], x[order], starts, group_index
 
 
 def cox_loglik_score_info(beta, time, event, x, weights):
     """Breslow partial-likelihood value, score, and information at ``beta``."""
-    order, ev, xs, group_first, group_index = _prepare_cox(time, event, x)
+    order, ev, xs, starts, group_index = _prepare_cox(time, event, x)
     w = np.asarray(weights, dtype=np.float64)[order]
     eta = xs @ np.asarray(beta, dtype=np.float64)
-    ll, score, info, _ = kernels.cox_breslow(ev, w, eta, xs, group_first, group_index)
-    return ll, score, info
+    return kernels.cox_breslow(ev, w, eta, xs, starts, group_index)
 
 
 def fit_cox(time, event, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
@@ -89,14 +87,13 @@ def fit_cox(time, event, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
         raise ValueError("weights must be positive")
     if event.sum() < 1:
         raise ConvergenceError("no events in the data; hazard model undefined")
-    order, ev, xs, group_first, group_index = _prepare_cox(time, event, x)
+    order, ev, xs, starts, group_index = _prepare_cox(time, event, x)
     w = weights[order]
     p = xs.shape[1]
 
     beta = np.zeros(p)
-    ll, score, info, resid = kernels.cox_breslow(
-        ev, w, xs @ beta, xs, group_first, group_index
-    )
+    eta = xs @ beta
+    ll, score, info = kernels.cox_breslow(ev, w, eta, xs, starts, group_index)
     iterations = 0
     converged = np.max(np.abs(score)) < tol
     while not converged and iterations < max_iter:
@@ -105,7 +102,8 @@ def fit_cox(time, event, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(info, score, rcond=None)[0]
         new_beta = beta + step
-        new = kernels.cox_breslow(ev, w, xs @ new_beta, xs, group_first, group_index)
+        new_eta = xs @ new_beta
+        new = kernels.cox_breslow(ev, w, new_eta, xs, starts, group_index)
         halvings = 0
         while not np.isfinite(new[0]) or new[0] < ll - 1e-10:
             step *= 0.5
@@ -118,11 +116,11 @@ def fit_cox(time, event, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
                     gradient_norm=float(np.max(np.abs(score))),
                 )
             new_beta = beta + step
-            new = kernels.cox_breslow(ev, w, xs @ new_beta, xs, group_first, group_index)
-        beta = new_beta
-        ll, score, info, resid = new
+            new_eta = xs @ new_beta
+            new = kernels.cox_breslow(ev, w, new_eta, xs, starts, group_index)
+        beta, eta = new_beta, new_eta
+        ll, score, info = new
         iterations += 1
-        eta = xs @ beta
         if eta.max() - eta.min() > ETA_SPREAD_LIMIT:
             raise ConvergenceError(
                 "Cox likelihood appears monotone (linear predictor spread "
@@ -140,6 +138,7 @@ def fit_cox(time, event, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
             gradient_norm=float(np.max(np.abs(score))),
         )
     variance = _invert_info(info)
+    resid = kernels.cox_score_residuals(ev, w, eta, xs, starts, group_index)
     influence_sorted = (w[:, None] * resid) @ variance.T
     influence = np.empty_like(influence_sorted)
     influence[order] = influence_sorted

@@ -163,6 +163,16 @@ class TestMultiwave:
             al.multiwave(stats((50, 1.0, 30)), 20)
 
 
+class TestAllocateWave:
+    def test_first_wave_gives_pre_closed_strata_nothing(self):
+        sts = stats((500, 2.0, 0), (300, 5.0, 0), (800, 1.0, 0))
+        res = al.allocate_wave(sts, 120, 1, pre_closed={"2"})
+        assert res.first_wave and res.closed == {"2"}
+        assert res.draws == {"1": 0, "2": 0, "3": 0} | al.exact_allocation(
+            [sts[0], sts[2]], 120)
+        assert res.total == 120
+
+
 class TestStratumSD:
     def _ledger(self):
         records = [

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twophase
 from twophase import fileio, fpca, simulate
 from twophase.cli import dispatch
 
@@ -111,6 +116,23 @@ class TestDesignCli:
         assert rows[0]["estimator"] == "ipw_single"
         assert np.isfinite(rows[0]["beta"]) and rows[0]["se"] > 0
 
+    def test_wave1_skips_a_leaf_closed_before_it(self, sim_dir, tmp_path):
+        self.test_allocation_budget_identity(sim_dir, tmp_path)
+        assert run(["design", "close", "--ledger", tmp_path / "ledger.json",
+                    "--stratum", "lo", "--out", tmp_path / "closed.json"]) == 0
+        assert run(["design", "allocate", "--ledger", tmp_path / "closed.json",
+                    "--dyads", sim_dir / "dyads.csv",
+                    "--influence", tmp_path / "h.csv",
+                    "--target", 250, "--wave", 1,
+                    "--out", tmp_path / "alloc.json"]) == 0
+        alloc = fileio.read_allocation(tmp_path / "alloc.json")
+        assert alloc["draws"]["lo"] == 0
+        assert sum(alloc["draws"].values()) == 250
+        assert run(["design", "draw", "--ledger", tmp_path / "closed.json",
+                    "--dyads", sim_dir / "dyads.csv",
+                    "--allocation", tmp_path / "alloc.json",
+                    "--seed", 99, "--out", tmp_path / "draw.json"]) == 0
+
     def test_infeasible_allocation_exit_code(self, sim_dir, tmp_path):
         self.test_allocation_budget_identity(sim_dir, tmp_path)
         code = run(["design", "allocate", "--ledger", tmp_path / "ledger.json",
@@ -208,6 +230,18 @@ class TestFpcaCli:
         code = run(["fpca", "fit", "--measurements", tmp_path / "nope.csv",
                     "--out", tmp_path / "es.json"])
         assert code == 3
+
+
+def test_module_run_returns_the_mapped_exit_code(tmp_path):
+    src = str(Path(twophase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-m", "twophase.cli", "fpca", "fit",
+         "--measurements", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "es.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert "error: io:" in done.stderr
 
 
 def test_report_merges_estimates(tmp_path):

@@ -1,27 +1,9 @@
-"""Backend agreement: the compiled kernels must match the numpy fallback."""
+"""The Breslow kernels: residuals against the score, and the backend stamp."""
 
 import numpy as np
-import pytest
 
-from twophase import _kernels_py
+import twophase
 from twophase import kernels
-
-try:
-    from twophase import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_ext = pytest.mark.skipif(_ckernels is None,
-                               reason="compiled extension not built")
-
-
-def smoothing_case(seed=0, n=4000):
-    rng = np.random.default_rng(seed)
-    x = np.sort(rng.uniform(-365, 272, n))
-    y = 60 + 0.02 * x + rng.normal(0, 1, n)
-    w = rng.uniform(0.5, 3.0, n)
-    grid = np.linspace(-365, 272, 101)
-    return x, y, w, grid
 
 
 def cox_case(seed=1, n=500, p=3, ties=True):
@@ -36,53 +18,15 @@ def cox_case(seed=1, n=500, p=3, ties=True):
     x = rng.normal(size=(n, p))[order]
     eta = x @ rng.normal(size=p) * 0.3
     new = np.r_[True, ts[1:] != ts[:-1]]
-    gi = np.cumsum(new) - 1
-    gf = np.flatnonzero(new)[gi]
-    return event, w, eta, x, gf, gi
-
-
-@needs_ext
-class TestBackendAgreement:
-    def test_local_linear_1d(self):
-        x, y, w, grid = smoothing_case()
-        a = _kernels_py.local_linear_1d(x, y, w, grid, 40.0)
-        b = _ckernels.local_linear_1d(x, y, w, grid, 40.0)
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
-
-    def test_local_linear_1d_sparse_windows(self):
-        x, y, w, grid = smoothing_case(n=25)
-        a = _kernels_py.local_linear_1d(x, y, w, grid, 15.0)
-        b = _ckernels.local_linear_1d(x, y, w, grid, 15.0)
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, equal_nan=True)
-
-    def test_local_linear_2d(self):
-        rng = np.random.default_rng(3)
-        n = 3000
-        x1 = np.sort(rng.uniform(-365, 272, n))
-        x2 = rng.uniform(-365, 272, n)
-        y = np.cos(x1 / 100) * np.cos(x2 / 100) + rng.normal(0, 0.2, n)
-        w = rng.uniform(0.5, 2.0, n)
-        grid = np.linspace(-365, 272, 41)
-        a = _kernels_py.local_linear_2d(x1, x2, y, w, grid, 80.0)
-        b = _ckernels.local_linear_2d(x1, x2, y, w, grid, 80.0)
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-10, equal_nan=True)
-
-    @pytest.mark.parametrize("ties", [True, False])
-    def test_cox_breslow(self, ties):
-        event, w, eta, x, gf, gi = cox_case(ties=ties)
-        ll_a, sc_a, info_a, res_a = _kernels_py.cox_breslow(event, w, eta, x, gf, gi)
-        ll_b, sc_b, info_b, res_b = _ckernels.cox_breslow(event, w, eta, x, gf, gi)
-        assert ll_a == pytest.approx(ll_b, rel=1e-12)
-        np.testing.assert_allclose(sc_a, sc_b, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(info_a, info_b, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(res_a, res_b, rtol=1e-9, atol=1e-11)
+    return event, w, eta, x, np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def test_residuals_sum_to_score():
-    event, w, eta, x, gf, gi = cox_case(seed=9)
-    _, score, _, resid = kernels.cox_breslow(event, w, eta, x, gf, gi)
-    np.testing.assert_allclose(resid.T @ w, score, rtol=1e-8, atol=1e-10)
+    args = cox_case(seed=9)
+    _, score, _ = kernels.cox_breslow(*args)
+    resid = kernels.cox_score_residuals(*args)
+    np.testing.assert_allclose(resid.T @ args[1], score, rtol=1e-8, atol=1e-10)
 
 
 def test_active_backend_exposed():
-    assert kernels.BACKEND in ("c", "python")
+    assert twophase.KERNEL_BACKEND == "python"

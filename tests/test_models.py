@@ -81,6 +81,27 @@ class TestCox:
                 fd = (up - dn) / (2 * eps)
                 assert abs(score[j] - fd) <= 1e-6 * max(1.0, abs(fd))
 
+    def test_information_matches_finite_differences(self):
+        # Weighted data with tied times: info is minus the Jacobian of the score.
+        time, event, x = small_survival_data(seed=4, n=60)
+        time = np.round(time, 1) + 0.05
+        assert np.unique(time).size < time.size
+        x = np.column_stack([x, np.random.default_rng(6).normal(size=len(time))])
+        w = np.random.default_rng(7).uniform(0.5, 2.0, size=len(time))
+        rng = np.random.default_rng(8)
+        eps = 1e-6
+        for _ in range(10):
+            beta = rng.uniform(-1, 1, size=2)
+            _, _, info = models.cox_loglik_score_info(beta, time, event, x, w)
+            jac = np.empty((2, 2))
+            for j in range(2):
+                e = np.zeros(2)
+                e[j] = eps
+                _, up, _ = models.cox_loglik_score_info(beta + e, time, event, x, w)
+                _, dn, _ = models.cox_loglik_score_info(beta - e, time, event, x, w)
+                jac[:, j] = (up - dn) / (2 * eps)
+            np.testing.assert_allclose(info, -jac, rtol=1e-6, atol=1e-6)
+
     def test_null_covariate_near_zero(self):
         rng = np.random.default_rng(42)
         n = 4000
