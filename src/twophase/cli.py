@@ -162,13 +162,7 @@ def cmd_fpca_fit(args) -> int:
 def cmd_fpca_score(args) -> int:
     series = fileio.read_measurements(args.measurements)
     system = fileio.read_eigensystem(args.eigensystem)
-    gest = {}
-    if args.gestation_file:
-        with open(args.gestation_file) as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                gest[row[0]] = float(row[1])
+    gest = fileio.read_gestation(args.gestation_file) if args.gestation_file else {}
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id"]
@@ -297,16 +291,13 @@ def _generic_mi_influence(data, model, outcome_z, mi_replicates, seed):
     specs.append(V("delta", "binary", ("delta_star", "x_star", "y_star")))
     specs.append(V("y", "continuous", ("y_star", "delta_star")))
     model_fit = imputation.fit_imputation(data, data["validated"], specs)
+    covariates = ("x",) + tuple(f"z_{j}" for j in range(n_z)
+                                if model == "cox" or j != outcome_z)
     if model == "cox":
-        analysis = imputation.AnalysisSpec(
-            kind="cox", outcome="y", event="delta",
-            covariates=("x",) + tuple(f"z_{j}" for j in range(n_z)), target=0)
+        analysis = imputation.AnalysisSpec("cox", "y", "delta", covariates, target=0)
     else:
-        analysis = imputation.AnalysisSpec(
-            kind="logistic", outcome=f"z_{outcome_z}", event=None,
-            covariates=("x",) + tuple(f"z_{j}" for j in range(n_z)
-                                      if j != outcome_z),
-            target=0, intercept=True)
+        analysis = imputation.AnalysisSpec("logistic", f"z_{outcome_z}", None, covariates,
+                                           target=0, intercept=True)
     return imputation.mi_influence(data, model_fit, mi_replicates, analysis, seed)
 
 
@@ -389,7 +380,11 @@ def cmd_estimate(args) -> int:
                 emit(args.emit_mi_influence, frame_rows, h)
         elif args.influence:
             h_map = fileio.read_influence(args.influence)
-            h = np.array([h_map[ids[i]] for i in frame_rows])
+            try:
+                h = np.array([h_map[ids[i]] for i in frame_rows])
+            except KeyError as exc:
+                raise SchemaError(f"influence file {args.influence} has no row for "
+                                  f"frame member {exc.args[0]!r}") from None
         else:
             h = models.influence_for_target(phase1_fit(), target)
         h_rows = np.full(len(records), np.nan)

@@ -295,18 +295,28 @@ def write_influence(path, values: dict[str, float]) -> None:
             writer.writerow([rid, _fmt(values[rid])])
 
 
-def read_influence(path) -> dict[str, float]:
+def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
+    """``{key: value}`` from a two-column CSV with header ``key,column``."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["id", "influence"]:
-            raise SchemaError("influence file must have header 'id,influence'")
+        if header is None or [c.strip() for c in header[:2]] != [key, column]:
+            raise SchemaError(f"{path} must have header '{key},{column}'")
         for i, row in enumerate(reader, start=2):
             if len(row) < 2:
                 raise SchemaError(f"row {i}: expected 2 cells")
-            out[row[0].strip()] = _parse_float(row[1], i, "influence")
+            out[row[0].strip()] = _parse_float(row[1], i, column)
     return out
+
+
+def read_influence(path) -> dict[str, float]:
+    return _read_keyed_floats(path, "id", "influence")
+
+
+def read_gestation(path) -> dict[str, float]:
+    """Gestation length in days per subject (header ``subject_id,gestation_days``)."""
+    return _read_keyed_floats(path, "subject_id", "gestation_days")
 
 
 def write_allocation(path, draws: dict[str, int], *, wave: int, frame: str,
@@ -464,4 +474,6 @@ def write_report(path_csv, path_txt, report) -> None:
         lines.append(
             f"{endpoint:8s} {name:12s} {row['mean_beta']:8.4f} {row['bias']:+8.4f} "
             f"{row['sd']:8.4f} {row['mean_se']:8.4f} {row['coverage']:6.3f}")
+    lines += [f"failures ({cls}): {reason['count']}; first: {reason['first']}"
+              for cls, reason in sorted(report.failure_reasons.items())]
     Path(path_txt).write_text("\n".join(lines) + "\n")

@@ -5,14 +5,17 @@ a time in a declared sequence (later targets may condition on earlier
 imputed ones, e.g. gestation length before a recomputed exposure).  Each
 imputation replicate draws model coefficients from their asymptotic
 normal law plus residual noise, so the auxiliary influence functions
-average over parameter uncertainty as well.
+average over parameter uncertainty as well.  Every record is imputed,
+validated ones included.  :func:`impute` yields the replicates, replicate
+``j`` seeded by ``SeedSequence([seed, j])`` alone; :func:`mi_influence`
+averages the working model's influence over them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,20 +64,15 @@ class ImputationModel:
     specs: tuple[VariableSpec, ...]
     fits: dict[str, _SubModel] = field(default_factory=dict)
 
-    def targets(self) -> list[str]:
-        return [s.name for s in self.specs]
-
 
 def _design(data: Columns, predictors: Sequence[str], rows) -> np.ndarray:
-    cols = [np.ones(int(np.sum(rows)) if rows.dtype == bool else len(rows))]
-    for p in predictors:
-        cols.append(np.asarray(data[p], dtype=np.float64)[rows])
-    return np.column_stack(cols)
+    """``[1, predictors...]`` on the boolean ``rows`` mask."""
+    return np.column_stack([np.ones(int(np.sum(rows)))] + [
+        np.asarray(data[p], dtype=np.float64)[rows] for p in predictors])
 
 
 def fit_imputation(data: Columns, validated: np.ndarray,
-                   specs: Sequence[VariableSpec], *,
-                   min_validated: int = MIN_VALIDATED) -> ImputationModel:
+                   specs: Sequence[VariableSpec]) -> ImputationModel:
     """Fit the imputation sub-models on the validated records.
 
     ``data`` maps column names to full-population arrays; targets hold
@@ -82,9 +80,9 @@ def fit_imputation(data: Columns, validated: np.ndarray,
     """
     validated = np.asarray(validated, dtype=bool)
     n_val = int(validated.sum())
-    if n_val < min_validated:
+    if n_val < MIN_VALIDATED:
         raise ValueError(
-            f"{n_val} validated records; at least {min_validated} required")
+            f"{n_val} validated records; at least {MIN_VALIDATED} required")
     model = ImputationModel(specs=tuple(specs))
     for spec in specs:
         if spec.kind == "derived":
@@ -118,16 +116,13 @@ def fit_imputation(data: Columns, validated: np.ndarray,
             w_aug = np.concatenate([np.ones(y.size),
                                     np.full(2 * len(pseudo), 0.25)])
             fit = models.fit_logistic(y_aug, x_aug, w_aug)
-            cov = fit.variance
-            resid_sd = 0.0
-            coef = fit.coefficients
+            coef, cov, resid_sd = fit.coefficients, fit.variance, 0.0
         else:
             coef, *_ = np.linalg.lstsq(x, y, rcond=None)
             resid = y - x @ coef
             dof = max(len(y) - x.shape[1], 1)
             s2 = float(resid @ resid) / dof
-            xtx_inv = np.linalg.pinv(x.T @ x)
-            cov = s2 * xtx_inv
+            cov = s2 * np.linalg.pinv(x.T @ x)
             resid_sd = float(np.sqrt(s2))
         try:
             chol = np.linalg.cholesky(cov + 1e-12 * np.eye(cov.shape[0]))
@@ -139,13 +134,8 @@ def fit_imputation(data: Columns, validated: np.ndarray,
 
 
 def impute_once(data: Columns, model: ImputationModel,
-                rng: np.random.Generator, *, pass_through: bool = False,
-                validated: np.ndarray | None = None) -> Columns:
-    """One completed dataset: every record imputed, in sequence order.
-
-    By default validated records are re-imputed like everyone else;
-    ``pass_through=True`` keeps their observed values instead.
-    """
+                rng: np.random.Generator) -> Columns:
+    """One completed dataset: every record imputed, in sequence order."""
     n = len(next(iter(data.values())))
     work: Columns = dict(data)
     out: Columns = {}
@@ -168,27 +158,19 @@ def impute_once(data: Columns, model: ImputationModel,
                     imputed = (rng.uniform(size=n) < p).astype(np.float64)
                 else:
                     imputed = eta + sub.resid_sd * rng.standard_normal(n)
-        if pass_through:
-            if validated is None:
-                raise ValueError("pass_through requires the validated mask")
-            imputed = np.where(validated, np.asarray(data[spec.name]), imputed)
         out[spec.name] = imputed
         work[spec.name] = imputed  # later targets condition on this draw
     return out
 
 
-def impute(data: Columns, model: ImputationModel, m: int, seed: int, *,
-           pass_through: bool = False,
-           validated: np.ndarray | None = None) -> list[Columns]:
-    """M completed datasets; replicate ``j`` depends only on ``(seed, j)``."""
+def impute(data: Columns, model: ImputationModel, m: int,
+           seed: int) -> Iterator[Columns]:
+    """Yield M completed datasets; replicate ``j`` depends only on ``(seed, j)``."""
     if m < 2:
         raise ValueError("at least two imputation replicates are required")
-    return [
-        impute_once(data, model,
-                    np.random.default_rng(np.random.SeedSequence([seed, j])),
-                    pass_through=pass_through, validated=validated)
-        for j in range(m)
-    ]
+    for j in range(m):
+        yield impute_once(data, model,
+                          np.random.default_rng(np.random.SeedSequence([seed, j])))
 
 
 @dataclass(frozen=True)
@@ -213,44 +195,33 @@ def _analysis_influence(completed: Columns, base: Columns,
         cols.insert(0, np.ones(len(cols[0])))
     x = np.column_stack(cols)
     target = spec.target + (1 if spec.intercept else 0)
-    if spec.kind == "cox":
-        fit = models.fit_cox(np.maximum(col(spec.outcome), 1e-6),
-                             np.clip(col(spec.event), 0, 1), x)
-    else:
-        fit = models.fit_logistic(np.clip(col(spec.outcome), 0, 1), x)
-    return models.influence_for_target(fit, target)
+    # Imputed times stay positive; imputed indicators stay in [0, 1].
+    y = col(spec.outcome)
+    y = np.maximum(y, 1e-6) if spec.kind == "cox" else np.clip(y, 0, 1)
+    event = None if spec.event is None else np.clip(col(spec.event), 0, 1)
+    return models.influence_for_target(models.fit(spec.kind, y, event, x), target)
 
 
 def mi_influence(data: Columns, model: ImputationModel, m: int,
-                 analysis: AnalysisSpec, seed: int, *,
-                 pass_through: bool = False,
-                 validated: np.ndarray | None = None) -> np.ndarray:
+                 analysis: AnalysisSpec, seed: int) -> np.ndarray:
     """Average per-record influence over M imputation replicates.
 
     Replicates whose working fit fails to converge are dropped with a
     warning; if half or more fail the auxiliary is unusable and an error
     is raised.
     """
-    if m < 2:
-        raise ValueError("at least two imputation replicates are required")
-    n = len(next(iter(data.values())))
-    total = np.zeros(n)
-    kept = 0
+    total = np.zeros(len(next(iter(data.values()))))
     failures = []
-    for j in range(m):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-        completed = impute_once(data, model, rng, pass_through=pass_through,
-                                validated=validated)
+    for completed in impute(data, model, m, seed):
         try:
             total += _analysis_influence(completed, data, analysis)
         except ConvergenceError as exc:
-            failures.append((j, str(exc)))
-            continue
-        kept += 1
+            failures.append(str(exc))
+    kept = m - len(failures)
     if failures:
         warnings.warn(
             f"{len(failures)} of {m} imputation replicates dropped "
-            f"(first: {failures[0][1]})", stacklevel=2)
+            f"(first: {failures[0]})", stacklevel=2)
     if kept < (m + 1) // 2:
         raise ConvergenceError(
             f"only {kept} of {m} imputation replicates converged; "

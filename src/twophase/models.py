@@ -1,10 +1,10 @@
 """Weighted Cox proportional-hazards and logistic regression.
 
 Both fits solve a weighted estimating equation ``sum_i w_i U_i(theta) = 0``
-by Newton-Raphson with step-halving and return per-record influence
-vectors (dfbeta): the inverse information applied to each weighted score
-residual.  Design-based variance for stratified samples comes from
-:func:`sandwich_variance`.
+with one Newton-Raphson driver, :func:`_newton`, and return per-record
+influence vectors (dfbeta): the inverse information applied to each
+weighted score residual.  Design-based variance for stratified samples
+comes from :func:`sandwich_variance`.
 """
 
 from __future__ import annotations
@@ -64,7 +64,52 @@ def cox_loglik_score_info(beta, time, event, x, weights):
     return kernels.cox_breslow(ev, w, eta, xs, starts, group_index)
 
 
-def fit_cox(time, event, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
+def _newton(evaluate, linear_predictor, p, model, cause):
+    """Newton-Raphson with step-halving from ``beta = 0``.
+
+    ``evaluate(beta)`` gives ``(loglik, score, information, extra)``;
+    ``linear_predictor(beta, extra)`` the linear predictor at an accepted
+    step.  Returns ``(beta, loglik, information, extra, iterations)``.
+    Raises ConvergenceError, worded by ``model`` and ``cause``, when 30
+    halvings do not raise the log-likelihood, the linear-predictor spread
+    passes ``ETA_SPREAD_LIMIT``, or ``MAX_ITER`` steps leave
+    ``max |score| >= GRAD_TOL``.
+    """
+    beta = np.zeros(p)
+    ll, score, info, extra = evaluate(beta)
+    iterations = 0
+
+    def failure(message):
+        return ConvergenceError(f"{model} {message}; {cause}", iterations=iterations,
+                                gradient_norm=float(np.max(np.abs(score))))
+
+    while not np.max(np.abs(score)) < GRAD_TOL:
+        if iterations == MAX_ITER:
+            raise failure(f"Newton-Raphson did not converge in {MAX_ITER} iterations "
+                          f"(max |score| = {np.max(np.abs(score)):.3g}, "
+                          f"max |beta| = {np.abs(beta).max():.3g})")
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(info, score, rcond=None)[0]
+        for _ in range(31):  # the full step, then up to 30 halvings
+            new_beta = beta + step
+            new = evaluate(new_beta)
+            if np.isfinite(new[0]) and new[0] >= ll - 1e-10:
+                break
+            step *= 0.5
+        else:
+            raise failure(f"step-halving exhausted (|beta| up to {np.abs(beta).max():.3g})")
+        beta = new_beta
+        ll, score, info, extra = new
+        iterations += 1
+        eta = linear_predictor(beta, extra)
+        if eta.max() - eta.min() > ETA_SPREAD_LIMIT:
+            raise failure(f"linear predictor spread {eta.max() - eta.min():.1f}")
+    return beta, ll, info, extra, iterations
+
+
+def fit_cox(time, event, x, weights=None):
     """Fit a weighted Cox model (Breslow ties).
 
     Parameters
@@ -81,68 +126,28 @@ def fit_cox(time, event, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
     """
     time = np.asarray(time, dtype=np.float64)
     event = np.asarray(event, dtype=np.float64)
-    n = time.shape[0]
-    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    weights = (np.ones(time.shape[0]) if weights is None
+               else np.asarray(weights, dtype=np.float64))
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
     if event.sum() < 1:
         raise ConvergenceError("no events in the data; hazard model undefined")
     order, ev, xs, starts, group_index = _prepare_cox(time, event, x)
     w = weights[order]
-    p = xs.shape[1]
 
-    beta = np.zeros(p)
-    eta = xs @ beta
-    ll, score, info = kernels.cox_breslow(ev, w, eta, xs, starts, group_index)
-    iterations = 0
-    converged = np.max(np.abs(score)) < tol
-    while not converged and iterations < max_iter:
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info, score, rcond=None)[0]
-        new_beta = beta + step
-        new_eta = xs @ new_beta
-        new = kernels.cox_breslow(ev, w, new_eta, xs, starts, group_index)
-        halvings = 0
-        while not np.isfinite(new[0]) or new[0] < ll - 1e-10:
-            step *= 0.5
-            halvings += 1
-            if halvings > 30:
-                raise ConvergenceError(
-                    "Cox step-halving exhausted; likelihood may be monotone "
-                    f"(|beta| up to {np.abs(beta).max():.3g})",
-                    iterations=iterations,
-                    gradient_norm=float(np.max(np.abs(score))),
-                )
-            new_beta = beta + step
-            new_eta = xs @ new_beta
-            new = kernels.cox_breslow(ev, w, new_eta, xs, starts, group_index)
-        beta, eta = new_beta, new_eta
-        ll, score, info = new
-        iterations += 1
-        if eta.max() - eta.min() > ETA_SPREAD_LIMIT:
-            raise ConvergenceError(
-                "Cox likelihood appears monotone (linear predictor spread "
-                f"{eta.max() - eta.min():.1f}); a covariate separates the event order",
-                iterations=iterations,
-                gradient_norm=float(np.max(np.abs(score))),
-            )
-        converged = np.max(np.abs(score)) < tol
-    if not converged:
-        raise ConvergenceError(
-            "Cox Newton-Raphson did not converge in "
-            f"{max_iter} iterations (max |score| = {np.max(np.abs(score)):.3g}); "
-            "check for separation or monotone likelihood",
-            iterations=iterations,
-            gradient_norm=float(np.max(np.abs(score))),
-        )
+    def evaluate(beta):
+        eta = xs @ beta
+        return (*kernels.cox_breslow(ev, w, eta, xs, starts, group_index), eta)
+
+    beta, ll, info, eta, iterations = _newton(
+        evaluate, lambda beta, eta: eta, xs.shape[1], "Cox",
+        "the likelihood may be monotone (a covariate separates the event order)")
     variance = _invert_info(info)
     resid = kernels.cox_score_residuals(ev, w, eta, xs, starts, group_index)
     influence_sorted = (w[:, None] * resid) @ variance.T
     influence = np.empty_like(influence_sorted)
     influence[order] = influence_sorted
-    return FitResult(beta, variance, influence, converged, iterations, float(ll))
+    return FitResult(beta, variance, influence, True, iterations, float(ll))
 
 
 def logistic_loglik_score_info(beta, y, x, weights):
@@ -162,7 +167,7 @@ def logistic_loglik_score_info(beta, y, x, weights):
     return ll, score, info, prob
 
 
-def fit_logistic(y, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
+def fit_logistic(y, x, weights=None):
     """Fit a weighted logistic regression by Newton-Raphson.
 
     ``x`` should include an intercept column if one is wanted.  Raises
@@ -171,60 +176,19 @@ def fit_logistic(y, x, weights=None, *, max_iter=MAX_ITER, tol=GRAD_TOL):
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    n = y.shape[0]
-    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    weights = np.ones(y.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
     if y.min() == y.max():
         raise ConvergenceError("outcome takes a single value; both classes required")
-    p = x.shape[1]
-    beta = np.zeros(p)
-    ll, score, info, prob = logistic_loglik_score_info(beta, y, x, weights)
-    iterations = 0
-    converged = np.max(np.abs(score)) < tol
-    while not converged and iterations < max_iter:
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info, score, rcond=None)[0]
-        new_beta = beta + step
-        new = logistic_loglik_score_info(new_beta, y, x, weights)
-        halvings = 0
-        while not np.isfinite(new[0]) or new[0] < ll - 1e-10:
-            step *= 0.5
-            halvings += 1
-            if halvings > 30:
-                raise ConvergenceError(
-                    "logistic step-halving exhausted; data may be separated",
-                    iterations=iterations,
-                    gradient_norm=float(np.max(np.abs(score))),
-                )
-            new_beta = beta + step
-            new = logistic_loglik_score_info(new_beta, y, x, weights)
-        beta = new_beta
-        ll, score, info, prob = new
-        iterations += 1
-        eta = x @ beta
-        if eta.max() - eta.min() > ETA_SPREAD_LIMIT:
-            raise ConvergenceError(
-                "logistic data appear separated (linear predictor spread "
-                f"{eta.max() - eta.min():.1f})",
-                iterations=iterations,
-                gradient_norm=float(np.max(np.abs(score))),
-            )
-        converged = np.max(np.abs(score)) < tol
-    if not converged:
-        raise ConvergenceError(
-            f"logistic Newton-Raphson did not converge in {max_iter} iterations "
-            f"(max |score| = {np.max(np.abs(score)):.3g}, max |beta| = "
-            f"{np.abs(beta).max():.3g}); check for separation",
-            iterations=iterations,
-            gradient_norm=float(np.max(np.abs(score))),
-        )
+    beta, ll, info, prob, iterations = _newton(
+        lambda beta: logistic_loglik_score_info(beta, y, x, weights),
+        lambda beta, prob: x @ beta, x.shape[1], "logistic",
+        "the data may be separated")
     variance = _invert_info(info)
     resid = (y - prob)[:, None] * x
     influence = (weights[:, None] * resid) @ variance.T
-    return FitResult(beta, variance, influence, converged, iterations, float(ll))
+    return FitResult(beta, variance, influence, True, iterations, float(ll))
 
 
 def fit(kind, time_or_y, event, x, weights=None) -> FitResult:
@@ -275,13 +239,9 @@ def sandwich_variance(fit: FitResult, strata=None, clusters=None) -> np.ndarray:
     labels, inv = np.unique(strata, return_inverse=True)
     counts = np.bincount(inv)
     if np.any(counts == 1) and labels.size > 1:
-        warnings.warn(
-            "stratum with a single record: falling back to pooled variance",
-            stacklevel=2,
-        )
-        strata = np.zeros(h.shape[0], dtype=np.intp)
-        labels, inv = np.unique(strata, return_inverse=True)
-        counts = np.bincount(inv)
+        warnings.warn("stratum with a single record: falling back to pooled variance",
+                      stacklevel=2)
+        labels, inv = np.zeros(1), np.zeros(h.shape[0], dtype=np.intp)
     p = h.shape[1]
     v = np.zeros((p, p))
     for s in range(labels.size):

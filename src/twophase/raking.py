@@ -11,7 +11,7 @@ dual by Newton with line search.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,9 +209,8 @@ def raking_fit(kind, time_or_y, event, x, base_weights, sample_aux,
     wa = aux * w[:, None]
     coef, *_ = np.linalg.lstsq(wa.T @ aux, wa.T @ per_record, rcond=None)
     residual_influence = (per_record - aux @ coef) * w[:, None]
-    proxy = models.FitResult(fit.coefficients, fit.variance, residual_influence,
-                             fit.converged, fit.iterations)
-    phase2 = models.sandwich_variance(proxy, strata, clusters)
+    phase2 = models.sandwich_variance(replace(fit, influence=residual_influence),
+                                      strata, clusters)
     # Phase-1 component: the census estimator's own variance around the
     # model parameter, estimated by the calibrated-weighted second moment
     # of the per-record influence.

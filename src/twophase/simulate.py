@@ -12,8 +12,11 @@ The experiment harness (:func:`run_design`, :func:`estimate_obesity`,
 :func:`estimate_asthma`) is array I/O around the same design core the
 CLI uses: ``allocation.influence_sd`` / ``allocate_wave`` /
 ``draw_within_strata`` for each wave, ``records.inclusion_probabilities``
-for pi, and ``multiframe.hansen_hurwitz`` for the combined frame.  Its
-imputation models (``_cox_imputation_specs``,
+for pi, and ``multiframe.hansen_hurwitz`` for the combined frame.  Both
+endpoints run one estimation routine, ``_estimate``, which differs per
+endpoint only in the model kind, the reported coefficient, the array
+builder (``_obesity_arrays``, ``_asthma_arrays``), the analysis frame
+and the MI influence.  Its imputation models (``_cox_imputation_specs``,
 ``_asthma_imputation_specs``) are its own.
 """
 
@@ -512,17 +515,14 @@ def run_design(pop: Population, spec: DesignSpec, seed: int,
     # later waves on the validated records' IPW influence.
     o_strata, o_assign = obesity_strata(pop, spec)
     sizes = [s.population_size for s in o_strata]
-    xz = np.column_stack([pop.x, pop.z])
-    p1_fit = models.fit_cox(pop.y_star, pop.delta_star,
-                            np.column_stack([pop.x_star, pop.z_star]))
+    p1_fit = models.fit_cox(*_obesity_arrays(pop, np.arange(pop.n), False))
     h_naive = models.influence_for_target(p1_fit, 0)
 
     def obesity_influence(wave, sampled, counts):
         if wave == 1:
             return h_naive, None, 0.0
         pis = inclusion_probabilities(counts, sizes, o_assign[sampled])
-        fit = models.fit_cox(pop.y[sampled], pop.delta[sampled], xz[sampled],
-                             weights=1.0 / pis)
+        fit = models.fit_cox(*_obesity_arrays(pop, sampled, True), weights=1.0 / pis)
         h_val = np.zeros(pop.n)
         # Per-record influence: strip the design weight back off.
         h_val[sampled] = fit.influence[:, 0] * pis
@@ -617,34 +617,68 @@ def _combined_frame(pop, obesity: WaveDesign, asthma: WaveDesign):
     return np.concatenate([o_rows, a_rows]), weights, strata
 
 
+def _obesity_arrays(pop: Population, rows, phase2: bool):
+    """Cox ``(time, event, [x, z])`` on population ``rows``, true or phase-1."""
+    y, delta, x, z = ((pop.y, pop.delta, pop.x, pop.z) if phase2 else
+                      (pop.y_star, pop.delta_star, pop.x_star, pop.z_star))
+    return y[rows], delta[rows], np.column_stack([x[rows], z[rows]])
+
+
+def _asthma_arrays(pop: Population, rows, phase2: bool):
+    """Logistic ``(outcome, None, [1, x, z1, delta])`` on population ``rows``."""
+    asthma, delta, x, z = ((pop.asthma, pop.delta, pop.x, pop.z) if phase2 else
+                           (pop.asthma_star, pop.delta_star, pop.x_star, pop.z_star))
+    return (np.clip(asthma[rows], 0, 1), None,
+            np.column_stack([np.ones(rows.size), x[rows], z[rows, 0], delta[rows]]))
+
+
+def _estimate(pop: Population, obesity: WaveDesign, asthma: WaveDesign, endpoint: str,
+              kind: str, target: int, arrays, frame: np.ndarray, design: WaveDesign,
+              mi) -> list[EstimateRow]:
+    """The five comparison estimators of coefficient ``target`` for one endpoint.
+
+    ``arrays(pop, rows, phase2)`` builds the working model's inputs on
+    population ``rows``; ``frame`` marks the analysis population, ``design``
+    is the endpoint's own frame (for ipw_sf), and ``mi(validated)`` its MI
+    influence.
+    """
+    frame_rows = np.flatnonzero(frame)
+    p1 = models.fit(kind, *arrays(pop, frame_rows, False))
+    p1.variance = models.sandwich_variance(p1)
+    h_naive = np.zeros(pop.n)
+    h_naive[frame_rows] = models.influence_for_target(p1, target)
+
+    sf = raking.ipw_fit(kind, *arrays(pop, design.member_index[design.sampled], True),
+                        design.pi()[design.sampled],
+                        strata=design.assignment[design.sampled])
+
+    rows, weights, strata = _combined_frame(pop, obesity, asthma)
+    validated = np.zeros(pop.n, dtype=bool)
+    validated[rows] = True
+    keep = frame[rows]
+    rows, weights, strata = rows[keep], weights[keep], strata[keep]
+    y, event, x = arrays(pop, rows, True)
+    mf = models.fit(kind, y, event, x, weights)
+    mf.variance = models.sandwich_variance(mf, strata, rows)
+
+    fits = {"phase1": p1, "ipw_sf": sf, "ipw_mf": mf}
+    for name, h in (("raking_nv", h_naive), ("raking_mi", mi(validated))):
+        aux = np.column_stack([np.ones(pop.n), h])
+        fits[name], _ = raking.raking_fit(
+            kind, y, event, x, weights, aux[rows], aux[frame_rows].sum(axis=0),
+            strata=strata, clusters=rows)
+    return [EstimateRow(endpoint, name, float(fit.coefficients[target]),
+                        float(fit.se[target])) for name, fit in fits.items()]
+
+
 def estimate_obesity(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
                      spec: DesignSpec, seed: int) -> list[EstimateRow]:
     """The five comparison estimators for the primary (hazard) endpoint."""
-    xz = np.column_stack([pop.x, pop.z])
-    p1 = models.fit_cox(pop.y_star, pop.delta_star,
-                        np.column_stack([pop.x_star, pop.z_star]))
-    p1.variance = models.sandwich_variance(p1)
-
-    o_rows = np.flatnonzero(obesity.sampled)
-    sf = raking.ipw_fit("cox", pop.y[o_rows], pop.delta[o_rows], xz[o_rows],
-                        obesity.pi()[o_rows], strata=obesity.assignment[o_rows])
-
-    rows, weights, strata = _combined_frame(pop, obesity, asthma)
-    mf = models.fit_cox(pop.y[rows], pop.delta[rows], xz[rows], weights)
-    mf.variance = models.sandwich_variance(mf, strata, rows)
-
-    validated = np.zeros(pop.n, dtype=bool)
-    validated[rows] = True
-    h_mi = _mi_influence(pop, validated, _cox_imputation_specs(), COX_ANALYSIS,
-                         spec.mi_replicates_estimator, seed + 7919)
-    fits = {"phase1": p1, "ipw_sf": sf, "ipw_mf": mf}
-    for name, h in (("raking_nv", models.influence_for_target(p1, 0)), ("raking_mi", h_mi)):
-        aux = np.column_stack([np.ones(pop.n), h])
-        fits[name], _ = raking.raking_fit(
-            "cox", pop.y[rows], pop.delta[rows], xz[rows], weights, aux[rows],
-            aux.sum(axis=0), strata=strata, clusters=rows)
-    return [EstimateRow("obesity", name, float(fit.coefficients[0]), float(fit.se[0]))
-            for name, fit in fits.items()]
+    return _estimate(
+        pop, obesity, asthma, "obesity", "cox", 0, _obesity_arrays,
+        np.ones(pop.n, dtype=bool), obesity,
+        lambda v: _mi_influence(pop, v, _cox_imputation_specs(), COX_ANALYSIS,
+                                spec.mi_replicates_estimator, seed + 7919))
 
 
 def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
@@ -654,44 +688,11 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
     Analysis population is the asthma frame; the working model is the
     generating one (exposure, continuous covariate, obesity indicator).
     """
-    members = pop.in_asthma_frame
-    mrows = np.flatnonzero(members)
-
-    def design(a_col, d_col, x_col, z1_col, rows):
-        return (np.clip(a_col[rows], 0, 1),
-                np.column_stack([np.ones(rows.size), x_col[rows], z1_col[rows],
-                                 d_col[rows]]))
-
-    p1 = models.fit_logistic(*design(pop.asthma_star, pop.delta_star, pop.x_star,
-                                     pop.z_star[:, 0], mrows))
-    p1.variance = models.sandwich_variance(p1)
-    h_naive = np.zeros(pop.n)
-    h_naive[mrows] = models.influence_for_target(p1, 1)
-
-    a_rows = asthma.member_index[asthma.sampled]
-    y_sf, x_sf = design(pop.asthma, pop.delta, pop.x, pop.z[:, 0], a_rows)
-    sf = raking.ipw_fit("logistic", y_sf, None, x_sf, asthma.pi()[asthma.sampled],
-                        strata=asthma.assignment[asthma.sampled])
-
-    rows, weights, strata = _combined_frame(pop, obesity, asthma)
-    validated = np.zeros(pop.n, dtype=bool)
-    validated[rows] = True
-    keep = members[rows]
-    rows, weights, strata = rows[keep], weights[keep], strata[keep]
-    y_mf, x_mf = design(pop.asthma, pop.delta, pop.x, pop.z[:, 0], rows)
-    mf = models.fit_logistic(y_mf, x_mf, weights)
-    mf.variance = models.sandwich_variance(mf, strata, rows)
-
-    h_mi = _mi_influence(pop, validated, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
-                         spec.mi_replicates_estimator, seed + 104729)
-    fits = {"phase1": p1, "ipw_sf": sf, "ipw_mf": mf}
-    for name, h in (("raking_nv", h_naive), ("raking_mi", h_mi)):
-        aux = np.column_stack([np.ones(pop.n), h])
-        fits[name], _ = raking.raking_fit(
-            "logistic", y_mf, None, x_mf, weights, aux[rows], aux[mrows].sum(axis=0),
-            strata=strata, clusters=rows)
-    return [EstimateRow("asthma", name, float(fit.coefficients[1]), float(fit.se[1]))
-            for name, fit in fits.items()]
+    return _estimate(
+        pop, obesity, asthma, "asthma", "logistic", 1, _asthma_arrays,
+        pop.in_asthma_frame, asthma,
+        lambda v: _mi_influence(pop, v, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
+                                spec.mi_replicates_estimator, seed + 104729))
 
 
 def estimate_all(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
@@ -712,9 +713,7 @@ class ExperimentReport:
     replicates: int
     estimators: dict[str, dict[str, float]]  # "endpoint/estimator" -> stats
     failures: int = 0
-
-    def row(self, endpoint: str, name: str) -> dict[str, float]:
-        return self.estimators[f"{endpoint}/{name}"]
+    failure_reasons: dict[str, dict] = field(default_factory=dict)  # "count", "first" by class
 
 
 def run_replicate(config: SimConfig, spec: DesignSpec, seed: int) -> list[EstimateRow]:
@@ -728,19 +727,22 @@ def run_experiment(config: SimConfig, spec: DesignSpec, replicates: int, *,
     """Monte Carlo comparison of the five estimators on both endpoints.
 
     Replicate ``r`` derives its seed from ``(master_seed, r)`` alone, so
-    results are reproducible and order-independent.
+    results are reproducible and order-independent.  A replicate that
+    raises ConvergenceError or InfeasibleError is skipped and counted in
+    ``failures`` and, by error class, in ``failure_reasons``.
     """
     z95 = 1.959963984540054
     keys = [f"{ep}/{name}" for ep in ENDPOINTS for name in ESTIMATORS]
     betas = {k: [] for k in keys}
     ses = {k: [] for k in keys}
-    failures = 0
+    reasons: dict[str, dict] = {}
     for r in range(replicates):
         seed = int(np.random.SeedSequence([master_seed, r]).generate_state(1)[0])
         try:
             rows = run_replicate(config, spec, seed)
-        except (ConvergenceError, InfeasibleError):
-            failures += 1
+        except (ConvergenceError, InfeasibleError) as exc:
+            reason = reasons.setdefault(type(exc).__name__, {"count": 0, "first": str(exc)})
+            reason["count"] += 1
             continue
         for row in rows:
             betas[f"{row.endpoint}/{row.estimator}"].append(row.beta)
@@ -767,4 +769,5 @@ def run_experiment(config: SimConfig, spec: DesignSpec, replicates: int, *,
             "n": int(b.size),
         }
     return ExperimentReport(true_beta=true_beta, replicates=replicates,
-                            estimators=summary, failures=failures)
+                            estimators=summary, failure_reasons=reasons,
+                            failures=sum(reason["count"] for reason in reasons.values()))

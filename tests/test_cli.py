@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -116,6 +117,21 @@ class TestDesignCli:
         assert rows[0]["estimator"] == "ipw_single"
         assert np.isfinite(rows[0]["beta"]) and rows[0]["se"] > 0
 
+    def test_raking_influence_file_missing_a_member_gives_parse_exit(
+            self, sim_dir, tmp_path, capsys):
+        self.test_draw_then_reveal_then_ipw(sim_dir, tmp_path)
+        lines = (tmp_path / "h.csv").read_text().splitlines()
+        (tmp_path / "h_short.csv").write_text("\n".join(lines[:-5]) + "\n")
+        first_missing = lines[-5].split(",")[0]
+        code = run(["estimate", "--dyads", tmp_path / "dyads2.csv",
+                    "--model", "cox", "--method", "raking", "--aux", "naive",
+                    "--influence", tmp_path / "h_short.csv",
+                    "--ledger", tmp_path / "ledger2.json",
+                    "--out", tmp_path / "est_rk.csv"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and repr(first_missing) in err
+
     def test_wave1_skips_a_leaf_closed_before_it(self, sim_dir, tmp_path):
         self.test_allocation_budget_identity(sim_dir, tmp_path)
         assert run(["design", "close", "--ledger", tmp_path / "ledger.json",
@@ -210,15 +226,44 @@ class TestFpcaCli:
                     "--eigensystem", tmp_path / "es.json",
                     "--out", tmp_path / "flags.csv"]) == 0
 
-    def test_constant_population_fit_then_flag(self, tmp_path):
-        # A zero-variation fit has no noise term; flagging from it still
-        # runs and finds nothing in on-mean data.
+    @staticmethod
+    def _constant_fit(tmp_path):
         t = np.linspace(-300.0, 250.0, 20)
         fileio.write_measurements(
             tmp_path / "m.csv",
             [fpca.LongitudinalSeries(f"c{i}", t, np.full(20, 70.0)) for i in range(10)])
         assert run(["fpca", "fit", "--measurements", tmp_path / "m.csv",
                     "--out", tmp_path / "es.json"]) == 0
+
+    def _score(self, tmp_path, gestation_text):
+        self._constant_fit(tmp_path)
+        (tmp_path / "gest.csv").write_text(gestation_text)
+        return run(["fpca", "score", "--measurements", tmp_path / "m.csv",
+                    "--eigensystem", tmp_path / "es.json",
+                    "--gestation-file", tmp_path / "gest.csv",
+                    "--out", tmp_path / "scores.csv"])
+
+    def test_score_reads_the_gestation_file(self, tmp_path):
+        assert self._score(tmp_path, "subject_id,gestation_days\nc3,250\n") == 0
+        with open(tmp_path / "scores.csv") as fh:
+            rows = {r["subject_id"]: float(r["gestation_days"]) for r in csv.DictReader(fh)}
+        assert rows["c3"] == 250.0 and rows["c0"] == 273.0
+
+    def test_score_non_numeric_gestation_gives_parse_exit(self, tmp_path, capsys):
+        code = self._score(tmp_path, "subject_id,gestation_days\nc0,270\nc1,long\n")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and "row 3" in err and "gestation_days" in err
+
+    def test_score_empty_gestation_file_gives_parse_exit(self, tmp_path, capsys):
+        assert self._score(tmp_path, "") == 4
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and "subject_id,gestation_days" in err
+
+    def test_constant_population_fit_then_flag(self, tmp_path):
+        # A zero-variation fit has no noise term; flagging from it still
+        # runs and finds nothing in on-mean data.
+        self._constant_fit(tmp_path)
         assert fileio.read_eigensystem(tmp_path / "es.json").zero_variation
         assert run(["fpca", "flag", "--measurements", tmp_path / "m.csv",
                     "--eigensystem", tmp_path / "es.json",

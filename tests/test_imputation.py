@@ -80,6 +80,23 @@ class TestImpute:
         a, b = imp.impute(data, model, 2, seed=42)
         assert not np.allclose(a["x"], b["x"])
 
+    def test_replicates_are_yielded_one_at_a_time(self):
+        data, validated = toy_population(seed=5)
+        model = imp.fit_imputation(data, validated, SPECS)
+        replicates = imp.impute(data, model, 3, seed=42)
+        first = next(replicates)
+        np.testing.assert_array_equal(
+            first["x"],
+            imp.impute_once(data, model, np.random.default_rng(
+                np.random.SeedSequence([42, 0])))["x"])
+        assert len(list(replicates)) == 2
+
+    def test_fewer_than_two_replicates_rejected(self):
+        data, validated = toy_population(seed=5)
+        model = imp.fit_imputation(data, validated, SPECS)
+        with pytest.raises(ValueError, match="two imputation replicates"):
+            next(imp.impute(data, model, 1, seed=42))
+
     def test_degenerate_binary_probability(self):
         rng = np.random.default_rng(2)
         data = {"b": np.zeros(200), "z": rng.normal(size=200)}
@@ -92,14 +109,13 @@ class TestImpute:
         assert np.all(out["b"] == 0.0)
 
     def test_validated_reimputed_by_default_passthrough_optional(self):
+        # Validated records are re-imputed like everyone else; there is no
+        # pass-through of their observed values.
         data, validated = toy_population(seed=9)
         model = imp.fit_imputation(data, validated, SPECS)
         rng = np.random.default_rng(0)
         default = imp.impute_once(data, model, rng)
         assert not np.allclose(default["x"][validated], data["x"][validated])
-        passed = imp.impute_once(data, model, np.random.default_rng(0),
-                                 pass_through=True, validated=validated)
-        np.testing.assert_array_equal(passed["x"][validated], data["x"][validated])
 
     def test_imputed_mean_matches_weighted_phase2_mean(self):
         data, validated = toy_population(n=4000, seed=13)

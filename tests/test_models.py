@@ -160,8 +160,48 @@ class TestCox:
         time = np.arange(1.0, 13.0)
         event = np.ones(12)
         x = np.arange(12.0).reshape(-1, 1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="Cox linear predictor spread") as exc:
             models.fit_cox(time, event, x)
+        assert exc.value.iterations >= 1
+        assert exc.value.gradient_norm is not None and np.isfinite(exc.value.gradient_norm)
+
+
+
+def _fit_newton_model(model, x):
+    """Fit ``model`` on 50 records with covariate column ``x``."""
+    rng = np.random.default_rng(3)
+    n = x.shape[0]
+    if model == "cox":
+        return models.fit_cox(rng.exponential(size=n), np.ones(n), x)
+    y = (np.arange(n) % 2).astype(float)
+    return models.fit_logistic(y, np.column_stack([np.ones(n), x]))
+
+
+@pytest.mark.parametrize("model,word", [("cox", "Cox"), ("logistic", "logistic")])
+class TestNewtonFailure:
+    """The shared Newton driver's failures carry their diagnostics."""
+
+    def test_exhausted_step_halving(self, model, word):
+        # Covariates near 1e200 overflow the information matrix, so no
+        # step from beta = 0 gives a finite log-likelihood.
+        x = np.random.default_rng(4).normal(size=(50, 1)) * 1e200
+        with np.errstate(all="ignore"):
+            with pytest.raises(ConvergenceError,
+                               match=f"{word} step-halving exhausted") as exc:
+                _fit_newton_model(model, x)
+        assert exc.value.iterations == 0
+        assert exc.value.gradient_norm > 1e100
+
+    def test_iteration_limit(self, model, word, monkeypatch):
+        x = np.random.default_rng(5).normal(size=(50, 1))
+        converged = _fit_newton_model(model, x)
+        assert converged.iterations > 1
+        monkeypatch.setattr(models, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match=f"{word} Newton-Raphson did not converge in 1 ") as exc:
+            _fit_newton_model(model, x)
+        assert exc.value.iterations == 1
+        assert exc.value.gradient_norm >= models.GRAD_TOL
 
 
 class TestLogistic:
@@ -215,12 +255,16 @@ class TestLogistic:
     def test_perfect_separation_raises(self):
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         x = np.column_stack([np.ones(6), np.array([-3.0, -2, -1, 1, 2, 3])])
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="logistic linear predictor spread") as exc:
             models.fit_logistic(y, x)
+        assert exc.value.iterations >= 1
+        assert exc.value.gradient_norm is not None and np.isfinite(exc.value.gradient_norm)
 
     def test_single_class_raises(self):
-        with pytest.raises(ConvergenceError):
+        # Rejected before Newton starts, so no iteration diagnostics.
+        with pytest.raises(ConvergenceError, match="single value") as exc:
             models.fit_logistic(np.ones(4), np.ones((4, 1)))
+        assert exc.value.iterations is None and exc.value.gradient_norm is None
 
     def test_influence_sums_to_zero(self):
         rng = np.random.default_rng(31)

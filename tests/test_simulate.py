@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from twophase import models, simulate as sim
+from twophase import fileio, models, simulate as sim
 from twophase.allocation import StratumStats
-from twophase.errors import InfeasibleError
+from twophase.errors import ConvergenceError, InfeasibleError
 
 
 class TestGenerate:
@@ -194,6 +194,31 @@ class TestExperiment:
             got = (row["mean_beta"], row["sd"], row["mean_se"], row["coverage"])
             assert got == pytest.approx(expected, rel=1e-12, abs=0), key
             assert row["n"] == 3
+
+    def test_failed_replicates_record_their_reasons(self, monkeypatch, tmp_path):
+        real = sim.run_replicate
+        calls = []
+
+        def flaky(config, spec, seed):
+            calls.append(seed)
+            if len(calls) in (1, 3):
+                raise ConvergenceError(f"replicate {len(calls)} diverged")
+            return real(config, spec, seed)
+
+        monkeypatch.setattr(sim, "run_replicate", flaky)
+        spec = sim.DesignSpec(obesity_waves=(80, 60), asthma_waves=(40, 30),
+                              mi_replicates_allocation=2, mi_replicates_estimator=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = sim.run_experiment(sim.SimConfig(n=1500), spec, replicates=3,
+                                        master_seed=9)
+        assert report.failures == 2
+        assert report.failure_reasons == {
+            "ConvergenceError": {"count": 2, "first": "replicate 1 diverged"}}
+        assert all(row["n"] == 1 for row in report.estimators.values())
+        fileio.write_report(tmp_path / "report.csv", tmp_path / "report.txt", report)
+        text = (tmp_path / "report.txt").read_text()
+        assert "failures (ConvergenceError): 2; first: replicate 1 diverged" in text
 
     def test_zero_error_estimators_agree_with_census(self):
         err = sim.ErrorModel(event_fp=0, event_fn=0, time_jitter_prob=0,
