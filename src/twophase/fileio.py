@@ -296,7 +296,10 @@ def write_influence(path, values: dict[str, float]) -> None:
 
 
 def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
-    """``{key: value}`` from a two-column CSV with header ``key,column``."""
+    """``{key: value}`` from a two-column CSV with header ``key,column``.
+
+    A key that appears on two rows raises SchemaError naming both rows.
+    """
     out = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -306,7 +309,12 @@ def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
         for i, row in enumerate(reader, start=2):
             if len(row) < 2:
                 raise SchemaError(f"row {i}: expected 2 cells")
-            out[row[0].strip()] = _parse_float(row[1], i, column)
+            k = row[0].strip()
+            if k in out:
+                # The keys so far are unique and in file order from row 2.
+                first = 2 + list(out).index(k)
+                raise SchemaError(f"row {i}: {key} {k!r} repeats the one on row {first}")
+            out[k] = _parse_float(row[1], i, column)
     return out
 
 

@@ -12,6 +12,7 @@ outside the prediction band from the subject's other observations.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -56,13 +57,14 @@ class LongitudinalSeries:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def shifted(self, offset: float) -> "LongitudinalSeries":
-        return LongitudinalSeries(self.subject_id, self.times + offset, self.values)
-
 
 @dataclass
 class EigenSystem:
-    """Estimated mean curve, eigenpairs, and noise variance on a fixed grid."""
+    """Estimated mean curve, eigenpairs, and noise variance on a fixed grid.
+
+    The mean curve and the eigenfunctions are linearly interpolated
+    between grid points from one table built at construction.
+    """
 
     grid: np.ndarray
     mean: np.ndarray
@@ -71,6 +73,20 @@ class EigenSystem:
     noise_var: float
     fve: np.ndarray                # cumulative fraction of variance for k = 1..K
     zero_variation: bool = False
+    # EM steps (``_em_step`` evaluations) of the fit that made it: 0 for a
+    # zero-variation fit, None when it was not fitted here (built directly
+    # or read from a file, which does not store it).
+    em_steps: int | None = None
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Rows: the mean, then the K eigenfunctions.  The slope to the next
+        # grid point is stored per column; the last column's is 0, so the
+        # right end of the grid reads its own value.
+        self._table = np.vstack([self.mean, self.eigenfunctions])
+        self._slopes = np.zeros_like(self._table)
+        self._slopes[:, :-1] = np.diff(self._table, axis=1) / np.diff(self.grid)
 
     @property
     def n_components(self) -> int:
@@ -87,15 +103,23 @@ class EigenSystem:
                 f"time outside the fitted domain [{lo:g}, {hi:g}]")
         return t
 
+    def _values_at(self, t: np.ndarray) -> np.ndarray:
+        """Mean (row 0) and eigenfunctions (rows 1..K) at the 1-D in-domain ``t``.
+
+        One search serves every row, and each value is ``np.interp``'s
+        ``f[j] + slope[j] (t - grid[j])``.
+        """
+        j = np.searchsorted(self.grid, t, side="right") - 1
+        return self._table[:, j] + self._slopes[:, j] * (t - self.grid[j])
+
     def mean_at(self, t):
-        return np.interp(self._check_domain(t), self.grid, self.mean)
+        t = self._check_domain(t)
+        values = self._values_at(np.atleast_1d(t))[0]
+        return values if t.ndim else values[0]
 
     def eigen_at(self, t):
         """Eigenfunction values at ``t``, shaped K x len(t)."""
-        t = self._check_domain(np.atleast_1d(t))
-        if self.n_components == 0:
-            return np.zeros((0, t.size))
-        return np.vstack([np.interp(t, self.grid, phi) for phi in self.eigenfunctions])
+        return self._values_at(self._check_domain(np.atleast_1d(t)))[1:]
 
 
 def _pool(series: Sequence[LongitudinalSeries], lo: float, hi: float):
@@ -140,30 +164,50 @@ def bspline_basis(t, lo: float, hi: float) -> np.ndarray:
 def _subject_stats(basis, y, subj, n):
     """Per-subject sufficient statistics ``(gram, cross, sq)`` of the spline model.
 
-    ``gram[i] = B_i^T B_i``, ``cross[i] = B_i^T y_i`` and ``sq[i] = y_i^T y_i``,
-    accumulated one basis pair at a time so no per-point outer product is held.
+    With the subject index last, ``gram[:, :, i] = B_i^T B_i`` (L x L x n),
+    ``cross[:, i] = B_i^T y_i`` (L x n) and ``sq[i] = y_i^T y_i``.  They are
+    accumulated one basis pair at a time so no per-point outer product is
+    held.
     """
     n_basis = basis.shape[1]
-    gram = np.zeros((n, n_basis, n_basis))
+    gram = np.zeros((n_basis, n_basis, n))
     # Cubic B-splines overlap only within SPLINE_DEGREE of each other.
     for a in range(n_basis):
         for b in range(a, min(a + SPLINE_DEGREE + 1, n_basis)):
-            gram[:, a, b] = np.bincount(subj, basis[:, a] * basis[:, b], minlength=n)
-            gram[:, b, a] = gram[:, a, b]
-    cross = np.column_stack([np.bincount(subj, basis[:, a] * y, minlength=n)
-                             for a in range(n_basis)])
+            gram[a, b] = np.bincount(subj, basis[:, a] * basis[:, b], minlength=n)
+            gram[b, a] = gram[a, b]
+    cross = np.vstack([np.bincount(subj, basis[:, a] * y, minlength=n)
+                       for a in range(n_basis)])
     return gram, cross, np.bincount(subj, y * y, minlength=n)
 
 
-def _lower_inverse(chol):
-    """Inverses of a stack of lower-triangular matrices by forward substitution."""
-    size = chol.shape[-1]
-    inv = np.zeros_like(chol)
+def _inverse_cholesky(m):
+    """Inverse lower Cholesky factors of a subject-last stack of SPD matrices, in place.
+
+    ``m`` is L x L x c, matrix i being ``m[:, :, i]``; it is overwritten
+    with ``C_i^-1`` (zero above the diagonal), where ``C_i C_i^T`` is
+    matrix i, and returned.  Every entry of the factor and of its inverse
+    is one vector operation over the c matrices, so the Python loop runs
+    L(L + 1) times per stack however many matrices it holds.  A pivot
+    that is not positive (or is NaN) raises LinAlgError.
+    """
+    size = m.shape[0]
     for j in range(size):
-        row = -(chol[:, j, None, :j] @ inv[:, :j, :])[:, 0, :]
-        row[:, j] += 1.0
-        inv[:, j, :] = row / chol[:, j, j, None]
-    return inv
+        pivot = m[j, j] - np.einsum("kn,kn->n", m[j, :j], m[j, :j])
+        if not np.all(pivot > 0.0):
+            raise np.linalg.LinAlgError("a matrix of the stack is not positive definite")
+        m[j, j] = np.sqrt(pivot)
+        for i in range(j + 1, size):
+            m[i, j] = (m[i, j] - np.einsum("kn,kn->n", m[i, :j], m[j, :j])) / m[j, j]
+    m[np.triu_indices(size, 1)] = 0.0
+    # Row i of C C^-1 = I gives C^-1[i, j] from C[i, j..i] and rows j..i-1
+    # of C^-1, so each row of C is replaced left to right as it is used.
+    for i in range(size):
+        recip = 1.0 / m[i, i]
+        for j in range(i):
+            m[i, j] = -np.einsum("kn,kn->n", m[i, j:i], m[j:i, j]) * recip
+        m[i, i] = recip
+    return m
 
 
 def _em_step(stats, n_obs, mean, cov, noise_var):
@@ -174,34 +218,43 @@ def _em_step(stats, n_obs, mean, cov, noise_var):
     ``mean + M_i^-1 (r_i - G_i mean)`` and covariance ``V_i = noise_var
     M_i^-1``.  The M-step needs only sums over the n subjects, and with L
     basis functions ``sum_i tr(G_i V_i) = noise_var (n L - noise_var
-    tr(cov^-1 sum_i M_i^-1))``, so the inverse Cholesky factor of each
-    ``M_i`` serves the whole step (it is about twice as fast as a batched
-    ``np.linalg.inv``).
+    tr(cov^-1 sum_i M_i^-1))``, so the inverse Cholesky factor ``X_i`` of
+    each ``M_i`` serves the whole step: ``M_i^-1 = X_i^T X_i``.
+
+    The statistics keep the subject index last, so the L x L factor and
+    its inverse take one vector operation per entry across subjects
+    (:func:`_inverse_cholesky`) rather than one LAPACK call per subject;
+    the sum of the ``M_i^-1`` is one L x c by c x L product per row of
+    ``X``.  Subjects are taken E_STEP_CHUNK at a time: the factor costs
+    the same per subject, and the stack temporaries stay a few megabytes
+    instead of growing with n.
     """
     all_gram, all_cross, all_sq = stats
-    n, size = all_cross.shape
+    size, n = all_cross.shape
     cov_inv = np.linalg.inv(cov)
     prior = noise_var * cov_inv
     sum_d = np.zeros(size)
     sum_dd = np.zeros((size, size))
     sum_minv = np.zeros((size, size))
     rss = 0.0
+    work = np.empty((size, size, min(n, E_STEP_CHUNK)))    # M_i, then X_i, per chunk
     for lo in range(0, n, E_STEP_CHUNK):
         rows = slice(lo, lo + E_STEP_CHUNK)
-        gram, cross = all_gram[rows], all_cross[rows]
-        g_mean = gram @ mean
+        gram, cross = all_gram[:, :, rows], all_cross[:, rows]
+        g_mean = np.einsum("b,abn->an", mean, gram)
         u = cross - g_mean                                  # B_i^T (y_i - B_i mean)
-        chol_inv = _lower_inverse(np.linalg.cholesky(gram + prior))
-        w = (chol_inv @ u[:, :, None])[:, :, 0]
-        d = (w[:, None, :] @ chol_inv)[:, 0, :]             # posterior mean - mean
-        flat = chol_inv.reshape(-1, size)
-        sum_minv += flat.T @ flat
-        sum_d += d.sum(axis=0)
-        sum_dd += d.T @ d
+        chol_inv = _inverse_cholesky(
+            np.add(gram, prior[:, :, None], out=work[:, :, :cross.shape[1]]))
+        w = np.einsum("abn,bn->an", chol_inv, u)
+        d = np.einsum("abn,an->bn", chol_inv, w)            # posterior mean - mean
+        for row in chol_inv:
+            sum_minv += row @ row.T
+        sum_d += d.sum(axis=1)
+        sum_dd += d @ d.T
         # |y_i - B_i (mean + d_i)|^2 = |y_i - B_i mean|^2 - d_i^T u_i
         # - d_i^T prior d_i, because M_i d_i = u_i; the last term is summed
         # after the loop.
-        rss += float(np.sum(all_sq[rows] - 2.0 * cross @ mean + g_mean @ mean)
+        rss += float(np.sum(all_sq[rows] - 2.0 * mean @ cross + mean @ g_mean)
                      - np.sum(w * w))
     rss -= float(np.sum(prior * sum_dd))
     shift = sum_d / n
@@ -242,21 +295,26 @@ def _fit_spline_model(stats, n_obs, mean_offset, cov, noise_var):
     along them (Varadhan & Roland 2008, scheme S3) and takes one EM step
     from the extrapolated point.  When the extrapolated covariance is not
     positive definite or its noise variance is not positive, the cycle
-    keeps the plain second EM step instead.
+    keeps the plain second EM step instead.  Returns the fitted
+    ``(mean, cov, noise_var)`` and the number of EM steps taken.
     """
     size = cov.shape[0]
     theta = (np.zeros(size), cov, noise_var)
+    steps = 0
     for _ in range(EM_MAX_CYCLES):
         theta1 = _em_step(stats, n_obs, *theta)
+        steps += 1
         if _em_change(theta, theta1, mean_offset) < EM_TOL:
-            return theta1
+            return theta1, steps
         theta2 = _em_step(stats, n_obs, *theta1)
+        steps += 1
         p0, p1, p2 = _pack(theta), _pack(theta1), _pack(theta2)
         r, v = p1 - p0, p2 - 2.0 * p1 + p0
         alpha = min(-1.0, -float(np.sqrt((r @ r) / (v @ v)))) if v @ v > 0 else -1.0
         jump = _unpack(p0 - 2.0 * alpha * r + alpha * alpha * v, size)
         if alpha < -1.0 and jump[2] > 0.0 and _positive_definite(jump[1]):
             theta = _em_step(stats, n_obs, *jump)
+            steps += 1
         else:
             theta = theta2
     raise ConvergenceError(
@@ -282,7 +340,8 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     no block (mean coefficients, ``S``, ``noise_var``) by more than
     ``EM_TOL`` of that block's largest entry.  The mean curve is ``B m``
     on the grid, and the eigenpairs are those of the covariance surface
-    ``B S B^T`` under trapezoid quadrature.
+    ``B S B^T`` under trapezoid quadrature.  The number of EM steps taken
+    is returned as ``em_steps``.
 
     The component count is the smallest K whose cumulative fraction of
     variance reaches ``fve_threshold`` (or an explicit ``n_components``),
@@ -322,12 +381,13 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
         # Zero-variation population: mean curve explains everything.
         return EigenSystem(grid=grid, mean=mean, eigenvalues=np.empty(0),
                            eigenfunctions=np.empty((0, grid_size)),
-                           noise_var=0.0, fve=np.empty(0), zero_variation=True)
+                           noise_var=0.0, fve=np.empty(0), zero_variation=True,
+                           em_steps=0)
 
     stats = _subject_stats(basis, resid, subj, int(subj.max()) + 1)
     del basis, resid  # free the per-point arrays before EM's batched work
     try:
-        shift, cov, noise_var = _fit_spline_model(
+        (shift, cov, noise_var), em_steps = _fit_spline_model(
             stats, t.size, offset, pooled_var * np.eye(N_BASIS), INIT_NOISE_SHARE * pooled_var)
     except np.linalg.LinAlgError:
         raise IllConditionedError(
@@ -364,7 +424,46 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
         norm = float(np.sqrt(qw @ (phi[i] * phi[i])))
         phi[i] /= norm
     return EigenSystem(grid=grid, mean=mean, eigenvalues=lam, eigenfunctions=phi,
-                       noise_var=float(noise_var), fve=cum[:k], zero_variation=False)
+                       noise_var=float(noise_var), fve=cum[:k], zero_variation=False,
+                       em_steps=em_steps)
+
+
+def _conditional_scores(subject_id, times, values, system: EigenSystem,
+                        with_covariance: bool):
+    """PACE scores, and their conditional covariance when asked, of one series.
+
+    ``times``/``values`` are the subject's observations; those outside the
+    fitted domain are ignored.  Returns ``(xi, omega)`` with ``omega``
+    None unless ``with_covariance``.
+    """
+    lo, hi = system.domain()
+    keep = (times >= lo) & (times <= hi)
+    if not keep.any():
+        raise DomainError(f"series {subject_id}: no observations inside [{lo:g}, {hi:g}]")
+    k = system.n_components
+    if k == 0:
+        return np.empty(0), np.empty((0, 0))
+    t = times[keep]
+    table = system._values_at(t)
+    phi = table[1:]                               # K x m
+    resid = values[keep] - table[0]               # m
+    lam = system.eigenvalues
+    lam_phi = phi * lam[:, None]
+    cov = lam_phi.T @ phi                         # m x m, Phi diag(lam) Phi^T
+    rhs = np.column_stack([resid, lam_phi.T]) if with_covariance else resid
+    if system.noise_var > 1e-12 * lam[0]:
+        solved = np.linalg.solve(cov + system.noise_var * np.eye(t.size), rhs)
+    else:
+        warnings.warn(
+            "subject covariance is singular (no noise term); using a "
+            "pseudoinverse for the conditional scores",
+            stacklevel=3,
+        )
+        solved = np.linalg.pinv(cov, rcond=1e-10) @ rhs
+    if not with_covariance:
+        return lam_phi @ solved, None
+    omega = np.diag(lam) - lam_phi @ solved[:, 1:]
+    return lam_phi @ solved[:, 0], 0.5 * (omega + omega.T)
 
 
 def pace_scores(series: LongitudinalSeries, system: EigenSystem,
@@ -377,43 +476,17 @@ def pace_scores(series: LongitudinalSeries, system: EigenSystem,
     grid this reduces exactly to least-squares projection of the
     residuals onto the eigenfunctions.
     """
-    lo, hi = system.domain()
-    keep = (series.times >= lo) & (series.times <= hi)
-    if not keep.any():
-        raise DomainError(
-            f"series {series.subject_id}: no observations inside [{lo:g}, {hi:g}]")
-    t = series.times[keep]
-    w = series.values[keep]
-    k = system.n_components
-    if k == 0:
-        return np.empty(0), np.empty((0, 0))
-    phi = system.eigen_at(t)                      # K x m
-    resid = w - system.mean_at(t)                 # m
-    lam = system.eigenvalues
-    cov = (phi.T * lam) @ phi                     # m x m, Phi diag(lam) Phi^T
-    if system.noise_var > 1e-12 * lam[0]:
-        sigma = cov + system.noise_var * np.eye(t.size)
-        solved = np.linalg.solve(sigma, np.column_stack([resid, (phi * lam[:, None]).T]))
-    else:
-        warnings.warn(
-            "subject covariance is singular (no noise term); using a "
-            "pseudoinverse for the conditional scores",
-            stacklevel=2,
-        )
-        pinv = np.linalg.pinv(cov, rcond=1e-10)
-        solved = pinv @ np.column_stack([resid, (phi * lam[:, None]).T])
-    xi = (phi * lam[:, None]) @ solved[:, 0]
-    omega = np.diag(lam) - (phi * lam[:, None]) @ solved[:, 1:]
-    omega = 0.5 * (omega + omega.T)
-    return xi, omega
+    return _conditional_scores(series.subject_id, series.times, series.values, system,
+                               with_covariance=True)
 
 
 def reconstruct(scores: np.ndarray, system: EigenSystem, t) -> np.ndarray:
     """Predicted trajectory value(s) at ``t`` from component scores."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    mu = system.mean_at(t_arr)
+    t_arr = system._check_domain(np.atleast_1d(np.asarray(t, dtype=np.float64)))
+    values = system._values_at(t_arr)
+    mu = values[0]
     if system.n_components:
-        mu = mu + np.asarray(scores) @ system.eigen_at(t_arr)
+        mu = mu + np.asarray(scores) @ values[1:]
     return mu if np.ndim(t) else float(mu[0])
 
 
@@ -436,8 +509,9 @@ def gain_and_scores(series: LongitudinalSeries, system: EigenSystem,
     if g < 14 or (g - 1) > hi:
         raise DomainError(
             f"gestation length {g:g} outside the supported range [14, {hi + 1:g}]")
-    shifted = series.shifted(g - FULL_TERM_DAYS)
-    xi, _ = pace_scores(shifted, system)
+    # A shift keeps the times increasing, so the series needs no re-validation.
+    xi, _ = _conditional_scores(series.subject_id, series.times + (g - FULL_TERM_DAYS),
+                                series.values, system, with_covariance=False)
     endpoints = reconstruct(xi, system, np.array([g - 1.0, 0.0]))
     return float((endpoints[0] - endpoints[1]) / (g / 7.0)), xi
 
@@ -471,6 +545,12 @@ def _loo_scores(cov, resid, noise_free: bool, tol: float):
     score = np.where(miss > tol, np.inf, 0.0)
     score[free] = miss[free] / np.sqrt(var[free])
     return score, miss
+
+
+@functools.lru_cache(maxsize=8)
+def _two_sided_quantile(level: float) -> float:
+    """Standard normal quantile that leaves ``(1 - level) / 2`` in each tail."""
+    return NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
 
 
 def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
@@ -507,21 +587,24 @@ def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
     noise_free = not system.noise_var > 1e-12 * (lam[0] if lam.size else 0.0)
     t = series.times[keep]
     values = series.values[keep]
-    resid = values - system.mean_at(t)
-    phi = system.eigen_at(t)
+    table = system._values_at(t)
+    resid = values - table[0]
+    phi = table[1:]
     cov = (phi.T * lam) @ phi
     if not noise_free:
         cov += system.noise_var * np.eye(t.size)
     tol = float(np.sqrt(np.finfo(float).eps) * np.max(np.abs(values)))
-    z = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
+    z = _two_sided_quantile(level)
     kept = np.ones(t.size, dtype=bool)
-    while kept.any():
-        idx = np.flatnonzero(kept)
-        score, miss = _loo_scores(cov[np.ix_(idx, idx)], resid[idx], noise_free, tol)
+    idx, kept_cov, kept_resid = np.arange(t.size), cov, resid
+    while idx.size:
+        score, miss = _loo_scores(kept_cov, kept_resid, noise_free, tol)
         worst = int(np.argmax(score))
         if not score[worst] > z:
             break
         if np.isinf(score[worst]):
             worst = int(np.argmax(np.where(np.isinf(score), miss, -1.0)))
         kept[idx[worst]] = False
+        idx = np.flatnonzero(kept)
+        kept_cov, kept_resid = cov[np.ix_(idx, idx)], resid[idx]
     return [int(j) for j in keep[~kept]]

@@ -23,7 +23,7 @@ and the MI influence.  Its imputation models (``_cox_imputation_specs``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -459,6 +459,9 @@ class WaveDesign:
     sampled: np.ndarray        # bool per frame member row
     counts: np.ndarray         # draws per stratum
     wave_of: np.ndarray        # wave number per member row (0 = not drawn)
+    # The working model's phase-1 fit on every member, when the design
+    # allocated on it; the estimators reuse it instead of refitting.
+    phase1: models.FitResult | None = None
 
     def pi(self) -> np.ndarray:
         """Final-design inclusion probability per frame member row."""
@@ -530,6 +533,7 @@ def run_design(pop: Population, spec: DesignSpec, seed: int,
 
     obesity = _run_waves(o_strata, o_assign, np.arange(pop.n), spec.obesity_waves,
                          spec, rng, validated, obesity_influence)
+    obesity.phase1 = p1_fit
 
     # Asthma frame (subset; already-validated records stay drawable): every
     # wave allocates on the MI influence given everything validated so far.
@@ -639,12 +643,14 @@ def _estimate(pop: Population, obesity: WaveDesign, asthma: WaveDesign, endpoint
 
     ``arrays(pop, rows, phase2)`` builds the working model's inputs on
     population ``rows``; ``frame`` marks the analysis population, ``design``
-    is the endpoint's own frame (for ipw_sf), and ``mi(validated)`` its MI
-    influence.
+    is the endpoint's own frame (for ipw_sf, and its phase-1 fit when it
+    has one), and ``mi(validated)`` its MI influence.
     """
     frame_rows = np.flatnonzero(frame)
-    p1 = models.fit(kind, *arrays(pop, frame_rows, False))
-    p1.variance = models.sandwich_variance(p1)
+    p1 = design.phase1
+    if p1 is None:
+        p1 = models.fit(kind, *arrays(pop, frame_rows, False))
+    p1 = replace(p1, variance=models.sandwich_variance(p1))
     h_naive = np.zeros(pop.n)
     h_naive[frame_rows] = models.influence_for_target(p1, target)
 

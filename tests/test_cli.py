@@ -255,6 +255,12 @@ class TestFpcaCli:
         err = capsys.readouterr().err
         assert "error: parse:" in err and "row 3" in err and "gestation_days" in err
 
+    def test_score_repeated_gestation_id_gives_parse_exit(self, tmp_path, capsys):
+        code = self._score(tmp_path, "subject_id,gestation_days\nc0,270\nc0,250\n")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and "'c0'" in err and "row 2" in err
+
     def test_score_empty_gestation_file_gives_parse_exit(self, tmp_path, capsys):
         assert self._score(tmp_path, "") == 4
         err = capsys.readouterr().err

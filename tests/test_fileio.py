@@ -145,6 +145,17 @@ def test_influence_round_trip(tmp_path):
     assert fileio.read_influence(path) == values
 
 
+@pytest.mark.parametrize("reader, header", [
+    (fileio.read_influence, "id,influence"),
+    (fileio.read_gestation, "subject_id,gestation_days"),
+])
+def test_repeated_id_names_both_rows(tmp_path, reader, header):
+    path = tmp_path / "keyed.csv"
+    path.write_text(f"{header}\nd1,1.0\nd2,3.0\nd1,2.0\n")
+    with pytest.raises(SchemaError, match=r"row 4: .*'d1' repeats the one on row 2"):
+        reader(path)
+
+
 def test_allocation_and_draw_round_trip(tmp_path):
     path = tmp_path / "alloc.json"
     fileio.write_allocation(path, {"s1": 5, "s2": 0}, wave=2, frame="obesity",

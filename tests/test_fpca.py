@@ -46,6 +46,8 @@ class TestFitEigensystem:
         assert system.n_components == 3
         assert system.fve[-1] >= 0.999
         assert system.fve[1] < 0.999
+        # SQUAREM-accelerated EM takes about 70 steps on this population.
+        assert isinstance(system.em_steps, int) and 20 <= system.em_steps <= 150
 
     def test_eigenfunctions_match_truth(self, fitted):
         model, scores, series, system = fitted
@@ -92,7 +94,7 @@ class TestFitEigensystem:
         series = [fpca.LongitudinalSeries(f"c{i}", t, np.full(20, 70.0))
                   for i in range(30)]
         system = fpca.fit_eigensystem(series)
-        assert system.zero_variation
+        assert system.zero_variation and system.em_steps == 0
         assert system.n_components == 0
         assert np.allclose(system.mean, 70.0, atol=1e-6)
 
@@ -115,6 +117,63 @@ class TestFitEigensystem:
                                          s.values[s.times < -100]) for s in series]
         with pytest.raises(IllConditionedError):
             fpca.fit_eigensystem(early)
+
+
+def random_spd_stack(rng, size, n):
+    """L x L x n stack of SPD matrices, the subject index last."""
+    a = rng.standard_normal((n, size, size + 3))
+    return np.ascontiguousarray((a @ a.transpose(0, 2, 1)).transpose(1, 2, 0))
+
+
+class TestEStepKernel:
+    def test_inverse_cholesky_matches_lapack(self):
+        rng = np.random.default_rng(0)
+        n = 37                                       # not a multiple of any chunk
+        stack = random_spd_stack(rng, fpca.N_BASIS, n)
+        expected = np.linalg.inv(np.linalg.cholesky(stack.transpose(2, 0, 1)))
+        got = fpca._inverse_cholesky(stack.copy())
+        np.testing.assert_allclose(got.transpose(2, 0, 1), expected, rtol=1e-9, atol=1e-12)
+        assert np.all(np.triu(got.transpose(2, 0, 1), 1) == 0.0)
+
+    def test_non_positive_definite_member_raises(self):
+        stack = random_spd_stack(np.random.default_rng(1), 5, 9)
+        stack[:, :, 6] = 1.0                         # rank one: the second pivot is 0
+        with pytest.raises(np.linalg.LinAlgError):
+            fpca._inverse_cholesky(stack)
+
+    def test_chunked_em_step_matches_per_subject_update(self, monkeypatch):
+        # 37 subjects in chunks of 16: the last chunk is partial.
+        rng = np.random.default_rng(2)
+        lo, hi = fpca.TIME_DOMAIN
+        n = 37
+        counts = rng.integers(3, 12, size=n)
+        subj = np.repeat(np.arange(n), counts)
+        t = rng.uniform(lo, hi, subj.size)
+        y = rng.normal(0.0, 2.0, subj.size)
+        basis = fpca.bspline_basis(t, lo, hi)
+        size = fpca.N_BASIS
+        mean = rng.normal(0.0, 1.0, size)
+        cov = random_spd_stack(rng, size, 1)[:, :, 0] + np.eye(size)
+        noise = 0.7
+        monkeypatch.setattr(fpca, "E_STEP_CHUNK", 16)
+        got = fpca._em_step(fpca._subject_stats(basis, y, subj, n), subj.size, mean, cov, noise)
+
+        prior = noise * np.linalg.inv(cov)
+        ds, vs, sq_err = [], [], 0.0
+        for i in range(n):
+            b, yi = basis[subj == i], y[subj == i]
+            m_inv = np.linalg.inv(b.T @ b + prior)
+            d = m_inv @ (b.T @ (yi - b @ mean))
+            v = noise * m_inv
+            ds.append(d)
+            vs.append(v)
+            sq_err += np.sum((yi - b @ (mean + d)) ** 2) + np.trace(b.T @ b @ v)
+        ds = np.array(ds)
+        shift = ds.mean(axis=0)
+        cov_new = (ds - shift).T @ (ds - shift) / n + np.mean(vs, axis=0)
+        np.testing.assert_allclose(got[0], mean + shift, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got[1], cov_new, rtol=1e-9, atol=1e-12)
+        assert got[2] == pytest.approx(sq_err / subj.size, rel=1e-9)
 
 
 class TestPaceScores:
@@ -176,6 +235,28 @@ class TestPaceScores:
         series = fpca.LongitudinalSeries("out", np.array([500.0]), np.array([70.0]))
         with pytest.raises(DomainError):
             fpca.pace_scores(series, system)
+
+
+class TestInterpolationTable:
+    def test_values_at_matches_np_interp(self, fitted):
+        _, _, _, system = fitted
+        grid = system.grid
+        between = 0.5 * (grid[:-1] + grid[1:]) + 0.1
+        for t in (grid, between, np.array([grid[0], grid[-1]]),
+                  np.array([grid[-1], grid[0], grid[50]])):
+            values = system._values_at(t)
+            expected = [np.interp(t, grid, row)
+                        for row in (system.mean, *system.eigenfunctions)]
+            np.testing.assert_allclose(values, np.array(expected), rtol=1e-14, atol=1e-12)
+        np.testing.assert_array_equal(system._values_at(grid)[0], system.mean)
+
+    def test_views_keep_domain_checks(self, fitted):
+        _, _, _, system = fitted
+        assert system.eigen_at(np.array([0.0, 10.0])).shape == (3, 2)
+        assert np.ndim(system.mean_at(0.0)) == 0
+        for f in (system.mean_at, system.eigen_at):
+            with pytest.raises(DomainError):
+                f(np.array([0.0, system.grid[-1] + 1.0]))
 
 
 class TestReconstruct:
@@ -246,6 +327,14 @@ class TestWeightChange:
         a = fpca.weight_change(series[0], system, 266)
         b = fpca.weight_change(series[0], system, 266)
         assert a == b
+
+    def test_scores_are_those_of_the_shifted_series(self, fitted):
+        _, _, series, system = fitted
+        for s, g in zip(series[:20], (259, 266, 273, 270, 245) * 4):
+            _, xi = fpca.gain_and_scores(s, system, g)
+            shifted = fpca.LongitudinalSeries(s.subject_id, s.times + (g - 273), s.values)
+            expected, _ = fpca.pace_scores(shifted, system)
+            np.testing.assert_allclose(xi, expected, rtol=0, atol=1e-10)
 
     def test_gestation_out_of_range(self, fitted):
         _, _, series, system = fitted

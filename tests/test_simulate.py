@@ -140,6 +140,27 @@ class TestDesignPipeline:
             assert per_wave == list(waves)
             np.testing.assert_array_equal(design.sampled, design.wave_of > 0)
 
+    def test_phase1_fit_is_shared_with_the_estimators(self, small_run, monkeypatch):
+        # The obesity design allocates wave 1 on the phase-1 Cox fit to
+        # everyone; the phase1 estimate is that fit, not a second one.
+        pop, spec, obesity, asthma = small_run
+        fit_cox = models.fit_cox
+        refits = []
+
+        def counting(time, event, x, weights=None):
+            if time.size == pop.n and np.array_equal(time, pop.y_star):
+                refits.append(weights)
+            return fit_cox(time, event, x, weights)
+
+        monkeypatch.setattr(models, "fit_cox", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = sim.estimate_obesity(pop, obesity, asthma, spec, seed=77)
+        assert refits == []
+        phase1 = next(r for r in rows if r.estimator == "phase1")
+        fresh = fit_cox(*sim._obesity_arrays(pop, np.arange(pop.n), False))
+        assert phase1.beta == fresh.coefficients[0]
+
     def test_estimators_produce_finite_results(self, small_run):
         pop, spec, obesity, asthma = small_run
         with warnings.catch_warnings():
