@@ -12,7 +12,8 @@ experiment harness (``simulate.run_design``) and the CLI (``design
 allocate`` / ``design draw``): :func:`influence_sd` (per-stratum SDs),
 :func:`allocate_wave` (the wave rule) and :func:`draw_within_strata` (the
 draw).  :func:`stratum_sd` and :func:`draw_sample` are the id-keyed
-adapters the CLI uses; they map record ids to rows once and call the core.
+adapters the CLI uses; they map record ids to rows once and call the core
+(``draw_sample`` on the columns of a ``records.DyadTable``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from twophase.errors import DegenerateDesignError, InfeasibleError, LedgerError
-from twophase.records import DesignLedger, DyadRecord, leaf_index
+from twophase.records import DesignLedger, DyadRecord, as_table, leaf_index
 
 __all__ = [
     "StratumStats",
@@ -437,23 +438,24 @@ def draw_sample(records: Sequence[DyadRecord], ledger: DesignLedger,
     Deterministic for a given seed and ledger state.
     """
     wave = ledger.wave_count + 1 if wave is None else wave
-    members, leaves, idx = leaf_index(records, ledger)
+    table = as_table(records)
+    rows, leaves, idx = leaf_index(table, ledger)
     leaf_ids = sorted(s.id for s in leaves)
     for sid, want in sorted(allocation.items()):
         if int(want) and sid not in leaf_ids:
             raise LedgerError(f"allocation targets unknown leaf {sid!r}")
     position = {sid: k for k, sid in enumerate(leaf_ids)}
-    order = sorted(range(len(members)), key=lambda i: members[i].id)
-    ids = [members[i].id for i in order]
-    assignment = np.array([position[leaves[idx[i]].id] for i in order], dtype=np.intp)
+    member_ids = np.array([table.ids[r] for r in rows.tolist()], dtype=str)
+    order = np.argsort(member_ids, kind="stable")
+    ids = member_ids[order].tolist()
+    assignment = np.array([position[s.id] for s in leaves], dtype=np.intp)[idx[order]]
     already = ledger.sampled_ids()
-    eligible = np.array([rid not in already for rid in ids], dtype=bool)
+    eligible = np.fromiter((rid not in already for rid in ids), dtype=bool, count=len(ids))
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, wave]))
     chosen = draw_within_strata(rng, assignment, leaf_ids, allocation, eligible)
     by_stratum = {sid: [ids[i] for i in rows]
                   for sid, rows in zip(leaf_ids, chosen) if int(allocation.get(sid, 0))}
-    validated_ids = {r.id for r in records if r.validated}
-    overlap = {rid for drawn in by_stratum.values() for rid in drawn
-               if rid in validated_ids}
+    validated = table.columns["validated"][rows[order]]
+    overlap = {ids[i] for drawn in chosen for i in drawn if validated[i]}
     return DrawResult(wave=wave, by_stratum=by_stratum, overlap_ids=overlap)

@@ -7,10 +7,12 @@ with a distinct code per error class and a single machine-parsable
 stderr line ``error: <class>: <message>``.
 
 The commands are file I/O around the design core the experiment harness
-also runs: ``design allocate`` and ``design draw`` go through the
-id-keyed adapters ``allocation.stratum_sd`` / ``draw_sample`` to the
-array functions, and ``estimate`` turns records into columns once
-(``records.to_columns``) and weights them with
+also runs.  ``dyads.csv`` is read into a ``records.DyadTable`` (ids plus
+numpy columns) and written back from one; no command builds a record per
+row.  ``design allocate`` and ``design draw`` go through the adapters
+``allocation.stratum_sd`` / ``draw_sample`` to the array functions,
+``simulate reveal`` writes the drawn rows' truth into the table's columns,
+and ``estimate`` fits on the table's columns and weights them with
 ``records.frame_arrays`` and ``multiframe.hansen_hurwitz``.
 """
 
@@ -112,21 +114,31 @@ def cmd_simulate_generate(args) -> int:
 
 
 def cmd_simulate_reveal(args) -> int:
-    records = fileio.read_dyads(args.dyads)
-    truth = fileio.read_truth(args.truth)
+    table = fileio.read_dyads(args.dyads)
+    truth_ids, truth = fileio.read_truth(args.truth)
     draw = fileio.read_draw(args.draw)
     wave = args.wave if args.wave is not None else draw["wave"]
     drawn = {rid for ids in draw["by_stratum"].values() for rid in ids}
     overlap = set(draw.get("overlap_ids", ()))
-    updated = []
-    for r in records:
-        if r.id in drawn and not r.validated:
-            t = truth.get(r.id)
-            if t is None:
-                raise SchemaError(f"truth file has no row for drawn record {r.id!r}")
-            r = r.with_validation(wave, t["y"], t["delta"], t["x"], t["z"])
-        updated.append(r)
-    fileio.write_dyads(args.out, updated)
+    cols = table.columns
+    rows = np.array([i for i, rid in enumerate(table.ids) if rid in drawn], dtype=np.intp)
+    rows = rows[~cols["validated"][rows]]
+    truth_row = {rid: i for i, rid in enumerate(truth_ids)}
+    try:
+        source = np.array([truth_row[table.ids[i]] for i in rows.tolist()], dtype=np.intp)
+    except KeyError as exc:
+        raise SchemaError(f"truth file has no row for drawn record {exc.args[0]!r}") from None
+    fields = ["y", "delta", "x"] + [f"z_{j}" for j in range(table.n_z)]
+    for name in fields:
+        if name not in truth:
+            raise SchemaError(f"truth file {args.truth} has no column {name!r}")
+        cols[name][rows] = truth[name][source]
+    cols["wave_sampled"][rows] = wave
+    cols["validated"][rows] = True
+    bad = rec.first_invalid_row(cols)
+    if bad is not None:
+        raise SchemaError(f"truth file {args.truth}: record {table.ids[bad[0]]}: {bad[1]}")
+    fileio.write_dyads(args.out, table)
     log.info("validated %d newly drawn records (%d reused from overlap)",
              len(drawn - overlap), len(overlap & drawn))
     return 0
@@ -194,12 +206,12 @@ def cmd_fpca_flag(args) -> int:
 
 
 def cmd_design_init(args) -> int:
-    records = fileio.read_dyads(args.dyads)
+    table = fileio.read_dyads(args.dyads)
     with open(args.strata) as fh:
         specs = json.load(fh)
     if not isinstance(specs, list):
         raise SchemaError("strata file must be a JSON list of leaf specs")
-    ledger = rec.build_ledger(args.frame, specs, records, rng_seed=args.seed,
+    ledger = rec.build_ledger(args.frame, specs, table, rng_seed=args.seed,
                               member_flag=args.member_flag)
     fileio.write_ledger(args.out, ledger)
     log.info("ledger %s: %d leaves over %d members", args.frame,
@@ -209,9 +221,9 @@ def cmd_design_init(args) -> int:
 
 def cmd_design_allocate(args) -> int:
     ledger = fileio.read_ledger(args.ledger)
-    records = fileio.read_dyads(args.dyads)
+    table = fileio.read_dyads(args.dyads)
     values = fileio.read_influence(args.influence)
-    stats = allocation.stratum_sd(values, rec.assign_strata(records, ledger), ledger)
+    stats = allocation.stratum_sd(values, rec.assign_strata(table, ledger), ledger)
     result = allocation.allocate_wave(
         stats, args.target, args.wave, min_per_stratum=args.min_per_stratum,
         pre_closed={s.id for s in ledger.leaves() if s.closed})
@@ -225,10 +237,10 @@ def cmd_design_allocate(args) -> int:
 
 def cmd_design_split(args) -> int:
     ledger = fileio.read_ledger(args.ledger)
-    records = fileio.read_dyads(args.dyads)
+    table = fileio.read_dyads(args.dyads)
     cuts = [float(c) for c in args.cuts.split(",") if c != ""]
     child_ids = args.child_ids.split(",") if args.child_ids else None
-    new = rec.split_stratum(ledger, records, args.stratum, args.axis, cuts,
+    new = rec.split_stratum(ledger, table, args.stratum, args.axis, cuts,
                             child_ids=child_ids)
     fileio.write_ledger(args.out, new)
     return 0
@@ -243,10 +255,10 @@ def cmd_design_close(args) -> int:
 
 def cmd_design_draw(args) -> int:
     ledger = fileio.read_ledger(args.ledger)
-    records = fileio.read_dyads(args.dyads)
+    table = fileio.read_dyads(args.dyads)
     alloc = fileio.read_allocation(args.allocation)
     wave = args.wave if args.wave is not None else ledger.wave_count + 1
-    result = allocation.draw_sample(records, ledger, alloc["draws"],
+    result = allocation.draw_sample(table, ledger, alloc["draws"],
                                     seed=args.seed, wave=wave)
     fileio.write_draw(args.out, result.by_stratum, wave=wave,
                       overlap_ids=result.overlap_ids)
@@ -277,7 +289,7 @@ def _model_arrays(cols, rows, model, outcome_z, phase2):
 def _generic_mi_influence(data, model, outcome_z, mi_replicates, seed):
     """Multiply-imputed influence from a generic per-column imputation spec.
 
-    ``data`` holds :func:`records.to_columns` of the analysis frame.
+    ``data`` holds the ``records.DyadTable`` columns of the analysis frame.
     """
     n_z = sum(1 for name in data if name.startswith("z_star_"))
     V = imputation.VariableSpec
@@ -302,14 +314,12 @@ def _generic_mi_influence(data, model, outcome_z, mi_replicates, seed):
 
 
 def cmd_estimate(args) -> int:
-    records = fileio.read_dyads(args.dyads)
-    cols = rec.to_columns(records)
-    ids = [r.id for r in records]
-    n_z = len(records[0].z_star) if records else 0
+    table = fileio.read_dyads(args.dyads)
+    cols, ids, n_z = table.columns, table.ids, table.n_z
     if args.model == "cox":
         terms = ["x"] + [f"z_{j}" for j in range(n_z)]
         target = 0
-        in_frame = np.ones(len(records), dtype=bool)
+        in_frame = np.ones(len(table), dtype=bool)
     else:
         if not 0 <= args.outcome_z < n_z:
             raise SchemaError(f"--outcome-z {args.outcome_z} is out of range for "
@@ -337,7 +347,7 @@ def cmd_estimate(args) -> int:
         return 0
 
     ledger = fileio.read_ledger(args.ledger)
-    pi, leaf, sampled = rec.frame_arrays(records, ledger)
+    pi, leaf, sampled = rec.frame_arrays(table, ledger)
     if np.any(sampled & in_frame & ~cols["validated"]):
         raise LedgerError("a sampled record is not validated; reveal phase-2 "
                           "data before estimating")
@@ -345,7 +355,7 @@ def cmd_estimate(args) -> int:
         if not args.asthma_ledger:
             raise SchemaError("--frame multi requires --asthma-ledger")
         ledger2 = fileio.read_ledger(args.asthma_ledger)
-        pi2, leaf2, sampled2 = rec.frame_arrays(records, ledger2)
+        pi2, leaf2, sampled2 = rec.frame_arrays(table, ledger2)
         # Each frame's draws enter the combined frame in record-id order.
         by_id = np.argsort(np.array(ids), kind="stable")
         p_rows, s_rows = by_id[sampled[by_id]], by_id[sampled2[by_id]]
@@ -387,7 +397,7 @@ def cmd_estimate(args) -> int:
                                   f"frame member {exc.args[0]!r}") from None
         else:
             h = models.influence_for_target(phase1_fit(), target)
-        h_rows = np.full(len(records), np.nan)
+        h_rows = np.full(len(table), np.nan)
         h_rows[frame_rows] = h
         totals = np.column_stack([np.ones(frame_rows.size), h]).sum(axis=0)
         fit, cal = raking.raking_fit(args.model, y, d, x, weights,

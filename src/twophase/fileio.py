@@ -2,7 +2,14 @@
 
 All writers emit stable key order and full-precision numerics so repeated
 runs with identical inputs produce byte-identical files.  Parse errors
-carry the row number and column name.
+carry the row number and column name; when a file has several faults,
+the first row in file order is reported.
+
+The CSV tables (``dyads.csv``, ``truth.csv``, ``measurements.csv``, the
+estimates and the keyed influence and gestation files) are read as
+columns: one ``csv.reader`` pass, then one ``float`` conversion per
+numeric column (:func:`_float_column`).  ``dyads.csv`` is held as a
+:class:`records.DyadTable`; it and ``truth.csv`` are written column-wise.
 """
 
 from __future__ import annotations
@@ -16,7 +23,20 @@ import numpy as np
 
 from twophase.errors import SchemaError
 from twophase.fpca import EigenSystem, LongitudinalSeries
-from twophase.records import NEG_INF, POS_INF, DesignLedger, DyadRecord, Stratum
+from twophase.records import (
+    FLAGS,
+    INTEGER_FIELDS,
+    NEG_INF,
+    PHASE2_FIELDS,
+    POS_INF,
+    DesignLedger,
+    DyadRecord,
+    DyadTable,
+    Stratum,
+    as_table,
+    first_invalid_row,
+    is_phase2,
+)
 
 
 def _fmt(value) -> str:
@@ -29,108 +49,168 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _parse_float(text: str, row: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise SchemaError(
-            f"row {row}: column {column!r} has non-numeric value {text!r}") from None
+# ---------------------------------------------------------------------------
+# Column-wise CSV reading.  A problem is ``(row index, message)`` with the
+# index counted from the first data row; _raise_first reports the earliest.
 
 
-def _parse_int(text: str, row: int, column: str) -> int:
+def _read_rows(path) -> tuple[list[str] | None, list[list[str]]]:
+    """The header (None for an empty file) and the data rows of a CSV file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return next(reader, None), list(reader)
+
+
+def _cells_by_column(rows: list[list[str]], width: int, problems: list,
+                     exact: bool = False) -> list[tuple[str, ...]]:
+    """The first ``width`` columns of ``rows``, up to the first row whose cell
+    count is wrong (fewer than ``width``, or any other than ``width`` when
+    ``exact``); that row becomes a problem."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero(lengths != width if exact else lengths < width)
+    if bad.size:
+        i = int(bad[0])
+        problems.append((i, f"expected {width} cells, found {lengths[i]}"))
+        rows = rows[:i]
+    return list(zip(*rows))[:width] if rows else [()] * width
+
+
+def _float_column(cells: Sequence[str], column: str, problems: list,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """``float`` of each cell, as one float64 array.
+
+    A non-numeric cell is a problem at its row: ``rows[k]`` for cell
+    ``k`` when ``rows`` is given, else ``k``.  It and the cells after it
+    read as nan, which can only raise problems on later rows.
+    """
     try:
-        return int(float(text)) if float(text) == int(float(text)) else int(text)
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
     except ValueError:
-        raise SchemaError(
-            f"row {row}: column {column!r} has non-integer value {text!r}") from None
+        values = np.full(len(cells), np.nan)
+        for k, text in enumerate(cells):
+            try:
+                values[k] = float(text)
+            except ValueError:
+                row = k if rows is None else int(rows[k])
+                problems.append((row, f"column {column!r} has non-numeric value {text!r}"))
+                break
+        return values
+
+
+def _repeated_key(keys: Sequence[str], key: str, problems: list) -> None:
+    """A problem at the first key that repeats an earlier one, naming both rows."""
+    if len(set(keys)) == len(keys):
+        return
+    first: dict[str, int] = {}
+    for i, k in enumerate(keys):
+        if k in first:
+            problems.append((i, f"{key} {k!r} repeats the one on row {first[k] + 2}"))
+            return
+        first[k] = i
+
+
+def _raise_first(problems: list) -> None:
+    if problems:
+        row, message = min(problems, key=lambda p: p[0])
+        raise SchemaError(f"row {row + 2}: {message}")
+
+
+def _suffix_sorted(names: Iterable[str]) -> list[str]:
+    return sorted(names, key=lambda c: int(c.split("_")[-1]))
 
 
 # ---------------------------------------------------------------------------
 # dyads.csv
 
 
+def _cell_values(name: str, values: np.ndarray) -> list:
+    """Python values that ``csv.writer`` prints as the file's text: ints for
+    flags and integer fields, floats (printed as their ``repr``) otherwise."""
+    if name in FLAGS or name in INTEGER_FIELDS:
+        return values.astype(np.int64).tolist()
+    return values.tolist()
+
+
 def write_dyads(path, records: Sequence[DyadRecord]) -> None:
-    """One row per record; vector fields expand to indexed columns."""
-    n_zs = max((len(r.z_star) for r in records), default=0)
-    n_aux = max((len(r.aux) for r in records), default=0)
-    n_z = max((len(r.z) for r in records if r.z is not None), default=n_zs)
-    header = (["id", "y_star", "delta_star", "x_star"]
-              + [f"z_star_{j}" for j in range(n_zs)]
-              + [f"aux_{j}" for j in range(n_aux)]
-              + ["in_asthma_frame", "validated", "wave_sampled",
-                 "y", "delta", "x"]
-              + [f"z_{j}" for j in range(n_z)])
+    """One row per record; vector fields expand to indexed columns.
+
+    Phase-2 cells are empty on rows that are not validated.
+    """
+    table = as_table(records)
+    validated = np.flatnonzero(table.columns["validated"]).tolist()
+    cells = []
+    for name, values in table.columns.items():
+        if is_phase2(name):
+            column = [""] * len(table)
+            for i, v in zip(validated, _cell_values(name, values[validated])):
+                column[i] = v
+        else:
+            column = _cell_values(name, values)
+        cells.append(column)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in records:
-            z = r.z if r.z is not None else (None,) * n_z
-            row = ([r.id, _fmt(r.y_star), _fmt(r.delta_star), _fmt(r.x_star)]
-                   + [_fmt(v) for v in r.z_star] + [""] * (n_zs - len(r.z_star))
-                   + [_fmt(v) for v in r.aux] + [""] * (n_aux - len(r.aux))
-                   + [_fmt(r.in_asthma_frame), _fmt(r.validated),
-                      _fmt(r.wave_sampled), _fmt(r.y), _fmt(r.delta), _fmt(r.x)]
-                   + [_fmt(v) for v in z] + [""] * (n_z - len(z)))
-            writer.writerow(row)
+        writer.writerow(["id", *table.columns])
+        writer.writerows(zip(table.ids, *cells))
 
 
-def read_dyads(path) -> list[DyadRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("dyads file is empty; a header row is required") from None
-        required = ["id", "y_star", "delta_star", "x_star"]
-        for col in required:
-            if col not in header:
-                raise SchemaError(f"dyads file missing required column {col!r}")
-        pos = {name: j for j, name in enumerate(header)}
-        zs_cols = sorted((c for c in header if c.startswith("z_star_")),
-                         key=lambda c: int(c.split("_")[-1]))
-        aux_cols = sorted((c for c in header if c.startswith("aux_")),
-                          key=lambda c: int(c.split("_")[-1]))
-        z_cols = sorted((c for c in header if c.startswith("z_") and
-                         not c.startswith("z_star_")),
-                        key=lambda c: int(c.split("_")[-1]))
-        records = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"row {i}: expected {len(header)} cells, found {len(row)}")
+def read_dyads(path) -> DyadTable:
+    """``dyads.csv`` as a :class:`DyadTable`.
 
-            def cell(name):
-                return row[pos[name]].strip()
+    Phase-2 cells are read on validated rows only.  Raises SchemaError
+    for a missing column, a row with the wrong cell count, a non-numeric
+    or empty cell, a row breaking :func:`records.first_invalid_row`, or
+    a repeated id.
+    """
+    header, rows = _read_rows(path)
+    if header is None:
+        raise SchemaError("dyads file is empty; a header row is required")
+    for col in ("id", "y_star", "delta_star", "x_star"):
+        if col not in header:
+            raise SchemaError(f"dyads file missing required column {col!r}")
+    problems: list = []
+    text = dict(zip(header, _cells_by_column(rows, len(header), problems, exact=True)))
+    ids = list(map(str.strip, text["id"]))
+    n = len(ids)
 
-            validated = cell("validated") == "1" if "validated" in pos else False
-            phase2 = {}
-            if validated:
-                phase2 = dict(
-                    wave_sampled=_parse_int(cell("wave_sampled"), i, "wave_sampled"),
-                    y=_parse_float(cell("y"), i, "y"),
-                    delta=_parse_int(cell("delta"), i, "delta"),
-                    x=_parse_float(cell("x"), i, "x"),
-                    z=tuple(_parse_float(row[pos[c]], i, c) for c in z_cols
-                            if row[pos[c]].strip() != ""),
-                )
-            try:
-                records.append(DyadRecord(
-                    id=cell("id"),
-                    y_star=_parse_float(cell("y_star"), i, "y_star"),
-                    delta_star=_parse_int(cell("delta_star"), i, "delta_star"),
-                    x_star=_parse_float(cell("x_star"), i, "x_star"),
-                    z_star=tuple(_parse_float(row[pos[c]], i, c) for c in zs_cols
-                                 if row[pos[c]].strip() != ""),
-                    aux=tuple(_parse_float(row[pos[c]], i, c) for c in aux_cols
-                              if row[pos[c]].strip() != ""),
-                    in_asthma_frame=cell("in_asthma_frame") == "1"
-                    if "in_asthma_frame" in pos else False,
-                    validated=validated,
-                    **phase2,
-                ))
-            except ValueError as exc:
-                raise SchemaError(f"row {i}: {exc}") from None
-        return records
+    def flag(name):
+        if name not in text:
+            return np.zeros(n, dtype=bool)
+        return np.fromiter(map("1".__eq__, map(str.strip, text[name])), dtype=bool, count=n)
+
+    flags = {name: flag(name) for name in FLAGS}
+    validated = np.flatnonzero(flags["validated"])
+    zs_cols = _suffix_sorted(c for c in header if c.startswith("z_star_"))
+    aux_cols = _suffix_sorted(c for c in header if c.startswith("aux_"))
+    z_cols = _suffix_sorted(c for c in header if is_phase2(c) and c.startswith("z_"))
+    # Column name in the table -> column in the file, in the order one row is parsed.
+    z_sources = z_cols if validated.size else [None] * len(zs_cols)
+    phase2 = {**{name: name for name in PHASE2_FIELDS},
+              **{f"z_{j}": c for j, c in enumerate(z_sources)}}
+    phase1 = {"y_star": "y_star", "delta_star": "delta_star", "x_star": "x_star",
+              **{f"z_star_{j}": c for j, c in enumerate(zs_cols)},
+              **{f"aux_{j}": c for j, c in enumerate(aux_cols)}}
+    if validated.size:
+        for name in PHASE2_FIELDS:
+            if name not in text:
+                raise SchemaError(f"dyads file missing column {name!r}, which "
+                                  "validated rows need")
+        if len(z_cols) != len(zs_cols):
+            raise SchemaError(f"dyads file has {len(z_cols)} z_<j> columns for "
+                              f"{len(zs_cols)} z_star_<j> columns")
+    columns = dict(flags)
+    for name, source in phase2.items():
+        columns[name] = np.zeros(n)
+        if validated.size:
+            cells = [text[source][i] for i in validated.tolist()]
+            columns[name][validated] = _float_column(cells, source, problems, validated)
+    for name, source in phase1.items():
+        columns[name] = _float_column(text[source], source, problems)
+    bad = first_invalid_row(columns)
+    if bad is not None:
+        problems.append((bad[0], f"record {ids[bad[0]]}: {bad[1]}"))
+    _repeated_key(ids, "id", problems)
+    _raise_first(problems)
+    return DyadTable(ids, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -147,35 +227,41 @@ def write_measurements(path, series: Iterable[LongitudinalSeries]) -> None:
 
 
 def read_measurements(path) -> list[LongitudinalSeries]:
-    by_subject: dict[str, list[tuple[float, float]]] = {}
-    order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:3]] != [
-                "subject_id", "t_days", "weight_kg"]:
-            raise SchemaError(
-                "measurements file must start with header "
-                "'subject_id,t_days,weight_kg'")
-        for i, row in enumerate(reader, start=2):
-            if len(row) < 3:
-                raise SchemaError(f"row {i}: expected 3 cells, found {len(row)}")
-            sid = row[0].strip()
-            if sid not in by_subject:
-                by_subject[sid] = []
-                order.append(sid)
-            by_subject[sid].append((_parse_float(row[1], i, "t_days"),
-                                    _parse_float(row[2], i, "weight_kg")))
+    """One series per subject, in order of first appearance.
+
+    Each series is sorted by time; of points at one time, the one with
+    the smallest weight is kept.
+    """
+    header, rows = _read_rows(path)
+    if header is None or [c.strip() for c in header[:3]] != [
+            "subject_id", "t_days", "weight_kg"]:
+        raise SchemaError(
+            "measurements file must start with header "
+            "'subject_id,t_days,weight_kg'")
+    problems: list = []
+    sid, t_text, v_text = _cells_by_column(rows, 3, problems)
+    times = _float_column(t_text, "t_days", problems)
+    values = _float_column(v_text, "weight_kg", problems)
+    _raise_first(problems)
+    names, first, code = np.unique(np.array(list(map(str.strip, sid)), dtype=str),
+                                   return_index=True, return_inverse=True)
+    appearance = np.argsort(first, kind="stable")
+    rank = np.empty(names.size, dtype=np.intp)
+    rank[appearance] = np.arange(names.size)
+    subject = rank[code]
+    order = np.lexsort((values, times, subject))
+    subject, times, values = subject[order], times[order], values[order]
+    keep = np.ones(subject.size, dtype=bool)
+    keep[1:] = (subject[1:] != subject[:-1]) | (np.diff(times) > 0)
+    subject, times, values = subject[keep], times[keep], values[keep]
+    cuts = np.flatnonzero(subject[1:] != subject[:-1]) + 1
     out = []
-    for sid in order:
-        pts = sorted(by_subject[sid])
-        times = np.array([p[0] for p in pts])
-        values = np.array([p[1] for p in pts])
-        keep = np.r_[True, np.diff(times) > 0]
+    for name, t, v in zip(names[appearance].tolist(), np.split(times, cuts),
+                          np.split(values, cuts)):
         try:
-            out.append(LongitudinalSeries(sid, times[keep], values[keep]))
+            out.append(LongitudinalSeries(name, t, v))
         except ValueError as exc:
-            raise SchemaError(f"subject {sid!r}: {exc}") from None
+            raise SchemaError(f"subject {name!r}: {exc}") from None
     return out
 
 
@@ -300,22 +386,16 @@ def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
 
     A key that appears on two rows raises SchemaError naming both rows.
     """
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != [key, column]:
-            raise SchemaError(f"{path} must have header '{key},{column}'")
-        for i, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise SchemaError(f"row {i}: expected 2 cells")
-            k = row[0].strip()
-            if k in out:
-                # The keys so far are unique and in file order from row 2.
-                first = 2 + list(out).index(k)
-                raise SchemaError(f"row {i}: {key} {k!r} repeats the one on row {first}")
-            out[k] = _parse_float(row[1], i, column)
-    return out
+    header, rows = _read_rows(path)
+    if header is None or [c.strip() for c in header[:2]] != [key, column]:
+        raise SchemaError(f"{path} must have header '{key},{column}'")
+    problems: list = []
+    key_cells, value_cells = _cells_by_column(rows, 2, problems)
+    keys = list(map(str.strip, key_cells))
+    _repeated_key(keys, key, problems)
+    values = _float_column(value_cells, column, problems)
+    _raise_first(problems)
+    return dict(zip(keys, values.tolist()))
 
 
 def read_influence(path) -> dict[str, float]:
@@ -391,72 +471,70 @@ def write_estimates(path, rows, terms: Sequence[str]) -> None:
 
 
 def read_estimates(path) -> list[dict]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:4]] != [
-                "estimator", "term", "beta", "se"]:
-            raise SchemaError("estimates file must have header 'estimator,term,beta,se'")
-        for i, row in enumerate(reader, start=2):
-            out.append({"estimator": row[0], "term": row[1],
-                        "beta": _parse_float(row[2], i, "beta"),
-                        "se": _parse_float(row[3], i, "se")})
-    return out
+    header, rows = _read_rows(path)
+    if header is None or [c.strip() for c in header[:4]] != [
+            "estimator", "term", "beta", "se"]:
+        raise SchemaError("estimates file must have header 'estimator,term,beta,se'")
+    problems: list = []
+    names, terms, beta, se = _cells_by_column(rows, 4, problems)
+    beta = _float_column(beta, "beta", problems).tolist()
+    se = _float_column(se, "se", problems).tolist()
+    _raise_first(problems)
+    return [{"estimator": n, "term": t, "beta": b, "se": s}
+            for n, t, b, s in zip(names, terms, beta, se)]
 
 
-def population_to_records(pop) -> list[DyadRecord]:
-    """Materialize generator output as phase-1 records (truth withheld)."""
-    ids = pop.ids()
-    return [
-        DyadRecord(
-            id=ids[i],
-            y_star=float(pop.y_star[i]),
-            delta_star=int(pop.delta_star[i]),
-            x_star=float(pop.x_star[i]),
-            z_star=tuple(float(v) for v in pop.z_star[i]),
-            aux=tuple(float(v) for v in pop.aux[i]),
-            in_asthma_frame=bool(pop.in_asthma_frame[i]),
-        )
-        for i in range(pop.n)
-    ]
+def population_to_records(pop) -> DyadTable:
+    """Generator output as a table of phase-1 records (truth withheld)."""
+    n = pop.n
+    columns = {"y_star": pop.y_star, "delta_star": pop.delta_star, "x_star": pop.x_star,
+               **{f"z_star_{j}": pop.z_star[:, j] for j in range(pop.z_star.shape[1])},
+               **{f"aux_{j}": pop.aux[:, j] for j in range(pop.aux.shape[1])},
+               **{name: np.zeros(n) for name in PHASE2_FIELDS},
+               **{f"z_{j}": np.zeros(n) for j in range(pop.z_star.shape[1])}}
+    columns = {name: np.array(v, dtype=np.float64) for name, v in columns.items()}
+    columns["in_asthma_frame"] = np.array(pop.in_asthma_frame, dtype=bool)
+    columns["validated"] = np.zeros(n, dtype=bool)
+    bad = first_invalid_row(columns)
+    if bad is not None:
+        raise ValueError(f"record {pop.ids()[bad[0]]}: {bad[1]}")
+    return DyadTable(pop.ids(), columns)
 
 
 def write_truth(path, pop) -> None:
     """Validation source for simulated populations (one row per record)."""
-    ids = pop.ids()
+    n_z = pop.z.shape[1]
+    columns = [pop.y.tolist(), pop.delta.astype(np.int64).tolist(), pop.x.tolist(),
+               pop.gestation.tolist(), pop.asthma.astype(np.int64).tolist(),
+               *(pop.z[:, j].tolist() for j in range(n_z))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        n_z = pop.z.shape[1]
         writer.writerow(["id", "y", "delta", "x", "gestation_days", "asthma"]
                         + [f"z_{j}" for j in range(n_z)])
-        for i in range(pop.n):
-            writer.writerow([ids[i], _fmt(pop.y[i]), _fmt(int(pop.delta[i])),
-                             _fmt(pop.x[i]), _fmt(pop.gestation[i]),
-                             _fmt(int(pop.asthma[i]))]
-                            + [_fmt(v) for v in pop.z[i]])
+        writer.writerows(zip(pop.ids(), *columns))
 
 
-def read_truth(path) -> dict[str, dict]:
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "id":
-            raise SchemaError("truth file must have an 'id' leading column")
-        z_cols = [c for c in header if c.startswith("z_")]
-        pos = {name: j for j, name in enumerate(header)}
-        for i, row in enumerate(reader, start=2):
-            out[row[pos["id"]]] = {
-                "y": _parse_float(row[pos["y"]], i, "y"),
-                "delta": _parse_int(row[pos["delta"]], i, "delta"),
-                "x": _parse_float(row[pos["x"]], i, "x"),
-                "gestation_days": _parse_float(row[pos["gestation_days"]], i,
-                                               "gestation_days"),
-                "asthma": _parse_int(row[pos["asthma"]], i, "asthma"),
-                "z": tuple(_parse_float(row[pos[c]], i, c) for c in z_cols),
-            }
-    return out
+def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Record ids and the columns ``y``, ``delta``, ``x``, ``gestation_days``,
+    ``asthma`` and ``z_<j>`` of a truth file; row ``i`` is ``ids[i]``.
+
+    A repeated id raises SchemaError naming both rows.
+    """
+    header, rows = _read_rows(path)
+    if header is None or header[0] != "id":
+        raise SchemaError("truth file must have an 'id' leading column")
+    names = ["y", "delta", "x", "gestation_days", "asthma",
+             *(c for c in header if c.startswith("z_"))]
+    for name in names:
+        if name not in header:
+            raise SchemaError(f"truth file missing column {name!r}")
+    problems: list = []
+    text = dict(zip(header, _cells_by_column(rows, len(header), problems)))
+    ids = list(text["id"])
+    _repeated_key(ids, "id", problems)
+    columns = {name: _float_column(text[name], name, problems) for name in names}
+    _raise_first(problems)
+    return ids, columns
 
 
 def write_report(path_csv, path_txt, report) -> None:

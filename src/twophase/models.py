@@ -56,14 +56,6 @@ def _prepare_cox(time, event, x):
     return order, event[order], x[order], starts, group_index
 
 
-def cox_loglik_score_info(beta, time, event, x, weights):
-    """Breslow partial-likelihood value, score, and information at ``beta``."""
-    order, ev, xs, starts, group_index = _prepare_cox(time, event, x)
-    w = np.asarray(weights, dtype=np.float64)[order]
-    eta = xs @ np.asarray(beta, dtype=np.float64)
-    return kernels.cox_breslow(ev, w, eta, xs, starts, group_index)
-
-
 def _newton(evaluate, linear_predictor, p, model, cause):
     """Newton-Raphson with step-halving from ``beta = 0``.
 
@@ -252,8 +244,3 @@ def sandwich_variance(fit: FitResult, strata=None, clusters=None) -> np.ndarray:
         centered = rows - rows.mean(axis=0)
         v += (n_s / (n_s - 1.0)) * centered.T @ centered
     return 0.5 * (v + v.T)
-
-
-def hazard_ratio(beta: float, delta: float = 1.0) -> float:
-    """Effect size on the ratio scale for a covariate change of ``delta``."""
-    return float(np.exp(beta * delta))

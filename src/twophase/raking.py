@@ -151,23 +151,6 @@ def calibrate(pi, aux, sampled, **kwargs) -> CalibrationResult:
     return calibrate_weights(1.0 / pi, aux[sampled], aux.sum(axis=0), **kwargs)
 
 
-def raking_distance(g, base_weights) -> float:
-    """Primal objective ``sum_i d(g_i w_i, w_i)`` with the exponential distance."""
-    g = np.asarray(g, dtype=np.float64)
-    w = np.asarray(base_weights, dtype=np.float64)
-    return float(np.sum(w * (g * np.log(g) - g + 1.0)))
-
-
-def dual_objective(lam, design_weights, sample_aux, population_totals) -> float:
-    """Value of the concave dual at ``lam`` (equals the primal at the optimum)."""
-    a = np.atleast_2d(np.asarray(sample_aux, dtype=np.float64))
-    d = np.asarray(design_weights, dtype=np.float64)
-    if a.shape[0] != d.shape[0]:
-        a = a.T
-    t = np.asarray(population_totals, dtype=np.float64)
-    return float(lam @ t - d @ (np.exp(a @ lam) - 1.0))
-
-
 def ipw_fit(kind, time_or_y, event, x, pi, strata=None, clusters=None) -> models.FitResult:
     """Inverse-probability-weighted fit with design-based variance.
 

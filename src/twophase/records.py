@@ -1,4 +1,10 @@
-"""Core domain types: study records, strata, and the multi-wave design ledger.
+"""Core domain types: study records, the dyad table, strata, and the design ledger.
+
+:class:`DyadTable` is the in-memory form of ``dyads.csv``: the record ids
+plus one numpy column per field, row ``i`` being record ``i``.  The CLI
+reads, adapts and writes tables without building a record per row;
+:class:`DyadRecord` is one row, built on demand or by hand.  Both check
+their values with one rule set, :func:`first_invalid_row`.
 
 A ledger is a tree of strata per sampling frame.  Leaves partition the
 frame population on the error-prone variables ``(delta_star, y_star,
@@ -12,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +28,63 @@ AXES = ("delta_star", "y_star", "x_star")
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+# Phase-2 fields besides the ``z_<j>`` columns; they hold values on validated rows only.
+PHASE2_FIELDS = ("wave_sampled", "y", "delta", "x")
+FLAGS = ("in_asthma_frame", "validated")
+INTEGER_FIELDS = ("delta_star", "wave_sampled", "delta")
+
+
+def is_phase2(name: str) -> bool:
+    """Whether column ``name`` holds a phase-2 (validated) value."""
+    return name in PHASE2_FIELDS or (name.startswith("z_") and not name.startswith("z_star_"))
+
+
+def first_invalid_row(columns: Mapping[str, Sequence],
+                      present: Mapping[str, np.ndarray | bool] | None = None,
+                      ) -> tuple[int, str] | None:
+    """The first row that breaks a record rule, as ``(row, rule)``, or None.
+
+    ``columns`` are named as in :class:`DyadTable`.  Phase-2 values count
+    where ``present`` says, per field (``wave_sampled``, ``y``, ``delta``,
+    ``x`` and ``z`` for all ``z_<j>``); by default on the validated rows.
+    The rules, in the order one row reports them: every counted value is
+    finite; ``y_star > 0``; ``delta_star`` is 0 or 1; ``validated`` holds
+    exactly where all phase-2 fields are present; ``wave_sampled`` is a
+    whole number; ``y > 0``; ``delta`` is 0 or 1.
+    """
+    validated = np.asarray(columns["validated"], dtype=bool)
+    if present is None:
+        present = dict.fromkeys((*PHASE2_FIELDS, "z"), validated)
+    names = [name for name in columns if name not in FLAGS]
+    values = np.array([columns[name] for name in names], dtype=np.float64)
+    value = dict(zip(names, values))
+    nonfinite = ~np.isfinite(values)
+    for k, name in enumerate(names):
+        if is_phase2(name):
+            nonfinite[k] &= present.get(name, present["z"])
+    complete = present["y"] & present["delta"] & present["x"] & present["z"]
+    wave, delta_star, delta = value["wave_sampled"], value["delta_star"], value["delta"]
+    rules = [
+        (value["y_star"] <= 0, "y_star must be positive"),
+        ((delta_star != 0) & (delta_star != 1), "delta_star must be 0 or 1"),
+        ((validated != complete) | (validated != present["wave_sampled"]),
+         "validated flag, phase-2 fields, and wave_sampled must be present or "
+         "absent together"),
+        (present["wave_sampled"] & (np.floor(wave) != wave),
+         "wave_sampled must be a whole number"),
+        (complete & (value["y"] <= 0), "y must be positive"),
+        (complete & (delta != 0) & (delta != 1), "delta must be 0 or 1"),
+    ]
+    bad = nonfinite.any(axis=0)
+    for mask, _ in rules:
+        bad |= mask
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    for k in np.flatnonzero(nonfinite[:, row]):
+        return row, f"{names[k]} must be finite"
+    return row, next(rule for mask, rule in rules if mask[row])
 
 
 @dataclass(frozen=True)
@@ -43,22 +106,20 @@ class DyadRecord:
     z: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.y_star <= 0:
-            raise ValueError(f"record {self.id}: y_star must be positive")
-        if self.delta_star not in (0, 1):
-            raise ValueError(f"record {self.id}: delta_star must be 0 or 1")
-        phase2 = (self.y, self.delta, self.x, self.z)
-        complete = all(v is not None for v in phase2)
-        if self.validated != complete or self.validated != (self.wave_sampled is not None):
-            raise ValueError(
-                f"record {self.id}: validated flag, phase-2 fields, and "
-                "wave_sampled must be present or absent together"
-            )
-        if complete:
-            if self.y <= 0:
-                raise ValueError(f"record {self.id}: y must be positive")
-            if self.delta not in (0, 1):
-                raise ValueError(f"record {self.id}: delta must be 0 or 1")
+        phase2 = {"wave_sampled": self.wave_sampled, "y": self.y, "delta": self.delta,
+                  "x": self.x}
+        columns = {"y_star": [self.y_star], "delta_star": [self.delta_star],
+                   "x_star": [self.x_star],
+                   **{f"z_star_{j}": [v] for j, v in enumerate(self.z_star)},
+                   **{f"aux_{j}": [v] for j, v in enumerate(self.aux)},
+                   "validated": [self.validated],
+                   **{name: [0 if v is None else v] for name, v in phase2.items()},
+                   **{f"z_{j}": [v] for j, v in enumerate(self.z or ())}}
+        present = {name: v is not None for name, v in phase2.items()}
+        present["z"] = self.z is not None
+        bad = first_invalid_row(columns, present)
+        if bad is not None:
+            raise ValueError(f"record {self.id}: {bad[1]}")
 
     def with_validation(self, wave: int, y: float, delta: int, x: float,
                         z: tuple[float, ...]) -> "DyadRecord":
@@ -67,29 +128,93 @@ class DyadRecord:
                        y=y, delta=delta, x=x, z=tuple(z))
 
 
-def to_columns(records: Sequence[DyadRecord]) -> dict[str, np.ndarray]:
-    """Records as named columns; row ``i`` is ``records[i]``.
+def column_names(n_z: int, n_aux: int) -> list[str]:
+    """:class:`DyadTable` columns in ``dyads.csv`` order (after ``id``)."""
+    return (["y_star", "delta_star", "x_star"]
+            + [f"z_star_{j}" for j in range(n_z)]
+            + [f"aux_{j}" for j in range(n_aux)]
+            + [*FLAGS, *PHASE2_FIELDS]
+            + [f"z_{j}" for j in range(n_z)])
 
-    Phase-1 columns are ``y_star``, ``delta_star``, ``x_star`` and
-    ``z_star_<j>``; phase-2 columns ``y``, ``delta``, ``x`` and ``z_<j>``
-    hold the validated values and 0 on the other rows.  The boolean
-    ``validated`` and ``in_asthma_frame`` columns flag the rows.
+
+class DyadTable(Sequence[DyadRecord]):
+    """Records as an id list plus named numpy columns; row ``i`` is record ``i``.
+
+    Columns (see :func:`column_names`): float ``y_star``, ``delta_star``,
+    ``x_star``, ``z_star_<j>`` and ``aux_<j>``; boolean ``in_asthma_frame``
+    and ``validated``; float phase-2 ``wave_sampled``, ``y``, ``delta``,
+    ``x`` and ``z_<j>``, which hold the validated values and 0 on the
+    other rows.  Integer fields are stored as whole floats.  As a
+    ``Sequence[DyadRecord]``, indexing and iteration build records on
+    demand, and a table equals a sequence of equal records.
     """
+
+    def __init__(self, ids: list[str], columns: Mapping[str, np.ndarray]):
+        n_z = sum(1 for name in columns if name.startswith("z_star_"))
+        n_aux = sum(1 for name in columns if name.startswith("aux_"))
+        self.ids = ids
+        self.columns = {name: columns[name] for name in column_names(n_z, n_aux)}
+        self.n_z, self.n_aux = n_z, n_aux
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        rid, c = self.ids[i], self.columns
+        phase2 = {}
+        if c["validated"][i]:
+            phase2 = dict(wave_sampled=int(c["wave_sampled"][i]), y=float(c["y"][i]),
+                          delta=int(c["delta"][i]), x=float(c["x"][i]),
+                          z=tuple(float(c[f"z_{j}"][i]) for j in range(self.n_z)))
+        return DyadRecord(
+            id=rid, y_star=float(c["y_star"][i]), delta_star=int(c["delta_star"][i]),
+            x_star=float(c["x_star"][i]),
+            z_star=tuple(float(c[f"z_star_{j}"][i]) for j in range(self.n_z)),
+            aux=tuple(float(c[f"aux_{j}"][i]) for j in range(self.n_aux)),
+            in_asthma_frame=bool(c["in_asthma_frame"][i]), validated=bool(c["validated"][i]),
+            **phase2)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+def as_table(records: Sequence[DyadRecord]) -> DyadTable:
+    """``records`` as a :class:`DyadTable`; a table is returned unchanged.
+
+    Every record must carry as many ``z_star`` values as the first, as
+    many ``aux`` values, and, when validated, as many ``z`` values.
+    """
+    if isinstance(records, DyadTable):
+        return records
+    records = list(records)
     n_z = len(records[0].z_star) if records else 0
+    n_aux = len(records[0].aux) if records else 0
+    if any(len(r.z_star) != n_z or len(r.aux) != n_aux or (r.validated and len(r.z) != n_z)
+           for r in records):
+        raise ValueError(f"records must all carry {n_z} z_star, {n_aux} aux and, "
+                         f"when validated, {n_z} z values")
 
     def column(value, dtype=np.float64):
         return np.fromiter(map(value, records), dtype=dtype, count=len(records))
 
-    cols = {}
-    for name in ("y", "delta", "x"):
-        cols[f"{name}_star"] = column(lambda r: getattr(r, f"{name}_star"))
-        cols[name] = column(lambda r: getattr(r, name) if r.validated else 0.0)
+    columns = {"in_asthma_frame": column(lambda r: r.in_asthma_frame, bool),
+               "validated": column(lambda r: r.validated, bool)}
+    for name in ("y_star", "delta_star", "x_star"):
+        columns[name] = column(lambda r: getattr(r, name))
+    for name in PHASE2_FIELDS:
+        columns[name] = column(lambda r: getattr(r, name) if r.validated else 0.0)
     for j in range(n_z):
-        cols[f"z_star_{j}"] = column(lambda r: r.z_star[j])
-        cols[f"z_{j}"] = column(lambda r: r.z[j] if r.validated else 0.0)
-    cols["validated"] = column(lambda r: r.validated, bool)
-    cols["in_asthma_frame"] = column(lambda r: r.in_asthma_frame, bool)
-    return cols
+        columns[f"z_star_{j}"] = column(lambda r: r.z_star[j])
+        columns[f"z_{j}"] = column(lambda r: r.z[j] if r.validated else 0.0)
+    for j in range(n_aux):
+        columns[f"aux_{j}"] = column(lambda r: r.aux[j])
+    return DyadTable([r.id for r in records], columns)
 
 
 @dataclass
@@ -105,13 +230,6 @@ class Stratum:
     closed: bool = False
     drawn: list[list[str]] = field(default_factory=list)
     inherited_ids: list[str] = field(default_factory=list)
-
-    def contains(self, record: DyadRecord) -> bool:
-        for axis, (lo, hi) in self.bounds.items():
-            v = float(getattr(record, axis))
-            if not (lo < v <= hi):
-                return False
-        return True
 
     @property
     def total_sampled(self) -> int:
@@ -132,7 +250,7 @@ class DesignLedger:
     strata: dict[str, Stratum]
     wave_count: int = 0
     rng_seed: int = 0
-    member_flag: str | None = None  # record attribute marking frame membership
+    member_flag: str | None = None  # DyadTable column marking frame membership
 
     def leaf_ids(self) -> list[str]:
         parents = {s.parent for s in self.strata.values() if s.parent is not None}
@@ -141,13 +259,13 @@ class DesignLedger:
     def leaves(self) -> list[Stratum]:
         return [self.strata[sid] for sid in self.leaf_ids()]
 
-    def is_member(self, record: DyadRecord) -> bool:
+    def member_mask(self, table: DyadTable) -> np.ndarray:
+        """Which rows of ``table`` belong to this frame (all without a flag)."""
         if self.member_flag is None:
-            return True
-        return bool(getattr(record, self.member_flag))
-
-    def members(self, records: Iterable[DyadRecord]) -> list[DyadRecord]:
-        return [r for r in records if self.is_member(r)]
+            return np.ones(len(table), dtype=bool)
+        if self.member_flag not in table.columns:
+            raise LedgerError(f"member flag {self.member_flag!r} is not a record column")
+        return table.columns[self.member_flag].astype(bool)
 
     def population_size(self) -> int:
         return sum(s.population_size for s in self.leaves())
@@ -188,18 +306,10 @@ def build_ledger(frame: str, leaf_specs: Sequence[Mapping], records: Sequence[Dy
         strata[sid] = Stratum(id=sid, frame=frame, bounds=_as_bounds(spec["bounds"]))
     ledger = DesignLedger(frame=frame, strata=strata, rng_seed=rng_seed,
                           member_flag=member_flag)
-    _, leaves, idx = leaf_index(records, ledger)
+    _, leaves, idx = leaf_index(as_table(records), ledger)
     for leaf, count in zip(leaves, np.bincount(idx, minlength=len(leaves))):
         leaf.population_size = int(count)
     return ledger
-
-
-def _axis_values(records: Sequence[DyadRecord]) -> dict[str, np.ndarray]:
-    return {
-        "delta_star": np.array([r.delta_star for r in records], dtype=np.float64),
-        "y_star": np.array([r.y_star for r in records], dtype=np.float64),
-        "x_star": np.array([r.x_star for r in records], dtype=np.float64),
-    }
 
 
 def assign_strata_arrays(values: Mapping[str, np.ndarray],
@@ -230,35 +340,38 @@ def assign_strata_arrays(values: Mapping[str, np.ndarray],
     return assignment
 
 
-def leaf_index(records: Sequence[DyadRecord],
-               ledger: DesignLedger) -> tuple[list[DyadRecord], list[Stratum], np.ndarray]:
-    """Frame members, the ledger's leaves, and each member's leaf index.
+def leaf_index(table: DyadTable,
+               ledger: DesignLedger) -> tuple[np.ndarray, list[Stratum], np.ndarray]:
+    """Frame-member rows, the ledger's leaves, and each member's leaf index.
 
-    This is where record ids meet rows: row ``i`` is ``members[i]`` (the
-    frame members in ``records`` order) and ``idx[i]`` indexes
-    ``leaves`` (``ledger.leaves()`` order).
+    This is where record rows meet strata: ``rows`` lists the rows of
+    ``table`` in the frame, ascending, and ``idx[i]`` indexes ``leaves``
+    (``ledger.leaves()`` order) for row ``rows[i]``.
     """
-    members = ledger.members(records)
+    rows = np.flatnonzero(ledger.member_mask(table))
     leaves = ledger.leaves()
-    if not members:
-        return members, leaves, np.empty(0, dtype=np.intp)
+    if not rows.size:
+        return rows, leaves, np.empty(0, dtype=np.intp)
     try:
-        idx = assign_strata_arrays(_axis_values(members), leaves)
+        idx = assign_strata_arrays({axis: table.columns[axis][rows] for axis in AXES},
+                                   leaves)
     except PartitionError as exc:
         # Re-raise with the record id for easier debugging.
         msg = str(exc)
         if msg.startswith("record index "):
             bad = int(msg.split()[2])
             raise PartitionError(msg.replace(f"record index {bad}",
-                                             f"record {members[bad].id!r}")) from None
+                                             f"record {table.ids[rows[bad]]!r}")) from None
         raise
-    return members, leaves, idx
+    return rows, leaves, idx
 
 
 def assign_strata(records: Sequence[DyadRecord], ledger: DesignLedger) -> dict[str, str]:
     """Map each frame member's id to its unique leaf stratum id."""
-    members, leaves, idx = leaf_index(records, ledger)
-    return {rec.id: leaves[j].id for rec, j in zip(members, idx)}
+    table = as_table(records)
+    rows, leaves, idx = leaf_index(table, ledger)
+    leaf_ids = [s.id for s in leaves]
+    return {table.ids[r]: leaf_ids[j] for r, j in zip(rows.tolist(), idx.tolist())}
 
 
 def inclusion_probabilities(counts, sizes, assignment) -> np.ndarray:
@@ -274,13 +387,6 @@ def inclusion_probabilities(counts, sizes, assignment) -> np.ndarray:
     return np.asarray(counts)[assignment] / np.asarray(sizes)[assignment]
 
 
-def sampling_probability(record: DyadRecord, ledger: DesignLedger) -> float:
-    """Final-design inclusion probability ``n_s / N_s`` for the record's leaf."""
-    if not ledger.is_member(record):
-        raise LedgerError(f"record {record.id!r} is not a member of frame {ledger.frame!r}")
-    return sampling_probabilities([record], ledger)[record.id]
-
-
 def frame_arrays(records: Sequence[DyadRecord],
                  ledger: DesignLedger) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One frame's design aligned with ``records``: pi, leaf id, sampled flag.
@@ -290,7 +396,8 @@ def frame_arrays(records: Sequence[DyadRecord],
     and ``sampled = False``.  Raises LedgerError when a member's leaf has
     no draws or more draws than members.
     """
-    members, leaves, idx = leaf_index(records, ledger)
+    table = as_table(records)
+    rows, leaves, idx = leaf_index(table, ledger)
     counts = np.array([s.total_sampled for s in leaves], dtype=np.intp)
     sizes = np.array([s.population_size for s in leaves], dtype=np.intp)
     bad = np.flatnonzero(((counts < 1) | (counts > sizes))[idx])
@@ -298,23 +405,31 @@ def frame_arrays(records: Sequence[DyadRecord],
         s = leaves[idx[bad[0]]]
         raise LedgerError(
             f"stratum {s.id!r} records {s.total_sampled} draws for "
-            f"{s.population_size} members; record {members[bad[0]].id!r} has no "
+            f"{s.population_size} members; record {table.ids[rows[bad[0]]]!r} has no "
             "sampling probability")
-    member = np.array([ledger.is_member(r) for r in records], dtype=bool)
-    pi = np.full(len(records), np.nan)
-    pi[member] = inclusion_probabilities(counts, sizes, idx)
-    leaf = np.full(len(records), "", dtype=object)
-    leaf[member] = [leaves[j].id for j in idx]
+    pi = np.full(len(table), np.nan)
+    pi[rows] = inclusion_probabilities(counts, sizes, idx)
+    leaf = np.full(len(table), "", dtype=object)
+    leaf[rows] = np.array([s.id for s in leaves], dtype=object)[idx]
     drawn = ledger.sampled_ids()
-    sampled = np.array([r.id in drawn for r in records], dtype=bool)
+    sampled = np.fromiter((rid in drawn for rid in table.ids), dtype=bool, count=len(table))
     return pi, leaf.astype(str), sampled
 
 
 def sampling_probabilities(records: Sequence[DyadRecord],
                            ledger: DesignLedger) -> dict[str, float]:
     """Id-keyed :func:`frame_arrays` probabilities of the frame members."""
-    pi = frame_arrays(records, ledger)[0]
-    return {r.id: p for r, p in zip(records, pi.tolist()) if ledger.is_member(r)}
+    table = as_table(records)
+    pi = frame_arrays(table, ledger)[0].tolist()
+    return {table.ids[i]: pi[i] for i in np.flatnonzero(ledger.member_mask(table)).tolist()}
+
+
+def _within(values: Mapping[str, np.ndarray], bounds: Mapping[str, tuple[float, float]],
+            n: int) -> np.ndarray:
+    mask = np.ones(n, dtype=bool)
+    for axis, (lo, hi) in bounds.items():
+        mask &= (values[axis] > lo) & (values[axis] <= hi)
+    return mask
 
 
 def split_stratum(ledger: DesignLedger, records: Sequence[DyadRecord], stratum_id: str,
@@ -362,34 +477,34 @@ def split_stratum(ledger: DesignLedger, records: Sequence[DyadRecord], stratum_i
                         drawn=[[] for _ in range(new.wave_count)])
         children.append(child)
 
-    by_id = {r.id: r for r in records}
-    drawn_ids = new.strata[stratum_id].all_drawn_ids()
-    pop = 0
-    for rec in records:
-        if not new.is_member(rec):
-            continue
-        if not parent.contains(rec):
-            continue
-        pop += 1
-        hits = [c for c in children if c.contains(rec)]
-        if len(hits) != 1:
-            raise PartitionError(
-                f"record {rec.id!r} falls in {len(hits)} children of {stratum_id!r}")
-        hits[0].population_size += 1
+    table = as_table(records)
+    n = len(table)
+    values = {a: table.columns[a] for a in AXES}
+    inside = new.member_mask(table) & _within(values, parent.bounds, n)
+    in_child = np.array([_within(values, c.bounds, n) for c in children])
+    hits = in_child.sum(axis=0)
+    bad = np.flatnonzero(inside & (hits != 1))
+    if bad.size:
+        raise PartitionError(f"record {table.ids[bad[0]]!r} falls in {hits[bad[0]]} "
+                             f"children of {stratum_id!r}")
+    for child, mask in zip(children, in_child):
+        child.population_size += int(np.count_nonzero(mask & inside))
+    pop = int(np.count_nonzero(inside))
     if pop != parent.population_size:
         raise LedgerError(
             f"rescan found {pop} members of {stratum_id!r}, ledger says "
             f"{parent.population_size}"
         )
+    drawn_ids = new.strata[stratum_id].all_drawn_ids()
+    row_of = {rid: i for i, rid in enumerate(table.ids)} if drawn_ids else {}
     for rid in drawn_ids:
-        rec = by_id.get(rid)
-        if rec is None:
+        row = row_of.get(rid)
+        if row is None:
             raise LedgerError(f"drawn record {rid!r} missing from the record set")
-        hits = [c for c in children if c.contains(rec)]
-        if len(hits) != 1:
+        if hits[row] != 1:
             raise PartitionError(
-                f"drawn record {rid!r} falls in {len(hits)} children of {stratum_id!r}")
-        hits[0].inherited_ids.append(rid)
+                f"drawn record {rid!r} falls in {hits[row]} children of {stratum_id!r}")
+        children[int(np.argmax(in_child[:, row]))].inherited_ids.append(rid)
     for child in children:
         if child.total_sampled > child.population_size:
             raise LedgerError(

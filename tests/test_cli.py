@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import twophase
-from twophase import fileio, fpca, simulate
+from twophase import fileio, fpca, records, simulate
 from twophase.cli import dispatch
 
 
@@ -175,6 +175,50 @@ class TestEstimateCli:
         assert code == 4
         assert "error: parse:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [("y_star", "nan"), ("z_star_1", "")])
+    def test_bad_first_row_cell_gives_parse_exit(self, sim_dir, tmp_path, capsys,
+                                                 column, value):
+        # A nan y_star passed the y_star > 0 check and ended in exit 7; an empty
+        # z_star_1 on the first row dropped that covariate for every record.
+        header, first, *rest = (sim_dir / "dyads.csv").read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = value
+        (tmp_path / "d.csv").write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        code = run(["estimate", "--dyads", tmp_path / "d.csv", "--model", "cox",
+                    "--method", "phase1", "--out", tmp_path / "est.csv"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: parse: row 2:" in err and column in err
+
+
+def test_design_chain_builds_no_record_per_row(tmp_path, monkeypatch):
+    """generate -> design -> reveal -> estimate stays on the table's columns."""
+    def no_records(self):
+        raise AssertionError(f"record {self.id} was built")
+
+    monkeypatch.setattr(records.DyadRecord, "__post_init__", no_records)
+    (tmp_path / "sim.json").write_text(json.dumps({"n": 600}))
+    (tmp_path / "strata.json").write_text(json.dumps(
+        [{"id": "ev", "bounds": {"delta_star": [0.5, None]}},
+         {"id": "no", "bounds": {"delta_star": [None, 0.5]}}]))
+    d = tmp_path
+    assert run(["simulate", "--config", d / "sim.json", "--out", d, "--seed", 3]) == 0
+    assert run(["design", "init", "--frame", "O", "--dyads", d / "dyads.csv",
+                "--strata", d / "strata.json", "--out", d / "ledger.json"]) == 0
+    assert run(["estimate", "--dyads", d / "dyads.csv", "--method", "phase1",
+                "--out", d / "p1.csv", "--emit-influence", d / "h.csv"]) == 0
+    assert run(["design", "allocate", "--ledger", d / "ledger.json", "--dyads", d / "dyads.csv",
+                "--influence", d / "h.csv", "--target", 120, "--wave", 1,
+                "--out", d / "alloc.json"]) == 0
+    assert run(["design", "draw", "--ledger", d / "ledger.json", "--dyads", d / "dyads.csv",
+                "--allocation", d / "alloc.json", "--seed", 1, "--out", d / "draw.json",
+                "--update-ledger", d / "ledger1.json"]) == 0
+    assert run(["simulate", "reveal", "--dyads", d / "dyads.csv", "--truth", d / "truth.csv",
+                "--draw", d / "draw.json", "--out", d / "dyads1.csv"]) == 0
+    for method in ("ipw", "raking"):
+        assert run(["estimate", "--dyads", d / "dyads1.csv", "--method", method,
+                    "--ledger", d / "ledger1.json", "--out", d / f"{method}.csv"]) == 0
+
 
 def test_wave1_allocation_matches_harness(tmp_path):
     """The CLI's first wave reproduces the harness's first obesity wave."""
@@ -310,3 +354,10 @@ def test_report_merges_estimates(tmp_path):
         header = fh.readline().strip().split(",")
     assert header == ["term", "phase1_beta", "phase1_se",
                       "raking_naive_beta", "raking_naive_se"]
+
+
+def test_short_estimates_row_gives_parse_exit(tmp_path, capsys):
+    # A row with too few cells used to end in an IndexError traceback.
+    (tmp_path / "est.csv").write_text("estimator,term,beta,se\nipw,x\n")
+    assert run(["report", "--inputs", tmp_path / "est.csv", "--out", tmp_path / "r.csv"]) == 4
+    assert "error: parse: row 2: expected 4 cells, found 2" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import csv
 import json
 import time
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from twophase import fileio, fpca
+from twophase.cli import dispatch
 from twophase.errors import SchemaError
-from twophase.records import DyadRecord, apply_draw, build_ledger, split_stratum
+from twophase.records import DyadRecord, apply_draw, as_table, build_ledger, split_stratum
 from twophase.simulate import SimConfig, generate
 
 
@@ -92,6 +94,11 @@ class TestMeasurements:
         assert back[0].subject_id == "s1"
         np.testing.assert_array_equal(back[0].times, series[0].times)
         np.testing.assert_array_equal(back[0].values, series[0].values)
+
+    def test_header_only_file_has_no_series(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("subject_id,t_days,weight_kg\n")
+        assert fileio.read_measurements(path) == []
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -182,7 +189,167 @@ def test_truth_round_trip(tmp_path):
     pop = generate(SimConfig(n=50), seed=3)
     path = tmp_path / "truth.csv"
     fileio.write_truth(path, pop)
-    truth = fileio.read_truth(path)
-    rid = pop.ids()[7]
-    assert truth[rid]["y"] == pytest.approx(pop.y[7])
-    assert truth[rid]["z"] == pytest.approx(tuple(pop.z[7]))
+    ids, truth = fileio.read_truth(path)
+    row = ids.index(pop.ids()[7])
+    assert truth["y"][row] == pytest.approx(pop.y[7])
+    assert (truth["z_0"][row], truth["z_1"][row]) == pytest.approx(tuple(pop.z[7]))
+
+
+# ---------------------------------------------------------------------------
+# dyads.csv as a columnar table
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    """A ``simulate generate`` dyads file (with series) and the file after one reveal."""
+    out = tmp_path_factory.mktemp("chain")
+    assert dispatch(["simulate", "--out", str(out), "--seed", "5", "--with-series",
+                     "--config", str(_config(out, n=400))]) == 0
+    ids = [r.id for r in fileio.read_dyads(out / "dyads.csv")]
+    fileio.write_draw(out / "draw.json", {"all": ids[::9]}, wave=1)
+    assert dispatch(["simulate", "reveal", "--dyads", str(out / "dyads.csv"),
+                     "--truth", str(out / "truth.csv"), "--draw", str(out / "draw.json"),
+                     "--out", str(out / "dyads_1.csv")]) == 0
+    return out
+
+
+def _config(out, n):
+    path = out / "sim.json"
+    path.write_text(json.dumps({"n": n}))
+    return path
+
+
+def records_by_row(path):
+    """Reference reader: one DyadRecord per row, parsed cell by cell."""
+    out = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            def cells(prefix):
+                names = sorted((c for c in row if c.startswith(prefix)
+                                and not (prefix == "z_" and c.startswith("z_star_"))),
+                               key=lambda c: int(c.split("_")[-1]))
+                return tuple(float(row[c]) for c in names)
+            validated = row["validated"] == "1"
+            phase2 = {}
+            if validated:
+                phase2 = dict(wave_sampled=int(row["wave_sampled"]), y=float(row["y"]),
+                              delta=int(row["delta"]), x=float(row["x"]), z=cells("z_"))
+            out.append(DyadRecord(
+                id=row["id"], y_star=float(row["y_star"]), delta_star=int(row["delta_star"]),
+                x_star=float(row["x_star"]), z_star=cells("z_star_"), aux=cells("aux_"),
+                in_asthma_frame=row["in_asthma_frame"] == "1", validated=validated, **phase2))
+    return out
+
+
+@pytest.mark.parametrize("name", ["dyads.csv", "dyads_1.csv"])
+def test_dyads_rewrite_is_byte_identical(chain_files, tmp_path, name):
+    fileio.write_dyads(tmp_path / name, fileio.read_dyads(chain_files / name))
+    assert (tmp_path / name).read_bytes() == (chain_files / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["dyads.csv", "dyads_1.csv"])
+def test_table_columns_match_records_read_row_by_row(chain_files, name):
+    table = fileio.read_dyads(chain_files / name)
+    records = records_by_row(chain_files / name)
+    assert table.ids == [r.id for r in records]
+    assert table.columns["validated"].any() == (name == "dyads_1.csv")
+    reference = as_table(records).columns
+    assert list(table.columns) == list(reference)
+    for column, values in table.columns.items():
+        np.testing.assert_array_equal(values, reference[column], err_msg=column)
+        assert values.dtype == reference[column].dtype
+    for r in records:
+        if r.validated:
+            assert table.columns["y"][table.ids.index(r.id)] == r.y
+    assert table == records
+
+
+HEADER = "id,y_star,delta_star,x_star,z_star_0,z_star_1,validated,wave_sampled,y,delta,x,z_0,z_1"
+
+
+@pytest.mark.parametrize("rows, match", [
+    # Non-finite cells, which used to pass the y_star > 0 check or escape as
+    # an OverflowError traceback.
+    (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,nan,0,0.3,1.0,0,0,,,,,,"],
+     r"row 3: record r2: y_star must be finite"),
+    (["r1,2.0,inf,0.3,1.0,0,0,,,,,,"], r"row 2: record r1: delta_star must be finite"),
+    (["r1,2.0,0,-inf,1.0,0,0,,,,,,"], r"row 2: record r1: x_star must be finite"),
+    (["r1,2.0,0,0.3,1.0,0,1,1,2.0,1,0.3,inf,0"], r"row 2: record r1: z_0 must be finite"),
+    # Missing z cells, which used to be dropped.
+    (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,2.0,0,0.3,,0,0,,,,,,"],
+     r"row 3: column 'z_star_0' has non-numeric value ''"),
+    (["r1,2.0,0,0.3,1.0,0,1,1,2.0,1,0.3,1.0,"],
+     r"row 2: column 'z_1' has non-numeric value ''"),
+    # Repeated ids, which used to read silently.
+    (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,2.0,0,0.3,1.0,0,0,,,,,,",
+      "r1,3.0,1,0.3,1.0,0,0,,,,,,"], r"row 4: id 'r1' repeats the one on row 2"),
+])
+def test_bad_dyads_rows_are_rejected(tmp_path, rows, match):
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    with pytest.raises(SchemaError, match=match):
+        fileio.read_dyads(path)
+
+
+def test_first_bad_row_in_file_order_is_reported(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([HEADER, "r1,2.0,0,0.3,1.0,0,0,,,,,,",
+                               "r2,2.0,0,0.3,1.0,oops,0,,,,,,",
+                               "r3,-1.0,0,0.3,1.0,0,0,,,,,,", "r4,2.0,0,0.3"]) + "\n")
+    with pytest.raises(SchemaError, match=r"row 3: column 'z_star_1'"):
+        fileio.read_dyads(path)
+    path.write_text("\n".join([HEADER, "r1,2.0,0,0.3,1.0,0,0,,,,,,",
+                               "r3,-1.0,0,0.3,1.0,0,0,,,,,,", "r4,2.0,0,0.3"]) + "\n")
+    with pytest.raises(SchemaError, match=r"row 3: record r3: y_star must be positive"):
+        fileio.read_dyads(path)
+
+
+def test_hand_built_record_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="y_star must be finite"):
+        DyadRecord(id="a", y_star=float("nan"), delta_star=0, x_star=0.3)
+    with pytest.raises(ValueError, match="x must be finite"):
+        DyadRecord(id="a", y_star=1.0, delta_star=0, x_star=0.3, validated=True,
+                   wave_sampled=1, y=1.0, delta=0, x=float("inf"), z=())
+
+
+def test_repeated_truth_id_names_both_rows(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("id,y,delta,x,gestation_days,asthma,z_0\n"
+                    "r1,2.0,1,0.3,273,0,1.0\nr1,3.0,0,0.2,270,1,0.0\n")
+    with pytest.raises(SchemaError, match=r"row 3: id 'r1' repeats the one on row 2"):
+        fileio.read_truth(path)
+
+
+def measurements_by_subject(path):
+    """Reference reader: per-subject sorted (t, value) pairs, first of each time kept."""
+    by_subject: dict[str, list[tuple[float, float]]] = {}
+    with open(path, newline="") as fh:
+        for row in list(csv.reader(fh))[1:]:
+            by_subject.setdefault(row[0].strip(), []).append((float(row[1]), float(row[2])))
+    out = []
+    for sid, pts in by_subject.items():
+        pts = sorted(pts)
+        times = np.array([p[0] for p in pts])
+        values = np.array([p[1] for p in pts])
+        keep = np.r_[True, np.diff(times) > 0]
+        out.append((sid, times[keep], values[keep]))
+    return out
+
+
+def test_measurements_match_the_per_subject_reference(chain_files, tmp_path):
+    with open(chain_files / "measurements.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    # Shuffle the rows and repeat some points at a tied time with another weight.
+    rng = np.random.default_rng(3)
+    extra = [[r[0], r[1], repr(float(r[2]) + d)] for r, d in
+             zip(rows[::50], rng.choice([-0.5, 0.5], size=len(rows[::50])).tolist())]
+    rows = [rows[i] for i in rng.permutation(len(rows))] + extra
+    path = tmp_path / "m.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    got = fileio.read_measurements(path)
+    want = measurements_by_subject(path)
+    assert [s.subject_id for s in got] == [sid for sid, _, _ in want]
+    for s, (_, times, values) in zip(got, want):
+        np.testing.assert_array_equal(s.times, times)
+        np.testing.assert_array_equal(s.values, values)

@@ -7,6 +7,23 @@ from twophase import models, raking
 from twophase.errors import CalibrationError
 
 
+def raking_distance(g, base_weights) -> float:
+    """Primal objective ``sum_i d(g_i w_i, w_i)`` with the exponential distance."""
+    g = np.asarray(g, dtype=np.float64)
+    w = np.asarray(base_weights, dtype=np.float64)
+    return float(np.sum(w * (g * np.log(g) - g + 1.0)))
+
+
+def dual_objective(lam, design_weights, sample_aux, population_totals) -> float:
+    """Value of the concave dual at ``lam`` (equals the primal at the optimum)."""
+    a = np.atleast_2d(np.asarray(sample_aux, dtype=np.float64))
+    d = np.asarray(design_weights, dtype=np.float64)
+    if a.shape[0] != d.shape[0]:
+        a = a.T
+    t = np.asarray(population_totals, dtype=np.float64)
+    return float(lam @ t - d @ (np.exp(a @ lam) - 1.0))
+
+
 def bisection_lambda(pi, h, total, lo=-50.0, hi=50.0, tol=1e-12):
     """1-d root of sum_sampled (1/pi) exp(h lam) h = total, by bisection."""
     def f(lam):
@@ -78,8 +95,8 @@ class TestCalibrate:
         pi = np.clip(rng.uniform(0.1, 0.4, n2), 0.01, 1)
         res = raking.calibrate(pi, aux, sampled)
         w = 1 / pi
-        primal = raking.raking_distance(res.g, w)
-        dual = raking.dual_objective(res.lam, w, aux[sampled], aux.sum(axis=0))
+        primal = raking_distance(res.g, w)
+        dual = dual_objective(res.lam, w, aux[sampled], aux.sum(axis=0))
         # Strong duality: primal == dual at the optimum, up to the
         # constant shift sum(d(w,w)) == 0.
         assert abs(primal - dual) < 1e-8 * max(1.0, abs(dual))

@@ -11,9 +11,15 @@ from twophase.records import (
     build_ledger,
     close_stratum,
     sampling_probabilities,
-    sampling_probability,
     split_stratum,
 )
+
+
+def sampling_probability(record, ledger):
+    """Final-design inclusion probability ``n_s / N_s`` for the record's leaf."""
+    if ledger.member_flag is not None and not getattr(record, ledger.member_flag):
+        raise LedgerError(f"record {record.id!r} is not a member of frame {ledger.frame!r}")
+    return sampling_probabilities([record], ledger)[record.id]
 
 # The final stratification of the primary validation design: 33 leaves on
 # (event indicator, follow-up band, weight-gain band) covering 10,335 records.
