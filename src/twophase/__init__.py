@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-records     domain types, the multi-wave design ledger, pi = n_s / N_s
+records     the dyad table, the multi-wave design ledger, pi = n_s / N_s
 fpca        sparse functional PCA (spline mixed-effects fit, PACE scores)
             and exposure derivation
 models      weighted Cox / logistic fits with influence functions
@@ -18,8 +18,9 @@ kernels     the numpy Breslow partial-likelihood pass and local-linear
 
 The design core is array functions in ``allocation``, ``records`` and
 ``multiframe``.  The experiment harness (``simulate``) and the CLI are I/O
-around it: the harness feeds it population arrays, the CLI records and
-ledgers mapped to rows once.
+around it: the harness feeds it population arrays, the CLI the columns of
+a ``records.DyadTable`` read from ``dyads.csv`` and ledgers mapped onto
+its rows.
 """
 
 __version__ = "0.1.0"

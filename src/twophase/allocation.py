@@ -11,9 +11,9 @@ One wave of the multi-wave design is three array functions, shared by the
 experiment harness (``simulate.run_design``) and the CLI (``design
 allocate`` / ``design draw``): :func:`influence_sd` (per-stratum SDs),
 :func:`allocate_wave` (the wave rule) and :func:`draw_within_strata` (the
-draw).  :func:`stratum_sd` and :func:`draw_sample` are the id-keyed
-adapters the CLI uses; they map record ids to rows once and call the core
-(``draw_sample`` on the columns of a ``records.DyadTable``).
+draw).  :func:`stratum_sd` and :func:`draw_sample` run the first and the
+last over a ledger's leaves and the rows of a ``records.DyadTable``, as
+``design allocate`` and ``design draw`` need them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from twophase.errors import DegenerateDesignError, InfeasibleError, LedgerError
-from twophase.records import DesignLedger, DyadRecord, as_table, leaf_index
+from twophase.records import DesignLedger, DyadTable, leaf_index
 
 __all__ = [
     "StratumStats",
@@ -344,22 +344,19 @@ def influence_sd(h: np.ndarray, assignment: np.ndarray, ids: Sequence[str],
     return out
 
 
-def stratum_sd(values: Mapping[str, float], assignment: Mapping[str, str],
-               ledger: DesignLedger) -> list[StratumStats]:
-    """Id-keyed :func:`influence_sd` over a ledger's leaves.
+def stratum_sd(table: DyadTable, ledger: DesignLedger,
+               values: np.ndarray) -> list[StratumStats]:
+    """:func:`influence_sd` over a ledger's leaves and the frame rows of ``table``.
 
-    ``values`` maps record id to its influence value (typically records
-    validated so far, or all records in wave 1); ``assignment`` maps the
-    same ids to leaf stratum ids.  Rows are the ids of ``assignment``
-    that have a value, in ``assignment`` order.  Leaves with fewer than
-    two values borrow from their ancestors' subtrees in the ledger.
+    ``values`` holds each row's influence value, aligned with ``table``;
+    a row without one holds nan and does not count.  The counted values
+    enter in row order.  Leaves with fewer than two values borrow from
+    their ancestors' subtrees in the ledger.
     """
-    leaves = ledger.leaves()
+    rows, leaves, idx = leaf_index(table, ledger)
+    h = values[rows]
+    counted = ~np.isnan(h)
     index = {s.id: j for j, s in enumerate(leaves)}
-    rows = [(rid, sid) for rid, sid in assignment.items() if rid in values]
-    bad = [sid for _, sid in rows if sid not in index]
-    if bad:
-        raise LedgerError(f"assignment targets non-leaf stratum {bad[0]!r}")
     kids: dict[str | None, list[str]] = {}
     for s in ledger.strata.values():
         kids.setdefault(s.parent, []).append(s.id)
@@ -378,10 +375,8 @@ def stratum_sd(values: Mapping[str, float], assignment: Mapping[str, str],
         return [] if parent is None else [parent, *lineage(parent)]
 
     return influence_sd(
-        np.array([float(values[rid]) for rid, _ in rows], dtype=np.float64),
-        np.array([index[sid] for _, sid in rows], dtype=np.intp),
-        [s.id for s in leaves], [s.population_size for s in leaves],
-        [s.total_sampled for s in leaves],
+        h[counted], idx[counted], [s.id for s in leaves],
+        [s.population_size for s in leaves], [s.total_sampled for s in leaves],
         ancestors=[[under(a) for a in lineage(s.id)] for s in leaves])
 
 
@@ -425,10 +420,10 @@ def draw_within_strata(rng: np.random.Generator, assignment: np.ndarray,
     return chosen
 
 
-def draw_sample(records: Sequence[DyadRecord], ledger: DesignLedger,
+def draw_sample(table: DyadTable, ledger: DesignLedger,
                 allocation: Mapping[str, int], seed: int, *,
                 wave: int | None = None) -> DrawResult:
-    """Id-keyed :func:`draw_within_strata` over a ledger's leaves.
+    """:func:`draw_within_strata` over a ledger's leaves and the rows of ``table``.
 
     Rows are the frame members sorted by id and strata are visited in
     leaf-id order; the RNG is ``SeedSequence([seed, wave])``.  Records
@@ -438,7 +433,6 @@ def draw_sample(records: Sequence[DyadRecord], ledger: DesignLedger,
     Deterministic for a given seed and ledger state.
     """
     wave = ledger.wave_count + 1 if wave is None else wave
-    table = as_table(records)
     rows, leaves, idx = leaf_index(table, ledger)
     leaf_ids = sorted(s.id for s in leaves)
     for sid, want in sorted(allocation.items()):

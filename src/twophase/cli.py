@@ -8,12 +8,12 @@ stderr line ``error: <class>: <message>``.
 
 The commands are file I/O around the design core the experiment harness
 also runs.  ``dyads.csv`` is read into a ``records.DyadTable`` (ids plus
-numpy columns) and written back from one; no command builds a record per
-row.  ``design allocate`` and ``design draw`` go through the adapters
-``allocation.stratum_sd`` / ``draw_sample`` to the array functions,
-``simulate reveal`` writes the drawn rows' truth into the table's columns,
-and ``estimate`` fits on the table's columns and weights them with
-``records.frame_arrays`` and ``multiframe.hansen_hurwitz``.
+numpy columns) and written back from one.  ``design allocate`` maps the
+influence file onto the table's rows once and hands both to
+``allocation.stratum_sd``; ``design draw`` calls ``allocation.draw_sample``
+on the table.  ``simulate reveal`` writes the drawn rows' truth into the
+table's columns, and ``estimate`` fits on the table's columns and weights
+them with ``records.frame_arrays`` and ``multiframe.hansen_hurwitz``.
 """
 
 from __future__ import annotations
@@ -223,7 +223,8 @@ def cmd_design_allocate(args) -> int:
     ledger = fileio.read_ledger(args.ledger)
     table = fileio.read_dyads(args.dyads)
     values = fileio.read_influence(args.influence)
-    stats = allocation.stratum_sd(values, rec.assign_strata(table, ledger), ledger)
+    h = np.array([values.get(rid, np.nan) for rid in table.ids], dtype=np.float64)
+    stats = allocation.stratum_sd(table, ledger, h)
     result = allocation.allocate_wave(
         stats, args.target, args.wave, min_per_stratum=args.min_per_stratum,
         pre_closed={s.id for s in ledger.leaves() if s.closed})

@@ -30,10 +30,8 @@ from twophase.records import (
     PHASE2_FIELDS,
     POS_INF,
     DesignLedger,
-    DyadRecord,
     DyadTable,
     Stratum,
-    as_table,
     first_invalid_row,
     is_phase2,
 )
@@ -131,12 +129,11 @@ def _cell_values(name: str, values: np.ndarray) -> list:
     return values.tolist()
 
 
-def write_dyads(path, records: Sequence[DyadRecord]) -> None:
+def write_dyads(path, table: DyadTable) -> None:
     """One row per record; vector fields expand to indexed columns.
 
     Phase-2 cells are empty on rows that are not validated.
     """
-    table = as_table(records)
     validated = np.flatnonzero(table.columns["validated"]).tolist()
     cells = []
     for name, values in table.columns.items():
@@ -384,7 +381,8 @@ def write_influence(path, values: dict[str, float]) -> None:
 def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
     """``{key: value}`` from a two-column CSV with header ``key,column``.
 
-    A key that appears on two rows raises SchemaError naming both rows.
+    A key that appears on two rows raises SchemaError naming both rows,
+    and so does a non-finite value, naming its row.
     """
     header, rows = _read_rows(path)
     if header is None or [c.strip() for c in header[:2]] != [key, column]:
@@ -394,6 +392,10 @@ def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
     keys = list(map(str.strip, key_cells))
     _repeated_key(keys, key, problems)
     values = _float_column(value_cells, column, problems)
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        i = int(nonfinite[0])
+        problems.append((i, f"column {column!r} has non-finite value {value_cells[i]!r}"))
     _raise_first(problems)
     return dict(zip(keys, values.tolist()))
 
@@ -486,19 +488,15 @@ def read_estimates(path) -> list[dict]:
 
 def population_to_records(pop) -> DyadTable:
     """Generator output as a table of phase-1 records (truth withheld)."""
-    n = pop.n
-    columns = {"y_star": pop.y_star, "delta_star": pop.delta_star, "x_star": pop.x_star,
-               **{f"z_star_{j}": pop.z_star[:, j] for j in range(pop.z_star.shape[1])},
-               **{f"aux_{j}": pop.aux[:, j] for j in range(pop.aux.shape[1])},
-               **{name: np.zeros(n) for name in PHASE2_FIELDS},
-               **{f"z_{j}": np.zeros(n) for j in range(pop.z_star.shape[1])}}
-    columns = {name: np.array(v, dtype=np.float64) for name, v in columns.items()}
-    columns["in_asthma_frame"] = np.array(pop.in_asthma_frame, dtype=bool)
-    columns["validated"] = np.zeros(n, dtype=bool)
-    bad = first_invalid_row(columns)
+    table = DyadTable(pop.ids(), {
+        "y_star": pop.y_star, "delta_star": pop.delta_star, "x_star": pop.x_star,
+        **{f"z_star_{j}": pop.z_star[:, j] for j in range(pop.z_star.shape[1])},
+        **{f"aux_{j}": pop.aux[:, j] for j in range(pop.aux.shape[1])},
+        "in_asthma_frame": pop.in_asthma_frame})
+    bad = first_invalid_row(table.columns)
     if bad is not None:
-        raise ValueError(f"record {pop.ids()[bad[0]]}: {bad[1]}")
-    return DyadTable(pop.ids(), columns)
+        raise ValueError(f"record {table.ids[bad[0]]}: {bad[1]}")
+    return table
 
 
 def write_truth(path, pop) -> None:
@@ -518,7 +516,8 @@ def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
     """Record ids and the columns ``y``, ``delta``, ``x``, ``gestation_days``,
     ``asthma`` and ``z_<j>`` of a truth file; row ``i`` is ``ids[i]``.
 
-    A repeated id raises SchemaError naming both rows.
+    Ids are stripped of surrounding space, as in :func:`read_dyads`; a
+    repeated id raises SchemaError naming both rows.
     """
     header, rows = _read_rows(path)
     if header is None or header[0] != "id":
@@ -530,7 +529,7 @@ def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
             raise SchemaError(f"truth file missing column {name!r}")
     problems: list = []
     text = dict(zip(header, _cells_by_column(rows, len(header), problems)))
-    ids = list(text["id"])
+    ids = list(map(str.strip, text["id"]))
     _repeated_key(ids, "id", problems)
     columns = {name: _float_column(text[name], name, problems) for name in names}
     _raise_first(problems)

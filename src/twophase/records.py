@@ -1,10 +1,9 @@
-"""Core domain types: study records, the dyad table, strata, and the design ledger.
+"""Core domain types: the dyad table, strata, and the design ledger.
 
-:class:`DyadTable` is the in-memory form of ``dyads.csv``: the record ids
-plus one numpy column per field, row ``i`` being record ``i``.  The CLI
-reads, adapts and writes tables without building a record per row;
-:class:`DyadRecord` is one row, built on demand or by hand.  Both check
-their values with one rule set, :func:`first_invalid_row`.
+:class:`DyadTable` is the in-memory form of ``dyads.csv`` and the one
+representation of a dyad: the record ids plus one numpy column per
+field, row ``i`` being record ``i``.  Every path that builds or changes a
+table checks it with one rule set, :func:`first_invalid_row`.
 
 A ledger is a tree of strata per sampling frame.  Leaves partition the
 frame population on the error-prone variables ``(delta_star, y_star,
@@ -17,7 +16,7 @@ child each drawn record falls into.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,41 +39,28 @@ def is_phase2(name: str) -> bool:
     return name in PHASE2_FIELDS or (name.startswith("z_") and not name.startswith("z_star_"))
 
 
-def first_invalid_row(columns: Mapping[str, Sequence],
-                      present: Mapping[str, np.ndarray | bool] | None = None,
-                      ) -> tuple[int, str] | None:
+def first_invalid_row(columns: Mapping[str, Sequence]) -> tuple[int, str] | None:
     """The first row that breaks a record rule, as ``(row, rule)``, or None.
 
-    ``columns`` are named as in :class:`DyadTable`.  Phase-2 values count
-    where ``present`` says, per field (``wave_sampled``, ``y``, ``delta``,
-    ``x`` and ``z`` for all ``z_<j>``); by default on the validated rows.
-    The rules, in the order one row reports them: every counted value is
-    finite; ``y_star > 0``; ``delta_star`` is 0 or 1; ``validated`` holds
-    exactly where all phase-2 fields are present; ``wave_sampled`` is a
-    whole number; ``y > 0``; ``delta`` is 0 or 1.
+    ``columns`` are named as in :class:`DyadTable`; phase-2 values count
+    on the validated rows only.  The rules, in the order one row reports
+    them: every counted value is finite; ``y_star > 0``; ``delta_star``
+    is 0 or 1; ``wave_sampled`` is a whole number; ``y > 0``; ``delta``
+    is 0 or 1.
     """
     validated = np.asarray(columns["validated"], dtype=bool)
-    if present is None:
-        present = dict.fromkeys((*PHASE2_FIELDS, "z"), validated)
     names = [name for name in columns if name not in FLAGS]
     values = np.array([columns[name] for name in names], dtype=np.float64)
     value = dict(zip(names, values))
     nonfinite = ~np.isfinite(values)
-    for k, name in enumerate(names):
-        if is_phase2(name):
-            nonfinite[k] &= present.get(name, present["z"])
-    complete = present["y"] & present["delta"] & present["x"] & present["z"]
+    nonfinite[[is_phase2(name) for name in names]] &= validated
     wave, delta_star, delta = value["wave_sampled"], value["delta_star"], value["delta"]
     rules = [
         (value["y_star"] <= 0, "y_star must be positive"),
         ((delta_star != 0) & (delta_star != 1), "delta_star must be 0 or 1"),
-        ((validated != complete) | (validated != present["wave_sampled"]),
-         "validated flag, phase-2 fields, and wave_sampled must be present or "
-         "absent together"),
-        (present["wave_sampled"] & (np.floor(wave) != wave),
-         "wave_sampled must be a whole number"),
-        (complete & (value["y"] <= 0), "y must be positive"),
-        (complete & (delta != 0) & (delta != 1), "delta must be 0 or 1"),
+        (validated & (np.floor(wave) != wave), "wave_sampled must be a whole number"),
+        (validated & (value["y"] <= 0), "y must be positive"),
+        (validated & (delta != 0) & (delta != 1), "delta must be 0 or 1"),
     ]
     bad = nonfinite.any(axis=0)
     for mask, _ in rules:
@@ -87,47 +73,6 @@ def first_invalid_row(columns: Mapping[str, Sequence],
     return row, next(rule for mask, rule in rules if mask[row])
 
 
-@dataclass(frozen=True)
-class DyadRecord:
-    """One mother-child unit with error-prone and (optionally) validated fields."""
-
-    id: str
-    y_star: float
-    delta_star: int
-    x_star: float
-    z_star: tuple[float, ...] = ()
-    aux: tuple[float, ...] = ()
-    in_asthma_frame: bool = False
-    validated: bool = False
-    wave_sampled: int | None = None
-    y: float | None = None
-    delta: int | None = None
-    x: float | None = None
-    z: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        phase2 = {"wave_sampled": self.wave_sampled, "y": self.y, "delta": self.delta,
-                  "x": self.x}
-        columns = {"y_star": [self.y_star], "delta_star": [self.delta_star],
-                   "x_star": [self.x_star],
-                   **{f"z_star_{j}": [v] for j, v in enumerate(self.z_star)},
-                   **{f"aux_{j}": [v] for j, v in enumerate(self.aux)},
-                   "validated": [self.validated],
-                   **{name: [0 if v is None else v] for name, v in phase2.items()},
-                   **{f"z_{j}": [v] for j, v in enumerate(self.z or ())}}
-        present = {name: v is not None for name, v in phase2.items()}
-        present["z"] = self.z is not None
-        bad = first_invalid_row(columns, present)
-        if bad is not None:
-            raise ValueError(f"record {self.id}: {bad[1]}")
-
-    def with_validation(self, wave: int, y: float, delta: int, x: float,
-                        z: tuple[float, ...]) -> "DyadRecord":
-        """Return a copy carrying phase-2 values from wave ``wave``."""
-        return replace(self, validated=True, wave_sampled=wave,
-                       y=y, delta=delta, x=x, z=tuple(z))
-
-
 def column_names(n_z: int, n_aux: int) -> list[str]:
     """:class:`DyadTable` columns in ``dyads.csv`` order (after ``id``)."""
     return (["y_star", "delta_star", "x_star"]
@@ -137,84 +82,33 @@ def column_names(n_z: int, n_aux: int) -> list[str]:
             + [f"z_{j}" for j in range(n_z)])
 
 
-class DyadTable(Sequence[DyadRecord]):
+class DyadTable:
     """Records as an id list plus named numpy columns; row ``i`` is record ``i``.
 
     Columns (see :func:`column_names`): float ``y_star``, ``delta_star``,
     ``x_star``, ``z_star_<j>`` and ``aux_<j>``; boolean ``in_asthma_frame``
     and ``validated``; float phase-2 ``wave_sampled``, ``y``, ``delta``,
     ``x`` and ``z_<j>``, which hold the validated values and 0 on the
-    other rows.  Integer fields are stored as whole floats.  As a
-    ``Sequence[DyadRecord]``, indexing and iteration build records on
-    demand, and a table equals a sequence of equal records.
+    other rows.  Integer fields are stored as whole floats.  The table
+    holds its own copy of each column; absent flag and phase-2 columns
+    are filled with False and 0.
     """
 
-    def __init__(self, ids: list[str], columns: Mapping[str, np.ndarray]):
+    def __init__(self, ids: list[str], columns: Mapping[str, Sequence]):
         n_z = sum(1 for name in columns if name.startswith("z_star_"))
         n_aux = sum(1 for name in columns if name.startswith("aux_"))
         self.ids = ids
-        self.columns = {name: columns[name] for name in column_names(n_z, n_aux)}
+        self.columns = {}
+        for name in column_names(n_z, n_aux):
+            dtype = bool if name in FLAGS else np.float64
+            if name not in columns and (name in FLAGS or is_phase2(name)):
+                self.columns[name] = np.zeros(len(ids), dtype=dtype)
+            else:
+                self.columns[name] = np.array(columns[name], dtype=dtype)
         self.n_z, self.n_aux = n_z, n_aux
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        rid, c = self.ids[i], self.columns
-        phase2 = {}
-        if c["validated"][i]:
-            phase2 = dict(wave_sampled=int(c["wave_sampled"][i]), y=float(c["y"][i]),
-                          delta=int(c["delta"][i]), x=float(c["x"][i]),
-                          z=tuple(float(c[f"z_{j}"][i]) for j in range(self.n_z)))
-        return DyadRecord(
-            id=rid, y_star=float(c["y_star"][i]), delta_star=int(c["delta_star"][i]),
-            x_star=float(c["x_star"][i]),
-            z_star=tuple(float(c[f"z_star_{j}"][i]) for j in range(self.n_z)),
-            aux=tuple(float(c[f"aux_{j}"][i]) for j in range(self.n_aux)),
-            in_asthma_frame=bool(c["in_asthma_frame"][i]), validated=bool(c["validated"][i]),
-            **phase2)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-
-def as_table(records: Sequence[DyadRecord]) -> DyadTable:
-    """``records`` as a :class:`DyadTable`; a table is returned unchanged.
-
-    Every record must carry as many ``z_star`` values as the first, as
-    many ``aux`` values, and, when validated, as many ``z`` values.
-    """
-    if isinstance(records, DyadTable):
-        return records
-    records = list(records)
-    n_z = len(records[0].z_star) if records else 0
-    n_aux = len(records[0].aux) if records else 0
-    if any(len(r.z_star) != n_z or len(r.aux) != n_aux or (r.validated and len(r.z) != n_z)
-           for r in records):
-        raise ValueError(f"records must all carry {n_z} z_star, {n_aux} aux and, "
-                         f"when validated, {n_z} z values")
-
-    def column(value, dtype=np.float64):
-        return np.fromiter(map(value, records), dtype=dtype, count=len(records))
-
-    columns = {"in_asthma_frame": column(lambda r: r.in_asthma_frame, bool),
-               "validated": column(lambda r: r.validated, bool)}
-    for name in ("y_star", "delta_star", "x_star"):
-        columns[name] = column(lambda r: getattr(r, name))
-    for name in PHASE2_FIELDS:
-        columns[name] = column(lambda r: getattr(r, name) if r.validated else 0.0)
-    for j in range(n_z):
-        columns[f"z_star_{j}"] = column(lambda r: r.z_star[j])
-        columns[f"z_{j}"] = column(lambda r: r.z[j] if r.validated else 0.0)
-    for j in range(n_aux):
-        columns[f"aux_{j}"] = column(lambda r: r.aux[j])
-    return DyadTable([r.id for r in records], columns)
 
 
 @dataclass
@@ -291,7 +185,7 @@ def _as_bounds(raw: Mapping[str, Sequence[float | None]]) -> dict[str, tuple[flo
     return bounds
 
 
-def build_ledger(frame: str, leaf_specs: Sequence[Mapping], records: Sequence[DyadRecord],
+def build_ledger(frame: str, leaf_specs: Sequence[Mapping], table: DyadTable,
                  *, rng_seed: int = 0, member_flag: str | None = None) -> DesignLedger:
     """Create a fresh ledger whose leaves must partition the frame members.
 
@@ -306,7 +200,7 @@ def build_ledger(frame: str, leaf_specs: Sequence[Mapping], records: Sequence[Dy
         strata[sid] = Stratum(id=sid, frame=frame, bounds=_as_bounds(spec["bounds"]))
     ledger = DesignLedger(frame=frame, strata=strata, rng_seed=rng_seed,
                           member_flag=member_flag)
-    _, leaves, idx = leaf_index(as_table(records), ledger)
+    _, leaves, idx = leaf_index(table, ledger)
     for leaf, count in zip(leaves, np.bincount(idx, minlength=len(leaves))):
         leaf.population_size = int(count)
     return ledger
@@ -366,9 +260,8 @@ def leaf_index(table: DyadTable,
     return rows, leaves, idx
 
 
-def assign_strata(records: Sequence[DyadRecord], ledger: DesignLedger) -> dict[str, str]:
+def assign_strata(table: DyadTable, ledger: DesignLedger) -> dict[str, str]:
     """Map each frame member's id to its unique leaf stratum id."""
-    table = as_table(records)
     rows, leaves, idx = leaf_index(table, ledger)
     leaf_ids = [s.id for s in leaves]
     return {table.ids[r]: leaf_ids[j] for r, j in zip(rows.tolist(), idx.tolist())}
@@ -387,16 +280,15 @@ def inclusion_probabilities(counts, sizes, assignment) -> np.ndarray:
     return np.asarray(counts)[assignment] / np.asarray(sizes)[assignment]
 
 
-def frame_arrays(records: Sequence[DyadRecord],
+def frame_arrays(table: DyadTable,
                  ledger: DesignLedger) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One frame's design aligned with ``records``: pi, leaf id, sampled flag.
+    """One frame's design aligned with the rows of ``table``: pi, leaf id, sampled flag.
 
     ``pi`` comes from :func:`inclusion_probabilities` on the ledger's
     leaves.  Records outside the frame get ``pi = nan``, leaf id ``""``
     and ``sampled = False``.  Raises LedgerError when a member's leaf has
     no draws or more draws than members.
     """
-    table = as_table(records)
     rows, leaves, idx = leaf_index(table, ledger)
     counts = np.array([s.total_sampled for s in leaves], dtype=np.intp)
     sizes = np.array([s.population_size for s in leaves], dtype=np.intp)
@@ -416,10 +308,8 @@ def frame_arrays(records: Sequence[DyadRecord],
     return pi, leaf.astype(str), sampled
 
 
-def sampling_probabilities(records: Sequence[DyadRecord],
-                           ledger: DesignLedger) -> dict[str, float]:
+def sampling_probabilities(table: DyadTable, ledger: DesignLedger) -> dict[str, float]:
     """Id-keyed :func:`frame_arrays` probabilities of the frame members."""
-    table = as_table(records)
     pi = frame_arrays(table, ledger)[0].tolist()
     return {table.ids[i]: pi[i] for i in np.flatnonzero(ledger.member_mask(table)).tolist()}
 
@@ -432,13 +322,13 @@ def _within(values: Mapping[str, np.ndarray], bounds: Mapping[str, tuple[float, 
     return mask
 
 
-def split_stratum(ledger: DesignLedger, records: Sequence[DyadRecord], stratum_id: str,
+def split_stratum(ledger: DesignLedger, table: DyadTable, stratum_id: str,
                   axis: str, cuts: Sequence[float],
                   child_ids: Sequence[str] | None = None) -> DesignLedger:
     """Split a leaf at ``cuts`` along one axis, returning an updated ledger.
 
     Children partition the parent's interval; their population counts and
-    inherited draws come from rescanning the records.  The parent keeps
+    inherited draws come from rescanning the table's rows.  The parent keeps
     its own wave history for audit.
     """
     if stratum_id not in ledger.strata:
@@ -477,7 +367,6 @@ def split_stratum(ledger: DesignLedger, records: Sequence[DyadRecord], stratum_i
                         drawn=[[] for _ in range(new.wave_count)])
         children.append(child)
 
-    table = as_table(records)
     n = len(table)
     values = {a: table.columns[a] for a in AXES}
     inside = new.member_mask(table) & _within(values, parent.bounds, n)

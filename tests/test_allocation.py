@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from twophase import allocation as al
 from twophase.errors import DegenerateDesignError, InfeasibleError
-from twophase.records import DesignLedger, DyadRecord, Stratum, apply_draw, build_ledger
+from twophase.records import DesignLedger, DyadTable, Stratum, apply_draw, build_ledger
 from twophase.simulate import oracle_allocation
 
 
@@ -173,53 +173,56 @@ class TestAllocateWave:
         assert res.total == 120
 
 
+def influence(table, values):
+    """Id-keyed influence values aligned with the rows of ``table`` (nan: none)."""
+    return np.array([values.get(rid, np.nan) for rid in table.ids])
+
+
 class TestStratumSD:
     def _ledger(self):
-        records = [
-            DyadRecord(id=f"r{i}", y_star=1.0 + i % 7, delta_star=i % 2,
-                       x_star=float(i)) for i in range(40)
-        ]
+        i = np.arange(40)
+        table = DyadTable([f"r{k}" for k in i.tolist()],
+                          {"y_star": 1.0 + i % 7, "delta_star": i % 2, "x_star": i})
         specs = [
             {"id": "lo", "bounds": {"x_star": [None, 19.5]}},
             {"id": "hi", "bounds": {"x_star": [19.5, None]}},
         ]
-        return records, build_ledger("main", specs, records, rng_seed=1)
+        return table, build_ledger("main", specs, table, rng_seed=1)
 
     def test_constant_values_give_zero(self):
-        records, ledger = self._ledger()
-        values = {f"r{i}": 2.5 for i in range(10)}
-        assignment = {f"r{i}": "lo" for i in range(10)}
-        out = {s.id: s for s in al.stratum_sd(values, assignment, ledger)}
+        table, ledger = self._ledger()
+        values = influence(table, {f"r{i}": 2.5 for i in range(10)})
+        out = {s.id: s for s in al.stratum_sd(table, ledger, values)}
         assert out["lo"].sd == 0.0
 
     def test_two_point_sd(self):
-        records, ledger = self._ledger()
-        values = {"r0": 1.0, "r1": 3.0, "r20": 0.0, "r21": 5.0}
-        assignment = {"r0": "lo", "r1": "lo", "r20": "hi", "r21": "hi"}
-        out = {s.id: s for s in al.stratum_sd(values, assignment, ledger)}
+        table, ledger = self._ledger()
+        values = influence(table, {"r0": 1.0, "r1": 3.0, "r20": 0.0, "r21": 5.0})
+        out = {s.id: s for s in al.stratum_sd(table, ledger, values)}
         assert out["lo"].sd == pytest.approx(math.sqrt(2.0))
         assert out["lo"].already_sampled == 0
         assert out["lo"].population_size == 20
 
     def test_sparse_stratum_borrows_from_parent(self):
-        records = [DyadRecord(id=f"r{i}", y_star=1.0, delta_star=0, x_star=float(i))
-                   for i in range(30)]
+        table = DyadTable([f"r{i}" for i in range(30)],
+                          {"y_star": np.ones(30), "delta_star": np.zeros(30),
+                           "x_star": np.arange(30.0)})
         ledger = build_ledger(
-            "main", [{"id": "all", "bounds": {}}], records, rng_seed=0)
+            "main", [{"id": "all", "bounds": {}}], table, rng_seed=0)
         from twophase.records import split_stratum
-        ledger = split_stratum(ledger, records, "all", "x_star", [25.5],
-                               child_ids=["small", "big"])
-        values = {"r0": 1.0, "r1": 5.0, "r2": 3.0, "r26": 9.0}
-        assignment = {"r0": "big", "r1": "big", "r2": "big", "r26": "small"}
+        ledger = split_stratum(ledger, table, "all", "x_star", [25.5],
+                               child_ids=["big", "small"])
+        values = influence(table, {"r0": 1.0, "r1": 5.0, "r2": 3.0, "r26": 9.0})
         # "small" has one value; it borrows the SD pooled over the parent.
-        out = {s.id: s for s in al.stratum_sd(values, assignment, ledger)}
+        out = {s.id: s for s in al.stratum_sd(table, ledger, values)}
         assert out["small"].sd_source == "parent"
         assert out["small"].sd == pytest.approx(np.std([1, 5, 3, 9], ddof=1))
         assert out["big"].sd_source == "stratum"
 
     def test_no_data_anywhere_gets_proportional_flag(self):
-        records, ledger = self._ledger()
-        out = {s.id: s for s in al.stratum_sd({"r0": 1.0}, {"r0": "lo"}, ledger)}
+        table, ledger = self._ledger()
+        values = influence(table, {"r0": 1.0})
+        out = {s.id: s for s in al.stratum_sd(table, ledger, values)}
         assert out["hi"].sd_source == "proportional"
         assert out["lo"].sd_source == "proportional"
         assert out["lo"].sd == out["hi"].sd
@@ -227,55 +230,55 @@ class TestStratumSD:
 
 class TestDrawSample:
     def _setup(self):
-        records = [
-            DyadRecord(id=f"r{i:03d}", y_star=1.0 + (i % 5), delta_star=i % 2,
-                       x_star=float(i % 11), in_asthma_frame=(i % 3 == 0))
-            for i in range(60)
-        ]
+        i = np.arange(60)
+        table = DyadTable([f"r{k:03d}" for k in i.tolist()],
+                          {"y_star": 1.0 + i % 5, "delta_star": i % 2, "x_star": i % 11,
+                           "in_asthma_frame": i % 3 == 0})
         specs = [
             {"id": "ev0", "bounds": {"delta_star": [None, 0.5]}},
             {"id": "ev1", "bounds": {"delta_star": [0.5, None]}},
         ]
-        ledger = build_ledger("obesity", specs, records, rng_seed=7)
-        return records, ledger
+        ledger = build_ledger("obesity", specs, table, rng_seed=7)
+        return table, ledger
 
     def test_zero_allocation_empty(self):
-        records, ledger = self._setup()
-        res = al.draw_sample(records, ledger, {"ev0": 0, "ev1": 0}, seed=3)
+        table, ledger = self._setup()
+        res = al.draw_sample(table, ledger, {"ev0": 0, "ev1": 0}, seed=3)
         assert res.all_ids() == []
 
     def test_deterministic_given_seed(self):
-        records, ledger = self._setup()
-        r1 = al.draw_sample(records, ledger, {"ev0": 5, "ev1": 4}, seed=11)
-        r2 = al.draw_sample(records, ledger, {"ev0": 5, "ev1": 4}, seed=11)
+        table, ledger = self._setup()
+        r1 = al.draw_sample(table, ledger, {"ev0": 5, "ev1": 4}, seed=11)
+        r2 = al.draw_sample(table, ledger, {"ev0": 5, "ev1": 4}, seed=11)
         assert r1.by_stratum == r2.by_stratum
-        r3 = al.draw_sample(records, ledger, {"ev0": 5, "ev1": 4}, seed=12)
+        r3 = al.draw_sample(table, ledger, {"ev0": 5, "ev1": 4}, seed=12)
         assert r1.by_stratum != r3.by_stratum
 
     def test_no_duplicates_within_frame_and_overlap_marked(self):
-        records, ledger = self._setup()
-        res1 = al.draw_sample(records, ledger, {"ev0": 10, "ev1": 10}, seed=1)
+        table, ledger = self._setup()
+        res1 = al.draw_sample(table, ledger, {"ev0": 10, "ev1": 10}, seed=1)
         ledger = apply_draw(ledger, 1, res1.by_stratum)
         drawn = set(res1.all_ids())
         # Validate the drawn records (phase-2 values revealed elsewhere).
-        records = [
-            r.with_validation(1, r.y_star, r.delta_star, r.x_star, ())
-            if r.id in drawn else r
-            for r in records
-        ]
-        res2 = al.draw_sample(records, ledger, {"ev0": 10, "ev1": 10}, seed=2)
+        rows = np.array([rid in drawn for rid in table.ids])
+        cols = table.columns
+        for name, source in (("y", "y_star"), ("delta", "delta_star"), ("x", "x_star")):
+            cols[name][rows] = cols[source][rows]
+        cols["wave_sampled"][rows] = 1
+        cols["validated"][rows] = True
+        res2 = al.draw_sample(table, ledger, {"ev0": 10, "ev1": 10}, seed=2)
         assert not (set(res2.all_ids()) & drawn)
         # An independent frame may redraw already-validated records: they
         # surface as overlap instead of being re-validated.
-        asthma = build_ledger("asthma", [{"id": "all", "bounds": {}}], records,
+        asthma = build_ledger("asthma", [{"id": "all", "bounds": {}}], table,
                               rng_seed=3, member_flag="in_asthma_frame")
-        res3 = al.draw_sample(records, asthma, {"all": 15}, seed=5)
+        res3 = al.draw_sample(table, asthma, {"all": 15}, seed=5)
         expected_overlap = {rid for rid in res3.all_ids()
                             if rid in drawn}
         assert res3.overlap_ids == expected_overlap
         assert len(expected_overlap) > 0
 
     def test_allocation_exceeding_pool_raises(self):
-        records, ledger = self._setup()
+        table, ledger = self._setup()
         with pytest.raises(InfeasibleError):
-            al.draw_sample(records, ledger, {"ev0": 1000}, seed=1)
+            al.draw_sample(table, ledger, {"ev0": 1000}, seed=1)

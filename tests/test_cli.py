@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import twophase
-from twophase import fileio, fpca, records, simulate
+from twophase import fileio, fpca, simulate
 from twophase.cli import dispatch
 
 
@@ -69,9 +69,8 @@ class TestDesignCli:
         assert "error: parse:" in err and "row 3" in err
 
     def test_allocation_budget_identity(self, sim_dir, tmp_path):
-        records = fileio.read_dyads(sim_dir / "dyads.csv")
-        xs = sorted(r.x_star for r in records)
-        cut = xs[len(xs) // 2]
+        xs = np.sort(fileio.read_dyads(sim_dir / "dyads.csv").columns["x_star"])
+        cut = float(xs[len(xs) // 2])
         strata = [
             {"id": "ev", "bounds": {"delta_star": [0.5, None]}},
             {"id": "lo", "bounds": {"delta_star": [None, 0.5],
@@ -191,33 +190,94 @@ class TestEstimateCli:
         assert "error: parse: row 2:" in err and column in err
 
 
-def test_design_chain_builds_no_record_per_row(tmp_path, monkeypatch):
-    """generate -> design -> reveal -> estimate stays on the table's columns."""
-    def no_records(self):
-        raise AssertionError(f"record {self.id} was built")
+# Pinned outputs of the chain below: allocations per wave, drawn id numbers
+# (``d%06d``) per stratum, and the (beta, se) of each term.  They move only
+# when the design or the estimators change, not with how dyads are held.
+CHAIN_ALLOCATIONS = {
+    "O1": {"evhi": 12, "evlo": 9, "nohi": 18, "nolo": 11},
+    "O2": {"evhi": 11, "evlo": 10, "nohi": 19, "nolo": 10},
+    "A1": {"A:ev": 19, "A:no": 21},
+}
+CHAIN_DRAWS = {
+    "O1": {"evhi": [59, 156, 213, 247, 447, 484, 533, 616, 621, 717, 965, 994],
+           "evlo": [105, 146, 203, 274, 656, 716, 759, 823, 951],
+           "nohi": [19, 50, 87, 136, 252, 280, 302, 337, 339, 420, 490, 633, 665, 747, 791,
+                    793, 826, 976],
+           "nolo": [22, 122, 293, 391, 406, 556, 578, 605, 678, 735, 842]},
+    "O2": {"evhi": [54, 92, 187, 190, 233, 312, 317, 372, 790, 863, 895],
+           "evlo": [83, 128, 248, 450, 481, 498, 804, 883, 906, 995],
+           "nohi": [11, 66, 171, 216, 255, 296, 439, 453, 473, 589, 625, 628, 704, 761, 812,
+                    847, 861, 964, 997],
+           "nolo": [62, 97, 231, 307, 405, 472, 680, 820, 886, 961]},
+    "A1": {"A:ev": [45, 54, 125, 180, 194, 213, 268, 312, 397, 401, 449, 462, 463, 533, 541,
+                    656, 677, 804, 904],
+           "A:no": [15, 43, 95, 153, 216, 272, 296, 322, 362, 366, 439, 504, 630, 650, 684,
+                    762, 793, 794, 811, 968, 980]},
+}
+CHAIN_ESTIMATES = {
+    "ipw_single": [(0.16538149033947244, 1.2124071913548093),
+                   (0.054774393202972796, 0.2140073131916931),
+                   (-0.5724314826576647, 0.5442629963052388)],
+    "raking_naive": [(-0.11623449250211323, 0.912862771669717),
+                     (0.060572913130862875, 0.2355259495340661),
+                     (-0.5636434270860455, 0.5910279276685081)],
+    "ipw_multi": [(-0.6647785512777701, 1.2122624847128858),
+                  (0.03319154967885962, 0.18260670537562823),
+                  (-0.6576489516123251, 0.49251844749659746)],
+}
 
-    monkeypatch.setattr(records.DyadRecord, "__post_init__", no_records)
-    (tmp_path / "sim.json").write_text(json.dumps({"n": 600}))
-    (tmp_path / "strata.json").write_text(json.dumps(
-        [{"id": "ev", "bounds": {"delta_star": [0.5, None]}},
-         {"id": "no", "bounds": {"delta_star": [None, 0.5]}}]))
+
+def test_design_chain_matches_pinned_outputs(tmp_path):
+    """generate -> design (2 obesity waves, 1 asthma wave) -> reveal -> estimate."""
     d = tmp_path
-    assert run(["simulate", "--config", d / "sim.json", "--out", d, "--seed", 3]) == 0
+    (d / "sim.json").write_text(json.dumps({"n": 1000}))
+    (d / "strata_O.json").write_text(json.dumps(
+        [{"id": f"{e}{s}", "bounds": {"delta_star": db, "x_star": xb}}
+         for e, db in (("ev", [0.5, None]), ("no", [None, 0.5]))
+         for s, xb in (("lo", [None, 0.3]), ("hi", [0.3, None]))]))
+    (d / "strata_A.json").write_text(json.dumps(
+        [{"id": "A:ev", "bounds": {"delta_star": [0.5, None]}},
+         {"id": "A:no", "bounds": {"delta_star": [None, 0.5]}}]))
+    assert run(["simulate", "--config", d / "sim.json", "--out", d, "--seed", 8]) == 0
     assert run(["design", "init", "--frame", "O", "--dyads", d / "dyads.csv",
-                "--strata", d / "strata.json", "--out", d / "ledger.json"]) == 0
+                "--strata", d / "strata_O.json", "--out", d / "ledger_O0.json"]) == 0
     assert run(["estimate", "--dyads", d / "dyads.csv", "--method", "phase1",
                 "--out", d / "p1.csv", "--emit-influence", d / "h.csv"]) == 0
-    assert run(["design", "allocate", "--ledger", d / "ledger.json", "--dyads", d / "dyads.csv",
-                "--influence", d / "h.csv", "--target", 120, "--wave", 1,
-                "--out", d / "alloc.json"]) == 0
-    assert run(["design", "draw", "--ledger", d / "ledger.json", "--dyads", d / "dyads.csv",
-                "--allocation", d / "alloc.json", "--seed", 1, "--out", d / "draw.json",
-                "--update-ledger", d / "ledger1.json"]) == 0
-    assert run(["simulate", "reveal", "--dyads", d / "dyads.csv", "--truth", d / "truth.csv",
-                "--draw", d / "draw.json", "--out", d / "dyads1.csv"]) == 0
-    for method in ("ipw", "raking"):
-        assert run(["estimate", "--dyads", d / "dyads1.csv", "--method", method,
-                    "--ledger", d / "ledger1.json", "--out", d / f"{method}.csv"]) == 0
+
+    def wave(key, target, dyads_in, dyads_out):
+        frame, k = key[0], int(key[1:])
+        assert run(["design", "allocate", "--ledger", d / f"ledger_{frame}{k - 1}.json",
+                    "--dyads", dyads_in, "--influence", d / "h.csv", "--target", target,
+                    "--wave", k, "--out", d / f"alloc_{key}.json"]) == 0
+        assert run(["design", "draw", "--ledger", d / f"ledger_{frame}{k - 1}.json",
+                    "--dyads", dyads_in, "--allocation", d / f"alloc_{key}.json",
+                    "--seed", 40 + k, "--out", d / f"draw_{key}.json",
+                    "--update-ledger", d / f"ledger_{key}.json"]) == 0
+        assert run(["simulate", "reveal", "--dyads", dyads_in, "--truth", d / "truth.csv",
+                    "--draw", d / f"draw_{key}.json", "--out", dyads_out]) == 0
+        assert fileio.read_allocation(d / f"alloc_{key}.json")["draws"] == \
+            CHAIN_ALLOCATIONS[key]
+        assert fileio.read_draw(d / f"draw_{key}.json")["by_stratum"] == {
+            sid: [f"d{i:06d}" for i in ids] for sid, ids in CHAIN_DRAWS[key].items()}
+
+    wave("O1", 50, d / "dyads.csv", d / "dyads_1.csv")
+    wave("O2", 100, d / "dyads_1.csv", d / "dyads_2.csv")
+    assert run(["design", "init", "--frame", "A", "--dyads", d / "dyads_2.csv",
+                "--strata", d / "strata_A.json", "--member-flag", "in_asthma_frame",
+                "--out", d / "ledger_A0.json"]) == 0
+    wave("A1", 40, d / "dyads_2.csv", d / "dyads_3.csv")
+    final = ["estimate", "--dyads", d / "dyads_3.csv", "--ledger", d / "ledger_O2.json"]
+    assert run(final + ["--method", "ipw", "--out", d / "ipw_single.csv"]) == 0
+    assert run(final + ["--method", "raking", "--aux", "naive",
+                        "--out", d / "raking_naive.csv"]) == 0
+    assert run(final + ["--method", "ipw", "--frame", "multi", "--asthma-ledger",
+                        d / "ledger_A1.json", "--out", d / "ipw_multi.csv"]) == 0
+    for name, want in CHAIN_ESTIMATES.items():
+        rows = fileio.read_estimates(d / f"{name}.csv")
+        assert [(r["estimator"], r["term"]) for r in rows] == [
+            (name, "x"), (name, "z_0"), (name, "z_1")]
+        assert [(r["beta"], r["se"]) for r in rows] == [
+            (pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12)) for b, se in want]
 
 
 def test_wave1_allocation_matches_harness(tmp_path):

@@ -8,32 +8,48 @@ import pytest
 from twophase import fileio, fpca
 from twophase.cli import dispatch
 from twophase.errors import SchemaError
-from twophase.records import DyadRecord, apply_draw, as_table, build_ledger, split_stratum
+from twophase.records import (
+    FLAGS,
+    DyadTable,
+    apply_draw,
+    build_ledger,
+    first_invalid_row,
+    is_phase2,
+    split_stratum,
+)
 from twophase.simulate import SimConfig, generate
 
 
-def sample_records():
-    return [
-        DyadRecord(id="a1", y_star=4.5, delta_star=0, x_star=0.31,
-                   z_star=(0.2, 1.0), aux=(0.5,), in_asthma_frame=True),
-        DyadRecord(id="a2", y_star=2.5, delta_star=1, x_star=0.12,
-                   z_star=(-1.0, 0.0), aux=(-0.3,), validated=True,
-                   wave_sampled=2, y=2.4, delta=1, x=0.13, z=(-1.1, 0.0)),
-    ]
+def sample_table():
+    """An unvalidated asthma-frame record and a record validated in wave 2."""
+    return DyadTable(["a1", "a2"], {
+        "y_star": [4.5, 2.5], "delta_star": [0, 1], "x_star": [0.31, 0.12],
+        "z_star_0": [0.2, -1.0], "z_star_1": [1.0, 0.0], "aux_0": [0.5, -0.3],
+        "in_asthma_frame": [True, False], "validated": [False, True],
+        "wave_sampled": [0, 2], "y": [0, 2.4], "delta": [0, 1], "x": [0, 0.13],
+        "z_0": [0, -1.1], "z_1": [0, 0.0]})
+
+
+def assert_tables_equal(got, want):
+    assert got.ids == want.ids
+    assert list(got.columns) == list(want.columns)
+    for name, values in got.columns.items():
+        np.testing.assert_array_equal(values, want.columns[name], err_msg=name)
+        assert values.dtype == want.columns[name].dtype, name
 
 
 class TestDyadsRoundTrip:
     def test_identity(self, tmp_path):
         path = tmp_path / "dyads.csv"
-        records = sample_records()
-        fileio.write_dyads(path, records)
-        assert fileio.read_dyads(path) == records
+        table = sample_table()
+        fileio.write_dyads(path, table)
+        assert_tables_equal(fileio.read_dyads(path), table)
 
     def test_missing_phase2_columns_allowed(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,y_star,delta_star,x_star\nr1,3.0,0,0.4\n")
-        recs = fileio.read_dyads(path)
-        assert recs[0].id == "r1" and not recs[0].validated
+        table = fileio.read_dyads(path)
+        assert table.ids == ["r1"] and not table.columns["validated"][0]
 
     def test_corrupt_row_reports_row_number(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -52,30 +68,31 @@ class TestDyadsRoundTrip:
         path = tmp_path / "big.csv"
         fileio.write_dyads(path, fileio.population_to_records(pop))
         t0 = time.time()
-        records = fileio.read_dyads(path)
+        table = fileio.read_dyads(path)
         elapsed = time.time() - t0
-        assert len(records) == 10335
+        assert len(table) == 10335
         assert elapsed < 5.0
 
 
 class TestLedgerRoundTrip:
     def test_identity_through_splits_and_draws(self, tmp_path):
-        records = [DyadRecord(id=f"r{i}", y_star=1.0 + i % 4, delta_star=i % 2,
-                              x_star=float(i % 7)) for i in range(40)]
+        i = np.arange(40)
+        table = DyadTable([f"r{k}" for k in i.tolist()],
+                          {"y_star": 1.0 + i % 4, "delta_star": i % 2, "x_star": i % 7})
         ledger = build_ledger("obesity",
                               [{"id": "L", "bounds": {"x_star": [None, 3.5]}},
                                {"id": "R", "bounds": {"x_star": [3.5, None]}}],
-                              records, rng_seed=9)
+                              table, rng_seed=9)
         ledger = apply_draw(ledger, 1, {"L": ["r0", "r7"], "R": ["r4"]})
-        ledger = split_stratum(ledger, records, "R", "x_star", [5.5])
+        ledger = split_stratum(ledger, table, "R", "x_star", [5.5])
         path = tmp_path / "ledger.json"
         fileio.write_ledger(path, ledger)
         back = fileio.read_ledger(path)
         assert back == ledger
 
     def test_stable_key_order(self, tmp_path):
-        records = [DyadRecord(id="r0", y_star=1.0, delta_star=0, x_star=0.0)]
-        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], records)
+        table = DyadTable(["r0"], {"y_star": [1.0], "delta_star": [0], "x_star": [0.0]})
+        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         fileio.write_ledger(p1, ledger)
         fileio.write_ledger(p2, ledger)
@@ -163,6 +180,18 @@ def test_repeated_id_names_both_rows(tmp_path, reader, header):
         reader(path)
 
 
+@pytest.mark.parametrize("reader, header", [
+    (fileio.read_influence, "id,influence"),
+    (fileio.read_gestation, "subject_id,gestation_days"),
+])
+def test_non_finite_keyed_value_names_its_row(tmp_path, reader, header):
+    # A nan influence value used to reach design allocate as a nan stratum SD.
+    path = tmp_path / "keyed.csv"
+    path.write_text(f"{header}\nd1,1.0\nd2,nan\nd3,inf\n")
+    with pytest.raises(SchemaError, match=r"row 3: column '\w+' has non-finite value 'nan'"):
+        reader(path)
+
+
 def test_allocation_and_draw_round_trip(tmp_path):
     path = tmp_path / "alloc.json"
     fileio.write_allocation(path, {"s1": 5, "s2": 0}, wave=2, frame="obesity",
@@ -205,7 +234,7 @@ def chain_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("chain")
     assert dispatch(["simulate", "--out", str(out), "--seed", "5", "--with-series",
                      "--config", str(_config(out, n=400))]) == 0
-    ids = [r.id for r in fileio.read_dyads(out / "dyads.csv")]
+    ids = fileio.read_dyads(out / "dyads.csv").ids
     fileio.write_draw(out / "draw.json", {"all": ids[::9]}, wave=1)
     assert dispatch(["simulate", "reveal", "--dyads", str(out / "dyads.csv"),
                      "--truth", str(out / "truth.csv"), "--draw", str(out / "draw.json"),
@@ -219,26 +248,24 @@ def _config(out, n):
     return path
 
 
-def records_by_row(path):
-    """Reference reader: one DyadRecord per row, parsed cell by cell."""
-    out = []
+def columns_by_row(path):
+    """Reference reader: the ids and the columns in file order, parsed cell by
+    cell one row at a time; phase-2 cells of unvalidated rows read as 0."""
+    ids, columns = [], {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            def cells(prefix):
-                names = sorted((c for c in row if c.startswith(prefix)
-                                and not (prefix == "z_" and c.startswith("z_star_"))),
-                               key=lambda c: int(c.split("_")[-1]))
-                return tuple(float(row[c]) for c in names)
+            ids.append(row.pop("id"))
             validated = row["validated"] == "1"
-            phase2 = {}
-            if validated:
-                phase2 = dict(wave_sampled=int(row["wave_sampled"]), y=float(row["y"]),
-                              delta=int(row["delta"]), x=float(row["x"]), z=cells("z_"))
-            out.append(DyadRecord(
-                id=row["id"], y_star=float(row["y_star"]), delta_star=int(row["delta_star"]),
-                x_star=float(row["x_star"]), z_star=cells("z_star_"), aux=cells("aux_"),
-                in_asthma_frame=row["in_asthma_frame"] == "1", validated=validated, **phase2))
-    return out
+            for name, text in row.items():
+                if name in FLAGS:
+                    value = text == "1"
+                elif is_phase2(name) and not validated:
+                    value = 0.0
+                else:
+                    value = float(text)
+                columns.setdefault(name, []).append(value)
+    return ids, {name: np.array(values, dtype=bool if name in FLAGS else np.float64)
+                 for name, values in columns.items()}
 
 
 @pytest.mark.parametrize("name", ["dyads.csv", "dyads_1.csv"])
@@ -250,18 +277,10 @@ def test_dyads_rewrite_is_byte_identical(chain_files, tmp_path, name):
 @pytest.mark.parametrize("name", ["dyads.csv", "dyads_1.csv"])
 def test_table_columns_match_records_read_row_by_row(chain_files, name):
     table = fileio.read_dyads(chain_files / name)
-    records = records_by_row(chain_files / name)
-    assert table.ids == [r.id for r in records]
+    ids, columns = columns_by_row(chain_files / name)
     assert table.columns["validated"].any() == (name == "dyads_1.csv")
-    reference = as_table(records).columns
-    assert list(table.columns) == list(reference)
-    for column, values in table.columns.items():
-        np.testing.assert_array_equal(values, reference[column], err_msg=column)
-        assert values.dtype == reference[column].dtype
-    for r in records:
-        if r.validated:
-            assert table.columns["y"][table.ids.index(r.id)] == r.y
-    assert table == records
+    assert_tables_equal(table, DyadTable(ids, columns))
+    assert list(table.columns) == list(columns)
 
 
 HEADER = "id,y_star,delta_star,x_star,z_star_0,z_star_1,validated,wave_sampled,y,delta,x,z_0,z_1"
@@ -283,6 +302,15 @@ HEADER = "id,y_star,delta_star,x_star,z_star_0,z_star_1,validated,wave_sampled,y
     # Repeated ids, which used to read silently.
     (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,2.0,0,0.3,1.0,0,0,,,,,,",
       "r1,3.0,1,0.3,1.0,0,0,,,,,,"], r"row 4: id 'r1' repeats the one on row 2"),
+    # Value rules that only hand-built records were checked against.
+    (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,2.0,2,0.3,1.0,0,0,,,,,,"],
+     r"row 3: record r2: delta_star must be 0 or 1"),
+    (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,2.0,0,0.3,1.0,0,1,1.5,2.0,1,0.3,1.0,0"],
+     r"row 3: record r2: wave_sampled must be a whole number"),
+    (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,2.0,0,0.3,1.0,0,1,1,0.0,1,0.3,1.0,0"],
+     r"row 3: record r2: y must be positive"),
+    (["r1,2.0,0,0.3,1.0,0,0,,,,,,", "r2,2.0,0,0.3,1.0,0,1,1,2.0,2,0.3,1.0,0"],
+     r"row 3: record r2: delta must be 0 or 1"),
 ])
 def test_bad_dyads_rows_are_rejected(tmp_path, rows, match):
     path = tmp_path / "d.csv"
@@ -305,19 +333,33 @@ def test_first_bad_row_in_file_order_is_reported(tmp_path):
 
 
 def test_hand_built_record_rejects_non_finite_values():
-    with pytest.raises(ValueError, match="y_star must be finite"):
-        DyadRecord(id="a", y_star=float("nan"), delta_star=0, x_star=0.3)
-    with pytest.raises(ValueError, match="x must be finite"):
-        DyadRecord(id="a", y_star=1.0, delta_star=0, x_star=0.3, validated=True,
-                   wave_sampled=1, y=1.0, delta=0, x=float("inf"), z=())
+    table = DyadTable(["a", "b"], {"y_star": [1.0, np.nan], "delta_star": [0, 0],
+                                   "x_star": [0.3, 0.3]})
+    assert first_invalid_row(table.columns) == (1, "y_star must be finite")
+    table = DyadTable(["a", "b"], {"y_star": [1.0, 1.0], "delta_star": [0, 0],
+                                   "x_star": [0.3, 0.3], "validated": [False, True],
+                                   "wave_sampled": [0, 1], "y": [0, 1.0], "delta": [0, 0],
+                                   "x": [np.inf, np.inf]})
+    # A phase-2 value counts on validated rows only.
+    assert first_invalid_row(table.columns) == (1, "x must be finite")
 
 
 def test_repeated_truth_id_names_both_rows(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("id,y,delta,x,gestation_days,asthma,z_0\n"
-                    "r1,2.0,1,0.3,273,0,1.0\nr1,3.0,0,0.2,270,1,0.0\n")
+                    "r1,2.0,1,0.3,273,0,1.0\n r1,3.0,0,0.2,270,1,0.0\n")
     with pytest.raises(SchemaError, match=r"row 3: id 'r1' repeats the one on row 2"):
         fileio.read_truth(path)
+
+
+def test_reveal_reads_truth_ids_with_surrounding_space(chain_files, tmp_path):
+    header, *rows = (chain_files / "truth.csv").read_text().splitlines()
+    (tmp_path / "truth.csv").write_text("\n".join([header, *(" " + r for r in rows)]) + "\n")
+    assert dispatch(["simulate", "reveal", "--dyads", str(chain_files / "dyads.csv"),
+                     "--truth", str(tmp_path / "truth.csv"),
+                     "--draw", str(chain_files / "draw.json"),
+                     "--out", str(tmp_path / "dyads_1.csv")]) == 0
+    assert (tmp_path / "dyads_1.csv").read_bytes() == (chain_files / "dyads_1.csv").read_bytes()
 
 
 def measurements_by_subject(path):

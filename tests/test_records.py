@@ -5,21 +5,37 @@ from hypothesis import strategies as st
 
 from twophase.errors import LedgerError, PartitionError
 from twophase.records import (
-    DyadRecord,
+    DyadTable,
     apply_draw,
     assign_strata,
     build_ledger,
     close_stratum,
+    first_invalid_row,
     sampling_probabilities,
     split_stratum,
 )
 
 
-def sampling_probability(record, ledger):
-    """Final-design inclusion probability ``n_s / N_s`` for the record's leaf."""
-    if ledger.member_flag is not None and not getattr(record, ledger.member_flag):
-        raise LedgerError(f"record {record.id!r} is not a member of frame {ledger.frame!r}")
-    return sampling_probabilities([record], ledger)[record.id]
+def phase1_table(y_star, delta_star, x_star, prefix="r"):
+    """A table of unvalidated records ``<prefix><i>`` with the given phase-1 columns."""
+    y, d, x = np.atleast_1d(*np.broadcast_arrays(y_star, delta_star, x_star))
+    return DyadTable([f"{prefix}{i}" for i in range(x.size)],
+                     {"y_star": y, "delta_star": d, "x_star": x})
+
+
+def take_rows(table, rows):
+    """The rows ``rows`` of ``table`` as a table of their own."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return DyadTable([table.ids[i] for i in rows.tolist()],
+                     {name: values[rows] for name, values in table.columns.items()})
+
+
+def sampling_probability(table, row, ledger):
+    """Final-design inclusion probability ``n_s / N_s`` for the leaf of one row."""
+    rid = table.ids[row]
+    if ledger.member_flag is not None and not table.columns[ledger.member_flag][row]:
+        raise LedgerError(f"record {rid!r} is not a member of frame {ledger.frame!r}")
+    return sampling_probabilities(take_rows(table, [row]), ledger)[rid]
 
 # The final stratification of the primary validation design: 33 leaves on
 # (event indicator, follow-up band, weight-gain band) covering 10,335 records.
@@ -86,64 +102,50 @@ def final_leaf_specs():
 def synthesize_table_population(seed=0):
     """10,335 records whose phase-1 values land in the published strata counts."""
     rng = np.random.default_rng(seed)
-    records = []
-    i = 0
+    columns = {"y_star": [], "delta_star": [], "x_star": [], "in_asthma_frame": []}
     for sid, delta, (ylo, yhi), (glo, ghi), n_s in FINAL_STRATA:
         glo_w = (glo / WEEKS) if glo is not None else -0.2
         ghi_w = (ghi / WEEKS) if ghi is not None else 1.2
         for _ in range(n_s):
-            records.append(DyadRecord(
-                id=f"d{i:05d}",
-                y_star=float(rng.uniform(ylo + 1e-6, yhi)),
-                delta_star=delta,
-                x_star=float(rng.uniform(glo_w + 1e-9, ghi_w)),
-                in_asthma_frame=bool(rng.uniform() < 0.68),
-            ))
-            i += 1
-    return records
+            columns["y_star"].append(rng.uniform(ylo + 1e-6, yhi))
+            columns["delta_star"].append(delta)
+            columns["x_star"].append(rng.uniform(glo_w + 1e-9, ghi_w))
+            columns["in_asthma_frame"].append(rng.uniform() < 0.68)
+    return DyadTable([f"d{i:05d}" for i in range(len(columns["x_star"]))], columns)
 
 
 @pytest.fixture(scope="module")
 def table_design():
-    records = synthesize_table_population()
-    ledger = build_ledger("obesity", final_leaf_specs(), records, rng_seed=42)
-    return records, ledger
+    table = synthesize_table_population()
+    ledger = build_ledger("obesity", final_leaf_specs(), table, rng_seed=42)
+    return table, ledger
 
 
-class TestDyadRecord:
-    def test_phase2_fields_all_or_nothing(self):
-        with pytest.raises(ValueError):
-            DyadRecord(id="a", y_star=1.0, delta_star=0, x_star=0.3, validated=True)
-        with pytest.raises(ValueError):
-            DyadRecord(id="a", y_star=1.0, delta_star=0, x_star=0.3,
-                       y=2.0, delta=1, x=0.3, z=())
-        rec = DyadRecord(id="a", y_star=1.0, delta_star=0, x_star=0.3)
-        v = rec.with_validation(2, 2.5, 1, 0.31, (1.0,))
-        assert v.validated and v.wave_sampled == 2
-
+class TestFirstInvalidRow:
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            DyadRecord(id="a", y_star=-1.0, delta_star=0, x_star=0.3)
-        with pytest.raises(ValueError):
-            DyadRecord(id="a", y_star=1.0, delta_star=2, x_star=0.3)
+        table = phase1_table([1.0, -1.0, 1.0], [0, 0, 2], 0.3)
+        assert first_invalid_row(table.columns) == (1, "y_star must be positive")
+        table.columns["y_star"][1] = 1.0
+        assert first_invalid_row(table.columns) == (2, "delta_star must be 0 or 1")
+        table.columns["delta_star"][2] = 1.0
+        assert first_invalid_row(table.columns) is None
 
 
 class TestAssignStrata:
     def test_published_example_record(self, table_design):
-        records, ledger = table_design
-        rec = DyadRecord(id="probe", y_star=5.5, delta_star=0, x_star=5.0 / WEEKS)
-        assignment = assign_strata(records + [rec], ledger)
-        assert assignment["probe"] == "6"
+        _, ledger = table_design
+        probe = phase1_table(5.5, 0, 5.0 / WEEKS, prefix="probe")
+        assert assign_strata(probe, ledger) == {"probe0": "6"}
         assert ledger.strata["6"].population_size == 208
 
     def test_single_stratum_trivial(self):
-        records = [DyadRecord(id="a", y_star=3.0, delta_star=1, x_star=0.5)]
-        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], records)
-        assert assign_strata(records, ledger) == {"a": "all"}
+        table = phase1_table(3.0, 1, 0.5)
+        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
+        assert assign_strata(table, ledger) == {"r0": "all"}
 
     def test_counts_match_published_totals(self, table_design):
-        records, ledger = table_design
-        assignment = assign_strata(records, ledger)
+        table, ledger = table_design
+        assignment = assign_strata(table, ledger)
         counts = {}
         for sid in assignment.values():
             counts[sid] = counts.get(sid, 0) + 1
@@ -154,97 +156,93 @@ class TestAssignStrata:
         assert sum(counts.values()) == 10335 == ledger.population_size()
 
     def test_gap_in_partition_raises(self):
-        records = [DyadRecord(id="a", y_star=3.0, delta_star=1, x_star=0.5)]
+        table = phase1_table(3.0, 1, 0.5, prefix="a")
         specs = [{"id": "lo", "bounds": {"x_star": [None, 0.2]}},
                  {"id": "hi", "bounds": {"x_star": [0.7, None]}}]
-        with pytest.raises(PartitionError, match="a"):
-            build_ledger("f", specs, records)
+        with pytest.raises(PartitionError, match="a0"):
+            build_ledger("f", specs, table)
 
     def test_overlap_raises(self):
-        records = [DyadRecord(id="a", y_star=3.0, delta_star=1, x_star=0.5)]
+        table = phase1_table(3.0, 1, 0.5)
         specs = [{"id": "lo", "bounds": {"x_star": [None, 0.6]}},
                  {"id": "hi", "bounds": {"x_star": [0.2, None]}}]
         with pytest.raises(PartitionError):
-            build_ledger("f", specs, records)
+            build_ledger("f", specs, table)
 
 
 class TestSamplingProbability:
     def test_published_rows(self, table_design):
-        records, ledger = table_design
+        table, ledger = table_design
         # Wave draws matching the published per-stratum totals for rows 1 and 33.
-        assignment = assign_strata(records, ledger)
+        assignment = assign_strata(table, ledger)
         members = {}
         for rid, sid in assignment.items():
             members.setdefault(sid, []).append(rid)
         draws = {"33": members["33"][:10], "1": members["1"][:7]}
         ledger2 = apply_draw(ledger, 1, draws)
-        rec33 = next(r for r in records if assignment[r.id] == "33")
-        assert sampling_probability(rec33, ledger2) == pytest.approx(10 / 11)
-        rec1 = next(r for r in records if assignment[r.id] == "1")
-        assert sampling_probability(rec1, ledger2) == pytest.approx(7 / 190)
+        row33 = next(i for i, rid in enumerate(table.ids) if assignment[rid] == "33")
+        assert sampling_probability(table, row33, ledger2) == pytest.approx(10 / 11)
+        row1 = next(i for i, rid in enumerate(table.ids) if assignment[rid] == "1")
+        assert sampling_probability(table, row1, ledger2) == pytest.approx(7 / 190)
 
     def test_census_stratum(self):
-        records = [DyadRecord(id=f"r{i}", y_star=1.0, delta_star=0, x_star=0.1)
-                   for i in range(4)]
-        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], records)
-        ledger = apply_draw(ledger, 1, {"all": [r.id for r in records]})
-        assert sampling_probability(records[0], ledger) == 1.0
+        table = phase1_table(1.0, 0, np.full(4, 0.1))
+        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
+        ledger = apply_draw(ledger, 1, {"all": table.ids})
+        assert sampling_probability(table, 0, ledger) == 1.0
 
     def test_zero_draws_is_ledger_error(self):
-        records = [DyadRecord(id="a", y_star=1.0, delta_star=0, x_star=0.1)]
-        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], records)
+        table = phase1_table(1.0, 0, 0.1)
+        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
         with pytest.raises(LedgerError):
-            sampling_probability(records[0], ledger)
+            sampling_probability(table, 0, ledger)
 
 
 class TestSplitStratum:
     def test_split_preserves_population(self):
         rng = np.random.default_rng(3)
-        records = [DyadRecord(id=f"r{i}", y_star=5.5, delta_star=0,
-                              x_star=float(rng.uniform(8.6, 20.5)) / WEEKS)
-                   for i in range(1478)]
-        ledger = build_ledger("f", [{"id": "8", "bounds": {}}], records)
-        new = split_stratum(ledger, records, "8", "x_star",
+        table = phase1_table(5.5, 0, rng.uniform(8.6, 20.5, size=1478) / WEEKS)
+        ledger = build_ledger("f", [{"id": "8", "bounds": {}}], table)
+        new = split_stratum(ledger, table, "8", "x_star",
                             [12 / WEEKS, 14 / WEEKS])
         leaves = {s.id: s for s in new.leaves()}
         assert set(leaves) == {"8.1", "8.2", "8.3"}
         assert sum(s.population_size for s in leaves.values()) == 1478
         # Independent rescan oracle.
-        lo = sum(1 for r in records if r.x_star <= 12 / WEEKS)
-        mid = sum(1 for r in records if 12 / WEEKS < r.x_star <= 14 / WEEKS)
+        x = table.columns["x_star"].tolist()
+        lo = sum(1 for v in x if v <= 12 / WEEKS)
+        mid = sum(1 for v in x if 12 / WEEKS < v <= 14 / WEEKS)
         assert leaves["8.1"].population_size == lo
         assert leaves["8.2"].population_size == mid
 
     def test_presplit_draws_attributed_by_rescan(self):
-        records = [DyadRecord(id=f"r{i}", y_star=1.0, delta_star=0,
-                              x_star=float(i) + 0.5) for i in range(10)]
-        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], records)
+        table = phase1_table(1.0, 0, np.arange(10) + 0.5)
+        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
         ledger = apply_draw(ledger, 1, {"all": ["r1", "r8"]})
-        new = split_stratum(ledger, records, "all", "x_star", [5.0],
+        new = split_stratum(ledger, table, "all", "x_star", [5.0],
                             child_ids=["left", "right"])
         assert new.strata["left"].inherited_ids == ["r1"]
         assert new.strata["right"].inherited_ids == ["r8"]
         # Probabilities use the final (post-split) leaves.
-        assert sampling_probability(records[1], new) == pytest.approx(1 / 5)
+        assert sampling_probability(table, 1, new) == pytest.approx(1 / 5)
         # Parent history is retained for audit.
         assert new.strata["all"].sampled_per_wave == [2]
 
     def test_split_errors(self):
-        records = [DyadRecord(id="a", y_star=1.0, delta_star=0, x_star=0.5)]
+        table = phase1_table(1.0, 0, 0.5)
         ledger = build_ledger("f", [{"id": "all", "bounds": {"x_star": [0, 1]}}],
-                              records)
+                              table)
         with pytest.raises(ValueError):
-            split_stratum(ledger, records, "all", "x_star", [])
+            split_stratum(ledger, table, "all", "x_star", [])
         with pytest.raises(ValueError):
-            split_stratum(ledger, records, "all", "x_star", [2.0])
-        new = split_stratum(ledger, records, "all", "x_star", [0.6])
+            split_stratum(ledger, table, "all", "x_star", [2.0])
+        new = split_stratum(ledger, table, "all", "x_star", [0.6])
         with pytest.raises(LedgerError):
-            split_stratum(new, records, "all", "x_star", [0.3])
+            split_stratum(new, table, "all", "x_star", [0.3])
 
     def test_closed_stratum_rejects_draws(self):
-        records = [DyadRecord(id=f"r{i}", y_star=1.0, delta_star=0, x_star=0.5)
-                   for i in range(5)]
-        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], records)
+        table = phase1_table(1.0, 0, np.full(5, 0.5))
+        ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
         ledger = close_stratum(ledger, "all")
         with pytest.raises(LedgerError):
             apply_draw(ledger, 1, {"all": ["r0"]})
@@ -255,31 +253,30 @@ class TestSplitStratum:
        st.integers(0, 10_000))
 def test_partition_property_under_random_splits(cuts, seed):
     rng = np.random.default_rng(seed)
-    records = [DyadRecord(id=f"r{i}", y_star=float(rng.uniform(0.5, 8)),
-                          delta_star=int(rng.integers(0, 2)),
-                          x_star=float(rng.uniform(0, 1)))
-               for i in range(120)]
-    ledger = build_ledger("f", [{"id": "root", "bounds": {}}], records)
+    table = phase1_table(rng.uniform(0.5, 8, size=120), rng.integers(0, 2, size=120),
+                         rng.uniform(0, 1, size=120))
+    ledger = build_ledger("f", [{"id": "root", "bounds": {}}], table)
     target = "root"
     for j, c in enumerate(sorted(cuts)):
-        ledger = split_stratum(ledger, records, target, "x_star", [c],
+        ledger = split_stratum(ledger, table, target, "x_star", [c],
                                child_ids=[f"s{j}l", f"s{j}r"])
         target = f"s{j}r"
     assert ledger.population_size() == 120
-    assignment = assign_strata(records, ledger)
+    assignment = assign_strata(table, ledger)
     assert len(assignment) == 120
     leaf_ids = set(ledger.leaf_ids())
     assert set(assignment.values()) <= leaf_ids
 
 
 def test_sampling_probabilities_bulk_matches_scalar(table_design):
-    records, ledger = table_design
-    assignment = assign_strata(records, ledger)
+    table, ledger = table_design
+    assignment = assign_strata(table, ledger)
     members = {}
     for rid, sid in assignment.items():
         members.setdefault(sid, []).append(rid)
     draws = {sid: ids[: min(3, len(ids))] for sid, ids in members.items()}
     ledger2 = apply_draw(ledger, 1, draws)
-    pis = sampling_probabilities(records[:100], ledger2)
-    for rec in records[:100]:
-        assert pis[rec.id] == sampling_probability(rec, ledger2)
+    head = take_rows(table, range(100))
+    pis = sampling_probabilities(head, ledger2)
+    for row, rid in enumerate(head.ids):
+        assert pis[rid] == sampling_probability(head, row, ledger2)

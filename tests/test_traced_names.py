@@ -1,0 +1,30 @@
+"""The package names the benchmark wraps must exist.
+
+``perfbench/run.py`` wraps a fixed list of package functions by name
+(``traced_layers``).  Deleting or renaming one of them breaks the traced
+benchmark run; this test makes that a fast failure.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROBE = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import run
+print(json.dumps([f"{mod.__name__}.{name}" for mod, name, _ in run.traced_layers()
+                  if not callable(getattr(mod, name, None))]))
+"""
+
+
+def test_every_traced_name_is_a_package_function():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-3000:]
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
