@@ -95,6 +95,15 @@ def _float_column(cells: Sequence[str], column: str, problems: list,
         return values
 
 
+def _non_finite(values: np.ndarray, cells: Sequence[str], column: str,
+                problems: list) -> None:
+    """A problem at the first non-finite value of a column read by ``_float_column``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        problems.append((i, f"column {column!r} has non-finite value {cells[i]!r}"))
+
+
 def _repeated_key(keys: Sequence[str], key: str, problems: list) -> None:
     """A problem at the first key that repeats an earlier one, naming both rows."""
     if len(set(keys)) == len(keys):
@@ -227,7 +236,10 @@ def read_measurements(path) -> list[LongitudinalSeries]:
     """One series per subject, in order of first appearance.
 
     Each series is sorted by time; of points at one time, the one with
-    the smallest weight is kept.
+    the smallest weight is kept.  A non-numeric or non-finite (nan, inf)
+    cell raises SchemaError naming its row, and a series that
+    ``LongitudinalSeries`` rejects (a non-positive weight) raises it
+    naming its subject.
     """
     header, rows = _read_rows(path)
     if header is None or [c.strip() for c in header[:3]] != [
@@ -238,7 +250,9 @@ def read_measurements(path) -> list[LongitudinalSeries]:
     problems: list = []
     sid, t_text, v_text = _cells_by_column(rows, 3, problems)
     times = _float_column(t_text, "t_days", problems)
+    _non_finite(times, t_text, "t_days", problems)
     values = _float_column(v_text, "weight_kg", problems)
+    _non_finite(values, v_text, "weight_kg", problems)
     _raise_first(problems)
     names, first, code = np.unique(np.array(list(map(str.strip, sid)), dtype=str),
                                    return_index=True, return_inverse=True)
@@ -392,10 +406,7 @@ def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
     keys = list(map(str.strip, key_cells))
     _repeated_key(keys, key, problems)
     values = _float_column(value_cells, column, problems)
-    nonfinite = np.flatnonzero(~np.isfinite(values))
-    if nonfinite.size:
-        i = int(nonfinite[0])
-        problems.append((i, f"column {column!r} has non-finite value {value_cells[i]!r}"))
+    _non_finite(values, value_cells, column, problems)
     _raise_first(problems)
     return dict(zip(keys, values.tolist()))
 

@@ -13,6 +13,7 @@ outside the prediction band from the subject's other observations.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -50,9 +51,12 @@ class LongitudinalSeries:
             raise ValueError(f"series {self.subject_id}: needs at least one observation")
         if t.size != v.size:
             raise ValueError(f"series {self.subject_id}: times/values length mismatch")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError(f"series {self.subject_id}: times must be strictly increasing")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        # Strictly increasing with finite ends: then every time is finite.
+        # (A comparison with NaN is False, so NaN fails both checks.)
+        if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and (t[1:] > t[:-1]).all()):
+            raise ValueError(
+                f"series {self.subject_id}: times must be finite and strictly increasing")
+        if not ((v > 0) & (v < math.inf)).all():
             raise ValueError(f"series {self.subject_id}: weights must be finite and positive")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -78,15 +82,16 @@ class EigenSystem:
     # or read from a file, which does not store it).
     em_steps: int | None = None
     _table: np.ndarray = field(init=False, repr=False, compare=False)
-    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Rows: the mean, then the K eigenfunctions.  The slope to the next
-        # grid point is stored per column; the last column's is 0, so the
-        # right end of the grid reads its own value.
-        self._table = np.vstack([self.mean, self.eigenfunctions])
-        self._slopes = np.zeros_like(self._table)
-        self._slopes[:, :-1] = np.diff(self._table, axis=1) / np.diff(self.grid)
+        # _table[0, g] holds the mean and the K eigenfunctions at grid point
+        # g, and _table[1, g] their slopes to the next grid point; the last
+        # point's slopes are 0, so the right end of the grid reads its own
+        # values.  One take along the grid reads both.
+        values = np.vstack([self.mean, self.eigenfunctions]).T
+        self._table = np.zeros((2, *values.shape))
+        self._table[0] = values
+        self._table[1, :-1] = np.diff(values, axis=0) / np.diff(self.grid)[:, None]
 
     @property
     def n_components(self) -> int:
@@ -98,7 +103,7 @@ class EigenSystem:
     def _check_domain(self, t):
         lo, hi = self.domain()
         t = np.asarray(t, dtype=np.float64)
-        if np.any((t < lo) | (t > hi)):
+        if not np.all((t >= lo) & (t <= hi)):   # NaN is outside
             raise DomainError(
                 f"time outside the fitted domain [{lo:g}, {hi:g}]")
         return t
@@ -107,10 +112,13 @@ class EigenSystem:
         """Mean (row 0) and eigenfunctions (rows 1..K) at the 1-D in-domain ``t``.
 
         One search serves every row, and each value is ``np.interp``'s
-        ``f[j] + slope[j] (t - grid[j])``.
+        ``f[j] + slope[j] (t - grid[j])``.  The result is the transpose of
+        a len(t) x (K + 1) array, a layout the scoring products depend on
+        for their rounding.
         """
-        j = np.searchsorted(self.grid, t, side="right") - 1
-        return self._table[:, j] + self._slopes[:, j] * (t - self.grid[j])
+        j = self.grid.searchsorted(t, "right") - 1
+        values, slopes = self._table.take(j, axis=1)
+        return (values + slopes * (t - self.grid[j])[:, None]).T
 
     def mean_at(self, t):
         t = self._check_domain(t)
@@ -123,13 +131,12 @@ class EigenSystem:
 
 
 def _pool(series: Sequence[LongitudinalSeries], lo: float, hi: float):
-    ts, vs, subj = [], [], []
-    for i, s in enumerate(series):
-        keep = (s.times >= lo) & (s.times <= hi)
-        ts.append(s.times[keep])
-        vs.append(s.values[keep])
-        subj.append(np.full(int(keep.sum()), i, dtype=np.intp))
-    return np.concatenate(ts), np.concatenate(vs), np.concatenate(subj)
+    """Times, values and subject index of every observation inside ``[lo, hi]``."""
+    times = np.concatenate([s.times for s in series])
+    values = np.concatenate([s.values for s in series])
+    subj = np.repeat(np.arange(len(series)), [s.times.size for s in series])
+    keep = (times >= lo) & (times <= hi)
+    return times[keep], values[keep], subj[keep]
 
 
 def bspline_basis(t, lo: float, hi: float) -> np.ndarray:
@@ -181,33 +188,38 @@ def _subject_stats(basis, y, subj, n):
     return gram, cross, np.bincount(subj, y * y, minlength=n)
 
 
-def _inverse_cholesky(m):
-    """Inverse lower Cholesky factors of a subject-last stack of SPD matrices, in place.
+def _inverse_cholesky(gram, prior, out):
+    """Inverse lower Cholesky factors of ``gram + prior`` over a subject-last stack.
 
-    ``m`` is L x L x c, matrix i being ``m[:, :, i]``; it is overwritten
-    with ``C_i^-1`` (zero above the diagonal), where ``C_i C_i^T`` is
-    matrix i, and returned.  Every entry of the factor and of its inverse
-    is one vector operation over the c matrices, so the Python loop runs
-    L(L + 1) times per stack however many matrices it holds.  A pivot
-    that is not positive (or is NaN) raises LinAlgError.
+    ``gram`` is L x L x c, matrix i being ``gram[:, :, i] + prior`` with
+    ``prior`` L x L; ``out`` (L x L x c) is overwritten with ``C_i^-1``
+    (zero above the diagonal), where ``C_i C_i^T`` is matrix i, and
+    returned.  Each entry of the sum is computed once, inside the factor
+    loop that reads it, so the sum is never written out as a stack.
+    Every entry of the factor and of its inverse is one vector operation
+    over the c matrices, so the Python loop runs L(L + 1) times per stack
+    however many matrices it holds.  A pivot that is not positive (or is
+    NaN) raises LinAlgError.
     """
-    size = m.shape[0]
+    size = gram.shape[0]
     for j in range(size):
-        pivot = m[j, j] - np.einsum("kn,kn->n", m[j, :j], m[j, :j])
+        row = out[j, :j]
+        pivot = (gram[j, j] + prior[j, j]) - np.einsum("kn,kn->n", row, row)
         if not np.all(pivot > 0.0):
             raise np.linalg.LinAlgError("a matrix of the stack is not positive definite")
-        m[j, j] = np.sqrt(pivot)
+        out[j, j] = np.sqrt(pivot)
         for i in range(j + 1, size):
-            m[i, j] = (m[i, j] - np.einsum("kn,kn->n", m[i, :j], m[j, :j])) / m[j, j]
-    m[np.triu_indices(size, 1)] = 0.0
+            out[i, j] = ((gram[i, j] + prior[i, j])
+                         - np.einsum("kn,kn->n", out[i, :j], row)) / out[j, j]
+    out[np.triu_indices(size, 1)] = 0.0
     # Row i of C C^-1 = I gives C^-1[i, j] from C[i, j..i] and rows j..i-1
     # of C^-1, so each row of C is replaced left to right as it is used.
     for i in range(size):
-        recip = 1.0 / m[i, i]
+        recip = 1.0 / out[i, i]
         for j in range(i):
-            m[i, j] = -np.einsum("kn,kn->n", m[i, j:i], m[j:i, j]) * recip
-        m[i, i] = recip
-    return m
+            out[i, j] = -np.einsum("kn,kn->n", out[i, j:i], out[j:i, j]) * recip
+        out[i, i] = recip
+    return out
 
 
 def _em_step(stats, n_obs, mean, cov, noise_var):
@@ -237,14 +249,13 @@ def _em_step(stats, n_obs, mean, cov, noise_var):
     sum_dd = np.zeros((size, size))
     sum_minv = np.zeros((size, size))
     rss = 0.0
-    work = np.empty((size, size, min(n, E_STEP_CHUNK)))    # M_i, then X_i, per chunk
+    work = np.empty((size, size, min(n, E_STEP_CHUNK)))    # X_i, per chunk
     for lo in range(0, n, E_STEP_CHUNK):
         rows = slice(lo, lo + E_STEP_CHUNK)
         gram, cross = all_gram[:, :, rows], all_cross[:, rows]
         g_mean = np.einsum("b,abn->an", mean, gram)
         u = cross - g_mean                                  # B_i^T (y_i - B_i mean)
-        chol_inv = _inverse_cholesky(
-            np.add(gram, prior[:, :, None], out=work[:, :, :cross.shape[1]]))
+        chol_inv = _inverse_cholesky(gram, prior, work[:, :, :cross.shape[1]])
         w = np.einsum("abn,bn->an", chol_inv, u)
         d = np.einsum("abn,an->bn", chol_inv, w)            # posterior mean - mean
         for row in chol_inv:
@@ -428,56 +439,93 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
                        em_steps=em_steps)
 
 
-def _conditional_scores(subject_id, times, values, system: EigenSystem,
-                        with_covariance: bool):
-    """PACE scores, and their conditional covariance when asked, of one series.
+def _has_noise(system: EigenSystem) -> bool:
+    """Whether the noise variance is a usable share of the leading eigenvalue.
 
-    ``times``/``values`` are the subject's observations; those outside the
-    fitted domain are ignored.  Returns ``(xi, omega)`` with ``omega``
-    None unless ``with_covariance``.
+    Without one a subject's prior covariance may be singular, and scoring
+    and outlier flags take the noise-free limit.
     """
-    lo, hi = system.domain()
-    keep = (times >= lo) & (times <= hi)
-    if not keep.any():
-        raise DomainError(f"series {subject_id}: no observations inside [{lo:g}, {hi:g}]")
-    k = system.n_components
-    if k == 0:
-        return np.empty(0), np.empty((0, 0))
-    t = times[keep]
-    table = system._values_at(t)
-    phi = table[1:]                               # K x m
-    resid = values[keep] - table[0]               # m
     lam = system.eigenvalues
-    lam_phi = phi * lam[:, None]
-    cov = lam_phi.T @ phi                         # m x m, Phi diag(lam) Phi^T
-    rhs = np.column_stack([resid, lam_phi.T]) if with_covariance else resid
-    if system.noise_var > 1e-12 * lam[0]:
-        solved = np.linalg.solve(cov + system.noise_var * np.eye(t.size), rhs)
-    else:
-        warnings.warn(
-            "subject covariance is singular (no noise term); using a "
-            "pseudoinverse for the conditional scores",
-            stacklevel=3,
-        )
-        solved = np.linalg.pinv(cov, rcond=1e-10) @ rhs
-    if not with_covariance:
-        return lam_phi @ solved, None
-    omega = np.diag(lam) - lam_phi @ solved[:, 1:]
-    return lam_phi @ solved[:, 0], 0.5 * (omega + omega.T)
+    return system.noise_var > 1e-12 * (lam[0] if lam.size else 0.0)
+
+
+def _inside(times, lo: float, hi: float) -> tuple[int, int]:
+    """``(first, last)``: ``times[first:last]`` are the points inside ``[lo, hi]``.
+
+    ``times`` is non-decreasing (a series' times, perhaps shifted), so
+    those points are one run, and every point is inside when both ends
+    are.
+    """
+    if lo <= times[0] and times[-1] <= hi:
+        return 0, times.size
+    return (int(np.searchsorted(times, lo, side="left")),
+            int(np.searchsorted(times, hi, side="right")))
+
+
+def _no_observations(subject_id, lo: float, hi: float) -> DomainError:
+    return DomainError(f"series {subject_id}: no observations inside [{lo:g}, {hi:g}]")
+
+
+def _subject_prior(times, values, system: EigenSystem, noisy: bool, tail=None):
+    """One subject's residuals from the mean curve and their prior covariance.
+
+    ``times``/``values`` are the subject's m in-domain observations.  One
+    ``_values_at`` lookup serves them and, when given, the 1-D in-domain
+    ``tail`` after them.  Returns ``(resid, lam_phi, cov, tail_values)``:
+    ``lam_phi`` is ``Lambda Phi`` (K x m); ``cov`` is ``Phi^T Lambda Phi``
+    (m x m), with ``noise_var`` added to its diagonal in place when
+    ``noisy``; ``tail_values`` holds the mean (row 0) and the
+    eigenfunctions (rows 1..K) at ``tail``.
+    """
+    m = times.size
+    table = system._values_at(times if tail is None else np.concatenate((times, tail)))
+    phi = table[1:, :m]
+    lam_phi = phi * system.eigenvalues[:, None]
+    cov = lam_phi.T @ phi
+    if noisy:    # a fresh C-ordered product, so the reshape is a view
+        cov.reshape(-1)[::m + 1] += system.noise_var
+    return values - table[0, :m], lam_phi, cov, table[:, m:]
+
+
+def _solve(cov, rhs, noisy: bool):
+    """``cov^-1 rhs`` for a prior covariance from :func:`_subject_prior`.
+
+    Without a noise term ``cov`` may be singular: a pseudoinverse is used
+    and a warning emitted that points at the caller of the public scoring
+    function that called this one.
+    """
+    if noisy:
+        return np.linalg.solve(cov, rhs)
+    warnings.warn(
+        "subject covariance is singular (no noise term); using a "
+        "pseudoinverse for the conditional scores",
+        stacklevel=3,
+    )
+    return np.linalg.pinv(cov, rcond=1e-10) @ rhs
 
 
 def pace_scores(series: LongitudinalSeries, system: EigenSystem,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-linear-predictor component scores and conditional covariance.
 
-    Uses only observations inside the fitted domain.  When the subject
-    covariance is singular (zero noise with rank-deficient bases) a
-    pseudoinverse is used and a warning emitted; for a fully observed
-    grid this reduces exactly to least-squares projection of the
-    residuals onto the eigenfunctions.
+    Uses only observations inside the fitted domain; DomainError when
+    there is none.  When the subject covariance is singular (zero noise
+    with rank-deficient bases) a pseudoinverse is used and a warning
+    emitted; for a fully observed grid this reduces exactly to
+    least-squares projection of the residuals onto the eigenfunctions.
     """
-    return _conditional_scores(series.subject_id, series.times, series.values, system,
-                               with_covariance=True)
+    lo, hi = system.domain()
+    first, last = _inside(series.times, lo, hi)
+    if first == last:
+        raise _no_observations(series.subject_id, lo, hi)
+    if system.n_components == 0:
+        return np.empty(0), np.empty((0, 0))
+    noisy = _has_noise(system)
+    resid, lam_phi, cov, _ = _subject_prior(series.times[first:last],
+                                            series.values[first:last], system, noisy)
+    solved = _solve(cov, np.column_stack([resid, lam_phi.T]), noisy)
+    omega = np.diag(system.eigenvalues) - lam_phi @ solved[:, 1:]
+    return lam_phi @ solved[:, 0], 0.5 * (omega + omega.T)
 
 
 def reconstruct(scores: np.ndarray, system: EigenSystem, t) -> np.ndarray:
@@ -503,35 +551,48 @@ def weight_change(series: LongitudinalSeries, system: EigenSystem,
 
 def gain_and_scores(series: LongitudinalSeries, system: EigenSystem,
                     gestation_days: float = FULL_TERM_DAYS) -> tuple[float, np.ndarray]:
-    """:func:`weight_change` and the PACE scores of the re-anchored series."""
+    """:func:`weight_change` and the PACE scores of the re-anchored series.
+
+    The gain is ``(W(g - 1) - W(0)) / (g / 7)`` for the reconstructed
+    trajectory ``W`` of the series shifted by ``g - FULL_TERM_DAYS``.  One
+    table lookup covers the shifted in-domain times and both endpoints,
+    and the scores take one solve with ``noise_var`` added to the prior
+    covariance's diagonal in place.  A gestation length outside
+    ``[14, hi + 1]`` (NaN included), a domain that starts after day 0, or
+    a series with no shifted time inside the domain raises DomainError.
+    """
     g = float(gestation_days)
     lo, hi = system.domain()
-    if g < 14 or (g - 1) > hi:
+    if not (14 <= g and g - 1 <= hi):
         raise DomainError(
             f"gestation length {g:g} outside the supported range [14, {hi + 1:g}]")
-    # A shift keeps the times increasing, so the series needs no re-validation.
-    xi, _ = _conditional_scores(series.subject_id, series.times + (g - FULL_TERM_DAYS),
-                                series.values, system, with_covariance=False)
-    endpoints = reconstruct(xi, system, np.array([g - 1.0, 0.0]))
-    return float((endpoints[0] - endpoints[1]) / (g / 7.0)), xi
+    if lo > 0.0:    # the endpoint 0 (g - 1 >= 13 is inside whenever 0 is)
+        raise DomainError(f"time outside the fitted domain [{lo:g}, {hi:g}]")
+    # A shift keeps the times non-decreasing, so they need no re-validation.
+    times = series.times + (g - FULL_TERM_DAYS)
+    first, last = _inside(times, lo, hi)
+    if first == last:
+        raise _no_observations(series.subject_id, lo, hi)
+    noisy = _has_noise(system)
+    resid, lam_phi, cov, ends = _subject_prior(
+        times[first:last], series.values[first:last], system, noisy, np.array([g - 1.0, 0.0]))
+    if system.n_components == 0:
+        xi, mu = np.empty(0), ends[0]
+    else:
+        xi = lam_phi @ _solve(cov, resid, noisy)
+        mu = ends[0] + xi @ ends[1:]
+    return float((mu[0] - mu[1]) / (g / 7.0)), xi
 
 
-def _loo_scores(cov, resid, noise_free: bool, tol: float):
-    """Standardized leave-one-out residuals ``|r_j| / sd_j`` and misses ``|r_j|``.
+def _loo_scores(cov, resid, tol: float):
+    """Noise-free leave-one-out scores ``|r_j| / sd_j`` and misses ``|r_j|``.
 
-    With a noise term, ``P = cov^-1`` gives ``r_j = [P e]_j / P_jj`` and
-    ``sd_j = 1 / sqrt(P_jj)`` (Rasmussen & Williams 2006, eq. 5.12).
-    Without one, ``cov`` may be singular: each point is predicted from the
-    others by the Gaussian conditional mean under a pseudoinverse.  A
-    point the others determine exactly has ``sd_j = 0``; its score is
-    infinite when its miss exceeds the rounding tolerance ``tol`` and 0
-    otherwise.
+    Without a noise term ``cov`` may be singular: each point is predicted
+    from the others by the Gaussian conditional mean under a
+    pseudoinverse.  A point the others determine exactly has ``sd_j = 0``;
+    its score is infinite when its miss exceeds the rounding tolerance
+    ``tol`` and 0 otherwise.
     """
-    if not noise_free:
-        prec = np.linalg.inv(cov)
-        diag = np.diag(prec)
-        pe = np.abs(prec @ resid)
-        return pe / np.sqrt(diag), pe / diag
     m = resid.size
     miss = np.empty(m)
     var = np.empty(m)
@@ -567,7 +628,9 @@ def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
     the largest absolute residual exceeds the normal quantile for
     ``level``, that point is dropped and the residuals are recomputed.
     Returns the dropped indices in ascending order; points outside the
-    fitted domain are never flagged.
+    fitted domain are never flagged.  The residuals and covariance come
+    from one table lookup, and each round costs one matrix inverse; the
+    kept points are copied out only after a point is dropped.
 
     An eigensystem without a noise term (a zero-variation fit, say) is
     the limit of no noise: predictions use a pseudoinverse, and a point
@@ -580,31 +643,38 @@ def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     lo, hi = system.domain()
-    keep = np.flatnonzero((series.times >= lo) & (series.times <= hi))
-    if keep.size == 0:
+    first, last = _inside(series.times, lo, hi)
+    if first == last:
         return []
-    lam = system.eigenvalues
-    noise_free = not system.noise_var > 1e-12 * (lam[0] if lam.size else 0.0)
-    t = series.times[keep]
-    values = series.values[keep]
-    table = system._values_at(t)
-    resid = values - table[0]
-    phi = table[1:]
-    cov = (phi.T * lam) @ phi
-    if not noise_free:
-        cov += system.noise_var * np.eye(t.size)
-    tol = float(np.sqrt(np.finfo(float).eps) * np.max(np.abs(values)))
+    noisy = _has_noise(system)
+    values = series.values[first:last]
+    resid, _, cov, _ = _subject_prior(series.times[first:last], values, system, noisy)
+    if not noisy:
+        tol = float(np.sqrt(np.finfo(float).eps) * np.max(np.abs(values)))
     z = _two_sided_quantile(level)
-    kept = np.ones(t.size, dtype=bool)
-    idx, kept_cov, kept_resid = np.arange(t.size), cov, resid
-    while idx.size:
-        score, miss = _loo_scores(kept_cov, kept_resid, noise_free, tol)
-        worst = int(np.argmax(score))
+    kept = np.ones(resid.size, dtype=bool)
+    idx, kept_cov, kept_resid = None, cov, resid    # idx None: every point is kept
+    while True:
+        if noisy:
+            # [P e]_j / P_jj is point j's miss and 1 / sqrt(P_jj) its sd.
+            prec = np.linalg.inv(kept_cov)
+            diag = prec.diagonal()
+            pe = np.abs(prec @ kept_resid)
+            score = pe / np.sqrt(diag)
+        else:
+            score, miss = _loo_scores(kept_cov, kept_resid, tol)
+        worst = int(score.argmax())
         if not score[worst] > z:
             break
         if np.isinf(score[worst]):
+            if noisy:
+                miss = pe / diag
             worst = int(np.argmax(np.where(np.isinf(score), miss, -1.0)))
-        kept[idx[worst]] = False
+        kept[worst if idx is None else idx[worst]] = False
         idx = np.flatnonzero(kept)
+        if idx.size == 0:
+            break
         kept_cov, kept_resid = cov[np.ix_(idx, idx)], resid[idx]
-    return [int(j) for j in keep[~kept]]
+    if idx is None:
+        return []
+    return [first + int(j) for j in np.flatnonzero(~kept)]

@@ -65,11 +65,14 @@ def _newton(evaluate, linear_predictor, p, model, cause):
     Raises ConvergenceError, worded by ``model`` and ``cause``, when 30
     halvings do not raise the log-likelihood, the linear-predictor spread
     passes ``ETA_SPREAD_LIMIT``, or ``MAX_ITER`` steps leave
-    ``max |score| >= GRAD_TOL``.
+    ``max |score| >= GRAD_TOL``.  A singular information matrix makes the
+    step a least-squares solution, with one warning per fit naming
+    ``model``.
     """
     beta = np.zeros(p)
     ll, score, info, extra = evaluate(beta)
     iterations = 0
+    warned = False
 
     def failure(message):
         return ConvergenceError(f"{model} {message}; {cause}", iterations=iterations,
@@ -83,6 +86,10 @@ def _newton(evaluate, linear_predictor, p, model, cause):
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
+            if not warned:
+                warnings.warn(f"{model} information matrix is singular; Newton steps "
+                              "use a least-squares solution", stacklevel=3)
+                warned = True
             step = np.linalg.lstsq(info, score, rcond=None)[0]
         for _ in range(31):  # the full step, then up to 30 halvings
             new_beta = beta + step
@@ -134,7 +141,7 @@ def fit_cox(time, event, x, weights=None):
     beta, ll, info, eta, iterations = _newton(
         evaluate, lambda beta, eta: eta, xs.shape[1], "Cox",
         "the likelihood may be monotone (a covariate separates the event order)")
-    variance = _invert_info(info)
+    variance = _invert_info(info, "Cox")
     resid = kernels.cox_score_residuals(ev, w, eta, xs, starts, group_index)
     influence_sorted = (w[:, None] * resid) @ variance.T
     influence = np.empty_like(influence_sorted)
@@ -177,7 +184,7 @@ def fit_logistic(y, x, weights=None):
         lambda beta: logistic_loglik_score_info(beta, y, x, weights),
         lambda beta, prob: x @ beta, x.shape[1], "logistic",
         "the data may be separated")
-    variance = _invert_info(info)
+    variance = _invert_info(info, "logistic")
     resid = (y - prob)[:, None] * x
     influence = (weights[:, None] * resid) @ variance.T
     return FitResult(beta, variance, influence, True, iterations, float(ll))
@@ -192,10 +199,16 @@ def fit(kind, time_or_y, event, x, weights=None) -> FitResult:
     raise ValueError(f"unknown model kind {kind!r}; expected 'cox' or 'logistic'")
 
 
-def _invert_info(info):
+def _invert_info(info, model):
+    """Symmetrised inverse of the information matrix of a ``model`` fit.
+
+    A singular matrix gets a pseudoinverse and a warning naming ``model``.
+    """
     try:
         inv = np.linalg.inv(info)
     except np.linalg.LinAlgError:
+        warnings.warn(f"{model} information matrix is singular; the variance "
+                      "uses a pseudoinverse", stacklevel=3)
         inv = np.linalg.pinv(info)
     return 0.5 * (inv + inv.T)
 

@@ -370,6 +370,17 @@ class TestFpcaCli:
         err = capsys.readouterr().err
         assert "error: parse:" in err and "subject_id,gestation_days" in err
 
+    @pytest.mark.parametrize("action", ["fit", "score", "flag"])
+    def test_non_finite_time_gives_parse_exit(self, tmp_path, capsys, action):
+        self._constant_fit(tmp_path)
+        (tmp_path / "m.csv").write_text(
+            "subject_id,t_days,weight_kg\nc0,-10,70\nc0,nan,70\nc0,20,70\n")
+        files = (["--out", tmp_path / "es.json"] if action == "fit" else
+                 ["--eigensystem", tmp_path / "es.json", "--out", tmp_path / "out.csv"])
+        assert run(["fpca", action, "--measurements", tmp_path / "m.csv", *files]) == 4
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and "row 3" in err and "t_days" in err
+
     def test_constant_population_fit_then_flag(self, tmp_path):
         # A zero-variation fit has no noise term; flagging from it still
         # runs and finds nothing in on-mean data.

@@ -124,6 +124,26 @@ class TestMeasurements:
             fileio.read_measurements(path)
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_time_names_its_row(self, tmp_path, cell):
+        # A nan time used to be dropped by the repeated-time rule, and inf
+        # made a series whose times were not finite.
+        path = tmp_path / "m.csv"
+        path.write_text(f"subject_id,t_days,weight_kg\ns,0,60\ns,{cell},61\ns,10,62\n")
+        with pytest.raises(SchemaError,
+                           match=f"row 3: column 't_days' has non-finite value '{cell}'"):
+            fileio.read_measurements(path)
+
+    def test_non_finite_weight_names_its_row(self, tmp_path):
+        # A nan weight at a repeated time used to be dropped in favour of
+        # the finite one.
+        path = tmp_path / "m.csv"
+        path.write_text("subject_id,t_days,weight_kg\ns,0,60\ns,0,nan\ns,10,62\n")
+        with pytest.raises(SchemaError,
+                           match="row 3: column 'weight_kg' has non-finite value 'nan'"):
+            fileio.read_measurements(path)
+
+
 class TestEigensystem:
     def test_round_trip(self, tmp_path):
         grid = np.linspace(-365, 272, 41)

@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestLongitudinalSeries:
             fpca.LongitudinalSeries("a", np.array([1.0, 1.0]), np.array([60.0, 61.0]))
         with pytest.raises(ValueError):
             fpca.LongitudinalSeries("a", np.array([1.0, 2.0]), np.array([60.0, -1.0]))
+
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 10.0], [np.nan, 1.0, 2.0],
+                                       [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            fpca.LongitudinalSeries("a", np.array(times), np.array([60.0, 61.0, 62.0]))
 
 
 class TestFitEigensystem:
@@ -129,17 +138,19 @@ class TestEStepKernel:
     def test_inverse_cholesky_matches_lapack(self):
         rng = np.random.default_rng(0)
         n = 37                                       # not a multiple of any chunk
-        stack = random_spd_stack(rng, fpca.N_BASIS, n)
+        gram = random_spd_stack(rng, fpca.N_BASIS, n)
+        prior = random_spd_stack(rng, fpca.N_BASIS, 1)[:, :, 0]
+        stack = gram + prior[:, :, None]
         expected = np.linalg.inv(np.linalg.cholesky(stack.transpose(2, 0, 1)))
-        got = fpca._inverse_cholesky(stack.copy())
+        got = fpca._inverse_cholesky(gram, prior, np.full_like(gram, np.nan))
         np.testing.assert_allclose(got.transpose(2, 0, 1), expected, rtol=1e-9, atol=1e-12)
         assert np.all(np.triu(got.transpose(2, 0, 1), 1) == 0.0)
 
     def test_non_positive_definite_member_raises(self):
-        stack = random_spd_stack(np.random.default_rng(1), 5, 9)
-        stack[:, :, 6] = 1.0                         # rank one: the second pivot is 0
+        gram = random_spd_stack(np.random.default_rng(1), 5, 9)
+        gram[:, :, 6] = 1.0                          # rank one: the second pivot is 0
         with pytest.raises(np.linalg.LinAlgError):
-            fpca._inverse_cholesky(stack)
+            fpca._inverse_cholesky(gram, np.zeros((5, 5)), np.empty_like(gram))
 
     def test_chunked_em_step_matches_per_subject_update(self, monkeypatch):
         # 37 subjects in chunks of 16: the last chunk is partial.
@@ -250,6 +261,15 @@ class TestInterpolationTable:
             np.testing.assert_allclose(values, np.array(expected), rtol=1e-14, atol=1e-12)
         np.testing.assert_array_equal(system._values_at(grid)[0], system.mean)
 
+    def test_nan_time_is_outside_the_domain(self, fitted):
+        _, _, _, system = fitted
+        for f in (system.mean_at, system.eigen_at,
+                  lambda t: fpca.reconstruct(np.zeros(3), system, t)):
+            with pytest.raises(DomainError):
+                f(np.nan)
+            with pytest.raises(DomainError):
+                f(np.array([0.0, np.nan]))
+
     def test_views_keep_domain_checks(self, fitted):
         _, _, _, system = fitted
         assert system.eigen_at(np.array([0.0, 10.0])).shape == (3, 2)
@@ -280,6 +300,46 @@ class TestReconstruct:
         _, _, _, system = fitted
         with pytest.raises(DomainError):
             fpca.reconstruct(np.zeros(3), system, 300.0)
+
+
+def dense_gain_and_scores(series, system, g):
+    """Gain and scores from a dense solve and a reconstruction at both endpoints."""
+    lo, hi = system.domain()
+    t = series.times + (g - fpca.FULL_TERM_DAYS)
+    keep = (t >= lo) & (t <= hi)
+    t = t[keep]
+    resid = series.values[keep] - system.mean_at(t)
+    xi = np.empty(0)
+    if system.n_components:
+        phi = system.eigen_at(t)
+        lam_phi = phi * system.eigenvalues[:, None]
+        cov = lam_phi.T @ phi
+        if system.noise_var > 0:
+            xi = lam_phi @ np.linalg.solve(cov + system.noise_var * np.eye(t.size), resid)
+        else:
+            xi = lam_phi @ (np.linalg.pinv(cov, rcond=1e-10) @ resid)
+    ends = fpca.reconstruct(xi, system, np.array([g - 1.0, 0.0]))
+    return (ends[0] - ends[1]) / (g / 7.0), xi, bool(keep.all())
+
+
+def brute_force_flags(series, system, level):
+    """Backward deletion that re-inverts the kept points' covariance each round."""
+    lo, hi = system.domain()
+    inside = np.flatnonzero((series.times >= lo) & (series.times <= hi))
+    t = series.times[inside]
+    phi = system.eigen_at(t)
+    cov = (phi.T * system.eigenvalues) @ phi + system.noise_var * np.eye(t.size)
+    resid = series.values[inside] - system.mean_at(t)
+    z = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
+    kept = list(range(t.size))
+    while kept:
+        prec = np.linalg.inv(cov[np.ix_(kept, kept)])
+        score = np.abs(prec @ resid[kept]) / np.sqrt(np.diag(prec))
+        worst = int(np.argmax(score))
+        if not score[worst] > z:
+            break
+        del kept[worst]
+    return sorted(set(inside.tolist()) - set(inside[kept].tolist()))
 
 
 class TestWeightChange:
@@ -335,6 +395,47 @@ class TestWeightChange:
             shifted = fpca.LongitudinalSeries(s.subject_id, s.times + (g - 273), s.values)
             expected, _ = fpca.pace_scores(shifted, system)
             np.testing.assert_allclose(xi, expected, rtol=0, atol=1e-10)
+
+    def test_matches_the_dense_reference_exactly(self, fitted):
+        model, _, series, system = fitted
+        one_point = fpca.LongitudinalSeries("one", np.array([50.0]), np.array([70.0]))
+        flat = fpca.EigenSystem(grid=system.grid, mean=system.mean, eigenvalues=np.empty(0),
+                                eigenfunctions=np.empty((0, system.grid.size)),
+                                noise_var=0.25, fve=np.empty(0))
+        cases = [(s, system, g) for s, g in zip(series[:30], (14, 100, 245, 266, 273) * 6)]
+        cases += [(one_point, system, 273), (one_point, system, 150),
+                  (series[0], flat, 273), (series[1], flat, 40), (one_point, flat, 273)]
+        left_domain = 0
+        for s, sys_, g in cases:
+            gain, xi = fpca.gain_and_scores(s, sys_, g)
+            want_gain, want_xi, all_inside = dense_gain_and_scores(s, sys_, g)
+            assert gain == want_gain
+            assert xi.shape == want_xi.shape and np.all(xi == want_xi)
+            left_domain += not all_inside
+        assert left_domain >= 10
+
+    def test_noise_free_system_matches_the_pseudoinverse_reference(self):
+        truth = TrajectoryModel(noise_sd=0.0).true_eigensystem()
+        _, _, series = make_population(n=5, noise=0.5, seed=4)
+        for s, g in zip(series, (14, 150, 259, 266, 273)):
+            with pytest.warns(UserWarning, match="pseudoinverse"):
+                gain, xi = fpca.gain_and_scores(s, truth, g)
+            want_gain, want_xi, _ = dense_gain_and_scores(s, truth, g)
+            assert gain == want_gain and np.all(xi == want_xi)
+
+    def test_nan_gestation_raises(self, fitted):
+        _, _, series, system = fitted
+        with pytest.raises(DomainError, match="gestation length nan"):
+            fpca.weight_change(series[0], system, float("nan"))
+
+    def test_domain_after_day_zero_raises(self):
+        grid = np.linspace(10.0, 300.0, 30)
+        system = fpca.EigenSystem(grid=grid, mean=np.full(30, 70.0), eigenvalues=np.empty(0),
+                                  eigenfunctions=np.empty((0, 30)), noise_var=0.25,
+                                  fve=np.empty(0))
+        series = fpca.LongitudinalSeries("late", np.array([20.0, 200.0]), np.array([70.0, 71.0]))
+        with pytest.raises(DomainError, match="fitted domain"):
+            fpca.weight_change(series, system)
 
     def test_gestation_out_of_range(self, fitted):
         _, _, series, system = fitted
@@ -399,6 +500,33 @@ class TestFlagOutliers:
         vals[[2, 5]] += [0.5, -4.0]
         assert fpca.flag_outliers(fpca.LongitudinalSeries("d", t[::3], vals),
                                   system) == [2, 5]
+
+    def test_matches_brute_force_backward_deletion(self, fitted):
+        model, _, _, system = fitted
+        rng = np.random.default_rng(41)
+        subjects = []
+        for seed in range(20):
+            clean = self._clean_subject(model, system, seed=100 + seed, m=6 + seed % 15)
+            vals = clean.values.copy()
+            bad = rng.choice(vals.size, size=1 + seed % 3, replace=False)
+            vals[bad] += rng.choice([-1.0, 1.0], bad.size) * rng.uniform(4.0, 30.0, bad.size)
+            subjects.append(fpca.LongitudinalSeries(f"c{seed}", clean.times, vals))
+        # Points outside the domain at both ends, one of them far off the
+        # curve: never flagged, and the flags index the whole series.
+        clean = self._clean_subject(model, system, seed=7, m=10)
+        times = np.r_[-400.0, clean.times, 300.0]
+        vals = np.r_[150.0, clean.values, 71.0]
+        vals[[3, 8]] += 30.0
+        outside = fpca.LongitudinalSeries("out", times, vals)
+        assert fpca.flag_outliers(outside, system) == [3, 8]
+        subjects.append(outside)
+        flagged = 0
+        for s in subjects:
+            for level in (0.95, 0.8):
+                got = fpca.flag_outliers(s, system, level)
+                assert got == brute_force_flags(s, system, level)
+                flagged += len(got)
+        assert flagged >= 30
 
     def test_level_validation(self, fitted):
         _, _, series, system = fitted

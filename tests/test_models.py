@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,39 @@ class TestNewtonFailure:
             _fit_newton_model(model, x)
         assert exc.value.iterations == 1
         assert exc.value.gradient_norm >= models.GRAD_TOL
+
+
+@pytest.mark.parametrize("model,word", [("cox", "Cox"), ("logistic", "logistic")])
+class TestSingularInformation:
+    """An all-zero covariate column makes the information matrix singular.
+
+    Each fallback warns once per fit, names the model and points at the
+    fit's caller.
+    """
+
+    @staticmethod
+    def _fit(model):
+        x = np.random.default_rng(6).normal(size=50)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = _fit_newton_model(model, np.column_stack([x, np.zeros(50)]))
+        assert all(w.filename == __file__ for w in caught)
+        return fit, [str(w.message) for w in caught]
+
+    def test_least_squares_step_warns_once_per_fit(self, model, word):
+        fit, messages = self._fit(model)
+        assert fit.iterations > 1
+        assert [m for m in messages if "Newton" in m] == [
+            f"{word} information matrix is singular; Newton steps use a "
+            "least-squares solution"]
+        assert fit.coefficients[-1] == 0.0
+
+    def test_pseudoinverse_variance_warns_naming_the_model(self, model, word):
+        fit, messages = self._fit(model)
+        assert [m for m in messages if "variance" in m] == [
+            f"{word} information matrix is singular; the variance uses a pseudoinverse"]
+        assert fit.variance[-1, -1] == 0.0
+        assert np.all(np.isfinite(fit.se))
 
 
 class TestLogistic:
