@@ -297,22 +297,44 @@ def write_eigensystem(path, system: EigenSystem) -> None:
 
 
 def read_eigensystem(path) -> EigenSystem:
+    """Read ``es.json``, checking every array against the grid and K.
+
+    The grid must hold at least two finite, strictly increasing points.
+    ``mean`` has one value per grid point, ``eigenfunctions`` is K x G (K
+    the number of eigenvalues) and ``fve`` has K values.  A missing key or
+    a shape that does not fit raises SchemaError.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    try:
-        return EigenSystem(
-            grid=np.asarray(payload["grid"], dtype=np.float64),
-            mean=np.asarray(payload["mean"], dtype=np.float64),
-            eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
-            eigenfunctions=np.asarray(payload["eigenfunctions"],
-                                      dtype=np.float64).reshape(
-                len(payload["eigenvalues"]), len(payload["grid"])),
-            noise_var=float(payload["noise_var"]),
-            fve=np.asarray(payload["fve"], dtype=np.float64),
-            zero_variation=bool(payload.get("zero_variation", False)),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"eigensystem file missing key {exc}") from None
+    arrays = {}
+    for key in ("grid", "mean", "eigenvalues", "eigenfunctions", "fve", "noise_var"):
+        if key not in payload:
+            raise SchemaError(f"eigensystem file missing key {key!r}")
+        try:
+            arrays[key] = np.asarray(payload[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise SchemaError(f"eigensystem {key} is not numeric") from None
+    grid, eigenvalues = arrays["grid"], arrays["eigenvalues"]
+    if not (grid.ndim == 1 and grid.size >= 2 and np.all(np.isfinite(grid))
+            and np.all(np.diff(grid) > 0)):
+        raise SchemaError("eigensystem grid must be at least two finite, "
+                          "strictly increasing points")
+    k, g = eigenvalues.size, grid.size
+    functions = arrays["eigenfunctions"]
+    if k == 0 and functions.size == 0:
+        functions = functions.reshape(0, g)
+    for key, values, shape in (("noise_var", arrays["noise_var"], ()),
+                               ("mean", arrays["mean"], (g,)),
+                               ("eigenvalues", eigenvalues, (k,)),
+                               ("eigenfunctions", functions, (k, g)),
+                               ("fve", arrays["fve"], (k,))):
+        if values.shape != shape:
+            raise SchemaError(f"eigensystem {key} has shape {values.shape}; expected "
+                              f"{shape} for {g} grid points and {k} eigenvalues")
+    return EigenSystem(grid=grid, mean=arrays["mean"], eigenvalues=eigenvalues,
+                       eigenfunctions=functions, noise_var=float(arrays["noise_var"]),
+                       fve=arrays["fve"],
+                       zero_variation=bool(payload.get("zero_variation", False)))
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,10 @@ class ImputationModel:
     fits: dict[str, _SubModel] = field(default_factory=dict)
 
 
-def _design(data: Columns, predictors: Sequence[str], rows) -> np.ndarray:
-    """``[1, predictors...]`` on the boolean ``rows`` mask."""
-    return np.column_stack([np.ones(int(np.sum(rows)))] + [
-        np.asarray(data[p], dtype=np.float64)[rows] for p in predictors])
+def _design(data: Columns, predictors: Sequence[str], n: int) -> np.ndarray:
+    """``[1, predictors...]`` on all ``n`` rows of ``data``."""
+    return np.column_stack([np.ones(n)] + [np.asarray(data[p], dtype=np.float64)
+                                           for p in predictors])
 
 
 def fit_imputation(data: Columns, validated: np.ndarray,
@@ -88,7 +88,7 @@ def fit_imputation(data: Columns, validated: np.ndarray,
         if spec.kind == "derived":
             continue
         y = np.asarray(data[spec.name], dtype=np.float64)[validated]
-        x = _design(data, spec.predictors, validated)
+        x = _design(data, spec.predictors, validated.size)[validated]
         if np.unique(y).size == 1:
             warnings.warn(
                 f"target {spec.name!r} is constant in the validated data; "
@@ -139,7 +139,6 @@ def impute_once(data: Columns, model: ImputationModel,
     n = len(next(iter(data.values())))
     work: Columns = dict(data)
     out: Columns = {}
-    all_rows = np.ones(n, dtype=bool)
     for spec in model.specs:
         if spec.kind == "derived":
             imputed = np.asarray(spec.derive(work), dtype=np.float64)
@@ -151,7 +150,7 @@ def impute_once(data: Columns, model: ImputationModel,
                 coef = sub.coef
                 if sub.coef_chol is not None:
                     coef = coef + sub.coef_chol @ rng.standard_normal(coef.size)
-                x = _design(work, spec.predictors, all_rows)
+                x = _design(work, spec.predictors, n)
                 eta = x @ coef
                 if spec.kind == "binary":
                     p = 1.0 / (1.0 + np.exp(-eta))

@@ -2,11 +2,17 @@
 
 ``cox_breslow`` and ``cox_score_residuals`` are the Breslow partial
 likelihood behind every Cox fit: the first is evaluated at each Newton and
-step-halving point, the second once at the solution.  The local-linear
-smoothers serve ``smoothing``.
+step-halving point, the second once at the solution.  Everything that does
+not depend on beta is built once per fit by :func:`risk_sets`: the event
+weights, the tie groups that hold an event, ``we @ x`` and a feature-major
+(p x n) copy of the covariates.  Each evaluation then computes only the
+per-row risk ``w e^eta``, its two reversed cumulative sums and the
+information product.  The local-linear smoothers serve ``smoothing``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,27 +128,55 @@ def local_linear_2d(x1, x2, y, w, grid, bandwidth):
     return out
 
 
-def _event_groups(event, w, eta, x, starts, group_index):
-    """Risk-set statistics at the tie groups that hold an event.
+class RiskSets(NamedTuple):
+    """The Breslow quantities of one Cox fit that do not depend on beta.
 
-    Returns ``(r, we, ew, k, s0, m)``: per-row risk ``r = w e^eta`` and
-    event weight ``we = w * event``; then, at each event group in time
-    order, the summed event weight ``ew``, the risk-set total ``s0`` of
-    ``r`` over rows from the group's first row on, and the risk-set
-    weighted covariate mean ``m``.  ``k[i]`` counts the event groups up to
-    and including row i's group, so ``k[i] - 1`` indexes row i's latest
-    event group (-1 before the first).  Groups without an event add
-    nothing to the likelihood or its derivatives.
+    Built once per fit by :func:`risk_sets`; every evaluation of
+    :func:`cox_breslow` and :func:`cox_score_residuals` reads it.
     """
-    r = w * np.exp(eta)
+
+    event: np.ndarray      # 0/1 event indicator, time-sorted
+    w: np.ndarray          # case weights, time-sorted
+    we: np.ndarray         # w * event
+    ew: np.ndarray         # summed event weight at each tie group holding an event
+    tail_rows: np.ndarray  # those groups' first rows, counted from the last row
+    k: np.ndarray          # event groups up to and including each row's group
+    we_x: np.ndarray       # we @ x, the score's first term
+    x: np.ndarray          # n x p covariates, time-sorted
+    xt: np.ndarray         # the same covariates feature-major: p x n, C-contiguous
+
+
+def risk_sets(event, w, x, starts, group_index) -> RiskSets:
+    """The per-fit risk-set structure of time-sorted data.
+
+    All arrays are sorted by observed time ascending; tied times form
+    groups.  ``starts`` holds each tie group's first row (ascending) and
+    ``group_index[i]`` is row i's group number.  ``k[i] - 1`` indexes row
+    i's latest event group (-1 before the first).  Groups without an event
+    add nothing to the likelihood or its derivatives.
+    """
     we = w * event
     ew = np.bincount(group_index, weights=we, minlength=starts.size)
     has_event = ew > 0.0
-    rows = starts[has_event]
-    s0 = np.cumsum(r[::-1])[::-1].take(rows)
-    s1 = np.cumsum((x * r[:, None])[::-1], axis=0)[::-1].take(rows, axis=0)
-    k = np.cumsum(has_event).take(group_index)
-    return r, we, ew[has_event], k, s0, s1 / s0[:, None]
+    return RiskSets(event=event, w=w, we=we, ew=ew[has_event],
+                    tail_rows=event.size - 1 - starts[has_event],
+                    k=np.cumsum(has_event).take(group_index), we_x=we @ x, x=x,
+                    xt=np.ascontiguousarray(x.T))
+
+
+def _event_groups(risk, eta):
+    """Risk-set sums at ``eta``, read at the tie groups that hold an event.
+
+    Returns ``(r, s0, m)``: per-row risk ``r = w e^eta``; at each event
+    group in time order, the total ``s0`` of ``r`` over rows from the
+    group's first row on, and the risk-set weighted covariate mean ``m``
+    (groups x p).  Both sums are forward cumulative sums over the reversed
+    rows; the covariate one runs along the contiguous axis of ``xt``.
+    """
+    r = risk.w * np.exp(eta)
+    s0 = np.cumsum(r[::-1]).take(risk.tail_rows)
+    s1 = np.cumsum((risk.xt * r)[:, ::-1], axis=1).T.take(risk.tail_rows, axis=0)
+    return r, s0, s1 / s0[:, None]
 
 
 def _running_sum(values, k):
@@ -151,38 +185,38 @@ def _running_sum(values, k):
     return np.concatenate([np.zeros((1,) + total.shape[1:]), total]).take(k, axis=0)
 
 
-def cox_breslow(event, w, eta, x, starts, group_index):
-    """Breslow partial-likelihood value, score and information.
+def cox_breslow(risk: RiskSets, eta):
+    """Breslow partial-likelihood value, score and information at ``eta``.
 
-    All arrays are sorted by observed time ascending; tied times form
-    groups.  ``starts`` holds each tie group's first row (ascending) and
-    ``group_index[i]`` is row i's group number.  Both are fixed for a fit:
-    compute them once from the sorted times.
-
-    Returns ``(loglik, score, information)``.
+    ``risk`` comes from :func:`risk_sets`; ``eta`` is the linear predictor
+    in the same (time-sorted) row order.  Returns
+    ``(loglik, score, information)``.
     """
-    r, we, ew, k, s0, m = _event_groups(event, w, eta, x, starts, group_index)
-    loglik = float(we @ eta) - float(ew @ np.log(s0))
-    score = we @ x - ew @ m
+    r, s0, m = _event_groups(risk, eta)
+    ew = risk.ew
+    loglik = float(risk.we @ eta) - float(ew @ np.log(s0))
+    score = risk.we_x - ew @ m
     # info = sum_i r_i a_i x_i x_i' - sum_g ew_g m_g m_g', with a_i the
     # Breslow cumulative hazard at row i.
-    a = _running_sum(ew / s0, k)
-    info = (x * (r * a)[:, None]).T @ x - (ew[:, None] * m).T @ m
+    a = _running_sum(ew / s0, risk.k)
+    info = (risk.xt * (r * a)) @ risk.xt.T - (ew[:, None] * m).T @ m
     info = 0.5 * (info + info.T)
     return loglik, score, info
 
 
-def cox_score_residuals(event, w, eta, x, starts, group_index):
+def cox_score_residuals(risk: RiskSets, eta):
     """Per-record (unweighted) score residuals at ``eta``.
 
     Same arguments as :func:`cox_breslow`; ``sum_i w_i * residuals[i]``
     equals its score.  Returns an ``n x p`` array.
     """
-    _, _, ew, k, s0, m = _event_groups(event, w, eta, x, starts, group_index)
-    haz = ew / s0
-    a = _running_sum(haz, k)
-    b = _running_sum(haz[:, None] * m, k)
+    _, s0, m = _event_groups(risk, eta)
+    haz = risk.ew / s0
+    a = _running_sum(haz, risk.k)
+    b = _running_sum(haz[:, None] * m, risk.k)
     # m at row i's latest event group: only event rows use it, and an
     # event row's own group is that group.
-    m_i = np.concatenate([np.zeros((1, x.shape[1])), m]).take(k, axis=0)
-    return event[:, None] * (x - m_i) - np.exp(eta)[:, None] * (x * a[:, None] - b)
+    x = risk.x
+    m_i = np.concatenate([np.zeros((1, x.shape[1])), m]).take(risk.k, axis=0)
+    return (risk.event[:, None] * (x - m_i)
+            - np.exp(eta)[:, None] * (x * a[:, None] - b))

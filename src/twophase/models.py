@@ -5,6 +5,13 @@ with one Newton-Raphson driver, :func:`_newton`, and return per-record
 influence vectors (dfbeta): the inverse information applied to each
 weighted score residual.  Design-based variance for stratified samples
 comes from :func:`sandwich_variance`.
+
+What does not depend on beta is built once per fit: the time order, tie
+groups and risk-set structure of a Cox fit (``kernels.risk_sets``), and
+the feature-major (p x n) copy of the covariates that both fits form
+their information from.  Each Newton evaluation computes the linear
+predictor and what depends on it.  Every input is checked to be finite
+before the first evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ class FitResult:
     converged: bool
     iterations: int
     loglik: float = float("nan")
+    gradient_norm: float = float("nan")  # max |score| at the coefficients
 
     @property
     def se(self) -> np.ndarray:
@@ -56,12 +64,28 @@ def _prepare_cox(time, event, x):
     return order, event[order], x[order], starts, group_index
 
 
+def _require_finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
+def _case_weights(weights, n):
+    """``weights`` as floats (1 for every record when None), checked."""
+    if weights is None:
+        return np.ones(n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not np.all((weights > 0) & np.isfinite(weights)):
+        raise ValueError("weights must be positive and finite")
+    return weights
+
+
 def _newton(evaluate, linear_predictor, p, model, cause):
     """Newton-Raphson with step-halving from ``beta = 0``.
 
     ``evaluate(beta)`` gives ``(loglik, score, information, extra)``;
     ``linear_predictor(beta, extra)`` the linear predictor at an accepted
-    step.  Returns ``(beta, loglik, information, extra, iterations)``.
+    step.  Returns ``(beta, loglik, information, extra, iterations,
+    gradient_norm)``, the last being ``max |score|`` at ``beta``.
     Raises ConvergenceError, worded by ``model`` and ``cause``, when 30
     halvings do not raise the log-likelihood, the linear-predictor spread
     passes ``ETA_SPREAD_LIMIT``, or ``MAX_ITER`` steps leave
@@ -71,17 +95,18 @@ def _newton(evaluate, linear_predictor, p, model, cause):
     """
     beta = np.zeros(p)
     ll, score, info, extra = evaluate(beta)
+    gradient_norm = float(np.max(np.abs(score)))
     iterations = 0
     warned = False
 
     def failure(message):
         return ConvergenceError(f"{model} {message}; {cause}", iterations=iterations,
-                                gradient_norm=float(np.max(np.abs(score))))
+                                gradient_norm=gradient_norm)
 
-    while not np.max(np.abs(score)) < GRAD_TOL:
+    while not gradient_norm < GRAD_TOL:
         if iterations == MAX_ITER:
             raise failure(f"Newton-Raphson did not converge in {MAX_ITER} iterations "
-                          f"(max |score| = {np.max(np.abs(score)):.3g}, "
+                          f"(max |score| = {gradient_norm:.3g}, "
                           f"max |beta| = {np.abs(beta).max():.3g})")
         try:
             step = np.linalg.solve(info, score)
@@ -101,11 +126,12 @@ def _newton(evaluate, linear_predictor, p, model, cause):
             raise failure(f"step-halving exhausted (|beta| up to {np.abs(beta).max():.3g})")
         beta = new_beta
         ll, score, info, extra = new
+        gradient_norm = float(np.max(np.abs(score)))
         iterations += 1
         eta = linear_predictor(beta, extra)
         if eta.max() - eta.min() > ETA_SPREAD_LIMIT:
             raise failure(f"linear predictor spread {eta.max() - eta.min():.1f}")
-    return beta, ll, info, extra, iterations
+    return beta, ll, info, extra, iterations, gradient_norm
 
 
 def fit_cox(time, event, x, weights=None):
@@ -119,50 +145,52 @@ def fit_cox(time, event, x, weights=None):
 
     Raises
     ------
+    ValueError
+        On a non-finite time, event, covariate or weight, or a weight <= 0.
     ConvergenceError
         On zero events, or when Newton fails (e.g. monotone-likelihood
         separation), with iteration diagnostics attached.
     """
     time = np.asarray(time, dtype=np.float64)
     event = np.asarray(event, dtype=np.float64)
-    weights = (np.ones(time.shape[0]) if weights is None
-               else np.asarray(weights, dtype=np.float64))
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
+    _require_finite("time", time)
+    _require_finite("event", event)
+    weights = _case_weights(weights, time.shape[0])
     if event.sum() < 1:
         raise ConvergenceError("no events in the data; hazard model undefined")
     order, ev, xs, starts, group_index = _prepare_cox(time, event, x)
-    w = weights[order]
+    _require_finite("x", xs)
+    risk = kernels.risk_sets(ev, weights[order], xs, starts, group_index)
 
     def evaluate(beta):
         eta = xs @ beta
-        return (*kernels.cox_breslow(ev, w, eta, xs, starts, group_index), eta)
+        return (*kernels.cox_breslow(risk, eta), eta)
 
-    beta, ll, info, eta, iterations = _newton(
+    beta, ll, info, eta, iterations, gradient_norm = _newton(
         evaluate, lambda beta, eta: eta, xs.shape[1], "Cox",
         "the likelihood may be monotone (a covariate separates the event order)")
     variance = _invert_info(info, "Cox")
-    resid = kernels.cox_score_residuals(ev, w, eta, xs, starts, group_index)
-    influence_sorted = (w[:, None] * resid) @ variance.T
+    resid = kernels.cox_score_residuals(risk, eta)
+    influence_sorted = (risk.w[:, None] * resid) @ variance.T
     influence = np.empty_like(influence_sorted)
     influence[order] = influence_sorted
-    return FitResult(beta, variance, influence, True, iterations, float(ll))
+    return FitResult(beta, variance, influence, True, iterations, float(ll), gradient_norm)
 
 
-def logistic_loglik_score_info(beta, y, x, weights):
-    """Bernoulli log-likelihood value, score, and information at ``beta``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    eta = x @ np.asarray(beta, dtype=np.float64)
-    # log(1 + e^eta) computed stably on both tails.
-    log1p_exp = np.where(eta > 0, eta + np.log1p(np.exp(-np.abs(eta))),
-                         np.log1p(np.exp(eta)))
-    ll = float(w @ (y * eta - log1p_exp))
+def logistic_loglik_score_info(beta, y, x, xt, weights):
+    """Bernoulli log-likelihood value, score, information and fitted probability.
+
+    ``xt`` is ``x`` feature-major (p x n, C-contiguous), made once per fit;
+    the information is formed from it.
+    """
+    eta = x @ beta
+    # log(1 + e^eta), stable on both tails, from one exp and one log1p pass.
+    log1p_exp = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    ll = float(weights @ (y * eta - log1p_exp))
     prob = 1.0 / (1.0 + np.exp(-eta))
-    score = (w * (y - prob)) @ x
-    v = w * prob * (1.0 - prob)
-    info = (x * v[:, None]).T @ x
+    score = (weights * (y - prob)) @ x
+    v = weights * prob * (1.0 - prob)
+    info = (xt * v) @ xt.T
     return ll, score, info, prob
 
 
@@ -170,24 +198,27 @@ def fit_logistic(y, x, weights=None):
     """Fit a weighted logistic regression by Newton-Raphson.
 
     ``x`` should include an intercept column if one is wanted.  Raises
-    ConvergenceError on perfect separation (detected as non-convergence
-    with diverging coefficients) or when only one outcome class is present.
+    ValueError on a non-finite outcome, covariate or weight, or a weight
+    <= 0; ConvergenceError on perfect separation (detected as
+    non-convergence with diverging coefficients) or when only one outcome
+    class is present.
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    weights = np.ones(y.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
+    _require_finite("y", y)
+    _require_finite("x", x)
+    weights = _case_weights(weights, y.shape[0])
     if y.min() == y.max():
         raise ConvergenceError("outcome takes a single value; both classes required")
-    beta, ll, info, prob, iterations = _newton(
-        lambda beta: logistic_loglik_score_info(beta, y, x, weights),
+    xt = np.ascontiguousarray(x.T)
+    beta, ll, info, prob, iterations, gradient_norm = _newton(
+        lambda beta: logistic_loglik_score_info(beta, y, x, xt, weights),
         lambda beta, prob: x @ beta, x.shape[1], "logistic",
         "the data may be separated")
     variance = _invert_info(info, "logistic")
     resid = (y - prob)[:, None] * x
     influence = (weights[:, None] * resid) @ variance.T
-    return FitResult(beta, variance, influence, True, iterations, float(ll))
+    return FitResult(beta, variance, influence, True, iterations, float(ll), gradient_norm)
 
 
 def fit(kind, time_or_y, event, x, weights=None) -> FitResult:

@@ -381,6 +381,24 @@ class TestFpcaCli:
         err = capsys.readouterr().err
         assert "error: parse:" in err and "row 3" in err and "t_days" in err
 
+    @pytest.mark.parametrize("key,edit", [
+        ("mean", lambda v: v[:-1]),
+        ("grid", lambda v: v[::-1]),
+        ("fve", lambda v: v + [1.0]),
+    ])
+    def test_score_malformed_eigensystem_gives_parse_exit(self, tmp_path, capsys,
+                                                          key, edit):
+        self._constant_fit(tmp_path)
+        path = tmp_path / "es.json"
+        payload = json.loads(path.read_text())
+        payload[key] = edit(payload[key])
+        path.write_text(json.dumps(payload))
+        code = run(["fpca", "score", "--measurements", tmp_path / "m.csv",
+                    "--eigensystem", path, "--out", tmp_path / "scores.csv"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and f"eigensystem {key}" in err
+
     def test_constant_population_fit_then_flag(self, tmp_path):
         # A zero-variation fit has no noise term; flagging from it still
         # runs and finds nothing in on-mean data.

@@ -181,6 +181,28 @@ class TestEigensystem:
         back = fileio.read_eigensystem(path)
         assert back.n_components == 1 and back.noise_var == 0.25
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("mean", [60.0] * 4, r"mean has shape \(4,\); expected \(5,\)"),
+        ("eigenfunctions", [[0.04] * 4], r"eigenfunctions has shape \(1, 4\)"),
+        ("eigenfunctions", [0.04] * 5, r"eigenfunctions has shape \(5,\); expected \(1, 5\)"),
+        ("eigenfunctions", [[0.04] * 5, [0.01] * 5], r"expected \(1, 5\)"),
+        ("fve", [0.5, 1.0], r"fve has shape \(2,\); expected \(1,\)"),
+        ("grid", [272.0, 100.0, 0.0, -100.0, -365.0], "strictly increasing"),
+        ("grid", [-365.0, -100.0, -100.0, 100.0, 272.0], "strictly increasing"),
+        ("grid", [-365.0, -100.0, float("nan"), 100.0, 272.0], "finite"),
+        ("grid", [-365.0, -100.0, 0.0, 100.0, float("inf")], "finite"),
+        ("eigenfunctions", [[0.04] * 5, [0.01] * 4], "eigenfunctions is not numeric"),
+    ])
+    def test_malformed_arrays_raise_schema_error(self, tmp_path, key, value, match):
+        grid = np.linspace(-365, 272, 5)
+        payload = {"grid": grid.tolist(), "mean": [60.0] * 5, "eigenvalues": [2.0],
+                   "eigenfunctions": [[0.04] * 5], "noise_var": 0.25, "fve": [1.0]}
+        payload[key] = value
+        path = tmp_path / "es.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=match):
+            fileio.read_eigensystem(path)
+
 
 def test_influence_round_trip(tmp_path):
     path = tmp_path / "h.csv"

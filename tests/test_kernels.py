@@ -1,6 +1,7 @@
-"""The Breslow kernels: residuals against the score, and the backend stamp."""
+"""The Breslow kernels against a dense loop over tie groups, and the backend stamp."""
 
 import numpy as np
+import pytest
 
 import twophase
 from twophase import kernels
@@ -22,11 +23,60 @@ def cox_case(seed=1, n=500, p=3, ties=True):
 
 
 def test_residuals_sum_to_score():
-    args = cox_case(seed=9)
-    _, score, _ = kernels.cox_breslow(*args)
-    resid = kernels.cox_score_residuals(*args)
-    np.testing.assert_allclose(resid.T @ args[1], score, rtol=1e-8, atol=1e-10)
+    event, w, eta, x, starts, group_index = cox_case(seed=9)
+    risk = kernels.risk_sets(event, w, x, starts, group_index)
+    _, score, _ = kernels.cox_breslow(risk, eta)
+    resid = kernels.cox_score_residuals(risk, eta)
+    np.testing.assert_allclose(resid.T @ w, score, rtol=1e-8, atol=1e-10)
 
 
 def test_active_backend_exposed():
     assert twophase.KERNEL_BACKEND == "python"
+
+
+def breslow_dense(event, w, eta, x, group_index):
+    """Breslow value, score and information from a loop over the event tie groups.
+
+    Group g's risk set is every row in group g or later; its events share
+    one denominator (Breslow ties).
+    """
+    p = x.shape[1]
+    loglik, score, info = 0.0, np.zeros(p), np.zeros((p, p))
+    for g in np.unique(group_index[event > 0]):
+        dead = (group_index == g) & (event > 0)
+        at_risk = group_index >= g
+        r = w[at_risk] * np.exp(eta[at_risk])
+        s0 = r.sum()
+        s1 = r @ x[at_risk]
+        s2 = (x[at_risk] * r[:, None]).T @ x[at_risk]
+        d = w[dead].sum()
+        loglik += w[dead] @ eta[dead] - d * np.log(s0)
+        score += w[dead] @ x[dead] - d * s1 / s0
+        info += d * (s2 / s0 - np.outer(s1, s1) / s0**2)
+    return loglik, score, info
+
+
+def test_breslow_matches_dense_loop_over_tie_groups():
+    event, w, eta, x, starts, group_index = cox_case(seed=4, n=400)
+    assert starts.size < event.size  # tied times
+    assert np.any(np.bincount(group_index, weights=event) > 1)  # tied events
+    risk = kernels.risk_sets(event, w, x, starts, group_index)
+    loglik, score, info = kernels.cox_breslow(risk, eta)
+    ref_ll, ref_score, ref_info = breslow_dense(event, w, eta, x, group_index)
+    assert loglik == pytest.approx(ref_ll, rel=1e-12)
+    np.testing.assert_allclose(score, ref_score, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref_score).max())
+    np.testing.assert_allclose(info, ref_info, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref_info).max())
+    resid = kernels.cox_score_residuals(risk, eta)
+    np.testing.assert_allclose(resid.T @ w, ref_score, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref_score).max())
+
+
+def test_risk_sets_hold_what_does_not_depend_on_beta():
+    event, w, _, x, starts, group_index = cox_case(seed=2, n=50)
+    risk = kernels.risk_sets(event, w, x, starts, group_index)
+    assert risk.xt.flags.c_contiguous and np.array_equal(risk.xt, x.T)
+    np.testing.assert_array_equal(risk.we_x, (w * event) @ x)
+    event_groups = np.flatnonzero(np.bincount(group_index, weights=w * event) > 0)
+    np.testing.assert_array_equal(risk.tail_rows, event.size - 1 - starts[event_groups])

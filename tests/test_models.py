@@ -12,7 +12,7 @@ def cox_loglik_score_info(beta, time, event, x, weights):
     order, ev, xs, starts, group_index = models._prepare_cox(time, event, x)
     w = np.asarray(weights, dtype=np.float64)[order]
     eta = xs @ np.asarray(beta, dtype=np.float64)
-    return kernels.cox_breslow(ev, w, eta, xs, starts, group_index)
+    return kernels.cox_breslow(kernels.risk_sets(ev, w, xs, starts, group_index), eta)
 
 
 def hazard_ratio(beta: float, delta: float = 1.0) -> float:
@@ -181,6 +181,55 @@ class TestCox:
         assert exc.value.gradient_norm is not None and np.isfinite(exc.value.gradient_norm)
 
 
+    def test_converged_fit_reports_gradient_norm(self):
+        time, event, x = small_survival_data(seed=3, n=40)
+        w = np.random.default_rng(2).uniform(0.5, 2.0, size=40)
+        fit = models.fit_cox(time, event, x, w)
+        _, score, _ = cox_loglik_score_info(fit.coefficients, time, event, x, w)
+        assert fit.gradient_norm == np.max(np.abs(score))
+        assert 0.0 <= fit.gradient_norm < models.GRAD_TOL
+
+
+class TestNonFiniteInputs:
+    """Every fit input is checked before Newton starts, and named."""
+
+    @staticmethod
+    def _cox_data():
+        time, event, x = small_survival_data(seed=6, n=30)
+        return {"time": time, "event": event, "x": x, "weights": np.ones(30)}
+
+    @pytest.mark.parametrize("name,bad,match", [
+        ("time", np.nan, "time must be finite"),
+        ("time", np.inf, "time must be finite"),
+        ("event", np.nan, "event must be finite"),
+        ("x", np.nan, "x must be finite"),
+        ("x", -np.inf, "x must be finite"),
+        ("weights", np.nan, "weights must be positive and finite"),
+        ("weights", np.inf, "weights must be positive and finite"),
+    ])
+    def test_cox(self, name, bad, match):
+        data = self._cox_data()
+        data[name] = np.array(data[name], dtype=np.float64)
+        data[name].flat[2] = bad
+        with pytest.raises(ValueError, match=match):
+            models.fit("cox", data["time"], data["event"], data["x"], data["weights"])
+
+    @pytest.mark.parametrize("name,bad,match", [
+        ("y", np.nan, "y must be finite"),
+        ("x", np.nan, "x must be finite"),
+        ("x", np.inf, "x must be finite"),
+        ("weights", np.nan, "weights must be positive and finite"),
+        ("weights", np.inf, "weights must be positive and finite"),
+    ])
+    def test_logistic(self, name, bad, match):
+        rng = np.random.default_rng(8)
+        data = {"y": (np.arange(30) % 2).astype(float),
+                "x": np.column_stack([np.ones(30), rng.normal(size=30)]),
+                "weights": np.ones(30)}
+        data[name].flat[3] = bad
+        with pytest.raises(ValueError, match=match):
+            models.fit_logistic(data["y"], data["x"], data["weights"])
+
 
 def _fit_newton_model(model, x):
     """Fit ``model`` on 50 records with covariate column ``x``."""
@@ -288,17 +337,46 @@ class TestLogistic:
         x = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = (rng.uniform(size=n) < 0.4).astype(float)
         w = rng.uniform(0.5, 2.0, size=n)
+        xt = np.ascontiguousarray(x.T)
         eps = 1e-6
         for _ in range(10):
             beta = rng.uniform(-1, 1, size=2)
-            _, score, _, _ = models.logistic_loglik_score_info(beta, y, x, w)
+            _, score, _, _ = models.logistic_loglik_score_info(beta, y, x, xt, w)
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = eps
-                up = models.logistic_loglik_score_info(beta + e, y, x, w)[0]
-                dn = models.logistic_loglik_score_info(beta - e, y, x, w)[0]
+                up = models.logistic_loglik_score_info(beta + e, y, x, xt, w)[0]
+                dn = models.logistic_loglik_score_info(beta - e, y, x, xt, w)[0]
                 fd = (up - dn) / (2 * eps)
                 assert abs(score[j] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize("eta", [-800.0, -40.0, -0.0, 0.0, 40.0, 800.0])
+    @pytest.mark.parametrize("y", [0.0, 1.0])
+    def test_loglik_and_prob_exact_on_both_tails(self, eta, y):
+        # One record with x = eta and beta = 1, so eta reaches the formula as is.
+        x = np.array([[eta]])
+        w = np.array([1.5])
+        e = x @ np.array([1.0])
+        with np.errstate(over="ignore"):  # prob's e^800 at eta = -800
+            ll, _, _, prob = models.logistic_loglik_score_info(
+                np.array([1.0]), np.array([y]), x, np.ascontiguousarray(x.T), w)
+            log1p_exp = np.where(e > 0, e + np.log1p(np.exp(-np.abs(e))),
+                                 np.log1p(np.exp(e)))
+            ref_prob = 1.0 / (1.0 + np.exp(-e))
+        assert ll == float(w @ (y * e - log1p_exp))
+        assert np.array_equal(prob, ref_prob)
+
+    def test_information_matches_dense_sum(self):
+        rng = np.random.default_rng(12)
+        n = 300
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        y = (rng.uniform(size=n) < 0.4).astype(float)
+        w = rng.uniform(0.5, 3.0, size=n)
+        beta = np.array([-0.3, 0.8, -0.5])
+        _, _, info, prob = models.logistic_loglik_score_info(
+            beta, y, x, np.ascontiguousarray(x.T), w)
+        ref = sum(w[i] * prob[i] * (1 - prob[i]) * np.outer(x[i], x[i]) for i in range(n))
+        np.testing.assert_allclose(info, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_perfect_separation_raises(self):
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
@@ -313,6 +391,17 @@ class TestLogistic:
         with pytest.raises(ConvergenceError, match="single value") as exc:
             models.fit_logistic(np.ones(4), np.ones((4, 1)))
         assert exc.value.iterations is None and exc.value.gradient_norm is None
+
+    def test_converged_fit_reports_gradient_norm(self):
+        rng = np.random.default_rng(31)
+        n = 80
+        x = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+        fit = models.fit_logistic(y, x)
+        _, score, _, _ = models.logistic_loglik_score_info(
+            fit.coefficients, y, x, np.ascontiguousarray(x.T), np.ones(n))
+        assert fit.gradient_norm == np.max(np.abs(score))
+        assert 0.0 <= fit.gradient_norm < models.GRAD_TOL
 
     def test_influence_sums_to_zero(self):
         rng = np.random.default_rng(31)
@@ -333,8 +422,8 @@ class TestSandwich:
         y = (rng.uniform(size=n) < 0.5).astype(float)
         fit = models.fit_logistic(y, x)
         v = models.sandwich_variance(fit)
-        _, _, info, prob = models.logistic_loglik_score_info(fit.coefficients, y, x,
-                                                             np.ones(n))
+        _, _, info, prob = models.logistic_loglik_score_info(
+            fit.coefficients, y, x, np.ascontiguousarray(x.T), np.ones(n))
         u = (y - prob)[:, None] * x
         a_inv = np.linalg.inv(info)
         classic = a_inv @ (u.T @ u) @ a_inv
