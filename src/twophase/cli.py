@@ -12,8 +12,9 @@ numpy columns) and written back from one.  ``design allocate`` maps the
 influence file onto the table's rows once and hands both to
 ``allocation.stratum_sd``; ``design draw`` calls ``allocation.draw_sample``
 on the table.  ``simulate reveal`` writes the drawn rows' truth into the
-table's columns, and ``estimate`` fits on the table's columns and weights
-them with ``records.frame_arrays`` and ``multiframe.hansen_hurwitz``.
+table's columns, and ``estimate`` fits the harness's weighted-estimation
+core, ``multiframe.weighted_sample`` and ``raking.weighted_fit``, on the
+ledgers' ``records.frame_arrays`` and the table's columns.
 """
 
 from __future__ import annotations
@@ -347,42 +348,19 @@ def cmd_estimate(args) -> int:
         fileio.write_estimates(args.out, [("phase1", fit.coefficients, fit.se)], terms)
         return 0
 
-    ledger = fileio.read_ledger(args.ledger)
-    pi, leaf, sampled = rec.frame_arrays(table, ledger)
-    if np.any(sampled & in_frame & ~cols["validated"]):
-        raise LedgerError("a sampled record is not validated; reveal phase-2 "
-                          "data before estimating")
-    if args.frame == "multi":
-        if not args.asthma_ledger:
-            raise SchemaError("--frame multi requires --asthma-ledger")
-        ledger2 = fileio.read_ledger(args.asthma_ledger)
-        pi2, leaf2, sampled2 = rec.frame_arrays(table, ledger2)
-        # Each frame's draws enter the combined frame in record-id order.
-        by_id = np.argsort(np.array(ids), kind="stable")
-        p_rows, s_rows = by_id[sampled[by_id]], by_id[sampled2[by_id]]
-        weights = multiframe.hansen_hurwitz(pi, pi2, p_rows, s_rows)
-        rows = np.concatenate([p_rows, s_rows])
-        frames = [ledger.frame] * p_rows.size + [ledger2.frame] * s_rows.size
-        if args.emit_weights:
-            fileio.write_combined_weights(args.emit_weights, [ids[i] for i in rows],
-                                          frames, weights)
-        strata_keys = np.array([f"{f}:{sid}" for f, sid in
-                                zip(frames, [*leaf[p_rows], *leaf2[s_rows]])])
-        keep = in_frame[rows]
-        rows, weights, strata_keys = rows[keep], weights[keep], strata_keys[keep]
-        clusters = np.array(ids)[rows]
-    else:
-        rows = np.flatnonzero(sampled & in_frame)
-        weights = 1.0 / pi[rows]
-        strata_keys = leaf[rows]
-        clusters = None
+    paths = [args.ledger] + ([args.asthma_ledger] if args.frame == "multi" else [])
+    frames = [multiframe.FrameDesign(led.frame, *rec.frame_arrays(table, led))
+              for led in map(fileio.read_ledger, paths)]
+    # Each frame's draws enter the sample in record-id order.
+    draws, sample = multiframe.weighted_sample(
+        frames, in_frame, order=np.argsort(np.array(ids), kind="stable"),
+        validated=cols["validated"], ids=ids)
+    if args.emit_weights:
+        fileio.write_combined_weights(args.emit_weights, [ids[i] for i in draws.rows],
+                                      draws.frame, draws.weights)
 
-    y, d, x = arrays(rows, phase2=True)
-    if args.method == "ipw":
-        fit = models.fit(args.model, y, d, x, weights)
-        fit.variance = models.sandwich_variance(fit, strata_keys, clusters)
-        name = f"ipw_{args.frame}"
-    else:  # raking on [1, h] with h the phase-1 or MI influence of the frame rows
+    h = None
+    if args.method == "raking":  # on [1, h], h the phase-1 or MI influence of the frame
         if args.aux == "mi":
             h = _generic_mi_influence({k: v[frame_rows] for k, v in cols.items()},
                                       args.model, args.outcome_z,
@@ -398,17 +376,15 @@ def cmd_estimate(args) -> int:
                                   f"frame member {exc.args[0]!r}") from None
         else:
             h = models.influence_for_target(phase1_fit(), target)
-        h_rows = np.full(len(table), np.nan)
-        h_rows[frame_rows] = h
-        totals = np.column_stack([np.ones(frame_rows.size), h]).sum(axis=0)
-        fit, cal = raking.raking_fit(args.model, y, d, x, weights,
-                                     np.column_stack([np.ones(rows.size), h_rows[rows]]),
-                                     totals, strata=strata_keys, clusters=clusters)
+    fit, weights, cal = raking.weighted_fit(args.model, *arrays(sample.rows, phase2=True),
+                                            sample, h)
+    name = f"ipw_{args.frame}" if cal is None else f"raking_{args.aux}"
+    if cal is not None:
         log.info("calibration: residual %.3g in %d iterations",
                  cal.constraint_residual, cal.iterations)
-        name = f"raking_{args.aux}"
     if args.emit_influence:
-        emit(args.emit_influence, rows, models.influence_for_target(fit, target) / weights)
+        emit(args.emit_influence, sample.rows,
+             models.influence_for_target(fit, target) / weights)
     fileio.write_estimates(args.out, [(name, fit.coefficients, fit.se)], terms)
     return 0
 
@@ -578,6 +554,8 @@ def dispatch(argv) -> int:
         if args.command == "estimate":
             if args.method != "phase1" and not args.ledger:
                 raise SchemaError(f"--method {args.method} requires --ledger")
+            if args.method != "phase1" and args.frame == "multi" and not args.asthma_ledger:
+                raise SchemaError("--frame multi requires --asthma-ledger")
             return cmd_estimate(args)
         if args.command == "report":
             return cmd_report(args)

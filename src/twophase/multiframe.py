@@ -6,8 +6,9 @@ carries weight ``phi/pi_P`` and the secondary-frame draw
 record contributes expected total weight exactly one (Hansen-Hurwitz).
 Variance estimation clusters the duplicated rows by source record.
 
-:func:`hansen_hurwitz` is the array core the experiment harness and the
-CLI share; :func:`combine_frames` is its id-keyed adapter.
+:func:`weighted_sample` is the weighted sample the experiment harness and
+the CLI share (``raking.weighted_fit`` fits on it); :func:`hansen_hurwitz`
+its weights; :func:`combine_frames` an id-keyed adapter of the weights.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FrameRow", "FrameWeights", "combine_frames", "hansen_hurwitz"]
+from twophase.errors import LedgerError
+
+__all__ = ["FrameDesign", "FrameRow", "FrameWeights", "WeightedSample",
+           "combine_frames", "hansen_hurwitz", "weighted_sample"]
 
 
 @dataclass(frozen=True)
@@ -38,14 +42,6 @@ class FrameWeights:
 
     def weights(self) -> np.ndarray:
         return np.array([r.weight for r in self.rows], dtype=np.float64)
-
-    def strata_keys(self) -> np.ndarray:
-        """Each row's own frame and design stratum, as ``frame:stratum``."""
-        return np.array([f"{r.frame}:{r.stratum}" for r in self.rows])
-
-    def cluster_ids(self) -> np.ndarray:
-        """Source record per row: a record drawn in both frames is one cluster."""
-        return np.array([r.record_id for r in self.rows])
 
 
 def hansen_hurwitz(pi_primary: np.ndarray, pi_secondary: np.ndarray,
@@ -82,6 +78,70 @@ def hansen_hurwitz(pi_primary: np.ndarray, pi_secondary: np.ndarray,
     # Expected-weight identity: pi_O*(phi/pi_O) + pi_A*((1-phi)/pi_A) == 1.
     assert np.all(np.abs(p_o * (phi / p_o) + p_a * w_secondary - 1.0) < 1e-12)
     return np.concatenate([w_primary, w_secondary])
+
+
+@dataclass(frozen=True)
+class FrameDesign:
+    """One frame's final design over population rows."""
+
+    name: str
+    pi: np.ndarray        # inclusion probability per row, nan outside the frame
+    leaf: np.ndarray      # design stratum label per row
+    sampled: np.ndarray   # bool per row: drawn in this frame
+
+
+@dataclass
+class WeightedSample:
+    """Draws with their weights; a record's draws form one variance cluster."""
+
+    rows: np.ndarray            # population row per draw
+    frame: np.ndarray           # frame name per draw
+    weights: np.ndarray
+    strata: np.ndarray          # variance stratum per draw
+    analysis_rows: np.ndarray   # population rows of the analysis frame
+
+
+def weighted_sample(frames, analysis, *, order=None, validated=None, ids=None,
+                    ) -> tuple[WeightedSample, WeightedSample]:
+    """Every draw of one or two frames, and the draws inside the analysis frame.
+
+    ``frames`` holds one :class:`FrameDesign`, or a primary one and a
+    secondary one inside it.  Each frame's draws enter in ``order`` (a
+    permutation of the rows; default row order), primary first, with
+    :func:`hansen_hurwitz` weights (``1/pi`` for one frame) and strata
+    ``leaf`` (one frame) or ``name:leaf``.  ``analysis`` marks the
+    analysis frame's rows; with ``validated`` given, its draws must be
+    validated.  ``ids`` name rows in the LedgerErrors raised.
+    """
+    analysis = np.asarray(analysis, dtype=bool)
+    n = analysis.size
+    ids = range(n) if ids is None else ids
+    order = np.arange(n) if order is None else np.asarray(order)
+    drawn = [order[f.sampled[order]] for f in frames]
+    pi_s, s_rows = np.full(n, np.nan), np.empty(0, dtype=np.intp)
+    if len(frames) == 2:
+        pi_s, s_rows = frames[1].pi, drawn[1]
+        outside = np.flatnonzero(np.isfinite(pi_s) & ~np.isfinite(frames[0].pi))
+        if outside.size:
+            raise LedgerError(f"record {ids[outside[0]]!r} is in frame {frames[1].name!r} "
+                              f"but not in the primary frame {frames[0].name!r}")
+    weights = hansen_hurwitz(frames[0].pi, pi_s, drawn[0], s_rows)
+    rows = np.concatenate(drawn)
+    frame = np.repeat([f.name for f in frames], [r.size for r in drawn])
+    strata = np.concatenate([f.leaf[r] for f, r in zip(frames, drawn)])
+    if len(frames) == 2:
+        strata = np.array([f"{f}:{leaf}" for f, leaf in zip(frame, strata)])
+    keep = analysis[rows]
+    if validated is not None:
+        bad = np.flatnonzero(keep & ~np.asarray(validated, dtype=bool)[rows])
+        if bad.size:
+            raise LedgerError(f"record {ids[rows[bad[0]]]!r} drawn in frame "
+                              f"{str(frame[bad[0]])!r} is not validated; reveal phase-2 "
+                              "data before estimating")
+    analysis_rows = np.flatnonzero(analysis)
+    return (WeightedSample(rows, frame, weights, strata, analysis_rows),
+            WeightedSample(rows[keep], frame[keep], weights[keep], strata[keep],
+                           analysis_rows))
 
 
 def combine_frames(primary_frame: str, secondary_frame: str,

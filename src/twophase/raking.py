@@ -131,42 +131,6 @@ def calibrate_weights(design_weights, sample_aux, population_totals, *,
         f"(relative residual {resid:.3g}); totals may be unreachable")
 
 
-def calibrate(pi, aux, sampled, **kwargs) -> CalibrationResult:
-    """Calibrate design weights ``1/pi`` so sample aux totals match the population.
-
-    ``aux`` holds one auxiliary row per population record (a constant
-    column should lead it); ``sampled`` flags the phase-2 records, and
-    ``pi`` gives their sampling probabilities (aligned with the sampled
-    rows in population order).
-    """
-    aux = np.atleast_2d(np.asarray(aux, dtype=np.float64))
-    sampled = np.asarray(sampled, dtype=bool)
-    if aux.shape[0] != sampled.shape[0]:
-        aux = aux.T
-    pi = np.asarray(pi, dtype=np.float64)
-    if pi.shape[0] != int(sampled.sum()):
-        raise ValueError("pi must align with the sampled records")
-    if np.any((pi <= 0) | (pi > 1)):
-        raise ValueError("sampling probabilities must lie in (0, 1]")
-    return calibrate_weights(1.0 / pi, aux[sampled], aux.sum(axis=0), **kwargs)
-
-
-def ipw_fit(kind, time_or_y, event, x, pi, strata=None, clusters=None) -> models.FitResult:
-    """Inverse-probability-weighted fit with design-based variance.
-
-    For ``kind="cox"`` pass (time, event, covariates); for
-    ``kind="logistic"`` pass (outcome, None, covariates).  ``pi`` are the
-    sampled records' inclusion probabilities and ``strata`` their design
-    strata for the variance.
-    """
-    pi = np.asarray(pi, dtype=np.float64)
-    if np.any((pi <= 0) | (pi > 1)):
-        raise ValueError("sampling probabilities must lie in (0, 1]")
-    fit = models.fit(kind, time_or_y, event, x, 1.0 / pi)
-    fit.variance = models.sandwich_variance(fit, strata, clusters)
-    return fit
-
-
 def raking_fit(kind, time_or_y, event, x, base_weights, sample_aux,
                population_totals, strata=None, clusters=None,
                ) -> tuple[models.FitResult, CalibrationResult]:
@@ -200,3 +164,25 @@ def raking_fit(kind, time_or_y, event, x, base_weights, sample_aux,
     phase1 = (per_record * w[:, None]).T @ per_record
     fit.variance = phase2 + 0.5 * (phase1 + phase1.T)
     return fit, cal
+
+
+def weighted_fit(kind, time_or_y, event, x, sample, h=None):
+    """IPW fit on a ``multiframe.WeightedSample``, or generalized raking on ``[1, h]``.
+
+    ``time_or_y, event, x`` are the working model's inputs on
+    ``sample.rows``.  Without ``h`` the fit takes the sample's weights and
+    the stratified sandwich variance clustered by row.  With ``h`` (the
+    auxiliary influence of each row in ``sample.analysis_rows``) it is
+    :func:`raking_fit` calibrated to the analysis frame's ``[1, h]`` totals.
+    Returns the fit, the weights it used and the calibration (None for IPW).
+    """
+    if h is None:
+        fit = models.fit(kind, time_or_y, event, x, sample.weights)
+        fit.variance = models.sandwich_variance(fit, sample.strata, sample.rows)
+        return fit, sample.weights, None
+    totals = np.column_stack([np.ones(h.size), h]).sum(axis=0)
+    h_sample = h[np.searchsorted(sample.analysis_rows, sample.rows)]
+    aux = np.column_stack([np.ones(sample.rows.size), h_sample])
+    fit, cal = raking_fit(kind, time_or_y, event, x, sample.weights, aux, totals,
+                          strata=sample.strata, clusters=sample.rows)
+    return fit, sample.weights * cal.g, cal

@@ -12,12 +12,13 @@ The experiment harness (:func:`run_design`, :func:`estimate_obesity`,
 :func:`estimate_asthma`) is array I/O around the same design core the
 CLI uses: ``allocation.influence_sd`` / ``allocate_wave`` /
 ``draw_within_strata`` for each wave, ``records.inclusion_probabilities``
-for pi, and ``multiframe.hansen_hurwitz`` for the combined frame.  Both
-endpoints run one estimation routine, ``_estimate``, which differs per
-endpoint only in the model kind, the reported coefficient, the array
-builder (``_obesity_arrays``, ``_asthma_arrays``), the analysis frame
-and the MI influence.  Its imputation models (``_cox_imputation_specs``,
-``_asthma_imputation_specs``) are its own.
+for pi, and ``multiframe.weighted_sample`` / ``raking.weighted_fit`` for
+the IPW and raking fits.  Both endpoints run one estimation routine,
+``_estimate``, which differs per endpoint only in the model kind, the
+reported coefficient, the array builder (``_obesity_arrays``,
+``_asthma_arrays``), the analysis frame and the MI influence.  Its
+imputation models (``_cox_imputation_specs``, ``_asthma_imputation_specs``)
+are its own.
 """
 
 from __future__ import annotations
@@ -468,6 +469,16 @@ class WaveDesign:
         sizes = [s.population_size for s in self.strata]
         return inclusion_probabilities(self.counts, sizes, self.assignment)
 
+    def frame_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``records.frame_arrays`` over ``n`` population rows; leaf -1 outside."""
+        pi = np.full(n, np.nan)
+        pi[self.member_index] = self.pi()
+        leaf = np.full(n, -1, dtype=np.intp)
+        leaf[self.member_index] = self.assignment
+        sampled = np.zeros(n, dtype=bool)
+        sampled[self.member_index[self.sampled]] = True
+        return pi, leaf, sampled
+
 
 def _run_waves(strata, assignment, member_index, budgets, spec, rng, validated,
                influence) -> WaveDesign:
@@ -605,22 +616,6 @@ class EstimateRow:
     se: float
 
 
-def _combined_frame(pop, obesity: WaveDesign, asthma: WaveDesign):
-    """Combined-frame population rows, Hansen-Hurwitz weights and strata.
-
-    Rows list the obesity draws, then the asthma draws, each ascending;
-    the rows double as variance clusters.
-    """
-    pi_asthma = np.full(pop.n, np.nan)
-    pi_asthma[asthma.member_index] = asthma.pi()
-    o_rows = obesity.member_index[obesity.sampled]
-    a_rows = asthma.member_index[asthma.sampled]
-    weights = multiframe.hansen_hurwitz(obesity.pi(), pi_asthma, o_rows, a_rows)
-    strata = np.array([f"O:{j}" for j in obesity.assignment[obesity.sampled]]
-                      + [f"A:{j}" for j in asthma.assignment[asthma.sampled]])
-    return np.concatenate([o_rows, a_rows]), weights, strata
-
-
 def _obesity_arrays(pop: Population, rows, phase2: bool):
     """Cox ``(time, event, [x, z])`` on population ``rows``, true or phase-1."""
     y, delta, x, z = ((pop.y, pop.delta, pop.x, pop.z) if phase2 else
@@ -637,42 +632,37 @@ def _asthma_arrays(pop: Population, rows, phase2: bool):
 
 
 def _estimate(pop: Population, obesity: WaveDesign, asthma: WaveDesign, endpoint: str,
-              kind: str, target: int, arrays, frame: np.ndarray, design: WaveDesign,
+              kind: str, target: int, arrays, frame: np.ndarray, own: int,
               mi) -> list[EstimateRow]:
     """The five comparison estimators of coefficient ``target`` for one endpoint.
 
     ``arrays(pop, rows, phase2)`` builds the working model's inputs on
-    population ``rows``; ``frame`` marks the analysis population, ``design``
-    is the endpoint's own frame (for ipw_sf, and its phase-1 fit when it
-    has one), and ``mi(validated)`` its MI influence.
+    population ``rows``; ``frame`` marks the analysis population, ``own``
+    indexes the endpoint's own frame in ``(obesity, asthma)`` (for
+    ipw_sf, and its phase-1 fit when it has one), and ``mi(validated)``
+    gives its MI influence.
     """
     frame_rows = np.flatnonzero(frame)
-    p1 = design.phase1
+    designs = (obesity, asthma)
+    p1 = designs[own].phase1
     if p1 is None:
         p1 = models.fit(kind, *arrays(pop, frame_rows, False))
     p1 = replace(p1, variance=models.sandwich_variance(p1))
-    h_naive = np.zeros(pop.n)
-    h_naive[frame_rows] = models.influence_for_target(p1, target)
+    h_naive = models.influence_for_target(p1, target)
 
-    sf = raking.ipw_fit(kind, *arrays(pop, design.member_index[design.sampled], True),
-                        design.pi()[design.sampled],
-                        strata=design.assignment[design.sampled])
+    frames = [multiframe.FrameDesign(name, *d.frame_arrays(pop.n))
+              for name, d in zip("OA", designs)]
+    _, single = multiframe.weighted_sample([frames[own]], frame)
+    sf, _, _ = raking.weighted_fit(kind, *arrays(pop, single.rows, True), single)
 
-    rows, weights, strata = _combined_frame(pop, obesity, asthma)
+    draws, sample = multiframe.weighted_sample(frames, frame)
     validated = np.zeros(pop.n, dtype=bool)
-    validated[rows] = True
-    keep = frame[rows]
-    rows, weights, strata = rows[keep], weights[keep], strata[keep]
-    y, event, x = arrays(pop, rows, True)
-    mf = models.fit(kind, y, event, x, weights)
-    mf.variance = models.sandwich_variance(mf, strata, rows)
-
-    fits = {"phase1": p1, "ipw_sf": sf, "ipw_mf": mf}
-    for name, h in (("raking_nv", h_naive), ("raking_mi", mi(validated))):
-        aux = np.column_stack([np.ones(pop.n), h])
-        fits[name], _ = raking.raking_fit(
-            kind, y, event, x, weights, aux[rows], aux[frame_rows].sum(axis=0),
-            strata=strata, clusters=rows)
+    validated[draws.rows] = True
+    data = arrays(pop, sample.rows, True)
+    fits = {"phase1": p1, "ipw_sf": sf}
+    for name, h in (("ipw_mf", None), ("raking_nv", h_naive),
+                    ("raking_mi", mi(validated)[frame_rows])):
+        fits[name], _, _ = raking.weighted_fit(kind, *data, sample, h)
     return [EstimateRow(endpoint, name, float(fit.coefficients[target]),
                         float(fit.se[target])) for name, fit in fits.items()]
 
@@ -682,7 +672,7 @@ def estimate_obesity(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign
     """The five comparison estimators for the primary (hazard) endpoint."""
     return _estimate(
         pop, obesity, asthma, "obesity", "cox", 0, _obesity_arrays,
-        np.ones(pop.n, dtype=bool), obesity,
+        np.ones(pop.n, dtype=bool), 0,
         lambda v: _mi_influence(pop, v, _cox_imputation_specs(), COX_ANALYSIS,
                                 spec.mi_replicates_estimator, seed + 7919))
 
@@ -696,7 +686,7 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
     """
     return _estimate(
         pop, obesity, asthma, "asthma", "logistic", 1, _asthma_arrays,
-        pop.in_asthma_frame, asthma,
+        pop.in_asthma_frame, 1,
         lambda v: _mi_influence(pop, v, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
                                 spec.mi_replicates_estimator, seed + 104729))
 

@@ -80,29 +80,6 @@ def smooth_1d(x, y, w, grid, bandwidth, max_widenings=8):
     raise ValueError("smoothing window empty even after widening; data too sparse")
 
 
-def bin_scatter_2d(x1, x2, y, grid):
-    """Aggregate scattered pairs onto the grid lattice (nearest node).
-
-    Returns ``(gx1, gx2, mean, count)`` over occupied cells, sorted by the
-    first coordinate as the 2-d kernel expects.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    step = grid[1] - grid[0]
-    i1 = np.clip(np.rint((np.asarray(x1) - grid[0]) / step).astype(np.intp),
-                 0, grid.size - 1)
-    i2 = np.clip(np.rint((np.asarray(x2) - grid[0]) / step).astype(np.intp),
-                 0, grid.size - 1)
-    flat = i1 * grid.size + i2
-    count = np.bincount(flat, minlength=grid.size ** 2)
-    total = np.bincount(flat, weights=np.asarray(y, dtype=np.float64),
-                        minlength=grid.size ** 2)
-    occupied = np.flatnonzero(count)
-    mean = total[occupied] / count[occupied]
-    g1 = grid[occupied // grid.size]
-    g2 = grid[occupied % grid.size]
-    return g1, g2, mean, count[occupied].astype(np.float64)
-
-
 def _cv_error_2d(x1, x2, y, w, bandwidth, grid, folds=CV_FOLDS):
     rng = np.random.default_rng(CV_SEED + 1)
     assign = rng.permutation(x1.size) % folds

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import twophase
-from twophase import fileio, fpca, simulate
+from twophase import fileio, fpca, models, raking, simulate
+from twophase import records as rec
 from twophase.cli import dispatch
 
 
@@ -278,6 +279,144 @@ def test_design_chain_matches_pinned_outputs(tmp_path):
             (name, "x"), (name, "z_0"), (name, "z_1")]
         assert [(r["beta"], r["se"]) for r in rows] == [
             (pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12)) for b, se in want]
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    """The pinned chain's files: 1,000 dyads (seed 8), obesity waves O1, O2, asthma A1.
+
+    ``dyads_2.csv`` holds the obesity draws revealed, ``dyads_3.csv`` the
+    asthma draws too; ``h.csv`` is the phase-1 influence.
+    """
+    d = tmp_path_factory.mktemp("chain")
+    (d / "sim.json").write_text(json.dumps({"n": 1000}))
+    (d / "strata_O.json").write_text(json.dumps(
+        [{"id": f"{e}{s}", "bounds": {"delta_star": db, "x_star": xb}}
+         for e, db in (("ev", [0.5, None]), ("no", [None, 0.5]))
+         for s, xb in (("lo", [None, 0.3]), ("hi", [0.3, None]))]))
+    (d / "strata_A.json").write_text(json.dumps(
+        [{"id": "A:ev", "bounds": {"delta_star": [0.5, None]}},
+         {"id": "A:no", "bounds": {"delta_star": [None, 0.5]}}]))
+    assert run(["simulate", "--config", d / "sim.json", "--out", d, "--seed", 8]) == 0
+    assert run(["design", "init", "--frame", "O", "--dyads", d / "dyads.csv",
+                "--strata", d / "strata_O.json", "--out", d / "ledger_O0.json"]) == 0
+    assert run(["estimate", "--dyads", d / "dyads.csv", "--method", "phase1",
+                "--out", d / "p1.csv", "--emit-influence", d / "h.csv"]) == 0
+    dyads = d / "dyads.csv"
+    for key, target in (("O1", 50), ("O2", 100), ("A1", 40)):
+        frame, k = key[0], int(key[1:])
+        if key == "A1":
+            assert run(["design", "init", "--frame", "A", "--dyads", dyads,
+                        "--strata", d / "strata_A.json",
+                        "--member-flag", "in_asthma_frame",
+                        "--out", d / "ledger_A0.json"]) == 0
+        assert run(["design", "allocate", "--ledger", d / f"ledger_{frame}{k - 1}.json",
+                    "--dyads", dyads, "--influence", d / "h.csv", "--target", target,
+                    "--wave", k, "--out", d / f"alloc_{key}.json"]) == 0
+        assert run(["design", "draw", "--ledger", d / f"ledger_{frame}{k - 1}.json",
+                    "--dyads", dyads, "--allocation", d / f"alloc_{key}.json",
+                    "--seed", 40 + k, "--out", d / f"draw_{key}.json",
+                    "--update-ledger", d / f"ledger_{key}.json"]) == 0
+        revealed = d / f"dyads_{('O1', 'O2', 'A1').index(key) + 1}.csv"
+        assert run(["simulate", "reveal", "--dyads", dyads, "--truth", d / "truth.csv",
+                    "--draw", d / f"draw_{key}.json", "--out", revealed]) == 0
+        dyads = revealed
+    return d
+
+
+def _multi(d, dyads="dyads_3.csv", primary="ledger_O2.json", secondary="ledger_A1.json"):
+    return ["estimate", "--dyads", d / dyads, "--ledger", d / primary,
+            "--frame", "multi", "--asthma-ledger", d / secondary]
+
+
+class TestEstimateOnTheChain:
+    def test_emit_weights_rows_frames_and_hansen_hurwitz_identity(self, chain_dir,
+                                                                  tmp_path):
+        d = chain_dir
+        assert run(_multi(d) + ["--method", "ipw", "--out", tmp_path / "est.csv",
+                                "--emit-weights", tmp_path / "w.csv"]) == 0
+        with open(tmp_path / "w.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        table = fileio.read_dyads(d / "dyads_3.csv")
+        ledgers = {f: fileio.read_ledger(d / f"ledger_{f}.json") for f in ("O2", "A1")}
+        drawn = {f: sorted(led.sampled_ids()) for f, led in ledgers.items()}
+        # Primary draws first, then secondary, each in record-id order.
+        assert [(r["id"], r["frame"]) for r in rows] == (
+            [(rid, "O") for rid in drawn["O2"]] + [(rid, "A") for rid in drawn["A1"]])
+        assert all(r["cluster"] == r["id"] for r in rows)
+        row = {rid: i for i, rid in enumerate(table.ids)}
+        pi = {f: rec.frame_arrays(table, led)[0] for f, led in zip("OA", ledgers.values())}
+        weight = {(r["id"], r["frame"]): float(r["weight"]) for r in rows}
+        both = set(drawn["O2"]) & set(drawn["A1"])
+        assert len(both) >= 3
+        for rid in both:
+            i = row[rid]
+            assert (pi["O"][i] * weight[rid, "O"] + pi["A"][i] * weight[rid, "A"]
+                    == pytest.approx(1.0, abs=1e-12))
+        # A dual-frame record drawn in one frame carries that frame's share.
+        for (rid, f), w in weight.items():
+            i = row[rid]
+            if rid not in both and np.isfinite(pi["A"][i]):
+                share = pi[f][i] / (pi["O"][i] + pi["A"][i])
+                assert pi[f][i] * w == pytest.approx(share, rel=1e-12)
+
+    @pytest.mark.parametrize("frame", ["single", "multi"])
+    def test_raking_emits_the_per_record_influence(self, chain_dir, tmp_path, frame):
+        # The emitted influence is the calibrated fit's influence over the
+        # calibrated weights, not over the base weights.
+        d = chain_dir
+        multi = frame == "multi"
+        argv = (_multi(d) + ["--emit-weights", tmp_path / "w.csv"] if multi else
+                ["estimate", "--dyads", d / "dyads_3.csv", "--ledger", d / "ledger_O2.json"])
+        assert run(argv + ["--method", "raking", "--influence", d / "h.csv",
+                           "--out", tmp_path / "est.csv",
+                           "--emit-influence", tmp_path / "inf.csv"]) == 0
+        table = fileio.read_dyads(d / "dyads_3.csv")
+        if multi:
+            with open(tmp_path / "w.csv", newline="") as fh:
+                drawn = [(r["id"], float(r["weight"])) for r in csv.DictReader(fh)]
+            row = {rid: i for i, rid in enumerate(table.ids)}
+            rows = np.array([row[rid] for rid, _ in drawn])
+            base = np.array([w for _, w in drawn])
+        else:
+            pi, _, sampled = rec.frame_arrays(table, fileio.read_ledger(d / "ledger_O2.json"))
+            rows = np.flatnonzero(sampled)
+            base = 1.0 / pi[rows]
+        h_map = fileio.read_influence(d / "h.csv")
+        aux = np.column_stack([np.ones(len(table)), [h_map[rid] for rid in table.ids]])
+        cal = raking.calibrate_weights(base, aux[rows], aux.sum(axis=0))
+        assert np.ptp(cal.g) > 1e-3
+        w = base * cal.g
+        cols = table.columns
+        x = np.column_stack([cols["x"][rows], cols["z_0"][rows], cols["z_1"][rows]])
+        fit = models.fit_cox(cols["y"][rows], cols["delta"][rows], x, w)
+        want = fit.influence[:, 0] / w
+        # A record drawn in both frames is emitted once per draw; the file
+        # keeps its last draw's value.
+        ids = [table.ids[i] for i in rows]
+        last = {rid: i for i, rid in enumerate(ids)}
+        emitted = fileio.read_influence(tmp_path / "inf.csv")
+        np.testing.assert_allclose([emitted[rid] for rid in last],
+                                   [want[i] for i in last.values()], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["ipw", "raking"])
+    def test_unrevealed_secondary_draws_give_ledger_exit(self, chain_dir, tmp_path,
+                                                         capsys, method):
+        # dyads_2.csv predates the asthma reveal: its new asthma draws have
+        # phase-2 cells that read as 0.
+        code = run(_multi(chain_dir, dyads="dyads_2.csv")
+                   + ["--method", method, "--out", tmp_path / "est.csv"])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "error: ledger: record 'd" in err and "drawn in frame 'A'" in err
+        assert not (tmp_path / "est.csv").exists()
+
+    def test_swapped_ledgers_give_ledger_exit(self, chain_dir, tmp_path, capsys):
+        code = run(_multi(chain_dir, primary="ledger_A1.json", secondary="ledger_O2.json")
+                   + ["--method", "ipw", "--out", tmp_path / "est.csv"])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "error: ledger: record 'd" in err and "primary frame 'A'" in err
 
 
 def test_wave1_allocation_matches_harness(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twophase import models, multiframe
+from twophase.errors import LedgerError
 
 
 def test_symmetric_probabilities_split_weight_evenly():
@@ -97,29 +98,35 @@ def test_hansen_hurwitz_total_unbiased_over_draws():
 
 
 def test_variance_groups_identity_without_overlap():
-    fw = multiframe.combine_frames(
-        "o", "a",
-        pi_primary={"x": 0.5, "y": 0.5, "z": 0.5},
-        pi_secondary={"z": 0.5},
-        sampled_primary={"x": "s1", "y": "s1"},
-        sampled_secondary={"z": "t1"},
-    )
-    strata, clusters = fw.strata_keys(), fw.cluster_ids()
-    assert len(set(clusters)) == len(fw.rows)
-    assert set(strata) == {"o:s1", "a:t1"}
+    # Rows x, y, z; z alone is in the secondary frame.
+    frames = [multiframe.FrameDesign("o", np.full(3, 0.5), np.array(["s1"] * 3),
+                                     np.array([True, True, False])),
+              multiframe.FrameDesign("a", np.array([np.nan, np.nan, 0.5]),
+                                     np.array(["", "", "t1"]), np.array([False, False, True]))]
+    _, sample = multiframe.weighted_sample(frames, np.ones(3, dtype=bool))
+    assert len(set(sample.rows.tolist())) == sample.rows.size
+    assert set(sample.strata) == {"o:s1", "a:t1"}
 
 
 def test_double_sampled_record_forms_one_cluster():
-    fw = multiframe.combine_frames(
-        "o", "a",
-        pi_primary={"x": 0.5, "y": 0.5},
-        pi_secondary={"x": 0.4},
-        sampled_primary={"x": "s1", "y": "s1"},
-        sampled_secondary={"x": "t1"},
-    )
-    strata, clusters = fw.strata_keys(), fw.cluster_ids()
-    assert list(clusters).count("x") == 2
-    assert len(set(clusters)) == 2
+    # Record x (row 0) is drawn in both frames: two draws, one cluster.
+    frames = [multiframe.FrameDesign("o", np.full(2, 0.5), np.array(["s1"] * 2),
+                                     np.array([True, True])),
+              multiframe.FrameDesign("a", np.array([0.4, np.nan]), np.array(["t1", ""]),
+                                     np.array([True, False]))]
+    _, sample = multiframe.weighted_sample(frames, np.ones(2, dtype=bool))
+    assert sample.rows.tolist().count(0) == 2
+    assert len(set(sample.rows.tolist())) == 2
+
+
+def _design(name, n, pi, sampled):
+    """A FrameDesign over rows ``0..n-1`` from id-keyed pi and draws (ids are row numbers)."""
+    p, leaf, drawn = np.full(n, np.nan), np.full(n, "", dtype=object), np.zeros(n, bool)
+    for rid, value in pi.items():
+        p[int(rid)] = value
+    for rid, stratum in sampled.items():
+        leaf[int(rid)], drawn[int(rid)] = stratum, True
+    return multiframe.FrameDesign(name, p, leaf, drawn)
 
 
 def test_total_estimator_ci_coverage():
@@ -127,7 +134,6 @@ def test_total_estimator_ci_coverage():
     truth = v.sum()
     all_ids = [str(i) for i in range(len(v))]
     dual_ids = [str(i) for i in range(len(v)) if dual[i]]
-    vmap = {str(i): v[i] for i in range(len(v))}
     rng = np.random.default_rng(123)
     covered = 0
     reps = 500
@@ -136,11 +142,12 @@ def test_total_estimator_ci_coverage():
                                    {0: 0.12, 1: 0.18})
         samp_a, pi_a = _draw_frame(rng, dual_ids, {i: strata_a[int(i)] for i in dual_ids},
                                    {0: 0.15, 1: 0.22})
-        fw = multiframe.combine_frames("o", "a", pi_o, pi_a, samp_o, samp_a)
-        w = fw.weights()
-        vals = np.array([vmap[r.record_id] for r in fw.rows])
+        _, sample = multiframe.weighted_sample(
+            [_design("o", len(v), pi_o, samp_o), _design("a", len(v), pi_a, samp_a)],
+            np.ones(len(v), dtype=bool))
+        w = sample.weights
+        vals = v[sample.rows]
         total = float(np.sum(w * vals))
-        strata, clusters = fw.strata_keys(), fw.cluster_ids()
         proxy = models.FitResult(
             coefficients=np.array([total]),
             variance=np.zeros((1, 1)),
@@ -148,8 +155,62 @@ def test_total_estimator_ci_coverage():
             converged=True,
             iterations=0,
         )
-        var = models.sandwich_variance(proxy, strata, clusters)[0, 0]
+        var = models.sandwich_variance(proxy, sample.strata, sample.rows)[0, 0]
         half = 1.959963984540054 * np.sqrt(var)
         covered += int(abs(total - truth) <= half)
     coverage = covered / reps
     assert 0.92 <= coverage <= 0.98
+
+
+def _frames():
+    # Rows 0-5; the secondary frame holds rows 2-5.
+    pi_o = np.array([0.5, 0.5, 0.25, 0.25, 0.5, 0.5])
+    pi_a = np.array([np.nan, np.nan, 0.4, 0.4, 0.2, 0.2])
+    return [multiframe.FrameDesign("O", pi_o, np.array(list("ppqqrr")),
+                                   np.array([1, 0, 1, 1, 0, 1], dtype=bool)),
+            multiframe.FrameDesign("A", pi_a, np.array(list("--sstt")),
+                                   np.array([0, 0, 1, 0, 1, 0], dtype=bool))]
+
+
+def test_weighted_sample_one_frame_is_inverse_pi():
+    primary = _frames()[0]
+    draws, sample = multiframe.weighted_sample([primary], np.ones(6, dtype=bool))
+    assert sample.rows.tolist() == [0, 2, 3, 5]
+    assert np.array_equal(sample.weights, 1.0 / primary.pi[sample.rows])
+    assert sample.strata.tolist() == list("pqqr")
+
+
+def test_weighted_sample_two_frames_rows_weights_strata():
+    frames = _frames()
+    order = np.array([5, 4, 3, 2, 1, 0])
+    draws, sample = multiframe.weighted_sample(
+        frames, np.array([0, 1, 1, 1, 1, 1], dtype=bool), order=order)
+    # Every draw in the given order, primary frame first ...
+    assert draws.rows.tolist() == [5, 3, 2, 0, 4, 2]
+    assert draws.frame.tolist() == ["O"] * 4 + ["A"] * 2
+    assert draws.strata.tolist() == ["O:r", "O:q", "O:q", "O:p", "A:t", "A:s"]
+    np.testing.assert_allclose(draws.weights,
+                               [1 / 0.7, 1 / 0.65, 1 / 0.65, 2.0, 1 / 0.7, 1 / 0.65])
+    # ... and the analysis frame keeps all but row 0.
+    assert sample.rows.tolist() == [5, 3, 2, 4, 2]
+    assert sample.strata.tolist() == ["O:r", "O:q", "O:q", "A:t", "A:s"]
+    assert sample.analysis_rows.tolist() == [1, 2, 3, 4, 5]
+
+
+def test_weighted_sample_rejects_unvalidated_draws_in_the_analysis_frame():
+    frames = _frames()
+    validated = np.array([1, 0, 1, 1, 0, 1], dtype=bool)   # row 4: secondary draw
+    ids = [f"r{i}" for i in range(6)]
+    with pytest.raises(LedgerError, match="'r4' drawn in frame 'A'"):
+        multiframe.weighted_sample(frames, np.ones(6, dtype=bool), validated=validated,
+                                   ids=ids)
+    # Outside the analysis frame an unrevealed draw is not fitted.
+    multiframe.weighted_sample(frames, np.array([1, 1, 1, 1, 0, 1], dtype=bool),
+                               validated=validated)
+
+
+def test_weighted_sample_secondary_outside_primary_is_a_ledger_error():
+    frames = _frames()[::-1]
+    with pytest.raises(LedgerError, match="'r0' is in frame 'O'"):
+        multiframe.weighted_sample(frames, np.ones(6, dtype=bool),
+                                   ids=[f"r{i}" for i in range(6)])

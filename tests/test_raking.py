@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophase import models, raking
+from twophase import models, multiframe, raking
 from twophase.errors import CalibrationError
 
 
@@ -22,6 +22,12 @@ def dual_objective(lam, design_weights, sample_aux, population_totals) -> float:
         a = a.T
     t = np.asarray(population_totals, dtype=np.float64)
     return float(lam @ t - d @ (np.exp(a @ lam) - 1.0))
+
+
+def calibrate(pi, aux, sampled, **kwargs):
+    """Calibrate ``1/pi`` of the ``sampled`` rows to the population totals of ``aux``."""
+    aux = np.asarray(aux, dtype=np.float64)
+    return raking.calibrate_weights(1.0 / pi, aux[sampled], aux.sum(axis=0), **kwargs)
 
 
 def bisection_lambda(pi, h, total, lo=-50.0, hi=50.0, tol=1e-12):
@@ -47,7 +53,7 @@ class TestCalibrate:
         pi = np.array([0.5, 0.5])
         aux = np.ones((4, 1))
         sampled = np.array([True, True, False, False])
-        res = raking.calibrate(pi, aux, sampled)
+        res = calibrate(pi, aux, sampled)
         np.testing.assert_allclose(res.g, 1.0, atol=1e-12)
         np.testing.assert_allclose(res.lam, 0.0, atol=1e-12)
 
@@ -55,7 +61,7 @@ class TestCalibrate:
         pi = np.array([0.25, 0.5])
         aux = np.ones((5, 1))
         sampled = np.array([True, True, False, False, False])
-        res = raking.calibrate(pi, aux, sampled)
+        res = calibrate(pi, aux, sampled)
         assert res.g[0] == pytest.approx(res.g[1])
         assert np.sum(res.g / pi) == pytest.approx(5.0, abs=1e-7)
 
@@ -68,7 +74,7 @@ class TestCalibrate:
         lam = bisection_lambda(pi, h, total)
         aux = h_pop.reshape(-1, 1)
         sampled = np.array([True, True, False, False, False])
-        res = raking.calibrate(pi, aux, sampled, tol=1e-13)
+        res = calibrate(pi, aux, sampled, tol=1e-13)
         assert res.lam[0] == pytest.approx(lam, abs=1e-10)
 
     def test_constraint_holds_to_tolerance(self):
@@ -79,7 +85,7 @@ class TestCalibrate:
         sampled[rng.choice(n, n2, replace=False)] = True
         pi = np.full(n2, n2 / n) * rng.uniform(0.8, 1.2, n2)
         pi = np.clip(pi, 0.01, 1.0)
-        res = raking.calibrate(pi, aux, sampled)
+        res = calibrate(pi, aux, sampled)
         tot = (res.g / pi)[:, None] * aux[sampled]
         np.testing.assert_allclose(tot.sum(axis=0), aux.sum(axis=0),
                                    rtol=1e-8, atol=1e-8)
@@ -93,7 +99,7 @@ class TestCalibrate:
         sampled = np.zeros(n, dtype=bool)
         sampled[rng.choice(n, n2, replace=False)] = True
         pi = np.clip(rng.uniform(0.1, 0.4, n2), 0.01, 1)
-        res = raking.calibrate(pi, aux, sampled)
+        res = calibrate(pi, aux, sampled)
         w = 1 / pi
         primal = raking_distance(res.g, w)
         dual = dual_objective(res.lam, w, aux[sampled], aux.sum(axis=0))
@@ -108,10 +114,10 @@ class TestCalibrate:
         sampled = np.zeros(n, dtype=bool)
         sampled[rng.choice(n, n2, replace=False)] = True
         pi = np.full(n2, 0.25)
-        res1 = raking.calibrate(pi, base, sampled)
+        res1 = calibrate(pi, base, sampled)
         dup = np.column_stack([base, base[:, 1] * 2.0])
         with pytest.warns(UserWarning, match="collinear"):
-            res2 = raking.calibrate(pi, dup, sampled)
+            res2 = calibrate(pi, dup, sampled)
         np.testing.assert_allclose(res2.g, res1.g, atol=1e-9)
         assert list(res2.kept_columns) == [0, 1]
 
@@ -123,7 +129,7 @@ class TestCalibrate:
         sampled[:5] = True
         pi = np.full(5, 0.1)
         with pytest.raises(CalibrationError):
-            raking.calibrate(pi, aux, sampled)
+            calibrate(pi, aux, sampled)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -135,7 +141,7 @@ class TestCalibrate:
         sampled = np.zeros(n, dtype=bool)
         sampled[rng.choice(n, n2, replace=False)] = True
         pi = np.clip(rng.uniform(0.15, 0.6, n2), 0.01, 1)
-        res = raking.calibrate(pi, aux, sampled)
+        res = calibrate(pi, aux, sampled)
         assert res.constraint_residual < 1e-8
         assert np.all(res.g > 0)
 
@@ -153,11 +159,21 @@ def two_phase_survival(seed, n=600, n2=150):
     return time, event, x, pi, sampled, strata
 
 
+def one_frame_ipw(time, event, x, pi, sampled, strata):
+    """IPW through the weighted-estimation core on a one-frame design."""
+    design = multiframe.FrameDesign("P", pi, strata, sampled)
+    _, sample = multiframe.weighted_sample([design], np.ones(time.size, dtype=bool))
+    rows = sample.rows
+    fit, _, _ = raking.weighted_fit("cox", time[rows], event[rows], x[rows], sample)
+    return fit
+
+
 class TestIpwAndRakingFits:
     def test_census_equals_mle(self):
         time, event, x, *_ = two_phase_survival(3, n=200)
         mle = models.fit_cox(time, event, x)
-        ipw = raking.ipw_fit("cox", time, event, x, np.ones(200))
+        ipw = one_frame_ipw(time, event, x, np.ones(200), np.ones(200, dtype=bool),
+                            np.zeros(200, dtype=int))
         np.testing.assert_allclose(ipw.coefficients, mle.coefficients, atol=1e-9)
 
     def test_census_raking_equals_mle_any_aux(self):
@@ -172,8 +188,9 @@ class TestIpwAndRakingFits:
 
     def test_ipw_rejects_bad_pi(self):
         time, event, x, *_ = two_phase_survival(6, n=50)
-        with pytest.raises(ValueError):
-            raking.ipw_fit("cox", time, event, x, np.full(50, 1.5))
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            one_frame_ipw(time, event, x, np.full(50, 1.5), np.ones(50, dtype=bool),
+                          np.zeros(50, dtype=int))
 
     def test_ipw_unbiased_over_replicates(self):
         # Known truth beta = 0.5 for the first covariate.
@@ -181,8 +198,7 @@ class TestIpwAndRakingFits:
         est = np.empty(reps)
         for r in range(reps):
             time, event, x, pi, sampled, strata = two_phase_survival(1000 + r)
-            fit = raking.ipw_fit("cox", time[sampled], event[sampled], x[sampled],
-                                 pi[sampled], strata=strata[sampled])
+            fit = one_frame_ipw(time, event, x, pi, sampled, strata)
             est[r] = fit.coefficients[0]
         mcse = est.std(ddof=1) / np.sqrt(reps)
         assert abs(est.mean() - 0.5) < 3 * mcse
@@ -198,8 +214,7 @@ class TestIpwAndRakingFits:
             full = models.fit_cox(time, event, x)
             h = models.influence_for_target(full, 0)
             aux = np.column_stack([np.ones(len(time)), h])
-            ipw = raking.ipw_fit("cox", time[sampled], event[sampled], x[sampled],
-                                 pi[sampled], strata=strata[sampled])
+            ipw = one_frame_ipw(time, event, x, pi, sampled, strata)
             fit, _ = raking.raking_fit("cox", time[sampled], event[sampled],
                                        x[sampled], 1 / pi[sampled], aux[sampled],
                                        aux.sum(axis=0), strata=strata[sampled])
@@ -215,8 +230,7 @@ class TestIpwAndRakingFits:
             rng = np.random.default_rng(9000 + r)
             time, event, x, pi, sampled, strata = two_phase_survival(9000 + r)
             aux = np.column_stack([np.ones(len(time)), rng.normal(size=len(time))])
-            ipw = raking.ipw_fit("cox", time[sampled], event[sampled], x[sampled],
-                                 pi[sampled], strata=strata[sampled])
+            ipw = one_frame_ipw(time, event, x, pi, sampled, strata)
             fit, _ = raking.raking_fit("cox", time[sampled], event[sampled],
                                        x[sampled], 1 / pi[sampled], aux[sampled],
                                        aux.sum(axis=0), strata=strata[sampled])
@@ -224,3 +238,49 @@ class TestIpwAndRakingFits:
             rak_est[r] = fit.coefficients[0]
         # Pure-noise calibration is asymptotically a no-op: allow MC slack.
         assert rak_est.var(ddof=1) < 1.35 * ipw_est.var(ddof=1)
+
+
+def two_frame_designs(seed, n=600):
+    """A primary frame over everyone and a secondary frame over a subset."""
+    time, event, x, pi, sampled, strata = two_phase_survival(seed, n=n)
+    rng = np.random.default_rng(seed + 1)
+    member = rng.uniform(size=n) < 0.5
+    pi_s = np.where(member, 0.3, np.nan)
+    sampled_s = member & (rng.uniform(size=n) < 0.3)
+    frames = [multiframe.FrameDesign("O", pi, strata, sampled),
+              multiframe.FrameDesign("A", pi_s, np.where(member, strata, -1), sampled_s)]
+    return time, event, x, frames
+
+
+class TestWeightedCore:
+    @pytest.mark.parametrize("aux", [False, True])
+    def test_draw_order_is_data(self, aux):
+        time, event, x, frames = two_frame_designs(31)
+        h = models.influence_for_target(models.fit_cox(time, event, x), 0) if aux else None
+        analysis = np.ones(time.size, dtype=bool)
+        order = np.random.default_rng(2).permutation(time.size)
+        results = []
+        for o in (None, order):
+            _, sample = multiframe.weighted_sample(frames, analysis, order=o)
+            rows = sample.rows
+            fit, _, _ = raking.weighted_fit("cox", time[rows], event[rows], x[rows],
+                                            sample, h)
+            results.append(fit)
+        assert results[0].coefficients.size == 2
+        np.testing.assert_allclose(results[1].coefficients, results[0].coefficients,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(results[1].se, results[0].se, rtol=1e-12, atol=1e-12)
+
+    def test_raking_returns_the_calibrated_weights(self):
+        time, event, x, frames = two_frame_designs(32)
+        h = models.influence_for_target(models.fit_cox(time, event, x), 0)
+        _, sample = multiframe.weighted_sample(frames, np.ones(time.size, dtype=bool))
+        rows = sample.rows
+        fit, weights, cal = raking.weighted_fit("cox", time[rows], event[rows], x[rows],
+                                                sample, h)
+        np.testing.assert_array_equal(weights, sample.weights * cal.g)
+        # The calibrated weights reproduce the population totals of [1, h].
+        np.testing.assert_allclose(weights @ np.column_stack([np.ones(rows.size), h[rows]]),
+                                   [time.size, h.sum()], rtol=1e-8, atol=1e-8)
+        refit = models.fit_cox(time[rows], event[rows], x[rows], weights)
+        np.testing.assert_allclose(fit.coefficients, refit.coefficients, rtol=1e-12)
