@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -224,12 +225,15 @@ def read_dyads(path) -> DyadTable:
 
 
 def write_measurements(path, series: Iterable[LongitudinalSeries]) -> None:
+    """One row per observation, subject by subject, written column-wise."""
+    series = list(series)
+    ids = chain.from_iterable(repeat(s.subject_id, s.times.size) for s in series)
+    times = chain.from_iterable(s.times.tolist() for s in series)
+    values = chain.from_iterable(s.values.tolist() for s in series)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id", "t_days", "weight_kg"])
-        for s in series:
-            for t, v in zip(s.times, s.values):
-                writer.writerow([s.subject_id, _fmt(t), _fmt(v)])
+        writer.writerows(zip(ids, times, values))
 
 
 def read_measurements(path) -> list[LongitudinalSeries]:
@@ -290,6 +294,7 @@ def write_eigensystem(path, system: EigenSystem) -> None:
         "noise_var": float(system.noise_var),
         "fve": [float(v) for v in system.fve],
         "zero_variation": bool(system.zero_variation),
+        "em_steps": system.em_steps,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -302,7 +307,8 @@ def read_eigensystem(path) -> EigenSystem:
     The grid must hold at least two finite, strictly increasing points.
     ``mean`` has one value per grid point, ``eigenfunctions`` is K x G (K
     the number of eigenvalues) and ``fve`` has K values.  A missing key or
-    a shape that does not fit raises SchemaError.
+    a shape that does not fit raises SchemaError.  ``em_steps`` is optional
+    (None when absent); when present it is a non-negative integer or null.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -331,10 +337,15 @@ def read_eigensystem(path) -> EigenSystem:
         if values.shape != shape:
             raise SchemaError(f"eigensystem {key} has shape {values.shape}; expected "
                               f"{shape} for {g} grid points and {k} eigenvalues")
+    em_steps = payload.get("em_steps")
+    if em_steps is not None and not (type(em_steps) is int and em_steps >= 0):
+        raise SchemaError(f"eigensystem em_steps must be a non-negative integer or "
+                          f"null, got {em_steps!r}")
     return EigenSystem(grid=grid, mean=arrays["mean"], eigenvalues=eigenvalues,
                        eigenfunctions=functions, noise_var=float(arrays["noise_var"]),
                        fve=arrays["fve"],
-                       zero_variation=bool(payload.get("zero_variation", False)))
+                       zero_variation=bool(payload.get("zero_variation", False)),
+                       em_steps=em_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,9 @@ class LongitudinalSeries:
         if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and (t[1:] > t[:-1]).all()):
             raise ValueError(
                 f"series {self.subject_id}: times must be finite and strictly increasing")
-        if not ((v > 0) & (v < math.inf)).all():
+        # The smallest is > 0 and the largest < inf exactly when every
+        # weight is (a NaN makes the minimum NaN, which fails).
+        if not (0.0 < v.min() and v.max() < math.inf):
             raise ValueError(f"series {self.subject_id}: weights must be finite and positive")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -78,8 +80,8 @@ class EigenSystem:
     fve: np.ndarray                # cumulative fraction of variance for k = 1..K
     zero_variation: bool = False
     # EM steps (``_em_step`` evaluations) of the fit that made it: 0 for a
-    # zero-variation fit, None when it was not fitted here (built directly
-    # or read from a file, which does not store it).
+    # zero-variation fit, None when it was not fitted (built directly, or
+    # read from an ``es.json`` that does not store it).
     em_steps: int | None = None
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 

@@ -7,7 +7,8 @@ not depend on beta is built once per fit by :func:`risk_sets`: the event
 weights, the tie groups that hold an event, ``we @ x`` and a feature-major
 (p x n) copy of the covariates.  Each evaluation then computes only the
 per-row risk ``w e^eta``, its two reversed cumulative sums and the
-information product.  The local-linear smoothers serve ``smoothing``.
+information product, and returns its sums for the residuals.  The
+local-linear smoothers serve ``smoothing``.
 """
 
 from __future__ import annotations
@@ -164,19 +165,18 @@ def risk_sets(event, w, x, starts, group_index) -> RiskSets:
                     xt=np.ascontiguousarray(x.T))
 
 
-def _event_groups(risk, eta):
-    """Risk-set sums at ``eta``, read at the tie groups that hold an event.
+class BreslowSums(NamedTuple):
+    """The risk-set sums of one :func:`cox_breslow` evaluation.
 
-    Returns ``(r, s0, m)``: per-row risk ``r = w e^eta``; at each event
-    group in time order, the total ``s0`` of ``r`` over rows from the
-    group's first row on, and the risk-set weighted covariate mean ``m``
-    (groups x p).  Both sums are forward cumulative sums over the reversed
-    rows; the covariate one runs along the contiguous axis of ``xt``.
+    :func:`cox_score_residuals` reads them at the accepted beta, so the
+    residuals cost no second pass over the risk sets.
     """
-    r = risk.w * np.exp(eta)
-    s0 = np.cumsum(r[::-1]).take(risk.tail_rows)
-    s1 = np.cumsum((risk.xt * r)[:, ::-1], axis=1).T.take(risk.tail_rows, axis=0)
-    return r, s0, s1 / s0[:, None]
+
+    eta: np.ndarray        # the linear predictor evaluated, time-sorted
+    exp_eta: np.ndarray    # e^eta
+    m: np.ndarray          # risk-set weighted covariate mean at each event group
+    haz: np.ndarray        # Breslow hazard increment ew / s0 at each event group
+    a: np.ndarray          # cumulative hazard at each row's latest event group
 
 
 def _running_sum(values, k):
@@ -190,33 +190,43 @@ def cox_breslow(risk: RiskSets, eta):
 
     ``risk`` comes from :func:`risk_sets`; ``eta`` is the linear predictor
     in the same (time-sorted) row order.  Returns
-    ``(loglik, score, information)``.
+    ``(loglik, score, information, sums)``, ``sums`` the
+    :class:`BreslowSums` at ``eta``.
+
+    The risk-set sums are forward cumulative sums over the reversed rows,
+    read at the tie groups that hold an event: per-row risk ``r = w e^eta``,
+    ``s0`` the total of ``r`` from each event group's first row on, and
+    the risk-set weighted covariate mean ``m`` (groups x p), whose sum runs
+    along the contiguous axis of ``xt``.
     """
-    r, s0, m = _event_groups(risk, eta)
+    exp_eta = np.exp(eta)
+    r = risk.w * exp_eta
+    s0 = np.cumsum(r[::-1]).take(risk.tail_rows)
+    m = np.cumsum((risk.xt * r)[:, ::-1], axis=1).T.take(risk.tail_rows, axis=0)
+    m /= s0[:, None]
     ew = risk.ew
     loglik = float(risk.we @ eta) - float(ew @ np.log(s0))
     score = risk.we_x - ew @ m
     # info = sum_i r_i a_i x_i x_i' - sum_g ew_g m_g m_g', with a_i the
     # Breslow cumulative hazard at row i.
-    a = _running_sum(ew / s0, risk.k)
+    haz = ew / s0
+    a = _running_sum(haz, risk.k)
     info = (risk.xt * (r * a)) @ risk.xt.T - (ew[:, None] * m).T @ m
     info = 0.5 * (info + info.T)
-    return loglik, score, info
+    return loglik, score, info, BreslowSums(eta, exp_eta, m, haz, a)
 
 
-def cox_score_residuals(risk: RiskSets, eta):
-    """Per-record (unweighted) score residuals at ``eta``.
+def cox_score_residuals(risk: RiskSets, sums: BreslowSums):
+    """Per-record (unweighted) score residuals at ``sums.eta``.
 
-    Same arguments as :func:`cox_breslow`; ``sum_i w_i * residuals[i]``
-    equals its score.  Returns an ``n x p`` array.
+    ``risk`` comes from :func:`risk_sets` and ``sums`` from the
+    :func:`cox_breslow` evaluation at that ``eta``; ``sum_i w_i *
+    residuals[i]`` equals its score.  Returns an ``n x p`` array.
     """
-    _, s0, m = _event_groups(risk, eta)
-    haz = risk.ew / s0
-    a = _running_sum(haz, risk.k)
-    b = _running_sum(haz[:, None] * m, risk.k)
+    b = _running_sum(sums.haz[:, None] * sums.m, risk.k)
     # m at row i's latest event group: only event rows use it, and an
     # event row's own group is that group.
     x = risk.x
-    m_i = np.concatenate([np.zeros((1, x.shape[1])), m]).take(risk.k, axis=0)
+    m_i = np.concatenate([np.zeros((1, x.shape[1])), sums.m]).take(risk.k, axis=0)
     return (risk.event[:, None] * (x - m_i)
-            - np.exp(eta)[:, None] * (x * a[:, None] - b))
+            - sums.exp_eta[:, None] * (x * sums.a[:, None] - b))

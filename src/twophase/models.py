@@ -10,8 +10,10 @@ What does not depend on beta is built once per fit: the time order, tie
 groups and risk-set structure of a Cox fit (``kernels.risk_sets``), and
 the feature-major (p x n) copy of the covariates that both fits form
 their information from.  Each Newton evaluation computes the linear
-predictor and what depends on it.  Every input is checked to be finite
-before the first evaluation.
+predictor and what depends on it, and hands both on: the separation check
+reads the accepted evaluation's linear predictor, and the Cox score
+residuals its risk-set sums.  Every input is checked to be finite before
+the first evaluation.
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ def _newton(evaluate, linear_predictor, p, model, cause):
     """Newton-Raphson with step-halving from ``beta = 0``.
 
     ``evaluate(beta)`` gives ``(loglik, score, information, extra)``;
-    ``linear_predictor(beta, extra)`` the linear predictor at an accepted
-    step.  Returns ``(beta, loglik, information, extra, iterations,
-    gradient_norm)``, the last being ``max |score|`` at ``beta``.
+    ``linear_predictor(extra)`` the linear predictor that an accepted
+    step's evaluation formed.  Returns ``(beta, loglik, information,
+    extra, iterations, gradient_norm)``, the last being ``max |score|`` at
+    ``beta``.
     Raises ConvergenceError, worded by ``model`` and ``cause``, when 30
     halvings do not raise the log-likelihood, the linear-predictor spread
     passes ``ETA_SPREAD_LIMIT``, or ``MAX_ITER`` steps leave
@@ -128,7 +131,7 @@ def _newton(evaluate, linear_predictor, p, model, cause):
         ll, score, info, extra = new
         gradient_norm = float(np.max(np.abs(score)))
         iterations += 1
-        eta = linear_predictor(beta, extra)
+        eta = linear_predictor(extra)
         if eta.max() - eta.min() > ETA_SPREAD_LIMIT:
             raise failure(f"linear predictor spread {eta.max() - eta.min():.1f}")
     return beta, ll, info, extra, iterations, gradient_norm
@@ -162,15 +165,12 @@ def fit_cox(time, event, x, weights=None):
     _require_finite("x", xs)
     risk = kernels.risk_sets(ev, weights[order], xs, starts, group_index)
 
-    def evaluate(beta):
-        eta = xs @ beta
-        return (*kernels.cox_breslow(risk, eta), eta)
-
-    beta, ll, info, eta, iterations, gradient_norm = _newton(
-        evaluate, lambda beta, eta: eta, xs.shape[1], "Cox",
+    beta, ll, info, sums, iterations, gradient_norm = _newton(
+        lambda beta: kernels.cox_breslow(risk, xs @ beta), lambda sums: sums.eta,
+        xs.shape[1], "Cox",
         "the likelihood may be monotone (a covariate separates the event order)")
     variance = _invert_info(info, "Cox")
-    resid = kernels.cox_score_residuals(risk, eta)
+    resid = kernels.cox_score_residuals(risk, sums)
     influence_sorted = (risk.w[:, None] * resid) @ variance.T
     influence = np.empty_like(influence_sorted)
     influence[order] = influence_sorted
@@ -178,10 +178,11 @@ def fit_cox(time, event, x, weights=None):
 
 
 def logistic_loglik_score_info(beta, y, x, xt, weights):
-    """Bernoulli log-likelihood value, score, information and fitted probability.
+    """Bernoulli log-likelihood value, score, information and ``(eta, prob)``.
 
     ``xt`` is ``x`` feature-major (p x n, C-contiguous), made once per fit;
-    the information is formed from it.
+    the information is formed from it.  ``eta = x @ beta`` is the linear
+    predictor and ``prob`` the fitted probability.
     """
     eta = x @ beta
     # log(1 + e^eta), stable on both tails, from one exp and one log1p pass.
@@ -191,7 +192,7 @@ def logistic_loglik_score_info(beta, y, x, xt, weights):
     score = (weights * (y - prob)) @ x
     v = weights * prob * (1.0 - prob)
     info = (xt * v) @ xt.T
-    return ll, score, info, prob
+    return ll, score, info, (eta, prob)
 
 
 def fit_logistic(y, x, weights=None):
@@ -211,9 +212,9 @@ def fit_logistic(y, x, weights=None):
     if y.min() == y.max():
         raise ConvergenceError("outcome takes a single value; both classes required")
     xt = np.ascontiguousarray(x.T)
-    beta, ll, info, prob, iterations, gradient_norm = _newton(
+    beta, ll, info, (_, prob), iterations, gradient_norm = _newton(
         lambda beta: logistic_loglik_score_info(beta, y, x, xt, weights),
-        lambda beta, prob: x @ beta, x.shape[1], "logistic",
+        lambda extra: extra[0], x.shape[1], "logistic",
         "the data may be separated")
     variance = _invert_info(info, "logistic")
     resid = (y - prob)[:, None] * x

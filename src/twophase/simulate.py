@@ -271,9 +271,77 @@ def _flip(rng, truth, fp, fn):
     return np.where(flip, 1.0 - truth, truth)
 
 
+def _draw_series(rng, traj: TrajectoryModel, scores, gestation,
+                 m_obs) -> list[LongitudinalSeries]:
+    """Each subject's sparse, noisy weight series, in subject order.
+
+    Subject i's draws, in this order, are ``rng.uniform(start_i, 272,
+    m_i)`` for its times, from ``start_i`` (a year before its conception,
+    inside the time domain) to day 272, and then ``k_i`` standard normals
+    for its measurement errors, one per distinct time after rounding to
+    0.001 day; scaled by ``noise_sd`` they are the numbers
+    ``rng.normal(0, noise_sd, k_i)`` gives.  Only the draws run per
+    subject; they fill two flat buffers.  Sorting within a subject aside,
+    rounding, merging tied times, the curve ``traj.mean(t) + scores_i @
+    traj.basis(t)`` and the 1 kg floor are each one pass over every
+    subject's points.  The product ``scores_i @ basis`` stays per subject:
+    batched forms round some points differently.  Each series' times and
+    values are views of two shared arrays, one slice per subject.
+    """
+    if not traj.noise_sd >= 0.0:
+        raise ValueError(f"noise_sd must be non-negative, got {traj.noise_sd}")
+    n = scores.shape[0]
+    starts = np.maximum(TIME_DOMAIN[0], FULL_TERM_DAYS - gestation - 365.0)
+    bounds = np.concatenate(([0], np.cumsum(m_obs))).tolist()
+    draws = np.empty(bounds[-1])
+    noise = np.empty(bounds[-1])
+    offsets = [0] * (n + 1)
+    for i, start in enumerate(starts.tolist()):
+        t = rng.uniform(start, 272.0, bounds[i + 1] - bounds[i])
+        t.sort()
+        draws[bounds[i]:bounds[i + 1]] = t
+        # The distinct values of np.round(t, 3), which rints t * 1000 and
+        # divides by 1000; Python's round also rounds half to even.
+        k = len({round(v * 1000.0) for v in t.tolist()})
+        offsets[i + 1] = offsets[i] + k
+        rng.standard_normal(out=noise[offsets[i]:offsets[i + 1]])
+
+    # Each buffer is freed once used: the series keep only times and values.
+    rounded = np.round(draws, 3)
+    del draws
+    keep = np.ones(rounded.size, dtype=bool)
+    keep[1:] = rounded[1:] != rounded[:-1]
+    keep[bounds[:-1]] = True
+    times = rounded[keep]
+    del rounded, keep
+    values = np.empty(times.size)
+    basis = traj.basis(times)
+    for i in range(n):
+        a, b = offsets[i], offsets[i + 1]
+        np.matmul(scores[i], basis[:, a:b], out=values[a:b])
+    del basis
+    values += traj.mean(times)
+    noise = noise[:times.size]
+    noise *= traj.noise_sd
+    values += noise
+    del noise
+    np.maximum(values, 1.0, out=values)
+    return [LongitudinalSeries(f"d{i:06d}", times[a:b], values[a:b])
+            for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))]
+
+
 def generate(config: SimConfig, seed: int | None = None, *,
              include_series: bool = False) -> Population:
-    """Draw one synthetic population; deterministic per (config, seed)."""
+    """Draw one synthetic population; deterministic per (config, seed).
+
+    The random stream is part of that reproducibility.  Every population
+    column is drawn first, in the order of this function's body: scores,
+    gestation, covariates, event and censoring times, asthma, the error
+    columns, the asthma-frame membership and the observation counts.
+    With ``include_series`` the weight series come last, subject by
+    subject (:func:`_draw_series`): its times, then its noise.  So the
+    non-series arrays are the same with and without the series.
+    """
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     n = config.n
@@ -339,16 +407,8 @@ def generate(config: SimConfig, seed: int | None = None, *,
     m_obs = 1 + rng.poisson(config.obs_rate, size=n)
     aux = ((m_obs - 1 - config.obs_rate) / np.sqrt(config.obs_rate))[:, None]
 
-    series: list[LongitudinalSeries] = []
-    if include_series:
-        lo = TIME_DOMAIN[0]
-        for i in range(n):
-            earliest = FULL_TERM_DAYS - gestation[i] - 365.0
-            t = np.sort(rng.uniform(max(lo, earliest), 272.0, size=m_obs[i]))
-            t = np.unique(np.round(t, 3))
-            vals = traj.curve(scores[i], t) + rng.normal(0, traj.noise_sd, t.size)
-            vals = np.maximum(vals, 1.0)
-            series.append(LongitudinalSeries(f"d{i:06d}", t, vals))
+    series = (_draw_series(rng, traj, scores, gestation, m_obs) if include_series
+              else [])
 
     return Population(
         config=config, y=y, delta=delta, x=x, z=z, asthma=asthma,

@@ -40,10 +40,10 @@ class TestSimulateCli:
 
     def test_idempotent_given_seed(self, sim_dir, tmp_path):
         code = run(["simulate", "--config", sim_dir / "sim.json", "--out",
-                    tmp_path, "--seed", 12])
+                    tmp_path, "--seed", 12, "--with-series"])
         assert code == 0
-        assert (tmp_path / "dyads.csv").read_bytes() == \
-            (sim_dir / "dyads.csv").read_bytes()
+        for name in ("dyads.csv", "truth.csv", "measurements.csv"):
+            assert (tmp_path / name).read_bytes() == (sim_dir / name).read_bytes(), name
 
     def test_unknown_config_key_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"n": 10, "bogus": 1}')
@@ -524,6 +524,8 @@ class TestFpcaCli:
         ("mean", lambda v: v[:-1]),
         ("grid", lambda v: v[::-1]),
         ("fve", lambda v: v + [1.0]),
+        ("em_steps", lambda v: -1),
+        ("em_steps", lambda v: "3"),
     ])
     def test_score_malformed_eigensystem_gives_parse_exit(self, tmp_path, capsys,
                                                           key, edit):

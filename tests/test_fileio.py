@@ -112,6 +112,29 @@ class TestMeasurements:
         np.testing.assert_array_equal(back[0].times, series[0].times)
         np.testing.assert_array_equal(back[0].values, series[0].values)
 
+    def test_writer_matches_row_by_row_reference(self, tmp_path):
+        def reference(path, series):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["subject_id", "t_days", "weight_kg"])
+                for s in series:
+                    for t, v in zip(s.times, s.values):
+                        writer.writerow([s.subject_id, repr(float(t)), repr(float(v))])
+
+        rng = np.random.default_rng(8)
+        series = [fpca.LongitudinalSeries(sid, np.sort(rng.uniform(-365, 272, m)),
+                                          rng.uniform(40, 120, m))
+                  for sid, m in (("d000001", 9), ('a,"b" c', 3), ("-0", 1), ("e", 12))]
+        series.append(fpca.LongitudinalSeries("z", np.array([-0.0, 1e-300, 271.5]),
+                                              np.array([1.0, 5e-324, 1e300])))
+        fileio.write_measurements(tmp_path / "got.csv", series)
+        reference(tmp_path / "want.csv", series)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert b'"a,""b"" c"' in got
+        assert got == (tmp_path / "want.csv").read_bytes()
+        fileio.write_measurements(tmp_path / "none.csv", iter([]))
+        assert (tmp_path / "none.csv").read_bytes() == b"subject_id,t_days,weight_kg\r\n"
+
     def test_header_only_file_has_no_series(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("subject_id,t_days,weight_kg\n")
@@ -158,6 +181,37 @@ class TestEigensystem:
         np.testing.assert_allclose(back.grid, system.grid)
         np.testing.assert_allclose(back.eigenfunctions, system.eigenfunctions)
         assert back.noise_var == system.noise_var
+
+    @pytest.mark.parametrize("em_steps", [None, 0, 37])
+    def test_em_steps_round_trip(self, tmp_path, em_steps):
+        grid = np.linspace(-365, 272, 5)
+        system = fpca.EigenSystem(grid=grid, mean=np.full(5, 70.0),
+                                  eigenvalues=np.array([2.0]),
+                                  eigenfunctions=np.full((1, 5), 0.04), noise_var=0.25,
+                                  fve=np.array([1.0]), em_steps=em_steps)
+        path = tmp_path / "es.json"
+        fileio.write_eigensystem(path, system)
+        assert json.loads(path.read_text())["em_steps"] == em_steps
+        assert fileio.read_eigensystem(path).em_steps == em_steps
+
+    def test_file_without_em_steps_reads_as_none(self, tmp_path):
+        grid = np.linspace(-365, 272, 5)
+        payload = {"grid": grid.tolist(), "mean": [60.0] * 5, "eigenvalues": [2.0],
+                   "eigenfunctions": [[0.04] * 5], "noise_var": 0.25, "fve": [1.0]}
+        path = tmp_path / "es.json"
+        path.write_text(json.dumps(payload))
+        assert fileio.read_eigensystem(path).em_steps is None
+
+    @pytest.mark.parametrize("value", [-1, 2.0, 2.5, True, "12", [3], {"n": 3}])
+    def test_malformed_em_steps_raise_schema_error(self, tmp_path, value):
+        grid = np.linspace(-365, 272, 5)
+        payload = {"grid": grid.tolist(), "mean": [60.0] * 5, "eigenvalues": [2.0],
+                   "eigenfunctions": [[0.04] * 5], "noise_var": 0.25, "fve": [1.0],
+                   "em_steps": value}
+        path = tmp_path / "es.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="eigensystem em_steps must be a non-negative"):
+            fileio.read_eigensystem(path)
 
     def test_zero_variation_round_trip(self, tmp_path):
         grid = np.linspace(-365, 272, 5)

@@ -25,8 +25,8 @@ def cox_case(seed=1, n=500, p=3, ties=True):
 def test_residuals_sum_to_score():
     event, w, eta, x, starts, group_index = cox_case(seed=9)
     risk = kernels.risk_sets(event, w, x, starts, group_index)
-    _, score, _ = kernels.cox_breslow(risk, eta)
-    resid = kernels.cox_score_residuals(risk, eta)
+    _, score, _, sums = kernels.cox_breslow(risk, eta)
+    resid = kernels.cox_score_residuals(risk, sums)
     np.testing.assert_allclose(resid.T @ w, score, rtol=1e-8, atol=1e-10)
 
 
@@ -61,14 +61,14 @@ def test_breslow_matches_dense_loop_over_tie_groups():
     assert starts.size < event.size  # tied times
     assert np.any(np.bincount(group_index, weights=event) > 1)  # tied events
     risk = kernels.risk_sets(event, w, x, starts, group_index)
-    loglik, score, info = kernels.cox_breslow(risk, eta)
+    loglik, score, info, sums = kernels.cox_breslow(risk, eta)
     ref_ll, ref_score, ref_info = breslow_dense(event, w, eta, x, group_index)
     assert loglik == pytest.approx(ref_ll, rel=1e-12)
     np.testing.assert_allclose(score, ref_score, rtol=1e-12,
                                atol=1e-12 * np.abs(ref_score).max())
     np.testing.assert_allclose(info, ref_info, rtol=1e-12,
                                atol=1e-12 * np.abs(ref_info).max())
-    resid = kernels.cox_score_residuals(risk, eta)
+    resid = kernels.cox_score_residuals(risk, sums)
     np.testing.assert_allclose(resid.T @ w, ref_score, rtol=1e-12,
                                atol=1e-12 * np.abs(ref_score).max())
 

@@ -12,7 +12,7 @@ def cox_loglik_score_info(beta, time, event, x, weights):
     order, ev, xs, starts, group_index = models._prepare_cox(time, event, x)
     w = np.asarray(weights, dtype=np.float64)[order]
     eta = xs @ np.asarray(beta, dtype=np.float64)
-    return kernels.cox_breslow(kernels.risk_sets(ev, w, xs, starts, group_index), eta)
+    return kernels.cox_breslow(kernels.risk_sets(ev, w, xs, starts, group_index), eta)[:3]
 
 
 def hazard_ratio(beta: float, delta: float = 1.0) -> float:
@@ -358,7 +358,7 @@ class TestLogistic:
         w = np.array([1.5])
         e = x @ np.array([1.0])
         with np.errstate(over="ignore"):  # prob's e^800 at eta = -800
-            ll, _, _, prob = models.logistic_loglik_score_info(
+            ll, _, _, (_, prob) = models.logistic_loglik_score_info(
                 np.array([1.0]), np.array([y]), x, np.ascontiguousarray(x.T), w)
             log1p_exp = np.where(e > 0, e + np.log1p(np.exp(-np.abs(e))),
                                  np.log1p(np.exp(e)))
@@ -373,7 +373,7 @@ class TestLogistic:
         y = (rng.uniform(size=n) < 0.4).astype(float)
         w = rng.uniform(0.5, 3.0, size=n)
         beta = np.array([-0.3, 0.8, -0.5])
-        _, _, info, prob = models.logistic_loglik_score_info(
+        _, _, info, (_, prob) = models.logistic_loglik_score_info(
             beta, y, x, np.ascontiguousarray(x.T), w)
         ref = sum(w[i] * prob[i] * (1 - prob[i]) * np.outer(x[i], x[i]) for i in range(n))
         np.testing.assert_allclose(info, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -422,7 +422,7 @@ class TestSandwich:
         y = (rng.uniform(size=n) < 0.5).astype(float)
         fit = models.fit_logistic(y, x)
         v = models.sandwich_variance(fit)
-        _, _, info, prob = models.logistic_loglik_score_info(
+        _, _, info, (_, prob) = models.logistic_loglik_score_info(
             fit.coefficients, y, x, np.ascontiguousarray(x.T), np.ones(n))
         u = (y - prob)[:, None] * x
         a_inv = np.linalg.inv(info)

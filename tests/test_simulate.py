@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -6,6 +7,44 @@ import pytest
 from twophase import fileio, models, simulate as sim
 from twophase.allocation import StratumStats
 from twophase.errors import ConvergenceError, InfeasibleError
+from twophase.fpca import FULL_TERM_DAYS, TIME_DOMAIN
+
+
+def per_subject_series(rng, traj, scores, gestation, m_obs):
+    """The series generator as one loop over subjects: the reference.
+
+    Same draws in the same order as ``simulate._draw_series``, with every
+    step (sort, rounding, merging tied times, the curve) done per subject.
+    """
+    out = []
+    for i in range(scores.shape[0]):
+        earliest = FULL_TERM_DAYS - gestation[i] - 365.0
+        t = np.sort(rng.uniform(max(TIME_DOMAIN[0], earliest), 272.0, size=m_obs[i]))
+        t = np.unique(np.round(t, 3))
+        vals = traj.curve(scores[i], t) + rng.normal(0, traj.noise_sd, t.size)
+        out.append((f"d{i:06d}", t, np.maximum(vals, 1.0)))
+    return out
+
+
+def generated_and_reference(monkeypatch, config, seed):
+    """``generate(config, seed, include_series=True)``, the reference series
+    drawn from the same stream position, and each subject's draw count."""
+    seen = {}
+    draw_series = sim._draw_series
+
+    def spy(rng, *args):
+        seen["state"], seen["args"] = copy.deepcopy(rng.bit_generator.state), args
+        return draw_series(rng, *args)
+
+    monkeypatch.setattr(sim, "_draw_series", spy)
+    pop = sim.generate(config, seed, include_series=True)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = seen["state"]
+    return pop, per_subject_series(rng, *seen["args"]), seen["args"][-1]
+
+
+def hexes(values):
+    return [v.hex() for v in values.tolist()]
 
 
 class TestGenerate:
@@ -54,6 +93,38 @@ class TestGenerate:
         for s in pop.series:
             assert s.times[0] >= -365.0 and s.times[-1] <= 272.0
             assert np.all(np.diff(s.times) > 0)
+
+    @pytest.mark.parametrize("config,seed", [
+        (sim.SimConfig(n=500), 1),
+        (sim.SimConfig(n=500), 4242),
+        (sim.SimConfig(n=20, obs_rate=2000), 5),
+    ])
+    def test_series_match_per_subject_reference(self, monkeypatch, config, seed):
+        pop, want, m_obs = generated_and_reference(monkeypatch, config, seed)
+        assert [s.subject_id for s in pop.series] == [sid for sid, _, _ in want]
+        for s, (_, times, values) in zip(pop.series, want):
+            assert hexes(s.times) == hexes(times)
+            assert hexes(s.values) == hexes(values)
+        merged = sum(s.times.size < m for s, m in zip(pop.series, m_obs.tolist()))
+        if config.obs_rate > 1000:
+            assert merged >= config.n // 2  # rounded times really collide
+
+    def test_series_leave_population_columns_unchanged(self):
+        cfg = sim.SimConfig(n=300)
+        plain = sim.generate(cfg, seed=9)
+        full = sim.generate(cfg, seed=9, include_series=True)
+        assert plain.series == [] and len(full.series) == 300
+        for name in ("y", "delta", "x", "z", "asthma", "gestation", "y_star",
+                     "delta_star", "x_star", "z_star", "asthma_star",
+                     "in_asthma_frame", "aux", "scores"):
+            a, b = getattr(plain, name), getattr(full, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_negative_noise_sd_rejected(self):
+        traj = sim.TrajectoryModel(noise_sd=-0.5)
+        sim.generate(sim.SimConfig(n=5, trajectory=traj), seed=1)
+        with pytest.raises(ValueError, match="noise_sd"):
+            sim.generate(sim.SimConfig(n=5, trajectory=traj), seed=1, include_series=True)
 
     def test_cox_model_holds_in_large_sample(self):
         pop = sim.generate(sim.SimConfig(n=60000), seed=17)
