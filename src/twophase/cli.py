@@ -20,9 +20,7 @@ ledgers' ``records.frame_arrays`` and the table's columns.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -89,8 +87,7 @@ def _log_config(args):
 def _sim_config_from_json(path) -> simulate.SimConfig:
     if path is None:
         return simulate.SimConfig()
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = fileio.read_json(path)
     traj = simulate.TrajectoryModel(**raw.pop("trajectory", {}))
     err = simulate.ErrorModel(**raw.pop("error", {}))
     known = {f.name for f in dataclasses.fields(simulate.SimConfig)}
@@ -153,7 +150,7 @@ def cmd_simulate_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_report(out / "report.csv", out / "report.txt", report)
-    print((out / "report.txt").read_text(), end="")
+    print((out / "report.txt").read_text(encoding="utf-8"), end="")
     return 0
 
 
@@ -176,29 +173,23 @@ def cmd_fpca_score(args) -> int:
     series = fileio.read_measurements(args.measurements)
     system = fileio.read_eigensystem(args.eigensystem)
     gest = fileio.read_gestation(args.gestation_file) if args.gestation_file else {}
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id"]
-                        + [f"score_{k}" for k in range(system.n_components)]
-                        + ["gestation_days", "weekly_gain"])
-        for s in series:
-            g = gest.get(s.subject_id, args.gestation_days)
-            gain, xi = fpca.gain_and_scores(s, system, g)
-            writer.writerow([s.subject_id] + [repr(float(v)) for v in xi]
-                            + [repr(float(g)), repr(float(gain))])
+    days = [gest.get(s.subject_id, args.gestation_days) for s in series]
+    gains, scores = [], np.empty((len(series), system.n_components))
+    for i, (s, g) in enumerate(zip(series, days)):
+        gain, scores[i] = fpca.gain_and_scores(s, system, g)
+        gains.append(gain)
+    fileio.write_scores(args.out, [s.subject_id for s in series], scores, days, gains)
     return 0
 
 
 def cmd_fpca_flag(args) -> int:
     series = fileio.read_measurements(args.measurements)
     system = fileio.read_eigensystem(args.eigensystem)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "obs_index", "t_days", "weight_kg"])
-        for s in series:
-            for j in fpca.flag_outliers(s, system, level=args.level):
-                writer.writerow([s.subject_id, j, repr(float(s.times[j])),
-                                 repr(float(s.values[j]))])
+    flagged = [(s, j) for s in series
+               for j in fpca.flag_outliers(s, system, level=args.level)]
+    fileio.write_flags(args.out, [s.subject_id for s, _ in flagged],
+                       [j for _, j in flagged], [s.times[j] for s, j in flagged],
+                       [s.values[j] for s, j in flagged])
     return 0
 
 
@@ -208,8 +199,7 @@ def cmd_fpca_flag(args) -> int:
 
 def cmd_design_init(args) -> int:
     table = fileio.read_dyads(args.dyads)
-    with open(args.strata) as fh:
-        specs = json.load(fh)
+    specs = fileio.read_json(args.strata)
     if not isinstance(specs, list):
         raise SchemaError("strata file must be a JSON list of leaf specs")
     ledger = rec.build_ledger(args.frame, specs, table, rng_seed=args.seed,
@@ -398,15 +388,7 @@ def cmd_report(args) -> int:
                 names.append(row["estimator"])
             merged.setdefault(row["term"], {})[row["estimator"]] = (row["beta"],
                                                                     row["se"])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term"] + [f"{n}_{c}" for n in names for c in ("beta", "se")])
-        for term in merged:
-            row = [term]
-            for n in names:
-                beta, se = merged[term].get(n, (float("nan"), float("nan")))
-                row += [repr(beta), repr(se)]
-            writer.writerow(row)
+    fileio.write_estimate_table(args.out, names, merged)
     if args.text:
         lines = [f"{'term':14s} " + " ".join(f"{n:>18s}" for n in names)]
         for term in merged:
@@ -415,7 +397,7 @@ def cmd_report(args) -> int:
                 beta, se = merged[term].get(n, (float("nan"), float("nan")))
                 cells.append(f"{beta:9.3f} ({se:5.3f})")
             lines.append(f"{term:14s} " + " ".join(f"{c:>18s}" for c in cells))
-        Path(args.text).write_text("\n".join(lines) + "\n")
+        Path(args.text).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

@@ -3,19 +3,28 @@
 All writers emit stable key order and full-precision numerics so repeated
 runs with identical inputs produce byte-identical files.  Parse errors
 carry the row number and column name; when a file has several faults,
-the first row in file order is reported.
+the first row in file order is reported.  Every file is UTF-8 text; one
+that does not decode, a JSON file that does not parse and a CSV file the
+csv module rejects raise SchemaError naming the file.
 
 The CSV tables (``dyads.csv``, ``truth.csv``, ``measurements.csv``, the
 estimates and the keyed influence and gestation files) are read as
-columns: one ``csv.reader`` pass, then one ``float`` conversion per
-numeric column (:func:`_float_column`).  ``dyads.csv`` is held as a
-:class:`records.DyadTable`; it and ``truth.csv`` are written column-wise.
+columns by :func:`_read_columns`: the text is split at its line ends,
+each line's cell count is checked, and the columns are strided slices of
+one split of the joined lines at their commas.  Text holding a quote or
+a bare carriage return goes through ``csv.reader`` instead, which gives
+the same cells.  Numeric columns are then converted with one ``float``
+per cell (:func:`_float_column`).  Every table is written column-wise
+by :func:`_write_columns`, whose bytes are those ``csv.writer`` writes
+row by row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -48,23 +57,116 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _read_text(path) -> str:
+    """The file's text, decoded as UTF-8, with its line ends as written."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_json(path):
+    """The payload of a JSON file; text that is not UTF-8 or not JSON raises
+    SchemaError naming the file."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Column-wise CSV reading.  A problem is ``(row index, message)`` with the
 # index counted from the first data row; _raise_first reports the earliest.
 
 
-def _read_rows(path) -> tuple[list[str] | None, list[list[str]]]:
-    """The header (None for an empty file) and the data rows of a CSV file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        return next(reader, None), list(reader)
+def _read_columns(path, problems: list, width: int | None = None,
+                  exact: bool = False) -> tuple[list[str] | None, list[Sequence[str]]]:
+    """The header (None for an empty file) and the first ``width`` columns
+    (default: one per header name) of a CSV file, as ``csv.reader`` reads it.
+
+    The columns run up to the first data row whose cell count is wrong
+    (fewer than ``width``, or any other than ``width`` when ``exact``);
+    that row becomes a problem.  A name that the header repeats raises
+    SchemaError.  Text that :func:`_plain_lines` can split is read without
+    ``csv.reader``: each line's commas are counted, and the columns are
+    strided slices of one split of the joined lines.
+    """
+    text = _read_text(path)
+    lines = _plain_lines(text)
+    if lines is None:
+        try:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+        del text
+        header = rows[0] if rows else None
+        _check_header(path, header)
+        width = len(header or ()) if width is None else width
+        return header, _cells_by_column(rows[1:], width, problems, exact)
+    del text
+    if not lines:
+        return None, [[] for _ in range(width or 0)]
+    header = lines[0].split(",") if lines[0] else []
+    _check_header(path, header)
+    width = len(header) if width is None else width
+    del lines[0]
+    n = len(lines)
+    lengths = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=n) + 1
+    if "" in lines:  # csv.reader reads a blank line as a row of no cells
+        lengths[[i for i, line in enumerate(lines) if not line]] = 0
+    bad = np.flatnonzero(lengths != width if exact else lengths < width)
+    if bad.size:
+        n = int(bad[0])
+        problems.append((n, f"expected {width} cells, found {lengths[n]}"))
+        del lines[n:]
+    if n == 0 or width == 0:
+        return header, [[] for _ in range(width)]
+    for i in np.flatnonzero(lengths[:n] > width).tolist():
+        lines[i] = lines[i].rsplit(",", int(lengths[i]) - width)[0]
+    joined = ",".join(lines)
+    del lines
+    cells = joined.split(",")
+    del joined
+    return header, [cells[j::width] for j in range(width)]
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` if ``csv.reader`` splits each one at its commas
+    alone, else None.  That holds when the text has no quote, no carriage
+    return outside a CRLF line end and no line as long as the csv field
+    limit; lines then end at LF or CRLF only, not at the other breaks that
+    ``str.splitlines`` knows."""
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    if "\r" in text and text.count("\n") != text.count("\r\n"):
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\r\n" if "\r" in text else "\n")
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line, or an empty file
+    limit = csv.field_size_limit()
+    if len(text) >= limit and max(map(len, lines)) >= limit:
+        return None
+    return lines
+
+
+def _check_header(path, header: list[str] | None) -> None:
+    """SchemaError naming the first column that the header repeats."""
+    if header is not None and len(set(header)) < len(header):
+        name = next(c for i, c in enumerate(header) if c in header[:i])
+        raise SchemaError(f"{path}: header repeats column {name!r}")
 
 
 def _cells_by_column(rows: list[list[str]], width: int, problems: list,
                      exact: bool = False) -> list[tuple[str, ...]]:
-    """The first ``width`` columns of ``rows``, up to the first row whose cell
-    count is wrong (fewer than ``width``, or any other than ``width`` when
-    ``exact``); that row becomes a problem."""
+    """:func:`_read_columns` over rows that ``csv.reader`` has split."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     bad = np.flatnonzero(lengths != width if exact else lengths < width)
     if bad.size:
@@ -128,12 +230,58 @@ def _suffix_sorted(names: Iterable[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Column-wise CSV writing.
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+_WRITE_ROWS = 2048
+
+
+def _quoted_row(cells: Sequence[str]) -> str:
+    """One row as ``csv.writer`` writes it: a cell holding a comma, a quote
+    or a line break is quoted with its quotes doubled, and a row of one
+    empty cell is written as ``""``."""
+    if len(cells) == 1 and cells[0] == "":
+        return '""'
+    return ",".join('"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c
+                    for c in cells)
+
+
+def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a CSV table from its columns, byte for byte as ``csv.writer``
+    writes the rows: each cell as ``str`` of its value (a float as its
+    ``repr``), minimal quoting, and ``\\r\\n`` after every row.
+
+    The rows are formatted and written ``_WRITE_ROWS`` at a time, so the
+    text held at once stays small whatever the table's length.
+    """
+    n = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_text([header]))
+        for start in range(0, n, _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            fh.write(_csv_text(list(zip(*(map(str, c[start:stop]) for c in columns)))))
+
+
+def _csv_text(rows: list[Sequence[str]]) -> str:
+    """Rows of cell text as ``csv.writer`` writes them.  The rows are joined
+    without quoting first, and again cell by cell only when the text shows
+    a cell that needs quoting."""
+    width = len(rows[0])
+    text = "\r\n".join(map(",".join, rows)) + "\r\n"
+    if (width < 2 or '"' in text or text.count(",") != len(rows) * (width - 1)
+            or text.count("\r") != len(rows) or text.count("\n") != len(rows)):
+        text = "".join(_quoted_row(row) + "\r\n" for row in rows)
+    return text
+
+
+# ---------------------------------------------------------------------------
 # dyads.csv
 
 
 def _cell_values(name: str, values: np.ndarray) -> list:
-    """Python values that ``csv.writer`` prints as the file's text: ints for
-    flags and integer fields, floats (printed as their ``repr``) otherwise."""
+    """Python values that :func:`_write_columns` prints as the file's text:
+    ints for flags and integer fields, floats (printed as their ``repr``)
+    otherwise."""
     if name in FLAGS or name in INTEGER_FIELDS:
         return values.astype(np.int64).tolist()
     return values.tolist()
@@ -145,7 +293,7 @@ def write_dyads(path, table: DyadTable) -> None:
     Phase-2 cells are empty on rows that are not validated.
     """
     validated = np.flatnonzero(table.columns["validated"]).tolist()
-    cells = []
+    columns = [table.ids]
     for name, values in table.columns.items():
         if is_phase2(name):
             column = [""] * len(table)
@@ -153,11 +301,8 @@ def write_dyads(path, table: DyadTable) -> None:
                 column[i] = v
         else:
             column = _cell_values(name, values)
-        cells.append(column)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *table.columns])
-        writer.writerows(zip(table.ids, *cells))
+        columns.append(column)
+    _write_columns(path, ["id", *table.columns], columns)
 
 
 def read_dyads(path) -> DyadTable:
@@ -165,17 +310,17 @@ def read_dyads(path) -> DyadTable:
 
     Phase-2 cells are read on validated rows only.  Raises SchemaError
     for a missing column, a row with the wrong cell count, a non-numeric
-    or empty cell, a row breaking :func:`records.first_invalid_row`, or
-    a repeated id.
+    or empty cell, a row breaking :func:`records.first_invalid_row`, a
+    repeated id or a repeated column name.
     """
-    header, rows = _read_rows(path)
+    problems: list = []
+    header, columns = _read_columns(path, problems, exact=True)
     if header is None:
         raise SchemaError("dyads file is empty; a header row is required")
     for col in ("id", "y_star", "delta_star", "x_star"):
         if col not in header:
             raise SchemaError(f"dyads file missing required column {col!r}")
-    problems: list = []
-    text = dict(zip(header, _cells_by_column(rows, len(header), problems, exact=True)))
+    text = dict(zip(header, columns))
     ids = list(map(str.strip, text["id"]))
     n = len(ids)
 
@@ -227,13 +372,10 @@ def read_dyads(path) -> DyadTable:
 def write_measurements(path, series: Iterable[LongitudinalSeries]) -> None:
     """One row per observation, subject by subject, written column-wise."""
     series = list(series)
-    ids = chain.from_iterable(repeat(s.subject_id, s.times.size) for s in series)
-    times = chain.from_iterable(s.times.tolist() for s in series)
-    values = chain.from_iterable(s.values.tolist() for s in series)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "t_days", "weight_kg"])
-        writer.writerows(zip(ids, times, values))
+    ids = list(chain.from_iterable(repeat(s.subject_id, s.times.size) for s in series))
+    times = list(chain.from_iterable(s.times.tolist() for s in series))
+    values = list(chain.from_iterable(s.values.tolist() for s in series))
+    _write_columns(path, ["subject_id", "t_days", "weight_kg"], [ids, times, values])
 
 
 def read_measurements(path) -> list[LongitudinalSeries]:
@@ -245,14 +387,14 @@ def read_measurements(path) -> list[LongitudinalSeries]:
     ``LongitudinalSeries`` rejects (a non-positive weight) raises it
     naming its subject.
     """
-    header, rows = _read_rows(path)
+    problems: list = []
+    header, columns = _read_columns(path, problems, 3)
     if header is None or [c.strip() for c in header[:3]] != [
             "subject_id", "t_days", "weight_kg"]:
         raise SchemaError(
             "measurements file must start with header "
             "'subject_id,t_days,weight_kg'")
-    problems: list = []
-    sid, t_text, v_text = _cells_by_column(rows, 3, problems)
+    sid, t_text, v_text = columns
     times = _float_column(t_text, "t_days", problems)
     _non_finite(times, t_text, "t_days", problems)
     values = _float_column(v_text, "weight_kg", problems)
@@ -280,6 +422,25 @@ def read_measurements(path) -> list[LongitudinalSeries]:
     return out
 
 
+def write_scores(path, subject_ids: Sequence[str], scores: np.ndarray,
+                 gestation_days: Sequence[float], weekly_gain: Sequence[float]) -> None:
+    """``fpca score`` output: one row per subject with its K PACE scores
+    (row ``i`` of the n x K ``scores``), gestation length and weekly gain."""
+    scores = np.asarray(scores, dtype=np.float64)
+    _write_columns(path, ["subject_id", *(f"score_{k}" for k in range(scores.shape[1])),
+                          "gestation_days", "weekly_gain"],
+                   [subject_ids, *scores.T.tolist(), list(map(float, gestation_days)),
+                    list(map(float, weekly_gain))])
+
+
+def write_flags(path, subject_ids: Sequence[str], obs_index: Sequence[int],
+                t_days: Sequence[float], weight_kg: Sequence[float]) -> None:
+    """``fpca flag`` output: one row per flagged observation."""
+    _write_columns(path, ["subject_id", "obs_index", "t_days", "weight_kg"],
+                   [subject_ids, list(map(int, obs_index)), list(map(float, t_days)),
+                    list(map(float, weight_kg))])
+
+
 # ---------------------------------------------------------------------------
 # eigensystem.json
 
@@ -296,9 +457,7 @@ def write_eigensystem(path, system: EigenSystem) -> None:
         "zero_variation": bool(system.zero_variation),
         "em_steps": system.em_steps,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def read_eigensystem(path) -> EigenSystem:
@@ -310,8 +469,7 @@ def read_eigensystem(path) -> EigenSystem:
     a shape that does not fit raises SchemaError.  ``em_steps`` is optional
     (None when absent); when present it is a non-negative integer or null.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     arrays = {}
     for key in ("grid", "mean", "eigenvalues", "eigenfunctions", "fve", "noise_var"):
         if key not in payload:
@@ -381,14 +539,11 @@ def write_ledger(path, ledger: DesignLedger) -> None:
         "member_flag": ledger.member_flag,
         "strata": strata,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def read_ledger(path) -> DesignLedger:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     try:
         strata = {}
         for raw in payload["strata"]:
@@ -418,11 +573,8 @@ def read_ledger(path) -> DesignLedger:
 
 
 def write_influence(path, values: dict[str, float]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "influence"])
-        for rid in sorted(values):
-            writer.writerow([rid, _fmt(values[rid])])
+    ids = sorted(values)
+    _write_columns(path, ["id", "influence"], [ids, [_fmt(values[rid]) for rid in ids]])
 
 
 def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
@@ -431,11 +583,10 @@ def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
     A key that appears on two rows raises SchemaError naming both rows,
     and so does a non-finite value, naming its row.
     """
-    header, rows = _read_rows(path)
+    problems: list = []
+    header, (key_cells, value_cells) = _read_columns(path, problems, 2)
     if header is None or [c.strip() for c in header[:2]] != [key, column]:
         raise SchemaError(f"{path} must have header '{key},{column}'")
-    problems: list = []
-    key_cells, value_cells = _cells_by_column(rows, 2, problems)
     keys = list(map(str.strip, key_cells))
     _repeated_key(keys, key, problems)
     values = _float_column(value_cells, column, problems)
@@ -463,14 +614,11 @@ def write_allocation(path, draws: dict[str, int], *, wave: int, frame: str,
         "closed": sorted(closed),
         "flags": flags or {},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def read_allocation(path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if "draws" not in payload:
         raise SchemaError("allocation file missing key 'draws'")
     return payload
@@ -483,14 +631,11 @@ def write_draw(path, draw_by_stratum: dict[str, list[str]], *, wave: int,
         "by_stratum": {sid: list(ids) for sid, ids in sorted(draw_by_stratum.items())},
         "overlap_ids": sorted(overlap_ids),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def read_draw(path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if "by_stratum" not in payload:
         raise SchemaError("draw file missing key 'by_stratum'")
     return payload
@@ -499,35 +644,40 @@ def read_draw(path) -> dict:
 def write_combined_weights(path, ids: Sequence[str], frames: Sequence[str],
                            weights: Sequence[float]) -> None:
     """One row per combined-frame draw; the record id is its variance cluster."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "frame", "weight", "cluster"])
-        for rid, frame, weight in zip(ids, frames, weights):
-            writer.writerow([rid, frame, _fmt(weight), rid])
+    _write_columns(path, ["id", "frame", "weight", "cluster"],
+                   [ids, frames, list(map(_fmt, weights)), ids])
 
 
 def write_estimates(path, rows, terms: Sequence[str]) -> None:
     """rows: iterable of (estimator, beta vector, se vector)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "term", "beta", "se"])
-        for name, beta, se in rows:
-            for term, b, s in zip(terms, beta, se):
-                writer.writerow([name, term, _fmt(b), _fmt(s)])
+    cells = [(name, term, _fmt(b), _fmt(s)) for name, beta, se in rows
+             for term, b, s in zip(terms, beta, se)]
+    _write_columns(path, ["estimator", "term", "beta", "se"], list(zip(*cells)))
 
 
 def read_estimates(path) -> list[dict]:
-    header, rows = _read_rows(path)
+    problems: list = []
+    header, (names, terms, beta, se) = _read_columns(path, problems, 4)
     if header is None or [c.strip() for c in header[:4]] != [
             "estimator", "term", "beta", "se"]:
         raise SchemaError("estimates file must have header 'estimator,term,beta,se'")
-    problems: list = []
-    names, terms, beta, se = _cells_by_column(rows, 4, problems)
     beta = _float_column(beta, "beta", problems).tolist()
     se = _float_column(se, "se", problems).tolist()
     _raise_first(problems)
     return [{"estimator": n, "term": t, "beta": b, "se": s}
             for n, t, b, s in zip(names, terms, beta, se)]
+
+
+def write_estimate_table(path, names: Sequence[str],
+                         merged: dict[str, dict[str, tuple[float, float]]]) -> None:
+    """``report`` output: one row per term of ``merged`` (term -> estimator ->
+    (beta, se)), with a beta and an se column per estimator in ``names``
+    order; nan where an estimator has no row for the term."""
+    missing = (float("nan"), float("nan"))
+    cells = [[float(merged[term].get(n, missing)[c]) for term in merged]
+             for n in names for c in (0, 1)]
+    _write_columns(path, ["term", *(f"{n}_{c}" for n in names for c in ("beta", "se"))],
+                   [list(merged), *cells])
 
 
 def population_to_records(pop) -> DyadTable:
@@ -549,11 +699,8 @@ def write_truth(path, pop) -> None:
     columns = [pop.y.tolist(), pop.delta.astype(np.int64).tolist(), pop.x.tolist(),
                pop.gestation.tolist(), pop.asthma.astype(np.int64).tolist(),
                *(pop.z[:, j].tolist() for j in range(n_z))]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "y", "delta", "x", "gestation_days", "asthma"]
-                        + [f"z_{j}" for j in range(n_z)])
-        writer.writerows(zip(pop.ids(), *columns))
+    _write_columns(path, ["id", "y", "delta", "x", "gestation_days", "asthma"]
+                   + [f"z_{j}" for j in range(n_z)], [pop.ids(), *columns])
 
 
 def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -563,16 +710,16 @@ def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
     Ids are stripped of surrounding space, as in :func:`read_dyads`; a
     repeated id raises SchemaError naming both rows.
     """
-    header, rows = _read_rows(path)
-    if header is None or header[0] != "id":
+    problems: list = []
+    header, columns = _read_columns(path, problems)
+    if header is None or header[:1] != ["id"]:
         raise SchemaError("truth file must have an 'id' leading column")
     names = ["y", "delta", "x", "gestation_days", "asthma",
              *(c for c in header if c.startswith("z_"))]
     for name in names:
         if name not in header:
             raise SchemaError(f"truth file missing column {name!r}")
-    problems: list = []
-    text = dict(zip(header, _cells_by_column(rows, len(header), problems)))
+    text = dict(zip(header, columns))
     ids = list(map(str.strip, text["id"]))
     _repeated_key(ids, "id", problems)
     columns = {name: _float_column(text[name], name, problems) for name in names}
@@ -583,13 +730,9 @@ def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
 def write_report(path_csv, path_txt, report) -> None:
     """Experiment summary as CSV plus an aligned text table."""
     fields = ["mean_beta", "bias", "sd", "mean_se", "coverage", "n"]
-    with open(path_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["endpoint", "estimator"] + fields)
-        for key in sorted(report.estimators):
-            endpoint, name = key.split("/", 1)
-            row = report.estimators[key]
-            writer.writerow([endpoint, name] + [_fmt(row[f]) for f in fields])
+    cells = [(*key.split("/", 1), *(_fmt(report.estimators[key][f]) for f in fields))
+             for key in sorted(report.estimators)]
+    _write_columns(path_csv, ["endpoint", "estimator"] + fields, list(zip(*cells)))
     lines = [
         f"replicates: {report.replicates}   failures: {report.failures}   "
         + "   ".join(f"true beta ({ep}): {b:g}"
@@ -605,4 +748,4 @@ def write_report(path_csv, path_txt, report) -> None:
             f"{row['sd']:8.4f} {row['mean_se']:8.4f} {row['coverage']:6.3f}")
     lines += [f"failures ({cls}): {reason['count']}; first: {reason['first']}"
               for cls, reason in sorted(report.failure_reasons.items())]
-    Path(path_txt).write_text("\n".join(lines) + "\n")
+    Path(path_txt).write_text("\n".join(lines) + "\n", encoding="utf-8")

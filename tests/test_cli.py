@@ -69,6 +69,23 @@ class TestDesignCli:
         err = capsys.readouterr().err
         assert "error: parse:" in err and "row 3" in err
 
+    @pytest.mark.parametrize("dyads, strata, culprit", [
+        (b"id,y_star,delta_star,x_star\nr1,2.0,0,0.3\nr\xff2,2.0,1,0.2\n",
+         b'[{"id": "all", "bounds": {}}]', "dyads.csv is not UTF-8 text"),
+        (b"id,y_star,delta_star,x_star\nr1,2.0,0,0.3\n",
+         b'[{"id": "all", "bounds": {', "strata.json is not valid JSON"),
+    ])
+    def test_undecodable_or_truncated_input_gives_parse_exit(self, tmp_path, capsys,
+                                                             dyads, strata, culprit):
+        # Both used to end in a UnicodeDecodeError or JSONDecodeError traceback.
+        (tmp_path / "dyads.csv").write_bytes(dyads)
+        (tmp_path / "strata.json").write_bytes(strata)
+        code = run(["design", "init", "--frame", "obesity", "--dyads", tmp_path / "dyads.csv",
+                    "--strata", tmp_path / "strata.json", "--out", tmp_path / "ledger.json"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and culprit in err
+
     def test_allocation_budget_identity(self, sim_dir, tmp_path):
         xs = np.sort(fileio.read_dyads(sim_dir / "dyads.csv").columns["x_star"])
         cut = float(xs[len(xs) // 2])
