@@ -2,15 +2,18 @@
 
 Neyman allocation targets stratum draws proportional to ``N_s * sigma_s``
 where ``sigma_s`` is the within-stratum standard deviation of the
-influence function for the target coefficient.  Later waves allocate the
-cumulative budget, close strata that are already over their optimum, and
-integerize with an exact priority algorithm that minimizes
-``sum_s N_s^2 sigma_s^2 / n_s`` for the fixed sample size.
+influence function for the target coefficient.  One rule allocates every
+wave, the first included: :func:`multiwave` allocates the cumulative
+budget net of the records already sampled, closes strata that are
+already over their share, and integerizes with :func:`exact_allocation`,
+an exact priority algorithm that minimizes ``sum_s N_s^2 sigma_s^2 /
+n_s`` for the fixed sample size.  A first wave is the case where nothing
+is sampled yet.
 
 One wave of the multi-wave design is three array functions, shared by the
 experiment harness (``simulate.run_design``) and the CLI (``design
 allocate`` / ``design draw``): :func:`influence_sd` (per-stratum SDs),
-:func:`allocate_wave` (the wave rule) and :func:`draw_within_strata` (the
+:func:`multiwave` (the wave rule) and :func:`draw_within_strata` (the
 draw).  :func:`stratum_sd` and :func:`draw_sample` run the first and the
 last over a ledger's leaves and the rows of a ``records.DyadTable``, as
 ``design allocate`` and ``design draw`` need them.
@@ -30,11 +33,9 @@ from twophase.records import DesignLedger, DyadTable, leaf_index
 
 __all__ = [
     "StratumStats",
-    "neyman",
     "exact_allocation",
     "multiwave",
     "MultiwaveResult",
-    "allocate_wave",
     "influence_sd",
     "stratum_sd",
     "allocation_variance",
@@ -62,29 +63,6 @@ class StratumStats:
                 f"stratum {self.id}: already_sampled must lie in [0, N_s]")
 
 
-def neyman(stats: Sequence[StratumStats], n: int, *,
-           proportional_fallback: bool = False) -> dict[str, float]:
-    """Fractional Neyman allocation of ``n`` draws.
-
-    Allocates proportional to ``N_s * sd_s``; strata with zero spread get
-    zero.  If every stratum has zero spread, raises DegenerateDesignError
-    unless ``proportional_fallback`` switches to size-proportional shares.
-    """
-    if n < 1:
-        raise ValueError("target sample size must be at least 1")
-    weights = np.array([s.population_size * s.sd for s in stats], dtype=np.float64)
-    if weights.sum() <= 0:
-        if not proportional_fallback:
-            raise DegenerateDesignError(
-                "all strata have zero influence spread; pass "
-                "proportional_fallback=True to allocate by size")
-        weights = np.array([s.population_size for s in stats], dtype=np.float64)
-        if weights.sum() <= 0:
-            raise DegenerateDesignError("no population to allocate over")
-    shares = n * weights / weights.sum()
-    return {s.id: float(a) for s, a in zip(stats, shares)}
-
-
 def allocation_variance(stats: Sequence[StratumStats],
                         allocation: Mapping[str, int]) -> float:
     """Design-variance objective ``sum_s (N_s * sd_s)^2 / n_s``.
@@ -105,27 +83,30 @@ def allocation_variance(stats: Sequence[StratumStats],
     return math.fsum(terms)
 
 
-def _wright(stats: Sequence[StratumStats], total: int, floors: Sequence[int],
-            caps: Sequence[int]) -> dict[str, int]:
-    """Exact integer allocation by highest marginal variance reduction.
+def exact_allocation(stats: Sequence[StratumStats], n: int,
+                     min_per_stratum: int = 1) -> dict[str, int]:
+    """The wave rule's integer stage: cumulative totals summing exactly to ``n``.
 
-    Awards units one at a time to the stratum with the largest
-    ``N_s sd_s / sqrt(m (m+1))`` priority; ties break on larger
-    ``N_s sd_s``, then smaller stratum id.  Minimizes
-    ``sum (N_s sd_s)^2 / m_s`` subject to the floors/caps because the
-    objective is separable and convex in each ``m_s``.
+    Each stratum holds at least ``max(already_s, min(min_per_stratum,
+    N_s))`` and at most ``N_s``.  The rest of ``n`` goes one unit at a
+    time to the stratum with the largest ``N_s sd_s / sqrt(m (m+1))``
+    priority, ``m`` its total so far; ties break on larger ``N_s sd_s``,
+    then smaller stratum id.  The objective is separable and convex in
+    each ``m_s``, so the result minimizes ``sum_s (N_s sd_s)^2 / m_s``
+    within those bounds.  Units left once every stratum with spread is
+    full fill the zero-spread strata with room, in list order.  With
+    nothing sampled yet the totals are the wave's draws.
     """
-    floors = [int(f) for f in floors]
-    caps = [int(c) for c in caps]
-    if any(f > c for f, c in zip(floors, caps)):
-        raise InfeasibleError("a stratum floor exceeds its capacity")
+    floors = [max(s.already_sampled, min(min_per_stratum, s.population_size))
+              for s in stats]
+    caps = [s.population_size for s in stats]
     base = sum(floors)
-    if total < base:
+    if n < base:
         raise InfeasibleError(
-            f"target {total} is below the {base} draws required by stratum floors")
-    if total > sum(caps):
+            f"target {n} is below the {base} draws required by stratum floors")
+    if n > sum(caps):
         raise InfeasibleError(
-            f"target {total} exceeds the remaining population {sum(caps)}")
+            f"target {n} exceeds the population {sum(caps)} of the strata")
     alloc = list(floors)
     heap = []
     for j, s in enumerate(stats):
@@ -135,7 +116,7 @@ def _wright(stats: Sequence[StratumStats], total: int, floors: Sequence[int],
         m = alloc[j]
         pri = math.inf if m == 0 else nsigma / math.sqrt(m * (m + 1))
         heapq.heappush(heap, (-pri, -nsigma, s.id, j))
-    remaining = total - base
+    remaining = n - base
     while remaining > 0 and heap:
         _, neg_nsigma, _, j = heapq.heappop(heap)
         alloc[j] += 1
@@ -144,48 +125,20 @@ def _wright(stats: Sequence[StratumStats], total: int, floors: Sequence[int],
             nsigma = -neg_nsigma
             pri = nsigma / math.sqrt(alloc[j] * (alloc[j] + 1))
             heapq.heappush(heap, (-pri, neg_nsigma, stats[j].id, j))
-    if remaining > 0:
-        # Only zero-spread strata have room left; spread the residue there.
-        for j, s in enumerate(stats):
-            room = caps[j] - alloc[j]
-            if room > 0:
-                take = min(room, remaining)
-                alloc[j] += take
-                remaining -= take
-                if remaining == 0:
-                    break
-    if remaining > 0:
-        raise InfeasibleError("allocation could not place the full budget")
+    for j in range(len(stats)):
+        take = min(caps[j] - alloc[j], remaining)
+        alloc[j] += take
+        remaining -= take
     return {s.id: alloc[j] for j, s in enumerate(stats)}
-
-
-def exact_allocation(stats: Sequence[StratumStats], n: int,
-                     min_per_stratum: int = 1) -> dict[str, int]:
-    """Integer allocation summing exactly to ``n``.
-
-    Every stratum starts at ``min_per_stratum`` (capped by its remaining
-    population); the rest is awarded by the exact priority rule.  The
-    result minimizes ``sum_s (N_s sd_s)^2 / n_s`` over integer allocations
-    at this size.
-    """
-    caps = [s.population_size - s.already_sampled for s in stats]
-    floors = [min(min_per_stratum, c) for c in caps]
-    return _wright(stats, n, floors, caps)
 
 
 @dataclass
 class MultiwaveResult:
-    """Wave allocation with the strata closed or capped along the way.
-
-    ``first_wave`` marks an allocation made by :func:`exact_allocation`
-    for a first wave, which closes and spills nothing itself.
-    """
+    """One wave's draws, with the strata closed and those spilled into."""
 
     draws: dict[str, int]
     closed: set[str] = field(default_factory=set)
-    fractional: dict[str, float] = field(default_factory=dict)
     spilled: set[str] = field(default_factory=set)
-    first_wave: bool = False
 
     @property
     def total(self) -> int:
@@ -195,16 +148,34 @@ class MultiwaveResult:
 def multiwave(stats: Sequence[StratumStats], cumulative_target: int, *,
               min_per_stratum: int = 1,
               pre_closed: set[str] | frozenset[str] = frozenset()) -> MultiwaveResult:
-    """Wave-k integer allocation for a cumulative budget.
+    """The wave rule: Neyman allocation of a cumulative budget, net of the
+    records already sampled.
 
-    Computes the corrected Neyman allocation
-    ``target * N_s sd_s / sum N_s sd_s - already_s`` over open strata;
-    any stratum whose correction is negative is closed (draw 0) and the
-    allocation is recomputed for the remaining budget until all open
-    allocations are nonnegative.  Open draws are integerized exactly and
-    capped by the remaining stratum populations; overflow spills to
-    closed strata with room only when the open strata cannot absorb the
-    budget.
+    Every wave runs it, the first included: with nothing sampled yet it
+    is :func:`exact_allocation` of ``cumulative_target`` over the strata
+    not in ``pre_closed``.  The wave's budget is ``cumulative_target``
+    less the records already sampled.
+
+    1. Closing.  Strata in ``pre_closed`` (closed by the user) and strata
+       with no members left are closed.  Over the open ones, stratum
+       ``s`` has the share ``T * N_s sd_s / sum N sd - already_s``, with
+       ``T`` the cumulative target less the closed strata's records.  A
+       stratum with a negative share is closed and the shares are
+       recomputed until none is negative.
+    2. Spill.  When the open strata's remaining members cannot supply
+       the budget, the strata closed for a negative share that still
+       have members join them (``spilled``).  In the integer stage they
+       compete by priority exactly as the open strata do: they are not
+       limited to the overflow the open strata cannot absorb, and may
+       take more while open strata keep members.  Strata in
+       ``pre_closed`` never receive draws.
+    3. Integer stage: :func:`exact_allocation` of the cumulative total
+       over the drawing strata; each draws its total less ``already_s``.
+
+    Raises InfeasibleError when the target is below the records already
+    sampled or when the strata not in ``pre_closed`` cannot supply the
+    budget, and DegenerateDesignError when the budget is positive and
+    every drawing stratum has zero spread.
     """
     by_id = {s.id: s for s in stats}
     if len(by_id) != len(stats):
@@ -216,87 +187,43 @@ def multiwave(stats: Sequence[StratumStats], cumulative_target: int, *,
             f"cumulative target {cumulative_target} is below the "
             f"{total_already} records already sampled")
     capacity = {s.id: s.population_size - s.already_sampled for s in stats}
-    if budget > sum(capacity.values()):
+    room = sum(c for sid, c in capacity.items() if sid not in pre_closed)
+    if budget > room:
         raise InfeasibleError(
-            f"remaining population {sum(capacity.values())} cannot supply "
-            f"a budget of {budget}")
+            f"remaining population {room} of the strata not closed by the user "
+            f"cannot supply a budget of {budget}")
 
-    closed = {sid for sid in pre_closed}
-    closed |= {s.id for s in stats if capacity[s.id] == 0}
-    open_ids = [s.id for s in stats if s.id not in closed]
-
-    fractional: dict[str, float] = {}
-    for _ in range(len(stats) + 1):
-        open_stats = [by_id[sid] for sid in open_ids]
-        if not open_stats:
+    closed = set(pre_closed) | {sid for sid, c in capacity.items() if c == 0}
+    open_stats = [s for s in stats if s.id not in closed]
+    while open_stats:
+        weights = np.array([s.population_size * s.sd for s in open_stats])
+        if weights.sum() <= 0:
             break
         open_target = cumulative_target - sum(by_id[sid].already_sampled
                                               for sid in closed)
-        weights = np.array([s.population_size * s.sd for s in open_stats])
-        if weights.sum() <= 0:
-            # Degenerate spread: keep every remaining stratum open and let
-            # the integer stage fall back to size-proportional priorities.
-            fractional = {s.id: math.nan for s in open_stats}
-            break
         shares = open_target * weights / weights.sum()
-        fractional = {
-            s.id: float(share) - s.already_sampled
-            for s, share in zip(open_stats, shares)
-        }
-        negative = [sid for sid, v in fractional.items() if v < 0]
-        if not negative:
+        over = {s.id for s, share in zip(open_stats, shares)
+                if float(share) - s.already_sampled < 0}
+        if not over:
             break
-        closed.update(negative)
-        open_ids = [sid for sid in open_ids if sid not in negative]
+        closed |= over
+        open_stats = [s for s in open_stats if s.id not in over]
 
     draws = {s.id: 0 for s in stats}
     if budget == 0:
-        return MultiwaveResult(draws=draws, closed=closed, fractional=fractional)
-
-    open_stats = [by_id[sid] for sid in open_ids]
-    open_capacity = sum(capacity[sid] for sid in open_ids)
+        return MultiwaveResult(draws=draws, closed=closed)
     spilled: set[str] = set()
-    if open_capacity < budget:
-        # The open strata cannot absorb the whole wave; closed strata with
-        # remaining members take the overflow.
-        spill_ids = sorted(sid for sid in closed if capacity[sid] > 0)
-        spilled = set(spill_ids)
-        open_stats = open_stats + [by_id[sid] for sid in spill_ids]
-
+    if sum(capacity[s.id] for s in open_stats) < budget:
+        spilled = {sid for sid in closed - pre_closed if capacity[sid] > 0}
+        open_stats = open_stats + [by_id[sid] for sid in sorted(spilled)]
     if all(s.sd == 0 for s in open_stats):
-        # Pure size-proportional emergency path.
-        open_stats = [StratumStats(s.id, s.population_size, 1.0, s.already_sampled)
-                      for s in open_stats]
-
-    floors = [max(s.already_sampled, min(min_per_stratum,
-                                         s.population_size))
-              for s in open_stats]
-    floors = [min(f, s.population_size) for f, s in zip(floors, open_stats)]
-    caps = [s.population_size for s in open_stats]
+        raise DegenerateDesignError(
+            "every stratum this wave can draw from has zero influence spread; "
+            "Neyman allocation is undefined")
     target = budget + sum(s.already_sampled for s in open_stats)
-    cumulative = _wright(open_stats, target, floors, caps)
-    for s in open_stats:
-        draws[s.id] = cumulative[s.id] - s.already_sampled
-    return MultiwaveResult(draws=draws, closed=closed, fractional=fractional,
-                           spilled=spilled)
-
-
-def allocate_wave(stats: Sequence[StratumStats], target: int, wave: int, *,
-                  min_per_stratum: int = 1,
-                  pre_closed: set[str] | frozenset[str] = frozenset()) -> MultiwaveResult:
-    """The wave rule: exact allocation for a fresh first wave, multiwave after.
-
-    Wave 1 with nothing sampled yet gets ``exact_allocation`` of
-    ``target`` over the strata not in ``pre_closed``; those get 0 draws.
-    Every other wave gets :func:`multiwave` for the cumulative ``target``.
-    """
-    if wave == 1 and all(s.already_sampled == 0 for s in stats):
-        draws = {s.id: 0 for s in stats}
-        draws.update(exact_allocation([s for s in stats if s.id not in pre_closed],
-                                      target, min_per_stratum=min_per_stratum))
-        return MultiwaveResult(draws=draws, closed=set(pre_closed), first_wave=True)
-    return multiwave(stats, target, min_per_stratum=min_per_stratum,
-                     pre_closed=pre_closed)
+    for sid, total in exact_allocation(open_stats, target, min_per_stratum).items():
+        draws[sid] = total - by_id[sid].already_sampled
+    return MultiwaveResult(draws=draws, closed=closed, spilled=spilled)
 
 
 def influence_sd(h: np.ndarray, assignment: np.ndarray, ids: Sequence[str],

@@ -9,12 +9,14 @@ stderr line ``error: <class>: <message>``.
 The commands are file I/O around the design core the experiment harness
 also runs.  ``dyads.csv`` is read into a ``records.DyadTable`` (ids plus
 numpy columns) and written back from one.  ``design allocate`` maps the
-influence file onto the table's rows once and hands both to
-``allocation.stratum_sd``; ``design draw`` calls ``allocation.draw_sample``
-on the table.  ``simulate reveal`` writes the drawn rows' truth into the
-table's columns, and ``estimate`` fits the harness's weighted-estimation
-core, ``multiframe.weighted_sample`` and ``raking.weighted_fit``, on the
-ledgers' ``records.frame_arrays`` and the table's columns.
+influence file onto the table's rows once, hands both to
+``allocation.stratum_sd`` and allocates with ``allocation.multiwave``, the
+one wave rule for every wave, the first included; ``design draw`` calls
+``allocation.draw_sample`` on the table.  ``simulate reveal`` writes the
+drawn rows' truth into the table's columns, and ``estimate`` fits the
+harness's weighted-estimation core, ``multiframe.weighted_sample`` and
+``raking.weighted_fit``, on the ledgers' ``records.frame_arrays`` and the
+table's columns.
 """
 
 from __future__ import annotations
@@ -88,13 +90,24 @@ def _sim_config_from_json(path) -> simulate.SimConfig:
     if path is None:
         return simulate.SimConfig()
     raw = fileio.read_json(path)
-    traj = simulate.TrajectoryModel(**raw.pop("trajectory", {}))
-    err = simulate.ErrorModel(**raw.pop("error", {}))
-    known = {f.name for f in dataclasses.fields(simulate.SimConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise SchemaError(f"unknown simulation config keys: {sorted(unknown)}")
-    return simulate.SimConfig(trajectory=traj, error=err, **raw)
+
+    def build(klass, values, where):
+        if not isinstance(values, dict):
+            raise SchemaError(f"{path}: {where} must be a JSON object")
+        unknown = set(values) - {f.name for f in dataclasses.fields(klass)}
+        if unknown:
+            raise SchemaError(f"{path}: unknown {where} keys: {sorted(unknown)}")
+        try:
+            return klass(**values)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: {where}: {exc}") from None
+
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: simulation config must be a JSON object")
+    sections = {key: build(klass, raw[key], f"{key!r} section")
+                for key, klass in (("trajectory", simulate.TrajectoryModel),
+                                   ("error", simulate.ErrorModel)) if key in raw}
+    return build(simulate.SimConfig, {**raw, **sections}, "simulation config")
 
 
 def cmd_simulate_generate(args) -> int:
@@ -216,12 +229,11 @@ def cmd_design_allocate(args) -> int:
     values = fileio.read_influence(args.influence)
     h = np.array([values.get(rid, np.nan) for rid in table.ids], dtype=np.float64)
     stats = allocation.stratum_sd(table, ledger, h)
-    result = allocation.allocate_wave(
-        stats, args.target, args.wave, min_per_stratum=args.min_per_stratum,
+    result = allocation.multiwave(
+        stats, args.target, min_per_stratum=args.min_per_stratum,
         pre_closed={s.id for s in ledger.leaves() if s.closed})
-    flags = {} if result.first_wave else {"spilled": sorted(result.spilled)}
-    flags["sd_sources"] = {s.id: s.sd_source for s in stats
-                           if s.sd_source != "stratum"}
+    flags = {"spilled": sorted(result.spilled),
+             "sd_sources": {s.id: s.sd_source for s in stats if s.sd_source != "stratum"}}
     fileio.write_allocation(args.out, result.draws, wave=args.wave, frame=ledger.frame,
                             closed=result.closed, flags=flags)
     return 0
@@ -250,6 +262,12 @@ def cmd_design_draw(args) -> int:
     table = fileio.read_dyads(args.dyads)
     alloc = fileio.read_allocation(args.allocation)
     wave = args.wave if args.wave is not None else ledger.wave_count + 1
+    if alloc["frame"] != ledger.frame:
+        raise LedgerError(f"allocation {args.allocation} is for frame {alloc['frame']!r}, "
+                          f"not the ledger's frame {ledger.frame!r}")
+    if alloc["wave"] != wave:
+        raise LedgerError(f"allocation {args.allocation} is for wave {alloc['wave']}, "
+                          f"not wave {wave} being drawn")
     result = allocation.draw_sample(table, ledger, alloc["draws"],
                                     seed=args.seed, wave=wave)
     fileio.write_draw(args.out, result.by_stratum, wave=wave,

@@ -22,7 +22,8 @@ class InfeasibleError(TwophaseError):
 
 
 class DegenerateDesignError(TwophaseError):
-    """All strata have zero influence spread; Neyman allocation is undefined."""
+    """Every stratum a wave can draw from has zero influence spread, so
+    Neyman allocation is undefined (raised by ``allocation.multiwave``)."""
 
 
 class ConvergenceError(TwophaseError):

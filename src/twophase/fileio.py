@@ -76,6 +76,70 @@ def read_json(path):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_bound(value) -> bool:
+    return value is None or type(value) in (int, float)
+
+
+# Shapes a JSON value is checked against, by the name an error gives them.
+_SHAPES = {
+    "an object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": lambda v: type(v) is int,
+    "a non-negative integer": _is_count,
+    "a list of strings": _is_strings,
+    "a list of non-negative integers":
+        lambda v: isinstance(v, list) and all(map(_is_count, v)),
+    "a list of string lists": lambda v: isinstance(v, list) and all(map(_is_strings, v)),
+    "a list of objects":
+        lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    "an object of non-negative integers":
+        lambda v: isinstance(v, dict) and all(map(_is_count, v.values())),
+    "an object of string lists":
+        lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
+    "an object of [lo, hi] pairs": lambda v: isinstance(v, dict) and all(
+        isinstance(b, list) and len(b) == 2 and all(map(_is_bound, b))
+        for b in v.values()),
+}
+_REQUIRED = object()
+
+
+def _json_object(path, kind: str) -> dict:
+    """The payload of a JSON file that must hold an object."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: {kind} file must hold a JSON object")
+    return payload
+
+
+def _field(path, obj: dict, key: str, shape: str, default=_REQUIRED, where: str = ""):
+    """``obj[key]`` when it has ``shape``, a name in ``_SHAPES``.
+
+    A missing key gives ``default``.  A missing key without one, or a
+    value of another shape, raises SchemaError naming the file and the
+    key; ``where`` says whose key it is.
+    """
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaError(f"{path}: missing key {key!r}{where}")
+        return default
+    value = obj[key]
+    if not _SHAPES[shape](value):
+        shown = json.dumps(value)
+        shown = shown if len(shown) <= 60 else shown[:57] + "..."
+        raise SchemaError(f"{path}: key {key!r}{where} must be {shape}, got {shown}")
+    return value
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -542,30 +606,34 @@ def write_ledger(path, ledger: DesignLedger) -> None:
     _write_json(path, payload)
 
 
+def _read_stratum(path, raw: dict, where: str) -> Stratum:
+    def get(key, shape, default=_REQUIRED):
+        return _field(path, raw, key, shape, default, where)
+
+    bounds = {axis: (NEG_INF if lo is None else float(lo),
+                     POS_INF if hi is None else float(hi))
+              for axis, (lo, hi) in get("bounds", "an object of [lo, hi] pairs").items()}
+    return Stratum(
+        id=get("id", "a string"), frame=get("frame", "a string"), bounds=bounds,
+        parent=get("parent", "a string or null", None),
+        population_size=get("population_size", "a non-negative integer"),
+        sampled_per_wave=list(get("sampled_per_wave", "a list of non-negative integers")),
+        closed=get("closed", "a boolean", False),
+        drawn=[list(ids) for ids in get("drawn", "a list of string lists", [])],
+        inherited_ids=list(get("inherited_ids", "a list of strings", [])),
+    )
+
+
 def read_ledger(path) -> DesignLedger:
-    payload = read_json(path)
-    try:
-        strata = {}
-        for raw in payload["strata"]:
-            bounds = {}
-            for axis, (lo, hi) in raw["bounds"].items():
-                bounds[axis] = (NEG_INF if lo is None else float(lo),
-                                POS_INF if hi is None else float(hi))
-            strata[raw["id"]] = Stratum(
-                id=raw["id"], frame=raw["frame"], bounds=bounds,
-                parent=raw.get("parent"),
-                population_size=int(raw["population_size"]),
-                sampled_per_wave=[int(v) for v in raw["sampled_per_wave"]],
-                closed=bool(raw.get("closed", False)),
-                drawn=[list(ids) for ids in raw.get("drawn", [])],
-                inherited_ids=list(raw.get("inherited_ids", [])),
-            )
-        return DesignLedger(frame=payload["frame"], strata=strata,
-                            wave_count=int(payload["wave_count"]),
-                            rng_seed=int(payload["rng_seed"]),
-                            member_flag=payload.get("member_flag"))
-    except KeyError as exc:
-        raise SchemaError(f"ledger file missing key {exc}") from None
+    payload = _json_object(path, "ledger")
+    strata = [_read_stratum(path, raw, f" of strata[{i}]")
+              for i, raw in enumerate(_field(path, payload, "strata", "a list of objects"))]
+    return DesignLedger(
+        frame=_field(path, payload, "frame", "a string"),
+        strata={s.id: s for s in strata},
+        wave_count=_field(path, payload, "wave_count", "a non-negative integer"),
+        rng_seed=_field(path, payload, "rng_seed", "an integer"),
+        member_flag=_field(path, payload, "member_flag", "a string or null", None))
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +686,12 @@ def write_allocation(path, draws: dict[str, int], *, wave: int, frame: str,
 
 
 def read_allocation(path) -> dict:
-    payload = read_json(path)
-    if "draws" not in payload:
-        raise SchemaError("allocation file missing key 'draws'")
+    """The allocation payload: ``frame``, ``wave`` and per-leaf ``draws``,
+    each draw a non-negative integer."""
+    payload = _json_object(path, "allocation")
+    _field(path, payload, "frame", "a string")
+    _field(path, payload, "wave", "a non-negative integer")
+    _field(path, payload, "draws", "an object of non-negative integers")
     return payload
 
 
@@ -635,9 +706,12 @@ def write_draw(path, draw_by_stratum: dict[str, list[str]], *, wave: int,
 
 
 def read_draw(path) -> dict:
-    payload = read_json(path)
-    if "by_stratum" not in payload:
-        raise SchemaError("draw file missing key 'by_stratum'")
+    """The draw payload: ``wave``, the record ids drawn ``by_stratum`` and
+    the optional ``overlap_ids``."""
+    payload = _json_object(path, "draw")
+    _field(path, payload, "wave", "a non-negative integer")
+    _field(path, payload, "by_stratum", "an object of string lists")
+    _field(path, payload, "overlap_ids", "a list of strings", [])
     return payload
 
 

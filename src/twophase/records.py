@@ -206,12 +206,14 @@ def build_ledger(frame: str, leaf_specs: Sequence[Mapping], table: DyadTable,
     return ledger
 
 
-def assign_strata_arrays(values: Mapping[str, np.ndarray],
-                         leaves: Sequence[Stratum]) -> np.ndarray:
+def assign_strata_arrays(values: Mapping[str, np.ndarray], leaves: Sequence[Stratum],
+                         ids: Sequence[str] | None = None) -> np.ndarray:
     """Vectorized leaf assignment.
 
     Returns the leaf index (into ``leaves``) per record.  Raises
-    PartitionError if any record matches zero or multiple leaves.
+    PartitionError if any record matches zero or multiple leaves, naming
+    the first such record by its entry in ``ids`` (aligned with the
+    values) or, without ``ids``, by its index.
     """
     n = len(next(iter(values.values())))
     match_count = np.zeros(n, dtype=np.intp)
@@ -227,8 +229,9 @@ def assign_strata_arrays(values: Mapping[str, np.ndarray],
         bad = int(np.flatnonzero(match_count != 1)[0])
         hits = [leaf.id for j, leaf in enumerate(leaves)
                 if all(lo < values[a][bad] <= hi for a, (lo, hi) in leaf.bounds.items())]
+        record = f"record index {bad}" if ids is None else f"record {ids[bad]!r}"
         raise PartitionError(
-            f"record index {bad} matches {match_count[bad]} leaves {hits}; "
+            f"{record} matches {match_count[bad]} leaves {hits}; "
             "leaf bounds must partition the variable space"
         )
     return assignment
@@ -246,17 +249,8 @@ def leaf_index(table: DyadTable,
     leaves = ledger.leaves()
     if not rows.size:
         return rows, leaves, np.empty(0, dtype=np.intp)
-    try:
-        idx = assign_strata_arrays({axis: table.columns[axis][rows] for axis in AXES},
-                                   leaves)
-    except PartitionError as exc:
-        # Re-raise with the record id for easier debugging.
-        msg = str(exc)
-        if msg.startswith("record index "):
-            bad = int(msg.split()[2])
-            raise PartitionError(msg.replace(f"record index {bad}",
-                                             f"record {table.ids[rows[bad]]!r}")) from None
-        raise
+    idx = assign_strata_arrays({axis: table.columns[axis][rows] for axis in AXES}, leaves,
+                               ids=[table.ids[r] for r in rows.tolist()])
     return rows, leaves, idx
 
 

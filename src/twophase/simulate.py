@@ -10,10 +10,11 @@ error-prone phase-1 columns.
 
 The experiment harness (:func:`run_design`, :func:`estimate_obesity`,
 :func:`estimate_asthma`) is array I/O around the same design core the
-CLI uses: ``allocation.influence_sd`` / ``allocate_wave`` /
-``draw_within_strata`` for each wave, ``records.inclusion_probabilities``
-for pi, and ``multiframe.weighted_sample`` / ``raking.weighted_fit`` for
-the IPW and raking fits.  Both endpoints run one estimation routine,
+CLI uses: ``allocation.influence_sd`` / ``multiwave`` (the one wave
+rule, the first wave included) / ``draw_within_strata`` for each wave,
+``records.inclusion_probabilities`` for pi, and
+``multiframe.weighted_sample`` / ``raking.weighted_fit`` for the IPW and
+raking fits.  Both endpoints run one estimation routine,
 ``_estimate``, which differs per endpoint only in the model kind, the
 reported coefficient, the array builder (``_obesity_arrays``,
 ``_asthma_arrays``), the analysis frame and the MI influence.  Its
@@ -32,10 +33,10 @@ import numpy as np
 from twophase import imputation, models, multiframe, raking
 from twophase.allocation import (
     StratumStats,
-    allocate_wave,
     allocation_variance,
     draw_within_strata,
     influence_sd,
+    multiwave,
 )
 from twophase.errors import ConvergenceError, InfeasibleError
 from twophase.fpca import FULL_TERM_DAYS, TIME_DOMAIN, EigenSystem, LongitudinalSeries
@@ -546,7 +547,7 @@ def _run_waves(strata, assignment, member_index, budgets, spec, rng, validated,
 
     Each wave asks ``influence(wave, sampled, counts)`` for the member
     rows' influence, the rows whose values count and the SD shrinkage,
-    then allocates the cumulative budget and draws.  Stratum ids are the
+    then allocates the cumulative budget with ``multiwave`` and draws.  Stratum ids are the
     stratum indices as strings.  Drawn records are marked in the
     population-length ``validated`` as they are drawn.
     """
@@ -561,8 +562,7 @@ def _run_waves(strata, assignment, member_index, budgets, spec, rng, validated,
         h, rows, shrink = influence(wave, sampled, counts)
         stats = influence_sd(h, assignment, ids, sizes, counts, validated=rows,
                              shrink=shrink)
-        draws = allocate_wave(stats, cumulative, wave,
-                              min_per_stratum=spec.min_per_stratum).draws
+        draws = multiwave(stats, cumulative, min_per_stratum=spec.min_per_stratum).draws
         chosen = draw_within_strata(rng, assignment, ids, draws, ~sampled)
         idx = np.concatenate(chosen)
         sampled[idx] = True

@@ -17,46 +17,44 @@ def stats(*triples):
 
 
 class TestNeyman:
+    """Neyman allocation as the wave rule gives it on fresh designs."""
+
     def test_symmetric_split(self):
-        out = al.neyman(stats((100, 1.0, 0), (100, 1.0, 0)), 50)
-        assert out == {"1": 25.0, "2": 25.0}
+        out = al.multiwave(stats((100, 1.0, 0), (100, 1.0, 0)), 50).draws
+        assert out == {"1": 25, "2": 25}
 
     def test_scale_invariance(self):
         base = stats((190, 2.0, 0), (1904, 0.5, 0), (177, 1.5, 0))
-        a1 = al.neyman(base, 100)
         scaled = stats((190, 14.0, 0), (1904, 3.5, 0), (177, 10.5, 0))
-        a2 = al.neyman(scaled, 100)
-        for k in a1:
-            assert a1[k] == pytest.approx(a2[k], abs=1e-12)
+        assert al.multiwave(base, 100).draws == al.multiwave(scaled, 100).draws
 
     def test_matches_direct_formula(self):
-        base = stats((190, 2.0, 0), (1904, 0.5, 0), (177, 1.5, 0))
-        out = al.neyman(base, 100)
+        # The integer draws lie within one of the continuous Neyman shares.
+        out = al.multiwave(stats((190, 2.0, 0), (1904, 0.5, 0), (177, 1.5, 0)), 100).draws
         weights = [190 * 2.0, 1904 * 0.5, 177 * 1.5]
         total = sum(weights)
         for k, w in zip(("1", "2", "3"), weights):
-            assert out[k] == pytest.approx(100 * w / total, rel=1e-15)
-        assert sum(out.values()) == pytest.approx(100)
+            assert abs(out[k] - 100 * w / total) < 1
+        assert sum(out.values()) == 100
 
     def test_zero_sd_gets_zero(self):
-        out = al.neyman(stats((50, 0.0, 0), (50, 1.0, 0)), 10)
-        assert out["1"] == 0.0 and out["2"] == 10.0
+        out = al.multiwave(stats((50, 0.0, 0), (50, 1.0, 0)), 10, min_per_stratum=0).draws
+        assert out == {"1": 0, "2": 10}
 
-    def test_all_zero_raises_unless_fallback(self):
+    def test_all_zero_raises(self):
         with pytest.raises(DegenerateDesignError):
-            al.neyman(stats((50, 0.0, 0), (150, 0.0, 0)), 10)
-        out = al.neyman(stats((50, 0.0, 0), (150, 0.0, 0)), 10,
-                        proportional_fallback=True)
-        assert out == {"1": 2.5, "2": 7.5}
+            al.multiwave(stats((50, 0.0, 0), (150, 0.0, 0)), 10)
+        with pytest.raises(DegenerateDesignError):
+            al.multiwave(stats((50, 0.0, 5), (150, 0.0, 5)), 30)
+        # A zero budget allocates nothing and so needs no spread.
+        assert al.multiwave(stats((50, 0.0, 5), (150, 0.0, 5)), 10).total == 0
 
     @given(st.floats(0.1, 40.0))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance_property(self, c):
         base = stats((190, 2.0, 0), (1904, 0.5, 0), (177, 1.5, 0))
         scaled = stats((190, 2.0 * c, 0), (1904, 0.5 * c, 0), (177, 1.5 * c, 0))
-        a1, a2 = al.neyman(base, 77), al.neyman(scaled, 77)
-        for k in a1:
-            assert a1[k] == pytest.approx(a2[k], rel=1e-9)
+        assert al.multiwave(base, 77).draws == al.multiwave(scaled, 77).draws
 
 
 class TestExactAllocation:
@@ -85,10 +83,19 @@ class TestExactAllocation:
             best, minimizers = oracle_allocation(sts, n)
             assert al.allocation_variance(sts, got) == best
             assert got in minimizers
+            # A fresh design's wave is the integer stage on its own.
+            assert al.multiwave(sts, n).draws == got
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             al.exact_allocation(stats((3, 1.0, 0), (2, 1.0, 0)), 10)
+
+    def test_totals_are_cumulative_and_floored_at_already_sampled(self):
+        # Stratum 1 already holds more than its share of 50; it keeps them.
+        out = al.exact_allocation(stats((100, 1.0, 30), (100, 1.0, 0)), 50)
+        assert out == {"1": 30, "2": 20}
+        with pytest.raises(InfeasibleError):
+            al.exact_allocation(stats((100, 1.0, 30), (100, 1.0, 0)), 20)
 
 
 class TestMultiwave:
@@ -162,15 +169,32 @@ class TestMultiwave:
         with pytest.raises(InfeasibleError):
             al.multiwave(stats((50, 1.0, 30)), 20)
 
-
-class TestAllocateWave:
-    def test_first_wave_gives_pre_closed_strata_nothing(self):
+    def test_a_fresh_wave_gives_pre_closed_strata_nothing(self):
         sts = stats((500, 2.0, 0), (300, 5.0, 0), (800, 1.0, 0))
-        res = al.allocate_wave(sts, 120, 1, pre_closed={"2"})
-        assert res.first_wave and res.closed == {"2"}
+        res = al.multiwave(sts, 120, pre_closed={"2"})
+        assert res.closed == {"2"} and not res.spilled
         assert res.draws == {"1": 0, "2": 0, "3": 0} | al.exact_allocation(
             [sts[0], sts[2]], 120)
         assert res.total == 120
+
+    @staticmethod
+    def _spill_case():
+        # Stratum 1 is over its share; 2 and 3 have 15 members left.
+        return stats((20, 1.0, 15), (10, 4.0, 5), (10, 0.1, 0))
+
+    def test_spilled_strata_compete_beyond_the_overflow(self):
+        # A 16-draw wave overflows the open strata by 1, yet the spilled
+        # stratum wins 5 draws on priority and stratum 3 keeps 4 members.
+        res = al.multiwave(self._spill_case(), 36)
+        assert res.closed == {"1"} and res.spilled == {"1"}
+        assert res.draws == {"1": 5, "2": 5, "3": 6}
+
+    def test_pre_closed_strata_never_spill(self):
+        sts = self._spill_case()
+        res = al.multiwave(sts, 35, pre_closed={"1"})
+        assert res.draws == {"1": 0, "2": 5, "3": 10} and not res.spilled
+        with pytest.raises(InfeasibleError, match="not closed by the user"):
+            al.multiwave(sts, 36, pre_closed={"1"})
 
 
 def influence(table, values):

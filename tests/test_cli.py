@@ -245,59 +245,6 @@ CHAIN_ESTIMATES = {
 }
 
 
-def test_design_chain_matches_pinned_outputs(tmp_path):
-    """generate -> design (2 obesity waves, 1 asthma wave) -> reveal -> estimate."""
-    d = tmp_path
-    (d / "sim.json").write_text(json.dumps({"n": 1000}))
-    (d / "strata_O.json").write_text(json.dumps(
-        [{"id": f"{e}{s}", "bounds": {"delta_star": db, "x_star": xb}}
-         for e, db in (("ev", [0.5, None]), ("no", [None, 0.5]))
-         for s, xb in (("lo", [None, 0.3]), ("hi", [0.3, None]))]))
-    (d / "strata_A.json").write_text(json.dumps(
-        [{"id": "A:ev", "bounds": {"delta_star": [0.5, None]}},
-         {"id": "A:no", "bounds": {"delta_star": [None, 0.5]}}]))
-    assert run(["simulate", "--config", d / "sim.json", "--out", d, "--seed", 8]) == 0
-    assert run(["design", "init", "--frame", "O", "--dyads", d / "dyads.csv",
-                "--strata", d / "strata_O.json", "--out", d / "ledger_O0.json"]) == 0
-    assert run(["estimate", "--dyads", d / "dyads.csv", "--method", "phase1",
-                "--out", d / "p1.csv", "--emit-influence", d / "h.csv"]) == 0
-
-    def wave(key, target, dyads_in, dyads_out):
-        frame, k = key[0], int(key[1:])
-        assert run(["design", "allocate", "--ledger", d / f"ledger_{frame}{k - 1}.json",
-                    "--dyads", dyads_in, "--influence", d / "h.csv", "--target", target,
-                    "--wave", k, "--out", d / f"alloc_{key}.json"]) == 0
-        assert run(["design", "draw", "--ledger", d / f"ledger_{frame}{k - 1}.json",
-                    "--dyads", dyads_in, "--allocation", d / f"alloc_{key}.json",
-                    "--seed", 40 + k, "--out", d / f"draw_{key}.json",
-                    "--update-ledger", d / f"ledger_{key}.json"]) == 0
-        assert run(["simulate", "reveal", "--dyads", dyads_in, "--truth", d / "truth.csv",
-                    "--draw", d / f"draw_{key}.json", "--out", dyads_out]) == 0
-        assert fileio.read_allocation(d / f"alloc_{key}.json")["draws"] == \
-            CHAIN_ALLOCATIONS[key]
-        assert fileio.read_draw(d / f"draw_{key}.json")["by_stratum"] == {
-            sid: [f"d{i:06d}" for i in ids] for sid, ids in CHAIN_DRAWS[key].items()}
-
-    wave("O1", 50, d / "dyads.csv", d / "dyads_1.csv")
-    wave("O2", 100, d / "dyads_1.csv", d / "dyads_2.csv")
-    assert run(["design", "init", "--frame", "A", "--dyads", d / "dyads_2.csv",
-                "--strata", d / "strata_A.json", "--member-flag", "in_asthma_frame",
-                "--out", d / "ledger_A0.json"]) == 0
-    wave("A1", 40, d / "dyads_2.csv", d / "dyads_3.csv")
-    final = ["estimate", "--dyads", d / "dyads_3.csv", "--ledger", d / "ledger_O2.json"]
-    assert run(final + ["--method", "ipw", "--out", d / "ipw_single.csv"]) == 0
-    assert run(final + ["--method", "raking", "--aux", "naive",
-                        "--out", d / "raking_naive.csv"]) == 0
-    assert run(final + ["--method", "ipw", "--frame", "multi", "--asthma-ledger",
-                        d / "ledger_A1.json", "--out", d / "ipw_multi.csv"]) == 0
-    for name, want in CHAIN_ESTIMATES.items():
-        rows = fileio.read_estimates(d / f"{name}.csv")
-        assert [(r["estimator"], r["term"]) for r in rows] == [
-            (name, "x"), (name, "z_0"), (name, "z_1")]
-        assert [(r["beta"], r["se"]) for r in rows] == [
-            (pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12)) for b, se in want]
-
-
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
     """The pinned chain's files: 1,000 dyads (seed 8), obesity waves O1, O2, asthma A1.
@@ -339,6 +286,134 @@ def chain_dir(tmp_path_factory):
                     "--draw", d / f"draw_{key}.json", "--out", revealed]) == 0
         dyads = revealed
     return d
+
+
+def test_design_chain_matches_pinned_outputs(chain_dir, tmp_path):
+    """generate -> design (2 obesity waves, 1 asthma wave) -> reveal -> estimate."""
+    d = chain_dir
+    for key in ("O1", "O2", "A1"):
+        assert fileio.read_allocation(d / f"alloc_{key}.json")["draws"] == \
+            CHAIN_ALLOCATIONS[key]
+        assert fileio.read_draw(d / f"draw_{key}.json")["by_stratum"] == {
+            sid: [f"d{i:06d}" for i in ids] for sid, ids in CHAIN_DRAWS[key].items()}
+    final = ["estimate", "--dyads", d / "dyads_3.csv", "--ledger", d / "ledger_O2.json"]
+    assert run(final + ["--method", "ipw", "--out", tmp_path / "ipw_single.csv"]) == 0
+    assert run(final + ["--method", "raking", "--aux", "naive",
+                        "--out", tmp_path / "raking_naive.csv"]) == 0
+    assert run(final + ["--method", "ipw", "--frame", "multi", "--asthma-ledger",
+                        d / "ledger_A1.json", "--out", tmp_path / "ipw_multi.csv"]) == 0
+    for name, want in CHAIN_ESTIMATES.items():
+        rows = fileio.read_estimates(tmp_path / f"{name}.csv")
+        assert [(r["estimator"], r["term"]) for r in rows] == [
+            (name, "x"), (name, "z_0"), (name, "z_1")]
+        assert [(r["beta"], r["se"]) for r in rows] == [
+            (pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12)) for b, se in want]
+
+
+class TestWaveRuleOnTheChain:
+    @staticmethod
+    def _allocate(out, ledger, dyads, influence, target, wave):
+        return run(["design", "allocate", "--ledger", ledger, "--dyads", dyads,
+                    "--influence", influence, "--target", target, "--wave", wave,
+                    "--out", out])
+
+    def test_every_wave_writes_the_same_flags_keys(self, chain_dir):
+        for key in ("O1", "O2", "A1"):
+            flags = fileio.read_json(chain_dir / f"alloc_{key}.json")["flags"]
+            assert set(flags) == {"spilled", "sd_sources"}, key
+
+    def test_all_zero_influence_gives_degenerate_exit(self, chain_dir, tmp_path, capsys):
+        table = fileio.read_dyads(chain_dir / "dyads.csv")
+        fileio.write_influence(tmp_path / "h0.csv", dict.fromkeys(table.ids, 0.0))
+        code = self._allocate(tmp_path / "alloc.json", chain_dir / "ledger_O0.json",
+                              chain_dir / "dyads.csv", tmp_path / "h0.csv", 50, 1)
+        assert code == 10
+        assert "error: degenerate-design:" in capsys.readouterr().err
+        assert not (tmp_path / "alloc.json").exists()
+
+    def test_later_wave_needing_a_closed_leaf_gives_infeasible_exit(self, chain_dir,
+                                                                    tmp_path, capsys):
+        d = chain_dir
+        assert run(["design", "close", "--ledger", d / "ledger_O1.json", "--stratum", "nohi",
+                    "--out", tmp_path / "closed.json"]) == 0
+        ledger = fileio.read_ledger(tmp_path / "closed.json")
+        leaf = ledger.strata["nohi"]
+        # One more than the leaves left open can supply.
+        target = ledger.population_size() - (leaf.population_size - leaf.total_sampled) + 1
+        argv = (tmp_path / "closed.json", d / "dyads_1.csv", d / "h.csv")
+        code = self._allocate(tmp_path / "alloc.json", *argv, target, 2)
+        assert code == 5
+        assert "error: infeasible:" in capsys.readouterr().err
+        assert not (tmp_path / "alloc.json").exists()
+        # One draw fewer fits without the closed leaf.
+        assert self._allocate(tmp_path / "alloc.json", *argv, target - 1, 2) == 0
+        assert fileio.read_allocation(tmp_path / "alloc.json")["draws"]["nohi"] == 0
+
+    @pytest.mark.parametrize("alloc, culprit", [("alloc_O2.json", "for wave 2"),
+                                                ("alloc_A1.json", "for frame 'A'")])
+    def test_draw_refuses_an_allocation_for_another_wave_or_frame(
+            self, chain_dir, tmp_path, capsys, alloc, culprit):
+        d = chain_dir
+        code = run(["design", "draw", "--ledger", d / "ledger_O0.json",
+                    "--dyads", d / "dyads.csv", "--allocation", d / alloc, "--seed", 41,
+                    "--out", tmp_path / "draw.json",
+                    "--update-ledger", tmp_path / "ledger.json"])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "error: ledger:" in err and culprit in err
+        assert not (tmp_path / "draw.json").exists()
+        assert not (tmp_path / "ledger.json").exists()
+
+
+MALFORMED_JSON = {
+    "config holding a list": ("sim.json", lambda p: [1], "a JSON object"),
+    "config with an unknown trajectory key":
+        ("sim.json", lambda p: {"trajectory": {"bogus": 1}}, "bogus"),
+    "config with an impossible error rate":
+        ("sim.json", lambda p: {"error": {"event_fp": 2}}, "event_fp"),
+    "ledger holding a list": ("ledger_O0.json", lambda p: [], "a JSON object"),
+    "ledger bounds that are a list":
+        ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0], "bounds": [1, 2]}]},
+         "key 'bounds' of strata[0]"),
+    "allocation draws that are a list":
+        ("alloc_O1.json", lambda p: {**p, "draws": [12, 9, 18, 11]}, "key 'draws'"),
+    "allocation draw that is a string":
+        ("alloc_O1.json", lambda p: {**p, "draws": {**p["draws"], "evhi": "x"}},
+         "key 'draws'"),
+    "allocation draw that is negative":
+        ("alloc_O1.json", lambda p: {**p, "draws": {**p["draws"], "evhi": -3}},
+         "key 'draws'"),
+    "allocation draw that is not whole":
+        ("alloc_O1.json", lambda p: {**p, "draws": {**p["draws"], "evhi": 2.7}},
+         "key 'draws'"),
+    "draw by_stratum that is a list":
+        ("draw_O1.json", lambda p: {**p, "by_stratum": [["d000059"]]}, "key 'by_stratum'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_JSON)
+def test_malformed_json_input_gives_parse_exit(chain_dir, tmp_path, capsys, case):
+    # Each of these used to end in a traceback, or drew 2.7 as 2.
+    d = chain_dir
+    name, edit, culprit = MALFORMED_JSON[case]
+    bad = tmp_path / name
+    bad.write_text(json.dumps(edit(json.loads((d / name).read_text()))))
+    inputs = {"sim.json": d / "sim.json", "ledger_O0.json": d / "ledger_O0.json",
+              "alloc_O1.json": d / "alloc_O1.json", "draw_O1.json": d / "draw_O1.json",
+              name: bad}
+    out = tmp_path / "out"
+    argv = {
+        "sim.json": ["simulate", "--config", inputs["sim.json"], "--out", out],
+        "draw_O1.json": ["simulate", "reveal", "--dyads", d / "dyads.csv",
+                         "--truth", d / "truth.csv", "--draw", inputs["draw_O1.json"],
+                         "--out", out],
+    }.get(name, ["design", "draw", "--ledger", inputs["ledger_O0.json"],
+                 "--dyads", d / "dyads.csv", "--allocation", inputs["alloc_O1.json"],
+                 "--seed", 41, "--out", out])
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert f"error: parse: {bad}:" in err and culprit in err
+    assert not out.exists()
 
 
 def _multi(d, dyads="dyads_3.csv", primary="ledger_O2.json", secondary="ledger_A1.json"):
