@@ -169,14 +169,6 @@ class TestMultiwave:
         with pytest.raises(InfeasibleError):
             al.multiwave(stats((50, 1.0, 30)), 20)
 
-    def test_a_fresh_wave_gives_pre_closed_strata_nothing(self):
-        sts = stats((500, 2.0, 0), (300, 5.0, 0), (800, 1.0, 0))
-        res = al.multiwave(sts, 120, pre_closed={"2"})
-        assert res.closed == {"2"} and not res.spilled
-        assert res.draws == {"1": 0, "2": 0, "3": 0} | al.exact_allocation(
-            [sts[0], sts[2]], 120)
-        assert res.total == 120
-
     @staticmethod
     def _spill_case():
         # Stratum 1 is over its share; 2 and 3 have 15 members left.
@@ -195,6 +187,18 @@ class TestMultiwave:
         assert res.draws == {"1": 0, "2": 5, "3": 10} and not res.spilled
         with pytest.raises(InfeasibleError, match="not closed by the user"):
             al.multiwave(sts, 36, pre_closed={"1"})
+
+
+class TestAllocateWave:
+    """Allocating a fresh wave, which goes through ``multiwave`` like any other."""
+
+    def test_first_wave_gives_pre_closed_strata_nothing(self):
+        sts = stats((500, 2.0, 0), (300, 5.0, 0), (800, 1.0, 0))
+        res = al.multiwave(sts, 120, pre_closed={"2"})
+        assert res.closed == {"2"} and not res.spilled
+        assert res.draws == {"1": 0, "2": 0, "3": 0} | al.exact_allocation(
+            [sts[0], sts[2]], 120)
+        assert res.total == 120
 
 
 def influence(table, values):
