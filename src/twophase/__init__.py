@@ -5,7 +5,7 @@ Submodules
 records     the dyad table, the multi-wave design ledger, pi = n_s / N_s
 fpca        sparse functional PCA (spline mixed-effects fit, PACE scores)
             and exposure derivation
-models      weighted Cox / logistic fits with influence functions
+models      weighted Cox / logistic fits with influence, and the working-model spec
 allocation  per-stratum influence SDs, the wave rule, and the stratified draw
 raking      IPW and generalized-raking estimation
 multiframe  Hansen-Hurwitz combination of two sampling frames
@@ -15,6 +15,8 @@ fileio      CSV/JSON schemas for every artifact
 cli         the ``twophase`` command-line entry point
 kernels     the numpy Breslow partial-likelihood pass and local-linear
             smoothers
+smoothing   local-linear smoothing: binning, cross-validated bandwidths
+errors      the typed errors, one CLI exit code per class
 
 The design core is array functions in ``allocation``, ``records`` and
 ``multiframe``.  The experiment harness (``simulate``) and the CLI are I/O

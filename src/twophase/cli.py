@@ -16,7 +16,8 @@ one wave rule for every wave, the first included; ``design draw`` calls
 drawn rows' truth into the table's columns, and ``estimate`` fits the
 harness's weighted-estimation core, ``multiframe.weighted_sample`` and
 ``raking.weighted_fit``, on the ledgers' ``records.frame_arrays`` and the
-table's columns.
+arrays that the ``--model`` working model, a ``models.AnalysisSpec``, reads
+from the table's columns for every fit: phase-1, IPW, raking and MI.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def cmd_simulate_reveal(args) -> int:
     draw = fileio.read_draw(args.draw)
     wave = args.wave if args.wave is not None else draw["wave"]
     drawn = {rid for ids in draw["by_stratum"].values() for rid in ids}
+    unknown = drawn.difference(table.ids)
+    if unknown:
+        raise SchemaError(f"draw file {args.draw} names record {min(unknown)!r}, "
+                          f"which is not in {args.dyads}")
     overlap = set(draw.get("overlap_ids", ()))
     cols = table.columns
     rows = np.array([i for i, rid in enumerate(table.ids) if rid in drawn], dtype=np.intp)
@@ -242,7 +247,10 @@ def cmd_design_allocate(args) -> int:
 def cmd_design_split(args) -> int:
     ledger = fileio.read_ledger(args.ledger)
     table = fileio.read_dyads(args.dyads)
-    cuts = [float(c) for c in args.cuts.split(",") if c != ""]
+    try:
+        cuts = [float(c) for c in args.cuts.split(",") if c != ""]
+    except ValueError:
+        raise SchemaError(f"--cuts must be comma-separated numbers, got {args.cuts!r}") from None
     child_ids = args.child_ids.split(",") if args.child_ids else None
     new = rec.split_stratum(ledger, table, args.stratum, args.axis, cuts,
                             child_ids=child_ids)
@@ -282,22 +290,21 @@ def cmd_design_draw(args) -> int:
 # estimate
 
 
-def _model_arrays(cols, rows, model, outcome_z, phase2):
-    """``(time or outcome, event or None, covariates)`` of ``rows`` for the model."""
-    star = "" if phase2 else "_star"
-    n_z = sum(1 for name in cols if name.startswith("z_star_"))
-    x = cols[f"x{star}"][rows]
-    zs = [cols[f"z{star}_{j}"][rows] for j in range(n_z)]
-    if model == "cox":
-        return (cols[f"y{star}"][rows], cols[f"delta{star}"][rows],
-                np.column_stack([x, *zs]))
-    others = [z for j, z in enumerate(zs) if j != outcome_z]
-    return (np.clip(zs[outcome_z], 0, 1), None,
-            np.column_stack([np.ones(len(rows)), x, *others]))
+def _working_model(args, n_z) -> models.AnalysisSpec:
+    """The ``--model`` working model on the table's columns, named as in ``DyadTable``."""
+    zs = [f"z_{j}" for j in range(n_z)]
+    if args.model == "cox":
+        return models.AnalysisSpec("cox", "y", "delta", ("x", *zs), target=0)
+    if not 0 <= args.outcome_z < n_z:
+        raise SchemaError(f"--outcome-z {args.outcome_z} is out of range for "
+                          f"the {n_z} z columns of {args.dyads}")
+    outcome = zs.pop(args.outcome_z)
+    return models.AnalysisSpec("logistic", outcome, None, ("x", *zs), target=0,
+                               intercept=True, frame="in_asthma_frame")
 
 
-def _generic_mi_influence(data, model, outcome_z, mi_replicates, seed):
-    """Multiply-imputed influence from a generic per-column imputation spec.
+def _generic_mi_influence(data, analysis, mi_replicates, seed):
+    """Multiply-imputed influence of ``analysis`` from a generic per-column imputation spec.
 
     ``data`` holds the ``records.DyadTable`` columns of the analysis frame.
     """
@@ -313,43 +320,23 @@ def _generic_mi_influence(data, model, outcome_z, mi_replicates, seed):
     specs.append(V("delta", "binary", ("delta_star", "x_star", "y_star")))
     specs.append(V("y", "continuous", ("y_star", "delta_star")))
     model_fit = imputation.fit_imputation(data, data["validated"], specs)
-    covariates = ("x",) + tuple(f"z_{j}" for j in range(n_z)
-                                if model == "cox" or j != outcome_z)
-    if model == "cox":
-        analysis = imputation.AnalysisSpec("cox", "y", "delta", covariates, target=0)
-    else:
-        analysis = imputation.AnalysisSpec("logistic", f"z_{outcome_z}", None, covariates,
-                                           target=0, intercept=True)
     return imputation.mi_influence(data, model_fit, mi_replicates, analysis, seed)
 
 
 def cmd_estimate(args) -> int:
     table = fileio.read_dyads(args.dyads)
-    cols, ids, n_z = table.columns, table.ids, table.n_z
-    if args.model == "cox":
-        terms = ["x"] + [f"z_{j}" for j in range(n_z)]
-        target = 0
-        in_frame = np.ones(len(table), dtype=bool)
-    else:
-        if not 0 <= args.outcome_z < n_z:
-            raise SchemaError(f"--outcome-z {args.outcome_z} is out of range for "
-                              f"the {n_z} z columns of {args.dyads}")
-        terms = ["intercept", "x"] + [f"z_{j}" for j in range(n_z) if j != args.outcome_z]
-        target = 1
-        in_frame = cols["in_asthma_frame"]
+    cols, ids = table.columns, table.ids
+    spec = _working_model(args, table.n_z)
+    terms = ["intercept"] * spec.intercept + list(spec.covariates)
+    target = spec.coefficient
+    in_frame = spec.members(cols)
     frame_rows = np.flatnonzero(in_frame)
-
-    def arrays(rows, phase2):
-        return _model_arrays(cols, rows, args.model, args.outcome_z, phase2)
-
-    def phase1_fit():
-        return models.fit(args.model, *arrays(frame_rows, phase2=False))
 
     def emit(path, rows, h):
         fileio.write_influence(path, dict(zip([ids[i] for i in rows], h.tolist())))
 
     if args.method == "phase1":
-        fit = phase1_fit()
+        fit = spec.phase1().fit(cols, frame_rows)
         fit.variance = models.sandwich_variance(fit)
         if args.emit_influence:
             emit(args.emit_influence, frame_rows, models.influence_for_target(fit, target))
@@ -371,8 +358,7 @@ def cmd_estimate(args) -> int:
     if args.method == "raking":  # on [1, h], h the phase-1 or MI influence of the frame
         if args.aux == "mi":
             h = _generic_mi_influence({k: v[frame_rows] for k, v in cols.items()},
-                                      args.model, args.outcome_z,
-                                      args.mi_replicates, args.seed)
+                                      spec, args.mi_replicates, args.seed)
             if args.emit_mi_influence:
                 emit(args.emit_mi_influence, frame_rows, h)
         elif args.influence:
@@ -383,8 +369,8 @@ def cmd_estimate(args) -> int:
                 raise SchemaError(f"influence file {args.influence} has no row for "
                                   f"frame member {exc.args[0]!r}") from None
         else:
-            h = models.influence_for_target(phase1_fit(), target)
-    fit, weights, cal = raking.weighted_fit(args.model, *arrays(sample.rows, phase2=True),
+            h = models.influence_for_target(spec.phase1().fit(cols, frame_rows), target)
+    fit, weights, cal = raking.weighted_fit(spec.kind, *spec.arrays(cols, sample.rows),
                                             sample, h)
     name = f"ipw_{args.frame}" if cal is None else f"raking_{args.aux}"
     if cal is not None:

@@ -48,4 +48,4 @@ class DomainError(TwophaseError):
 
 
 class SchemaError(TwophaseError):
-    """An input file does not conform to its declared schema."""
+    """An input file or argument does not conform to its declared schema."""

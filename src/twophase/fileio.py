@@ -97,8 +97,6 @@ _SHAPES = {
     "an integer": lambda v: type(v) is int,
     "a non-negative integer": _is_count,
     "a list of strings": _is_strings,
-    "a list of non-negative integers":
-        lambda v: isinstance(v, list) and all(map(_is_count, v)),
     "a list of string lists": lambda v: isinstance(v, list) and all(map(_is_strings, v)),
     "a list of objects":
         lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
@@ -591,7 +589,6 @@ def write_ledger(path, ledger: DesignLedger) -> None:
             "bounds": {axis: [_bound(lo), _bound(hi)]
                        for axis, (lo, hi) in sorted(s.bounds.items())},
             "population_size": int(s.population_size),
-            "sampled_per_wave": [int(v) for v in s.sampled_per_wave],
             "closed": bool(s.closed),
             "drawn": [list(ids) for ids in s.drawn],
             "inherited_ids": list(s.inherited_ids),
@@ -617,7 +614,6 @@ def _read_stratum(path, raw: dict, where: str) -> Stratum:
         id=get("id", "a string"), frame=get("frame", "a string"), bounds=bounds,
         parent=get("parent", "a string or null", None),
         population_size=get("population_size", "a non-negative integer"),
-        sampled_per_wave=list(get("sampled_per_wave", "a list of non-negative integers")),
         closed=get("closed", "a boolean", False),
         drawn=[list(ids) for ids in get("drawn", "a list of string lists", [])],
         inherited_ids=list(get("inherited_ids", "a list of strings", [])),

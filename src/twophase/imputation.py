@@ -8,7 +8,8 @@ normal law plus residual noise, so the auxiliary influence functions
 average over parameter uncertainty as well.  Every record is imputed,
 validated ones included.  :func:`impute` yields the replicates, replicate
 ``j`` seeded by ``SeedSequence([seed, j])`` alone; :func:`mi_influence`
-averages the working model's influence over them.
+averages over them the influence of the working model, a
+``models.AnalysisSpec`` read from each completed dataset.
 """
 
 from __future__ import annotations
@@ -172,37 +173,16 @@ def impute(data: Columns, model: ImputationModel, m: int,
                           np.random.default_rng(np.random.SeedSequence([seed, j])))
 
 
-@dataclass(frozen=True)
-class AnalysisSpec:
-    """The working analysis model fit to each completed dataset."""
-
-    kind: str                    # "cox" | "logistic"
-    outcome: str                 # completed outcome column (logistic), or time
-    event: str | None            # event column for cox
-    covariates: tuple[str, ...]  # completed/phase-1 columns, design order
-    target: int                  # coefficient index whose influence is wanted
-    intercept: bool = False      # prepend a constant column (logistic)
-
-
 def _analysis_influence(completed: Columns, base: Columns,
-                        spec: AnalysisSpec) -> np.ndarray:
-    def col(name):
-        return completed[name] if name in completed else np.asarray(base[name],
-                                                                    dtype=np.float64)
-    cols = [col(c) for c in spec.covariates]
-    if spec.intercept:
-        cols.insert(0, np.ones(len(cols[0])))
-    x = np.column_stack(cols)
-    target = spec.target + (1 if spec.intercept else 0)
-    # Imputed times stay positive; imputed indicators stay in [0, 1].
-    y = col(spec.outcome)
-    y = np.maximum(y, 1e-6) if spec.kind == "cox" else np.clip(y, 0, 1)
-    event = None if spec.event is None else np.clip(col(spec.event), 0, 1)
-    return models.influence_for_target(models.fit(spec.kind, y, event, x), target)
+                        spec: models.AnalysisSpec) -> np.ndarray:
+    y, event, x = spec.arrays({**base, **completed})
+    if spec.kind == "cox":  # imputed times stay positive, imputed indicators in [0, 1]
+        y, event = np.maximum(y, 1e-6), np.clip(event, 0, 1)
+    return models.influence_for_target(models.fit(spec.kind, y, event, x), spec.coefficient)
 
 
 def mi_influence(data: Columns, model: ImputationModel, m: int,
-                 analysis: AnalysisSpec, seed: int) -> np.ndarray:
+                 analysis: models.AnalysisSpec, seed: int) -> np.ndarray:
     """Average per-record influence over M imputation replicates.
 
     Replicates whose working fit fails to converge are dropped with a

@@ -14,17 +14,21 @@ predictor and what depends on it, and hands both on: the separation check
 reads the accepted evaluation's linear predictor, and the Cox score
 residuals its risk-set sums.  Every input is checked to be finite before
 the first evaluation.
+
+:class:`AnalysisSpec` describes an endpoint's working model; its ``arrays`` build the
+design matrix of every fit (phase-1, validated or imputed) in the harness and the CLI.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from twophase import kernels
 from twophase.errors import ConvergenceError
+from twophase.records import phase1_name
 
 MAX_ITER = 50
 GRAD_TOL = 1e-8
@@ -229,6 +233,47 @@ def fit(kind, time_or_y, event, x, weights=None) -> FitResult:
     if kind == "logistic":
         return fit_logistic(time_or_y, x, weights)
     raise ValueError(f"unknown model kind {kind!r}; expected 'cox' or 'logistic'")
+
+
+@dataclass(frozen=True)
+class AnalysisSpec:
+    """An endpoint's working model: the ``records.DyadTable`` columns it reads (the
+    validated ones; :meth:`phase1` reads their stand-ins) and the coefficient it reports."""
+
+    kind: str                    # "cox" | "logistic"
+    outcome: str                 # time (cox) or 0/1 outcome (logistic) column
+    event: str | None            # event column (cox)
+    covariates: tuple[str, ...]  # design order
+    target: int                  # index into covariates of the reported coefficient
+    intercept: bool = False      # prepend a constant column
+    frame: str | None = None     # flag column marking the analysis population; None = all
+
+    @property
+    def coefficient(self) -> int:
+        """Index of the target's coefficient, past the intercept if there is one."""
+        return self.target + self.intercept
+
+    def phase1(self) -> AnalysisSpec:
+        """The same model on the phase-1 columns (``records.phase1_name``)."""
+        return replace(self, outcome=phase1_name(self.outcome),
+                       event=None if self.event is None else phase1_name(self.event),
+                       covariates=tuple(map(phase1_name, self.covariates)))
+
+    def members(self, columns) -> np.ndarray:
+        """Boolean mask of the analysis population: the ``frame`` flag, or every row."""
+        flag = np.ones(len(columns[self.outcome])) if self.frame is None else columns[self.frame]
+        return np.asarray(flag, dtype=bool)
+
+    def arrays(self, columns, rows=slice(None)):
+        """``(time or outcome, event or None, design)`` on ``rows``; logistic outcomes in [0, 1]."""
+        y = columns[self.outcome][rows]
+        event = None if self.event is None else columns[self.event][rows]
+        x = [np.ones(len(y))] * self.intercept + [columns[c][rows] for c in self.covariates]
+        return np.clip(y, 0, 1) if self.kind == "logistic" else y, event, np.column_stack(x)
+
+    def fit(self, columns, rows=slice(None), weights=None) -> FitResult:
+        """The working model fit to ``rows`` of ``columns``."""
+        return fit(self.kind, *self.arrays(columns, rows), weights)
 
 
 def _invert_info(info, model):

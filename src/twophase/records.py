@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from twophase.errors import LedgerError, PartitionError
+from twophase.errors import LedgerError, PartitionError, SchemaError
 
 AXES = ("delta_star", "y_star", "x_star")
 
@@ -37,6 +37,11 @@ INTEGER_FIELDS = ("delta_star", "wave_sampled", "delta")
 def is_phase2(name: str) -> bool:
     """Whether column ``name`` holds a phase-2 (validated) value."""
     return name in PHASE2_FIELDS or (name.startswith("z_") and not name.startswith("z_star_"))
+
+
+def phase1_name(name: str) -> str:
+    """The phase-1 stand-in for column ``name``: ``z_star_<j>`` for ``z_<j>``, else ``<name>_star``."""
+    return f"z_star_{name[2:]}" if name.startswith("z_") else f"{name}_star"
 
 
 def first_invalid_row(columns: Mapping[str, Sequence]) -> tuple[int, str] | None:
@@ -120,14 +125,13 @@ class Stratum:
     bounds: dict[str, tuple[float, float]]
     parent: str | None = None
     population_size: int = 0
-    sampled_per_wave: list[int] = field(default_factory=list)
     closed: bool = False
-    drawn: list[list[str]] = field(default_factory=list)
+    drawn: list[list[str]] = field(default_factory=list)  # ids drawn here, per wave
     inherited_ids: list[str] = field(default_factory=list)
 
     @property
     def total_sampled(self) -> int:
-        return len(self.inherited_ids) + sum(self.sampled_per_wave)
+        return len(self.inherited_ids) + sum(map(len, self.drawn))
 
     def all_drawn_ids(self) -> list[str]:
         ids = list(self.inherited_ids)
@@ -174,13 +178,18 @@ class DesignLedger:
 
 def _as_bounds(raw: Mapping[str, Sequence[float | None]]) -> dict[str, tuple[float, float]]:
     bounds = {}
-    for axis, (lo, hi) in raw.items():
+    for axis, pair in raw.items():
         if axis not in AXES:
-            raise ValueError(f"unknown stratum axis {axis!r}; expected one of {AXES}")
-        lo = NEG_INF if lo is None else float(lo)
-        hi = POS_INF if hi is None else float(hi)
+            raise SchemaError(f"unknown stratum axis {axis!r}; expected one of {AXES}")
+        try:
+            lo, hi = pair
+            lo = NEG_INF if lo is None else float(lo)
+            hi = POS_INF if hi is None else float(hi)
+        except (TypeError, ValueError):
+            raise SchemaError(f"bounds on axis {axis} must be a [lo, hi] pair of numbers "
+                              f"or nulls, got {pair!r}") from None
         if not lo < hi:
-            raise ValueError(f"empty interval on axis {axis}: ({lo}, {hi}]")
+            raise SchemaError(f"empty interval on axis {axis}: ({lo}, {hi}]")
         bounds[axis] = (lo, hi)
     return bounds
 
@@ -190,13 +199,16 @@ def build_ledger(frame: str, leaf_specs: Sequence[Mapping], table: DyadTable,
     """Create a fresh ledger whose leaves must partition the frame members.
 
     ``leaf_specs`` is a sequence of ``{"id": ..., "bounds": {axis: [lo, hi]}}``
-    with ``None`` bounds meaning unbounded.
+    with ``None`` bounds meaning unbounded.  A malformed spec raises SchemaError.
     """
     strata = {}
     for spec in leaf_specs:
+        if not (isinstance(spec, Mapping) and "id" in spec
+                and isinstance(spec.get("bounds"), Mapping)):
+            raise SchemaError(f'leaf spec {spec!r} needs an "id" and a "bounds" object')
         sid = str(spec["id"])
         if sid in strata:
-            raise ValueError(f"duplicate stratum id {sid!r}")
+            raise SchemaError(f"duplicate stratum id {sid!r}")
         strata[sid] = Stratum(id=sid, frame=frame, bounds=_as_bounds(spec["bounds"]))
     ledger = DesignLedger(frame=frame, strata=strata, rng_seed=rng_seed,
                           member_flag=member_flag)
@@ -323,42 +335,40 @@ def split_stratum(ledger: DesignLedger, table: DyadTable, stratum_id: str,
 
     Children partition the parent's interval; their population counts and
     inherited draws come from rescanning the table's rows.  The parent keeps
-    its own wave history for audit.
+    its own wave history for audit.  Bad axes, cuts or child ids raise SchemaError.
     """
     if stratum_id not in ledger.strata:
         raise LedgerError(f"unknown stratum {stratum_id!r}")
     if stratum_id not in ledger.leaf_ids():
         raise LedgerError(f"stratum {stratum_id!r} is not a leaf; only leaves can split")
     if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}")
+        raise SchemaError(f"unknown axis {axis!r}; expected one of {AXES}")
     parent = ledger.strata[stratum_id]
     lo, hi = parent.bounds.get(axis, (NEG_INF, POS_INF))
     cuts = sorted(float(c) for c in cuts)
     if len(cuts) == 0:
-        raise ValueError("at least one cut-point is required to split")
+        raise SchemaError("at least one cut-point is required to split")
     if len(set(cuts)) != len(cuts):
-        raise ValueError("cut-points must be distinct")
+        raise SchemaError("cut-points must be distinct")
     if not all(lo < c < hi for c in cuts):
-        raise ValueError(
+        raise SchemaError(
             f"cut-points must lie strictly inside ({lo}, {hi}] on axis {axis}")
 
     edges = [lo, *cuts, hi]
     if child_ids is None:
         child_ids = [f"{stratum_id}.{i + 1}" for i in range(len(edges) - 1)]
-    if len(child_ids) != len(edges) - 1:
-        raise ValueError(f"expected {len(edges) - 1} child ids, got {len(child_ids)}")
+    if len(set(child_ids)) != len(child_ids) or len(child_ids) != len(edges) - 1:
+        raise SchemaError(f"expected {len(edges) - 1} distinct child ids, got {list(child_ids)}")
 
     new = copy.deepcopy(ledger)
     children = []
     for cid, (clo, chi) in zip(child_ids, zip(edges[:-1], edges[1:])):
         if cid in new.strata:
-            raise ValueError(f"child id {cid!r} already exists")
+            raise SchemaError(f"child id {cid!r} already exists")
         bounds = dict(parent.bounds)
         bounds[axis] = (clo, chi)
         child = Stratum(id=str(cid), frame=parent.frame, bounds=bounds,
-                        parent=stratum_id,
-                        sampled_per_wave=[0] * new.wave_count,
-                        drawn=[[] for _ in range(new.wave_count)])
+                        parent=stratum_id, drawn=[[] for _ in range(new.wave_count)])
         children.append(child)
 
     n = len(table)
@@ -429,7 +439,6 @@ def apply_draw(ledger: DesignLedger, wave: int,
         ids = list(draws.get(sid, ()))
         if s.closed and ids:
             raise LedgerError(f"stratum {sid!r} is closed but received draws")
-        s.sampled_per_wave.append(len(ids))
         s.drawn.append(ids)
         if s.total_sampled > s.population_size:
             raise LedgerError(

@@ -14,12 +14,11 @@ CLI uses: ``allocation.influence_sd`` / ``multiwave`` (the one wave
 rule, the first wave included) / ``draw_within_strata`` for each wave,
 ``records.inclusion_probabilities`` for pi, and
 ``multiframe.weighted_sample`` / ``raking.weighted_fit`` for the IPW and
-raking fits.  Both endpoints run one estimation routine,
-``_estimate``, which differs per endpoint only in the model kind, the
-reported coefficient, the array builder (``_obesity_arrays``,
-``_asthma_arrays``), the analysis frame and the MI influence.  Its
-imputation models (``_cox_imputation_specs``, ``_asthma_imputation_specs``)
-are its own.
+raking fits.  Both endpoints run one estimation routine, ``_estimate``;
+per endpoint only the working model differs, a ``models.AnalysisSpec``
+(``COX_ANALYSIS``, ``ASTHMA_ANALYSIS``) read from ``_population_columns``
+under the CLI's ``records.DyadTable`` names, with its own frame and
+imputation model (``_cox_imputation_specs``, ``_asthma_imputation_specs``).
 """
 
 from __future__ import annotations
@@ -589,17 +588,18 @@ def run_design(pop: Population, spec: DesignSpec, seed: int,
     # later waves on the validated records' IPW influence.
     o_strata, o_assign = obesity_strata(pop, spec)
     sizes = [s.population_size for s in o_strata]
-    p1_fit = models.fit_cox(*_obesity_arrays(pop, np.arange(pop.n), False))
-    h_naive = models.influence_for_target(p1_fit, 0)
+    cols = _population_columns(pop)
+    p1_fit = COX_ANALYSIS.phase1().fit(cols)
+    h_naive = models.influence_for_target(p1_fit, COX_ANALYSIS.coefficient)
 
     def obesity_influence(wave, sampled, counts):
         if wave == 1:
             return h_naive, None, 0.0
         pis = inclusion_probabilities(counts, sizes, o_assign[sampled])
-        fit = models.fit_cox(*_obesity_arrays(pop, sampled, True), weights=1.0 / pis)
+        fit = COX_ANALYSIS.fit(cols, sampled, weights=1.0 / pis)
         h_val = np.zeros(pop.n)
         # Per-record influence: strip the design weight back off.
-        h_val[sampled] = fit.influence[:, 0] * pis
+        h_val[sampled] = fit.influence[:, COX_ANALYSIS.coefficient] * pis
         return h_val, sampled, spec.sd_shrinkage
 
     obesity = _run_waves(o_strata, o_assign, np.arange(pop.n), spec.obesity_waves,
@@ -612,7 +612,7 @@ def run_design(pop: Population, spec: DesignSpec, seed: int,
     a_strata, a_assign = asthma_strata(pop, spec, pop.in_asthma_frame)
 
     def asthma_influence(wave, sampled, counts):
-        h_mi = _mi_influence(pop, validated, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
+        h_mi = _mi_influence(cols, validated, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
                              spec.mi_replicates_allocation, seed + wave)
         return h_mi[members], None, spec.sd_shrinkage
 
@@ -626,9 +626,9 @@ def _cox_imputation_specs() -> list[imputation.VariableSpec]:
     # data carry the joint dependence the influence function needs.
     V = imputation.VariableSpec
     return [
-        V("z1", "continuous", ("z1_star",)),
-        V("z2", "binary", ("z2_star",)),
-        V("x", "continuous", ("x_star", "z1")),
+        V("z_0", "continuous", ("z_star_0",)),
+        V("z_1", "binary", ("z_star_1",)),
+        V("x", "continuous", ("x_star", "z_0")),
         V("delta", "binary", ("delta_star", "x", "y_star")),
         V("y", "continuous", ("y_star", "delta")),
     ]
@@ -637,33 +637,33 @@ def _cox_imputation_specs() -> list[imputation.VariableSpec]:
 def _asthma_imputation_specs() -> list[imputation.VariableSpec]:
     V = imputation.VariableSpec
     return [
-        V("z1", "continuous", ("z1_star",)),
-        V("x", "continuous", ("x_star", "z1")),
+        V("z_0", "continuous", ("z_star_0",)),
+        V("x", "continuous", ("x_star", "z_0")),
         V("delta", "binary", ("delta_star", "x", "y_star")),
-        V("asthma", "binary", ("asthma_star", "x", "z1", "delta")),
+        V("asthma", "binary", ("asthma_star", "x", "z_0", "delta")),
     ]
 
 
-COX_ANALYSIS = imputation.AnalysisSpec(
-    kind="cox", outcome="y", event="delta", covariates=("x", "z1", "z2"), target=0)
-ASTHMA_ANALYSIS = imputation.AnalysisSpec(
-    kind="logistic", outcome="asthma", event=None, covariates=("x", "z1", "delta"),
-    target=0, intercept=True)
+# The endpoints' working models: the generating ones.
+COX_ANALYSIS = models.AnalysisSpec(
+    kind="cox", outcome="y", event="delta", covariates=("x", "z_0", "z_1"), target=0)
+ASTHMA_ANALYSIS = models.AnalysisSpec(
+    kind="logistic", outcome="asthma", event=None, covariates=("x", "z_0", "delta"),
+    target=0, intercept=True, frame="in_asthma_frame")
 
 
 def _population_columns(pop: Population) -> imputation.Columns:
+    """The population's arrays under ``records.DyadTable`` names, and the asthma outcome."""
     return {
-        "y": pop.y, "delta": pop.delta, "x": pop.x,
-        "z1": pop.z[:, 0], "z2": pop.z[:, 1], "asthma": pop.asthma,
-        "y_star": pop.y_star, "delta_star": pop.delta_star,
-        "x_star": pop.x_star, "z1_star": pop.z_star[:, 0],
-        "z2_star": pop.z_star[:, 1], "asthma_star": pop.asthma_star,
+        "y": pop.y, "delta": pop.delta, "x": pop.x, "z_0": pop.z[:, 0], "z_1": pop.z[:, 1],
+        "asthma": pop.asthma, "y_star": pop.y_star, "delta_star": pop.delta_star,
+        "x_star": pop.x_star, "z_star_0": pop.z_star[:, 0], "z_star_1": pop.z_star[:, 1],
+        "asthma_star": pop.asthma_star, "in_asthma_frame": pop.in_asthma_frame,
     }
 
 
-def _mi_influence(pop, validated, specs, analysis, m, seed):
-    """MI influence of ``analysis`` imputing ``specs`` from the ``validated`` rows."""
-    cols = _population_columns(pop)
+def _mi_influence(cols, validated, specs, analysis, m, seed):
+    """MI influence of ``analysis`` on ``cols``, imputing ``specs`` from the ``validated`` rows."""
     model = imputation.fit_imputation(cols, validated, specs)
     return imputation.mi_influence(cols, model, m, analysis, seed)
 
@@ -676,53 +676,39 @@ class EstimateRow:
     se: float
 
 
-def _obesity_arrays(pop: Population, rows, phase2: bool):
-    """Cox ``(time, event, [x, z])`` on population ``rows``, true or phase-1."""
-    y, delta, x, z = ((pop.y, pop.delta, pop.x, pop.z) if phase2 else
-                      (pop.y_star, pop.delta_star, pop.x_star, pop.z_star))
-    return y[rows], delta[rows], np.column_stack([x[rows], z[rows]])
+def _estimate(pop: Population, designs: tuple[WaveDesign, WaveDesign], endpoint: str,
+              analysis: models.AnalysisSpec, own: int, mi_specs, m: int,
+              mi_seed: int) -> list[EstimateRow]:
+    """The five comparison estimators of ``analysis``'s target for one endpoint.
 
-
-def _asthma_arrays(pop: Population, rows, phase2: bool):
-    """Logistic ``(outcome, None, [1, x, z1, delta])`` on population ``rows``."""
-    asthma, delta, x, z = ((pop.asthma, pop.delta, pop.x, pop.z) if phase2 else
-                           (pop.asthma_star, pop.delta_star, pop.x_star, pop.z_star))
-    return (np.clip(asthma[rows], 0, 1), None,
-            np.column_stack([np.ones(rows.size), x[rows], z[rows, 0], delta[rows]]))
-
-
-def _estimate(pop: Population, obesity: WaveDesign, asthma: WaveDesign, endpoint: str,
-              kind: str, target: int, arrays, frame: np.ndarray, own: int,
-              mi) -> list[EstimateRow]:
-    """The five comparison estimators of coefficient ``target`` for one endpoint.
-
-    ``arrays(pop, rows, phase2)`` builds the working model's inputs on
-    population ``rows``; ``frame`` marks the analysis population, ``own``
-    indexes the endpoint's own frame in ``(obesity, asthma)`` (for
-    ipw_sf, and its phase-1 fit when it has one), and ``mi(validated)``
-    gives its MI influence.
+    ``own`` indexes the endpoint's own frame in ``designs`` (for ipw_sf,
+    and its phase-1 fit when it has one); the MI influence imputes
+    ``mi_specs`` with ``m`` replicates seeded by ``mi_seed``.
     """
+    cols = _population_columns(pop)
+    frame = analysis.members(cols)
     frame_rows = np.flatnonzero(frame)
-    designs = (obesity, asthma)
     p1 = designs[own].phase1
     if p1 is None:
-        p1 = models.fit(kind, *arrays(pop, frame_rows, False))
+        p1 = analysis.phase1().fit(cols, frame_rows)
     p1 = replace(p1, variance=models.sandwich_variance(p1))
+    target = analysis.coefficient
     h_naive = models.influence_for_target(p1, target)
 
     frames = [multiframe.FrameDesign(name, *d.frame_arrays(pop.n))
               for name, d in zip("OA", designs)]
     _, single = multiframe.weighted_sample([frames[own]], frame)
-    sf, _, _ = raking.weighted_fit(kind, *arrays(pop, single.rows, True), single)
+    sf, _, _ = raking.weighted_fit(analysis.kind, *analysis.arrays(cols, single.rows),
+                                   single)
 
     draws, sample = multiframe.weighted_sample(frames, frame)
     validated = np.zeros(pop.n, dtype=bool)
     validated[draws.rows] = True
-    data = arrays(pop, sample.rows, True)
+    data = analysis.arrays(cols, sample.rows)
     fits = {"phase1": p1, "ipw_sf": sf}
-    for name, h in (("ipw_mf", None), ("raking_nv", h_naive),
-                    ("raking_mi", mi(validated)[frame_rows])):
-        fits[name], _, _ = raking.weighted_fit(kind, *data, sample, h)
+    h_mi = _mi_influence(cols, validated, mi_specs, analysis, m, mi_seed)
+    for name, h in (("ipw_mf", None), ("raking_nv", h_naive), ("raking_mi", h_mi[frame_rows])):
+        fits[name], _, _ = raking.weighted_fit(analysis.kind, *data, sample, h)
     return [EstimateRow(endpoint, name, float(fit.coefficients[target]),
                         float(fit.se[target])) for name, fit in fits.items()]
 
@@ -730,11 +716,8 @@ def _estimate(pop: Population, obesity: WaveDesign, asthma: WaveDesign, endpoint
 def estimate_obesity(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
                      spec: DesignSpec, seed: int) -> list[EstimateRow]:
     """The five comparison estimators for the primary (hazard) endpoint."""
-    return _estimate(
-        pop, obesity, asthma, "obesity", "cox", 0, _obesity_arrays,
-        np.ones(pop.n, dtype=bool), 0,
-        lambda v: _mi_influence(pop, v, _cox_imputation_specs(), COX_ANALYSIS,
-                                spec.mi_replicates_estimator, seed + 7919))
+    return _estimate(pop, (obesity, asthma), "obesity", COX_ANALYSIS, 0,
+                     _cox_imputation_specs(), spec.mi_replicates_estimator, seed + 7919)
 
 
 def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
@@ -744,11 +727,8 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
     Analysis population is the asthma frame; the working model is the
     generating one (exposure, continuous covariate, obesity indicator).
     """
-    return _estimate(
-        pop, obesity, asthma, "asthma", "logistic", 1, _asthma_arrays,
-        pop.in_asthma_frame, 1,
-        lambda v: _mi_influence(pop, v, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
-                                spec.mi_replicates_estimator, seed + 104729))
+    return _estimate(pop, (obesity, asthma), "asthma", ASTHMA_ANALYSIS, 1,
+                     _asthma_imputation_specs(), spec.mi_replicates_estimator, seed + 104729)
 
 
 def estimate_all(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",

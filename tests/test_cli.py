@@ -416,6 +416,73 @@ def test_malformed_json_input_gives_parse_exit(chain_dir, tmp_path, capsys, case
     assert not out.exists()
 
 
+MALFORMED_DESIGN_ARGS = {
+    "repeated stratum id": ("init", [{"id": "a", "bounds": {}}, {"id": "a", "bounds": {}}],
+                            "duplicate stratum id 'a'"),
+    "unknown init axis": ("init", [{"id": "a", "bounds": {"q_star": [None, 1]}}],
+                          "unknown stratum axis 'q_star'"),
+    "leaf without an id": ("init", [{"bounds": {}}], 'needs an "id"'),
+    "bounds that are a list": ("init", [{"id": "a", "bounds": [1]}], '"bounds" object'),
+    "bound that is not a pair": ("init", [{"id": "a", "bounds": {"x_star": [1]}}],
+                                 "[lo, hi] pair"),
+    "non-numeric cuts": ("split", ["--axis", "x_star", "--cuts", "abc"], "--cuts"),
+    "cut outside the leaf": ("split", ["--axis", "x_star", "--cuts", "0.5"],
+                             "strictly inside"),
+    "unknown split axis": ("split", ["--axis", "q_star", "--cuts", "0.1"],
+                           "unknown axis 'q_star'"),
+    # Exited 0, and the second child replaced the first in the ledger.
+    "repeated child ids": ("split", ["--axis", "x_star", "--cuts", "0.1",
+                                     "--child-ids", "a,a"], "distinct child ids"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_DESIGN_ARGS)
+def test_malformed_strata_or_split_gives_parse_exit(chain_dir, tmp_path, capsys, case):
+    # Each of these but the last used to end in a ValueError or KeyError traceback.
+    d = chain_dir
+    action, given, culprit = MALFORMED_DESIGN_ARGS[case]
+    out = tmp_path / "ledger.json"
+    if action == "init":
+        (tmp_path / "strata.json").write_text(json.dumps(given))
+        argv = ["design", "init", "--frame", "O", "--dyads", d / "dyads.csv",
+                "--strata", tmp_path / "strata.json", "--out", out]
+    else:  # leaf "evlo" spans x_star in (-inf, 0.3]
+        argv = ["design", "split", "--ledger", d / "ledger_O0.json", "--dyads",
+                d / "dyads.csv", "--stratum", "evlo", *given, "--out", out]
+    assert run(argv) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("error: parse: ") and culprit in err[-1]
+    assert not out.exists()
+
+
+def test_reveal_of_an_id_not_in_the_dyads_gives_parse_exit(chain_dir, tmp_path, capsys):
+    # This used to exit 0, validating nothing for the unknown id.
+    d = chain_dir
+    (tmp_path / "draw.json").write_text(json.dumps({"wave": 1, "by_stratum": {
+        "evlo": ["d000001", "zzz"]}}))
+    out = tmp_path / "dyads.csv"
+    assert run(["simulate", "reveal", "--dyads", d / "dyads.csv", "--truth",
+                d / "truth.csv", "--draw", tmp_path / "draw.json", "--out", out]) == 4
+    assert "'zzz'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ledger_counts_draws_from_the_drawn_ids(chain_dir, tmp_path):
+    # A stale per-wave count in an older ledger no longer moves the estimate.
+    d = chain_dir
+    payload = json.loads((d / "ledger_O2.json").read_text())
+    assert all("sampled_per_wave" not in s for s in payload["strata"])
+    for s in payload["strata"]:
+        s["sampled_per_wave"] = [len(ids) + 20 for ids in s["drawn"]]
+    (tmp_path / "old.json").write_text(json.dumps(payload))
+    ledgers = [fileio.read_ledger(p) for p in (d / "ledger_O2.json", tmp_path / "old.json")]
+    assert ledgers[0] == ledgers[1]
+    final = ["estimate", "--dyads", d / "dyads_3.csv", "--method", "ipw"]
+    assert run(final + ["--ledger", d / "ledger_O2.json", "--out", tmp_path / "a.csv"]) == 0
+    assert run(final + ["--ledger", tmp_path / "old.json", "--out", tmp_path / "b.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def _multi(d, dyads="dyads_3.csv", primary="ledger_O2.json", secondary="ledger_A1.json"):
     return ["estimate", "--dyads", d / dyads, "--ledger", d / primary,
             "--frame", "multi", "--asthma-ledger", d / secondary]
@@ -541,6 +608,23 @@ def test_wave1_allocation_matches_harness(tmp_path):
                         minlength=len(obesity.strata))
     assert len(strata) == 24
     assert {s.id: int(c) for s, c in zip(obesity.strata, wave1)} == draws
+
+
+def test_phase1_estimate_matches_harness(tmp_path):
+    """The CLI's phase-1 Cox fit is the harness's, bit for bit: one working model."""
+    spec = simulate.DesignSpec()
+    pop = simulate.generate(simulate.SimConfig(n=3000), seed=21)
+    fileio.write_dyads(tmp_path / "dyads.csv", fileio.population_to_records(pop))
+    assert run(["estimate", "--dyads", tmp_path / "dyads.csv", "--model", "cox",
+                "--method", "phase1", "--out", tmp_path / "est.csv"]) == 0
+    cli_x = fileio.read_estimates(tmp_path / "est.csv")[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        obesity, asthma = simulate.run_design(pop, spec, seed=21)
+        rows = simulate.estimate_obesity(pop, obesity, asthma, spec, seed=21)
+    harness = next(r for r in rows if r.estimator == "phase1")
+    assert cli_x["term"] == "x"
+    assert (cli_x["beta"], cli_x["se"]) == (harness.beta, harness.se)
 
 
 class TestFpcaCli:

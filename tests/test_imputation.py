@@ -138,8 +138,8 @@ class TestImpute:
 
 class TestMiInfluence:
     def _analysis(self):
-        return imp.AnalysisSpec(kind="logistic", outcome="b", event=None,
-                                covariates=("x",), target=0, intercept=True)
+        return models.AnalysisSpec(kind="logistic", outcome="b", event=None,
+                                   covariates=("x",), target=0, intercept=True)
 
     def test_streaming_equals_batch_average(self):
         data, validated = toy_population(seed=31)

@@ -479,3 +479,34 @@ def test_reporting_transforms_match_published_effects():
     assert round(hazard_ratio(0.87, 0.25), 2) == 1.24
     assert round(hazard_ratio(1.06, 0.25), 2) == 1.30
     assert round(hazard_ratio(-0.54, 0.25), 2) == 0.87
+
+
+class TestAnalysisSpec:
+    COLUMNS = {"y": np.array([3.0, 4.0, 5.0]), "y_star": np.array([3.5, 4.5, 5.5]),
+               "delta": np.array([1.0, 0.0, 1.0]), "delta_star": np.array([1.0, 1.0, 0.0]),
+               "x": np.array([0.1, 0.2, 0.3]), "x_star": np.array([0.15, 0.25, 0.35]),
+               "z_0": np.array([1.0, 2.0, 3.0]), "z_star_0": np.array([1.5, 2.5, 3.5]),
+               "z_1": np.array([0.0, 1.0, 1.0]), "z_star_1": np.array([-0.5, 1.0, 2.0]),
+               "in_frame": np.array([True, False, True])}
+
+    def test_phase1_reads_the_star_columns(self):
+        cox = models.AnalysisSpec("cox", "y", "delta", ("x", "z_0"), target=0)
+        assert cox.phase1() == models.AnalysisSpec("cox", "y_star", "delta_star",
+                                                   ("x_star", "z_star_0"), target=0)
+        y, event, x = cox.phase1().arrays(self.COLUMNS, [2, 0])
+        np.testing.assert_array_equal(y, [5.5, 3.5])
+        np.testing.assert_array_equal(event, [0.0, 1.0])
+        np.testing.assert_array_equal(x, [[0.35, 3.5], [0.15, 1.5]])
+        assert cox.coefficient == 0
+        np.testing.assert_array_equal(cox.members(self.COLUMNS), [True] * 3)
+
+    def test_logistic_design_has_intercept_and_clipped_outcome(self):
+        spec = models.AnalysisSpec("logistic", "z_1", None, ("x", "z_0"), target=0,
+                                   intercept=True, frame="in_frame")
+        y, event, x = spec.phase1().arrays(self.COLUMNS)
+        np.testing.assert_array_equal(y, [0.0, 1.0, 1.0])
+        assert event is None
+        np.testing.assert_array_equal(x, [[1.0, 0.15, 1.5], [1.0, 0.25, 2.5],
+                                          [1.0, 0.35, 3.5]])
+        assert spec.coefficient == 1
+        np.testing.assert_array_equal(spec.members(self.COLUMNS), [True, False, True])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophase.errors import LedgerError, PartitionError
+from twophase.errors import LedgerError, PartitionError, SchemaError
 from twophase.records import (
     DyadTable,
     apply_draw,
@@ -226,15 +226,15 @@ class TestSplitStratum:
         # Probabilities use the final (post-split) leaves.
         assert sampling_probability(table, 1, new) == pytest.approx(1 / 5)
         # Parent history is retained for audit.
-        assert new.strata["all"].sampled_per_wave == [2]
+        assert [len(ids) for ids in new.strata["all"].drawn] == [2]
 
     def test_split_errors(self):
         table = phase1_table(1.0, 0, 0.5)
         ledger = build_ledger("f", [{"id": "all", "bounds": {"x_star": [0, 1]}}],
                               table)
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             split_stratum(ledger, table, "all", "x_star", [])
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             split_stratum(ledger, table, "all", "x_star", [2.0])
         new = split_stratum(ledger, table, "all", "x_star", [0.6])
         with pytest.raises(LedgerError):

@@ -229,7 +229,7 @@ class TestDesignPipeline:
             rows = sim.estimate_obesity(pop, obesity, asthma, spec, seed=77)
         assert refits == []
         phase1 = next(r for r in rows if r.estimator == "phase1")
-        fresh = fit_cox(*sim._obesity_arrays(pop, np.arange(pop.n), False))
+        fresh = fit_cox(pop.y_star, pop.delta_star, np.column_stack([pop.x_star, pop.z_star]))
         assert phase1.beta == fresh.coefficients[0]
 
     def test_estimators_produce_finite_results(self, small_run):
