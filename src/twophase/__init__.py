@@ -10,7 +10,7 @@ allocation  per-stratum influence SDs, the wave rule, and the stratified draw
 raking      IPW and generalized-raking estimation
 multiframe  Hansen-Hurwitz combination of two sampling frames
 imputation  parametric imputation and multiply-imputed influence
-simulate    synthetic populations, oracles, and the experiment harness
+simulate    synthetic populations and the experiment harness
 fileio      CSV/JSON schemas for every artifact
 cli         the ``twophase`` command-line entry point
 kernels     the numpy Breslow partial-likelihood pass and local-linear

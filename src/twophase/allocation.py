@@ -17,6 +17,15 @@ allocate`` / ``design draw``): :func:`influence_sd` (per-stratum SDs),
 draw).  :func:`stratum_sd` and :func:`draw_sample` run the first and the
 last over a ledger's leaves and the rows of a ``records.DyadTable``, as
 ``design allocate`` and ``design draw`` need them.
+
+The SDs must come from influence values of every frame member.  An
+influence file with values for the validated records only leaves about
+ten values per stratum after a first wave, and allocates badly: over ten
+simulated populations, four waves on such SDs came to 1.198 times the
+variance objective of the optimal allocation, against 1.035 for four
+waves on the multiply-imputed influence of every member and 1.029 for one
+wave on the phase-1 influence.  For a later wave, allocate on the file
+that ``estimate --method raking --aux mi --emit-mi-influence`` writes.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ influence file onto the table's rows once, hands both to
 ``allocation.stratum_sd`` and allocates with ``allocation.multiwave``, the
 one wave rule for every wave, the first included; ``design draw`` calls
 ``allocation.draw_sample`` on the table.  ``simulate reveal`` writes the
-drawn rows' truth into the table's columns, and ``estimate`` fits the
+drawn rows' truth into the table's columns and writes back only those
+rows, copying the other lines of the file it read
+(``fileio.write_dyads_patch``).  ``estimate`` fits the
 harness's weighted-estimation core, ``multiframe.weighted_sample`` and
 ``raking.weighted_fit``, on the ledgers' ``records.frame_arrays`` and the
 arrays that the ``--model`` working model, a ``models.AnalysisSpec``, reads
@@ -126,7 +128,12 @@ def cmd_simulate_generate(args) -> int:
 
 
 def cmd_simulate_reveal(args) -> int:
-    table = fileio.read_dyads(args.dyads)
+    """Validate the drawn records that are not validated yet and write the
+    table to ``--out`` as a patch of ``--dyads``: only those rows are
+    formatted again, and every other line keeps the text it was read with
+    (``fileio.write_dyads_patch``)."""
+    lines: list[str] = []
+    table = fileio.read_dyads(args.dyads, lines)
     truth_ids, truth = fileio.read_truth(args.truth)
     draw = fileio.read_draw(args.draw)
     wave = args.wave if args.wave is not None else draw["wave"]
@@ -154,7 +161,7 @@ def cmd_simulate_reveal(args) -> int:
     bad = rec.first_invalid_row(cols)
     if bad is not None:
         raise SchemaError(f"truth file {args.truth}: record {table.ids[bad[0]]}: {bad[1]}")
-    fileio.write_dyads(args.out, table)
+    fileio.write_dyads_patch(args.out, table, lines, rows)
     log.info("validated %d newly drawn records (%d reused from overlap)",
              len(drawn - overlap), len(overlap & drawn))
     return 0
@@ -413,16 +420,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twophase")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="synthetic data and experiments")
+    p_sim = sub.add_parser(
+        "simulate", help="synthetic data and experiments",
+        description="generate writes a synthetic population; reveal validates the "
+                    "drawn records from the truth file; experiment runs the Monte "
+                    "Carlo harness. reveal writes --out as a patch of --dyads: the "
+                    "header and every row it does not newly validate are copied as "
+                    "they were read, so a hand-edited row keeps its text (1.50 stays "
+                    "1.50), and only the newly validated rows are formatted again. "
+                    "Every line ends in CRLF. A file that simulate or reveal wrote "
+                    "comes out as a full rewrite would write it. Text holding a quote "
+                    "or a bare carriage return, or a header that is not the full "
+                    "dyads header in order, is rewritten whole. --out may be --dyads.")
     p_sim.add_argument("action", nargs="?", default="generate",
                        choices=["generate", "reveal", "experiment"])
     p_sim.add_argument("--config", default=None)
     p_sim.add_argument("--out", required=False)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--with-series", action="store_true")
-    p_sim.add_argument("--dyads")
-    p_sim.add_argument("--truth")
-    p_sim.add_argument("--draw")
+    p_sim.add_argument("--dyads", help="reveal: the dyads file to validate drawn records in")
+    p_sim.add_argument("--truth", help="reveal: the truth file of the population")
+    p_sim.add_argument("--draw", help="reveal: the draw file of design draw")
     p_sim.add_argument("--wave", type=int, default=None)
     p_sim.add_argument("--replicates", type=int, default=500)
     p_sim.add_argument("--progress", action="store_true")
@@ -458,7 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
     d_alloc = design_sub.add_parser("allocate")
     d_alloc.add_argument("--ledger", required=True)
     d_alloc.add_argument("--dyads", required=True)
-    d_alloc.add_argument("--influence", required=True)
+    d_alloc.add_argument(
+        "--influence", required=True,
+        help="per-record influence CSV (id,influence) with a value for every frame "
+             "member; one with values for the validated records only allocates "
+             "badly. For a later wave, pass the file that estimate --method raking "
+             "--aux mi --emit-mi-influence writes")
     d_alloc.add_argument("--target", type=int, required=True)
     d_alloc.add_argument("--wave", type=int, required=True)
     d_alloc.add_argument("--out", required=True)

@@ -16,7 +16,9 @@ a bare carriage return goes through ``csv.reader`` instead, which gives
 the same cells.  Numeric columns are then converted with one ``float``
 per cell (:func:`_float_column`).  Every table is written column-wise
 by :func:`_write_columns`, whose bytes are those ``csv.writer`` writes
-row by row.
+row by row; the one exception is ``simulate reveal``, which formats only
+the rows it validates and copies the other lines of the file it read
+(:func:`write_dyads_patch`).
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ def _write_json(path, payload) -> None:
 # index counted from the first data row; _raise_first reports the earliest.
 
 
-def _read_columns(path, problems: list, width: int | None = None,
-                  exact: bool = False) -> tuple[list[str] | None, list[Sequence[str]]]:
+def _read_columns(path, problems: list, width: int | None = None, exact: bool = False,
+                  keep: list | None = None) -> tuple[list[str] | None, list[Sequence[str]]]:
     """The header (None for an empty file) and the first ``width`` columns
     (default: one per header name) of a CSV file, as ``csv.reader`` reads it.
 
@@ -159,7 +161,9 @@ def _read_columns(path, problems: list, width: int | None = None,
     that row becomes a problem.  A name that the header repeats raises
     SchemaError.  Text that :func:`_plain_lines` can split is read without
     ``csv.reader``: each line's commas are counted, and the columns are
-    strided slices of one split of the joined lines.
+    strided slices of one split of the joined lines.  That text's lines,
+    header first, are appended to ``keep`` when it is given; other text
+    leaves ``keep`` as it is.
     """
     text = _read_text(path)
     lines = _plain_lines(text)
@@ -174,6 +178,8 @@ def _read_columns(path, problems: list, width: int | None = None,
         width = len(header or ()) if width is None else width
         return header, _cells_by_column(rows[1:], width, problems, exact)
     del text
+    if keep is not None:
+        keep.extend(lines)
     if not lines:
         return None, [[] for _ in range(width or 0)]
     header = lines[0].split(",") if lines[0] else []
@@ -367,16 +373,53 @@ def write_dyads(path, table: DyadTable) -> None:
     _write_columns(path, ["id", *table.columns], columns)
 
 
-def read_dyads(path) -> DyadTable:
+def write_dyads_patch(path, table: DyadTable, lines: Sequence[str], rows) -> None:
+    """Write ``table``, read by :func:`read_dyads` from ``lines``, in which
+    only the rows ``rows`` have changed since.
+
+    The header and every other row are copied as the lines that were
+    read.  The rows in ``rows`` get the cell text :func:`write_dyads`
+    gives them, and every line ends in ``\\r\\n``.  So a file that
+    :func:`write_dyads` wrote gets the bytes it would write for the
+    table, while a hand-edited row outside ``rows`` keeps its text (say
+    ``1.50`` or `` d7``).  Where no exact copy is possible, the whole
+    table goes through :func:`write_dyads`: when the text was not plain
+    (``lines`` is empty) or the header is not ``id`` followed by the
+    table's columns in order.
+    """
+    header = ["id", *table.columns]
+    if not lines or lines[0] != ",".join(header):
+        write_dyads(path, table)
+        return
+    rows = np.asarray(rows, dtype=np.intp)
+    validated = table.columns["validated"][rows].tolist()
+    columns = [[table.ids[i] for i in rows.tolist()]]
+    for name, values in table.columns.items():
+        cells = list(map(str, _cell_values(name, values[rows])))
+        if is_phase2(name):
+            cells = [c if v else "" for c, v in zip(cells, validated)]
+        columns.append(cells)
+    out = list(lines)
+    for i, cells in zip(rows.tolist(), zip(*columns)):
+        out[i + 1] = _csv_text([cells])[:-2]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(out))
+        fh.write("\r\n")
+
+
+def read_dyads(path, lines: list | None = None) -> DyadTable:
     """``dyads.csv`` as a :class:`DyadTable`.
 
     Phase-2 cells are read on validated rows only.  Raises SchemaError
     for a missing column, a row with the wrong cell count, a non-numeric
     or empty cell, a row breaking :func:`records.first_invalid_row`, a
-    repeated id or a repeated column name.
+    repeated id or a repeated column name.  When ``lines`` is given and
+    the text is plain (no quote, no bare carriage return), the file's
+    lines, header first and without their ends, are appended to it for
+    :func:`write_dyads_patch`.
     """
     problems: list = []
-    header, columns = _read_columns(path, problems, exact=True)
+    header, columns = _read_columns(path, problems, exact=True, keep=lines)
     if header is None:
         raise SchemaError("dyads file is empty; a header row is required")
     for col in ("id", "y_star", "delta_star", "x_star"):

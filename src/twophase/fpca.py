@@ -530,16 +530,6 @@ def pace_scores(series: LongitudinalSeries, system: EigenSystem,
     return lam_phi @ solved[:, 0], 0.5 * (omega + omega.T)
 
 
-def reconstruct(scores: np.ndarray, system: EigenSystem, t) -> np.ndarray:
-    """Predicted trajectory value(s) at ``t`` from component scores."""
-    t_arr = system._check_domain(np.atleast_1d(np.asarray(t, dtype=np.float64)))
-    values = system._values_at(t_arr)
-    mu = values[0]
-    if system.n_components:
-        mu = mu + np.asarray(scores) @ values[1:]
-    return mu if np.ndim(t) else float(mu[0])
-
-
 def weight_change(series: LongitudinalSeries, system: EigenSystem,
                   gestation_days: float = FULL_TERM_DAYS) -> float:
     """Average weekly weight gain over a pregnancy of ``gestation_days``.

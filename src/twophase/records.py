@@ -255,15 +255,44 @@ def leaf_index(table: DyadTable,
 
     This is where record rows meet strata: ``rows`` lists the rows of
     ``table`` in the frame, ascending, and ``idx[i]`` indexes ``leaves``
-    (``ledger.leaves()`` order) for row ``rows[i]``.
+    (``ledger.leaves()`` order) for row ``rows[i]``.  It is also where a
+    ledger's draws meet the table: every id that a leaf counts toward its
+    ``n_s`` (its ``drawn`` lists and ``inherited_ids``) must be a member
+    of that leaf, counted once, or LedgerError names the id and the leaf.
     """
     rows = np.flatnonzero(ledger.member_mask(table))
     leaves = ledger.leaves()
-    if not rows.size:
-        return rows, leaves, np.empty(0, dtype=np.intp)
-    idx = assign_strata_arrays({axis: table.columns[axis][rows] for axis in AXES}, leaves,
-                               ids=[table.ids[r] for r in rows.tolist()])
+    member_ids = [table.ids[r] for r in rows.tolist()]
+    idx = (assign_strata_arrays({axis: table.columns[axis][rows] for axis in AXES}, leaves,
+                                ids=member_ids)
+           if rows.size else np.empty(0, dtype=np.intp))
+    if any(s.total_sampled for s in leaves):
+        _check_counted_ids(table, ledger.frame, leaves, member_ids, idx)
     return rows, leaves, idx
+
+
+def _check_counted_ids(table: DyadTable, frame: str, leaves: Sequence[Stratum],
+                       member_ids: list[str], idx: np.ndarray) -> None:
+    """LedgerError unless each leaf counts only its own members, each once."""
+    leaf_of = dict(zip(member_ids, idx.tolist()))
+    for j, s in enumerate(leaves):
+        counted = s.all_drawn_ids()
+        for rid in counted:
+            k = leaf_of.get(rid)
+            if k == j:
+                continue
+            if k is not None:
+                where = f"a member of stratum {leaves[k].id!r}"
+            elif rid in table.ids:
+                where = f"not a member of frame {frame!r}"
+            else:
+                where = "not a record of the table"
+            raise LedgerError(f"stratum {s.id!r} counts record {rid!r} toward its draws, "
+                              f"but {rid!r} is {where}")
+        if len(set(counted)) < len(counted):
+            rid = next(r for i, r in enumerate(counted) if r in counted[:i])
+            raise LedgerError(f"stratum {s.id!r} counts record {rid!r} twice toward its "
+                              "draws")
 
 
 def assign_strata(table: DyadTable, ledger: DesignLedger) -> dict[str, str]:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from twophase import allocation as al
 from twophase.errors import DegenerateDesignError, InfeasibleError
 from twophase.records import DesignLedger, DyadTable, Stratum, apply_draw, build_ledger
-from twophase.simulate import oracle_allocation
+
+from allocation_oracle import oracle_allocation
 
 
 def stats(*triples):

@@ -483,6 +483,37 @@ def test_ledger_counts_draws_from_the_drawn_ids(chain_dir, tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+FOREIGN_DRAWS = {
+    # With these five, estimate --method ipw exited 0 and moved the x estimate.
+    "made-up ids": ("evhi", "zzz1", "is not a record of the table"),
+    "a member of another leaf": ("evhi", None, "is a member of stratum 'nohi'"),
+    "an id counted twice": ("evhi", None, "twice"),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_DRAWS)
+def test_foreign_ids_in_a_ledger_give_ledger_exit(chain_dir, tmp_path, capsys, case):
+    d = chain_dir
+    payload = json.loads((d / "ledger_O2.json").read_text())
+    leaves = {s["id"]: s for s in payload["strata"]}
+    sid, rid, culprit = FOREIGN_DRAWS[case]
+    if case == "made-up ids":
+        leaves[sid]["drawn"][0] += [f"zzz{i}" for i in range(1, 6)]
+    elif case == "a member of another leaf":
+        rid = leaves["nohi"]["drawn"][0].pop()
+        leaves[sid]["drawn"][0].append(rid)
+    else:
+        rid = leaves[sid]["drawn"][0][0]
+        leaves[sid]["drawn"][1].append(rid)
+    (tmp_path / "ledger.json").write_text(json.dumps(payload))
+    out = tmp_path / "est.csv"
+    assert run(["estimate", "--dyads", d / "dyads_3.csv", "--method", "ipw",
+                "--ledger", tmp_path / "ledger.json", "--out", out]) == 6
+    err = capsys.readouterr().err
+    assert f"error: ledger: stratum {sid!r} counts record {rid!r}" in err and culprit in err
+    assert not out.exists()
+
+
 def _multi(d, dyads="dyads_3.csv", primary="ledger_O2.json", secondary="ledger_A1.json"):
     return ["estimate", "--dyads", d / dyads, "--ledger", d / primary,
             "--frame", "multi", "--asthma-ledger", d / secondary]

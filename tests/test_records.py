@@ -35,7 +35,10 @@ def sampling_probability(table, row, ledger):
     rid = table.ids[row]
     if ledger.member_flag is not None and not table.columns[ledger.member_flag][row]:
         raise LedgerError(f"record {rid!r} is not a member of frame {ledger.frame!r}")
-    return sampling_probabilities(take_rows(table, [row]), ledger)[rid]
+    # The slice keeps the records the ledger counts, which a table must hold.
+    drawn = ledger.sampled_ids()
+    rows = sorted({row, *(i for i, r in enumerate(table.ids) if r in drawn)})
+    return sampling_probabilities(take_rows(table, rows), ledger)[rid]
 
 # The final stratification of the primary validation design: 33 leaves on
 # (event indicator, follow-up band, weight-gain band) covering 10,335 records.
@@ -276,7 +279,9 @@ def test_sampling_probabilities_bulk_matches_scalar(table_design):
         members.setdefault(sid, []).append(rid)
     draws = {sid: ids[: min(3, len(ids))] for sid, ids in members.items()}
     ledger2 = apply_draw(ledger, 1, draws)
-    head = take_rows(table, range(100))
+    drawn = ledger2.sampled_ids()
+    head = take_rows(table, sorted({*range(100),
+                                    *(i for i, rid in enumerate(table.ids) if rid in drawn)}))
     pis = sampling_probabilities(head, ledger2)
     for row, rid in enumerate(head.ids):
         assert pis[rid] == sampling_probability(head, row, ledger2)

@@ -9,6 +9,8 @@ from twophase.allocation import StratumStats
 from twophase.errors import ConvergenceError, InfeasibleError
 from twophase.fpca import FULL_TERM_DAYS, TIME_DOMAIN
 
+from allocation_oracle import oracle_allocation
+
 
 def per_subject_series(rng, traj, scores, gestation, m_obs):
     """The series generator as one loop over subjects: the reference.
@@ -137,21 +139,21 @@ class TestGenerate:
 class TestOracleAllocation:
     def test_equal_strata_tie_set(self):
         stats = [StratumStats(str(j), 20, 1.0) for j in range(3)]
-        best, minimizers = sim.oracle_allocation(stats, 7)
+        best, minimizers = oracle_allocation(stats, 7)
         assert len(minimizers) == 3  # the unit remainder can land anywhere
         totals = {tuple(sorted(m.values())) for m in minimizers}
         assert totals == {(2, 2, 3)}
 
     def test_zero_sd_stratum_gets_minimum_only(self):
         stats = [StratumStats("a", 30, 1.0), StratumStats("b", 30, 0.0)]
-        best, minimizers = sim.oracle_allocation(stats, 10)
+        best, minimizers = oracle_allocation(stats, 10)
         assert all(m["b"] == 1 for m in minimizers)
         assert minimizers[0]["a"] == 9
 
     def test_instance_size_guard(self):
         stats = [StratumStats(str(j), 50, 1.0) for j in range(6)]
         with pytest.raises(InfeasibleError):
-            sim.oracle_allocation(stats, 10)
+            oracle_allocation(stats, 10)
 
 
 class TestDesignPipeline:
