@@ -163,7 +163,7 @@ def cmd_simulate_reveal(args) -> int:
         raise SchemaError(f"truth file {args.truth}: record {table.ids[bad[0]]}: {bad[1]}")
     fileio.write_dyads_patch(args.out, table, lines, rows)
     log.info("validated %d newly drawn records (%d reused from overlap)",
-             len(drawn - overlap), len(overlap & drawn))
+             rows.size, len(overlap & drawn))
     return 0
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from twophase.errors import SchemaError
-from twophase.fpca import EigenSystem, LongitudinalSeries
+from twophase.fpca import EigenSystem, LongitudinalSeries, SeriesError, series_from_flat
 from twophase.records import (
     FLAGS,
     INTEGER_FIELDS,
@@ -490,7 +490,11 @@ def read_measurements(path) -> list[LongitudinalSeries]:
     the smallest weight is kept.  A non-numeric or non-finite (nan, inf)
     cell raises SchemaError naming its row, and a series that
     ``LongitudinalSeries`` rejects (a non-positive weight) raises it
-    naming its subject.
+    naming its subject: ``subject '<id>': `` and then the series' own
+    message, for the first such subject in order of appearance.  The
+    sorted, de-duplicated points are checked and cut into series in one
+    ``fpca.series_from_flat`` call; each series' times and values are
+    views of two arrays shared by all of them.
     """
     problems: list = []
     header, columns = _read_columns(path, problems, 3)
@@ -516,15 +520,11 @@ def read_measurements(path) -> list[LongitudinalSeries]:
     keep = np.ones(subject.size, dtype=bool)
     keep[1:] = (subject[1:] != subject[:-1]) | (np.diff(times) > 0)
     subject, times, values = subject[keep], times[keep], values[keep]
-    cuts = np.flatnonzero(subject[1:] != subject[:-1]) + 1
-    out = []
-    for name, t, v in zip(names[appearance].tolist(), np.split(times, cuts),
-                          np.split(values, cuts)):
-        try:
-            out.append(LongitudinalSeries(name, t, v))
-        except ValueError as exc:
-            raise SchemaError(f"subject {name!r}: {exc}") from None
-    return out
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(subject, minlength=names.size))))
+    try:
+        return series_from_flat(names[appearance].tolist(), times, values, offsets)
+    except SeriesError as exc:
+        raise SchemaError(f"subject {exc.subject_id!r}: {exc}") from None
 
 
 def write_scores(path, subject_ids: Sequence[str], scores: np.ndarray,

@@ -36,9 +36,80 @@ INIT_NOISE_SHARE = 0.01      # starting noise variance, as a share of the pooled
 E_STEP_CHUNK = 2500          # subjects per batched E-step (bounds peak memory)
 
 
-@dataclass(frozen=True)
+# The rule every series keeps, checked in this order (see _first_fault).
+_SERIES_RULES = ("needs at least one observation",
+                 "times/values length mismatch",
+                 "times must be finite and strictly increasing",
+                 "weights must be finite and positive")
+
+
+class SeriesError(ValueError):
+    """A series that breaks the rule of :class:`LongitudinalSeries`.
+
+    The message is ``series <id>: <rule broken>``; ``subject_id`` is the
+    id.  Both are the exception's arguments, so it pickles.
+    """
+
+    def __init__(self, subject_id, rule: str):
+        super().__init__(subject_id, rule)
+        self.subject_id = subject_id
+
+    def __str__(self):
+        return f"series {self.args[0]}: {self.args[1]}"
+
+
+def _first_fault(times: np.ndarray, values: np.ndarray, offsets: np.ndarray):
+    """``(i, rule)`` for the first segment that breaks the series rule, or None.
+
+    Segment i is ``times[a:b]`` with ``values[a:b]``, where ``a, b =
+    offsets[i], offsets[i + 1]`` (non-decreasing from 0); a slice that
+    runs past the end of its array is cut short, as slicing does, so
+    ``offsets = [0, max(len(times), len(values))]`` is one series as
+    given.  Each segment is checked in this order: not empty, equal
+    lengths, times finite and strictly increasing, weights finite and
+    positive; each check is one pass over the flat arrays.
+    """
+    ends_t, ends_v = np.minimum(offsets, times.size), np.minimum(offsets, values.size)
+    n_times, n_values = ends_t[1:] - ends_t[:-1], ends_v[1:] - ends_v[:-1]
+    falls = times[1:] <= times[:-1]     # False at a NaN, which is not finite
+    cuts = offsets[1:-1]
+    falls[cuts[(cuts > 0) & (cuts < times.size)] - 1] = False   # into the next segment
+    bad_time = ~np.isfinite(times)
+    bad_time[:-1] |= falls
+    bad_weight = ~((values > 0.0) & (values < math.inf))     # True at a NaN
+    # The first segment that fails each check, n when none does; a point
+    # belongs to the last segment starting at or before it.
+    n = n_times.size
+    firsts = []
+    for mask, of_points in ((n_times == 0, False), (n_times != n_values, False),
+                            (bad_time, True), (bad_weight, True)):
+        hit = np.flatnonzero(mask)
+        if hit.size == 0:
+            firsts.append(n)
+        else:
+            firsts.append(int(offsets.searchsorted(hit[0], "right")) - 1 if of_points
+                          else int(hit[0]))
+    first = min(firsts)
+    return None if first == n else (first, _SERIES_RULES[firsts.index(first)])
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class LongitudinalSeries:
-    """One subject's sparse weight history on the common gestational clock."""
+    """One subject's sparse weight history on the common gestational clock.
+
+    The rule every series keeps: at least one observation, as many
+    weights as times, times finite and strictly increasing, weights
+    finite and positive.  A series that breaks it raises
+    :class:`SeriesError` (a ValueError) for the first broken part, in that
+    order; :func:`series_from_flat` applies the same check, by the same
+    code, to many series at once.  Times and values are stored as
+    float64 arrays.
+
+    The class is slotted (no per-instance ``__dict__``), so series built
+    by the constructor and by :func:`series_from_flat` have one layout.
+    Series pickle, compare equal when their ids and their times and
+    values are equal, and are not hashable.
+    """
 
     subject_id: str
     times: np.ndarray
@@ -47,21 +118,57 @@ class LongitudinalSeries:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
-        if t.size == 0:
-            raise ValueError(f"series {self.subject_id}: needs at least one observation")
-        if t.size != v.size:
-            raise ValueError(f"series {self.subject_id}: times/values length mismatch")
-        # Strictly increasing with finite ends: then every time is finite.
-        # (A comparison with NaN is False, so NaN fails both checks.)
-        if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and (t[1:] > t[:-1]).all()):
-            raise ValueError(
-                f"series {self.subject_id}: times must be finite and strictly increasing")
-        # The smallest is > 0 and the largest < inf exactly when every
-        # weight is (a NaN makes the minimum NaN, which fails).
-        if not (0.0 < v.min() and v.max() < math.inf):
-            raise ValueError(f"series {self.subject_id}: weights must be finite and positive")
+        fault = _first_fault(t, v, np.array([0, max(t.size, v.size)]))
+        if fault is not None:
+            raise SeriesError(self.subject_id, fault[1])
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+
+    def __eq__(self, other):
+        if not isinstance(other, LongitudinalSeries):
+            return NotImplemented
+        return (self.subject_id == other.subject_id
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(self.values, other.values))
+
+
+def series_from_flat(subject_ids: Sequence[str], times, values,
+                     offsets) -> list[LongitudinalSeries]:
+    """One series per id: series i has ``times[a:b]`` and ``values[a:b]``,
+    where ``a, b = offsets[i], offsets[i + 1]``.
+
+    Every subject's points are checked against the rule of
+    :class:`LongitudinalSeries` in one pass over the flat arrays, and the
+    first subject that breaks it raises the SeriesError that its own
+    constructor would.  The series are then built without a second
+    check.  Their times and values are views of the two arrays (of
+    float64 copies, when the arrays are not float64), one slice per
+    subject.  ``offsets`` holds ``len(subject_ids) + 1`` non-decreasing
+    integers from 0 to the common length of the 1-D arrays; any other
+    layout raises ValueError.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    bounds = np.asarray(offsets)
+    if not (times.ndim == values.ndim == bounds.ndim == 1
+            and bounds.size == len(subject_ids) + 1 and bounds.dtype.kind in "iu"
+            and bounds[0] == 0 and bounds[-1] == times.size == values.size
+            and (bounds[1:] >= bounds[:-1]).all()):
+        raise ValueError("offsets must run, non-decreasing, from 0 to the common length "
+                         "of times and values, one more entry than there are subjects")
+    fault = _first_fault(times, values, bounds)
+    if fault is not None:
+        raise SeriesError(subject_ids[fault[0]], fault[1])
+    new, put = object.__new__, object.__setattr__
+    out = []
+    ends = bounds.tolist()
+    for sid, a, b in zip(subject_ids, ends, ends[1:]):
+        s = new(LongitudinalSeries)
+        put(s, "subject_id", sid)
+        put(s, "times", times[a:b])
+        put(s, "values", values[a:b])
+        out.append(s)
+    return out
 
 
 @dataclass

@@ -30,7 +30,13 @@ import numpy as np
 from twophase import imputation, models, multiframe, raking
 from twophase.allocation import draw_within_strata, influence_sd, multiwave
 from twophase.errors import ConvergenceError, InfeasibleError
-from twophase.fpca import FULL_TERM_DAYS, TIME_DOMAIN, EigenSystem, LongitudinalSeries
+from twophase.fpca import (
+    FULL_TERM_DAYS,
+    TIME_DOMAIN,
+    EigenSystem,
+    LongitudinalSeries,
+    series_from_flat,
+)
 from twophase.records import Stratum, assign_strata_arrays, inclusion_probabilities
 from twophase.smoothing import trapezoid_weights
 
@@ -221,7 +227,9 @@ def _draw_series(rng, traj: TrajectoryModel, scores, gestation,
     traj.basis(t)`` and the 1 kg floor are each one pass over every
     subject's points.  The product ``scores_i @ basis`` stays per subject:
     batched forms round some points differently.  Each series' times and
-    values are views of two shared arrays, one slice per subject.
+    values are views of two shared arrays, one slice per subject, and
+    :func:`fpca.series_from_flat` checks every series in one pass over
+    them.
     """
     if not traj.noise_sd >= 0.0:
         raise ValueError(f"noise_sd must be non-negative, got {traj.noise_sd}")
@@ -261,8 +269,7 @@ def _draw_series(rng, traj: TrajectoryModel, scores, gestation,
     values += noise
     del noise
     np.maximum(values, 1.0, out=values)
-    return [LongitudinalSeries(f"d{i:06d}", times[a:b], values[a:b])
-            for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))]
+    return series_from_flat([f"d{i:06d}" for i in range(n)], times, values, offsets)
 
 
 def generate(config: SimConfig, seed: int | None = None, *,

@@ -167,6 +167,17 @@ class TestMeasurements:
             fileio.read_measurements(path)
 
 
+    def test_non_positive_weight_names_its_subject(self, tmp_path):
+        # Rows out of order: the subjects in order of appearance are a, b, c.
+        path = tmp_path / "m.csv"
+        path.write_text("subject_id,t_days,weight_kg\na,5,60\nb,7,61\nc,1,-3\n"
+                        "b,2,0\na,1,60\nc,0,62\n")
+        with pytest.raises(SchemaError) as caught:
+            fileio.read_measurements(path)
+        assert str(caught.value) == ("subject 'b': series b: "
+                                     "weights must be finite and positive")
+
+
 class TestEigensystem:
     def test_round_trip(self, tmp_path):
         grid = np.linspace(-365, 272, 41)

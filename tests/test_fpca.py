@@ -1,7 +1,11 @@
+import dataclasses
+import pickle
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twophase import fpca
 from twophase.errors import ConvergenceError, DomainError, IllConditionedError
@@ -57,6 +61,165 @@ class TestLongitudinalSeries:
     def test_non_finite_times_rejected(self, times):
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             fpca.LongitudinalSeries("a", np.array(times), np.array([60.0, 61.0, 62.0]))
+
+    def test_rules_checked_in_order(self):
+        cases = [([], [np.nan], "needs at least one observation"),
+                 ([1.0, 1.0], [-1.0], "times/values length mismatch"),
+                 ([2.0, 1.0], [0.0, np.nan], "finite and strictly increasing"),
+                 ([1.0, 2.0], [60.0, np.inf], "weights must be finite and positive")]
+        for times, values, rule in cases:
+            with pytest.raises(fpca.SeriesError, match=rule) as caught:
+                fpca.LongitudinalSeries("a", np.array(times), np.array(values))
+            assert caught.value.subject_id == "a"
+
+
+def flat_buffer(n_points, times_seed):
+    """Valid flat arrays for subjects with ``n_points`` points each: times
+    strictly increasing within a subject, drawn afresh for every subject
+    (so they fall at most subject boundaries), and positive weights."""
+    rng = np.random.default_rng(times_seed)
+    times = np.concatenate([np.sort(rng.choice(np.arange(-365.0, 273.0), m, replace=False))
+                            for m in n_points] + [np.empty(0)])
+    values = rng.uniform(40.0, 120.0, times.size)
+    return times, values, np.concatenate(([0], np.cumsum(n_points))).astype(np.intp)
+
+
+# (where, value): a time or a weight replaced at a random point of a subject.
+FAULTS = [("time", np.nan), ("time", np.inf), ("time", -np.inf), ("time", "tie"),
+          ("time", "fall"), ("weight", 0.0), ("weight", -2.0), ("weight", np.nan),
+          ("weight", np.inf), ("weight", -np.inf)]
+
+
+def per_subject(ids, times, values, offsets):
+    """The constructor applied to one subject at a time: the reference.
+    Returns the series, or ``(subject, message)`` of the first rejected one."""
+    out = []
+    for sid, a, b in zip(ids, offsets[:-1].tolist(), offsets[1:].tolist()):
+        try:
+            out.append(fpca.LongitudinalSeries(sid, times[a:b].copy(), values[a:b].copy()))
+        except ValueError as exc:
+            return sid, str(exc)
+    return out
+
+
+class TestSeriesFromFlat:
+    @settings(max_examples=300, deadline=None)
+    @given(n_points=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+           times_seed=st.integers(0, 2 ** 32 - 1),
+           faults=st.lists(st.tuples(st.sampled_from(range(len(FAULTS) + 1)),
+                                     st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                           max_size=3))
+    def test_bulk_and_per_subject_agree(self, n_points, times_seed, faults):
+        times, values, _ = flat_buffer(n_points, times_seed)
+        for kind, subject, point in faults:
+            i = subject % len(n_points)
+            if kind == len(FAULTS):          # empty the subject's segment: 0 points
+                a = sum(n_points[:i])
+                times = np.delete(times, np.s_[a:a + n_points[i]])
+                values = np.delete(values, np.s_[a:a + n_points[i]])
+                n_points[i] = 0
+                continue
+            if n_points[i] == 0:
+                continue
+            where, value = FAULTS[kind]
+            p = sum(n_points[:i]) + point % n_points[i]
+            if where == "weight":
+                values[p] = value
+            elif value in ("tie", "fall"):
+                if n_points[i] < 2:
+                    continue
+                p = max(p, sum(n_points[:i]) + 1)
+                times[p] = times[p - 1] - (1.0 if value == "fall" else 0.0)
+            else:
+                times[p] = value
+        offsets = np.concatenate(([0], np.cumsum(n_points))).astype(np.intp)
+        ids = [f"s{i}" for i in range(len(n_points))]
+        want = per_subject(ids, times, values, offsets)
+        if isinstance(want, tuple):
+            with pytest.raises(fpca.SeriesError) as caught:
+                fpca.series_from_flat(ids, times, values, offsets)
+            assert (caught.value.subject_id, str(caught.value)) == want
+            return
+        got = fpca.series_from_flat(ids, times, values, offsets)
+        assert [s.subject_id for s in got] == ids
+        for s, w in zip(got, want):
+            assert s.times.tobytes() == w.times.tobytes()
+            assert s.values.tobytes() == w.values.tobytes()
+
+    def test_times_may_fall_across_a_subject_boundary(self):
+        times = np.array([10.0, 20.0, 5.0, 15.0, 15.0, 1.0])
+        values = np.full(6, 60.0)
+        got = fpca.series_from_flat(["a", "b", "c"], times[:5], values[:5], [0, 2, 4, 5])
+        assert [s.times.tolist() for s in got] == [[10.0, 20.0], [5.0, 15.0], [15.0]]
+        with pytest.raises(fpca.SeriesError, match="series b: times must be finite"):
+            fpca.series_from_flat(["a", "b"], times[2:6], values[2:6], [0, 1, 4])
+
+    def test_series_are_views_of_the_buffers(self):
+        times, values, offsets = flat_buffer([3, 1, 4], 5)
+        got = fpca.series_from_flat(["a", "b", "c"], times, values, offsets)
+        assert all(s.times.base is times and s.values.base is values for s in got)
+
+    @pytest.mark.parametrize("offsets", [[0, 2], [0, 2, 3, 4], [1, 2, 4], [0, 3, 2],
+                                         [0.0, 2.0, 4.0], [[0, 2, 4]]])
+    def test_malformed_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="offsets must run"):
+            fpca.series_from_flat(["a", "b"], np.arange(4.0), np.full(4, 60.0), offsets)
+
+    def test_no_subjects(self):
+        assert fpca.series_from_flat([], np.empty(0), np.empty(0), [0]) == []
+
+
+class TestSlottedSeries:
+    """What a worker pool relies on: series pickle, copy by replace, compare
+    and print the same way however they were built."""
+
+    @pytest.fixture
+    def pair(self):
+        times, values, offsets = flat_buffer([4, 2, 5], 9)
+        bulk = fpca.series_from_flat(["a", "b", "c"], times, values, offsets)[1]
+        return bulk, fpca.LongitudinalSeries("b", times[4:6].copy(), values[4:6].copy())
+
+    def test_one_layout(self, pair):
+        bulk, built = pair
+        assert type(bulk) is type(built) is fpca.LongitudinalSeries
+        assert fpca.LongitudinalSeries.__slots__ == ("subject_id", "times", "values")
+        assert not hasattr(bulk, "__dict__") and not hasattr(built, "__dict__")
+        with pytest.raises(AttributeError):
+            bulk.times = np.zeros(2)
+
+    def test_pickle(self, pair):
+        for s in pair:
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s and repr(back) == repr(s)
+            assert back.times.tobytes() == s.times.tobytes()
+            assert back.values.tobytes() == s.values.tobytes()
+
+    def test_error_pickles(self):
+        with pytest.raises(fpca.SeriesError) as caught:
+            fpca.LongitudinalSeries("a", np.array([1.0]), np.array([0.0]))
+        back = pickle.loads(pickle.dumps(caught.value))
+        assert str(back) == str(caught.value) == "series a: weights must be finite and positive"
+        assert back.subject_id == "a" and isinstance(back, ValueError)
+
+    def test_replace(self, pair):
+        bulk, built = pair
+        renamed = dataclasses.replace(bulk, subject_id="z")
+        assert renamed.subject_id == "z" and renamed.times is bulk.times
+        assert dataclasses.replace(bulk) == built
+        with pytest.raises(fpca.SeriesError, match="series b: weights"):
+            dataclasses.replace(bulk, values=-bulk.values)
+
+    def test_equality_and_repr(self, pair):
+        bulk, built = pair
+        assert bulk == built and not bulk != built and repr(bulk) == repr(built)
+        assert repr(bulk).startswith("LongitudinalSeries(subject_id='b', times=array([")
+        assert bulk != dataclasses.replace(built, subject_id="c")
+        assert bulk != dataclasses.replace(built, values=built.values + 1.0)
+        assert bulk != dataclasses.replace(built, times=built.times[:1],
+                                           values=built.values[:1])
+        assert bulk != ("b", bulk.times, bulk.values)
+        with pytest.raises(TypeError):
+            hash(bulk)
 
 
 class TestFitEigensystem:

@@ -6,6 +6,7 @@ of the table that reveal should leave, built here row by row.
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ def population(tmp_path_factory):
     drawn = set(ids[::7])
     assert reveal(d / "dyads.csv", d / "truth.csv", drawn, 1, d / "dyads_1.csv") == 0
     return d, drawn
+
+
+def test_reveal_logs_the_rows_it_validates(population, tmp_path, caplog):
+    d, drawn = population
+    with caplog.at_level(logging.INFO, logger="twophase"):
+        assert reveal(d / "dyads.csv", d / "truth.csv", drawn, 1, tmp_path / "first.csv") == 0
+        # The same draw on reveal's own output: every drawn row is validated.
+        assert reveal(tmp_path / "first.csv", d / "truth.csv", drawn, 1,
+                      tmp_path / "again.csv") == 0
+    logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("validated")]
+    assert logged == [f"validated {len(drawn)} newly drawn records (0 reused from overlap)",
+                      "validated 0 newly drawn records (0 reused from overlap)"]
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 def test_a_hand_edited_undrawn_row_keeps_its_text(population, tmp_path):
