@@ -13,9 +13,11 @@ imputation  parametric imputation and multiply-imputed influence
 simulate    synthetic populations and the experiment harness
 fileio      CSV/JSON schemas for every artifact
 cli         the ``twophase`` command-line entry point
-kernels     the numpy Breslow partial-likelihood pass and local-linear
-            smoothers
-smoothing   local-linear smoothing: binning, cross-validated bandwidths
+kernels     the numpy Breslow partial-likelihood pass, and the local-linear
+            smoothers under ``smoothing``
+smoothing   local-linear smoothing.  No package module imports it; it and
+            ``kernels.local_linear_*`` stay only for the benchmark's frozen
+            trace table, until the benchmark stops tracing them
 errors      the typed errors, one CLI exit code per class
 
 The design core is array functions in ``allocation``, ``records`` and

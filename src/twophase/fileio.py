@@ -570,9 +570,13 @@ def read_eigensystem(path) -> EigenSystem:
 
     The grid must hold at least two finite, strictly increasing points.
     ``mean`` has one value per grid point, ``eigenfunctions`` is K x G (K
-    the number of eigenvalues) and ``fve`` has K values.  A missing key or
-    a shape that does not fit raises SchemaError.  ``em_steps`` is optional
-    (None when absent); when present it is a non-negative integer or null.
+    the number of eigenvalues) and ``fve`` has K values.  Every value is
+    finite, ``noise_var`` is not negative and every eigenvalue is positive.
+    A missing key, a shape that does not fit or a value out of range raises
+    SchemaError naming the key.  ``em_steps`` is optional (None when
+    absent); when present it is a non-negative integer or null.  A system
+    with components but too little noise raises IllConditionedError, as
+    :class:`~twophase.fpca.EigenSystem` does.
     """
     payload = read_json(path)
     arrays = {}
@@ -600,6 +604,12 @@ def read_eigensystem(path) -> EigenSystem:
         if values.shape != shape:
             raise SchemaError(f"eigensystem {key} has shape {values.shape}; expected "
                               f"{shape} for {g} grid points and {k} eigenvalues")
+        if not np.all(np.isfinite(values)):
+            raise SchemaError(f"eigensystem {key} holds a non-finite value")
+    if arrays["noise_var"] < 0.0:
+        raise SchemaError("eigensystem noise_var must not be negative")
+    if np.any(eigenvalues <= 0.0):
+        raise SchemaError("eigensystem eigenvalues must be positive")
     em_steps = payload.get("em_steps")
     if em_steps is not None and not (type(em_steps) is int and em_steps >= 0):
         raise SchemaError(f"eigensystem em_steps must be a non-negative integer or "

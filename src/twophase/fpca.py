@@ -8,26 +8,30 @@ each subject gets best-linear-predictor component scores (PACE, Yao,
 Muller & Wang 2005).  Downstream consumers derive the weekly weight-gain
 exposure from reconstructed trajectories and flag observations that fall
 outside the prediction band from the subject's other observations.
+
+Every eigensystem with components has measurement noise (see
+:class:`EigenSystem`), so scoring and flagging solve one positive-definite
+system per subject; a zero-variation fit has neither and is banded by its
+mean curve alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from twophase import smoothing
 from twophase.errors import ConvergenceError, DomainError, IllConditionedError
 
 TIME_DOMAIN = (-365.0, 272.0)
 FULL_TERM_DAYS = 273  # assumed gestation length behind the phase-1 exposure
 DEFAULT_GRID_SIZE = 101
 DEFAULT_FVE = 0.999
+MAX_COMPONENTS = 20
 N_BASIS = 12                 # cubic B-splines spanning the fitting domain
 SPLINE_DEGREE = 3
 EM_TOL = 1e-5                # largest EM change, relative to each block's size
@@ -171,12 +175,28 @@ def series_from_flat(subject_ids: Sequence[str], times, values,
     return out
 
 
+def trapezoid_weights(grid) -> np.ndarray:
+    """Trapezoid-rule quadrature weights on the increasing ``grid``."""
+    grid = np.asarray(grid, dtype=np.float64)
+    w = np.empty_like(grid)
+    w[0] = (grid[1] - grid[0]) / 2
+    w[-1] = (grid[-1] - grid[-2]) / 2
+    w[1:-1] = (grid[2:] - grid[:-2]) / 2
+    return w
+
+
 @dataclass
 class EigenSystem:
     """Estimated mean curve, eigenpairs, and noise variance on a fixed grid.
 
     The mean curve and the eigenfunctions are linearly interpolated
     between grid points from one table built at construction.
+
+    Invariant: a system with K >= 1 components has ``noise_var > 1e-12
+    lambda_1``, so every subject's prior covariance ``Phi^T Lambda Phi +
+    noise_var I`` is positive definite.  Construction (``dataclasses.replace``
+    included) raises IllConditionedError otherwise.  A system with no
+    components may have no noise: that is a zero-variation fit.
     """
 
     grid: np.ndarray
@@ -193,6 +213,10 @@ class EigenSystem:
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.eigenvalues.size and not self.noise_var > 1e-12 * self.eigenvalues[0]:
+            raise IllConditionedError(
+                f"an eigensystem with {self.eigenvalues.size} components needs a noise "
+                f"variance above 1e-12 of its leading eigenvalue, got {self.noise_var:g}")
         # _table[0, g] holds the mean and the K eigenfunctions at grid point
         # g, and _table[1, g] their slopes to the next grid point; the last
         # point's slopes are 0, so the right end of the grid reads its own
@@ -444,17 +468,14 @@ def _fit_spline_model(stats, n_obs, mean_offset, cov, noise_var):
 
 def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
                     grid_size: int = DEFAULT_GRID_SIZE,
-                    domain: tuple[float, float] = TIME_DOMAIN,
-                    fve_threshold: float = DEFAULT_FVE,
-                    n_components: int | None = None,
-                    max_components: int = 20) -> EigenSystem:
+                    fve_threshold: float = DEFAULT_FVE) -> EigenSystem:
     """Estimate the eigensystem from pooled sparse observations.
 
     The model is the reduced-basis mixed-effects model of James, Hastie &
     Sugar (2000): subject i's observations are ``y_i = B_i c_i + e_i`` with
     ``c_i ~ N(m, S)`` and ``e_i ~ N(0, noise_var I)``, where ``B_i`` holds
     ``N_BASIS`` clamped cubic B-splines (:func:`bspline_basis`) on
-    ``domain`` at the subject's times.  ``(m, S, noise_var)`` are fitted
+    ``TIME_DOMAIN`` at the subject's times.  ``(m, S, noise_var)`` are fitted
     by maximum likelihood with EM accelerated by SQUAREM, started from
     the pooled least-squares mean curve.  EM stops when one update moves
     no block (mean coefficients, ``S``, ``noise_var``) by more than
@@ -464,22 +485,23 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     is returned as ``em_steps``.
 
     The component count is the smallest K whose cumulative fraction of
-    variance reaches ``fve_threshold`` (or an explicit ``n_components``),
-    at most ``max_components``.  Eigenfunction signs are fixed so each
-    integrates to a nonnegative value.
+    variance reaches ``fve_threshold``, at most ``MAX_COMPONENTS``.
+    Eigenfunction signs are fixed so each integrates to a nonnegative
+    value.
 
     Degenerate inputs: fewer than two subjects, no observation inside
-    ``domain``, or no subject with two observations there raise
+    ``TIME_DOMAIN``, or no subject with two observations there raise
     ValueError.  A population with no variation about the pooled mean
-    curve returns ``zero_variation=True`` with no components.
-    IllConditionedError is raised when the observations leave a basis
-    function without support or the data vary but the fitted covariance
-    has no positive spectrum; ConvergenceError when EM reaches
-    ``EM_MAX_CYCLES`` cycles.
+    curve returns ``zero_variation=True`` with no components and no
+    noise.  IllConditionedError is raised when the observations leave a
+    basis function without support, when the data vary but the fitted
+    covariance has no positive spectrum, or when the fitted noise
+    variance breaks the invariant of :class:`EigenSystem`;
+    ConvergenceError when EM reaches ``EM_MAX_CYCLES`` cycles.
     """
     if len(series) < 2:
         raise ValueError("at least two subjects are required to fit an eigensystem")
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = TIME_DOMAIN
     grid = np.linspace(lo, hi, grid_size)
     t, v, subj = _pool(series, lo, hi)
     if t.size == 0:
@@ -515,7 +537,7 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     mean = grid_basis @ (offset + shift)
     surface = grid_basis @ cov @ grid_basis.T
 
-    qw = smoothing.trapezoid_weights(grid)
+    qw = trapezoid_weights(grid)
     d = np.sqrt(qw)
     sym = surface * np.outer(d, d)
     evals, evecs = np.linalg.eigh(0.5 * (sym + sym.T))
@@ -530,11 +552,7 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     lam_all = evals[positive]
     phi_all = (evecs[:, positive] / d[:, None]).T
     cum = np.cumsum(lam_all) / total_pos
-    if n_components is not None:
-        k = min(n_components, lam_all.size)
-    else:
-        k = int(np.searchsorted(cum, fve_threshold) + 1)
-        k = min(k, lam_all.size, max_components)
+    k = min(int(np.searchsorted(cum, fve_threshold) + 1), lam_all.size, MAX_COMPONENTS)
     lam = lam_all[:k]
     phi = phi_all[:k]
     for i in range(k):
@@ -546,16 +564,6 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     return EigenSystem(grid=grid, mean=mean, eigenvalues=lam, eigenfunctions=phi,
                        noise_var=float(noise_var), fve=cum[:k], zero_variation=False,
                        em_steps=em_steps)
-
-
-def _has_noise(system: EigenSystem) -> bool:
-    """Whether the noise variance is a usable share of the leading eigenvalue.
-
-    Without one a subject's prior covariance may be singular, and scoring
-    and outlier flags take the noise-free limit.
-    """
-    lam = system.eigenvalues
-    return system.noise_var > 1e-12 * (lam[0] if lam.size else 0.0)
 
 
 def _inside(times, lo: float, hi: float) -> tuple[int, int]:
@@ -575,42 +583,25 @@ def _no_observations(subject_id, lo: float, hi: float) -> DomainError:
     return DomainError(f"series {subject_id}: no observations inside [{lo:g}, {hi:g}]")
 
 
-def _subject_prior(times, values, system: EigenSystem, noisy: bool, tail=None):
+def _subject_prior(times, values, system: EigenSystem, tail=None):
     """One subject's residuals from the mean curve and their prior covariance.
 
     ``times``/``values`` are the subject's m in-domain observations.  One
     ``_values_at`` lookup serves them and, when given, the 1-D in-domain
     ``tail`` after them.  Returns ``(resid, lam_phi, cov, tail_values)``:
-    ``lam_phi`` is ``Lambda Phi`` (K x m); ``cov`` is ``Phi^T Lambda Phi``
-    (m x m), with ``noise_var`` added to its diagonal in place when
-    ``noisy``; ``tail_values`` holds the mean (row 0) and the
-    eigenfunctions (rows 1..K) at ``tail``.
+    ``lam_phi`` is ``Lambda Phi`` (K x m); ``cov`` is ``Phi^T Lambda Phi
+    + noise_var I`` (m x m), positive definite whenever K >= 1;
+    ``tail_values`` holds the mean (row 0) and the eigenfunctions (rows
+    1..K) at ``tail``.
     """
     m = times.size
     table = system._values_at(times if tail is None else np.concatenate((times, tail)))
     phi = table[1:, :m]
     lam_phi = phi * system.eigenvalues[:, None]
     cov = lam_phi.T @ phi
-    if noisy:    # a fresh C-ordered product, so the reshape is a view
-        cov.reshape(-1)[::m + 1] += system.noise_var
+    # A fresh C-ordered product, so the reshape is a view.
+    cov.reshape(-1)[::m + 1] += system.noise_var
     return values - table[0, :m], lam_phi, cov, table[:, m:]
-
-
-def _solve(cov, rhs, noisy: bool):
-    """``cov^-1 rhs`` for a prior covariance from :func:`_subject_prior`.
-
-    Without a noise term ``cov`` may be singular: a pseudoinverse is used
-    and a warning emitted that points at the caller of the public scoring
-    function that called this one.
-    """
-    if noisy:
-        return np.linalg.solve(cov, rhs)
-    warnings.warn(
-        "subject covariance is singular (no noise term); using a "
-        "pseudoinverse for the conditional scores",
-        stacklevel=3,
-    )
-    return np.linalg.pinv(cov, rcond=1e-10) @ rhs
 
 
 def pace_scores(series: LongitudinalSeries, system: EigenSystem,
@@ -618,10 +609,10 @@ def pace_scores(series: LongitudinalSeries, system: EigenSystem,
     """Best-linear-predictor component scores and conditional covariance.
 
     Uses only observations inside the fitted domain; DomainError when
-    there is none.  When the subject covariance is singular (zero noise
-    with rank-deficient bases) a pseudoinverse is used and a warning
-    emitted; for a fully observed grid this reduces exactly to
-    least-squares projection of the residuals onto the eigenfunctions.
+    there is none.  The scores and the covariance take one solve against
+    the subject's prior covariance, which the noise term of
+    :class:`EigenSystem` keeps positive definite.  A system with no
+    components (a zero-variation fit) gives empty scores.
     """
     lo, hi = system.domain()
     first, last = _inside(series.times, lo, hi)
@@ -629,10 +620,9 @@ def pace_scores(series: LongitudinalSeries, system: EigenSystem,
         raise _no_observations(series.subject_id, lo, hi)
     if system.n_components == 0:
         return np.empty(0), np.empty((0, 0))
-    noisy = _has_noise(system)
     resid, lam_phi, cov, _ = _subject_prior(series.times[first:last],
-                                            series.values[first:last], system, noisy)
-    solved = _solve(cov, np.column_stack([resid, lam_phi.T]), noisy)
+                                            series.values[first:last], system)
+    solved = np.linalg.solve(cov, np.column_stack([resid, lam_phi.T]))
     omega = np.diag(system.eigenvalues) - lam_phi @ solved[:, 1:]
     return lam_phi @ solved[:, 0], 0.5 * (omega + omega.T)
 
@@ -656,7 +646,8 @@ def gain_and_scores(series: LongitudinalSeries, system: EigenSystem,
     trajectory ``W`` of the series shifted by ``g - FULL_TERM_DAYS``.  One
     table lookup covers the shifted in-domain times and both endpoints,
     and the scores take one solve with ``noise_var`` added to the prior
-    covariance's diagonal in place.  A gestation length outside
+    covariance's diagonal in place.  With no components (a zero-variation
+    fit) the trajectory is the mean curve.  A gestation length outside
     ``[14, hi + 1]`` (NaN included), a domain that starts after day 0, or
     a series with no shifted time inside the domain raises DomainError.
     """
@@ -672,39 +663,14 @@ def gain_and_scores(series: LongitudinalSeries, system: EigenSystem,
     first, last = _inside(times, lo, hi)
     if first == last:
         raise _no_observations(series.subject_id, lo, hi)
-    noisy = _has_noise(system)
     resid, lam_phi, cov, ends = _subject_prior(
-        times[first:last], series.values[first:last], system, noisy, np.array([g - 1.0, 0.0]))
+        times[first:last], series.values[first:last], system, np.array([g - 1.0, 0.0]))
     if system.n_components == 0:
         xi, mu = np.empty(0), ends[0]
     else:
-        xi = lam_phi @ _solve(cov, resid, noisy)
+        xi = lam_phi @ np.linalg.solve(cov, resid)
         mu = ends[0] + xi @ ends[1:]
     return float((mu[0] - mu[1]) / (g / 7.0)), xi
-
-
-def _loo_scores(cov, resid, tol: float):
-    """Noise-free leave-one-out scores ``|r_j| / sd_j`` and misses ``|r_j|``.
-
-    Without a noise term ``cov`` may be singular: each point is predicted
-    from the others by the Gaussian conditional mean under a
-    pseudoinverse.  A point the others determine exactly has ``sd_j = 0``;
-    its score is infinite when its miss exceeds the rounding tolerance
-    ``tol`` and 0 otherwise.
-    """
-    m = resid.size
-    miss = np.empty(m)
-    var = np.empty(m)
-    for j in range(m):
-        rest = np.arange(m) != j
-        gain = np.linalg.pinv(cov[np.ix_(rest, rest)], rcond=1e-10,
-                              hermitian=True) @ cov[rest, j]
-        miss[j] = abs(resid[j] - gain @ resid[rest])
-        var[j] = cov[j, j] - gain @ cov[rest, j]
-    free = var > 1e-10 * max(float(np.max(np.diag(cov))), 0.0)
-    score = np.where(miss > tol, np.inf, 0.0)
-    score[free] = miss[free] / np.sqrt(var[free])
-    return score, miss
 
 
 @functools.lru_cache(maxsize=8)
@@ -731,13 +697,11 @@ def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
     from one table lookup, and each round costs one matrix inverse; the
     kept points are copied out only after a point is dropped.
 
-    An eigensystem without a noise term (a zero-variation fit, say) is
-    the limit of no noise: predictions use a pseudoinverse, and a point
-    the other points determine exactly has a zero-width band, so it is
-    outside when it misses its prediction by more than rounding (square
-    root of machine epsilon times the largest value).  Such points are
-    dropped first, the largest miss first.  With no components every
-    point is predicted by the mean curve alone.
+    A system without noise is a zero-variation fit with no components (see
+    :class:`EigenSystem`): its band about the mean curve has zero width,
+    so a point is outside when it misses the mean by more than rounding
+    (square root of machine epsilon times the largest value), and every
+    such point is flagged at once.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
@@ -745,30 +709,20 @@ def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
     first, last = _inside(series.times, lo, hi)
     if first == last:
         return []
-    noisy = _has_noise(system)
     values = series.values[first:last]
-    resid, _, cov, _ = _subject_prior(series.times[first:last], values, system, noisy)
-    if not noisy:
-        tol = float(np.sqrt(np.finfo(float).eps) * np.max(np.abs(values)))
+    resid, _, cov, _ = _subject_prior(series.times[first:last], values, system)
+    if not system.noise_var > 0.0:
+        tol = np.sqrt(np.finfo(float).eps) * np.max(np.abs(values))
+        return [first + int(j) for j in np.flatnonzero(np.abs(resid) > tol)]
     z = _two_sided_quantile(level)
     kept = np.ones(resid.size, dtype=bool)
     idx, kept_cov, kept_resid = None, cov, resid    # idx None: every point is kept
     while True:
-        if noisy:
-            # [P e]_j / P_jj is point j's miss and 1 / sqrt(P_jj) its sd.
-            prec = np.linalg.inv(kept_cov)
-            diag = prec.diagonal()
-            pe = np.abs(prec @ kept_resid)
-            score = pe / np.sqrt(diag)
-        else:
-            score, miss = _loo_scores(kept_cov, kept_resid, tol)
+        prec = np.linalg.inv(kept_cov)
+        score = np.abs(prec @ kept_resid) / np.sqrt(prec.diagonal())
         worst = int(score.argmax())
         if not score[worst] > z:
             break
-        if np.isinf(score[worst]):
-            if noisy:
-                miss = pe / diag
-            worst = int(np.argmax(np.where(np.isinf(score), miss, -1.0)))
         kept[worst if idx is None else idx[worst]] = False
         idx = np.flatnonzero(kept)
         if idx.size == 0:

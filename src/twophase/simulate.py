@@ -36,9 +36,9 @@ from twophase.fpca import (
     EigenSystem,
     LongitudinalSeries,
     series_from_flat,
+    trapezoid_weights,
 )
 from twophase.records import Stratum, assign_strata_arrays, inclusion_probabilities
-from twophase.smoothing import trapezoid_weights
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ The kernels do the per-window arithmetic; this module prepares weighted
 inputs (large inputs are pre-binned), picks bandwidths by 5-fold
 cross-validation with a deterministic fold assignment, and widens the
 bandwidth where a window has no support.
+
+No package module calls it; it stays for the benchmark's trace table
+(``perfbench/run.py``), which also reads ``trapezoid_weights`` from here.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from twophase import kernels
+from twophase.fpca import trapezoid_weights  # noqa: F401  (read by perfbench/run.py)
 
 CV_FOLDS = 5
 CV_SEED = 1203981  # fixed: smoothing must be deterministic per inputs
@@ -130,12 +134,3 @@ def smooth_2d(x1, x2, y, w, grid, bandwidth, max_widenings=8):
             return out, bw
         bw *= 1.5
     raise ValueError("2-d smoothing window empty even after widening")
-
-
-def trapezoid_weights(grid):
-    grid = np.asarray(grid, dtype=np.float64)
-    w = np.empty_like(grid)
-    w[0] = (grid[1] - grid[0]) / 2
-    w[-1] = (grid[-1] - grid[-2]) / 2
-    w[1:-1] = (grid[2:] - grid[:-2]) / 2
-    return w

@@ -733,6 +733,8 @@ class TestFpcaCli:
         ("fve", lambda v: v + [1.0]),
         ("em_steps", lambda v: -1),
         ("em_steps", lambda v: "3"),
+        pytest.param("mean", lambda v: [float("nan")] + v[1:], id="mean-nan"),
+        pytest.param("noise_var", lambda v: -1.0, id="noise_var-negative"),
     ])
     def test_score_malformed_eigensystem_gives_parse_exit(self, tmp_path, capsys,
                                                           key, edit):
@@ -746,6 +748,21 @@ class TestFpcaCli:
         assert code == 4
         err = capsys.readouterr().err
         assert "error: parse:" in err and f"eigensystem {key}" in err
+
+    @pytest.mark.parametrize("action", ["score", "flag"])
+    def test_components_without_noise_give_ill_conditioned_exit(self, tmp_path, capsys,
+                                                                action):
+        self._constant_fit(tmp_path)
+        path = tmp_path / "es.json"
+        payload = json.loads(path.read_text())
+        assert payload["noise_var"] == 0.0
+        payload.update(eigenvalues=[2.0], eigenfunctions=[[0.04] * len(payload["grid"])],
+                       fve=[1.0], zero_variation=False)
+        path.write_text(json.dumps(payload))
+        code = run(["fpca", action, "--measurements", tmp_path / "m.csv",
+                    "--eigensystem", path, "--out", tmp_path / "out.csv"])
+        assert code == 11
+        assert "error: ill-conditioned:" in capsys.readouterr().err
 
     def test_constant_population_fit_then_flag(self, tmp_path):
         # A zero-variation fit has no noise term; flagging from it still
@@ -774,6 +791,19 @@ def test_module_run_returns_the_mapped_exit_code(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 3
     assert "error: io:" in done.stderr
+
+
+def test_cli_does_not_import_the_smoothing_layer():
+    # Only the benchmark's trace table still reads ``smoothing``.
+    src = str(Path(twophase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twophase.cli; print('twophase.smoothing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-3000:]
+    assert done.stdout.strip() == "False"
 
 
 def test_report_merges_estimates(tmp_path):

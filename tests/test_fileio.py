@@ -7,7 +7,7 @@ import pytest
 
 from twophase import fileio, fpca
 from twophase.cli import dispatch
-from twophase.errors import SchemaError
+from twophase.errors import IllConditionedError, SchemaError
 from twophase.records import (
     FLAGS,
     DyadTable,
@@ -257,6 +257,15 @@ class TestEigensystem:
         ("grid", [-365.0, -100.0, float("nan"), 100.0, 272.0], "finite"),
         ("grid", [-365.0, -100.0, 0.0, 100.0, float("inf")], "finite"),
         ("eigenfunctions", [[0.04] * 5, [0.01] * 4], "eigenfunctions is not numeric"),
+        ("mean", [60.0, 60.0, float("nan"), 60.0, 60.0], "eigensystem mean holds a non-finite"),
+        ("eigenfunctions", [[0.04, float("inf"), 0.04, 0.04, 0.04]],
+         "eigensystem eigenfunctions holds a non-finite"),
+        ("fve", [float("nan")], "eigensystem fve holds a non-finite"),
+        ("noise_var", float("nan"), "eigensystem noise_var holds a non-finite"),
+        ("noise_var", -1.0, "eigensystem noise_var must not be negative"),
+        ("eigenvalues", [-4.0], "eigensystem eigenvalues must be positive"),
+        ("eigenvalues", [0.0], "eigensystem eigenvalues must be positive"),
+        ("eigenvalues", [float("inf")], "eigensystem eigenvalues holds a non-finite"),
     ])
     def test_malformed_arrays_raise_schema_error(self, tmp_path, key, value, match):
         grid = np.linspace(-365, 272, 5)
@@ -266,6 +275,16 @@ class TestEigensystem:
         path = tmp_path / "es.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match=match):
+            fileio.read_eigensystem(path)
+
+    def test_components_without_noise_are_ill_conditioned(self, tmp_path):
+        # The reader leaves this rule to EigenSystem, which raises it.
+        grid = np.linspace(-365, 272, 5)
+        payload = {"grid": grid.tolist(), "mean": [60.0] * 5, "eigenvalues": [2.0],
+                   "eigenfunctions": [[0.04] * 5], "noise_var": 0.0, "fve": [1.0]}
+        path = tmp_path / "es.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IllConditionedError, match="needs a noise variance"):
             fileio.read_eigensystem(path)
 
 

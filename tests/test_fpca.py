@@ -234,7 +234,7 @@ class TestFitEigensystem:
     def test_eigenfunctions_match_truth(self, fitted):
         model, scores, series, system = fitted
         truth = model.true_eigensystem(grid_size=system.grid.size)
-        from twophase.smoothing import trapezoid_weights
+        from twophase.fpca import trapezoid_weights
         qw = trapezoid_weights(system.grid)
         for k in range(3):
             est = system.eigenfunctions[k]
@@ -249,7 +249,7 @@ class TestFitEigensystem:
 
     def test_orthonormal_under_quadrature(self, fitted):
         _, _, _, system = fitted
-        from twophase.smoothing import trapezoid_weights
+        from twophase.fpca import trapezoid_weights
         qw = trapezoid_weights(system.grid)
         gram = (system.eigenfunctions * qw) @ system.eigenfunctions.T
         assert np.max(np.abs(gram - np.eye(system.n_components))) < 1e-6
@@ -261,7 +261,7 @@ class TestFitEigensystem:
 
     def test_sign_convention(self, fitted):
         _, _, _, system = fitted
-        from twophase.smoothing import trapezoid_weights
+        from twophase.fpca import trapezoid_weights
         qw = trapezoid_weights(system.grid)
         for phi in system.eigenfunctions:
             assert qw @ phi >= -1e-9
@@ -299,6 +299,26 @@ class TestFitEigensystem:
                                          s.values[s.times < -100]) for s in series]
         with pytest.raises(IllConditionedError):
             fpca.fit_eigensystem(early)
+
+
+class TestNoiseInvariant:
+    """An eigensystem with components has noise; construction enforces it."""
+
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-12, -0.25, float("nan")])
+    def test_components_without_noise_are_ill_conditioned(self, noise_var):
+        grid = np.linspace(*fpca.TIME_DOMAIN, 11)
+        with pytest.raises(IllConditionedError, match="1 components needs a noise"):
+            fpca.EigenSystem(grid=grid, mean=np.full(11, 70.0), eigenvalues=np.array([1.0]),
+                             eigenfunctions=np.full((1, 11), 0.04), noise_var=noise_var,
+                             fve=np.array([1.0]))
+
+    def test_replace_keeps_the_invariant(self, fitted):
+        with pytest.raises(IllConditionedError):
+            dataclasses.replace(fitted[3], noise_var=0.0)
+
+    def test_noiseless_true_eigensystem_is_ill_conditioned(self):
+        with pytest.raises(IllConditionedError):
+            TrajectoryModel(noise_sd=0.0).true_eigensystem()
 
 
 def random_spd_stack(rng, size, n):
@@ -371,34 +391,6 @@ class TestPaceScores:
         assert omega.shape == (3, 3)
         evals = np.linalg.eigvalsh(omega)
         assert evals.min() > -1e-8 * max(evals.max(), 1.0)
-
-    def test_dense_noiseless_recovery_against_truth(self):
-        # Score a noiseless full-grid subject against the exactly-known
-        # eigensystem: conditional expectation must return the true scores.
-        model = TrajectoryModel(noise_sd=0.0)
-        truth = model.true_eigensystem()
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            xi_true = model.draw_scores(1, rng)[0]
-            vals = truth.mean + xi_true @ truth.eigenfunctions
-            series = fpca.LongitudinalSeries("d", truth.grid, np.maximum(vals, 1.0))
-            with pytest.warns(UserWarning, match="pseudoinverse"):
-                xi, _ = fpca.pace_scores(series, truth)
-            assert np.max(np.abs(xi - xi_true) / np.maximum(np.abs(xi_true), 1.0)) < 1e-3
-
-    def test_degenerates_to_least_squares_on_full_grid(self):
-        model = TrajectoryModel(noise_sd=0.0)
-        truth = model.true_eigensystem()
-        rng = np.random.default_rng(9)
-        xi_true = model.draw_scores(1, rng)[0]
-        vals = truth.mean + xi_true @ truth.eigenfunctions + rng.normal(0, 0.3, truth.grid.size)
-        series = fpca.LongitudinalSeries("d", truth.grid, np.maximum(vals, 1.0))
-        with pytest.warns(UserWarning, match="pseudoinverse"):
-            xi, _ = fpca.pace_scores(series, truth)
-        phi = truth.eigenfunctions.T  # G x K design
-        resid = series.values - truth.mean
-        ols, *_ = np.linalg.lstsq(phi, resid, rcond=None)
-        assert np.max(np.abs(xi - ols)) < 1e-6
 
     def test_single_observation_shrinks_toward_zero(self, fitted):
         model, scores, series, system = fitted
@@ -487,10 +479,7 @@ def dense_gain_and_scores(series, system, g):
         phi = system.eigen_at(t)
         lam_phi = phi * system.eigenvalues[:, None]
         cov = lam_phi.T @ phi
-        if system.noise_var > 0:
-            xi = lam_phi @ np.linalg.solve(cov + system.noise_var * np.eye(t.size), resid)
-        else:
-            xi = lam_phi @ (np.linalg.pinv(cov, rcond=1e-10) @ resid)
+        xi = lam_phi @ np.linalg.solve(cov + system.noise_var * np.eye(t.size), resid)
     ends = reconstruct(xi, system, np.array([g - 1.0, 0.0]))
     return (ends[0] - ends[1]) / (g / 7.0), xi, bool(keep.all())
 
@@ -587,15 +576,6 @@ class TestWeightChange:
             left_domain += not all_inside
         assert left_domain >= 10
 
-    def test_noise_free_system_matches_the_pseudoinverse_reference(self):
-        truth = TrajectoryModel(noise_sd=0.0).true_eigensystem()
-        _, _, series = make_population(n=5, noise=0.5, seed=4)
-        for s, g in zip(series, (14, 150, 259, 266, 273)):
-            with pytest.warns(UserWarning, match="pseudoinverse"):
-                gain, xi = fpca.gain_and_scores(s, truth, g)
-            want_gain, want_xi, _ = dense_gain_and_scores(s, truth, g)
-            assert gain == want_gain and np.all(xi == want_xi)
-
     def test_nan_gestation_raises(self, fitted):
         _, _, series, system = fitted
         with pytest.raises(DomainError, match="gestation length nan"):
@@ -650,17 +630,6 @@ class TestFlagOutliers:
             vals[j] -= 8.0
         bad = fpca.LongitudinalSeries("o", series.times, vals)
         assert fpca.flag_outliers(bad, system) == [2, 5, 7, 9, 11]
-
-    def test_noise_free_system_flags_only_the_contamination(self):
-        # Without a noise term each point is pinned by the others: a subject
-        # in the span of the components is clean, and one gross error is
-        # the only point that misses its prediction.
-        truth = TrajectoryModel(noise_sd=0.0).true_eigensystem()
-        t = np.sort(np.random.default_rng(13).uniform(-350, 265, 12))
-        vals = truth.mean_at(t) + np.array([8.0, -3.0, 1.5]) @ truth.eigen_at(t)
-        assert fpca.flag_outliers(fpca.LongitudinalSeries("o", t, vals), truth) == []
-        vals[4] += 30.0
-        assert fpca.flag_outliers(fpca.LongitudinalSeries("o", t, vals), truth) == [4]
 
     def test_zero_variation_fit_flags_only_off_mean_points(self):
         t = np.linspace(-300.0, 250.0, 20)
