@@ -574,9 +574,11 @@ def read_eigensystem(path) -> EigenSystem:
     finite, ``noise_var`` is not negative and every eigenvalue is positive.
     A missing key, a shape that does not fit or a value out of range raises
     SchemaError naming the key.  ``em_steps`` is optional (None when
-    absent); when present it is a non-negative integer or null.  A system
-    with components but too little noise raises IllConditionedError, as
-    :class:`~twophase.fpca.EigenSystem` does.
+    absent); when present it is a non-negative integer or null.
+    ``zero_variation`` is optional (false when absent); when present it is
+    a JSON boolean, and true only on a system without components.  A
+    system with components but too little noise raises
+    IllConditionedError, as :class:`~twophase.fpca.EigenSystem` does.
     """
     payload = read_json(path)
     arrays = {}
@@ -614,10 +616,16 @@ def read_eigensystem(path) -> EigenSystem:
     if em_steps is not None and not (type(em_steps) is int and em_steps >= 0):
         raise SchemaError(f"eigensystem em_steps must be a non-negative integer or "
                           f"null, got {em_steps!r}")
+    zero_variation = payload.get("zero_variation", False)
+    if type(zero_variation) is not bool:
+        raise SchemaError(f"eigensystem zero_variation must be true or false, "
+                          f"got {zero_variation!r}")
+    if zero_variation and k:
+        raise SchemaError(f"eigensystem zero_variation is true but it has {k} components")
     return EigenSystem(grid=grid, mean=arrays["mean"], eigenvalues=eigenvalues,
                        eigenfunctions=functions, noise_var=float(arrays["noise_var"]),
                        fve=arrays["fve"],
-                       zero_variation=bool(payload.get("zero_variation", False)),
+                       zero_variation=zero_variation,
                        em_steps=em_steps)
 
 

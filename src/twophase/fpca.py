@@ -9,6 +9,11 @@ Muller & Wang 2005).  Downstream consumers derive the weekly weight-gain
 exposure from reconstructed trajectories and flag observations that fall
 outside the prediction band from the subject's other observations.
 
+The fit holds each subject's spline Gram matrix as its lower band, the
+only part cubic B-splines make nonzero, and builds its statistics a block
+of subjects at a time, so its peak memory is the pooled least-squares
+start's whole-population basis rather than an L x L stack per subject.
+
 Every eigensystem with components has measurement noise (see
 :class:`EigenSystem`), so scoring and flagging solve one positive-definite
 system per subject; a zero-variation fit has neither and is banded by its
@@ -37,7 +42,8 @@ SPLINE_DEGREE = 3
 EM_TOL = 1e-5                # largest EM change, relative to each block's size
 EM_MAX_CYCLES = 500          # SQUAREM cycles (three EM steps each) before giving up
 INIT_NOISE_SHARE = 0.01      # starting noise variance, as a share of the pooled variance
-E_STEP_CHUNK = 2500          # subjects per batched E-step (bounds peak memory)
+E_STEP_CHUNK = 2500          # subjects per block of fit statistics and per batched
+                             # E-step, points per block of bspline_basis (bounds peak memory)
 
 
 # The rule every series keeps, checked in this order (see _first_fault).
@@ -185,7 +191,7 @@ def trapezoid_weights(grid) -> np.ndarray:
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSystem:
     """Estimated mean curve, eigenpairs, and noise variance on a fixed grid.
 
@@ -196,7 +202,9 @@ class EigenSystem:
     lambda_1``, so every subject's prior covariance ``Phi^T Lambda Phi +
     noise_var I`` is positive definite.  Construction (``dataclasses.replace``
     included) raises IllConditionedError otherwise.  A system with no
-    components may have no noise: that is a zero-variation fit.
+    components may have no noise: that is a zero-variation fit.  The
+    system is frozen, so assigning a field raises FrozenInstanceError and
+    the invariant and the table hold for its whole life.
     """
 
     grid: np.ndarray
@@ -222,9 +230,10 @@ class EigenSystem:
         # point's slopes are 0, so the right end of the grid reads its own
         # values.  One take along the grid reads both.
         values = np.vstack([self.mean, self.eigenfunctions]).T
-        self._table = np.zeros((2, *values.shape))
-        self._table[0] = values
-        self._table[1, :-1] = np.diff(values, axis=0) / np.diff(self.grid)[:, None]
+        table = np.zeros((2, *values.shape))
+        table[0] = values
+        table[1, :-1] = np.diff(values, axis=0) / np.diff(self.grid)[:, None]
+        object.__setattr__(self, "_table", table)
 
     @property
     def n_components(self) -> int:
@@ -278,72 +287,101 @@ def bspline_basis(t, lo: float, hi: float) -> np.ndarray:
     The interior knots are equally spaced.  Each point's SPLINE_DEGREE + 1
     nonzero values come from the Cox-de Boor recursion on its knot span
     (Piegl & Tiller, algorithm A2.2); ``t = hi`` falls in the last span.
+    A row depends on its own point alone.  The recursion runs over
+    E_STEP_CHUNK points at a time and fills the result block by block,
+    so its temporaries stay small beside the result, and a row's values
+    do not depend on the block it falls in.
     """
     t = np.asarray(t, dtype=np.float64)
     k = SPLINE_DEGREE
     knots = np.r_[np.full(k, lo), np.linspace(lo, hi, N_BASIS - k + 1), np.full(k, hi)]
-    span = np.clip(np.searchsorted(knots, t, side="right") - 1, k, N_BASIS - 1)
-    local = np.zeros((t.size, k + 1))
-    local[:, 0] = 1.0
-    for d in range(1, k + 1):
-        saved = np.zeros(t.size)
-        for r in range(d):
-            left = t - knots[span + 1 - d + r]
-            right = knots[span + 1 + r] - t
-            temp = local[:, r] / (right + left)
-            local[:, r] = saved + right * temp
-            saved = left * temp
-        local[:, d] = saved
     out = np.zeros((t.size, N_BASIS))
-    rows = np.arange(t.size)
-    for r in range(k + 1):
-        out[rows, span - k + r] = local[:, r]
+    for first in range(0, t.size, E_STEP_CHUNK):
+        block = t[first:first + E_STEP_CHUNK]
+        span = np.clip(np.searchsorted(knots, block, side="right") - 1, k, N_BASIS - 1)
+        local = np.zeros((block.size, k + 1))
+        local[:, 0] = 1.0
+        for d in range(1, k + 1):
+            saved = np.zeros(block.size)
+            for r in range(d):
+                left = block - knots[span + 1 - d + r]
+                right = knots[span + 1 + r] - block
+                temp = local[:, r] / (right + left)
+                local[:, r] = saved + right * temp
+                saved = left * temp
+            local[:, d] = saved
+        rows = np.arange(block.size)
+        filled = out[first:first + block.size]
+        for r in range(k + 1):
+            filled[rows, span - k + r] = local[:, r]
     return out
 
 
-def _subject_stats(basis, y, subj, n):
-    """Per-subject sufficient statistics ``(gram, cross, sq)`` of the spline model.
+def _subject_stats(t, y, subj, n, lo: float, hi: float):
+    """Per-subject sufficient statistics ``(band, cross, sq)`` of the spline model.
 
-    With the subject index last, ``gram[:, :, i] = B_i^T B_i`` (L x L x n),
-    ``cross[:, i] = B_i^T y_i`` (L x n) and ``sq[i] = y_i^T y_i``.  They are
-    accumulated one basis pair at a time so no per-point outer product is
-    held.
+    Point p is at time ``t[p]`` with value ``y[p]`` and belongs to subject
+    ``subj[p]``, non-decreasing over 0..n-1; ``B_i`` is :func:`bspline_basis`
+    on [lo, hi] at subject i's times.  With the subject index last,
+    ``band[d, a, i] = (B_i^T B_i)[a + d, a]`` for ``d <= SPLINE_DEGREE``
+    ((SPLINE_DEGREE + 1) x L x n, 0 where ``a + d >= L``) is the lower band
+    of the Gram matrix: cubic B-splines overlap only within SPLINE_DEGREE
+    of each other, so every entry outside it is 0.  ``cross[:, i] = B_i^T
+    y_i`` (L x n) and ``sq[i] = y_i^T y_i``.
+
+    Subjects are taken E_STEP_CHUNK at a time: the basis is evaluated at
+    the block's points only, and each entry is one bincount over them.  A
+    bincount adds each subject's points in order, so the statistics do
+    not depend on the block size, and no per-point outer product or
+    whole-population basis is held.
     """
-    n_basis = basis.shape[1]
-    gram = np.zeros((n_basis, n_basis, n))
-    # Cubic B-splines overlap only within SPLINE_DEGREE of each other.
-    for a in range(n_basis):
-        for b in range(a, min(a + SPLINE_DEGREE + 1, n_basis)):
-            gram[a, b] = np.bincount(subj, basis[:, a] * basis[:, b], minlength=n)
-            gram[b, a] = gram[a, b]
-    cross = np.vstack([np.bincount(subj, basis[:, a] * y, minlength=n)
-                       for a in range(n_basis)])
-    return gram, cross, np.bincount(subj, y * y, minlength=n)
+    width = SPLINE_DEGREE + 1
+    band = np.zeros((width, N_BASIS, n))
+    cross = np.empty((N_BASIS, n))
+    sq = np.empty(n)
+    firsts = range(0, n, E_STEP_CHUNK)
+    bounds = [*subj.searchsorted(firsts), subj.size]
+    for first, a, b in zip(firsts, bounds, bounds[1:]):
+        basis = bspline_basis(t[a:b], lo, hi)
+        block, who, yb = slice(first, first + E_STEP_CHUNK), subj[a:b] - first, y[a:b]
+        m = min(E_STEP_CHUNK, n - first)
+        for d in range(width):
+            for col in range(N_BASIS - d):
+                band[d, col, block] = np.bincount(who, basis[:, col] * basis[:, col + d],
+                                                  minlength=m)
+        for col in range(N_BASIS):
+            cross[col, block] = np.bincount(who, basis[:, col] * yb, minlength=m)
+        sq[block] = np.bincount(who, yb * yb, minlength=m)
+        del basis   # before the next block's basis is built beside it
+    return band, cross, sq
 
 
-def _inverse_cholesky(gram, prior, out):
-    """Inverse lower Cholesky factors of ``gram + prior`` over a subject-last stack.
+def _inverse_cholesky(band, prior, out):
+    """Inverse lower Cholesky factors of ``G_i + prior`` over a subject-last stack.
 
-    ``gram`` is L x L x c, matrix i being ``gram[:, :, i] + prior`` with
-    ``prior`` L x L; ``out`` (L x L x c) is overwritten with ``C_i^-1``
-    (zero above the diagonal), where ``C_i C_i^T`` is matrix i, and
-    returned.  Each entry of the sum is computed once, inside the factor
-    loop that reads it, so the sum is never written out as a stack.
-    Every entry of the factor and of its inverse is one vector operation
-    over the c matrices, so the Python loop runs L(L + 1) times per stack
-    however many matrices it holds.  A pivot that is not positive (or is
-    NaN) raises LinAlgError.
+    ``band`` is the lower band of the G_i, as :func:`_subject_stats` returns
+    it ((SPLINE_DEGREE + 1) x L x c, ``band[d, a, i] = G_i[a + d, a]``,
+    every entry further below the diagonal 0), and ``prior`` is L x L.  ``out`` (L x L
+    x c) is overwritten with ``C_i^-1`` (zero above the diagonal), where
+    ``C_i C_i^T = G_i + prior``, and returned.  Each entry of the sum is
+    computed once, inside the factor loop that reads it, so the sum is
+    never written out as a stack; outside the band it is ``prior`` alone,
+    which is exactly the dense sum, as adding 0 is exact.  Every entry of
+    the factor and of its inverse is one vector operation over the c
+    matrices, so the Python loop runs L(L + 1) times per stack however
+    many matrices it holds.  A pivot that is not positive (or is NaN)
+    raises LinAlgError.
     """
-    size = gram.shape[0]
+    width, size = band.shape[:2]
     for j in range(size):
         row = out[j, :j]
-        pivot = (gram[j, j] + prior[j, j]) - np.einsum("kn,kn->n", row, row)
+        pivot = (band[0, j] + prior[j, j]) - np.einsum("kn,kn->n", row, row)
         if not np.all(pivot > 0.0):
             raise np.linalg.LinAlgError("a matrix of the stack is not positive definite")
         out[j, j] = np.sqrt(pivot)
         for i in range(j + 1, size):
-            out[i, j] = ((gram[i, j] + prior[i, j])
-                         - np.einsum("kn,kn->n", out[i, :j], row)) / out[j, j]
+            entry = band[i - j, j] + prior[i, j] if i - j < width else prior[i, j]
+            out[i, j] = (entry - np.einsum("kn,kn->n", out[i, :j], row)) / out[j, j]
     out[np.triu_indices(size, 1)] = 0.0
     # Row i of C C^-1 = I gives C^-1[i, j] from C[i, j..i] and rows j..i-1
     # of C^-1, so each row of C is replaced left to right as it is used.
@@ -370,11 +408,16 @@ def _em_step(stats, n_obs, mean, cov, noise_var):
     its inverse take one vector operation per entry across subjects
     (:func:`_inverse_cholesky`) rather than one LAPACK call per subject;
     the sum of the ``M_i^-1`` is one L x c by c x L product per row of
-    ``X``.  Subjects are taken E_STEP_CHUNK at a time: the factor costs
-    the same per subject, and the stack temporaries stay a few megabytes
-    instead of growing with n.
+    ``X``.  ``G_i`` is held as its lower band (see :func:`_subject_stats`),
+    and ``G_i mean`` is one strided product per diagonal of the band, 2
+    SPLINE_DEGREE + 1 in all, added for each row in ascending column
+    order, the order in which a dense row product adds them; the columns
+    outside the band would add 0, which is exact.  Subjects are taken
+    E_STEP_CHUNK at a time: the factor costs the same per subject, and
+    the stack temporaries stay a few megabytes instead of growing with n.
     """
-    all_gram, all_cross, all_sq = stats
+    all_band, all_cross, all_sq = stats
+    width = all_band.shape[0]
     size, n = all_cross.shape
     cov_inv = np.linalg.inv(cov)
     prior = noise_var * cov_inv
@@ -385,10 +428,15 @@ def _em_step(stats, n_obs, mean, cov, noise_var):
     work = np.empty((size, size, min(n, E_STEP_CHUNK)))    # X_i, per chunk
     for lo in range(0, n, E_STEP_CHUNK):
         rows = slice(lo, lo + E_STEP_CHUNK)
-        gram, cross = all_gram[:, :, rows], all_cross[:, rows]
-        g_mean = np.einsum("b,abn->an", mean, gram)
+        band, cross = all_band[:, :, rows], all_cross[:, rows]
+        g_mean = np.zeros_like(cross)
+        for e in range(1 - width, width):                   # column b = row a + e
+            if e < 0:
+                g_mean[-e:] += mean[:e, None] * band[-e, :e]
+            else:
+                g_mean[:size - e] += mean[e:, None] * band[e, :size - e]
         u = cross - g_mean                                  # B_i^T (y_i - B_i mean)
-        chol_inv = _inverse_cholesky(gram, prior, work[:, :, :cross.shape[1]])
+        chol_inv = _inverse_cholesky(band, prior, work[:, :, :cross.shape[1]])
         w = np.einsum("abn,bn->an", chol_inv, u)
         d = np.einsum("abn,an->bn", chol_inv, w)            # posterior mean - mean
         for row in chol_inv:
@@ -484,6 +532,14 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     ``B S B^T`` under trapezoid quadrature.  The number of EM steps taken
     is returned as ``em_steps``.
 
+    Memory: the least-squares start solves on the whole-population basis
+    (len(t) x N_BASIS), which is then freed; the per-subject statistics
+    are built E_STEP_CHUNK subjects at a time, each Gram matrix kept as
+    its lower band (:func:`_subject_stats`).  So the basis sets the fit's
+    peak, or at a few thousand subjects the E-step's factor stack does.
+    Blocking changes no rounding: every result is the same, bit for bit,
+    whatever E_STEP_CHUNK is.
+
     The component count is the smallest K whose cumulative fraction of
     variance reaches ``fve_threshold``, at most ``MAX_COMPONENTS``.
     Eigenfunction signs are fixed so each integrates to a nonnegative
@@ -516,7 +572,8 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     if not _positive_definite(gram):
         raise IllConditionedError("the observations leave part of the domain without support")
     offset = np.linalg.solve(gram, basis.T @ v)
-    resid = v - basis @ offset
+    resid = np.subtract(v, basis @ offset, out=v)      # the values are not read again
+    del basis, v   # _subject_stats evaluates the basis again, a block at a time
     pooled_var = float(np.mean(resid ** 2))
     mean = grid_basis @ offset
     if pooled_var <= 1e-10:
@@ -526,11 +583,12 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
                            noise_var=0.0, fve=np.empty(0), zero_variation=True,
                            em_steps=0)
 
-    stats = _subject_stats(basis, resid, subj, int(subj.max()) + 1)
-    del basis, resid  # free the per-point arrays before EM's batched work
+    stats = _subject_stats(t, resid, subj, int(subj.max()) + 1, lo, hi)
+    n_obs = t.size
+    del t, resid, subj  # free the per-point arrays before EM's batched work
     try:
         (shift, cov, noise_var), em_steps = _fit_spline_model(
-            stats, t.size, offset, pooled_var * np.eye(N_BASIS), INIT_NOISE_SHARE * pooled_var)
+            stats, n_obs, offset, pooled_var * np.eye(N_BASIS), INIT_NOISE_SHARE * pooled_var)
     except np.linalg.LinAlgError:
         raise IllConditionedError(
             "fitted coefficient covariance lost positive definiteness") from None

@@ -733,6 +733,7 @@ class TestFpcaCli:
         ("fve", lambda v: v + [1.0]),
         ("em_steps", lambda v: -1),
         ("em_steps", lambda v: "3"),
+        ("zero_variation", lambda v: "false"),
         pytest.param("mean", lambda v: [float("nan")] + v[1:], id="mean-nan"),
         pytest.param("noise_var", lambda v: -1.0, id="noise_var-negative"),
     ])

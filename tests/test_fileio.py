@@ -224,6 +224,30 @@ class TestEigensystem:
         with pytest.raises(SchemaError, match="eigensystem em_steps must be a non-negative"):
             fileio.read_eigensystem(path)
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_zero_variation_raises_schema_error(self, tmp_path, value):
+        grid = np.linspace(-365, 272, 5)
+        payload = {"grid": grid.tolist(), "mean": [60.0] * 5, "eigenvalues": [2.0],
+                   "eigenfunctions": [[0.04] * 5], "noise_var": 0.25, "fve": [1.0],
+                   "zero_variation": value}
+        path = tmp_path / "es.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="zero_variation must be true or false"):
+            fileio.read_eigensystem(path)
+
+    def test_zero_variation_with_components_raises_schema_error(self, tmp_path):
+        grid = np.linspace(-365, 272, 5)
+        payload = {"grid": grid.tolist(), "mean": [60.0] * 5, "eigenvalues": [2.0],
+                   "eigenfunctions": [[0.04] * 5], "noise_var": 0.25, "fve": [1.0],
+                   "zero_variation": True}
+        path = tmp_path / "es.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="zero_variation is true but it has 1 comp"):
+            fileio.read_eigensystem(path)
+        payload["zero_variation"] = False
+        path.write_text(json.dumps(payload))
+        assert not fileio.read_eigensystem(path).zero_variation
+
     def test_zero_variation_round_trip(self, tmp_path):
         grid = np.linspace(-365, 272, 5)
         system = fpca.EigenSystem(grid=grid, mean=np.full(5, 70.0),

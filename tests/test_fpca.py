@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophase import fpca
+from twophase import fpca, simulate
 from twophase.errors import ConvergenceError, DomainError, IllConditionedError
 from twophase.simulate import TrajectoryModel
 
@@ -316,6 +317,20 @@ class TestNoiseInvariant:
         with pytest.raises(IllConditionedError):
             dataclasses.replace(fitted[3], noise_var=0.0)
 
+    def test_fields_cannot_be_assigned(self):
+        grid = np.linspace(*fpca.TIME_DOMAIN, 11)
+        system = fpca.EigenSystem(grid=grid, mean=np.full(11, 70.0),
+                                  eigenvalues=np.array([1.0]),
+                                  eigenfunctions=np.full((1, 11), 0.04), noise_var=0.25,
+                                  fve=np.array([1.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.noise_var = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.mean = np.zeros(11)
+        assert system.noise_var == 0.25 and np.all(system.mean_at(grid) == 70.0)
+        with pytest.raises(IllConditionedError):
+            dataclasses.replace(system, noise_var=0.0)
+
     def test_noiseless_true_eigensystem_is_ill_conditioned(self):
         with pytest.raises(IllConditionedError):
             TrajectoryModel(noise_sd=0.0).true_eigensystem()
@@ -327,23 +342,79 @@ def random_spd_stack(rng, size, n):
     return np.ascontiguousarray((a @ a.transpose(0, 2, 1)).transpose(1, 2, 0))
 
 
+def lower_band(dense, width=fpca.SPLINE_DEGREE + 1):
+    """``band[d, a, i] = dense[a + d, a, i]`` for d < width, 0 past the last row."""
+    size = dense.shape[0]
+    band = np.zeros((width, size, dense.shape[2]))
+    for d in range(width):
+        for a in range(size - d):
+            band[d, a] = dense[a + d, a]
+    return band
+
+
+def random_band_stack(rng, size, n, width=fpca.SPLINE_DEGREE + 1):
+    """Lower band and dense form of n banded PSD matrices ``C C^T``, C lower banded."""
+    c = np.tril(rng.standard_normal((n, size, size)))
+    c = np.triu(c, 1 - width)
+    dense = np.ascontiguousarray((c @ c.transpose(0, 2, 1)).transpose(1, 2, 0))
+    return lower_band(dense, width), dense
+
+
+def block_points(rng, n):
+    """Times, values and a non-decreasing subject index for n subjects."""
+    subj = np.repeat(np.arange(n), rng.integers(1, 12, size=n))
+    return (rng.uniform(*fpca.TIME_DOMAIN, subj.size), rng.normal(0.0, 2.0, subj.size), subj)
+
+
 class TestEStepKernel:
     def test_inverse_cholesky_matches_lapack(self):
         rng = np.random.default_rng(0)
         n = 37                                       # not a multiple of any chunk
-        gram = random_spd_stack(rng, fpca.N_BASIS, n)
+        band, dense = random_band_stack(rng, fpca.N_BASIS, n)
         prior = random_spd_stack(rng, fpca.N_BASIS, 1)[:, :, 0]
-        stack = gram + prior[:, :, None]
+        stack = dense + prior[:, :, None]
         expected = np.linalg.inv(np.linalg.cholesky(stack.transpose(2, 0, 1)))
-        got = fpca._inverse_cholesky(gram, prior, np.full_like(gram, np.nan))
+        got = fpca._inverse_cholesky(band, prior, np.full_like(dense, np.nan))
         np.testing.assert_allclose(got.transpose(2, 0, 1), expected, rtol=1e-9, atol=1e-12)
         assert np.all(np.triu(got.transpose(2, 0, 1), 1) == 0.0)
 
     def test_non_positive_definite_member_raises(self):
-        gram = random_spd_stack(np.random.default_rng(1), 5, 9)
-        gram[:, :, 6] = 1.0                          # rank one: the second pivot is 0
+        band, dense = random_band_stack(np.random.default_rng(1), 5, 9)
+        band[:, :, 6] = 1.0                          # the second pivot is 1 - 1 = 0
         with pytest.raises(np.linalg.LinAlgError):
-            fpca._inverse_cholesky(gram, np.zeros((5, 5)), np.empty_like(gram))
+            fpca._inverse_cholesky(band, np.zeros((5, 5)), np.empty_like(dense))
+
+    def test_band_is_the_lower_band_of_each_gram_matrix(self):
+        rng = np.random.default_rng(3)
+        lo, hi = fpca.TIME_DOMAIN
+        n = 23
+        t, y, subj = block_points(rng, n)
+        band, cross, sq = fpca._subject_stats(t, y, subj, n, lo, hi)
+        dense = np.zeros((fpca.N_BASIS, fpca.N_BASIS, n))
+        products, squares = np.zeros((fpca.N_BASIS, n)), np.zeros(n)
+        for i in range(n):
+            # Point by point, in order, as the statistics add them.
+            for row, yp in zip(fpca.bspline_basis(t[subj == i], lo, hi), y[subj == i]):
+                dense[:, :, i] += np.outer(row, row)
+                products[:, i] += row * yp
+                squares[i] += yp * yp
+        assert band.shape == (fpca.SPLINE_DEGREE + 1, fpca.N_BASIS, n)
+        assert np.array_equal(band, lower_band(dense))
+        assert np.array_equal(cross, products) and np.array_equal(sq, squares)
+        # Cubic B-splines overlap only within SPLINE_DEGREE: the band is all of G_i.
+        lag = np.abs(np.subtract.outer(np.arange(fpca.N_BASIS), np.arange(fpca.N_BASIS)))
+        assert np.all(dense[lag > fpca.SPLINE_DEGREE] == 0.0)
+
+    def test_statistics_do_not_depend_on_the_block_size(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        lo, hi = fpca.TIME_DOMAIN
+        n = 40                                       # blocks of 7: the last is partial
+        t, y, subj = block_points(rng, n)
+        whole = fpca._subject_stats(t, y, subj, n, lo, hi)
+        monkeypatch.setattr(fpca, "E_STEP_CHUNK", 7)
+        blocks = fpca._subject_stats(t, y, subj, n, lo, hi)
+        for a, b in zip(whole, blocks):
+            assert np.array_equal(a, b)
 
     def test_chunked_em_step_matches_per_subject_update(self, monkeypatch):
         # 37 subjects in chunks of 16: the last chunk is partial.
@@ -360,7 +431,8 @@ class TestEStepKernel:
         cov = random_spd_stack(rng, size, 1)[:, :, 0] + np.eye(size)
         noise = 0.7
         monkeypatch.setattr(fpca, "E_STEP_CHUNK", 16)
-        got = fpca._em_step(fpca._subject_stats(basis, y, subj, n), subj.size, mean, cov, noise)
+        got = fpca._em_step(fpca._subject_stats(t, y, subj, n, lo, hi), subj.size, mean, cov,
+                            noise)
 
         prior = noise * np.linalg.inv(cov)
         ds, vs, sq_err = [], [], 0.0
@@ -378,6 +450,23 @@ class TestEStepKernel:
         np.testing.assert_allclose(got[0], mean + shift, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(got[1], cov_new, rtol=1e-9, atol=1e-12)
         assert got[2] == pytest.approx(sq_err / subj.size, rel=1e-9)
+
+
+class TestFitMemory:
+    def test_traced_peak_of_the_fit(self):
+        # n = 3,000, about 27k points.  Held as a dense L x L x n stack
+        # beside the whole-population basis, the Gram matrices took the
+        # fit's traced peak to 8.6 MB; held as their band and built a block
+        # of subjects at a time, it is 5.6 MB, set by the E-step.
+        pop = simulate.generate(simulate.SimConfig(n=3000), 5, include_series=True)
+        tracemalloc.start()
+        try:
+            system = fpca.fit_eigensystem(pop.series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.n_components >= 1
+        assert peak < 7.0e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestPaceScores:
