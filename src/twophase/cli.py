@@ -89,6 +89,24 @@ def _log_config(args):
 # simulate
 
 
+def _config_value_shape(field: dataclasses.Field, value) -> str:
+    """What a simulation config value must be, by the type of its field's
+    default, when ``value`` is not that; else "", as for a section.  A tuple
+    takes as many numbers as its default, any number for ``tuple[float, ...]``."""
+    kind = type(field.default)
+    if kind is int:
+        return "" if type(value) is int else "an integer"
+    if kind is float:
+        return "" if type(value) in (int, float) else "a number"
+    if kind is not tuple:
+        return ""
+    size = None if "..." in str(field.type) else len(field.default)
+    if (isinstance(value, list) and all(type(v) in (int, float) for v in value)
+            and size in (None, len(value))):
+        return ""
+    return "a list of numbers" if size is None else f"a list of {size} numbers"
+
+
 def _sim_config_from_json(path) -> simulate.SimConfig:
     if path is None:
         return simulate.SimConfig()
@@ -97,9 +115,15 @@ def _sim_config_from_json(path) -> simulate.SimConfig:
     def build(klass, values, where):
         if not isinstance(values, dict):
             raise SchemaError(f"{path}: {where} must be a JSON object")
-        unknown = set(values) - {f.name for f in dataclasses.fields(klass)}
+        fields = {f.name: f for f in dataclasses.fields(klass)}
+        unknown = set(values) - set(fields)
         if unknown:
             raise SchemaError(f"{path}: unknown {where} keys: {sorted(unknown)}")
+        for key, value in values.items():
+            expected = _config_value_shape(fields[key], value)
+            if expected:
+                raise SchemaError(f"{path}: {where} key {key!r} must be {expected}, "
+                                  f"got {value!r}")
         try:
             return klass(**values)
         except (TypeError, ValueError) as exc:
@@ -469,7 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     d_init = design_sub.add_parser("init")
     d_init.add_argument("--frame", required=True)
     d_init.add_argument("--dyads", required=True)
-    d_init.add_argument("--strata", required=True)
+    d_init.add_argument(
+        "--strata", required=True,
+        help='JSON list of the leaves, each {"id": ..., "bounds": {axis: [lo, hi]}} with '
+             "axis one of delta_star, y_star, x_star and lo, hi JSON numbers or null "
+             "for unbounded. Bounds are half-open, (lo, hi]: a leaf holds the records "
+             "with lo < value <= hi on each axis it bounds. The leaves must partition "
+             "the frame")
     d_init.add_argument("--out", required=True)
     d_init.add_argument("--seed", type=int, default=0)
     d_init.add_argument("--member-flag", default=None)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,6 +45,7 @@ from twophase.records import (
     Stratum,
     first_invalid_row,
     is_phase2,
+    parse_bounds,
 )
 
 
@@ -86,18 +86,15 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _is_bound(value) -> bool:
-    return value is None or type(value) in (int, float)
-
-
 # Shapes a JSON value is checked against, by the name an error gives them.
 _SHAPES = {
     "an object": lambda v: isinstance(v, dict),
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
+    "true or false": lambda v: isinstance(v, bool),
     "an integer": lambda v: type(v) is int,
     "a non-negative integer": _is_count,
+    "a non-negative integer or null": lambda v: v is None or _is_count(v),
     "a list of strings": _is_strings,
     "a list of string lists": lambda v: isinstance(v, list) and all(map(_is_strings, v)),
     "a list of objects":
@@ -106,9 +103,6 @@ _SHAPES = {
         lambda v: isinstance(v, dict) and all(map(_is_count, v.values())),
     "an object of string lists":
         lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
-    "an object of [lo, hi] pairs": lambda v: isinstance(v, dict) and all(
-        isinstance(b, list) and len(b) == 2 and all(map(_is_bound, b))
-        for b in v.values()),
 }
 _REQUIRED = object()
 
@@ -121,22 +115,23 @@ def _json_object(path, kind: str) -> dict:
     return payload
 
 
-def _field(path, obj: dict, key: str, shape: str, default=_REQUIRED, where: str = ""):
+def _field(path, obj: dict, key: str, shape: str, default=_REQUIRED, name: str = ""):
     """``obj[key]`` when it has ``shape``, a name in ``_SHAPES``.
 
     A missing key gives ``default``.  A missing key without one, or a
     value of another shape, raises SchemaError naming the file and the
-    key; ``where`` says whose key it is.
+    key, as ``name`` when it is given and else as ``key '<key>'``.
     """
+    name = name or f"key {key!r}"
     if key not in obj:
         if default is _REQUIRED:
-            raise SchemaError(f"{path}: missing key {key!r}{where}")
+            raise SchemaError(f"{path}: missing {name}")
         return default
     value = obj[key]
     if not _SHAPES[shape](value):
         shown = json.dumps(value)
         shown = shown if len(shown) <= 60 else shown[:57] + "..."
-        raise SchemaError(f"{path}: key {key!r}{where} must be {shape}, got {shown}")
+        raise SchemaError(f"{path}: {name} must be {shape}, got {shown}")
     return value
 
 
@@ -300,18 +295,7 @@ def _suffix_sorted(names: Iterable[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Column-wise CSV writing.
 
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
 _WRITE_ROWS = 2048
-
-
-def _quoted_row(cells: Sequence[str]) -> str:
-    """One row as ``csv.writer`` writes it: a cell holding a comma, a quote
-    or a line break is quoted with its quotes doubled, and a row of one
-    empty cell is written as ``""``."""
-    if len(cells) == 1 and cells[0] == "":
-        return '""'
-    return ",".join('"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c
-                    for c in cells)
 
 
 def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
@@ -332,13 +316,15 @@ def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence]) -> 
 
 def _csv_text(rows: list[Sequence[str]]) -> str:
     """Rows of cell text as ``csv.writer`` writes them.  The rows are joined
-    without quoting first, and again cell by cell only when the text shows
-    a cell that needs quoting."""
+    without quoting first, and written again by ``csv.writer`` only when
+    the text shows a cell that needs quoting."""
     width = len(rows[0])
     text = "\r\n".join(map(",".join, rows)) + "\r\n"
     if (width < 2 or '"' in text or text.count(",") != len(rows) * (width - 1)
             or text.count("\r") != len(rows) or text.count("\n") != len(rows)):
-        text = "".join(_quoted_row(row) + "\r\n" for row in rows)
+        out = io.StringIO(newline="")
+        csv.writer(out).writerows(rows)
+        text = out.getvalue()
     return text
 
 
@@ -580,7 +566,7 @@ def read_eigensystem(path) -> EigenSystem:
     system with components but too little noise raises
     IllConditionedError, as :class:`~twophase.fpca.EigenSystem` does.
     """
-    payload = read_json(path)
+    payload = _json_object(path, "eigensystem")
     arrays = {}
     for key in ("grid", "mean", "eigenvalues", "eigenfunctions", "fve", "noise_var"):
         if key not in payload:
@@ -612,14 +598,10 @@ def read_eigensystem(path) -> EigenSystem:
         raise SchemaError("eigensystem noise_var must not be negative")
     if np.any(eigenvalues <= 0.0):
         raise SchemaError("eigensystem eigenvalues must be positive")
-    em_steps = payload.get("em_steps")
-    if em_steps is not None and not (type(em_steps) is int and em_steps >= 0):
-        raise SchemaError(f"eigensystem em_steps must be a non-negative integer or "
-                          f"null, got {em_steps!r}")
-    zero_variation = payload.get("zero_variation", False)
-    if type(zero_variation) is not bool:
-        raise SchemaError(f"eigensystem zero_variation must be true or false, "
-                          f"got {zero_variation!r}")
+    em_steps = _field(path, payload, "em_steps", "a non-negative integer or null", None,
+                      "eigensystem em_steps")
+    zero_variation = _field(path, payload, "zero_variation", "true or false", False,
+                            "eigensystem zero_variation")
     if zero_variation and k:
         raise SchemaError(f"eigensystem zero_variation is true but it has {k} components")
     return EigenSystem(grid=grid, mean=arrays["mean"], eigenvalues=eigenvalues,
@@ -666,16 +648,17 @@ def write_ledger(path, ledger: DesignLedger) -> None:
 
 def _read_stratum(path, raw: dict, where: str) -> Stratum:
     def get(key, shape, default=_REQUIRED):
-        return _field(path, raw, key, shape, default, where)
+        return _field(path, raw, key, shape, default, f"key {key!r}{where}")
 
-    bounds = {axis: (NEG_INF if lo is None else float(lo),
-                     POS_INF if hi is None else float(hi))
-              for axis, (lo, hi) in get("bounds", "an object of [lo, hi] pairs").items()}
+    try:
+        bounds = parse_bounds(get("bounds", "an object"))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: key 'bounds'{where}: {exc}") from None
     return Stratum(
         id=get("id", "a string"), frame=get("frame", "a string"), bounds=bounds,
         parent=get("parent", "a string or null", None),
         population_size=get("population_size", "a non-negative integer"),
-        closed=get("closed", "a boolean", False),
+        closed=get("closed", "true or false", False),
         drawn=[list(ids) for ids in get("drawn", "a list of string lists", [])],
         inherited_ids=list(get("inherited_ids", "a list of strings", [])),
     )

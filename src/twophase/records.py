@@ -7,10 +7,11 @@ table checks it with one rule set, :func:`first_invalid_row`.
 
 A ledger is a tree of strata per sampling frame.  Leaves partition the
 frame population on the error-prone variables ``(delta_star, y_star,
-x_star)`` with half-open ``(lo, hi]`` bounds.  Splits refine leaves; wave
-history stays on the stratum where sampling happened, and draws made
-before a split are attributed to the new children by rescanning which
-child each drawn record falls into.
+x_star)`` with half-open ``(lo, hi]`` bounds, read from ``strata.json`` and
+``ledger.json`` by :func:`parse_bounds` and tested by
+:func:`assign_strata_arrays`.  Splits refine leaves; wave history stays on
+the stratum where sampling happened, and draws made before a split are
+attributed to the child each drawn record falls in.
 """
 
 from __future__ import annotations
@@ -176,18 +177,19 @@ class DesignLedger:
         return out
 
 
-def _as_bounds(raw: Mapping[str, Sequence[float | None]]) -> dict[str, tuple[float, float]]:
+def parse_bounds(raw: Mapping[str, Sequence[float | None]]) -> dict[str, tuple[float, float]]:
+    """``{axis: (lo, hi)}`` from JSON ``{axis: [lo, hi]}`` bounds, each a number or
+    None for unbounded; any other value or an empty interval raises SchemaError."""
     bounds = {}
     for axis, pair in raw.items():
         if axis not in AXES:
             raise SchemaError(f"unknown stratum axis {axis!r}; expected one of {AXES}")
-        try:
-            lo, hi = pair
-            lo = NEG_INF if lo is None else float(lo)
-            hi = POS_INF if hi is None else float(hi)
-        except (TypeError, ValueError):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(v is None or type(v) in (int, float) for v in pair)):
             raise SchemaError(f"bounds on axis {axis} must be a [lo, hi] pair of numbers "
-                              f"or nulls, got {pair!r}") from None
+                              f"or nulls, got {pair!r}")
+        lo = NEG_INF if pair[0] is None else float(pair[0])
+        hi = POS_INF if pair[1] is None else float(pair[1])
         if not lo < hi:
             raise SchemaError(f"empty interval on axis {axis}: ({lo}, {hi}]")
         bounds[axis] = (lo, hi)
@@ -209,7 +211,7 @@ def build_ledger(frame: str, leaf_specs: Sequence[Mapping], table: DyadTable,
         sid = str(spec["id"])
         if sid in strata:
             raise SchemaError(f"duplicate stratum id {sid!r}")
-        strata[sid] = Stratum(id=sid, frame=frame, bounds=_as_bounds(spec["bounds"]))
+        strata[sid] = Stratum(id=sid, frame=frame, bounds=parse_bounds(spec["bounds"]))
     ledger = DesignLedger(frame=frame, strata=strata, rng_seed=rng_seed,
                           member_flag=member_flag)
     _, leaves, idx = leaf_index(table, ledger)
@@ -349,22 +351,15 @@ def sampling_probabilities(table: DyadTable, ledger: DesignLedger) -> dict[str, 
     return {table.ids[i]: pi[i] for i in np.flatnonzero(ledger.member_mask(table)).tolist()}
 
 
-def _within(values: Mapping[str, np.ndarray], bounds: Mapping[str, tuple[float, float]],
-            n: int) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    for axis, (lo, hi) in bounds.items():
-        mask &= (values[axis] > lo) & (values[axis] <= hi)
-    return mask
-
-
 def split_stratum(ledger: DesignLedger, table: DyadTable, stratum_id: str,
                   axis: str, cuts: Sequence[float],
                   child_ids: Sequence[str] | None = None) -> DesignLedger:
     """Split a leaf at ``cuts`` along one axis, returning an updated ledger.
 
-    Children partition the parent's interval; their population counts and
-    inherited draws come from rescanning the table's rows.  The parent keeps
-    its own wave history for audit.  Bad axes, cuts or child ids raise SchemaError.
+    Children partition the parent's interval.  :func:`leaf_index` finds the
+    parent's members and checks the ids the leaves count; each child gets the
+    members and counted ids that fall in it.  The parent keeps its own wave
+    history for audit.  Bad axes, cuts or child ids raise SchemaError.
     """
     if stratum_id not in ledger.strata:
         raise LedgerError(f"unknown stratum {stratum_id!r}")
@@ -389,49 +384,33 @@ def split_stratum(ledger: DesignLedger, table: DyadTable, stratum_id: str,
     if len(set(child_ids)) != len(child_ids) or len(child_ids) != len(edges) - 1:
         raise SchemaError(f"expected {len(edges) - 1} distinct child ids, got {list(child_ids)}")
 
-    new = copy.deepcopy(ledger)
     children = []
     for cid, (clo, chi) in zip(child_ids, zip(edges[:-1], edges[1:])):
-        if cid in new.strata:
+        if cid in ledger.strata:
             raise SchemaError(f"child id {cid!r} already exists")
         bounds = dict(parent.bounds)
         bounds[axis] = (clo, chi)
-        child = Stratum(id=str(cid), frame=parent.frame, bounds=bounds,
-                        parent=stratum_id, drawn=[[] for _ in range(new.wave_count)])
-        children.append(child)
+        children.append(Stratum(id=str(cid), frame=parent.frame, bounds=bounds,
+                                parent=stratum_id,
+                                drawn=[[] for _ in range(ledger.wave_count)]))
 
-    n = len(table)
-    values = {a: table.columns[a] for a in AXES}
-    inside = new.member_mask(table) & _within(values, parent.bounds, n)
-    in_child = np.array([_within(values, c.bounds, n) for c in children])
-    hits = in_child.sum(axis=0)
-    bad = np.flatnonzero(inside & (hits != 1))
-    if bad.size:
-        raise PartitionError(f"record {table.ids[bad[0]]!r} falls in {hits[bad[0]]} "
-                             f"children of {stratum_id!r}")
-    for child, mask in zip(children, in_child):
-        child.population_size += int(np.count_nonzero(mask & inside))
-    pop = int(np.count_nonzero(inside))
-    if pop != parent.population_size:
+    rows, leaves, idx = leaf_index(table, ledger)
+    members = rows[idx == leaves.index(parent)]
+    if members.size != parent.population_size:
         raise LedgerError(
-            f"rescan found {pop} members of {stratum_id!r}, ledger says "
+            f"rescan found {members.size} members of {stratum_id!r}, ledger says "
             f"{parent.population_size}"
         )
-    drawn_ids = new.strata[stratum_id].all_drawn_ids()
-    row_of = {rid: i for i, rid in enumerate(table.ids)} if drawn_ids else {}
-    for rid in drawn_ids:
-        row = row_of.get(rid)
-        if row is None:
-            raise LedgerError(f"drawn record {rid!r} missing from the record set")
-        if hits[row] != 1:
-            raise PartitionError(
-                f"drawn record {rid!r} falls in {hits[row]} children of {stratum_id!r}")
-        children[int(np.argmax(in_child[:, row]))].inherited_ids.append(rid)
-    for child in children:
-        if child.total_sampled > child.population_size:
-            raise LedgerError(
-                f"child {child.id!r} inherits more draws than members")
-        new.strata[child.id] = child
+    member_ids = [table.ids[r] for r in members.tolist()]
+    child_of = assign_strata_arrays({a: table.columns[a][members] for a in AXES}, children,
+                                    ids=member_ids)
+    for child, count in zip(children, np.bincount(child_of, minlength=len(children))):
+        child.population_size = int(count)
+    child_by_id = dict(zip(member_ids, child_of.tolist()))
+    for rid in parent.all_drawn_ids():
+        children[child_by_id[rid]].inherited_ids.append(rid)
+    new = copy.deepcopy(ledger)
+    new.strata.update((child.id, child) for child in children)
     return new
 
 

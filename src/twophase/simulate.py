@@ -176,6 +176,10 @@ class SimConfig:
     z2_prob: float = 0.17
     seed: int = 20240901
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+
 
 @dataclass
 class Population:
@@ -424,8 +428,8 @@ def obesity_strata(pop: Population, spec: DesignSpec) -> tuple[list[Stratum], np
 
 
 def _drop_empty(strata, assignment):
-    for j, s in enumerate(strata):
-        s.population_size = int(np.sum(assignment == j))
+    for s, count in zip(strata, np.bincount(assignment, minlength=len(strata)).tolist()):
+        s.population_size = count
     keep = [j for j, s in enumerate(strata) if s.population_size > 0]
     lookup = np.full(len(strata), -1, dtype=np.intp)
     lookup[keep] = np.arange(len(keep))

@@ -371,10 +371,33 @@ MALFORMED_JSON = {
         ("sim.json", lambda p: {"trajectory": {"bogus": 1}}, "bogus"),
     "config with an impossible error rate":
         ("sim.json", lambda p: {"error": {"event_fp": 2}}, "event_fp"),
+    # These four ended in a TypeError, a ValueError or an IndexError traceback.
+    "config with a string n": ("sim.json", lambda p: {"n": "100"}, "key 'n'"),
+    "config with a fractional n": ("sim.json", lambda p: {"n": 1.5}, "key 'n'"),
+    "config with a negative n": ("sim.json", lambda p: {"n": -5}, "n must be at least 1"),
+    "config with a short beta_z": ("sim.json", lambda p: {"beta_z": [1]}, "key 'beta_z'"),
     "ledger holding a list": ("ledger_O0.json", lambda p: [], "a JSON object"),
     "ledger bounds that are a list":
         ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0], "bounds": [1, 2]}]},
          "key 'bounds' of strata[0]"),
+    # A KeyError traceback.
+    "ledger bound on an unknown axis":
+        ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0],
+                                                        "bounds": {"q_star": [None, 1]}}]},
+         "unknown stratum axis 'q_star'"),
+    "ledger bound that is a string":
+        ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0],
+                                                        "bounds": {"x_star": ["0.3", None]}}]},
+         "key 'bounds' of strata[0]"),
+    "ledger bound that is a boolean":
+        ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0],
+                                                        "bounds": {"x_star": [None, True]}}]},
+         "key 'bounds' of strata[0]"),
+    # Exited 6, a PartitionError at the first command that assigned records.
+    "ledger bound that is an empty interval":
+        ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0],
+                                                        "bounds": {"x_star": [0.3, 0.3]}}]},
+         "empty interval on axis x_star"),
     "allocation draws that are a list":
         ("alloc_O1.json", lambda p: {**p, "draws": [12, 9, 18, 11]}, "key 'draws'"),
     "allocation draw that is a string":
@@ -425,6 +448,11 @@ MALFORMED_DESIGN_ARGS = {
     "bounds that are a list": ("init", [{"id": "a", "bounds": [1]}], '"bounds" object'),
     "bound that is not a pair": ("init", [{"id": "a", "bounds": {"x_star": [1]}}],
                                  "[lo, hi] pair"),
+    # These two were read as 1.0 and 0.1.
+    "bound that is a boolean": ("init", [{"id": "a", "bounds": {"x_star": [None, True]}}],
+                                "[lo, hi] pair"),
+    "bound that is a string": ("init", [{"id": "a", "bounds": {"x_star": ["0.1", None]}}],
+                               "[lo, hi] pair"),
     "non-numeric cuts": ("split", ["--axis", "x_star", "--cuts", "abc"], "--cuts"),
     "cut outside the leaf": ("split", ["--axis", "x_star", "--cuts", "0.5"],
                              "strictly inside"),
@@ -749,6 +777,19 @@ class TestFpcaCli:
         assert code == 4
         err = capsys.readouterr().err
         assert "error: parse:" in err and f"eigensystem {key}" in err
+
+    @pytest.mark.parametrize("payload", [5, "x", None, []])
+    def test_eigensystem_that_is_not_an_object_gives_parse_exit(self, tmp_path, capsys,
+                                                                payload):
+        # A TypeError traceback: argument of type 'int' is not iterable.
+        self._constant_fit(tmp_path)
+        path = tmp_path / "es.json"
+        path.write_text(json.dumps(payload))
+        code = run(["fpca", "score", "--measurements", tmp_path / "m.csv",
+                    "--eigensystem", path, "--out", tmp_path / "scores.csv"])
+        assert code == 4
+        assert f"error: parse: {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
 
     @pytest.mark.parametrize("action", ["score", "flag"])
     def test_components_without_noise_give_ill_conditioned_exit(self, tmp_path, capsys,

@@ -243,6 +243,16 @@ class TestSplitStratum:
         with pytest.raises(LedgerError):
             split_stratum(new, table, "all", "x_star", [0.3])
 
+    def test_leaf_counting_another_leafs_record_is_ledger_error(self):
+        # The split used to succeed, and write a ledger that every later
+        # command rejects.
+        table = phase1_table(1.0, 0, np.arange(10) + 0.5)
+        specs = [{"id": "lo", "bounds": {"x_star": [None, 5.0]}},
+                 {"id": "hi", "bounds": {"x_star": [5.0, None]}}]
+        ledger = apply_draw(build_ledger("f", specs, table), 1, {"lo": ["r1", "r8"]})
+        with pytest.raises(LedgerError, match="'r8'"):
+            split_stratum(ledger, table, "lo", "x_star", [2.0])
+
     def test_closed_stratum_rejects_draws(self):
         table = phase1_table(1.0, 0, np.full(5, 0.5))
         ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
