@@ -158,7 +158,6 @@ def cmd_simulate_reveal(args) -> int:
     (``fileio.write_dyads_patch``)."""
     lines: list[str] = []
     table = fileio.read_dyads(args.dyads, lines)
-    truth_ids, truth = fileio.read_truth(args.truth)
     draw = fileio.read_draw(args.draw)
     wave = args.wave if args.wave is not None else draw["wave"]
     drawn = {rid for ids in draw["by_stratum"].values() for rid in ids}
@@ -170,6 +169,8 @@ def cmd_simulate_reveal(args) -> int:
     cols = table.columns
     rows = np.array([i for i, rid in enumerate(table.ids) if rid in drawn], dtype=np.intp)
     rows = rows[~cols["validated"][rows]]
+    # Only the rows reveal validates are parsed out of the truth file.
+    truth_ids, truth = fileio.read_truth(args.truth, [table.ids[i] for i in rows.tolist()])
     truth_row = {rid: i for i, rid in enumerate(truth_ids)}
     try:
         source = np.array([truth_row[table.ids[i]] for i in rows.tolist()], dtype=np.intp)

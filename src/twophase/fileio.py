@@ -240,7 +240,7 @@ def _cells_by_column(rows: list[list[str]], width: int, problems: list,
 
 
 def _float_column(cells: Sequence[str], column: str, problems: list,
-                  rows: np.ndarray | None = None) -> np.ndarray:
+                  rows: Sequence[int] | None = None) -> np.ndarray:
     """``float`` of each cell, as one float64 array.
 
     A non-numeric cell is a problem at its row: ``rows[k]`` for cell
@@ -817,12 +817,18 @@ def write_truth(path, pop) -> None:
                    + [f"z_{j}" for j in range(n_z)], [pop.ids(), *columns])
 
 
-def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
+def read_truth(path, ids: Iterable[str] | None = None
+               ) -> tuple[list[str], dict[str, np.ndarray]]:
     """Record ids and the columns ``y``, ``delta``, ``x``, ``gestation_days``,
     ``asthma`` and ``z_<j>`` of a truth file; row ``i`` is ``ids[i]``.
 
     Ids are stripped of surrounding space, as in :func:`read_dyads`; a
-    repeated id raises SchemaError naming both rows.
+    repeated id raises SchemaError naming both rows.  Given ``ids``, the
+    result keeps only the file's rows whose id is among them, in file
+    order.  Every id is still read and checked for repeats, but only the
+    kept rows' numbers are parsed: a non-numeric cell on a kept row
+    raises SchemaError naming its file row, and one on another row goes
+    unseen.
     """
     problems: list = []
     header, columns = _read_columns(path, problems)
@@ -834,11 +840,17 @@ def read_truth(path) -> tuple[list[str], dict[str, np.ndarray]]:
         if name not in header:
             raise SchemaError(f"truth file missing column {name!r}")
     text = dict(zip(header, columns))
-    ids = list(map(str.strip, text["id"]))
-    _repeated_key(ids, "id", problems)
-    columns = {name: _float_column(text[name], name, problems) for name in names}
+    all_ids = list(map(str.strip, text["id"]))
+    _repeated_key(all_ids, "id", problems)
+    rows = None
+    if ids is not None:
+        wanted = set(ids)
+        rows = [i for i, rid in enumerate(all_ids) if rid in wanted]
+        all_ids = [all_ids[i] for i in rows]
+        text = {name: [text[name][i] for i in rows] for name in names}
+    columns = {name: _float_column(text[name], name, problems, rows) for name in names}
     _raise_first(problems)
-    return ids, columns
+    return all_ids, columns
 
 
 def write_report(path_csv, path_txt, report) -> None:

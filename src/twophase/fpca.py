@@ -415,6 +415,8 @@ def _em_step(stats, n_obs, mean, cov, noise_var):
     outside the band would add 0, which is exact.  Subjects are taken
     E_STEP_CHUNK at a time: the factor costs the same per subject, and
     the stack temporaries stay a few megabytes instead of growing with n.
+    The sums over subjects are added chunk by chunk, so their rounding
+    depends on E_STEP_CHUNK.
     """
     all_band, all_cross, all_sq = stats
     width = all_band.shape[0]
@@ -537,8 +539,13 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     are built E_STEP_CHUNK subjects at a time, each Gram matrix kept as
     its lower band (:func:`_subject_stats`).  So the basis sets the fit's
     peak, or at a few thousand subjects the E-step's factor stack does.
-    Blocking changes no rounding: every result is the same, bit for bit,
-    whatever E_STEP_CHUNK is.
+    Blocking changes no rounding in the per-subject statistics: the bands
+    of :func:`_subject_stats` are the same, bit for bit, whatever
+    E_STEP_CHUNK is.  The EM sums over subjects are not: :func:`_em_step`
+    adds them one chunk at a time, so E_STEP_CHUNK sets their rounding,
+    and the EM path carries it into every fitted value.  At n = 3,000
+    (``generate`` seed 5) ``noise_var`` is 0.2424753 with chunks of 2,500,
+    0.2426634 with 1,000 and 0.2427749 with 700, each after 84 steps.
 
     The component count is the smallest K whose cumulative fraction of
     variance reaches ``fve_threshold``, at most ``MAX_COMPONENTS``.

@@ -5,11 +5,15 @@ a time in a declared sequence (later targets may condition on earlier
 imputed ones, e.g. gestation length before a recomputed exposure).  Each
 imputation replicate draws model coefficients from their asymptotic
 normal law plus residual noise, so the auxiliary influence functions
-average over parameter uncertainty as well.  Every record is imputed,
-validated ones included.  :func:`impute` yields the replicates, replicate
-``j`` seeded by ``SeedSequence([seed, j])`` alone; :func:`mi_influence`
-averages over them the influence of the working model, a
-``models.AnalysisSpec`` read from each completed dataset.
+average over parameter uncertainty as well.  Every record given to
+:func:`impute` is imputed, validated ones included.  :func:`impute`
+yields the replicates, replicate ``j`` seeded by ``SeedSequence([seed,
+j])`` alone; :func:`mi_influence` averages over them the influence of the
+working model, a ``models.AnalysisSpec`` read from each completed
+dataset.  It imputes and refits only the working model's own population
+(``AnalysisSpec.members``), so the auxiliary is that model's influence on
+its own population, whether the caller passes every record or that
+population alone.
 """
 
 from __future__ import annotations
@@ -173,29 +177,49 @@ def impute(data: Columns, model: ImputationModel, m: int,
                           np.random.default_rng(np.random.SeedSequence([seed, j])))
 
 
-def _analysis_influence(completed: Columns, base: Columns,
-                        spec: models.AnalysisSpec) -> np.ndarray:
+def _analysis_influence(completed: Columns, base: Columns, spec: models.AnalysisSpec,
+                        start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The target's influence and the coefficients of ``spec`` refitted to one
+    completed dataset, Newton starting from ``start``."""
     y, event, x = spec.arrays({**base, **completed})
     if spec.kind == "cox":  # imputed times stay positive, imputed indicators in [0, 1]
         y, event = np.maximum(y, 1e-6), np.clip(event, 0, 1)
-    return models.influence_for_target(models.fit(spec.kind, y, event, x), spec.coefficient)
+    fit = models.fit(spec.kind, y, event, x, start=start)
+    return fit.influence[:, spec.coefficient], fit.coefficients
 
 
 def mi_influence(data: Columns, model: ImputationModel, m: int,
                  analysis: models.AnalysisSpec, seed: int) -> np.ndarray:
     """Average per-record influence over M imputation replicates.
 
+    Only the rows of ``analysis.members(data)`` are imputed and refitted,
+    and the result has one value per such row, in row order.  When
+    ``analysis.frame`` is None that is every row, and ``data`` is used
+    as it is, without a copy.  Passing the frame's rows alone, as the
+    CLI does, gives the same result bit for bit.  The first refit that
+    converges starts Newton from 0; every later one starts from that
+    refit's coefficients, which moves the result only within Newton's
+    stopping tolerance.
+
     Replicates whose working fit fails to converge are dropped with a
     warning; if half or more fail the auxiliary is unusable and an error
     is raised.
     """
-    total = np.zeros(len(next(iter(data.values()))))
+    if analysis.frame is not None:
+        rows = analysis.members(data)
+        data = {name: values[rows] for name, values in data.items()}
+    total = np.zeros(len(data[analysis.outcome]))
+    start = None
     failures = []
     for completed in impute(data, model, m, seed):
         try:
-            total += _analysis_influence(completed, data, analysis)
+            h, coefficients = _analysis_influence(completed, data, analysis, start)
         except ConvergenceError as exc:
             failures.append(str(exc))
+            continue
+        total += h
+        if start is None:
+            start = coefficients
     kept = m - len(failures)
     if failures:
         warnings.warn(

@@ -85,10 +85,12 @@ def _case_weights(weights, n):
     return weights
 
 
-def _newton(evaluate, linear_predictor, p, model, cause):
-    """Newton-Raphson with step-halving from ``beta = 0``.
+def _newton(evaluate, linear_predictor, p, model, cause, start=None):
+    """Newton-Raphson with step-halving from ``start`` (``beta = 0`` when None).
 
-    ``evaluate(beta)`` gives ``(loglik, score, information, extra)``;
+    ``start`` is a warm start, such as the coefficients of a fit to
+    similar data; it must hold ``p`` finite values.  ``evaluate(beta)``
+    gives ``(loglik, score, information, extra)``;
     ``linear_predictor(extra)`` the linear predictor that an accepted
     step's evaluation formed.  Returns ``(beta, loglik, information,
     extra, iterations, gradient_norm)``, the last being ``max |score|`` at
@@ -100,7 +102,13 @@ def _newton(evaluate, linear_predictor, p, model, cause):
     step a least-squares solution, with one warning per fit naming
     ``model``.
     """
-    beta = np.zeros(p)
+    if start is None:
+        beta = np.zeros(p)
+    else:
+        beta = np.array(start, dtype=np.float64)
+        if beta.shape != (p,):
+            raise ValueError(f"start must hold {p} coefficients, got shape {beta.shape}")
+        _require_finite("start", beta)
     ll, score, info, extra = evaluate(beta)
     gradient_norm = float(np.max(np.abs(score)))
     iterations = 0
@@ -141,7 +149,7 @@ def _newton(evaluate, linear_predictor, p, model, cause):
     return beta, ll, info, extra, iterations, gradient_norm
 
 
-def fit_cox(time, event, x, weights=None):
+def fit_cox(time, event, x, weights=None, start=None):
     """Fit a weighted Cox model (Breslow ties).
 
     Parameters
@@ -149,11 +157,13 @@ def fit_cox(time, event, x, weights=None):
     time, event : observed follow-up time (> 0) and 0/1 event indicator.
     x : covariate matrix, one row per record (no intercept).
     weights : positive case weights; defaults to 1.
+    start : coefficients Newton starts from; defaults to 0.
 
     Raises
     ------
     ValueError
-        On a non-finite time, event, covariate or weight, or a weight <= 0.
+        On a non-finite time, event, covariate, weight or start, a weight
+        <= 0, or a start of the wrong length.
     ConvergenceError
         On zero events, or when Newton fails (e.g. monotone-likelihood
         separation), with iteration diagnostics attached.
@@ -172,7 +182,7 @@ def fit_cox(time, event, x, weights=None):
     beta, ll, info, sums, iterations, gradient_norm = _newton(
         lambda beta: kernels.cox_breslow(risk, xs @ beta), lambda sums: sums.eta,
         xs.shape[1], "Cox",
-        "the likelihood may be monotone (a covariate separates the event order)")
+        "the likelihood may be monotone (a covariate separates the event order)", start)
     variance = _invert_info(info, "Cox")
     resid = kernels.cox_score_residuals(risk, sums)
     influence_sorted = (risk.w[:, None] * resid) @ variance.T
@@ -199,14 +209,15 @@ def logistic_loglik_score_info(beta, y, x, xt, weights):
     return ll, score, info, (eta, prob)
 
 
-def fit_logistic(y, x, weights=None):
+def fit_logistic(y, x, weights=None, start=None):
     """Fit a weighted logistic regression by Newton-Raphson.
 
-    ``x`` should include an intercept column if one is wanted.  Raises
-    ValueError on a non-finite outcome, covariate or weight, or a weight
-    <= 0; ConvergenceError on perfect separation (detected as
-    non-convergence with diverging coefficients) or when only one outcome
-    class is present.
+    ``x`` should include an intercept column if one is wanted; Newton
+    starts from ``start`` (0 when None).  Raises ValueError on a
+    non-finite outcome, covariate, weight or start, a weight <= 0 or a
+    start of the wrong length; ConvergenceError on perfect separation
+    (detected as non-convergence with diverging coefficients) or when
+    only one outcome class is present.
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -219,19 +230,19 @@ def fit_logistic(y, x, weights=None):
     beta, ll, info, (_, prob), iterations, gradient_norm = _newton(
         lambda beta: logistic_loglik_score_info(beta, y, x, xt, weights),
         lambda extra: extra[0], x.shape[1], "logistic",
-        "the data may be separated")
+        "the data may be separated", start)
     variance = _invert_info(info, "logistic")
     resid = (y - prob)[:, None] * x
     influence = (weights[:, None] * resid) @ variance.T
     return FitResult(beta, variance, influence, True, iterations, float(ll), gradient_norm)
 
 
-def fit(kind, time_or_y, event, x, weights=None) -> FitResult:
+def fit(kind, time_or_y, event, x, weights=None, start=None) -> FitResult:
     """Dispatch to :func:`fit_cox` (time, event, x) or :func:`fit_logistic` (y, x)."""
     if kind == "cox":
-        return fit_cox(time_or_y, event, x, weights)
+        return fit_cox(time_or_y, event, x, weights, start)
     if kind == "logistic":
-        return fit_logistic(time_or_y, x, weights)
+        return fit_logistic(time_or_y, x, weights, start)
     raise ValueError(f"unknown model kind {kind!r}; expected 'cox' or 'logistic'")
 
 

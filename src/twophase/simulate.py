@@ -23,6 +23,7 @@ imputation model (``_cox_imputation_specs``, ``_asthma_imputation_specs``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +53,8 @@ class TrajectoryModel:
     The mean is a smooth logistic ramp gaining ``pregnancy_gain_kg``
     between conception and delivery; components are orthonormal shifted
     Legendre polynomials, so the dominant one shifts a subject's overall
-    weight level and the others tilt and bend the curve.
+    weight level and the others tilt and bend the curve.  There are 1 to
+    3 components, one per finite positive entry of ``eigenvalues``.
     """
 
     baseline_kg: float = 65.0
@@ -62,6 +64,14 @@ class TrajectoryModel:
     eigenvalues: tuple[float, ...] = (144000.0, 3600.0, 400.0)
     noise_sd: float = 0.5
     domain: tuple[float, float] = TIME_DOMAIN
+
+    def __post_init__(self):
+        # Plain Python: every SimConfig() builds one, and numpy calls here
+        # would cost several times the rest of the constructor.
+        if not (1 <= len(self.eigenvalues) <= 3
+                and all(0.0 < v < math.inf for v in self.eigenvalues)):
+            raise ValueError("eigenvalues must be 1 to 3 finite positive values "
+                             f"(one per basis component), got {list(self.eigenvalues)}")
 
     def _ramp(self, t):
         return 1.0 / (1.0 + np.exp(-(np.asarray(t, dtype=np.float64)
@@ -554,13 +564,16 @@ def run_design(pop: Population, spec: DesignSpec, seed: int,
 
     # Asthma frame (subset; already-validated records stay drawable): every
     # wave allocates on the MI influence given everything validated so far.
+    # The imputation model learns from every validated record, in either
+    # frame; the imputed refits, and so the influence, cover the frame's
+    # members only, in population order (the member rows).
     members = np.flatnonzero(pop.in_asthma_frame)
     a_strata, a_assign = asthma_strata(pop, spec, pop.in_asthma_frame)
 
     def asthma_influence(wave, sampled, counts):
         h_mi = _mi_influence(cols, validated, _asthma_imputation_specs(), ASTHMA_ANALYSIS,
                              spec.mi_replicates_allocation, seed + wave)
-        return h_mi[members], None, spec.sd_shrinkage
+        return h_mi, None, spec.sd_shrinkage
 
     asthma = _run_waves(a_strata, a_assign, members, spec.asthma_waves, spec, rng,
                         validated, asthma_influence)
@@ -609,7 +622,8 @@ def _population_columns(pop: Population) -> imputation.Columns:
 
 
 def _mi_influence(cols, validated, specs, analysis, m, seed):
-    """MI influence of ``analysis`` on ``cols``, imputing ``specs`` from the ``validated`` rows."""
+    """MI influence of ``analysis`` on its frame's rows of ``cols``, imputing ``specs``
+    from every ``validated`` row (``imputation.mi_influence``)."""
     model = imputation.fit_imputation(cols, validated, specs)
     return imputation.mi_influence(cols, model, m, analysis, seed)
 
@@ -629,14 +643,14 @@ def _estimate(pop: Population, designs: tuple[WaveDesign, WaveDesign], endpoint:
 
     ``own`` indexes the endpoint's own frame in ``designs`` (for ipw_sf,
     and its phase-1 fit when it has one); the MI influence imputes
-    ``mi_specs`` with ``m`` replicates seeded by ``mi_seed``.
+    ``mi_specs`` with ``m`` replicates seeded by ``mi_seed``, on the
+    analysis frame's rows, as the naive influence is.
     """
     cols = _population_columns(pop)
     frame = analysis.members(cols)
-    frame_rows = np.flatnonzero(frame)
     p1 = designs[own].phase1
     if p1 is None:
-        p1 = analysis.phase1().fit(cols, frame_rows)
+        p1 = analysis.phase1().fit(cols, frame)
     p1 = replace(p1, variance=models.sandwich_variance(p1))
     target = analysis.coefficient
     h_naive = models.influence_for_target(p1, target)
@@ -653,7 +667,7 @@ def _estimate(pop: Population, designs: tuple[WaveDesign, WaveDesign], endpoint:
     data = analysis.arrays(cols, sample.rows)
     fits = {"phase1": p1, "ipw_sf": sf}
     h_mi = _mi_influence(cols, validated, mi_specs, analysis, m, mi_seed)
-    for name, h in (("ipw_mf", None), ("raking_nv", h_naive), ("raking_mi", h_mi[frame_rows])):
+    for name, h in (("ipw_mf", None), ("raking_nv", h_naive), ("raking_mi", h_mi)):
         fits[name], _, _ = raking.weighted_fit(analysis.kind, *data, sample, h)
     return [EstimateRow(endpoint, name, float(fit.coefficients[target]),
                         float(fit.se[target])) for name, fit in fits.items()]

@@ -376,6 +376,13 @@ MALFORMED_JSON = {
     "config with a fractional n": ("sim.json", lambda p: {"n": 1.5}, "key 'n'"),
     "config with a negative n": ("sim.json", lambda p: {"n": -5}, "n must be at least 1"),
     "config with a short beta_z": ("sim.json", lambda p: {"beta_z": [1]}, "key 'beta_z'"),
+    # These two ended in a ValueError traceback: the trajectory basis has 3 rows.
+    "config with four eigenvalues":
+        ("sim.json", lambda p: {"n": 50, "trajectory": {"eigenvalues": [100, 9, 4, 1]}},
+         "eigenvalues must be 1 to 3 finite positive values"),
+    "config with no eigenvalues":
+        ("sim.json", lambda p: {"n": 50, "trajectory": {"eigenvalues": []}},
+         "eigenvalues must be 1 to 3 finite positive values"),
     "ledger holding a list": ("ledger_O0.json", lambda p: [], "a JSON object"),
     "ledger bounds that are a list":
         ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0], "bounds": [1, 2]}]},

@@ -502,6 +502,40 @@ def test_repeated_truth_id_names_both_rows(tmp_path):
         fileio.read_truth(path)
 
 
+TRUTH_TEXT = ("id,y,delta,x,gestation_days,asthma,z_0\n"
+              "r1,2.0,1,0.3,273,0,1.0\n"
+              "r2,oops,0,0.2,270,1,0.0\n"
+              " r3,4.5,1,0.1,268,1,0.5\n")
+
+
+def test_truth_read_for_wanted_ids_keeps_their_rows(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text(TRUTH_TEXT)
+    ids, truth = fileio.read_truth(path, ["r3", "r1", "absent"])
+    assert ids == ["r1", "r3"]
+    assert truth["y"].tolist() == [2.0, 4.5]
+    assert truth["z_0"].tolist() == [1.0, 0.5]
+    assert set(truth) == {"y", "delta", "x", "gestation_days", "asthma", "z_0"}
+
+
+def test_truth_read_for_wanted_ids_checks_only_their_numbers(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text(TRUTH_TEXT)
+    with pytest.raises(SchemaError, match=r"row 3: column 'y' has non-numeric value 'oops'"):
+        fileio.read_truth(path)
+    with pytest.raises(SchemaError, match=r"row 3: column 'y' has non-numeric value 'oops'"):
+        fileio.read_truth(path, ["r3", "r2"])
+    ids, _ = fileio.read_truth(path, [])
+    assert ids == []
+
+
+def test_truth_read_for_wanted_ids_still_checks_every_id(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text(TRUTH_TEXT + "r2,1.0,0,0.2,270,1,0.0\n")
+    with pytest.raises(SchemaError, match=r"row 5: id 'r2' repeats the one on row 3"):
+        fileio.read_truth(path, ["r1"])
+
+
 def test_reveal_reads_truth_ids_with_surrounding_space(chain_files, tmp_path):
     header, *rows = (chain_files / "truth.csv").read_text().splitlines()
     (tmp_path / "truth.csv").write_text("\n".join([header, *(" " + r for r in rows)]) + "\n")

@@ -197,11 +197,11 @@ class TestMiInfluence:
         calls = {"n": 0}
         orig = imp._analysis_influence
 
-        def flaky(completed, base, spec):
+        def flaky(completed, base, spec, start):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise ConvergenceError("boom")
-            return orig(completed, base, spec)
+            return orig(completed, base, spec, start)
 
         imp._analysis_influence = flaky
         try:
@@ -223,3 +223,70 @@ class TestMiInfluence:
                     imp.mi_influence(data, model, 4, self._analysis(), seed=9)
         finally:
             imp._analysis_influence = orig
+
+
+def framed_population(seed=51, n=2000):
+    """``toy_population`` plus a frame flag ``f`` and a follow-up time ``t``."""
+    data, validated = toy_population(n=n, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    data["f"] = rng.uniform(size=n) < 0.7
+    data["t"] = rng.exponential(scale=np.exp(-0.6 * data["x"]))
+    return data, validated
+
+
+class TestFramedWarmStartedMi:
+    """MI refits cover the analysis frame only, warm-started from the first one."""
+
+    FRAMED = models.AnalysisSpec(kind="logistic", outcome="b", event=None, covariates=("x",),
+                                 target=0, intercept=True, frame="f")
+    COX = models.AnalysisSpec(kind="cox", outcome="t", event="b", covariates=("x",), target=0)
+
+    def test_full_columns_equal_the_frame_slice(self):
+        data, validated = framed_population()
+        model = imp.fit_imputation(data, validated, SPECS)
+        full = imp.mi_influence(data, model, 6, self.FRAMED, seed=3)
+        frame = data["f"]
+        sliced = imp.mi_influence({k: v[frame] for k, v in data.items()}, model, 6,
+                                  self.FRAMED, seed=3)
+        assert full.shape == (int(frame.sum()),)
+        np.testing.assert_array_equal(full, sliced)
+
+    @pytest.mark.parametrize("spec", [FRAMED, COX], ids=["framed-logistic", "cox"])
+    def test_warm_start_matches_cold_fits(self, spec):
+        data, validated = framed_population()
+        model = imp.fit_imputation(data, validated, SPECS)
+        m = 6
+        h = imp.mi_influence(data, model, m, spec, seed=3)
+        rows = spec.members(data)
+        base = {k: v[rows] for k, v in data.items()}
+        parts = []
+        for j in range(m):
+            completed = imp.impute_once(
+                base, model, np.random.default_rng(np.random.SeedSequence([3, j])))
+            fit = models.fit(spec.kind, *spec.arrays({**base, **completed}))
+            parts.append(fit.influence[:, spec.coefficient])
+        cold = np.mean(parts, axis=0)
+        assert np.max(np.abs(h - cold)) <= 1e-9 * np.max(np.abs(cold))
+
+    def test_first_converged_refit_is_the_start(self, monkeypatch):
+        data, validated = framed_population()
+        model = imp.fit_imputation(data, validated, SPECS)
+        orig = imp._analysis_influence
+        starts, coefficients = [], []
+
+        def first_fails(completed, base, spec, start):
+            starts.append(start)
+            if len(starts) == 1:
+                raise ConvergenceError("boom")
+            h, beta = orig(completed, base, spec, start)
+            coefficients.append(beta)
+            return h, beta
+
+        monkeypatch.setattr(imp, "_analysis_influence", first_fails)
+        with pytest.warns(UserWarning, match="1 of 5 imputation replicates dropped"):
+            imp.mi_influence(data, model, 5, self.FRAMED, seed=9)
+        assert starts[:2] == [None, None]
+        assert len(starts) == 5
+        for start in starts[2:]:
+            np.testing.assert_array_equal(start, coefficients[0])
+

@@ -301,6 +301,54 @@ class TestSingularInformation:
         assert np.all(np.isfinite(fit.se))
 
 
+@pytest.mark.parametrize("kind", ["cox", "logistic"])
+class TestWarmStart:
+    """``start`` moves where Newton begins, not where it ends."""
+
+    @staticmethod
+    def _data(kind):
+        rng = np.random.default_rng(8)
+        n = 400
+        x = rng.normal(size=(n, 2))
+        if kind == "cox":
+            t = rng.exponential(scale=np.exp(-(0.5 * x[:, 0] - 0.3 * x[:, 1])))
+            c = rng.exponential(scale=1.5, size=n)
+            return np.minimum(t, c), (t <= c).astype(float), x
+        p = 1.0 / (1.0 + np.exp(-(0.2 + x @ np.array([0.8, -0.5]))))
+        return (rng.uniform(size=n) < p).astype(float), None, np.column_stack([np.ones(n), x])
+
+    def test_start_at_the_optimum_takes_at_most_one_step(self, kind):
+        data = self._data(kind)
+        cold = models.fit(kind, *data)
+        warm = models.fit(kind, *data, start=cold.coefficients)
+        assert cold.iterations > 1
+        assert warm.iterations <= 1
+        assert warm.gradient_norm < models.GRAD_TOL
+        np.testing.assert_allclose(warm.coefficients, cold.coefficients,
+                                   rtol=0, atol=models.GRAD_TOL)
+        np.testing.assert_allclose(warm.influence, cold.influence, rtol=1e-9)
+
+    def test_nearby_start_reaches_the_cold_optimum(self, kind):
+        data = self._data(kind)
+        cold = models.fit(kind, *data)
+        start = cold.coefficients + 0.3
+        warm = models.fit(kind, *data, start=start)
+        assert warm.iterations >= 1
+        assert warm.gradient_norm < models.GRAD_TOL
+        np.testing.assert_allclose(warm.coefficients, cold.coefficients,
+                                   rtol=0, atol=models.GRAD_TOL)
+        assert np.array_equal(start, cold.coefficients + 0.3)  # not changed in place
+
+    def test_bad_start_rejected(self, kind):
+        time_or_y, event, x = self._data(kind)
+        p = x.shape[1]
+        for start, match in ((np.zeros(p - 1), "start must hold"),
+                             (np.zeros((1, p)), "start must hold"),
+                             (np.r_[np.nan, np.zeros(p - 1)], "start must be finite")):
+            with pytest.raises(ValueError, match=match):
+                models.fit(kind, time_or_y, event, x, start=start)
+
+
 class TestLogistic:
     def test_intercept_only_weighted_prevalence(self):
         y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])

@@ -122,6 +122,20 @@ class TestGenerate:
             a, b = getattr(plain, name), getattr(full, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("eigenvalues", [(), (100.0, 9.0, 4.0, 1.0), (100.0, 0.0),
+                                             (100.0, -1.0), (100.0, float("nan")),
+                                             (float("inf"),)])
+    def test_eigenvalues_outside_the_basis_rejected(self, eigenvalues):
+        with pytest.raises(ValueError, match="1 to 3 finite positive values"):
+            sim.TrajectoryModel(eigenvalues=eigenvalues)
+
+    @pytest.mark.parametrize("eigenvalues", [(100.0,), (100.0, 9.0), (100.0, 9.0, 4.0)])
+    def test_one_to_three_eigenvalues_generate(self, eigenvalues):
+        traj = sim.TrajectoryModel(eigenvalues=eigenvalues)
+        pop = sim.generate(sim.SimConfig(n=20, trajectory=traj), seed=1, include_series=True)
+        assert pop.scores.shape == (20, len(eigenvalues))
+        assert len(pop.series) == 20
+
     def test_negative_noise_sd_rejected(self):
         traj = sim.TrajectoryModel(noise_sd=-0.5)
         sim.generate(sim.SimConfig(n=5, trajectory=traj), seed=1)
@@ -207,7 +221,7 @@ class TestDesignPipeline:
         pop, spec, obesity, asthma = small_run
         assert obesity.counts.tolist() == [4, 20, 19, 5, 2, 11, 9, 3, 10, 28, 28, 7,
                                            2, 5, 5, 2, 4, 8, 9, 3, 2, 6, 6, 2]
-        assert asthma.counts.tolist() == [5, 16, 9, 8, 19, 6, 2, 7, 4, 4, 8, 2]
+        assert asthma.counts.tolist() == [6, 18, 10, 7, 15, 7, 2, 7, 3, 4, 9, 2]
         for design, waves in ((obesity, spec.obesity_waves), (asthma, spec.asthma_waves)):
             per_wave = [int(np.sum(design.wave_of == w)) for w in (1, 2)]
             assert per_wave == list(waves)
@@ -220,10 +234,10 @@ class TestDesignPipeline:
         fit_cox = models.fit_cox
         refits = []
 
-        def counting(time, event, x, weights=None):
+        def counting(time, event, x, weights=None, start=None):
             if time.size == pop.n and np.array_equal(time, pop.y_star):
                 refits.append(weights)
-            return fit_cox(time, event, x, weights)
+            return fit_cox(time, event, x, weights, start)
 
         monkeypatch.setattr(models, "fit_cox", counting)
         with warnings.catch_warnings():
@@ -248,16 +262,16 @@ class TestDesignPipeline:
 # TestExperiment's report (n = 1,500, waves 80 + 60 and 40 + 30, m = 2,
 # 3 replicates, master seed 9): (mean_beta, sd, mean_se, coverage).
 REFERENCE_REPORT = {
-    "asthma/ipw_mf": (0.768360324659421, 1.3883418300315948, 2.3814273632584277, 1.0),
-    "asthma/ipw_sf": (-0.6521840424332934, 1.4710321596776172, 3.032685952591336, 1.0),
+    "asthma/ipw_mf": (0.3411829513719613, 1.9786337606501305, 2.2380068317664663, 1.0),
+    "asthma/ipw_sf": (-1.3897430698658946, 2.3429469464583517, 2.644935520584898, 1.0),
     "asthma/phase1": (0.7473309669177013, 0.17399176150208362, 0.7549287935730477, 1.0),
-    "asthma/raking_mi": (0.5950830624935955, 1.0340329759422937, 2.4889899615496067, 1.0),
-    "asthma/raking_nv": (0.25081180505880324, 1.4177835337117357, 2.3691726345537227, 1.0),
-    "obesity/ipw_mf": (1.41465706185079, 1.9495709662159841, 0.9125396188539799, 2 / 3),
+    "asthma/raking_mi": (0.041159886941119085, 2.0463720630590716, 2.370165499951647, 1.0),
+    "asthma/raking_nv": (-0.14512416127403222, 1.888092656863229, 2.2093286476048637, 1.0),
+    "obesity/ipw_mf": (1.8426804255851208, 2.0560820565141418, 1.1507907691716788, 1.0),
     "obesity/ipw_sf": (1.2694375973244125, 1.6887189359173356, 0.9038185229666414, 2 / 3),
     "obesity/phase1": (1.0862305506727838, 1.1482042012268427, 0.5098315215435758, 2 / 3),
-    "obesity/raking_mi": (1.4663228293559003, 2.033801260779482, 1.0112280272517458, 2 / 3),
-    "obesity/raking_nv": (1.561965383860476, 2.092157691452828, 0.8764074906791447, 2 / 3),
+    "obesity/raking_mi": (1.6447419757908215, 1.95402919832396, 1.0497218454620934, 2 / 3),
+    "obesity/raking_nv": (1.6563351769336145, 1.8236707243395516, 0.8917321905128324, 2 / 3),
 }
 
 
