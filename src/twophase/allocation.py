@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from twophase.errors import DegenerateDesignError, InfeasibleError, LedgerError
+from twophase.kernels import group_rows
 from twophase.records import DesignLedger, DyadTable, leaf_index
 
 __all__ = [
@@ -244,9 +245,13 @@ def influence_sd(h: np.ndarray, assignment: np.ndarray, ids: Sequence[str],
 
     Rows: ``h`` (influence), ``assignment`` (stratum index into ``ids``,
     ``sizes`` and ``already``) and ``validated`` are aligned, one entry
-    per frame-member row.  Only ``validated`` rows count (all rows when
-    it is None); within a stratum their values enter the SD in row
-    order, so a fixed row order gives a bit-for-bit fixed result.
+    per frame-member row; ``assignment`` holds integers in
+    ``[0, len(ids))``.  Only ``validated`` rows count (all rows when it
+    is None).  The result is fixed bit for bit by the row order: the
+    counted rows are grouped once (``kernels.group_rows``), each
+    stratum's values enter its SD in row order, strata are visited in
+    ``ids`` order, and an ancestor group pools its strata's values in
+    the listed order.
 
     A stratum with two or more values gets their sample SD (source
     ``stratum``).  ``shrink`` is a pseudo-count pulling each such
@@ -257,9 +262,12 @@ def influence_sd(h: np.ndarray, assignment: np.ndarray, ids: Sequence[str],
     ``parent``); failing that it takes the pooled SD (source
     ``proportional``), or 1.0 when fewer than two rows count at all.
     """
-    mask = np.ones(h.size, dtype=bool) if validated is None else validated
-    pooled = float(np.std(h[mask], ddof=1)) if mask.sum() >= 2 else 1.0
-    per_stratum = [h[mask & (assignment == s)] for s in range(len(ids))]
+    if validated is not None:
+        counted = np.flatnonzero(validated)
+        h, assignment = h[counted], assignment[counted]
+    pooled = float(np.std(h, ddof=1)) if h.size >= 2 else 1.0
+    order, bounds = group_rows(assignment, len(ids))
+    per_stratum = [h[order[lo:hi]] for lo, hi in zip(bounds[:-1], bounds[1:])]
     out = []
     for s, vals in enumerate(per_stratum):
         source = "stratum"
@@ -334,19 +342,23 @@ def draw_within_strata(rng: np.random.Generator, assignment: np.ndarray,
     """Stratified simple random sampling without replacement, on rows.
 
     Visits the strata in ``ids`` order (``assignment`` holds indices into
-    ``ids``).  A stratum with ``draws[id] > 0`` takes that many of its
-    ``eligible`` rows: the pool lists them in row order and one
-    ``rng.choice(pool size, want, replace=False)`` call picks them, so
-    the RNG is consumed stratum by stratum in ``ids`` order.  Returns the
-    chosen rows per stratum, ascending (empty for a zero draw).
+    ``ids``, integers in ``[0, len(ids))``).  The ``eligible`` rows are
+    grouped once by stratum (``kernels.group_rows``), so each stratum's
+    pool lists its eligible rows in row order.  A stratum with
+    ``draws[id] > 0`` takes that many of them: one ``rng.choice(pool
+    size, want, replace=False)`` call picks them, so the RNG is consumed
+    stratum by stratum in ``ids`` order.  Returns the chosen rows per
+    stratum, ascending (empty for a zero draw).
     """
+    rows = np.flatnonzero(eligible)
+    order, bounds = group_rows(assignment[rows], len(ids))
     chosen = []
     for s, sid in enumerate(ids):
         want = int(draws.get(sid, 0))
         if want == 0:
             chosen.append(np.empty(0, dtype=np.intp))
             continue
-        pool = np.flatnonzero(eligible & (assignment == s))
+        pool = rows[order[bounds[s]:bounds[s + 1]]]
         if want > pool.size:
             raise InfeasibleError(
                 f"stratum {sid!r}: allocation {want} exceeds the "

@@ -70,9 +70,10 @@ class ImputationModel:
     fits: dict[str, _SubModel] = field(default_factory=dict)
 
 
-def _design(data: Columns, predictors: Sequence[str], n: int) -> np.ndarray:
-    """``[1, predictors...]`` on all ``n`` rows of ``data``."""
-    return np.column_stack([np.ones(n)] + [np.asarray(data[p], dtype=np.float64)
+def _design(data: Columns, predictors: Sequence[str], n: int,
+            rows=slice(None)) -> np.ndarray:
+    """``[1, predictors...]`` on the ``n`` rows ``rows`` of ``data`` (default: all)."""
+    return np.column_stack([np.ones(n)] + [np.asarray(data[p], dtype=np.float64)[rows]
                                            for p in predictors])
 
 
@@ -83,17 +84,16 @@ def fit_imputation(data: Columns, validated: np.ndarray,
     ``data`` maps column names to full-population arrays; targets hold
     their validated values on the rows where ``validated`` is True.
     """
-    validated = np.asarray(validated, dtype=bool)
-    n_val = int(validated.sum())
-    if n_val < MIN_VALIDATED:
+    rows = np.flatnonzero(np.asarray(validated, dtype=bool))
+    if rows.size < MIN_VALIDATED:
         raise ValueError(
-            f"{n_val} validated records; at least {MIN_VALIDATED} required")
+            f"{rows.size} validated records; at least {MIN_VALIDATED} required")
     model = ImputationModel(specs=tuple(specs))
     for spec in specs:
         if spec.kind == "derived":
             continue
-        y = np.asarray(data[spec.name], dtype=np.float64)[validated]
-        x = _design(data, spec.predictors, validated.size)[validated]
+        y = np.asarray(data[spec.name], dtype=np.float64)[rows]
+        x = _design(data, spec.predictors, rows.size, rows)
         if np.unique(y).size == 1:
             warnings.warn(
                 f"target {spec.name!r} is constant in the validated data; "
@@ -194,9 +194,10 @@ def mi_influence(data: Columns, model: ImputationModel, m: int,
 
     Only the rows of ``analysis.members(data)`` are imputed and refitted,
     and the result has one value per such row, in row order.  When
-    ``analysis.frame`` is None that is every row, and ``data`` is used
-    as it is, without a copy.  Passing the frame's rows alone, as the
-    CLI does, gives the same result bit for bit.  The first refit that
+    ``analysis.frame`` is None, or the frame holds every row, ``data``
+    is used as it is, without a copy; otherwise every column is sliced
+    once to the members.  Passing the frame's rows alone, as the CLI
+    does, gives the same result bit for bit.  The first refit that
     converges starts Newton from 0; every later one starts from that
     refit's coefficients, which moves the result only within Newton's
     stopping tolerance.
@@ -206,8 +207,9 @@ def mi_influence(data: Columns, model: ImputationModel, m: int,
     is raised.
     """
     if analysis.frame is not None:
-        rows = analysis.members(data)
-        data = {name: values[rows] for name, values in data.items()}
+        rows = np.flatnonzero(analysis.members(data))
+        if rows.size < len(data[analysis.outcome]):
+            data = {name: values[rows] for name, values in data.items()}
     total = np.zeros(len(data[analysis.outcome]))
     start = None
     failures = []

@@ -8,7 +8,15 @@ weights, the tie groups that hold an event, ``we @ x`` and a feature-major
 (p x n) copy of the covariates.  Each evaluation then computes only the
 per-row risk ``w e^eta``, its two reversed cumulative sums and the
 information product, and returns its sums for the residuals.  The
+residuals are computed feature-major too, so every elementwise pass runs
+along n, and are copied back to row-major (n x p) once at the end.  The
 local-linear smoothers serve ``smoothing``.
+
+:func:`group_rows` is the one way rows are visited by group (strata in
+``models.sandwich_variance``, ``allocation.influence_sd`` and
+``allocation.draw_within_strata``): rows enter a group in row order and
+groups are visited in label order, so each group's values, and every sum
+over them, come in the order that a boolean mask per group would give.
 """
 
 from __future__ import annotations
@@ -129,6 +137,27 @@ def local_linear_2d(x1, x2, y, w, grid, bandwidth):
     return out
 
 
+def group_rows(labels, n_groups):
+    """Rows grouped by label: ``(order, bounds)``.
+
+    ``labels`` holds each row's group, an integer in ``[0, n_groups)``;
+    another value raises ValueError.  Group ``g``'s rows are
+    ``order[bounds[g]:bounds[g + 1]]``, ascending: one stable argsort and
+    one ``bincount``.  The labels are sorted as the narrowest unsigned
+    integer type that holds them, for which numpy's stable sort is a
+    radix sort.
+    """
+    labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=n_groups)
+    if counts.size > n_groups:
+        raise ValueError(f"group label {labels.max()} outside [0, {n_groups})")
+    narrow = np.uint8 if n_groups <= 1 << 8 else np.uint16 if n_groups <= 1 << 16 else None
+    keys = labels if narrow is None else labels.astype(narrow)
+    bounds = np.zeros(n_groups + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return np.argsort(keys, kind="stable"), bounds
+
+
 class RiskSets(NamedTuple):
     """The Breslow quantities of one Cox fit that do not depend on beta.
 
@@ -180,9 +209,10 @@ class BreslowSums(NamedTuple):
 
 
 def _running_sum(values, k):
-    """Running sums of ``values`` (along axis 0) read at ``k - 1``; 0 where k is 0."""
-    total = np.cumsum(values, axis=0)
-    return np.concatenate([np.zeros((1,) + total.shape[1:]), total]).take(k, axis=0)
+    """Running sums of ``values`` along the last axis, read at ``k - 1``; 0 where k is 0."""
+    total = np.cumsum(values, axis=-1)
+    zero = np.zeros(total.shape[:-1] + (1,))
+    return np.concatenate([zero, total], axis=-1).take(k, axis=-1)
 
 
 def cox_breslow(risk: RiskSets, eta):
@@ -221,12 +251,14 @@ def cox_score_residuals(risk: RiskSets, sums: BreslowSums):
 
     ``risk`` comes from :func:`risk_sets` and ``sums`` from the
     :func:`cox_breslow` evaluation at that ``eta``; ``sum_i w_i *
-    residuals[i]`` equals its score.  Returns an ``n x p`` array.
+    residuals[i]`` equals its score.  Computed feature-major (p x n);
+    returns the ``n x p`` row-major copy.
     """
-    b = _running_sum(sums.haz[:, None] * sums.m, risk.k)
+    mt = sums.m.T
+    b = _running_sum(sums.haz * mt, risk.k)
     # m at row i's latest event group: only event rows use it, and an
     # event row's own group is that group.
-    x = risk.x
-    m_i = np.concatenate([np.zeros((1, x.shape[1])), sums.m]).take(risk.k, axis=0)
-    return (risk.event[:, None] * (x - m_i)
-            - sums.exp_eta[:, None] * (x * sums.a[:, None] - b))
+    xt = risk.xt
+    m_i = np.concatenate([np.zeros((xt.shape[0], 1)), mt], axis=1).take(risk.k, axis=1)
+    resid = risk.event * (xt - m_i) - sums.exp_eta * (xt * sums.a - b)
+    return np.ascontiguousarray(resid.T)

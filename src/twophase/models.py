@@ -55,18 +55,34 @@ class FitResult:
 
 
 def _prepare_cox(time, event, x):
+    """Time order and tie groups of Cox data: ``(order, event, x, starts, group_index)``.
+
+    ``order`` sorts the rows by time ascending, tied times in row order:
+    the permutation a stable sort gives.  numpy's default (unstable)
+    argsort finds it, and the rows of each tie group (times equal under
+    ``==``, so -0.0 ties 0.0) are put back in row order by sorting the
+    key ``group * n + row``.  ``event`` and ``x`` come back in that
+    order; ``starts`` holds each tie group's first sorted row and
+    ``group_index`` each sorted row's group.
+    """
     time = np.asarray(time, dtype=np.float64)
     event = np.asarray(event, dtype=np.float64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] != time.shape[0]:
         x = x.T
-    order = np.argsort(time, kind="stable")
+    n = time.shape[0]
+    order = np.argsort(time)
     ts = time[order]
     new_group = np.empty(ts.shape, dtype=bool)
     new_group[0] = True
     new_group[1:] = ts[1:] != ts[:-1]
     group_index = np.cumsum(new_group) - 1
     starts = np.flatnonzero(new_group)
+    if starts.size < n:
+        tied = (np.diff(starts, append=n) > 1).take(group_index)
+        key = group_index[tied] * n + order[tied]
+        key.sort()
+        order[tied] = key % n
     return order, event[order], x[order], starts, group_index
 
 
@@ -317,31 +333,37 @@ def sandwich_variance(fit: FitResult, strata=None, clusters=None) -> np.ndarray:
     ``n_s / (n_s - 1)`` correction.  Any stratum that ends up with a
     single record triggers a pooled (single-stratum) fallback with a
     warning.
+
+    The result is fixed bit for bit by these order rules: a cluster's
+    total adds its rows in row order (one ``bincount`` per column) and
+    takes the stratum of its first row; clusters are ordered by key.
+    Strata are visited in sorted label order, and the rows (or clusters)
+    of each enter its mean and cross-product in row order
+    (``kernels.group_rows``).
     """
     h = np.asarray(fit.influence, dtype=np.float64)
     strata = np.zeros(h.shape[0], dtype=np.intp) if strata is None else np.asarray(strata)
     if clusters is not None:
         clusters = np.asarray(clusters)
         keys, idx = np.unique(clusters, return_inverse=True)
-        agg = np.zeros((keys.size, h.shape[1]))
-        np.add.at(agg, idx, h)
+        h = np.stack([np.bincount(idx, weights=col, minlength=keys.size) for col in h.T],
+                     axis=1)
         cl_str = np.empty(keys.size, dtype=strata.dtype)
         cl_str[idx[::-1]] = strata[::-1]  # first row of each cluster wins
-        h = agg
         strata = cl_str
     labels, inv = np.unique(strata, return_inverse=True)
-    counts = np.bincount(inv)
-    if np.any(counts == 1) and labels.size > 1:
+    order, bounds = kernels.group_rows(inv, labels.size)
+    if labels.size > 1 and np.any(np.diff(bounds) == 1):
         warnings.warn("stratum with a single record: falling back to pooled variance",
                       stacklevel=2)
-        labels, inv = np.zeros(1), np.zeros(h.shape[0], dtype=np.intp)
+        order, bounds = np.arange(h.shape[0]), np.array([0, h.shape[0]])
     p = h.shape[1]
     v = np.zeros((p, p))
-    for s in range(labels.size):
-        rows = h[inv == s]
-        n_s = rows.shape[0]
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        n_s = hi - lo
         if n_s == 1:
             continue
+        rows = h[order[lo:hi]]
         centered = rows - rows.mean(axis=0)
         v += (n_s / (n_s - 1.0)) * centered.T @ centered
     return 0.5 * (v + v.T)

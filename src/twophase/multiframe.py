@@ -129,8 +129,12 @@ def weighted_sample(frames, analysis, *, order=None, validated=None, ids=None,
     rows = np.concatenate(drawn)
     frame = np.repeat([f.name for f in frames], [r.size for r in drawn])
     strata = np.concatenate([f.leaf[r] for f, r in zip(frames, drawn)])
-    if len(frames) == 2:
-        strata = np.array([f"{f}:{leaf}" for f, leaf in zip(frame, strata)])
+    if len(frames) == 2:  # each distinct frame:leaf label formatted once
+        leaves, leaf_code = np.unique(strata, return_inverse=True)
+        codes, label_code = np.unique(np.repeat([0, leaves.size], [r.size for r in drawn])
+                                      + leaf_code, return_inverse=True)
+        strata = np.array([f"{frames[c // leaves.size].name}:{leaves[c % leaves.size]}"
+                           for c in codes.tolist()])[label_code]
     keep = analysis[rows]
     if validated is not None:
         bad = np.flatnonzero(keep & ~np.asarray(validated, dtype=bool)[rows])

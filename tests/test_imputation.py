@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,32 @@ class TestFramedWarmStartedMi:
                                   self.FRAMED, seed=3)
         assert full.shape == (int(frame.sum()),)
         np.testing.assert_array_equal(full, sliced)
+
+    def test_all_member_frame_refits_read_the_callers_arrays(self, monkeypatch):
+        # The CLI passes the frame's rows alone, so every row is a member:
+        # the refits read the caller's columns, not a copy of them.
+        data, validated = framed_population()
+        model = imp.fit_imputation(data, validated, SPECS)
+        frame = data["f"]
+        sliced = {k: v[frame] for k, v in data.items()}
+        orig = imp._analysis_influence
+        bases = []
+
+        def recording(completed, base, spec, start):
+            bases.append(base)
+            return orig(completed, base, spec, start)
+
+        monkeypatch.setattr(imp, "_analysis_influence", recording)
+        h = imp.mi_influence(sliced, model, 6, self.FRAMED, seed=3)
+        assert len(bases) == 6
+        for base in bases:
+            assert base.keys() == sliced.keys()
+            assert all(base[k] is sliced[k] for k in sliced)
+        # The same result as refits on an all-True mask's copy of the columns.
+        monkeypatch.setattr(imp, "_analysis_influence", orig)
+        copied = {k: v[np.ones(v.size, dtype=bool)] for k, v in sliced.items()}
+        unframed = replace(self.FRAMED, frame=None)
+        np.testing.assert_array_equal(h, imp.mi_influence(copied, model, 6, unframed, seed=3))
 
     @pytest.mark.parametrize("spec", [FRAMED, COX], ids=["framed-logistic", "cox"])
     def test_warm_start_matches_cold_fits(self, spec):
