@@ -209,6 +209,10 @@ def cmd_simulate_experiment(args) -> int:
 
 
 def cmd_fpca_fit(args) -> int:
+    try:
+        fpca.check_fit_options(args.grid_size, args.fve)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     series = fileio.read_measurements(args.measurements)
     system = fpca.fit_eigensystem(
         series, grid_size=args.grid_size, fve_threshold=args.fve)
@@ -475,8 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     f_fit = fpca_sub.add_parser("fit")
     f_fit.add_argument("--measurements", required=True)
     f_fit.add_argument("--out", required=True)
-    f_fit.add_argument("--grid-size", type=int, default=fpca.DEFAULT_GRID_SIZE)
-    f_fit.add_argument("--fve", type=float, default=fpca.DEFAULT_FVE)
+    f_fit.add_argument("--grid-size", type=int, default=fpca.DEFAULT_GRID_SIZE,
+                       help="points of the output grid, at least 2")
+    f_fit.add_argument("--fve", type=float, default=fpca.DEFAULT_FVE,
+                       help="fraction of variance the components must reach, in (0, 1]")
     f_score = fpca_sub.add_parser("score")
     f_score.add_argument("--measurements", required=True)
     f_score.add_argument("--eigensystem", required=True)

@@ -43,6 +43,15 @@ class IllConditionedError(TwophaseError):
     """A covariance estimate has no usable positive spectrum."""
 
 
+class UnidentifiedModelError(IllConditionedError, ValueError):
+    """The data are too few to identify the model: too few subjects, or
+    too few observations per subject or inside the fitting domain.
+
+    It is also a ValueError, so a caller that catches these inputs as
+    invalid values still does.
+    """
+
+
 class DomainError(TwophaseError):
     """Requested evaluation point lies outside the supported domain."""
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -828,6 +829,58 @@ class TestFpcaCli:
         code = run(["fpca", "fit", "--measurements", tmp_path / "nope.csv",
                     "--out", tmp_path / "es.json"])
         assert code == 3
+
+    @pytest.mark.parametrize("rows, message", [
+        ("s0,-10,70\ns0,20,71\n", "at least two subjects"),
+        ("s0,-400,70\ns1,-380,71\ns1,300,72\n", "no observations fall inside"),
+        ("s0,-10,70\ns1,20,71\ns1,-400,72\n", "no subject has two observations"),
+    ])
+    def test_unidentified_fit_gives_ill_conditioned_exit(self, tmp_path, capsys,
+                                                         rows, message):
+        # Each of these ended in a ValueError traceback.
+        (tmp_path / "m.csv").write_text("subject_id,t_days,weight_kg\n" + rows)
+        code = run(["fpca", "fit", "--measurements", tmp_path / "m.csv",
+                    "--out", tmp_path / "es.json"])
+        assert code == 11
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ill-conditioned:") and message in line
+        assert not (tmp_path / "es.json").exists()
+
+    @pytest.mark.parametrize("option", [("--grid-size", "1"), ("--grid-size", "0"),
+                                        ("--fve", "1.5"), ("--fve", "nan"), ("--fve", "0")])
+    def test_bad_fit_option_gives_parse_exit_before_reading(self, tmp_path, capsys, option):
+        # The grid sizes ended in an IndexError traceback; the thresholds
+        # were taken, giving 12 components or 1.  The measurements file
+        # does not exist: the option is checked first.
+        code = run(["fpca", "fit", "--measurements", tmp_path / "nope.csv",
+                    "--out", tmp_path / "es.json", *option])
+        assert code == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: parse:") and option[1] in line
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the E-step forks its workers")
+    def test_fit_files_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        (tmp_path / "sim.json").write_text(json.dumps({"n": 3000}))
+        assert run(["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path,
+                    "--seed", 5, "--with-series"]) == 0
+        measurements = tmp_path / "measurements.csv"
+        monkeypatch.setattr(fpca, "E_STEP_CHUNK", 1000)       # three chunks
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(fpca, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            assert run(["fpca", "fit", "--measurements", measurements,
+                        "--out", out / "es.json"]) == 0
+            assert run(["fpca", "score", "--measurements", measurements,
+                        "--eigensystem", out / "es.json", "--out", out / "scores.csv"]) == 0
+            assert run(["fpca", "flag", "--measurements", measurements,
+                        "--eigensystem", out / "es.json", "--out", out / "flags.csv"]) == 0
+            written[cpus] = [(out / name).read_bytes()
+                             for name in ("es.json", "scores.csv", "flags.csv")]
+            assert multiprocessing.active_children() == []
+        assert written[2] == written[1]
 
 
 def test_module_run_returns_the_mapped_exit_code(tmp_path):

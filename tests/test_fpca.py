@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import multiprocessing
+import os
 import pickle
+import signal
 import tracemalloc
 from statistics import NormalDist
 
@@ -9,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twophase import fpca, simulate
-from twophase.errors import ConvergenceError, DomainError, IllConditionedError
+from twophase.errors import (
+    ConvergenceError,
+    DomainError,
+    IllConditionedError,
+    UnidentifiedModelError,
+)
 from twophase.simulate import TrajectoryModel
 
 
@@ -286,6 +295,26 @@ class TestFitEigensystem:
         with pytest.raises(ValueError):
             fpca.fit_eigensystem([fpca.LongitudinalSeries("a", t, np.full(5, 60.0))])
 
+    @pytest.mark.parametrize("times, match", [
+        ([[-100.0, 100.0]], "two subjects"),
+        ([[-400.0, 300.0], [-380.0, 280.0]], "inside the fitting domain"),
+        ([[-100.0], [50.0], [-400.0, 100.0]], "no subject has two observations"),
+    ])
+    def test_unidentified_models_raise_a_typed_error(self, times, match):
+        series = [fpca.LongitudinalSeries(f"s{i}", t, np.full(len(t), 60.0))
+                  for i, t in enumerate(times)]
+        with pytest.raises(UnidentifiedModelError, match=match) as caught:
+            fpca.fit_eigensystem(series)
+        assert isinstance(caught.value, IllConditionedError)
+        assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("options", [{"grid_size": 1}, {"grid_size": 0},
+                                         {"fve_threshold": 0.0}, {"fve_threshold": 1.5},
+                                         {"fve_threshold": float("nan")}])
+    def test_bad_options_raise_before_any_work(self, options):
+        with pytest.raises(ValueError, match="grid size|fve threshold"):
+            fpca.fit_eigensystem([], **options)
+
     def test_em_cycle_cap_raises(self, monkeypatch):
         _, _, series = make_population(n=40, seed=3)
         monkeypatch.setattr(fpca, "EM_MAX_CYCLES", 1)
@@ -450,6 +479,145 @@ class TestEStepKernel:
         np.testing.assert_allclose(got[0], mean + shift, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(got[1], cov_new, rtol=1e-9, atol=1e-12)
         assert got[2] == pytest.approx(sq_err / subj.size, rel=1e-9)
+
+
+def fit_hex(system):
+    """Every fitted value of ``system`` as float.hex text."""
+    return ([float(v).hex() for a in (system.mean, system.eigenvalues, system.eigenfunctions,
+                                      system.fve) for v in a.ravel()],
+            float(system.noise_var).hex(), system.em_steps)
+
+
+def step_hex(theta):
+    mean, cov, noise_var = theta
+    return [float(v).hex() for v in (*mean, *cov.ravel(), noise_var)]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block, rather than hang, once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def split_fit(monkeypatch):
+    """A population of 200 subjects in 13 chunks of 16, and a CPU-count setter."""
+    _, _, series = make_population(n=200, m_range=(4, 12), seed=7)
+    monkeypatch.setattr(fpca, "E_STEP_CHUNK", 16)
+
+    def with_cpus(count):
+        monkeypatch.setattr(fpca, "_cpu_count", lambda: count)
+    return series, with_cpus
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the E-step forks its workers")
+class TestSplitEStep:
+    """The E-step's chunks split over forked workers, summed in chunk order."""
+
+    def test_every_step_and_the_fit_are_the_same_for_any_worker_count(
+            self, split_fit, monkeypatch):
+        series, with_cpus = split_fit
+        lo, hi = fpca.TIME_DOMAIN
+        t, y, subj = fpca._pool(series, lo, hi)
+        stats = fpca._subject_stats(t, y - y.mean(), subj, len(series), lo, hi)
+        rng = np.random.default_rng(5)
+        thetas = [(rng.normal(0.0, 1.0, fpca.N_BASIS),
+                   random_spd_stack(rng, fpca.N_BASIS, 1)[:, :, 0] + np.eye(fpca.N_BASIS),
+                   noise) for noise in (0.3, 2.0)]
+        original_step = fpca._em_step
+        results = {}
+        for cpus in (1, 2, 3, 5):
+            with_cpus(cpus)
+            direct = [step_hex(original_step(stats, t.size, *theta)) for theta in thetas]
+            path = []
+
+            def recording_step(*args, path=path):
+                theta = original_step(*args)
+                path.append(step_hex(theta))
+                return theta
+            monkeypatch.setattr(fpca, "_em_step", recording_step)
+            system = fpca.fit_eigensystem(series)
+            monkeypatch.setattr(fpca, "_em_step", original_step)
+            assert multiprocessing.active_children() == []
+            results[cpus] = direct, path, fit_hex(system)
+        assert len(results[1][1]) == system.em_steps > 3
+        for cpus in (2, 3, 5):
+            assert results[cpus] == results[1], f"{cpus} processes"
+
+    def test_a_pivot_in_a_workers_chunk_is_ill_conditioned(self, split_fit, monkeypatch):
+        series, with_cpus = split_fit
+        build = fpca._subject_stats
+
+        def broken_last_subject(*args):
+            band, cross, sq = build(*args)
+            band[0, :, -1] = -1.0       # the last chunk's, which the last worker owns
+            return band, cross, sq
+        monkeypatch.setattr(fpca, "_subject_stats", broken_last_subject)
+        for cpus in (1, 3):
+            with_cpus(cpus)
+            with deadline(60), pytest.raises(IllConditionedError):
+                fpca.fit_eigensystem(series)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("death", ["exit", "sigkill"])
+    def test_a_dead_worker_raises_instead_of_hanging(self, split_fit, monkeypatch, death):
+        series, with_cpus = split_fit
+        with_cpus(2)
+        parent, compute = os.getpid(), fpca._chunk_terms
+        calls = []
+
+        def dying(*args):
+            calls.append(None)
+            if os.getpid() != parent and len(calls) > 20:  # a few steps in
+                if death == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return compute(*args)
+        monkeypatch.setattr(fpca, "_chunk_terms", dying)
+        with deadline(60), pytest.raises(RuntimeError, match="E-step worker .* died"):
+            fpca.fit_eigensystem(series)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_fit(self, split_fit, monkeypatch):
+        series, with_cpus = split_fit
+        with_cpus(3)
+        fpca.fit_eigensystem(series)
+        assert multiprocessing.active_children() == []
+        with monkeypatch.context() as patch:
+            patch.setattr(fpca, "EM_MAX_CYCLES", 1)
+            with pytest.raises(ConvergenceError):
+                fpca.fit_eigensystem(series)
+        assert multiprocessing.active_children() == []
+        parent, compute = os.getpid(), fpca._chunk_terms
+        calls = []
+
+        def interrupted(*args):
+            calls.append(None)
+            if os.getpid() == parent and len(calls) > 10:
+                raise KeyboardInterrupt
+            return compute(*args)
+        monkeypatch.setattr(fpca, "_chunk_terms", interrupted)
+        with deadline(60), pytest.raises(KeyboardInterrupt):
+            fpca.fit_eigensystem(series)
+        assert multiprocessing.active_children() == []
+
+    def test_one_chunk_or_one_cpu_forks_nothing(self, split_fit, monkeypatch):
+        series, with_cpus = split_fit
+        monkeypatch.setattr(os, "fork", None)      # any fork would fail
+        with_cpus(1)
+        fpca.fit_eigensystem(series)
+        with_cpus(4)
+        monkeypatch.setattr(fpca, "E_STEP_CHUNK", 2500)
+        fpca.fit_eigensystem(series)
 
 
 class TestFitMemory:
