@@ -19,6 +19,8 @@ smoothing   local-linear smoothing.  No package module imports it; it and
             ``kernels.local_linear_*`` stay only for the benchmark's frozen
             trace table, until the benchmark stops tracing them
 errors      the typed errors, one CLI exit code per class
+forking     forked worker processes, for the FPCA E-step and a replicate's
+            two endpoints
 
 The design core is array functions in ``allocation``, ``records`` and
 ``multiframe``.  The experiment harness (``simulate``) and the CLI are I/O

@@ -23,8 +23,7 @@ E_STEP_CHUNK sets the rounding of the EM sums and the worker count does
 not: each fitted value is the same, bit for bit, on any host.  The fit
 runs in this process alone with one CPU or one chunk, where the ``fork``
 start method does not exist, and inside a daemonic multiprocessing
-worker.  Python 3.12 and later warn when a process that runs threads (a
-multi-threaded BLAS, say) forks.
+worker (``forking.process_count``).
 
 Every eigensystem with components has measurement noise (see
 :class:`EigenSystem`), so scoring and flagging solve one positive-definite
@@ -37,14 +36,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
-import signal
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
+from twophase import forking
 from twophase.errors import (
     ConvergenceError,
     DomainError,
@@ -513,41 +511,12 @@ def _em_step(stats, n_obs, mean, cov, noise_var, e_step=None):
     return mean + shift, 0.5 * (new_cov + new_cov.T), new_noise
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _serve_chunks(conn, stats, firsts, inherited):
-    """A forked E-step worker: answer each ``(mean, prior)`` from ``conn``
-    with the :func:`_chunk_terms` of the chunks starting at ``firsts``.
-
-    An exception is sent back in place of the terms.  The worker returns
-    when ``conn`` reaches EOF, that is when the parent closes its end or
-    dies, or when a reply cannot be sent.  ``inherited`` holds the
-    parent's ends of the pipes open at the fork, its own included, which
-    are closed here, so that the parent's end closing is seen as EOF.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # an interrupt is the parent's to handle
-    for other in inherited:
-        other.close()
+def _chunk_server(stats, firsts):
+    """Started in an E-step worker: the function that answers each
+    ``(mean, prior)`` with the :func:`_chunk_terms` of the chunks starting
+    at ``firsts``, on a factor buffer of the worker's own."""
     work = _factor_buffer(stats)
-    while True:
-        try:
-            mean, prior = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = [_chunk_terms(stats, first, mean, prior, work) for first in firsts]
-        except Exception as exc:  # noqa: BLE001 - raised again by the parent
-            reply = exc
-        try:
-            conn.send(reply)
-        except OSError:           # the parent has closed its end
-            return
+    return lambda request: [_chunk_terms(stats, first, *request, work) for first in firsts]
 
 
 @contextlib.contextmanager
@@ -556,76 +525,38 @@ def _chunk_team(stats):
 
     Yields ``e_step(mean, prior)``, which returns every chunk's
     :func:`_chunk_terms` in chunk order (see :func:`_em_step`).  With p
-    processes, p the smaller of :func:`_cpu_count` and the number of
-    chunks, the chunks are cut into p contiguous runs, sizes differing by
-    at most one and the larger last: this process computes the first run,
-    and one forked worker (:func:`_serve_chunks`) computes each other
-    run, all at once.  At n = 10,000 with 2 CPUs this process takes
-    chunks 0-1 and the worker chunks 2-3.  The workers share the
+    processes, p the ``forking.process_count`` of the number of chunks,
+    the chunks are cut into p contiguous runs, sizes differing by at most
+    one and the larger last: this process computes the first run, and
+    one worker of a ``forking.team`` (:func:`_chunk_server`) computes
+    each other run, all at once.  At n = 10,000 with 2 CPUs this process
+    takes chunks 0-1 and the worker chunks 2-3.  The workers share the
     statistics with this process by the fork, so nothing is copied to
     them; each step sends ``(mean, prior)`` down a pipe to each worker,
     and each worker sends back its chunks' terms, or the exception that
     computing them raised, which is raised here.  A worker that dies
     raises RuntimeError at the step that waits on it.  Every process
-    allocates its factor buffer once per team.
-
-    Everything runs in this process when p is 1, when the ``fork`` start
-    method does not exist, or when this process is a daemonic
-    multiprocessing worker, which may not have children.  The workers
-    are terminated, if the team exits by an exception, and joined on
-    every exit.  Python 3.12 and later warn (DeprecationWarning) when a
-    process that runs threads, such as a multi-threaded BLAS, forks.
+    allocates its factor buffer once per team.  Everything runs in this
+    process when p is 1: one CPU or one chunk, no ``fork`` start method,
+    or a daemonic caller.
     """
     firsts = range(0, stats[1].shape[1], E_STEP_CHUNK)
-    processes = min(_cpu_count(), len(firsts))
-    if processes > 1:
-        import multiprocessing
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            processes = 1
+    processes = forking.process_count(len(firsts))
     cuts = [len(firsts) * k // processes for k in range(processes + 1)]
     own = firsts[:cuts[1]]
     work = _factor_buffer(stats)
-    conns, workers = [], []
+    starts = [functools.partial(_chunk_server, stats, firsts[a:b])
+              for a, b in zip(cuts[1:], cuts[2:])]
+    with forking.team("E-step", starts) as workers:
+        def e_step(mean, prior):
+            for worker in workers:
+                worker.send((mean, prior))
+            terms = [_chunk_terms(stats, first, mean, prior, work) for first in own]
+            for worker in workers:
+                terms += worker.recv()
+            return terms
 
-    def e_step(mean, prior):
-        for conn, worker in zip(conns, workers):
-            try:
-                conn.send((mean, prior))
-            except OSError:
-                raise RuntimeError(f"E-step worker {worker.pid} died") from None
-        terms = [_chunk_terms(stats, first, mean, prior, work) for first in own]
-        for conn, worker in zip(conns, workers):
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError):
-                raise RuntimeError(f"E-step worker {worker.pid} died") from None
-            if isinstance(reply, Exception):
-                raise reply
-            terms += reply
-        return terms
-
-    try:
-        if processes > 1:
-            context = multiprocessing.get_context("fork")
-            for a, b in zip(cuts[1:], cuts[2:]):
-                mine, theirs = context.Pipe()
-                worker = context.Process(target=_serve_chunks, daemon=True,
-                                         args=(theirs, stats, firsts[a:b], [*conns, mine]))
-                worker.start()
-                theirs.close()
-                conns.append(mine)
-                workers.append(worker)
         yield e_step
-    except BaseException:
-        for worker in workers:
-            worker.terminate()    # it may be inside a step this process abandoned
-        raise
-    finally:
-        for conn in conns:
-            conn.close()          # an idle worker returns at EOF
-        for worker in workers:
-            worker.join()
 
 
 def _pack(theta):

@@ -19,6 +19,9 @@ per endpoint only the working model differs, a ``models.AnalysisSpec``
 (``COX_ANALYSIS``, ``ASTHMA_ANALYSIS``) read from ``_population_columns``
 under the CLI's ``records.DyadTable`` names, with its own frame and
 imputation model (``_cox_imputation_specs``, ``_asthma_imputation_specs``).
+:func:`estimate_all` computes the two endpoints at once, the asthma one
+in a forked worker (``forking.overlapped``), with the rows, warnings and
+errors of the serial calls.
 """
 
 from __future__ import annotations
@@ -28,9 +31,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from twophase import imputation, models, multiframe, raking
+from twophase import forking, imputation, models, multiframe, raking
 from twophase.allocation import draw_within_strata, influence_sd, multiwave
-from twophase.errors import ConvergenceError, InfeasibleError
+from twophase.errors import (
+    CalibrationError,
+    ConvergenceError,
+    DegenerateDesignError,
+    IllConditionedError,
+    InfeasibleError,
+)
 from twophase.fpca import (
     FULL_TERM_DAYS,
     TIME_DOMAIN,
@@ -386,6 +395,13 @@ class DesignSpec:
     50th and 90th percentiles, a first wave allocated by Neyman on the
     phase-1 influence, and later waves corrected by multi-wave Neyman
     allocation on validated influence.
+
+    Construction raises a ValueError naming the field unless both wave
+    tuples are non-empty and hold positive ints, each ``mi_replicates_*``
+    is an int of at least 2, each quantile tuple increases strictly
+    inside (0, 1), the follow-up cuts are finite and strictly increasing,
+    ``sd_shrinkage`` is finite and at least 0, and ``min_per_stratum`` is
+    an int of at least 0.
     """
 
     obesity_waves: tuple[int, ...] = (252, 248, 125, 125)
@@ -398,6 +414,41 @@ class DesignSpec:
     mi_replicates_allocation: int = 4
     mi_replicates_estimator: int = 10
     min_per_stratum: int = 2
+
+    def __post_init__(self):
+        # Plain Python, as in TrajectoryModel: numpy calls here would cost
+        # several times the rest of the constructor.
+        def count(value, least):
+            return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and value >= least)
+
+        def increasing(values, lo=-math.inf, hi=math.inf):
+            edges = [lo, *values, hi]   # NaN and the infinities compare out
+            return all(a < b for a, b in zip(edges, edges[1:]))
+
+        for name in ("obesity_waves", "asthma_waves"):
+            waves = getattr(self, name)
+            if not waves or not all(count(b, 1) for b in waves):
+                raise ValueError(f"{name} must be a non-empty tuple of positive ints, "
+                                 f"got {waves!r}")
+        for name in ("mi_replicates_allocation", "mi_replicates_estimator"):
+            if not count(getattr(self, name), 2):
+                raise ValueError(f"{name} must be an int of at least 2, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("exposure_quantiles", "asthma_quantiles"):
+            qs = getattr(self, name)
+            if not increasing(qs, 0.0, 1.0):
+                raise ValueError(f"{name} must increase strictly inside (0, 1), got {qs!r}")
+        for name in ("followup_cuts_censored", "followup_cuts_event"):
+            if not increasing(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and increasing, "
+                                 f"got {getattr(self, name)!r}")
+        if not (math.isfinite(self.sd_shrinkage) and self.sd_shrinkage >= 0.0):
+            raise ValueError(f"sd_shrinkage must be finite and at least 0, "
+                             f"got {self.sd_shrinkage!r}")
+        if not count(self.min_per_stratum, 0):
+            raise ValueError(f"min_per_stratum must be an int of at least 0, "
+                             f"got {self.min_per_stratum!r}")
 
 
 def _quantile_edges(values, quantiles):
@@ -693,8 +744,24 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
 
 def estimate_all(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
                  spec: DesignSpec, seed: int) -> list[EstimateRow]:
-    return (estimate_obesity(pop, obesity, asthma, spec, seed)
-            + estimate_asthma(pop, obesity, asthma, spec, seed))
+    """Both endpoints' estimates: the obesity rows, then the asthma rows.
+
+    The endpoints share no data but their inputs, so they run at once:
+    a worker forked on entry computes :func:`estimate_asthma` while this
+    process computes :func:`estimate_obesity` (``forking.overlapped``).
+    Each endpoint's arithmetic and seeds are those of the serial calls,
+    so every row is the same, bit for bit, whichever process made it.
+    The asthma warnings are issued here after the obesity ones, in the
+    serial order.  An obesity exception wins: the worker is terminated
+    and joined, and its rows and warnings are dropped.  Otherwise an
+    asthma exception is raised here with its class, message and
+    attributes, and the worker's traceback attached.  Both endpoints run
+    in this process, one after the other, with one CPU, without the
+    ``fork`` start method, or inside a daemonic multiprocessing worker.
+    """
+    args = pop, obesity, asthma, spec, seed
+    with forking.overlapped("asthma", estimate_asthma, *args) as asthma_rows:
+        return estimate_obesity(*args) + asthma_rows()
 
 
 ESTIMATORS = ("phase1", "ipw_sf", "ipw_mf", "raking_nv", "raking_mi")
@@ -713,6 +780,13 @@ class ExperimentReport:
 
 
 def run_replicate(config: SimConfig, spec: DesignSpec, seed: int) -> list[EstimateRow]:
+    """One Monte Carlo replicate: generate, run the design and estimate.
+
+    Generation and the design run in this process; the two endpoints are
+    estimated at once, asthma in a forked worker (:func:`estimate_all`),
+    or both here where this process cannot fork or has one CPU.  The rows
+    and the warnings' order are those of a serial run.
+    """
     pop = generate(config, seed)
     obesity, asthma = run_design(pop, spec, seed)
     return estimate_all(pop, obesity, asthma, spec, seed)
@@ -723,9 +797,15 @@ def run_experiment(config: SimConfig, spec: DesignSpec, replicates: int, *,
     """Monte Carlo comparison of the five estimators on both endpoints.
 
     Replicate ``r`` derives its seed from ``(master_seed, r)`` alone, so
-    results are reproducible and order-independent.  A replicate that
-    raises ConvergenceError or InfeasibleError is skipped and counted in
-    ``failures`` and, by error class, in ``failure_reasons``.
+    results are reproducible and order-independent.  Replicates run one
+    after another in this process, each estimating its asthma endpoint in
+    a forked worker (:func:`run_replicate`); inside a daemonic
+    multiprocessing worker, or with one CPU, everything stays in this
+    process.  A replicate that raises one of the unlucky-data errors,
+    ConvergenceError, InfeasibleError, DegenerateDesignError,
+    CalibrationError or IllConditionedError, in either endpoint, is
+    skipped and counted in ``failures`` and, by error class, in
+    ``failure_reasons``; any other exception ends the run.
     """
     z95 = 1.959963984540054
     keys = [f"{ep}/{name}" for ep in ENDPOINTS for name in ESTIMATORS]
@@ -736,7 +816,8 @@ def run_experiment(config: SimConfig, spec: DesignSpec, replicates: int, *,
         seed = int(np.random.SeedSequence([master_seed, r]).generate_state(1)[0])
         try:
             rows = run_replicate(config, spec, seed)
-        except (ConvergenceError, InfeasibleError) as exc:
+        except (ConvergenceError, InfeasibleError, DegenerateDesignError, CalibrationError,
+                IllConditionedError) as exc:
             reason = reasons.setdefault(type(exc).__name__, {"count": 0, "first": str(exc)})
             reason["count"] += 1
             continue

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twophase
-from twophase import fileio, fpca, models, raking, simulate
+from twophase import fileio, forking, fpca, models, raking, simulate
 from twophase import records as rec
 from twophase.cli import dispatch
 
@@ -868,7 +868,7 @@ class TestFpcaCli:
         monkeypatch.setattr(fpca, "E_STEP_CHUNK", 1000)       # three chunks
         written = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(fpca, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(forking, "_cpu_count", lambda: cpus)
             out = tmp_path / f"cpus{cpus}"
             out.mkdir()
             assert run(["fpca", "fit", "--measurements", measurements,

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophase import fpca, simulate
+from twophase import forking, fpca, simulate
 from twophase.errors import (
     ConvergenceError,
     DomainError,
@@ -20,6 +19,8 @@ from twophase.errors import (
     UnidentifiedModelError,
 )
 from twophase.simulate import TrajectoryModel
+
+from alarm import deadline
 
 
 def reconstruct(scores: np.ndarray, system: fpca.EigenSystem, t) -> np.ndarray:
@@ -493,20 +494,6 @@ def step_hex(theta):
     return [float(v).hex() for v in (*mean, *cov.ravel(), noise_var)]
 
 
-@contextlib.contextmanager
-def deadline(seconds):
-    """Fail the block, rather than hang, once it has run ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.fixture
 def split_fit(monkeypatch):
     """A population of 200 subjects in 13 chunks of 16, and a CPU-count setter."""
@@ -514,7 +501,7 @@ def split_fit(monkeypatch):
     monkeypatch.setattr(fpca, "E_STEP_CHUNK", 16)
 
     def with_cpus(count):
-        monkeypatch.setattr(fpca, "_cpu_count", lambda: count)
+        monkeypatch.setattr(forking, "_cpu_count", lambda: count)
     return series, with_cpus
 
 
@@ -567,6 +554,23 @@ class TestSplitEStep:
             with deadline(60), pytest.raises(IllConditionedError):
                 fpca.fit_eigensystem(series)
             assert multiprocessing.active_children() == []
+
+    def test_a_workers_exception_carries_its_traceback(self, split_fit, monkeypatch):
+        series, with_cpus = split_fit
+        with_cpus(2)
+        parent, compute = os.getpid(), fpca._chunk_terms
+
+        def failing_in_the_worker(*args):
+            if os.getpid() != parent:
+                raise ArithmeticError("chunk terms failed")
+            return compute(*args)
+        monkeypatch.setattr(fpca, "_chunk_terms", failing_in_the_worker)
+        with deadline(60), pytest.raises(ArithmeticError, match="chunk terms failed") as caught:
+            fpca.fit_eigensystem(series)
+        [note] = caught.value.__notes__
+        assert note.startswith("in E-step worker ")
+        assert "in failing_in_the_worker" in note and "ArithmeticError" in note
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("death", ["exit", "sigkill"])
     def test_a_dead_worker_raises_instead_of_hanging(self, split_fit, monkeypatch, death):

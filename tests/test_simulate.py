@@ -1,15 +1,30 @@
 import copy
+import multiprocessing
+import os
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from twophase import fileio, models, simulate as sim
+from twophase import fileio, forking, models, simulate as sim
 from twophase.allocation import StratumStats
-from twophase.errors import ConvergenceError, InfeasibleError
+from twophase.errors import (
+    CalibrationError,
+    ConvergenceError,
+    DegenerateDesignError,
+    IllConditionedError,
+    InfeasibleError,
+)
 from twophase.fpca import FULL_TERM_DAYS, TIME_DOMAIN
 
+from alarm import deadline
 from allocation_oracle import oracle_allocation
+
+FORKS = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                           reason="the asthma endpoint forks its worker")
+SMALL_SPEC = sim.DesignSpec(obesity_waves=(80, 60), asthma_waves=(40, 30),
+                            mi_replicates_allocation=2, mi_replicates_estimator=2)
 
 
 def per_subject_series(rng, traj, scores, gestation, m_obs):
@@ -358,3 +373,175 @@ class TestExperiment:
                              - census.coefficients[0])
         diffs = np.array(diffs)
         assert abs(diffs.mean()) < 3 * diffs.std(ddof=1) / np.sqrt(len(diffs)) + 0.1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("error", [DegenerateDesignError, CalibrationError,
+                                       IllConditionedError])
+    def test_unlucky_data_errors_of_the_asthma_endpoint_are_counted(
+            self, monkeypatch, error, cpus):
+        monkeypatch.setattr(forking, "_cpu_count", lambda: cpus)
+        unlucky = int(np.random.SeedSequence([9, 1]).generate_state(1)[0])  # replicate 1
+        real = sim.estimate_asthma
+
+        def flaky(pop, obesity, asthma, spec, seed):
+            if seed == unlucky:
+                raise error(f"{error.__name__} in replicate 1")
+            return real(pop, obesity, asthma, spec, seed)
+
+        monkeypatch.setattr(sim, "estimate_asthma", flaky)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = sim.run_experiment(sim.SimConfig(n=1500), SMALL_SPEC, replicates=3,
+                                        master_seed=9)
+        assert report.failures == 1
+        assert report.failure_reasons == {
+            error.__name__: {"count": 1, "first": f"{error.__name__} in replicate 1"}}
+        assert all(row["n"] == 2 for row in report.estimators.values())
+        assert multiprocessing.active_children() == []
+
+
+class TestDesignSpec:
+    @pytest.mark.parametrize("name,value", [
+        ("obesity_waves", ()), ("asthma_waves", ()), ("asthma_waves", (125, 0)),
+        ("obesity_waves", (252.0, 248)), ("asthma_waves", (True,)),
+        ("mi_replicates_allocation", 1), ("mi_replicates_estimator", 1),
+        ("mi_replicates_estimator", 2.5),
+        ("exposure_quantiles", (0.5, 0.1)), ("exposure_quantiles", (0.0, 0.5)),
+        ("asthma_quantiles", (0.3, 0.3)), ("asthma_quantiles", (0.5, 1.0)),
+        ("followup_cuts_censored", (5.0, 4.0)), ("followup_cuts_event", (3.0, np.inf)),
+        ("followup_cuts_event", (np.nan,)),
+        ("sd_shrinkage", -1.0), ("sd_shrinkage", np.nan), ("sd_shrinkage", np.inf),
+        ("min_per_stratum", -1), ("min_per_stratum", 1.5),
+    ])
+    def test_a_bad_value_is_rejected_by_name(self, name, value):
+        # asthma_waves=() died mid-replicate in a numpy reduction, and
+        # mi_replicates_estimator=1 only after the whole design had run.
+        with pytest.raises(ValueError, match=f"^{name} "):
+            sim.DesignSpec(**{name: value})
+
+    def test_edge_values_are_accepted(self):
+        sim.DesignSpec(obesity_waves=(1,), asthma_waves=(np.int64(3),),
+                       mi_replicates_allocation=2, mi_replicates_estimator=2,
+                       exposure_quantiles=(), asthma_quantiles=(0.5,),
+                       followup_cuts_censored=(), followup_cuts_event=(-1.0,),
+                       sd_shrinkage=0.0, min_per_stratum=0)
+
+
+def row_hexes(rows):
+    return [(r.endpoint, r.estimator, r.beta.hex(), r.se.hex()) for r in rows]
+
+
+class TestEndpointsAtOnce:
+    """``estimate_all`` runs the asthma endpoint in a forked worker."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(count):
+            monkeypatch.setattr(forking, "_cpu_count", lambda: count)
+        return set_cpus
+
+    def test_rows_do_not_depend_on_the_cpu_count(self, cpus):
+        rows = {}
+        for count in (1, 2):
+            cpus(count)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rows[count] = [row_hexes(sim.run_replicate(sim.SimConfig(n=1500),
+                                                           sim.DesignSpec(), seed))
+                               for seed in (3, 4, 5, 6)]
+            assert multiprocessing.active_children() == []
+        assert rows[2] == rows[1]
+        assert all(len(r) == 10 for r in rows[1])
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_come_in_the_serial_order(self, cpus, monkeypatch, action):
+        # Seed 0 fires "stratum with a single record" in both endpoints; a
+        # marker before each endpoint shows whose warnings come where.
+        for name in ("estimate_obesity", "estimate_asthma"):
+            def marked(*args, real=getattr(sim, name), name=name):
+                warnings.warn(f"{name} starts")
+                return real(*args)
+            monkeypatch.setattr(sim, name, marked)
+        caught = {}
+        for count in (1, 2):
+            cpus(count)
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter(action)
+                sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 0)
+            caught[count] = [(str(w.message), w.category, w.filename, w.lineno) for w in got]
+        assert caught[2] == caught[1]
+        messages = [message for message, *_ in caught[1]]
+        asthma = messages.index("estimate_asthma starts")
+        assert messages.index("estimate_obesity starts") < asthma
+        single = [i for i, m in enumerate(messages) if m.startswith("stratum with a single")]
+        assert single and single[0] < asthma
+        if action == "always":
+            assert single[-1] > asthma     # the worker's own, issued again here
+
+    @FORKS
+    def test_an_asthma_error_is_raised_with_its_attributes(self, cpus, monkeypatch):
+        def diverging(*args):
+            raise ConvergenceError("asthma diverged", iterations=7, gradient_norm=0.5)
+        monkeypatch.setattr(sim, "estimate_asthma", diverging)
+        raised = {}
+        for count in (1, 2):
+            cpus(count)
+            with deadline(60), pytest.raises(ConvergenceError, match="asthma diverged") as got:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3)
+            assert (got.value.iterations, got.value.gradient_norm) == (7, 0.5)
+            assert multiprocessing.active_children() == []
+            raised[count] = got.value
+        assert not hasattr(raised[1], "__notes__")
+        [note] = raised[2].__notes__
+        assert note.startswith("in asthma worker ")
+        assert "in diverging" in note and "ConvergenceError: asthma diverged" in note
+
+    @FORKS
+    def test_an_obesity_error_wins_and_ends_the_worker(self, cpus, monkeypatch):
+        cpus(2)
+
+        def failing(*args):
+            raise InfeasibleError("obesity failed")
+        monkeypatch.setattr(sim, "estimate_obesity", failing)
+        monkeypatch.setattr(sim, "estimate_asthma", lambda *args: time.sleep(60))
+        with deadline(20), pytest.raises(InfeasibleError, match="obesity failed"):
+            sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3)
+        assert multiprocessing.active_children() == []
+
+    @FORKS
+    def test_a_dead_worker_raises_instead_of_hanging(self, cpus, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+        monkeypatch.setattr(sim, "estimate_asthma",
+                            lambda *args: os._exit(3) if os.getpid() != parent else None)
+        with deadline(60), pytest.raises(RuntimeError, match="asthma worker .* died"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3)
+        assert multiprocessing.active_children() == []
+
+    @FORKS
+    def test_a_daemonic_caller_forks_nothing(self, cpus):
+        cpus(2)
+        context = multiprocessing.get_context("fork")
+        mine, theirs = context.Pipe()
+
+        def in_a_daemon():
+            os.fork = None             # any fork in this process would fail
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                theirs.send(row_hexes(sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3)))
+
+        daemon = context.Process(target=in_a_daemon, daemon=True)
+        with deadline(120):
+            daemon.start()
+            theirs.close()
+            got = mine.recv()
+            daemon.join()
+        assert daemon.exitcode == 0
+        cpus(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert got == row_hexes(sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3))
