@@ -20,12 +20,21 @@ harness's weighted-estimation core, ``multiframe.weighted_sample`` and
 ``raking.weighted_fit``, on the ledgers' ``records.frame_arrays`` and the
 arrays that the ``--model`` working model, a ``models.AnalysisSpec``, reads
 from the table's columns for every fit: phase-1, IPW, raking and MI.
+
+Every step reads its inputs whole and checks them again, by design: the
+files between steps may have been edited by hand.  What each step pays
+around that work is kept small, since a wave is several steps and a
+design many waves: a file is read as bytes and decoded once, a table's
+text is split into lines after one scan (``fileio._plain_lines``), a JSON
+file is written in one piece, and the argument parser is built once per
+process (:func:`dispatch`).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -572,9 +581,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``argv`` without the program name) and return
+    its exit code; an error the package raises is mapped to its code and
+    reported as one ``error: <class>: <message>`` line on stderr.
+
+    The argparse tree is built on the first call and reused by every later
+    call in the process.  Building it (86 arguments) takes a few
+    milliseconds, which a driver that runs a chain of steps in one process
+    would pay at every step.  Parsing creates a fresh
+    namespace from the actions' defaults and changes nothing on the parser,
+    so a call sees what it would in a fresh process, also after a command
+    line that argparse rejected with ``SystemExit``.
+    """
+    args = _parser().parse_args(argv)
     _log_config(args)
     try:
         if args.command == "simulate":

@@ -60,10 +60,17 @@ def _fmt(value) -> str:
 
 
 def _read_text(path) -> str:
-    """The file's text, decoded as UTF-8, with its line ends as written."""
+    """The file's text, decoded as UTF-8, with its line ends as written.
+
+    The bytes are read whole and decoded in one call.  That gives the
+    string, and the ``UnicodeDecodeError`` with its byte position, that a
+    text-mode read with ``newline=""`` gives, without the text layer's scan
+    for line ends while it decodes, which costs several times the decode.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
 
@@ -136,9 +143,13 @@ def _field(path, obj: dict, key: str, shape: str, default=_REQUIRED, name: str =
 
 
 def _write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline.
+
+    The text is built by ``json.dumps`` and written once: the bytes that
+    ``json.dump`` writes, without its one small write per token.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +217,23 @@ def _plain_lines(text: str) -> list[str] | None:
     alone, else None.  That holds when the text has no quote, no carriage
     return outside a CRLF line end and no line as long as the csv field
     limit; lines then end at LF or CRLF only, not at the other breaks that
-    ``str.splitlines`` knows."""
-    if '"' in text or text.count("\r") != text.count("\r\n"):
+    ``str.splitlines`` knows.
+
+    Text with carriage returns is split at CRLF after one count of them:
+    a bare carriage return shows as fewer line ends than carriage returns.
+    Only text that mixes LF and CRLF ends is split again, after the CRLFs
+    are made LFs."""
+    if '"' in text:
         return None
-    if "\r" in text and text.count("\n") != text.count("\r\n"):
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\r\n" if "\r" in text else "\n")
+    cr = text.count("\r")
+    if not cr:
+        lines = text.split("\n")
+    else:
+        lines = text.split("\r\n")
+        if len(lines) - 1 != cr:
+            return None  # a carriage return outside a CRLF
+        if text.count("\n") != cr:  # LF and CRLF line ends mixed
+            lines = text.replace("\r\n", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()  # the end of the last line, or an empty file
     limit = csv.field_size_limit()
@@ -397,7 +419,8 @@ def read_dyads(path, lines: list | None = None) -> DyadTable:
     """``dyads.csv`` as a :class:`DyadTable`.
 
     Phase-2 cells are read on validated rows only.  Raises SchemaError
-    for a missing column, a row with the wrong cell count, a non-numeric
+    for a missing column, a row with the wrong cell count, a flag cell
+    (``validated``, ``in_asthma_frame``) other than 0 or 1, a non-numeric
     or empty cell, a row breaking :func:`records.first_invalid_row`, a
     repeated id or a repeated column name.  When ``lines`` is given and
     the text is plain (no quote, no bare carriage return), the file's
@@ -418,7 +441,14 @@ def read_dyads(path, lines: list | None = None) -> DyadTable:
     def flag(name):
         if name not in text:
             return np.zeros(n, dtype=bool)
-        return np.fromiter(map("1".__eq__, map(str.strip, text[name])), dtype=bool, count=n)
+        cells = text[name]
+        if cells.count("1") + cells.count("0") != n:  # space around a cell, or a bad one
+            cells = list(map(str.strip, cells))
+            bad = next((i for i, c in enumerate(cells) if c not in ("0", "1")), None)
+            if bad is not None:
+                problems.append((bad, f"column {name!r} must be 0 or 1, "
+                                      f"found {text[name][bad]!r}"))
+        return np.fromiter(map("1".__eq__, cells), dtype=bool, count=n)
 
     flags = {name: flag(name) for name in FLAGS}
     validated = np.flatnonzero(flags["validated"])

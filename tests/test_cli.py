@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -12,13 +13,20 @@ import numpy as np
 import pytest
 
 import twophase
-from twophase import fileio, forking, fpca, models, raking, simulate
+from twophase import cli, fileio, forking, fpca, imputation, models, raking, simulate
 from twophase import records as rec
 from twophase.cli import dispatch
 
 
 def run(argv):
     return dispatch([str(a) for a in argv])
+
+
+def package_env():
+    """The environment of a child interpreter that imports this twophase."""
+    src = str(Path(twophase.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +261,11 @@ def chain_dir(tmp_path_factory):
     ``dyads_2.csv`` holds the obesity draws revealed, ``dyads_3.csv`` the
     asthma draws too; ``h.csv`` is the phase-1 influence.
     """
-    d = tmp_path_factory.mktemp("chain")
+    return build_chain(tmp_path_factory.mktemp("chain"))
+
+
+def build_chain(d):
+    """Run the pinned chain in directory ``d`` and return ``d``."""
     (d / "sim.json").write_text(json.dumps({"n": 1000}))
     (d / "strata_O.json").write_text(json.dumps(
         [{"id": f"{e}{s}", "bounds": {"delta_star": db, "x_star": xb}}
@@ -309,6 +321,75 @@ def test_design_chain_matches_pinned_outputs(chain_dir, tmp_path):
             (name, "x"), (name, "z_0"), (name, "z_1")]
         assert [(r["beta"], r["se"]) for r in rows] == [
             (pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12)) for b, se in want]
+
+
+class TestOneParserPerProcess:
+    """dispatch builds its parser once per process; every call must still see
+    what it would see in a fresh process."""
+
+    @staticmethod
+    def resolved(caplog, argv):
+        """The exit code of ``argv`` and the configuration dispatch logged for it."""
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="twophase"):
+            code = run(argv)
+        [record] = [r for r in caplog.records if r.msg.startswith("resolved configuration")]
+        return code, record.args
+
+    @staticmethod
+    def fresh(argv):
+        """The configuration a newly built parser resolves for ``argv``."""
+        return dict(sorted(vars(cli.build_parser().parse_args([str(a) for a in argv]))
+                           .items()))
+
+    def test_a_rejected_command_line_leaves_the_next_calls_as_fresh(self, tmp_path,
+                                                                   caplog, capsys):
+        fileio.write_estimates(tmp_path / "a.csv",
+                               [("phase1", np.array([0.87]), np.array([0.18]))], ["x"])
+        report = ["report", "--inputs", tmp_path / "a.csv", "--out", tmp_path / "in.csv",
+                  "--text", tmp_path / "in.txt"]
+        for rejected in (["estimate", "--dyads", "d.csv", "--method", "nope", "--out", "o"],
+                         ["design", "draw", "--ledger", "l.json", "--seed", "x"],
+                         ["report", "--inputs"]):
+            with pytest.raises(SystemExit) as exc:
+                run(rejected)
+            assert exc.value.code == 2
+            assert "usage: twophase" in capsys.readouterr().err
+            assert self.resolved(caplog, report) == (0, self.fresh(report))
+        fresh = ["report", "--inputs", tmp_path / "a.csv", "--out", tmp_path / "fresh.csv",
+                 "--text", tmp_path / "fresh.txt"]
+        done = subprocess.run([sys.executable, "-m", "twophase.cli", *map(str, fresh)],
+                              env=package_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-3000:]
+        for suffix in ("csv", "txt"):
+            assert ((tmp_path / f"in.{suffix}").read_bytes()
+                    == (tmp_path / f"fresh.{suffix}").read_bytes())
+
+    def test_an_estimate_without_aux_after_an_mi_one_gets_the_naive_default(
+            self, chain_dir, tmp_path, caplog):
+        d = chain_dir
+        final = ["estimate", "--dyads", d / "dyads_3.csv", "--ledger", d / "ledger_O2.json",
+                 "--method", "raking"]
+        mi = final + ["--aux", "mi", "--mi-replicates", 2, "--seed", 3,
+                      "--out", tmp_path / "mi.csv"]
+        naive = final + ["--out", tmp_path / "naive.csv"]
+        assert self.resolved(caplog, mi) == (0, self.fresh(mi))
+        code, config = self.resolved(caplog, naive)
+        assert (code, config) == (0, self.fresh(naive))
+        assert (config["aux"], config["mi_replicates"], config["seed"]) == (
+            "naive", imputation.DEFAULT_REPLICATES, 0)
+        rows = fileio.read_estimates(tmp_path / "naive.csv")
+        assert [(r["estimator"], r["beta"], r["se"]) for r in rows] == [
+            ("raking_naive", pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12))
+            for b, se in CHAIN_ESTIMATES["raking_naive"]]
+
+    def test_the_pinned_chain_run_again_in_the_process_writes_the_same_bytes(
+            self, chain_dir, tmp_path):
+        again = build_chain(tmp_path)
+        names = sorted(p.name for p in again.iterdir())
+        assert names == sorted(p.name for p in chain_dir.iterdir())
+        for name in names:
+            assert (again / name).read_bytes() == (chain_dir / name).read_bytes(), name
 
 
 class TestWaveRuleOnTheChain:
@@ -884,26 +965,20 @@ class TestFpcaCli:
 
 
 def test_module_run_returns_the_mapped_exit_code(tmp_path):
-    src = str(Path(twophase.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run(
         [sys.executable, "-m", "twophase.cli", "fpca", "fit",
          "--measurements", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "es.json")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=package_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 3
     assert "error: io:" in done.stderr
 
 
 def test_cli_does_not_import_the_smoothing_layer():
     # Only the benchmark's trace table still reads ``smoothing``.
-    src = str(Path(twophase.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, twophase.cli; print('twophase.smoothing' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=package_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-3000:]
     assert done.stdout.strip() == "False"
 

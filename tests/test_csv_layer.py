@@ -2,7 +2,9 @@
 
 ``_read_columns`` must give the header, cells and first problem that
 ``csv.reader`` followed by a row-to-column transpose gives, and every
-writer the bytes that ``csv.writer`` writes row by row.
+writer the bytes that ``csv.writer`` writes row by row.  The file read
+(``_read_text``) and the line split (``_plain_lines``) must give what the
+text-mode read and the four-count rule that they replaced gave.
 """
 
 import csv
@@ -112,6 +114,83 @@ def test_reader_matches_csv_reader(scratch, text, width, exact):
 def test_reader_matches_csv_reader_on_quoted_files(scratch, rows, exact):
     scratch.write_bytes(csv_writer_bytes([["id", "value"], *rows]))
     assert_reads_like_csv(scratch, None, exact)
+
+
+def text_mode_read(path):
+    """``fileio._read_text`` as a text-mode read with ``newline=""`` gave it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def four_count_lines(text):
+    """``fileio._plain_lines`` as four counts of the text decided it."""
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    if "\r" in text and text.count("\n") != text.count("\r\n"):
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\r\n" if "\r" in text else "\n")
+    if lines[-1] == "":
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) >= limit and max(map(len, lines)) >= limit:
+        return None
+    return lines
+
+
+def read_outcome(read, path):
+    """What ``read(path)`` returns, or the text of the SchemaError it raises."""
+    try:
+        return read(path)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+BIG = b"id,influence\n" + b"r1,0.5\n" * 1400   # past the text layer's 8 KiB chunk
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\xef\xbb\xbfid,influence\nr1,0.5\n", b"id,influence\nr1,0.5\n",
+    b"id,influence\r\nr1,0.5\r\n", b"id,influence\r\nr1,0.5\nr2,1\r\n",
+    b"id,influence\nr1\r,0.5\n", b"id,influence\r\nr1,0.5", b"\r", b"a\r\r\n",
+    "id,influence\nr\u00e9,0.5\n".encode(), BIG + b"r\xff,1\n", BIG + b"r,\xc3",
+    BIG[:8191] + "\u00e9".encode() + BIG[8191:], BIG[:8191] + b"\xc3(" + BIG[8191:],
+    b"id\n\xed\xa0\x80\n",
+], ids=["empty", "bom", "lf", "crlf", "mixed", "bare_cr", "no_final_end", "cr_only",
+        "cr_before_crlf", "non_ascii", "bad_byte_past_8k", "truncated_char_at_end",
+        "char_across_8k", "bad_char_across_8k", "surrogate"])
+def test_read_text_matches_a_text_mode_read(tmp_path, data):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    assert read_outcome(fileio._read_text, path) == read_outcome(text_mode_read, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=24) | st.lists(st.sampled_from(
+    [b"a", b",", b"\r", b"\n", b"\xc3", b"\xa9", b"\xff", b"\xef\xbb\xbf"]),
+    max_size=12).map(b"".join))
+def test_read_text_matches_a_text_mode_read_on_any_bytes(scratch, data):
+    scratch.write_bytes(data)
+    assert read_outcome(fileio._read_text, scratch) == read_outcome(text_mode_read, scratch)
+
+
+LINE_TEXT = st.text(st.sampled_from(list('a1,"\r\n\x85\u2028')), max_size=16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=LINE_TEXT | csv_texts())
+def test_plain_lines_match_the_four_count_rule(text):
+    assert fileio._plain_lines(text) == four_count_lines(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\r", "\n", "\r\n", "\n\r", "\r\r\n", "a\r\nb\nc", "a\nb\r\n", "a\rb\r\n",
+    "a\r\nb\r\n\r\n", "a,b\r\n1,2", "\u2028\r\n\x85\n",
+])
+def test_plain_lines_match_the_four_count_rule_on_line_ends(text):
+    assert fileio._plain_lines(text) == four_count_lines(text)
 
 
 @pytest.mark.parametrize("text", [

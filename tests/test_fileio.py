@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import time
 
@@ -356,6 +357,49 @@ def test_allocation_and_draw_round_trip(tmp_path):
     assert draw["overlap_ids"] == ["r2"]
 
 
+def json_dump_bytes(payload):
+    """The bytes ``json.dump`` streams for a JSON artifact, final newline added."""
+    out = io.StringIO()
+    json.dump(payload, out, indent=1, sort_keys=True)
+    return (out.getvalue() + "\n").encode("utf-8")
+
+
+def test_json_files_are_the_bytes_json_dump_writes(tmp_path, monkeypatch):
+    written = []
+    write_json = fileio._write_json
+
+    def recording(path, payload):
+        written.append((path, payload))
+        write_json(path, payload)
+
+    monkeypatch.setattr(fileio, "_write_json", recording)
+    table = DyadTable(["r\u00e9", "r\u2603", "r2"],
+                      {"y_star": [1.0, 2.0, 3.0], "delta_star": [0, 1, 0],
+                       "x_star": [0.1, 0.2, 0.3]})
+    ledger = build_ledger("ob\u00e9sit\u00e9",
+                          [{"id": "b\u00e1s", "bounds": {"x_star": [None, 0.15]}},
+                           {"id": "top", "bounds": {"x_star": [0.15, None]}}], table)
+    fileio.write_ledger(tmp_path / "ledger.json",
+                        apply_draw(ledger, 1, {"b\u00e1s": ["r\u00e9"], "top": ["r\u2603"]}))
+    fileio.write_allocation(tmp_path / "alloc.json", {"b\u00e1s": 1, "top": 0}, wave=1,
+                            frame="ob\u00e9sit\u00e9", closed=["top"],
+                            flags={"sd": float("nan"), "spilled": ["b\u00e1s"]})
+    fileio.write_draw(tmp_path / "draw.json", {"b\u00e1s": ["r\u00e9"]}, wave=1,
+                      overlap_ids=["r\u2603"])
+    grid = np.linspace(-365, 272, 4)
+    fileio.write_eigensystem(tmp_path / "es.json", fpca.EigenSystem(
+        grid=grid, mean=np.array([60.0, np.nan, 61.5, 1e300]),
+        eigenvalues=np.array([2.0]), eigenfunctions=np.full((1, 4), 0.05),
+        noise_var=0.25, fve=np.array([1.0]), em_steps=3))
+    assert [path.name for path, _ in written] == [
+        "ledger.json", "alloc.json", "draw.json", "es.json"]
+    for path, payload in written:
+        assert path.read_bytes() == json_dump_bytes(payload), path.name
+    assert b"\\u00e9" in (tmp_path / "ledger.json").read_bytes()
+    assert b"NaN" in (tmp_path / "alloc.json").read_bytes()
+    assert b"NaN" in (tmp_path / "es.json").read_bytes()
+
+
 def test_estimates_round_trip(tmp_path):
     path = tmp_path / "est.csv"
     fileio.write_estimates(path, [("ipw", np.array([0.5, -0.2]),
@@ -467,6 +511,63 @@ def test_bad_dyads_rows_are_rejected(tmp_path, rows, match):
     path.write_text("\n".join([HEADER, *rows]) + "\n")
     with pytest.raises(SchemaError, match=match):
         fileio.read_dyads(path)
+
+
+FLAG_HEADER = HEADER + ",in_asthma_frame"
+
+
+def flag_rows(validated, in_frame):
+    """Rows of ``FLAG_HEADER`` with these flag cells and a valid phase-2 record each."""
+    return [f"r{i},2.0,0,0.3,1.0,0,{v},1,2.0,1,0.3,1.0,0,{a}"
+            for i, (v, a) in enumerate(zip(validated, in_frame))]
+
+
+@pytest.mark.parametrize("column", FLAGS)
+@pytest.mark.parametrize("cell", ["1.0", "yes", "2", "", "-1", "01"])
+def test_flag_cells_other_than_0_or_1_are_rejected(tmp_path, column, cell):
+    # They used to read as False without a word: a row validated as 1.0
+    # came back unvalidated, its phase-2 values dropped.
+    flags = {"validated": ["1", "0", "1"], "in_asthma_frame": ["0", "1", "1"]}
+    flags[column][2] = cell
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([FLAG_HEADER, *flag_rows(*flags.values())]) + "\n")
+    with pytest.raises(SchemaError) as caught:
+        fileio.read_dyads(path)
+    assert str(caught.value) == f"row 4: column {column!r} must be 0 or 1, found {cell!r}"
+
+
+def test_flag_cells_with_surrounding_space_read_as_their_value(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([FLAG_HEADER, *flag_rows([" 1", "0 ", "1"],
+                                                        ["0", " 1 ", "\t0"])]) + "\n")
+    table = fileio.read_dyads(path)
+    assert table.columns["validated"].tolist() == [True, False, True]
+    assert table.columns["in_asthma_frame"].tolist() == [False, True, False]
+
+
+def test_bad_flag_is_reported_in_row_order(tmp_path):
+    rows = flag_rows(["0", "0", "yes"], ["1", "1", "1"])
+    rows[1] = rows[1].replace("2.0", "oops", 1)
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([FLAG_HEADER, *rows]) + "\n")
+    with pytest.raises(SchemaError, match=r"row 3: column 'y_star' has non-numeric"):
+        fileio.read_dyads(path)
+    rows = flag_rows(["0", "true", "0"], ["1", "1", "1"])
+    rows[2] = rows[2].replace("2.0", "oops", 1)
+    path.write_text("\n".join([FLAG_HEADER, *rows]) + "\n")
+    with pytest.raises(SchemaError, match=r"row 3: column 'validated' must be 0 or 1"):
+        fileio.read_dyads(path)
+
+
+def test_cli_step_on_a_bad_flag_gives_parse_exit(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([FLAG_HEADER, *flag_rows(["0", "1.0"], ["1", "1"])]) + "\n")
+    (tmp_path / "strata.json").write_text('[{"id": "all", "bounds": {}}]')
+    assert dispatch(["design", "init", "--frame", "O", "--dyads", str(path), "--strata",
+                     str(tmp_path / "strata.json"), "--out", str(tmp_path / "l.json")]) == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: parse: row 3: column 'validated' must be 0 or 1, found '1.0'")
+    assert not (tmp_path / "l.json").exists()
 
 
 def test_first_bad_row_in_file_order_is_reported(tmp_path):
