@@ -20,7 +20,7 @@ smoothing   local-linear smoothing.  No package module imports it; it and
             trace table, until the benchmark stops tracing them
 errors      the typed errors, one CLI exit code per class
 forking     forked worker processes, for the FPCA E-step and a replicate's
-            two endpoints
+            ten estimates
 
 The design core is array functions in ``allocation``, ``records`` and
 ``multiframe``.  The experiment harness (``simulate``) and the CLI are I/O

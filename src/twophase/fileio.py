@@ -158,18 +158,22 @@ def _write_json(path, payload) -> None:
 
 
 def _read_columns(path, problems: list, width: int | None = None, exact: bool = False,
-                  keep: list | None = None) -> tuple[list[str] | None, list[Sequence[str]]]:
+                  keep: list | None = None, select=None,
+                  ) -> tuple[list[str] | None, list[Sequence[str]]]:
     """The header (None for an empty file) and the first ``width`` columns
     (default: one per header name) of a CSV file, as ``csv.reader`` reads it.
 
     The columns run up to the first data row whose cell count is wrong
     (fewer than ``width``, or any other than ``width`` when ``exact``);
-    that row becomes a problem.  A name that the header repeats raises
-    SchemaError.  Text that :func:`_plain_lines` can split is read without
-    ``csv.reader``: each line's commas are counted, and the columns are
-    strided slices of one split of the joined lines.  That text's lines,
-    header first, are appended to ``keep`` when it is given; other text
-    leaves ``keep`` as it is.
+    that row becomes a problem.  ``select``, when given, is called once
+    with the first cell of each of those rows (not for an empty file),
+    and the columns hold only the rows, ascending, that it returns.  A
+    name that the header repeats raises SchemaError.  Text that
+    :func:`_plain_lines` can split is read without ``csv.reader``: each
+    line's commas are counted, and the columns are strided slices of one
+    split of the joined lines kept.  That text's lines, header first, are
+    appended to ``keep`` when it is given; other text leaves ``keep`` as
+    it is.
     """
     text = _read_text(path)
     lines = _plain_lines(text)
@@ -182,7 +186,7 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
         header = rows[0] if rows else None
         _check_header(path, header)
         width = len(header or ()) if width is None else width
-        return header, _cells_by_column(rows[1:], width, problems, exact)
+        return header, _cells_by_column(rows[1:], width, problems, exact, select)
     del text
     if keep is not None:
         keep.extend(lines)
@@ -201,6 +205,11 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
         n = int(bad[0])
         problems.append((n, f"expected {width} cells, found {lengths[n]}"))
         del lines[n:]
+    if select is not None:
+        rows = select([line.partition(",")[0] for line in lines])
+        lines = [lines[i] for i in rows]
+        lengths = lengths[np.asarray(rows, dtype=np.intp)]
+        n = len(lines)
     if n == 0 or width == 0:
         return header, [[] for _ in range(width)]
     for i in np.flatnonzero(lengths[:n] > width).tolist():
@@ -250,7 +259,7 @@ def _check_header(path, header: list[str] | None) -> None:
 
 
 def _cells_by_column(rows: list[list[str]], width: int, problems: list,
-                     exact: bool = False) -> list[tuple[str, ...]]:
+                     exact: bool = False, select=None) -> list[tuple[str, ...]]:
     """:func:`_read_columns` over rows that ``csv.reader`` has split."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     bad = np.flatnonzero(lengths != width if exact else lengths < width)
@@ -258,6 +267,8 @@ def _cells_by_column(rows: list[list[str]], width: int, problems: list,
         i = int(bad[0])
         problems.append((i, f"expected {width} cells, found {lengths[i]}"))
         rows = rows[:i]
+    if select is not None:
+        rows = [rows[i] for i in select([row[0] if row else "" for row in rows])]
     return list(zip(*rows))[:width] if rows else [()] * width
 
 
@@ -855,13 +866,23 @@ def read_truth(path, ids: Iterable[str] | None = None
     Ids are stripped of surrounding space, as in :func:`read_dyads`; a
     repeated id raises SchemaError naming both rows.  Given ``ids``, the
     result keeps only the file's rows whose id is among them, in file
-    order.  Every id is still read and checked for repeats, but only the
-    kept rows' numbers are parsed: a non-numeric cell on a kept row
-    raises SchemaError naming its file row, and one on another row goes
-    unseen.
+    order.  Every id is still read and checked for repeats, and every
+    row's cell count, but only the kept rows are split into cells and
+    their numbers parsed: a non-numeric cell on a kept row raises
+    SchemaError naming its file row, and one on another row goes unseen.
     """
     problems: list = []
-    header, columns = _read_columns(path, problems)
+    wanted = None if ids is None else set(ids)
+    kept = {"ids": [], "rows": []}
+
+    def select(first):
+        read = list(map(str.strip, first))
+        _repeated_key(read, "id", problems)
+        rows = [i for i, rid in enumerate(read) if wanted is None or rid in wanted]
+        kept.update(ids=[read[i] for i in rows], rows=rows)
+        return rows
+
+    header, columns = _read_columns(path, problems, select=select)
     if header is None or header[:1] != ["id"]:
         raise SchemaError("truth file must have an 'id' leading column")
     names = ["y", "delta", "x", "gestation_days", "asthma",
@@ -870,17 +891,10 @@ def read_truth(path, ids: Iterable[str] | None = None
         if name not in header:
             raise SchemaError(f"truth file missing column {name!r}")
     text = dict(zip(header, columns))
-    all_ids = list(map(str.strip, text["id"]))
-    _repeated_key(all_ids, "id", problems)
-    rows = None
-    if ids is not None:
-        wanted = set(ids)
-        rows = [i for i, rid in enumerate(all_ids) if rid in wanted]
-        all_ids = [all_ids[i] for i in rows]
-        text = {name: [text[name][i] for i in rows] for name in names}
-    columns = {name: _float_column(text[name], name, problems, rows) for name in names}
+    columns = {name: _float_column(text[name], name, problems, kept["rows"])
+               for name in names}
     _raise_first(problems)
-    return all_ids, columns
+    return kept["ids"], columns
 
 
 def write_report(path_csv, path_txt, report) -> None:

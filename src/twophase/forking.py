@@ -3,10 +3,12 @@
 A caller that can split its work asks :func:`process_count` how many
 processes, itself included, to split it over, and forks the other
 workers with :func:`team`.  Each worker answers requests sent down its
-pipe until the pipe closes; :func:`overlapped` is a one-request team that
-computes one call while the caller does other work.  The FPCA E-step
-(``fpca._chunk_team``) and the two endpoints of a Monte Carlo replicate
-(``simulate.estimate_all``) run this way.
+pipe, in order, until the pipe closes or :meth:`Worker.finish` says that
+no request follows.  The FPCA E-step (``fpca._chunk_team``) and the
+estimates of a Monte Carlo replicate (``simulate.estimate_all``) run
+this way.  A caller that computes part of the work itself, and must
+show that part's warnings between its workers' ones, records them with
+:func:`recorded_warnings` and replays them with :func:`replay_warnings`.
 
 Workers are forked, not spawned: they read the caller's arrays through
 the fork, without a copy or a pickle, and send back only their results.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
+import socket
 import sys
 import traceback
 import warnings
@@ -65,6 +68,39 @@ def _warn_again(message, category, filename, lineno):
                            module_globals=where)
 
 
+def replay_warnings(caught) -> None:
+    """Warn each ``(message, category, filename, lineno)`` of ``caught``,
+    in order, with :func:`_warn_again`."""
+    for warning in caught:
+        _warn_again(*warning)
+
+
+@contextlib.contextmanager
+def recorded_warnings():
+    """Record the warnings of the ``with`` block instead of showing them;
+    the block yields the list that :func:`replay_warnings` takes.
+
+    Every warning is recorded whatever the filters say, and none is
+    entered in a registry, so that :func:`replay_warnings` later applies the
+    filters and registries of that moment, as :meth:`Worker.recv` does
+    for a worker's warnings.  Only a warning that its module's registry
+    already holds is dropped, as it would be when replayed.  The
+    filters are changed in place: ``warnings.catch_warnings`` would mark
+    them changed, and that empties every module's registry, so that the
+    "default" action would show again what it has already shown.
+    """
+    caught = []
+    showwarning, filters = warnings.showwarning, warnings.filters[:]
+    warnings.showwarning = lambda message, category, filename, lineno, *_: caught.append(
+        (message, category, filename, lineno))
+    warnings.filters.insert(0, ("always", None, Warning, None, 0))
+    try:
+        yield caught
+    finally:
+        warnings.filters[:] = filters
+        warnings.showwarning = showwarning
+
+
 class Worker:
     """One forked worker of a :func:`team`: :meth:`send` it a request, then
     :meth:`recv` its reply."""
@@ -81,6 +117,15 @@ class Worker:
         except OSError:
             raise self._died() from None
 
+    def finish(self) -> None:
+        """Send no further request: the worker exits once it has answered
+        those sent, while this process works, rather than when the team
+        exits, whose join then need not wait for it.  The replies are
+        received as before."""
+        # The pipe is a socket pair: shut down its request direction only.
+        with socket.socket(fileno=os.dup(self.conn.fileno())) as end:
+            end.shutdown(socket.SHUT_WR)
+
     def recv(self):
         """The reply to the oldest request not yet received.
 
@@ -96,8 +141,7 @@ class Worker:
             ok, value, caught = self.conn.recv()
         except (EOFError, OSError):
             raise self._died() from None
-        for warning in caught:
-            _warn_again(*warning)
+        replay_warnings(caught)
         if ok:
             return value
         exc, text = value
@@ -117,9 +161,11 @@ def _serve(conn, start, inherited):
     its formatted traceback, and the warnings recorded meanwhile, which
     this process's copy of the caller's filters let through.  The worker
     returns when ``conn`` reaches EOF, that is when the parent closes its
-    end or dies, or when a reply cannot be sent.  ``inherited`` holds the
-    parent's ends of the pipes open at the fork, its own included, which
-    are closed here, so that the parent's end closing is seen as EOF.
+    end or dies; when a read fails, as it does with a connection reset
+    where the parent closed its end on a reply it had not read; or when a
+    reply cannot be sent.  ``inherited`` holds the parent's ends of the
+    pipes open at the fork, its own included, which are closed here, so
+    that the parent's end closing is seen as EOF.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # an interrupt is the parent's to handle
     for other in inherited:
@@ -128,7 +174,7 @@ def _serve(conn, start, inherited):
     while True:
         try:
             request = conn.recv()
-        except EOFError:
+        except (EOFError, OSError):
             return
         with warnings.catch_warnings(record=True) as caught:
             try:
@@ -180,22 +226,3 @@ def team(name: str, starts):
             worker.conn.close()          # an idle worker returns at EOF
         for worker in workers:
             worker.process.join()
-
-
-@contextlib.contextmanager
-def overlapped(name: str, fn, *args):
-    """Compute ``fn(*args)`` in a forked worker while the ``with`` block runs.
-
-    Yields ``result()``, which returns the value or raises the exception
-    of ``fn(*args)``, with its warnings issued first, as :meth:`Worker.recv`
-    does.  The worker is forked on entry and joined on exit; if the block
-    raises, the worker is terminated and its result dropped.  Where
-    :func:`process_count` gives 1 process, nothing forks and ``result()``
-    calls ``fn(*args)`` in this process.
-    """
-    if process_count(2) == 1:
-        yield lambda: fn(*args)
-        return
-    with team(name, [lambda: lambda _: fn(*args)]) as (worker,):
-        worker.send(None)
-        yield worker.recv

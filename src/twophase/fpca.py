@@ -892,8 +892,10 @@ def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
     ``level``, that point is dropped and the residuals are recomputed.
     Returns the dropped indices in ascending order; points outside the
     fitted domain are never flagged.  The residuals and covariance come
-    from one table lookup, and each round costs one matrix inverse; the
-    kept points are copied out only after a point is dropped.
+    from one table lookup, and the subject's one matrix inverse is ``P``
+    over every point: dropping point j downdates it to the kept points'
+    precision, ``P - p p^T / P_jj`` with ``p`` its column j, the
+    Schur-complement identity for the inverse of a submatrix.
 
     A system without noise is a zero-variation fit with no components (see
     :class:`EigenSystem`): its band about the mean curve has zero width,
@@ -913,19 +915,20 @@ def flag_outliers(series: LongitudinalSeries, system: EigenSystem,
         tol = np.sqrt(np.finfo(float).eps) * np.max(np.abs(values))
         return [first + int(j) for j in np.flatnonzero(np.abs(resid) > tol)]
     z = _two_sided_quantile(level)
-    kept = np.ones(resid.size, dtype=bool)
-    idx, kept_cov, kept_resid = None, cov, resid    # idx None: every point is kept
+    prec = np.linalg.inv(cov)
+    dropped = []
     while True:
-        prec = np.linalg.inv(kept_cov)
-        score = np.abs(prec @ kept_resid) / np.sqrt(prec.diagonal())
+        score = np.abs(prec @ resid) / np.sqrt(prec.diagonal())
         worst = int(score.argmax())
         if not score[worst] > z:
             break
-        kept[worst if idx is None else idx[worst]] = False
-        idx = np.flatnonzero(kept)
-        if idx.size == 0:
-            break
-        kept_cov, kept_resid = cov[np.ix_(idx, idx)], resid[idx]
-    if idx is None:
-        return []
-    return [first + int(j) for j in np.flatnonzero(~kept)]
+        dropped.append(worst)
+        col = prec[:, worst].copy()
+        prec -= np.outer(col, col) / col[worst]
+        # A dropped point keeps a unit diagonal and a zero residual: its
+        # score is 0, and its zero row and column leave the others' alone.
+        prec[worst, :] = 0.0
+        prec[:, worst] = 0.0
+        prec[worst, worst] = 1.0
+        resid[worst] = 0.0
+    return [first + j for j in sorted(dropped)]

@@ -14,14 +14,17 @@ CLI uses: ``allocation.influence_sd`` / ``multiwave`` (the one wave
 rule, the first wave included) / ``draw_within_strata`` for each wave,
 ``records.inclusion_probabilities`` for pi, and
 ``multiframe.weighted_sample`` / ``raking.weighted_fit`` for the IPW and
-raking fits.  Both endpoints run one estimation routine, ``_estimate``;
-per endpoint only the working model differs, a ``models.AnalysisSpec``
-(``COX_ANALYSIS``, ``ASTHMA_ANALYSIS``) read from ``_population_columns``
-under the CLI's ``records.DyadTable`` names, with its own frame and
-imputation model (``_cox_imputation_specs``, ``_asthma_imputation_specs``).
-:func:`estimate_all` computes the two endpoints at once, the asthma one
-in a forked worker (``forking.overlapped``), with the rows, warnings and
-errors of the serial calls.
+raking fits.  Both endpoints run one estimation routine in two pieces,
+``_head`` (the four estimators without imputation) and ``_tail`` (the MI
+auxiliary and raking_mi), on one ``_Endpoint``; per endpoint only the
+working model differs, a ``models.AnalysisSpec`` (``COX_ANALYSIS``,
+``ASTHMA_ANALYSIS``) read from ``_population_columns`` under the CLI's
+``records.DyadTable`` names, with its own frame and imputation model
+(``_cox_imputation_specs``, ``_asthma_imputation_specs``).
+:func:`estimate_all` splits the ten estimates between two processes by
+cost: the obesity tail here, the obesity head and the asthma endpoint in
+a forked worker (``forking.team``), with the rows, warnings and errors
+of the serial calls.
 """
 
 from __future__ import annotations
@@ -687,48 +690,92 @@ class EstimateRow:
     se: float
 
 
-def _estimate(pop: Population, designs: tuple[WaveDesign, WaveDesign], endpoint: str,
-              analysis: models.AnalysisSpec, own: int, mi_specs, m: int,
-              mi_seed: int) -> list[EstimateRow]:
-    """The five comparison estimators of ``analysis``'s target for one endpoint.
+@dataclass
+class _Endpoint:
+    """One endpoint's estimation problem: what its :func:`_head` and
+    :func:`_tail` share.
 
     ``own`` indexes the endpoint's own frame in ``designs`` (for ipw_sf,
-    and its phase-1 fit when it has one); the MI influence imputes
-    ``mi_specs`` with ``m`` replicates seeded by ``mi_seed``, on the
-    analysis frame's rows, as the naive influence is.
+    and its phase-1 fit when it has one).  ``single`` and ``sample`` are
+    the single-frame and multi-frame weighted samples of the analysis
+    frame ``frame``, ``data`` the working model's arrays on ``sample``'s
+    rows, and ``validated`` marks every multi-frame draw.  The MI
+    influence imputes ``mi_specs`` with ``m`` replicates seeded by
+    ``mi_seed``.
     """
+
+    name: str
+    analysis: models.AnalysisSpec
+    designs: tuple[WaveDesign, WaveDesign]
+    own: int
+    cols: imputation.Columns
+    frame: np.ndarray
+    single: multiframe.WeightedSample
+    sample: multiframe.WeightedSample
+    data: tuple
+    validated: np.ndarray
+    mi_specs: list[imputation.VariableSpec]
+    m: int
+    mi_seed: int
+
+
+def _endpoint(pop: Population, designs: tuple[WaveDesign, WaveDesign], name: str,
+              analysis: models.AnalysisSpec, own: int, mi_specs, m: int,
+              mi_seed: int) -> _Endpoint:
     cols = _population_columns(pop)
     frame = analysis.members(cols)
-    p1 = designs[own].phase1
-    if p1 is None:
-        p1 = analysis.phase1().fit(cols, frame)
-    p1 = replace(p1, variance=models.sandwich_variance(p1))
-    target = analysis.coefficient
-    h_naive = models.influence_for_target(p1, target)
-
-    frames = [multiframe.FrameDesign(name, *d.frame_arrays(pop.n))
-              for name, d in zip("OA", designs)]
+    frames = [multiframe.FrameDesign(f, *d.frame_arrays(pop.n))
+              for f, d in zip("OA", designs)]
     _, single = multiframe.weighted_sample([frames[own]], frame)
-    sf, _, _ = raking.weighted_fit(analysis.kind, *analysis.arrays(cols, single.rows),
-                                   single)
-
     draws, sample = multiframe.weighted_sample(frames, frame)
     validated = np.zeros(pop.n, dtype=bool)
     validated[draws.rows] = True
-    data = analysis.arrays(cols, sample.rows)
-    fits = {"phase1": p1, "ipw_sf": sf}
-    h_mi = _mi_influence(cols, validated, mi_specs, analysis, m, mi_seed)
-    for name, h in (("ipw_mf", None), ("raking_nv", h_naive), ("raking_mi", h_mi)):
-        fits[name], _, _ = raking.weighted_fit(analysis.kind, *data, sample, h)
-    return [EstimateRow(endpoint, name, float(fit.coefficients[target]),
+    return _Endpoint(name, analysis, designs, own, cols, frame, single, sample,
+                     analysis.arrays(cols, sample.rows), validated, mi_specs, m, mi_seed)
+
+
+def _rows(e: _Endpoint, fits: dict) -> list[EstimateRow]:
+    target = e.analysis.coefficient
+    return [EstimateRow(e.name, name, float(fit.coefficients[target]),
                         float(fit.se[target])) for name, fit in fits.items()]
+
+
+def _head(e: _Endpoint) -> list[EstimateRow]:
+    """The rows of the four estimators that need no imputation: phase1 (with
+    its sandwich variance), ipw_sf, ipw_mf and raking_nv, which rakes on the
+    phase-1 influence on the analysis frame's rows."""
+    kind = e.analysis.kind
+    p1 = e.designs[e.own].phase1
+    if p1 is None:
+        p1 = e.analysis.phase1().fit(e.cols, e.frame)
+    p1 = replace(p1, variance=models.sandwich_variance(p1))
+    h_naive = models.influence_for_target(p1, e.analysis.coefficient)
+    fits = {"phase1": p1}
+    fits["ipw_sf"], _, _ = raking.weighted_fit(
+        kind, *e.analysis.arrays(e.cols, e.single.rows), e.single)
+    for name, h in (("ipw_mf", None), ("raking_nv", h_naive)):
+        fits[name], _, _ = raking.weighted_fit(kind, *e.data, e.sample, h)
+    return _rows(e, fits)
+
+
+def _tail(e: _Endpoint) -> list[EstimateRow]:
+    """The raking_mi row: raking on the MI influence, which imputes from
+    every validated record (``_mi_influence``)."""
+    h_mi = _mi_influence(e.cols, e.validated, e.mi_specs, e.analysis, e.m, e.mi_seed)
+    fit, _, _ = raking.weighted_fit(e.analysis.kind, *e.data, e.sample, h_mi)
+    return _rows(e, {"raking_mi": fit})
+
+
+def _obesity(pop, obesity, asthma, spec, seed) -> _Endpoint:
+    return _endpoint(pop, (obesity, asthma), "obesity", COX_ANALYSIS, 0,
+                     _cox_imputation_specs(), spec.mi_replicates_estimator, seed + 7919)
 
 
 def estimate_obesity(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
                      spec: DesignSpec, seed: int) -> list[EstimateRow]:
     """The five comparison estimators for the primary (hazard) endpoint."""
-    return _estimate(pop, (obesity, asthma), "obesity", COX_ANALYSIS, 0,
-                     _cox_imputation_specs(), spec.mi_replicates_estimator, seed + 7919)
+    e = _obesity(pop, obesity, asthma, spec, seed)
+    return _head(e) + _tail(e)
 
 
 def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
@@ -738,30 +785,54 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
     Analysis population is the asthma frame; the working model is the
     generating one (exposure, continuous covariate, obesity indicator).
     """
-    return _estimate(pop, (obesity, asthma), "asthma", ASTHMA_ANALYSIS, 1,
-                     _asthma_imputation_specs(), spec.mi_replicates_estimator, seed + 104729)
+    e = _endpoint(pop, (obesity, asthma), "asthma", ASTHMA_ANALYSIS, 1,
+                  _asthma_imputation_specs(), spec.mi_replicates_estimator, seed + 104729)
+    return _head(e) + _tail(e)
 
 
 def estimate_all(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
                  spec: DesignSpec, seed: int) -> list[EstimateRow]:
-    """Both endpoints' estimates: the obesity rows, then the asthma rows.
+    """Both endpoints' estimates: :func:`estimate_obesity`'s rows, then
+    :func:`estimate_asthma`'s.
 
-    The endpoints share no data but their inputs, so they run at once:
-    a worker forked on entry computes :func:`estimate_asthma` while this
-    process computes :func:`estimate_obesity` (``forking.overlapped``).
-    Each endpoint's arithmetic and seeds are those of the serial calls,
-    so every row is the same, bit for bit, whichever process made it.
-    The asthma warnings are issued here after the obesity ones, in the
-    serial order.  An obesity exception wins: the worker is terminated
-    and joined, and its rows and warnings are dropped.  Otherwise an
-    asthma exception is raised here with its class, message and
-    attributes, and the worker's traceback attached.  Both endpoints run
-    in this process, one after the other, with one CPU, without the
+    The serial run computes the obesity head (:func:`_head`: phase1,
+    ipw_sf, ipw_mf, raking_nv), the obesity tail (:func:`_tail`: the MI
+    auxiliary and raking_mi), then the asthma endpoint.  The tail costs
+    about as much as the other two together, so with two processes it
+    runs here while one forked worker (``forking.team``) computes the
+    head and then the asthma endpoint, and exits (``Worker.finish``);
+    the inputs head and tail share are built once, before the fork.
+    Every piece's arithmetic and seeds are the serial ones, so every row
+    is the same, bit for bit, whichever process made it.  The warnings
+    come in the serial order: the head's, the tail's (recorded here,
+    ``forking.recorded_warnings``), then the asthma ones.  So do the
+    errors: a head error wins over a tail error, and either over an
+    asthma error, which is raised with its class, message and
+    attributes and the worker's traceback attached.  Any error
+    terminates and joins the worker.  Everything runs in this
+    process, one piece after the other, with one CPU, without the
     ``fork`` start method, or inside a daemonic multiprocessing worker.
     """
     args = pop, obesity, asthma, spec, seed
-    with forking.overlapped("asthma", estimate_asthma, *args) as asthma_rows:
-        return estimate_obesity(*args) + asthma_rows()
+    if forking.process_count(2) == 1:
+        return estimate_obesity(*args) + estimate_asthma(*args)
+    e = _obesity(*args)
+    pieces = {"head": lambda: _head(e), "asthma": lambda: estimate_asthma(*args)}
+    with forking.team("estimates", [lambda: lambda piece: pieces[piece]()]) as (worker,):
+        worker.send("head")
+        worker.send("asthma")
+        worker.finish()
+        failed = None
+        with forking.recorded_warnings() as caught:
+            try:
+                tail = _tail(e)
+            except Exception as exc:  # noqa: BLE001 - raised below, unless the head failed
+                failed = exc
+        head = worker.recv()
+        forking.replay_warnings(caught)
+        if failed is not None:
+            raise failed
+        return head + tail + worker.recv()
 
 
 ESTIMATORS = ("phase1", "ipw_sf", "ipw_mf", "raking_nv", "raking_mi")
@@ -782,10 +853,12 @@ class ExperimentReport:
 def run_replicate(config: SimConfig, spec: DesignSpec, seed: int) -> list[EstimateRow]:
     """One Monte Carlo replicate: generate, run the design and estimate.
 
-    Generation and the design run in this process; the two endpoints are
-    estimated at once, asthma in a forked worker (:func:`estimate_all`),
-    or both here where this process cannot fork or has one CPU.  The rows
-    and the warnings' order are those of a serial run.
+    Generation and the design run in this process.  The ten estimates
+    run at once (:func:`estimate_all`): the obesity MI auxiliary and
+    raking_mi here, the other four obesity estimates and the asthma
+    endpoint in a forked worker; or all of them here where this process
+    cannot fork or has one CPU.  The rows, the warnings' order and the
+    error raised are those of a serial run.
     """
     pop = generate(config, seed)
     obesity, asthma = run_design(pop, spec, seed)
@@ -798,14 +871,14 @@ def run_experiment(config: SimConfig, spec: DesignSpec, replicates: int, *,
 
     Replicate ``r`` derives its seed from ``(master_seed, r)`` alone, so
     results are reproducible and order-independent.  Replicates run one
-    after another in this process, each estimating its asthma endpoint in
-    a forked worker (:func:`run_replicate`); inside a daemonic
-    multiprocessing worker, or with one CPU, everything stays in this
-    process.  A replicate that raises one of the unlucky-data errors,
-    ConvergenceError, InfeasibleError, DegenerateDesignError,
-    CalibrationError or IllConditionedError, in either endpoint, is
-    skipped and counted in ``failures`` and, by error class, in
-    ``failure_reasons``; any other exception ends the run.
+    after another in this process, each splitting its ten estimates with
+    one forked worker (:func:`run_replicate`, :func:`estimate_all`);
+    inside a daemonic multiprocessing worker, or with one CPU, everything
+    stays in this process.  A replicate that raises one of the
+    unlucky-data errors, ConvergenceError, InfeasibleError,
+    DegenerateDesignError, CalibrationError or IllConditionedError, in
+    either endpoint, is skipped and counted in ``failures`` and, by error
+    class, in ``failure_reasons``; any other exception ends the run.
     """
     z95 = 1.959963984540054
     keys = [f"{ep}/{name}" for ep in ENDPOINTS for name in ESTIMATORS]

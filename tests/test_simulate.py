@@ -427,18 +427,33 @@ class TestDesignSpec:
                        sd_shrinkage=0.0, min_per_stratum=0)
 
 
+def mark(text):
+    warnings.warn(text)        # every marker from this one line
+
+
 def row_hexes(rows):
     return [(r.endpoint, r.estimator, r.beta.hex(), r.se.hex()) for r in rows]
 
 
 class TestEndpointsAtOnce:
-    """``estimate_all`` runs the asthma endpoint in a forked worker."""
+    """``estimate_all`` runs the obesity tail (MI auxiliary, raking_mi) here and
+    the obesity head and the asthma endpoint in one forked worker."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
         def set_cpus(count):
             monkeypatch.setattr(forking, "_cpu_count", lambda: count)
         return set_cpus
+
+    @pytest.fixture
+    def obesity(self, monkeypatch):
+        """``obesity(piece, fn)`` runs ``fn(e)`` in place of the obesity
+        endpoint's ``piece`` ("_head" or "_tail"); the asthma one is kept."""
+        def patch(piece, fn):
+            def piece_of(e, real=getattr(sim, piece)):
+                return fn(e) if e.name == "obesity" else real(e)
+            monkeypatch.setattr(sim, piece, piece_of)
+        return patch
 
     def test_rows_do_not_depend_on_the_cpu_count(self, cpus):
         rows = {}
@@ -452,16 +467,26 @@ class TestEndpointsAtOnce:
             assert multiprocessing.active_children() == []
         assert rows[2] == rows[1]
         assert all(len(r) == 10 for r in rows[1])
+        assert [r[:2] for r in rows[1][0]] == [(ep, name) for ep in sim.ENDPOINTS
+                                               for name in sim.ESTIMATORS]
 
     @pytest.mark.parametrize("action", ["always", "default"])
-    def test_warnings_come_in_the_serial_order(self, cpus, monkeypatch, action):
-        # Seed 0 fires "stratum with a single record" in both endpoints; a
-        # marker before each endpoint shows whose warnings come where.
-        for name in ("estimate_obesity", "estimate_asthma"):
-            def marked(*args, real=getattr(sim, name), name=name):
-                warnings.warn(f"{name} starts")
+    def test_warnings_come_in_the_serial_order(self, cpus, monkeypatch, obesity, action):
+        # Seed 0 fires "stratum with a single record" in both endpoints.  A
+        # marker before each piece shows whose warnings come where, and one
+        # that the design and every piece issue from one line shows that
+        # "default" shows it once: the registry the design filled is kept.
+        def marking(real, text):
+            def marked(*args):
+                mark(text)
+                mark("a stage starts")
                 return real(*args)
-            monkeypatch.setattr(sim, name, marked)
+            return marked
+        monkeypatch.setattr(sim, "run_design", marking(sim.run_design, "design starts"))
+        obesity("_head", marking(sim._head, "obesity head starts"))
+        obesity("_tail", marking(sim._tail, "obesity tail starts"))
+        monkeypatch.setattr(sim, "estimate_asthma",
+                            marking(sim.estimate_asthma, "asthma starts"))
         caught = {}
         for count in (1, 2):
             cpus(count)
@@ -471,8 +496,10 @@ class TestEndpointsAtOnce:
             caught[count] = [(str(w.message), w.category, w.filename, w.lineno) for w in got]
         assert caught[2] == caught[1]
         messages = [message for message, *_ in caught[1]]
-        asthma = messages.index("estimate_asthma starts")
-        assert messages.index("estimate_obesity starts") < asthma
+        design, head, tail, asthma = (messages.index(f"{stage} starts") for stage in (
+            "design", "obesity head", "obesity tail", "asthma"))
+        assert design < head < tail < asthma
+        assert messages.count("a stage starts") == (4 if action == "always" else 1)
         single = [i for i, m in enumerate(messages) if m.startswith("stratum with a single")]
         assert single and single[0] < asthma
         if action == "always":
@@ -495,18 +522,39 @@ class TestEndpointsAtOnce:
             raised[count] = got.value
         assert not hasattr(raised[1], "__notes__")
         [note] = raised[2].__notes__
-        assert note.startswith("in asthma worker ")
+        assert note.startswith("in estimates worker ")
         assert "in diverging" in note and "ConvergenceError: asthma diverged" in note
 
     @FORKS
-    def test_an_obesity_error_wins_and_ends_the_worker(self, cpus, monkeypatch):
+    def test_an_obesity_error_wins_and_ends_the_worker(self, cpus, monkeypatch, obesity):
+        # The tail fails here while the worker sleeps in the asthma endpoint.
         cpus(2)
 
-        def failing(*args):
-            raise InfeasibleError("obesity failed")
-        monkeypatch.setattr(sim, "estimate_obesity", failing)
+        def failing(e):
+            raise InfeasibleError("obesity tail failed")
+        obesity("_tail", failing)
         monkeypatch.setattr(sim, "estimate_asthma", lambda *args: time.sleep(60))
-        with deadline(20), pytest.raises(InfeasibleError, match="obesity failed"):
+        with deadline(20), pytest.raises(InfeasibleError, match="obesity tail failed"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3)
+        assert multiprocessing.active_children() == []
+
+    @FORKS
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_head_error_wins_over_a_tail_error(self, cpus, monkeypatch, obesity, count):
+        cpus(count)
+
+        def head_failing(e):
+            time.sleep(0.5)                  # the tail fails first, in the other process
+            raise DegenerateDesignError("obesity head failed")
+
+        def tail_failing(e):
+            raise InfeasibleError("obesity tail failed")
+        obesity("_head", head_failing)
+        obesity("_tail", tail_failing)
+        monkeypatch.setattr(sim, "estimate_asthma", lambda *args: time.sleep(60))
+        with deadline(20), pytest.raises(DegenerateDesignError, match="obesity head failed"):
             sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3)
         assert multiprocessing.active_children() == []
 
@@ -516,7 +564,7 @@ class TestEndpointsAtOnce:
         parent = os.getpid()
         monkeypatch.setattr(sim, "estimate_asthma",
                             lambda *args: os._exit(3) if os.getpid() != parent else None)
-        with deadline(60), pytest.raises(RuntimeError, match="asthma worker .* died"):
+        with deadline(60), pytest.raises(RuntimeError, match="estimates worker .* died"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 sim.run_replicate(sim.SimConfig(n=1500), SMALL_SPEC, 3)
