@@ -27,7 +27,12 @@ around that work is kept small, since a wave is several steps and a
 design many waves: a file is read as bytes and decoded once, a table's
 text is split into lines after one scan (``fileio._plain_lines``), a JSON
 file is written in one piece, and the argument parser is built once per
-process (:func:`dispatch`).
+process (:func:`dispatch`).  A table is parsed only once: each dyads and
+influence file that a step writes gets a parsed copy beside it,
+``<name>.parsed``, which the later steps load instead of parsing the text
+for as long as the file's SHA-256 matches the one the copy holds.  An
+edited file no longer matches and is parsed and checked as before; a copy
+may be deleted at any time, and a read never writes one.
 """
 
 from __future__ import annotations
@@ -455,7 +460,14 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="twophase")
+    parser = argparse.ArgumentParser(
+        prog="twophase",
+        epilog="Each dyads file that simulate or reveal writes, and each influence file "
+               "that estimate writes, gets a parsed copy beside it, <name>.parsed: the "
+               "table as a later step reads it, keyed by the SHA-256 of the file's "
+               "bytes. A step loads the copy while the file is unchanged and parses "
+               "the text otherwise, so an edited file is read as edited. A copy may be "
+               "deleted at any time; reading a file never writes one.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser(

@@ -19,13 +19,30 @@ by :func:`_write_columns`, whose bytes are those ``csv.writer`` writes
 row by row; the one exception is ``simulate reveal``, which formats only
 the rows it validates and copies the other lines of the file it read
 (:func:`write_dyads_patch`).
+
+The tables a CLI step writes for a later step to read (``dyads.csv`` and
+the influence file) also get a parsed copy, ``<name>.parsed``, written
+beside them by the same writer.  It holds what the reader returns for the
+bytes just written, keyed by their SHA-256, and is built from the table in
+memory by the writer's own formatting rules: nothing is parsed or read
+back to write it.  A writer leaves no copy for a table its reader would
+reject.  The reader hashes the bytes it reads and loads the copy when the
+digests match; a missing, stale, unreadable or other-version copy falls
+back to parsing those same bytes, silently, as does any copy that a write
+could not finish.  A read never writes a file, and the copy may be deleted
+at any time.  One DEBUG line on the ``twophase.fileio`` logger per such
+read says which way the table was read, and why the text was parsed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
+import logging
+import os
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,10 +60,13 @@ from twophase.records import (
     DesignLedger,
     DyadTable,
     Stratum,
+    column_names,
     first_invalid_row,
     is_phase2,
     parse_bounds,
 )
+
+log = logging.getLogger(__name__)
 
 
 def _fmt(value) -> str:
@@ -67,8 +87,15 @@ def _read_text(path) -> str:
     text-mode read with ``newline=""`` gives, without the text layer's scan
     for line ends while it decodes, which costs several times the decode.
     """
+    return _decode(path, _read_bytes(path))
+
+
+def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _decode(path, data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -158,7 +185,7 @@ def _write_json(path, payload) -> None:
 
 
 def _read_columns(path, problems: list, width: int | None = None, exact: bool = False,
-                  keep: list | None = None, select=None,
+                  keep: list | None = None, select=None, text: str | None = None,
                   ) -> tuple[list[str] | None, list[Sequence[str]]]:
     """The header (None for an empty file) and the first ``width`` columns
     (default: one per header name) of a CSV file, as ``csv.reader`` reads it.
@@ -173,9 +200,10 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
     line's commas are counted, and the columns are strided slices of one
     split of the joined lines kept.  That text's lines, header first, are
     appended to ``keep`` when it is given; other text leaves ``keep`` as
-    it is.
+    it is.  ``text``, when given, is the file's text, already read.
     """
-    text = _read_text(path)
+    if text is None:
+        text = _read_text(path)
     lines = _plain_lines(text)
     if lines is None:
         try:
@@ -331,20 +359,30 @@ def _suffix_sorted(names: Iterable[str]) -> list[str]:
 _WRITE_ROWS = 2048
 
 
-def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence],
+                   sha=None) -> None:
     """Write a CSV table from its columns, byte for byte as ``csv.writer``
     writes the rows: each cell as ``str`` of its value (a float as its
     ``repr``), minimal quoting, and ``\\r\\n`` after every row.
 
     The rows are formatted and written ``_WRITE_ROWS`` at a time, so the
-    text held at once stays small whatever the table's length.
+    text held at once stays small whatever the table's length.  ``sha``,
+    a ``hashlib`` object, is updated with the bytes as they are written.
     """
     n = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text([header]))
+    with open(path, "wb") as fh:
+        _write_hashed(fh, _csv_text([header]), sha)
         for start in range(0, n, _WRITE_ROWS):
             stop = start + _WRITE_ROWS
-            fh.write(_csv_text(list(zip(*(map(str, c[start:stop]) for c in columns)))))
+            _write_hashed(fh, _csv_text(list(zip(*(map(str, c[start:stop]) for c in columns)))),
+                          sha)
+
+
+def _write_hashed(fh, text: str, sha) -> None:
+    data = text.encode("utf-8")
+    if sha is not None:
+        sha.update(data)
+    fh.write(data)
 
 
 def _csv_text(rows: list[Sequence[str]]) -> str:
@@ -359,6 +397,135 @@ def _csv_text(rows: list[Sequence[str]]) -> str:
         csv.writer(out).writerows(rows)
         text = out.getvalue()
     return text
+
+
+# ---------------------------------------------------------------------------
+# Parsed copies.  ``<name>.parsed`` is a line ``twophase parsed copy <format>``,
+# a line of JSON (the kind of table, the SHA-256 of its bytes, its row count,
+# the code point that separates the ids, and what else the kind needs), then
+# two ``.npy`` arrays: the UTF-8 text of the ids joined by that separator, a
+# character no id holds, and the float64 values.  Nothing in it depends on
+# when or where it was written.
+
+_COPY_MAGIC = b"twophase parsed copy"
+# Raise it whenever a reader would return something else for the same bytes
+# (a new column, a new check), so that older copies are parsed again.
+_COPY_FORMAT = b"1"
+
+
+class _Unusable(Exception):
+    """Why a table's parsed copy cannot be loaded."""
+
+
+def _copy_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".parsed")
+
+
+def _remove_copy(path) -> None:
+    with contextlib.suppress(OSError):
+        os.unlink(_copy_path(path))
+
+
+def _copy_ids(ids: Sequence[str]) -> list[str] | None:
+    """The ids as a reader gives them (stripped), or None when one is not a
+    string or is too long for ``csv.reader`` to read back."""
+    if set(map(type, ids)) - {str}:
+        return None
+    if ids and max(map(len, ids)) >= csv.field_size_limit():
+        return None
+    return list(map(str.strip, ids))
+
+
+def _save_copy(path, kind: str, digest: bytes, ids: list[str], values: np.ndarray,
+               **head) -> None:
+    """Write the parsed copy of the table at ``path`` whose bytes have
+    SHA-256 ``digest``: ``ids`` and ``values`` as its reader gives them.
+
+    The copy is written to a temporary file that then replaces it.  A
+    write that fails, as in a read-only directory, leaves no copy where it
+    can, and at worst the old one, which no longer matches the table.
+    """
+    joined = "".join(ids)
+    sep = "\n"
+    if sep in joined:
+        present = set(joined)
+        sep = next((c for c in map(chr, range(0xD800)) if c not in present), None)
+        if sep is None:
+            _remove_copy(path)
+            return
+    head = json.dumps({"kind": kind, "sha256": digest.hex(), "rows": len(ids),
+                       "separator": ord(sep), **head}, sort_keys=True)
+    target = _copy_path(path)
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"%s %s\n%s\n" % (_COPY_MAGIC, _COPY_FORMAT, head.encode("utf-8")))
+            np.save(fh, np.frombuffer(sep.join(ids).encode("utf-8"), dtype=np.uint8),
+                    allow_pickle=False)
+            np.save(fh, values, allow_pickle=False)
+        os.replace(tmp, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        _remove_copy(path)
+
+
+def _load_copy(path, data: bytes, kind: str, shape):
+    """``(head, ids, values)`` from the parsed copy of the table at ``path``,
+    whose bytes are ``data``, or None when the text has to be parsed.
+
+    ``shape(head)`` is the shape the values must have, or None for a head
+    that the table's reader cannot use.  One DEBUG line says whether the
+    copy was loaded or why not.
+    """
+    try:
+        loaded = _read_copy(_copy_path(path), data, kind, shape)
+    except _Unusable as exc:
+        log.debug("%s: parsed the text: %s", path, exc)
+        return None
+    log.debug("%s: loaded the parsed copy", path)
+    return loaded
+
+
+def _read_copy(copy: Path, data: bytes, kind: str, shape):
+    try:
+        fh = open(copy, "rb")
+    except FileNotFoundError:
+        raise _Unusable("no parsed copy") from None
+    except OSError as exc:
+        raise _Unusable(f"unreadable parsed copy ({exc})") from None
+    with fh:
+        try:
+            magic, _, version = fh.readline(256).rstrip(b"\n").rpartition(b" ")
+            if magic != _COPY_MAGIC:
+                raise _Unusable("unreadable parsed copy (no header line)")
+            if version != _COPY_FORMAT:
+                raise _Unusable("parsed copy of another version "
+                                f"({version.decode(errors='replace')})")
+            head = json.loads(fh.readline())
+            if not isinstance(head, dict) or head.get("kind") != kind:
+                raise _Unusable(f"unreadable parsed copy (not of a {kind} table)")
+            if head.get("sha256") != hashlib.sha256(data).hexdigest():
+                raise _Unusable("stale parsed copy")
+            text, values = (np.load(fh, allow_pickle=False) for _ in range(2))
+            trailing = fh.read(1)
+        except (ValueError, EOFError, OSError, MemoryError) as exc:
+            raise _Unusable(f"unreadable parsed copy ({type(exc).__name__}: {exc})") from None
+    rows, sep = head.get("rows"), head.get("separator")
+    if (trailing or not _is_count(rows) or not _is_count(sep) or not 0 <= sep < 0xD800
+            or not isinstance(text, np.ndarray) or text.dtype != np.uint8 or text.ndim != 1
+            or not isinstance(values, np.ndarray) or values.dtype != np.float64
+            or values.shape != shape(head)):
+        raise _Unusable("unreadable parsed copy (arrays or head of the wrong shape)")
+    try:
+        joined = text.tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise _Unusable("unreadable parsed copy (ids are not UTF-8)") from None
+    ids = joined.split(chr(sep)) if joined or rows else []
+    if len(ids) != rows:
+        raise _Unusable(f"unreadable parsed copy ({len(ids)} ids for {rows} rows)")
+    return head, ids, values
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +544,8 @@ def _cell_values(name: str, values: np.ndarray) -> list:
 def write_dyads(path, table: DyadTable) -> None:
     """One row per record; vector fields expand to indexed columns.
 
-    Phase-2 cells are empty on rows that are not validated.
+    Phase-2 cells are empty on rows that are not validated.  The parsed
+    copy is written beside the file (:func:`_write_dyads_copy`).
     """
     validated = np.flatnonzero(table.columns["validated"]).tolist()
     columns = [table.ids]
@@ -389,7 +557,9 @@ def write_dyads(path, table: DyadTable) -> None:
         else:
             column = _cell_values(name, values)
         columns.append(column)
-    _write_columns(path, ["id", *table.columns], columns)
+    sha = hashlib.sha256()
+    _write_columns(path, ["id", *table.columns], columns, sha)
+    _write_dyads_copy(path, sha.digest(), table, slice(None))
 
 
 def write_dyads_patch(path, table: DyadTable, lines: Sequence[str], rows) -> None:
@@ -404,7 +574,9 @@ def write_dyads_patch(path, table: DyadTable, lines: Sequence[str], rows) -> Non
     ``1.50`` or `` d7``).  Where no exact copy is possible, the whole
     table goes through :func:`write_dyads`: when the text was not plain
     (``lines`` is empty) or the header is not ``id`` followed by the
-    table's columns in order.
+    table's columns in order.  Either way the parsed copy is written
+    beside the file; the other rows read back as the values that
+    ``table`` holds, which were read from their lines.
     """
     header = ["id", *table.columns]
     if not lines or lines[0] != ",".join(header):
@@ -421,9 +593,46 @@ def write_dyads_patch(path, table: DyadTable, lines: Sequence[str], rows) -> Non
     out = list(lines)
     for i, cells in zip(rows.tolist(), zip(*columns)):
         out[i + 1] = _csv_text([cells])[:-2]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(out))
-        fh.write("\r\n")
+    data = ("\r\n".join(out) + "\r\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    _write_dyads_copy(path, hashlib.sha256(data).digest(), table, rows)
+
+
+def _write_dyads_copy(path, digest: bytes, table: DyadTable, rows) -> None:
+    """Write the parsed copy of the dyads file at ``path``, whose bytes have
+    SHA-256 ``digest``, or remove the copy when the reader rejects them.
+
+    The file holds ``table``, its rows ``rows`` (an index or a slice)
+    printed by :func:`write_dyads` and the other rows read from it, so the
+    copy takes the values that the reader gives those rows' cells: floats
+    print as their ``repr`` and read back bit for bit, integer fields
+    print truncated, and a phase-2 cell of a row that is not validated
+    is empty and reads as 0.  Ids are stripped.  There is no copy unless
+    the columns are those of ``records.column_names``, each flag boolean
+    and every other column float64 (other values print in other forms),
+    and the ids and values pass the reader's checks (:func:`_copy_ids`,
+    no repeated id, ``records.first_invalid_row``).
+    """
+    cols, n = table.columns, len(table)
+    names = list(cols)
+    if (names != column_names(table.n_z, table.n_aux)
+            or any(v.shape != (n,) or v.dtype != (bool if name in FLAGS else np.float64)
+                   for name, v in cols.items())):
+        _remove_copy(path)
+        return
+    values = np.array([cols[name] for name in names], dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a non-finite cell, which the checks reject
+        for k, name in enumerate(names):
+            if name in INTEGER_FIELDS:
+                values[k, rows] = cols[name][rows].astype(np.int64)
+    phase2 = [k for k, name in enumerate(names) if is_phase2(name)]
+    values[phase2] = np.where(cols["validated"], values[phase2], 0.0)
+    ids = _copy_ids(table.ids)
+    if ids is None or len(set(ids)) < n or first_invalid_row(dict(zip(names, values))):
+        _remove_copy(path)
+        return
+    _save_copy(path, "dyads", digest, ids, values, columns=names)
 
 
 def read_dyads(path, lines: list | None = None) -> DyadTable:
@@ -437,9 +646,22 @@ def read_dyads(path, lines: list | None = None) -> DyadTable:
     the text is plain (no quote, no bare carriage return), the file's
     lines, header first and without their ends, are appended to it for
     :func:`write_dyads_patch`.
+
+    When the parsed copy that :func:`write_dyads` or
+    :func:`write_dyads_patch` wrote beside the file holds the SHA-256 of
+    the bytes read, the table is loaded from it instead of parsed: the
+    same ids, columns, dtypes and float bits.
     """
+    data = _read_bytes(path)
+    copy = _load_copy(path, data, "dyads", _dyads_copy_shape)
+    if copy is not None:
+        head, ids, values = copy
+        if lines is not None:
+            lines.extend(_plain_lines(data.decode("utf-8")) or ())
+        return DyadTable(ids, dict(zip(head["columns"], values)))
     problems: list = []
-    header, columns = _read_columns(path, problems, exact=True, keep=lines)
+    header, columns = _read_columns(path, problems, exact=True, keep=lines,
+                                    text=_decode(path, data))
     if header is None:
         raise SchemaError("dyads file is empty; a header row is required")
     for col in ("id", "y_star", "delta_star", "x_star"):
@@ -495,6 +717,15 @@ def read_dyads(path, lines: list | None = None) -> DyadTable:
     _repeated_key(ids, "id", problems)
     _raise_first(problems)
     return DyadTable(ids, columns)
+
+
+def _dyads_copy_shape(head: dict) -> tuple | None:
+    """The values' shape in a dyads copy: a row per ``records.column_names`` name."""
+    names = head.get("columns")
+    if not _is_strings(names) or names != column_names(
+            sum(c.startswith("z_star_") for c in names), sum(c.startswith("aux_") for c in names)):
+        return None
+    return (len(names), head["rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -722,18 +953,35 @@ def read_ledger(path) -> DesignLedger:
 
 
 def write_influence(path, values: dict[str, float]) -> None:
+    """One row per id, in sorted order, with the parsed copy beside the file.
+
+    The copy holds the stripped ids and the values; there is none unless
+    every value is a float (others print in other forms) and the reader
+    would accept the file: no repeated id and no non-finite value.
+    """
     ids = sorted(values)
-    _write_columns(path, ["id", "influence"], [ids, [_fmt(values[rid]) for rid in ids]])
+    column = [values[rid] for rid in ids]
+    sha = hashlib.sha256()
+    _write_columns(path, ["id", "influence"], [ids, list(map(_fmt, column))], sha)
+    keys = _copy_ids(ids)
+    floats = np.array(column, dtype=np.float64) if set(map(type, column)) <= {float} else None
+    if (keys is None or floats is None or len(set(keys)) < len(keys)
+            or not np.isfinite(floats).all()):
+        _remove_copy(path)
+        return
+    _save_copy(path, "influence", sha.digest(), keys, floats)
 
 
-def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
+def _read_keyed_floats(path, key: str, column: str, text: str | None = None
+                       ) -> dict[str, float]:
     """``{key: value}`` from a two-column CSV with header ``key,column``.
 
     A key that appears on two rows raises SchemaError naming both rows,
-    and so does a non-finite value, naming its row.
+    and so does a non-finite value, naming its row.  ``text``, when
+    given, is the file's text, already read.
     """
     problems: list = []
-    header, (key_cells, value_cells) = _read_columns(path, problems, 2)
+    header, (key_cells, value_cells) = _read_columns(path, problems, 2, text=text)
     if header is None or [c.strip() for c in header[:2]] != [key, column]:
         raise SchemaError(f"{path} must have header '{key},{column}'")
     keys = list(map(str.strip, key_cells))
@@ -745,7 +993,15 @@ def _read_keyed_floats(path, key: str, column: str) -> dict[str, float]:
 
 
 def read_influence(path) -> dict[str, float]:
-    return _read_keyed_floats(path, "id", "influence")
+    """``{id: influence}``; loaded from the parsed copy that
+    :func:`write_influence` wrote when it holds the SHA-256 of the bytes
+    read, else parsed as :func:`_read_keyed_floats` parses it."""
+    data = _read_bytes(path)
+    copy = _load_copy(path, data, "influence", lambda head: (head["rows"],))
+    if copy is not None:
+        _, ids, values = copy
+        return dict(zip(ids, values.tolist()))
+    return _read_keyed_floats(path, "id", "influence", _decode(path, data))
 
 
 def read_gestation(path) -> dict[str, float]:
