@@ -12,7 +12,8 @@ multiframe  Hansen-Hurwitz combination of two sampling frames
 imputation  parametric imputation and multiply-imputed influence
 simulate    synthetic populations and the experiment harness
 fileio      CSV/JSON schemas for every artifact, and the SHA-256-keyed parsed
-            copy (``<name>.parsed``) beside each dyads and influence file
+            copy (``<name>.parsed``) beside each dyads, influence and truth
+            file
 cli         the ``twophase`` command-line entry point
 kernels     the numpy Breslow partial-likelihood pass, and the local-linear
             smoothers under ``smoothing``

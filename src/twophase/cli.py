@@ -14,7 +14,7 @@ influence file onto the table's rows once, hands both to
 one wave rule for every wave, the first included; ``design draw`` calls
 ``allocation.draw_sample`` on the table.  ``simulate reveal`` writes the
 drawn rows' truth into the table's columns and writes back only those
-rows, copying the other lines of the file it read
+rows, spliced into the bytes of the file it read
 (``fileio.write_dyads_patch``).  ``estimate`` fits the
 harness's weighted-estimation core, ``multiframe.weighted_sample`` and
 ``raking.weighted_fit``, on the ledgers' ``records.frame_arrays`` and the
@@ -28,11 +28,12 @@ design many waves: a file is read as bytes and decoded once, a table's
 text is split into lines after one scan (``fileio._plain_lines``), a JSON
 file is written in one piece, and the argument parser is built once per
 process (:func:`dispatch`).  A table is parsed only once: each dyads and
-influence file that a step writes gets a parsed copy beside it,
-``<name>.parsed``, which the later steps load instead of parsing the text
-for as long as the file's SHA-256 matches the one the copy holds.  An
-edited file no longer matches and is parsed and checked as before; a copy
-may be deleted at any time, and a read never writes one.
+influence file that a step writes, and the truth file of ``simulate``, gets
+a parsed copy beside it, ``<name>.parsed``, which the later steps load
+instead of parsing the text for as long as the file's SHA-256 matches the
+one the copy holds.  An edited file no longer matches and is parsed and
+checked as before; a copy may be deleted at any time, and a read never
+writes one.
 """
 
 from __future__ import annotations
@@ -97,6 +98,16 @@ def _configure_logging():
 def _log_config(args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     log.info("resolved configuration: %s", resolved)
+
+
+def _wave(args, default: int | None = None) -> int | None:
+    """``--wave``, or ``default`` when it is not given.  A negative wave
+    raises SchemaError, as the readers of allocation and draw files do."""
+    if args.wave is None:
+        return default
+    if args.wave < 0:
+        raise SchemaError(f"--wave must be a non-negative integer, got {args.wave}")
+    return args.wave
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +179,12 @@ def cmd_simulate_generate(args) -> int:
 def cmd_simulate_reveal(args) -> int:
     """Validate the drawn records that are not validated yet and write the
     table to ``--out`` as a patch of ``--dyads``: only those rows are
-    formatted again, and every other line keeps the text it was read with
+    formatted again, and every other line keeps the bytes it was read with
     (``fileio.write_dyads_patch``)."""
-    lines: list[str] = []
-    table = fileio.read_dyads(args.dyads, lines)
+    kept = fileio.DyadsBytes()
+    table = fileio.read_dyads(args.dyads, kept)
     draw = fileio.read_draw(args.draw)
-    wave = args.wave if args.wave is not None else draw["wave"]
+    wave = _wave(args, draw["wave"])
     drawn = {rid for ids in draw["by_stratum"].values() for rid in ids}
     unknown = drawn.difference(table.ids)
     if unknown:
@@ -200,7 +211,7 @@ def cmd_simulate_reveal(args) -> int:
     bad = rec.first_invalid_row(cols)
     if bad is not None:
         raise SchemaError(f"truth file {args.truth}: record {table.ids[bad[0]]}: {bad[1]}")
-    fileio.write_dyads_patch(args.out, table, lines, rows)
+    fileio.write_dyads_patch(args.out, table, kept, rows)
     log.info("validated %d newly drawn records (%d reused from overlap)",
              rows.size, len(overlap & drawn))
     return 0
@@ -279,6 +290,7 @@ def cmd_design_init(args) -> int:
 
 
 def cmd_design_allocate(args) -> int:
+    wave = _wave(args)
     ledger = fileio.read_ledger(args.ledger)
     table = fileio.read_dyads(args.dyads)
     values = fileio.read_influence(args.influence)
@@ -289,7 +301,7 @@ def cmd_design_allocate(args) -> int:
         pre_closed={s.id for s in ledger.leaves() if s.closed})
     flags = {"spilled": sorted(result.spilled),
              "sd_sources": {s.id: s.sd_source for s in stats if s.sd_source != "stratum"}}
-    fileio.write_allocation(args.out, result.draws, wave=args.wave, frame=ledger.frame,
+    fileio.write_allocation(args.out, result.draws, wave=wave, frame=ledger.frame,
                             closed=result.closed, flags=flags)
     return 0
 
@@ -319,7 +331,7 @@ def cmd_design_draw(args) -> int:
     ledger = fileio.read_ledger(args.ledger)
     table = fileio.read_dyads(args.dyads)
     alloc = fileio.read_allocation(args.allocation)
-    wave = args.wave if args.wave is not None else ledger.wave_count + 1
+    wave = _wave(args, ledger.wave_count + 1)
     if alloc["frame"] != ledger.frame:
         raise LedgerError(f"allocation {args.allocation} is for frame {alloc['frame']!r}, "
                           f"not the ledger's frame {ledger.frame!r}")
@@ -462,21 +474,24 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twophase",
-        epilog="Each dyads file that simulate or reveal writes, and each influence file "
-               "that estimate writes, gets a parsed copy beside it, <name>.parsed: the "
-               "table as a later step reads it, keyed by the SHA-256 of the file's "
-               "bytes. A step loads the copy while the file is unchanged and parses "
-               "the text otherwise, so an edited file is read as edited. A copy may be "
-               "deleted at any time; reading a file never writes one.")
+        epilog="Each dyads file that simulate or reveal writes, the truth file that "
+               "simulate writes, and each influence file that estimate writes, gets a "
+               "parsed copy beside it, <name>.parsed: the table as a later step reads "
+               "it, keyed by the SHA-256 of the file's bytes. A step loads the copy "
+               "while the file is unchanged and parses the text otherwise, so an edited "
+               "file is read as edited. A copy may be deleted at any time; reading a "
+               "file never writes one.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser(
         "simulate", help="synthetic data and experiments",
         description="generate writes a synthetic population; reveal validates the "
                     "drawn records from the truth file; experiment runs the Monte "
-                    "Carlo harness. reveal writes --out as a patch of --dyads: the "
-                    "header and every row it does not newly validate are copied as "
-                    "they were read, so a hand-edited row keeps its text (1.50 stays "
+                    "Carlo harness. generate writes dyads.csv and truth.csv, each "
+                    "with its parsed copy, which reveal loads while the file is "
+                    "unchanged. reveal writes --out as a patch of --dyads: the "
+                    "header and every row it does not newly validate are copied byte "
+                    "for byte, so a hand-edited row keeps its text (1.50 stays "
                     "1.50), and only the newly validated rows are formatted again. "
                     "Every line ends in CRLF. A file that simulate or reveal wrote "
                     "comes out as a full rewrite would write it. Text holding a quote "

@@ -17,21 +17,22 @@ the same cells.  Numeric columns are then converted with one ``float``
 per cell (:func:`_float_column`).  Every table is written column-wise
 by :func:`_write_columns`, whose bytes are those ``csv.writer`` writes
 row by row; the one exception is ``simulate reveal``, which formats only
-the rows it validates and copies the other lines of the file it read
+the rows it validates and splices them into the bytes of the file it read
 (:func:`write_dyads_patch`).
 
-The tables a CLI step writes for a later step to read (``dyads.csv`` and
-the influence file) also get a parsed copy, ``<name>.parsed``, written
-beside them by the same writer.  It holds what the reader returns for the
-bytes just written, keyed by their SHA-256, and is built from the table in
-memory by the writer's own formatting rules: nothing is parsed or read
-back to write it.  A writer leaves no copy for a table its reader would
-reject.  The reader hashes the bytes it reads and loads the copy when the
-digests match; a missing, stale, unreadable or other-version copy falls
-back to parsing those same bytes, silently, as does any copy that a write
-could not finish.  A read never writes a file, and the copy may be deleted
-at any time.  One DEBUG line on the ``twophase.fileio`` logger per such
-read says which way the table was read, and why the text was parsed.
+The tables a CLI step writes for a later step to read (``dyads.csv``,
+``truth.csv`` and the influence file) also get a parsed copy,
+``<name>.parsed``, written beside them by the same writer.  It holds what
+the reader returns for the bytes just written, keyed by their SHA-256,
+and is built from the table in memory by the writer's own formatting
+rules: nothing is parsed or read back to write it.  A writer leaves no
+copy for a table its reader would reject.  The reader hashes the bytes it
+reads and loads the copy when the digests match; a missing, stale,
+unreadable or other-version copy falls back to parsing those same bytes,
+silently, as does any copy that a write could not finish.  A read never
+writes a file, and the copy may be deleted at any time.  One DEBUG line on
+the ``twophase.fileio`` logger per such read says which way the table was
+read, and why the text was parsed.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def _write_json(path, payload) -> None:
 
 
 def _read_columns(path, problems: list, width: int | None = None, exact: bool = False,
-                  keep: list | None = None, select=None, text: str | None = None,
+                  select=None, text: str | None = None,
                   ) -> tuple[list[str] | None, list[Sequence[str]]]:
     """The header (None for an empty file) and the first ``width`` columns
     (default: one per header name) of a CSV file, as ``csv.reader`` reads it.
@@ -198,9 +199,8 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
     name that the header repeats raises SchemaError.  Text that
     :func:`_plain_lines` can split is read without ``csv.reader``: each
     line's commas are counted, and the columns are strided slices of one
-    split of the joined lines kept.  That text's lines, header first, are
-    appended to ``keep`` when it is given; other text leaves ``keep`` as
-    it is.  ``text``, when given, is the file's text, already read.
+    split of the joined lines kept.  ``text``, when given, is the file's
+    text, already read.
     """
     if text is None:
         text = _read_text(path)
@@ -216,8 +216,6 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
         width = len(header or ()) if width is None else width
         return header, _cells_by_column(rows[1:], width, problems, exact, select)
     del text
-    if keep is not None:
-        keep.extend(lines)
     if not lines:
         return None, [[] for _ in range(width or 0)]
     header = lines[0].split(",") if lines[0] else []
@@ -277,6 +275,40 @@ def _plain_lines(text: str) -> list[str] | None:
     if len(text) >= limit and max(map(len, lines)) >= limit:
         return None
     return lines
+
+
+def _plain_rows(data: bytes) -> tuple[bytes, np.ndarray] | None:
+    """:func:`_plain_lines` on UTF-8 text, as bytes: ``(crlf, starts)``
+    when that function splits the text, else None.
+
+    ``crlf`` is ``data`` with every line ended in CRLF, the last one
+    included, and ``starts`` the offset in it of each line, then its
+    length, so line ``k`` is ``crlf[starts[k]:starts[k + 1] - 2]``.  The
+    rule is checked on the bytes, with numpy scans for line ends: a
+    quote, a carriage return or a line feed is never part of another
+    character in UTF-8.  Only a line of as many bytes as the csv field
+    limit is decoded, to count its characters.
+    """
+    if b'"' in data:
+        return None
+    codes = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(codes == 10)
+    crlf = np.count_nonzero((ends > 0) & (codes[ends - 1] == 13))
+    if np.count_nonzero(codes == 13) != crlf:
+        return None  # a carriage return outside a CRLF
+    if crlf != ends.size or not data.endswith(b"\n"):
+        # LF line ends, alone or mixed with CRLF ones, or none after the last line
+        data = data.replace(b"\r\n", b"\n").replace(b"\n", b"\r\n")
+        if data and not data.endswith(b"\n"):
+            data += b"\r\n"
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+    starts = np.concatenate(([0], ends + 1))
+    limit = csv.field_size_limit()
+    if len(data) >= limit:
+        for k in np.flatnonzero(np.diff(starts) - 2 >= limit).tolist():
+            if len(data[starts[k]:starts[k + 1] - 2].decode("utf-8")) >= limit:
+                return None
+    return data, starts
 
 
 def _check_header(path, header: list[str] | None) -> None:
@@ -562,27 +594,44 @@ def write_dyads(path, table: DyadTable) -> None:
     _write_dyads_copy(path, sha.digest(), table, slice(None))
 
 
-def write_dyads_patch(path, table: DyadTable, lines: Sequence[str], rows) -> None:
-    """Write ``table``, read by :func:`read_dyads` from ``lines``, in which
+class DyadsBytes:
+    """The text of a dyads file that :func:`read_dyads` read, kept for
+    :func:`write_dyads_patch`: ``data``, the file's bytes with every line
+    ended in CRLF, and ``starts``, the offset of each line in it (header
+    first), then its length.  Both stay None when the text is not plain
+    (:func:`_plain_rows`)."""
+
+    __slots__ = ("data", "starts")
+
+    def __init__(self):
+        self.data: bytes | None = None
+        self.starts: np.ndarray | None = None
+
+
+def write_dyads_patch(path, table: DyadTable, source: DyadsBytes, rows) -> None:
+    """Write ``table``, read by :func:`read_dyads` into ``source``, in which
     only the rows ``rows`` have changed since.
 
-    The header and every other row are copied as the lines that were
-    read.  The rows in ``rows`` get the cell text :func:`write_dyads`
-    gives them, and every line ends in ``\\r\\n``.  So a file that
-    :func:`write_dyads` wrote gets the bytes it would write for the
-    table, while a hand-edited row outside ``rows`` keeps its text (say
-    ``1.50`` or `` d7``).  Where no exact copy is possible, the whole
-    table goes through :func:`write_dyads`: when the text was not plain
-    (``lines`` is empty) or the header is not ``id`` followed by the
-    table's columns in order.  Either way the parsed copy is written
-    beside the file; the other rows read back as the values that
-    ``table`` holds, which were read from their lines.
+    The header and every other row are copied byte for byte from
+    ``source``; the rows in ``rows`` get the cell text :func:`write_dyads`
+    gives them, spliced in, and every line ends in ``\\r\\n``.  The result
+    is hashed and written in one piece.  So a file that :func:`write_dyads`
+    wrote gets the bytes it would write for the table, while a hand-edited
+    row outside ``rows`` keeps its text (say ``1.50`` or `` d7``).  Where
+    no exact copy is possible, the whole table goes through
+    :func:`write_dyads`: when the text was not plain (``source`` is empty),
+    does not hold a line per row of ``table``, or the header is not ``id``
+    followed by the table's columns in order.  Either way the parsed copy
+    is written beside the file; the other rows read back as the values
+    that ``table`` holds, which were read from their text.
     """
-    header = ["id", *table.columns]
-    if not lines or lines[0] != ",".join(header):
+    data, starts = source.data, source.starts
+    header = ",".join(["id", *table.columns]).encode("utf-8") + b"\r\n"
+    if (starts is None or starts.size != len(table) + 2
+            or data[:starts[1]] != header):
         write_dyads(path, table)
         return
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.unique(np.asarray(rows, dtype=np.intp))
     validated = table.columns["validated"][rows].tolist()
     columns = [[table.ids[i] for i in rows.tolist()]]
     for name, values in table.columns.items():
@@ -590,10 +639,13 @@ def write_dyads_patch(path, table: DyadTable, lines: Sequence[str], rows) -> Non
         if is_phase2(name):
             cells = [c if v else "" for c, v in zip(cells, validated)]
         columns.append(cells)
-    out = list(lines)
-    for i, cells in zip(rows.tolist(), zip(*columns)):
-        out[i + 1] = _csv_text([cells])[:-2]
-    data = ("\r\n".join(out) + "\r\n").encode("utf-8")
+    view, pieces, at = memoryview(data), [], 0
+    for start, stop, cells in zip(starts[rows + 1].tolist(), starts[rows + 2].tolist(),
+                                  zip(*columns)):
+        pieces += (view[at:start], _csv_text([cells]).encode("utf-8"))
+        at = stop
+    pieces.append(view[at:])
+    data = b"".join(pieces)
     with open(path, "wb") as fh:
         fh.write(data)
     _write_dyads_copy(path, hashlib.sha256(data).digest(), table, rows)
@@ -635,17 +687,17 @@ def _write_dyads_copy(path, digest: bytes, table: DyadTable, rows) -> None:
     _save_copy(path, "dyads", digest, ids, values, columns=names)
 
 
-def read_dyads(path, lines: list | None = None) -> DyadTable:
+def read_dyads(path, source: DyadsBytes | None = None) -> DyadTable:
     """``dyads.csv`` as a :class:`DyadTable`.
 
     Phase-2 cells are read on validated rows only.  Raises SchemaError
     for a missing column, a row with the wrong cell count, a flag cell
     (``validated``, ``in_asthma_frame``) other than 0 or 1, a non-numeric
     or empty cell, a row breaking :func:`records.first_invalid_row`, a
-    repeated id or a repeated column name.  When ``lines`` is given and
-    the text is plain (no quote, no bare carriage return), the file's
-    lines, header first and without their ends, are appended to it for
-    :func:`write_dyads_patch`.
+    repeated id or a repeated column name.  When ``source`` is given and
+    the text is plain (no quote, no bare carriage return), it gets the
+    file's bytes and line offsets (:func:`_plain_rows`) for
+    :func:`write_dyads_patch`; other text leaves it empty.
 
     When the parsed copy that :func:`write_dyads` or
     :func:`write_dyads_patch` wrote beside the file holds the SHA-256 of
@@ -654,14 +706,17 @@ def read_dyads(path, lines: list | None = None) -> DyadTable:
     """
     data = _read_bytes(path)
     copy = _load_copy(path, data, "dyads", _dyads_copy_shape)
-    if copy is not None:
-        head, ids, values = copy
-        if lines is not None:
-            lines.extend(_plain_lines(data.decode("utf-8")) or ())
-        return DyadTable(ids, dict(zip(head["columns"], values)))
+    table = (_parse_dyads(path, data) if copy is None
+             else DyadTable(copy[1], dict(zip(copy[0]["columns"], copy[2]))))
+    if source is not None:
+        source.data, source.starts = _plain_rows(data) or (None, None)
+    return table
+
+
+def _parse_dyads(path, data: bytes) -> DyadTable:
+    """:func:`read_dyads` of the bytes ``data`` by parsing their text."""
     problems: list = []
-    header, columns = _read_columns(path, problems, exact=True, keep=lines,
-                                    text=_decode(path, data))
+    header, columns = _read_columns(path, problems, exact=True, text=_decode(path, data))
     if header is None:
         raise SchemaError("dyads file is empty; a header row is required")
     for col in ("id", "y_star", "delta_star", "x_star"):
@@ -961,15 +1016,24 @@ def write_influence(path, values: dict[str, float]) -> None:
     """
     ids = sorted(values)
     column = [values[rid] for rid in ids]
+    floats = _all_floats(column)
     sha = hashlib.sha256()
-    _write_columns(path, ["id", "influence"], [ids, list(map(_fmt, column))], sha)
+    cells = column if floats else list(map(_fmt, column))
+    _write_columns(path, ["id", "influence"], [ids, cells], sha)
     keys = _copy_ids(ids)
-    floats = np.array(column, dtype=np.float64) if set(map(type, column)) <= {float} else None
-    if (keys is None or floats is None or len(set(keys)) < len(keys)
-            or not np.isfinite(floats).all()):
+    column = np.array(column, dtype=np.float64) if floats else None
+    if (keys is None or column is None or len(set(keys)) < len(keys)
+            or not np.isfinite(column).all()):
         _remove_copy(path)
         return
-    _save_copy(path, "influence", sha.digest(), keys, floats)
+    _save_copy(path, "influence", sha.digest(), keys, column)
+
+
+def _all_floats(column: list) -> bool:
+    """Whether every value is a ``float``, which :func:`_write_columns`
+    prints as its ``repr``, the text :func:`_fmt` gives it, without the
+    cost of a call of ``_fmt`` per value."""
+    return set(map(type, column)) <= {float}
 
 
 def _read_keyed_floats(path, key: str, column: str, text: str | None = None
@@ -1055,8 +1119,10 @@ def read_draw(path) -> dict:
 def write_combined_weights(path, ids: Sequence[str], frames: Sequence[str],
                            weights: Sequence[float]) -> None:
     """One row per combined-frame draw; the record id is its variance cluster."""
+    weights = weights.tolist() if isinstance(weights, np.ndarray) else list(weights)
     _write_columns(path, ["id", "frame", "weight", "cluster"],
-                   [ids, frames, list(map(_fmt, weights)), ids])
+                   [ids, frames, weights if _all_floats(weights) else list(map(_fmt, weights)),
+                    ids])
 
 
 def write_estimates(path, rows, terms: Sequence[str]) -> None:
@@ -1104,14 +1170,34 @@ def population_to_records(pop) -> DyadTable:
     return table
 
 
+_TRUTH_COLUMNS = ["y", "delta", "x", "gestation_days", "asthma"]
+
+
 def write_truth(path, pop) -> None:
-    """Validation source for simulated populations (one row per record)."""
-    n_z = pop.z.shape[1]
-    columns = [pop.y.tolist(), pop.delta.astype(np.int64).tolist(), pop.x.tolist(),
-               pop.gestation.tolist(), pop.asthma.astype(np.int64).tolist(),
-               *(pop.z[:, j].tolist() for j in range(n_z))]
-    _write_columns(path, ["id", "y", "delta", "x", "gestation_days", "asthma"]
-                   + [f"z_{j}" for j in range(n_z)], [pop.ids(), *columns])
+    """Validation source for simulated populations (one row per record),
+    with the parsed copy beside the file.
+
+    ``delta`` and ``asthma`` print truncated, as integers.  The copy holds
+    the stripped ids and each column as the reader parses its text; there
+    is none unless every column is float64 with a row per id (others
+    print in other forms) and the reader would accept the file: ids it can
+    read back (:func:`_copy_ids`) and no repeated id.
+    """
+    ids, n_z = pop.ids(), pop.z.shape[1]
+    names = [*_TRUTH_COLUMNS, *(f"z_{j}" for j in range(n_z))]
+    arrays = [pop.y, pop.delta.astype(np.int64), pop.x, pop.gestation,
+              pop.asthma.astype(np.int64), *(pop.z[:, j] for j in range(n_z))]
+    sha = hashlib.sha256()
+    _write_columns(path, ["id", *names], [ids, *(a.tolist() for a in arrays)], sha)
+    keys = _copy_ids(ids)
+    if (keys is None or len(set(keys)) < len(keys)
+            or any(a.shape != (len(keys),) for a in arrays)
+            or any(a.dtype != np.float64 for a in (pop.y, pop.x, pop.gestation, pop.z))):
+        _remove_copy(path)
+        return
+    values = np.array(arrays, dtype=np.float64)
+    values[np.isnan(values)] = np.nan  # every nan prints as "nan", read as this one
+    _save_copy(path, "truth", sha.digest(), keys, values, columns=names)
 
 
 def read_truth(path, ids: Iterable[str] | None = None
@@ -1126,9 +1212,20 @@ def read_truth(path, ids: Iterable[str] | None = None
     row's cell count, but only the kept rows are split into cells and
     their numbers parsed: a non-numeric cell on a kept row raises
     SchemaError naming its file row, and one on another row goes unseen.
+
+    When the parsed copy that :func:`write_truth` wrote beside the file
+    holds the SHA-256 of the bytes read, the kept rows are taken from it
+    instead: the same ids, columns and float bits.
     """
-    problems: list = []
     wanted = None if ids is None else set(ids)
+    data = _read_bytes(path)
+    copy = _load_copy(path, data, "truth", _truth_copy_shape)
+    if copy is not None:
+        head, read, values = copy
+        rows = np.array([i for i, rid in enumerate(read) if wanted is None or rid in wanted],
+                        dtype=np.intp)
+        return [read[i] for i in rows.tolist()], dict(zip(head["columns"], values[:, rows]))
+    problems: list = []
     kept = {"ids": [], "rows": []}
 
     def select(first):
@@ -1138,11 +1235,10 @@ def read_truth(path, ids: Iterable[str] | None = None
         kept.update(ids=[read[i] for i in rows], rows=rows)
         return rows
 
-    header, columns = _read_columns(path, problems, select=select)
+    header, columns = _read_columns(path, problems, select=select, text=_decode(path, data))
     if header is None or header[:1] != ["id"]:
         raise SchemaError("truth file must have an 'id' leading column")
-    names = ["y", "delta", "x", "gestation_days", "asthma",
-             *(c for c in header if c.startswith("z_"))]
+    names = [*_TRUTH_COLUMNS, *(c for c in header if c.startswith("z_"))]
     for name in names:
         if name not in header:
             raise SchemaError(f"truth file missing column {name!r}")
@@ -1151,6 +1247,17 @@ def read_truth(path, ids: Iterable[str] | None = None
                for name in names}
     _raise_first(problems)
     return kept["ids"], columns
+
+
+def _truth_copy_shape(head: dict) -> tuple | None:
+    """The values' shape in a truth copy: a row per column that
+    :func:`read_truth` returns, the ``z_`` ones after the others."""
+    names = head.get("columns")
+    if (not _is_strings(names) or names[:len(_TRUTH_COLUMNS)] != _TRUTH_COLUMNS
+            or not all(c.startswith("z_") for c in names[len(_TRUTH_COLUMNS):])
+            or len(set(names)) < len(names)):
+        return None
+    return (len(names), head["rows"])
 
 
 def write_report(path_csv, path_txt, report) -> None:

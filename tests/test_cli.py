@@ -584,6 +584,32 @@ def test_reveal_of_an_id_not_in_the_dyads_gives_parse_exit(chain_dir, tmp_path, 
     assert not out.exists()
 
 
+# A negative wave, which the readers of allocation and draw files reject.
+NEGATIVE_WAVE = {
+    "allocate": lambda d: ["design", "allocate", "--ledger", d / "ledger_O0.json",
+                           "--dyads", d / "dyads.csv", "--influence", d / "h.csv",
+                           "--target", 50, "--wave", -1],
+    "draw": lambda d: ["design", "draw", "--ledger", d / "ledger_O0.json",
+                       "--dyads", d / "dyads.csv", "--allocation", d / "alloc_O1.json",
+                       "--seed", 41, "--wave", -1],
+    "reveal": lambda d: ["simulate", "reveal", "--dyads", d / "dyads.csv",
+                         "--truth", d / "truth.csv", "--draw", d / "draw_O1.json",
+                         "--wave", -2],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_WAVE))
+def test_a_negative_wave_gives_parse_exit(chain_dir, tmp_path, capsys, command):
+    # allocate exited 0 with a file that read_allocation rejects, and reveal
+    # wrote wave_sampled -2 on the rows it validated.
+    out = tmp_path / "out"
+    assert run(NEGATIVE_WAVE[command](chain_dir) + ["--out", out]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (f"error: parse: --wave must be a non-negative integer, "
+                       f"got {-2 if command == 'reveal' else -1}")
+    assert not out.exists()
+
+
 def test_ledger_counts_draws_from_the_drawn_ids(chain_dir, tmp_path):
     # A stale per-wave count in an older ledger no longer moves the estimate.
     d = chain_dir

@@ -193,6 +193,44 @@ def test_plain_lines_match_the_four_count_rule_on_line_ends(text):
     assert fileio._plain_lines(text) == four_count_lines(text)
 
 
+def plain_rows_lines(text):
+    """The lines that ``fileio._plain_rows`` marks in the text's UTF-8 bytes,
+    or None; the bytes it keeps must be those lines, each ended in CRLF."""
+    rows = fileio._plain_rows(text.encode("utf-8"))
+    if rows is None:
+        return None
+    data, starts = rows
+    starts = starts.tolist()
+    lines = [data[a:b - 2].decode("utf-8") for a, b in zip(starts, starts[1:])]
+    assert data == "".join(line + "\r\n" for line in lines).encode("utf-8")
+    return lines
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=LINE_TEXT | csv_texts())
+def test_the_plain_rule_on_bytes_agrees_with_plain_lines(text):
+    assert plain_rows_lines(text) == fileio._plain_lines(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\r", "\n", "\r\n", "\n\r", "\r\r\n", "a\r\nb\nc", "a\nb\r\n", "a\rb\r\n",
+    "a\r\nb\r\n\r\n", "a,b\r\n1,2", "\u2028\r\n\x85\n", 'a,"b"\r\n', "é,中\n1,2",
+])
+def test_the_plain_rule_on_bytes_agrees_with_plain_lines_on_line_ends(text):
+    assert plain_rows_lines(text) == fileio._plain_lines(text)
+
+
+@pytest.mark.parametrize("line", ["x", "é", "\u2028"])
+@pytest.mark.parametrize("short", [0, 1])
+def test_the_plain_rule_on_bytes_counts_a_long_line_in_characters(line, short):
+    """A line of ``limit`` characters is not plain, whatever its bytes; one
+    of fewer characters is plain, also when it has more bytes than that."""
+    limit = csv.field_size_limit()
+    text = "id,h\r\n" + line * (limit - short) + "\r\nr,1\r\n"
+    assert plain_rows_lines(text) == fileio._plain_lines(text)
+    assert (fileio._plain_lines(text) is None) == (short == 0)
+
+
 @pytest.mark.parametrize("text", [
     "", "\n", "\r\n", "a,b", "a,b\n", "a,b\r\n\r\n", "a,b\n1,2\n\n3,4\n", "a,b\n  \n",
     "a,b\n1,2,3\n4\n", "a,b\r\n1,2\n3,4\r\n", "a,b\n1\x852,3\n", "a,b\n1\r2,3\n",
@@ -308,6 +346,12 @@ def _writer_cases():
          [["id", "frame", "weight", "cluster"],
           *([rid, f, _fmt(w), rid] for rid, f, w in zip(IDS, ["O", "A", "O", "A,B", "O"],
                                                         VALUES))]),
+        # Weights that are not all floats print as _fmt prints each one.
+        ("combined_weights_mixed", lambda p: fileio.write_combined_weights(
+            p, IDS, ["O"] * 5, [2, True, np.float32(0.1), np.bool_(False), np.int64(-3)]),
+         [["id", "frame", "weight", "cluster"],
+          *([rid, "O", _fmt(w), rid] for rid, w in zip(
+              IDS, [2, True, np.float32(0.1), np.bool_(False), np.int64(-3)]))]),
         ("truth", lambda p: fileio.write_truth(p, pop),
          [["id", "y", "delta", "x", "gestation_days", "asthma", "z_0", "z_1"],
           *zip(IDS, pop.y.tolist(), pop.delta.tolist(), pop.x.tolist(),

@@ -8,6 +8,7 @@ copy; and a read never writes a file.  The reference for every table is
 the parse of the same bytes in a directory of their own, without a copy.
 """
 
+import csv
 import io
 import json
 import logging
@@ -16,6 +17,7 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,8 +63,17 @@ def copy_of(path):
 
 def loads_copy(path, kind="dyads"):
     """Whether the reader of ``path`` would load its copy rather than parse."""
-    shape = fileio._dyads_copy_shape if kind == "dyads" else (lambda head: (head["rows"],))
+    shape = {"dyads": fileio._dyads_copy_shape, "truth": fileio._truth_copy_shape,
+             "influence": lambda head: (head["rows"],)}[kind]
     return fileio._load_copy(path, path.read_bytes(), kind, shape) is not None
+
+
+def lines_of(kept):
+    """The lines, without their ends, that ``read_dyads`` kept for a patch."""
+    if kept.starts is None:
+        return []
+    starts = kept.starts.tolist()
+    return [kept.data[a:b - 2].decode("utf-8") for a, b in zip(starts, starts[1:])]
 
 
 def assert_same_table(got, want):
@@ -136,15 +147,15 @@ def test_the_copy_loads_as_the_parse_of_the_same_bytes(scratch, table, layout, s
         fileio.write_dyads(source, table)
         if layout == "patch lf":
             source.write_bytes(source.read_bytes().replace(b"\r\n", b"\n"))
-        lines = []
-        read = fileio.read_dyads(source, lines)
-        assert lines == (fileio._plain_lines(source.read_bytes().decode("utf-8"))
-                         or [])
+        kept = fileio.DyadsBytes()
+        read = fileio.read_dyads(source, kept)
+        assert lines_of(kept) == (fileio._plain_lines(source.read_bytes().decode("utf-8"))
+                                  or [])
         rng = np.random.default_rng(seed)
         waiting = np.flatnonzero(~read.columns["validated"])
         rows = np.sort(rng.choice(waiting, rng.integers(0, waiting.size + 1), replace=False))
         reveal_rows(read, rows, rng)
-        fileio.write_dyads_patch(path, read, lines, rows)
+        fileio.write_dyads_patch(path, read, kept, rows)
     kind, want = read_outcome(parse, path)
     assert kind == "value"  # every table drawn passes the reader's checks
     assert copy_of(path).exists() and loads_copy(path)
@@ -361,7 +372,7 @@ def test_rows_a_patch_keeps_are_copied_as_their_text_reads(tmp_path):
     cells[header.index("x_star")] = "1.50"
     lines[2] = ",".join(cells)
     source.write_bytes("\n".join(lines).encode())
-    kept = []
+    kept = fileio.DyadsBytes()
     table = fileio.read_dyads(source, kept)
     rows = np.array([0])
     reveal_rows(table, rows, np.random.default_rng(1))
@@ -408,7 +419,7 @@ def test_a_read_creates_no_file(tmp_path):
     before = snapshot(tmp_path)
     for p in (path, stale, plain):
         fileio.read_dyads(p)
-        fileio.read_dyads(p, [])
+        fileio.read_dyads(p, fileio.DyadsBytes())
     fileio.read_influence(h)
     assert snapshot(tmp_path) == before
 
@@ -469,13 +480,16 @@ def test_every_table_of_a_cli_chain_loads_as_parsed(tmp_path):
                      "phase1", "--out", str(tmp_path / "est.csv"), "--emit-influence",
                      str(tmp_path / "h.csv")]) == 0
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".parsed") == [
-        "dyads.csv.parsed", "dyads_1.csv.parsed", "h.csv.parsed"]
+        "dyads.csv.parsed", "dyads_1.csv.parsed", "h.csv.parsed", "truth.csv.parsed"]
     for name in ("dyads.csv", "dyads_1.csv"):
         assert loads_copy(tmp_path / name)
         assert_same_table(fileio.read_dyads(tmp_path / name), parse(tmp_path / name))
     assert loads_copy(tmp_path / "h.csv", "influence")
     assert fileio.read_influence(tmp_path / "h.csv") == parse(tmp_path / "h.csv",
                                                                fileio.read_influence)
+    assert loads_copy(tmp_path / "truth.csv", "truth")
+    assert_same_truth(fileio.read_truth(tmp_path / "truth.csv", ids[::3]),
+                      parse(tmp_path / "truth.csv", lambda p: fileio.read_truth(p, ids[::3])))
 
 
 def test_the_copy_holds_every_column_name_in_table_order(tmp_path):
@@ -485,3 +499,167 @@ def test_the_copy_holds_every_column_name_in_table_order(tmp_path):
     assert head["columns"] == column_names(3, 0)
     assert [c for c in head["columns"] if c in FLAGS or is_phase2(c)] == [
         *FLAGS, "wave_sampled", "y", "delta", "x", "z_0", "z_1", "z_2"]
+
+
+# ---------------------------------------------------------------------------
+# truth.csv
+
+
+def assert_same_truth(got, want):
+    (got_ids, got_columns), (want_ids, want_columns) = got, want
+    assert got_ids == want_ids
+    assert [type(rid) for rid in got_ids] == [str] * len(want_ids)
+    assert list(got_columns) == list(want_columns)
+    for name, values in want_columns.items():
+        assert got_columns[name].dtype == values.dtype, name
+        assert got_columns[name].tobytes() == values.tobytes(), name
+
+
+# Truth values need not be finite: the reader parses nan and inf as written.
+TRUTH_FLOATS = st.one_of(FLOATS, st.sampled_from([float("nan"), -float("nan"),
+                                                  float("inf"), -float("inf")]))
+
+
+def fake_population(ids, y, delta, x, gestation, asthma, z):
+    return SimpleNamespace(ids=lambda: list(ids), y=y, delta=delta, x=x,
+                           gestation=gestation, asthma=asthma, z=z)
+
+
+@st.composite
+def populations(draw):
+    """What ``write_truth`` reads of a population: 0-8 records, 0-3 z
+    columns, and 0/1 codes as floats, or as other values that print
+    truncated."""
+    n, n_z = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+
+    codes = st.sampled_from([0.0, 1.0, 0.5, 2.0, -1.0])
+    z = np.array([column(TRUTH_FLOATS) for _ in range(n_z)]).reshape(n_z, n).T
+    ids = draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique_by=str.strip))
+    return fake_population(ids, column(TRUTH_FLOATS), column(codes), column(TRUTH_FLOATS),
+                           column(TRUTH_FLOATS), column(codes), z)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pop=populations(), data=st.data())
+def test_the_truth_copy_loads_as_the_parse(scratch, pop, data):
+    path = scratch / "truth.csv"
+    fileio.write_truth(path, pop)
+    assert loads_copy(path, "truth")
+    ids = [rid.strip() for rid in pop.ids()]
+    # Requested ids: none given, or some in any order, repeated, or absent.
+    wanted = data.draw(st.none() | st.lists(st.sampled_from(ids + ["absent"]), max_size=12))
+
+    def read(p):
+        return fileio.read_truth(p, None if wanted is None else iter(wanted))
+
+    assert_same_truth(read(path), parse(path, read))
+
+
+def sample_population(n=6):
+    rng = np.random.default_rng(3)
+    return fake_population([f" d{i}" for i in range(n)], rng.lognormal(size=n),
+                           rng.integers(0, 2, n).astype(float), rng.normal(size=n),
+                           rng.uniform(250, 290, n), rng.integers(0, 2, n).astype(float),
+                           rng.normal(size=(n, 2)))
+
+
+@pytest.mark.parametrize("how", ["stale", "missing", "garbage", "truncated",
+                                 "other version", "wrong columns"])
+def test_a_broken_truth_copy_falls_back_to_the_parse(tmp_path, caplog, how):
+    path = tmp_path / "truth.csv"
+    fileio.write_truth(path, sample_population())
+    copy = copy_of(path)
+    if how == "stale":
+        path.write_bytes(path.read_bytes().replace(b"d3", b"d9"))
+    elif how == "missing":
+        copy.unlink()
+    elif how == "garbage":
+        copy.write_bytes(bytes(range(256)))
+    elif how == "truncated":
+        copy.write_bytes(copy.read_bytes()[:-9])
+    elif how == "other version":
+        data = copy.read_bytes()
+        copy.write_bytes(data.replace(b"copy 1\n", b"copy 7\n", 1))
+    else:
+        first, head, body = copy.read_bytes().split(b"\n", 2)
+        meta = json.loads(head)
+        meta["columns"] = meta["columns"][::-1]
+        copy.write_bytes(first + b"\n" + json.dumps(meta).encode() + b"\n" + body)
+    before = snapshot(tmp_path)
+    with caplog.at_level(logging.DEBUG, logger="twophase.fileio"):
+        got = fileio.read_truth(path, ["d1", "d9", "d4"])
+    assert snapshot(tmp_path) == before  # the read wrote no copy
+    assert_same_truth(got, parse(path, lambda p: fileio.read_truth(p, ["d1", "d9", "d4"])))
+    [message] = [r.getMessage() for r in caplog.records]
+    reason = {"stale": "stale parsed copy", "missing": "no parsed copy",
+              "other version": "parsed copy of another version (7)"}
+    assert message.startswith(f"{path}: parsed the text: "
+                              + reason.get(how, "unreadable parsed copy ("))
+
+
+@pytest.mark.parametrize("how", ["repeated id", "id too long"])
+def test_a_truth_table_the_reader_rejects_gets_no_copy(tmp_path, how):
+    path = tmp_path / "truth.csv"
+    fileio.write_truth(path, sample_population())
+    assert copy_of(path).exists()
+    pop = sample_population()
+    ids = pop.ids()
+    ids[4] = " d1 " if how == "repeated id" else "d" * (csv.field_size_limit() + 1)
+    fileio.write_truth(path, fake_population(ids, pop.y, pop.delta, pop.x, pop.gestation,
+                                             pop.asthma, pop.z))
+    assert not copy_of(path).exists()
+    with pytest.raises(SchemaError) as parsed:
+        parse(path, fileio.read_truth)
+    with pytest.raises(SchemaError) as read:
+        fileio.read_truth(path, ["d1"])
+    # The message may name the file, which the parse read in another directory.
+    assert str(read.value).split(path.name)[-1] == str(parsed.value).split(path.name)[-1]
+
+
+def test_a_truth_row_with_a_wrong_cell_count_is_parsed_and_rejected(tmp_path):
+    """The writer cannot print a wrong cell count; an edited file has one,
+    and its copy is stale."""
+    path = tmp_path / "truth.csv"
+    fileio.write_truth(path, sample_population())
+    lines = path.read_bytes().split(b"\r\n")
+    lines[3] = lines[3].rpartition(b",")[0]
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(SchemaError, match=r"row 4: expected 8 cells, found 7") as read:
+        fileio.read_truth(path, ["d0"])
+    with pytest.raises(SchemaError) as parsed:
+        parse(path, lambda p: fileio.read_truth(p, ["d0"]))
+    assert str(read.value) == str(parsed.value)
+
+
+def test_a_truth_table_that_does_not_print_its_values_as_read_gets_no_copy(tmp_path):
+    """A column of another dtype, or of another length than the ids."""
+    path = tmp_path / "truth.csv"
+    pop = sample_population()
+    for changed in ({"x": pop.x.astype(np.float32)}, {"y": pop.y[:-1]}):
+        fileio.write_truth(path, sample_population())
+        fields = {**vars(pop), **changed}
+        fileio.write_truth(path, fake_population(pop.ids(), *(fields[k] for k in (
+            "y", "delta", "x", "gestation", "asthma", "z"))))
+        assert not copy_of(path).exists()
+        assert_same_truth(fileio.read_truth(path), parse(path, fileio.read_truth))
+
+
+def test_reveal_loads_the_dyads_and_truth_copies(tmp_path, caplog):
+    """The fast path of ``simulate reveal``: both of its tables load from
+    their copies, and neither is parsed."""
+    (tmp_path / "sim.json").write_text(json.dumps({"n": 200}))
+    assert dispatch(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path), "--seed", "5"]) == 0
+    ids = fileio.read_dyads(tmp_path / "dyads.csv").ids
+    fileio.write_draw(tmp_path / "draw.json", {"all": ids[::5]}, wave=1)
+    dyads, truth = tmp_path / "dyads.csv", tmp_path / "truth.csv"
+    with caplog.at_level(logging.DEBUG, logger="twophase.fileio"):
+        assert dispatch(["simulate", "reveal", "--dyads", str(dyads), "--truth", str(truth),
+                         "--draw", str(tmp_path / "draw.json"),
+                         "--out", str(tmp_path / "dyads_1.csv")]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "twophase.fileio"] == [
+        f"{dyads}: loaded the parsed copy", f"{truth}: loaded the parsed copy"]

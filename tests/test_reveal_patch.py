@@ -174,11 +174,117 @@ def test_out_may_be_the_dyads_file(population, tmp_path):
 def test_a_patched_row_that_is_not_validated_gets_empty_phase2_cells(tmp_path):
     table = random_table(np.random.default_rng(5), 12, 2, 1, [1, 4])
     fileio.write_dyads(tmp_path / "dyads.csv", table)
-    lines = []
-    table = fileio.read_dyads(tmp_path / "dyads.csv", lines)
+    kept = fileio.DyadsBytes()
+    table = fileio.read_dyads(tmp_path / "dyads.csv", kept)
     rows = [0, 4, 11]
     table.columns["x_star"][rows] += 1.0
     table.columns["validated"][4] = False  # its phase-2 values stay in the columns
-    fileio.write_dyads_patch(tmp_path / "patched.csv", table, lines, rows)
+    fileio.write_dyads_patch(tmp_path / "patched.csv", table, kept, rows)
     fileio.write_dyads(tmp_path / "rewritten.csv", table)
     assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "rewritten.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The byte patch against the lines patch it replaced.
+
+
+def lines_patch(path, table, lines, rows):
+    """``fileio.write_dyads_patch`` as it patched the list of lines that
+    ``read_dyads`` gave it (``fileio._plain_lines`` of the text, empty for
+    text that is not plain): the reference for the byte patch."""
+    header = ["id", *table.columns]
+    if not lines or lines[0] != ",".join(header):
+        fileio.write_dyads(path, table)
+        return
+    rows = np.asarray(rows, dtype=np.intp)
+    validated = table.columns["validated"][rows].tolist()
+    columns = [[table.ids[i] for i in rows.tolist()]]
+    for name, values in table.columns.items():
+        cells = list(map(str, fileio._cell_values(name, values[rows])))
+        if is_phase2(name):
+            cells = [c if v else "" for c, v in zip(cells, validated)]
+        columns.append(cells)
+    out = list(lines)
+    for i, cells in zip(rows.tolist(), zip(*columns)):
+        out[i + 1] = fileio._csv_text([cells])[:-2]
+    path.write_bytes(("\r\n".join(out) + "\r\n").encode("utf-8"))
+
+
+# Edits of a file that write_dyads wrote.  Line ends: all LF, a random mix
+# of LF and CRLF, no end after the last line.  Hand edits of rows that the
+# patch may keep: an id padded with space, a float with a trailing zero.
+# Text that is not plain: a quoted cell, a bare carriage return ending a
+# line.  A header that is not the dyads header: two columns swapped.
+EDITS = ["lf", "mixed", "no final end", "padded id", "trailing zero", "quoted cell",
+         "bare cr", "swapped columns"]
+
+
+def edit_text(text, edits, rng):
+    lines = text.split("\r\n")[:-1]
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    pick = int(rng.integers(len(rows)))
+    if "padded id" in edits:
+        rows[pick][0] = f" {rows[pick][0]}  "
+    if "trailing zero" in edits:
+        for row in rows:
+            for j, cell in enumerate(row[1:], start=1):
+                if "." in cell and "e" not in cell and rng.random() < 0.5:
+                    row[j] = cell + "0"
+    if "quoted cell" in edits:
+        rows[pick][header.index("x_star")] = f'"{rows[pick][header.index("x_star")]}"'
+    if "swapped columns" in edits:
+        a, b = header.index("y_star"), header.index("x_star")
+        for row in [header, *rows]:
+            row[a], row[b] = row[b], row[a]
+    lines = [",".join(row) for row in [header, *rows]]
+    ends = ["\r\n"] * len(lines)
+    if "lf" in edits:
+        ends = ["\n"] * len(lines)
+    elif "mixed" in edits:
+        ends = [("\n", "\r\n")[int(rng.integers(2))] for _ in lines]
+    if "bare cr" in edits:
+        ends[int(rng.integers(len(lines) - 1))] = "\r"
+    if "no final end" in edits:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def validate_rows(table, rows, rng):
+    """Give ``rows`` of ``table`` phase-2 values, as ``simulate reveal`` does."""
+    cols = table.columns
+    for name in ["y", "delta", "x", *(f"z_{j}" for j in range(table.n_z))]:
+        cols[name][rows] = (rng.lognormal(size=rows.size) if name == "y"
+                            else rng.integers(0, 2, rows.size) if name == "delta"
+                            else rng.normal(size=rows.size))
+    cols["wave_sampled"][rows] = 2
+    cols["validated"][rows] = True
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.sets(st.sampled_from(EDITS), max_size=3), n=st.integers(1, 12),
+       n_z=st.integers(1, 2), n_aux=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+       share=st.floats(0.0, 1.0), same_out=st.booleans())
+def test_the_byte_patch_writes_what_the_lines_patch_wrote(scratch, edits, n, n_z, n_aux,
+                                                          seed, share, same_out):
+    rng = np.random.default_rng(seed)
+    table = random_table(rng, n, n_z, n_aux, np.flatnonzero(rng.random(n) < 0.3))
+    # Non-ASCII ids, some padded with space, which the reader strips.
+    table.ids = [f"{rng.choice(['', ' '])}{rng.choice(['d', 'é', '中'])}{i}"
+                 f"{rng.choice(['', ' '])}" for i in range(n)]
+    dyads = scratch / "edited.csv"
+    fileio.write_dyads(dyads, table)
+    text = edit_text(dyads.read_bytes().decode("utf-8"), edits, rng)
+    if edits:
+        dyads.write_bytes(text.encode("utf-8"))
+
+    kept = fileio.DyadsBytes()
+    read = fileio.read_dyads(dyads, kept)
+    waiting = np.flatnonzero(~read.columns["validated"])
+    rows = np.sort(rng.choice(waiting, int(share * waiting.size), replace=False))
+    validate_rows(read, rows, rng)
+    out = dyads if same_out else scratch / "patched.csv"
+    fileio.write_dyads_patch(out, read, kept, rows)
+    lines_patch(scratch / "reference.csv", read, fileio._plain_lines(text) or [], rows)
+    assert out.read_bytes() == (scratch / "reference.csv").read_bytes()
+    assert fileio.read_dyads(out).ids == read.ids
