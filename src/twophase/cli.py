@@ -181,7 +181,7 @@ def cmd_simulate_reveal(args) -> int:
     table to ``--out`` as a patch of ``--dyads``: only those rows are
     formatted again, and every other line keeps the bytes it was read with
     (``fileio.write_dyads_patch``)."""
-    kept = fileio.DyadsBytes()
+    kept: list = []
     table = fileio.read_dyads(args.dyads, kept)
     draw = fileio.read_draw(args.draw)
     wave = _wave(args, draw["wave"])

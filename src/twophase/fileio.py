@@ -257,7 +257,10 @@ def _plain_lines(text: str) -> list[str] | None:
     Text with carriage returns is split at CRLF after one count of them:
     a bare carriage return shows as fewer line ends than carriage returns.
     Only text that mixes LF and CRLF ends is split again, after the CRLFs
-    are made LFs."""
+    are made LFs.
+
+    :func:`_plain_rows` applies the same rule to bytes; a change to the
+    rule here must be made there too."""
     if '"' in text:
         return None
     cr = text.count("\r")
@@ -287,7 +290,8 @@ def _plain_rows(data: bytes) -> tuple[bytes, np.ndarray] | None:
     rule is checked on the bytes, with numpy scans for line ends: a
     quote, a carriage return or a line feed is never part of another
     character in UTF-8.  Only a line of as many bytes as the csv field
-    limit is decoded, to count its characters.
+    limit is decoded, to count its characters.  A change to the rule in
+    :func:`_plain_lines` must be made here too.
     """
     if b'"' in data:
         return None
@@ -594,38 +598,24 @@ def write_dyads(path, table: DyadTable) -> None:
     _write_dyads_copy(path, sha.digest(), table, slice(None))
 
 
-class DyadsBytes:
-    """The text of a dyads file that :func:`read_dyads` read, kept for
-    :func:`write_dyads_patch`: ``data``, the file's bytes with every line
-    ended in CRLF, and ``starts``, the offset of each line in it (header
-    first), then its length.  Both stay None when the text is not plain
-    (:func:`_plain_rows`)."""
+def write_dyads_patch(path, table: DyadTable, source: Sequence[bytes], rows) -> None:
+    """Write ``table``, read by :func:`read_dyads` from the bytes it put in
+    ``source``, in which only the rows ``rows`` have changed since.
 
-    __slots__ = ("data", "starts")
-
-    def __init__(self):
-        self.data: bytes | None = None
-        self.starts: np.ndarray | None = None
-
-
-def write_dyads_patch(path, table: DyadTable, source: DyadsBytes, rows) -> None:
-    """Write ``table``, read by :func:`read_dyads` into ``source``, in which
-    only the rows ``rows`` have changed since.
-
-    The header and every other row are copied byte for byte from
-    ``source``; the rows in ``rows`` get the cell text :func:`write_dyads`
+    The header and every other row are copied byte for byte from those
+    bytes, split at their line ends (:func:`_plain_rows`); the rows in ``rows`` get the cell text :func:`write_dyads`
     gives them, spliced in, and every line ends in ``\\r\\n``.  The result
     is hashed and written in one piece.  So a file that :func:`write_dyads`
     wrote gets the bytes it would write for the table, while a hand-edited
     row outside ``rows`` keeps its text (say ``1.50`` or `` d7``).  Where
     no exact copy is possible, the whole table goes through
-    :func:`write_dyads`: when the text was not plain (``source`` is empty),
-    does not hold a line per row of ``table``, or the header is not ``id``
+    :func:`write_dyads`: when the text was not plain (or ``source`` is
+    empty), does not hold a line per row of ``table``, or the header is not ``id``
     followed by the table's columns in order.  Either way the parsed copy
     is written beside the file; the other rows read back as the values
     that ``table`` holds, which were read from their text.
     """
-    data, starts = source.data, source.starts
+    data, starts = (_plain_rows(source[0]) if source else None) or (None, None)
     header = ",".join(["id", *table.columns]).encode("utf-8") + b"\r\n"
     if (starts is None or starts.size != len(table) + 2
             or data[:starts[1]] != header):
@@ -687,17 +677,15 @@ def _write_dyads_copy(path, digest: bytes, table: DyadTable, rows) -> None:
     _save_copy(path, "dyads", digest, ids, values, columns=names)
 
 
-def read_dyads(path, source: DyadsBytes | None = None) -> DyadTable:
+def read_dyads(path, source: list | None = None) -> DyadTable:
     """``dyads.csv`` as a :class:`DyadTable`.
 
     Phase-2 cells are read on validated rows only.  Raises SchemaError
     for a missing column, a row with the wrong cell count, a flag cell
     (``validated``, ``in_asthma_frame``) other than 0 or 1, a non-numeric
     or empty cell, a row breaking :func:`records.first_invalid_row`, a
-    repeated id or a repeated column name.  When ``source`` is given and
-    the text is plain (no quote, no bare carriage return), it gets the
-    file's bytes and line offsets (:func:`_plain_rows`) for
-    :func:`write_dyads_patch`; other text leaves it empty.
+    repeated id or a repeated column name.  When ``source`` is given, the
+    file's bytes are appended to it for :func:`write_dyads_patch`.
 
     When the parsed copy that :func:`write_dyads` or
     :func:`write_dyads_patch` wrote beside the file holds the SHA-256 of
@@ -709,7 +697,7 @@ def read_dyads(path, source: DyadsBytes | None = None) -> DyadTable:
     table = (_parse_dyads(path, data) if copy is None
              else DyadTable(copy[1], dict(zip(copy[0]["columns"], copy[2]))))
     if source is not None:
-        source.data, source.starts = _plain_rows(data) or (None, None)
+        source.append(data)
     return table
 
 
@@ -1119,10 +1107,8 @@ def read_draw(path) -> dict:
 def write_combined_weights(path, ids: Sequence[str], frames: Sequence[str],
                            weights: Sequence[float]) -> None:
     """One row per combined-frame draw; the record id is its variance cluster."""
-    weights = weights.tolist() if isinstance(weights, np.ndarray) else list(weights)
     _write_columns(path, ["id", "frame", "weight", "cluster"],
-                   [ids, frames, weights if _all_floats(weights) else list(map(_fmt, weights)),
-                    ids])
+                   [ids, frames, list(map(_fmt, weights)), ids])
 
 
 def write_estimates(path, rows, terms: Sequence[str]) -> None:

@@ -69,11 +69,14 @@ def loads_copy(path, kind="dyads"):
 
 
 def lines_of(kept):
-    """The lines, without their ends, that ``read_dyads`` kept for a patch."""
-    if kept.starts is None:
+    """The lines, without their ends, that ``write_dyads_patch`` finds in
+    the bytes ``read_dyads`` kept for it."""
+    [data] = kept
+    plain = fileio._plain_rows(data)
+    if plain is None:
         return []
-    starts = kept.starts.tolist()
-    return [kept.data[a:b - 2].decode("utf-8") for a, b in zip(starts, starts[1:])]
+    data, starts = plain[0], plain[1].tolist()
+    return [data[a:b - 2].decode("utf-8") for a, b in zip(starts, starts[1:])]
 
 
 def assert_same_table(got, want):
@@ -147,7 +150,7 @@ def test_the_copy_loads_as_the_parse_of_the_same_bytes(scratch, table, layout, s
         fileio.write_dyads(source, table)
         if layout == "patch lf":
             source.write_bytes(source.read_bytes().replace(b"\r\n", b"\n"))
-        kept = fileio.DyadsBytes()
+        kept = []
         read = fileio.read_dyads(source, kept)
         assert lines_of(kept) == (fileio._plain_lines(source.read_bytes().decode("utf-8"))
                                   or [])
@@ -372,7 +375,7 @@ def test_rows_a_patch_keeps_are_copied_as_their_text_reads(tmp_path):
     cells[header.index("x_star")] = "1.50"
     lines[2] = ",".join(cells)
     source.write_bytes("\n".join(lines).encode())
-    kept = fileio.DyadsBytes()
+    kept = []
     table = fileio.read_dyads(source, kept)
     rows = np.array([0])
     reveal_rows(table, rows, np.random.default_rng(1))
@@ -419,7 +422,7 @@ def test_a_read_creates_no_file(tmp_path):
     before = snapshot(tmp_path)
     for p in (path, stale, plain):
         fileio.read_dyads(p)
-        fileio.read_dyads(p, fileio.DyadsBytes())
+        fileio.read_dyads(p, [])
     fileio.read_influence(h)
     assert snapshot(tmp_path) == before
 

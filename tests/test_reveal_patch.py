@@ -174,7 +174,7 @@ def test_out_may_be_the_dyads_file(population, tmp_path):
 def test_a_patched_row_that_is_not_validated_gets_empty_phase2_cells(tmp_path):
     table = random_table(np.random.default_rng(5), 12, 2, 1, [1, 4])
     fileio.write_dyads(tmp_path / "dyads.csv", table)
-    kept = fileio.DyadsBytes()
+    kept = []
     table = fileio.read_dyads(tmp_path / "dyads.csv", kept)
     rows = [0, 4, 11]
     table.columns["x_star"][rows] += 1.0
@@ -278,7 +278,7 @@ def test_the_byte_patch_writes_what_the_lines_patch_wrote(scratch, edits, n, n_z
     if edits:
         dyads.write_bytes(text.encode("utf-8"))
 
-    kept = fileio.DyadsBytes()
+    kept = []
     read = fileio.read_dyads(dyads, kept)
     waiting = np.flatnonzero(~read.columns["validated"])
     rows = np.sort(rng.choice(waiting, int(share * waiting.size), replace=False))
