@@ -25,9 +25,9 @@ Every step reads its inputs whole and checks them again, by design: the
 files between steps may have been edited by hand.  What each step pays
 around that work is kept small, since a wave is several steps and a
 design many waves: a file is read as bytes and decoded once, a table's
-text is split into lines after one scan (``fileio._plain_lines``), a JSON
-file is written in one piece, and the argument parser is built once per
-process (:func:`dispatch`).  A table is parsed only once: each dyads and
+lines are found by numpy scans of its bytes (``fileio._plain_rows``), a
+JSON file is written in one piece, and the argument parser is built once
+per process (:func:`dispatch`).  A table is parsed only once: each dyads and
 influence file that a step writes, and the truth file of ``simulate``, gets
 a parsed copy beside it, ``<name>.parsed``, which the later steps load
 instead of parsing the text for as long as the file's SHA-256 matches the
@@ -100,13 +100,21 @@ def _log_config(args):
     log.info("resolved configuration: %s", resolved)
 
 
+def _check_range(args, name: str, ok: bool, rule: str) -> None:
+    """Raise SchemaError, the parse error, naming option ``name`` and its
+    value unless ``ok``: a number out of an option's range is as malformed
+    as one out of range in an input file."""
+    if not ok:
+        raise SchemaError(f"--{name.replace('_', '-')} must be {rule}, "
+                          f"got {getattr(args, name)}")
+
+
 def _wave(args, default: int | None = None) -> int | None:
     """``--wave``, or ``default`` when it is not given.  A negative wave
     raises SchemaError, as the readers of allocation and draw files do."""
     if args.wave is None:
         return default
-    if args.wave < 0:
-        raise SchemaError(f"--wave must be a non-negative integer, got {args.wave}")
+    _check_range(args, "wave", args.wave >= 0, "a non-negative integer")
     return args.wave
 
 
@@ -218,10 +226,11 @@ def cmd_simulate_reveal(args) -> int:
 
 
 def cmd_simulate_experiment(args) -> int:
+    _check_range(args, "replicates", args.replicates >= 1, "a positive integer")
     config = _sim_config_from_json(args.config)
-    spec = simulate.DesignSpec()
-    report = simulate.run_experiment(config, spec, args.replicates,
-                                     master_seed=args.seed, progress=args.progress)
+    seed = args.seed if args.seed is not None else config.seed
+    report = simulate.run_experiment(config, simulate.DesignSpec(), args.replicates,
+                                     master_seed=seed, progress=args.progress)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_report(out / "report.csv", out / "report.txt", report)
@@ -262,6 +271,7 @@ def cmd_fpca_score(args) -> int:
 
 
 def cmd_fpca_flag(args) -> int:
+    _check_range(args, "level", 0.0 < args.level < 1.0, "in (0, 1)")
     series = fileio.read_measurements(args.measurements)
     system = fileio.read_eigensystem(args.eigensystem)
     flagged = [(s, j) for s in series
@@ -652,6 +662,8 @@ def dispatch(argv) -> int:
                 raise SchemaError(f"--method {args.method} requires --ledger")
             if args.method != "phase1" and args.frame == "multi" and not args.asthma_ledger:
                 raise SchemaError("--frame multi requires --asthma-ledger")
+            if args.method == "raking" and args.aux == "mi":
+                _check_range(args, "mi_replicates", args.mi_replicates >= 2, "at least 2")
             return cmd_estimate(args)
         if args.command == "report":
             return cmd_report(args)

@@ -9,16 +9,18 @@ csv module rejects raise SchemaError naming the file.
 
 The CSV tables (``dyads.csv``, ``truth.csv``, ``measurements.csv``, the
 estimates and the keyed influence and gestation files) are read as
-columns by :func:`_read_columns`: the text is split at its line ends,
-each line's cell count is checked, and the columns are strided slices of
-one split of the joined lines at their commas.  Text holding a quote or
-a bare carriage return goes through ``csv.reader`` instead, which gives
-the same cells.  Numeric columns are then converted with one ``float``
-per cell (:func:`_float_column`).  Every table is written column-wise
-by :func:`_write_columns`, whose bytes are those ``csv.writer`` writes
-row by row; the one exception is ``simulate reveal``, which formats only
-the rows it validates and splices them into the bytes of the file it read
-(:func:`write_dyads_patch`).
+columns by :func:`_read_columns` from the file's bytes.  One rule,
+:func:`_plain_rows`, says when the text splits at its commas alone and
+where its lines end.  Such text is split into lines, each line's cell
+count is checked, and the columns are strided slices of one split of the
+joined lines at their commas.  Other text, holding a quote or a bare
+carriage return, goes through ``csv.reader``, which gives the same cells.
+Numeric columns are then converted with one ``float`` per cell
+(:func:`_float_column`).  Every table is written column-wise by
+:func:`_write_columns`, whose bytes are those ``csv.writer`` writes row
+by row.  The one exception is ``simulate reveal``, which formats only the
+rows it validates and splices them into the bytes of the file it read, at
+the line ends that the same rule finds (:func:`write_dyads_patch`).
 
 The tables a CLI step writes for a later step to read (``dyads.csv``,
 ``truth.csv`` and the influence file) also get a parsed copy,
@@ -186,7 +188,7 @@ def _write_json(path, payload) -> None:
 
 
 def _read_columns(path, problems: list, width: int | None = None, exact: bool = False,
-                  select=None, text: str | None = None,
+                  select=None, data: bytes | None = None,
                   ) -> tuple[list[str] | None, list[Sequence[str]]]:
     """The header (None for an empty file) and the first ``width`` columns
     (default: one per header name) of a CSV file, as ``csv.reader`` reads it.
@@ -196,16 +198,17 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
     that row becomes a problem.  ``select``, when given, is called once
     with the first cell of each of those rows (not for an empty file),
     and the columns hold only the rows, ascending, that it returns.  A
-    name that the header repeats raises SchemaError.  Text that
-    :func:`_plain_lines` can split is read without ``csv.reader``: each
-    line's commas are counted, and the columns are strided slices of one
-    split of the joined lines kept.  ``text``, when given, is the file's
-    text, already read.
+    name that the header repeats raises SchemaError.  The file's bytes,
+    ``data`` when given, are decoded whole first.  The lines that
+    :func:`_plain_rows` finds in them are read without ``csv.reader``:
+    each line's commas are counted, and the columns are strided slices of
+    one split of the joined lines kept.
     """
-    if text is None:
-        text = _read_text(path)
-    lines = _plain_lines(text)
-    if lines is None:
+    if data is None:
+        data = _read_bytes(path)
+    text = _decode(path, data)
+    plain = _plain_rows(data)
+    if plain is None:
         try:
             rows = list(csv.reader(io.StringIO(text, newline="")))
         except csv.Error as exc:
@@ -216,6 +219,9 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
         width = len(header or ()) if width is None else width
         return header, _cells_by_column(rows[1:], width, problems, exact, select)
     del text
+    lines = plain[0].decode("utf-8").split("\r\n")
+    del plain
+    lines.pop()  # the empty text after the last line's end
     if not lines:
         return None, [[] for _ in range(width or 0)]
     header = lines[0].split(",") if lines[0] else []
@@ -247,51 +253,21 @@ def _read_columns(path, problems: list, width: int | None = None, exact: bool = 
     return header, [cells[j::width] for j in range(width)]
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The lines of ``text`` if ``csv.reader`` splits each one at its commas
-    alone, else None.  That holds when the text has no quote, no carriage
-    return outside a CRLF line end and no line as long as the csv field
-    limit; lines then end at LF or CRLF only, not at the other breaks that
-    ``str.splitlines`` knows.
-
-    Text with carriage returns is split at CRLF after one count of them:
-    a bare carriage return shows as fewer line ends than carriage returns.
-    Only text that mixes LF and CRLF ends is split again, after the CRLFs
-    are made LFs.
-
-    :func:`_plain_rows` applies the same rule to bytes; a change to the
-    rule here must be made there too."""
-    if '"' in text:
-        return None
-    cr = text.count("\r")
-    if not cr:
-        lines = text.split("\n")
-    else:
-        lines = text.split("\r\n")
-        if len(lines) - 1 != cr:
-            return None  # a carriage return outside a CRLF
-        if text.count("\n") != cr:  # LF and CRLF line ends mixed
-            lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the end of the last line, or an empty file
-    limit = csv.field_size_limit()
-    if len(text) >= limit and max(map(len, lines)) >= limit:
-        return None
-    return lines
-
-
 def _plain_rows(data: bytes) -> tuple[bytes, np.ndarray] | None:
-    """:func:`_plain_lines` on UTF-8 text, as bytes: ``(crlf, starts)``
-    when that function splits the text, else None.
+    """The lines of the UTF-8 text ``data`` if ``csv.reader`` splits each
+    one at its commas alone, else None.  That holds when the text has no
+    quote, no carriage return outside a CRLF line end and no line as long
+    as the csv field limit; lines then end at LF or CRLF only, not at the
+    other breaks that ``str.splitlines`` knows.
 
-    ``crlf`` is ``data`` with every line ended in CRLF, the last one
-    included, and ``starts`` the offset in it of each line, then its
-    length, so line ``k`` is ``crlf[starts[k]:starts[k + 1] - 2]``.  The
-    rule is checked on the bytes, with numpy scans for line ends: a
-    quote, a carriage return or a line feed is never part of another
-    character in UTF-8.  Only a line of as many bytes as the csv field
-    limit is decoded, to count its characters.  A change to the rule in
-    :func:`_plain_lines` must be made here too.
+    The lines come as ``(crlf, starts)``: ``crlf`` is ``data`` with every
+    line ended in CRLF, the last one included, and ``starts`` the offset
+    in it of each line, then its length, so line ``k`` is
+    ``crlf[starts[k]:starts[k + 1] - 2]``.  The rule is checked on the
+    bytes, with numpy scans for line ends: a quote, a carriage return or
+    a line feed is never part of another character in UTF-8.  Only a line
+    of as many bytes as the csv field limit is decoded, to count its
+    characters.
     """
     if b'"' in data:
         return None
@@ -438,15 +414,15 @@ def _csv_text(rows: list[Sequence[str]]) -> str:
 # ---------------------------------------------------------------------------
 # Parsed copies.  ``<name>.parsed`` is a line ``twophase parsed copy <format>``,
 # a line of JSON (the kind of table, the SHA-256 of its bytes, its row count,
-# the code point that separates the ids, and what else the kind needs), then
-# two ``.npy`` arrays: the UTF-8 text of the ids joined by that separator, a
-# character no id holds, and the float64 values.  Nothing in it depends on
-# when or where it was written.
+# the code point that separates the ids, and the names of its columns after
+# ``id``), then two ``.npy`` arrays: the UTF-8 text of the ids joined by that
+# separator, a character no id holds, and the float64 values, a row per
+# column.  Nothing in it depends on when or where it was written.
 
 _COPY_MAGIC = b"twophase parsed copy"
 # Raise it whenever a reader would return something else for the same bytes
 # (a new column, a new check), so that older copies are parsed again.
-_COPY_FORMAT = b"1"
+_COPY_FORMAT = b"2"
 
 
 class _Unusable(Exception):
@@ -463,35 +439,37 @@ def _remove_copy(path) -> None:
         os.unlink(_copy_path(path))
 
 
-def _copy_ids(ids: Sequence[str]) -> list[str] | None:
-    """The ids as a reader gives them (stripped), or None when one is not a
-    string or is too long for ``csv.reader`` to read back."""
-    if set(map(type, ids)) - {str}:
-        return None
-    if ids and max(map(len, ids)) >= csv.field_size_limit():
-        return None
-    return list(map(str.strip, ids))
+def _save_copy(path, kind: str, digest: bytes, ids: Sequence, columns: list[str],
+               values: np.ndarray | None) -> None:
+    """Write the parsed copy of the table at ``path``, whose bytes have
+    SHA-256 ``digest`` and whose header is ``id`` and then ``columns``: the
+    ids as its reader gives them (stripped) and ``values``, a row per
+    column, as its reader gives them.
 
-
-def _save_copy(path, kind: str, digest: bytes, ids: list[str], values: np.ndarray,
-               **head) -> None:
-    """Write the parsed copy of the table at ``path`` whose bytes have
-    SHA-256 ``digest``: ``ids`` and ``values`` as its reader gives them.
-
-    The copy is written to a temporary file that then replaces it.  A
-    write that fails, as in a read-only directory, leaves no copy where it
-    can, and at worst the old one, which no longer matches the table.
+    Any old copy is removed instead when ``values`` is None, which a writer
+    passes for a table that its reader would reject or read as other
+    values, and when the reader would reject the ids: one that is not a
+    string, is too long for ``csv.reader`` to read back or, stripped,
+    repeats another.  The copy is written to a temporary file that then
+    replaces it.  A write that fails, as in a read-only directory, leaves
+    no copy where it can, and at worst the old one, which no longer
+    matches the table.
     """
+    if (values is None or set(map(type, ids)) - {str}
+            or ids and max(map(len, ids)) >= csv.field_size_limit()):
+        _remove_copy(path)
+        return
+    ids = list(map(str.strip, ids))
     joined = "".join(ids)
     sep = "\n"
     if sep in joined:
         present = set(joined)
         sep = next((c for c in map(chr, range(0xD800)) if c not in present), None)
-        if sep is None:
-            _remove_copy(path)
-            return
+    if sep is None or len(set(ids)) < len(ids):
+        _remove_copy(path)
+        return
     head = json.dumps({"kind": kind, "sha256": digest.hex(), "rows": len(ids),
-                       "separator": ord(sep), **head}, sort_keys=True)
+                       "separator": ord(sep), "columns": columns}, sort_keys=True)
     target = _copy_path(path)
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
@@ -507,16 +485,18 @@ def _save_copy(path, kind: str, digest: bytes, ids: list[str], values: np.ndarra
         _remove_copy(path)
 
 
-def _load_copy(path, data: bytes, kind: str, shape):
-    """``(head, ids, values)`` from the parsed copy of the table at ``path``,
-    whose bytes are ``data``, or None when the text has to be parsed.
+def _load_copy(path, data: bytes, kind: str) -> tuple[list[str], dict] | None:
+    """``(ids, columns)`` from the parsed copy of the ``kind`` table at
+    ``path``, whose bytes are ``data``, or None when the text has to be
+    parsed.  ``columns`` maps each name after ``id`` in the table's header
+    to its float64 values.
 
-    ``shape(head)`` is the shape the values must have, or None for a head
-    that the table's reader cannot use.  One DEBUG line says whether the
-    copy was loaded or why not.
+    A copy whose column names are not those the header gives, or whose
+    values are not a row of ``rows`` values per column, is not used.  One
+    DEBUG line says whether the copy was loaded or why not.
     """
     try:
-        loaded = _read_copy(_copy_path(path), data, kind, shape)
+        loaded = _read_copy(_copy_path(path), data, kind)
     except _Unusable as exc:
         log.debug("%s: parsed the text: %s", path, exc)
         return None
@@ -524,7 +504,7 @@ def _load_copy(path, data: bytes, kind: str, shape):
     return loaded
 
 
-def _read_copy(copy: Path, data: bytes, kind: str, shape):
+def _read_copy(copy: Path, data: bytes, kind: str) -> tuple[list[str], dict]:
     try:
         fh = open(copy, "rb")
     except FileNotFoundError:
@@ -548,11 +528,13 @@ def _read_copy(copy: Path, data: bytes, kind: str, shape):
             trailing = fh.read(1)
         except (ValueError, EOFError, OSError, MemoryError) as exc:
             raise _Unusable(f"unreadable parsed copy ({type(exc).__name__}: {exc})") from None
-    rows, sep = head.get("rows"), head.get("separator")
+    rows, sep, names = head.get("rows"), head.get("separator"), head.get("columns")
     if (trailing or not _is_count(rows) or not _is_count(sep) or not 0 <= sep < 0xD800
+            or not _is_strings(names)
+            or not data.startswith(_csv_text([["id", *names]]).encode("utf-8"))
             or not isinstance(text, np.ndarray) or text.dtype != np.uint8 or text.ndim != 1
             or not isinstance(values, np.ndarray) or values.dtype != np.float64
-            or values.shape != shape(head)):
+            or values.shape != (len(names), rows)):
         raise _Unusable("unreadable parsed copy (arrays or head of the wrong shape)")
     try:
         joined = text.tobytes().decode("utf-8")
@@ -561,7 +543,7 @@ def _read_copy(copy: Path, data: bytes, kind: str, shape):
     ids = joined.split(chr(sep)) if joined or rows else []
     if len(ids) != rows:
         raise _Unusable(f"unreadable parsed copy ({len(ids)} ids for {rows} rows)")
-    return head, ids, values
+    return ids, dict(zip(names, values))
 
 
 # ---------------------------------------------------------------------------
@@ -577,25 +559,36 @@ def _cell_values(name: str, values: np.ndarray) -> list:
     return values.tolist()
 
 
+def _dyads_cells(table: DyadTable, rows: np.ndarray) -> list[list]:
+    """The cells of ``table``'s rows ``rows`` (an index array) as the dyads
+    file prints them, column by column, the id first: each field as
+    :func:`_cell_values` gives it, except the phase-2 cells of a row that
+    is not validated, which are empty."""
+    validated = np.flatnonzero(table.columns["validated"][rows]).tolist()
+    columns = [[table.ids[i] for i in rows.tolist()]]
+    for name, values in table.columns.items():
+        values = values[rows]
+        if is_phase2(name):
+            column = [""] * rows.size
+            for k, v in zip(validated, _cell_values(name, values[validated])):
+                column[k] = v
+        else:
+            column = _cell_values(name, values)
+        columns.append(column)
+    return columns
+
+
 def write_dyads(path, table: DyadTable) -> None:
     """One row per record; vector fields expand to indexed columns.
 
     Phase-2 cells are empty on rows that are not validated.  The parsed
-    copy is written beside the file (:func:`_write_dyads_copy`).
+    copy is written beside the file (:func:`_dyads_copy_values`).
     """
-    validated = np.flatnonzero(table.columns["validated"]).tolist()
-    columns = [table.ids]
-    for name, values in table.columns.items():
-        if is_phase2(name):
-            column = [""] * len(table)
-            for i, v in zip(validated, _cell_values(name, values[validated])):
-                column[i] = v
-        else:
-            column = _cell_values(name, values)
-        columns.append(column)
     sha = hashlib.sha256()
-    _write_columns(path, ["id", *table.columns], columns, sha)
-    _write_dyads_copy(path, sha.digest(), table, slice(None))
+    _write_columns(path, ["id", *table.columns], _dyads_cells(table, np.arange(len(table))),
+                   sha)
+    _save_copy(path, "dyads", sha.digest(), table.ids, list(table.columns),
+               _dyads_copy_values(table, slice(None)))
 
 
 def write_dyads_patch(path, table: DyadTable, source: Sequence[bytes], rows) -> None:
@@ -603,17 +596,18 @@ def write_dyads_patch(path, table: DyadTable, source: Sequence[bytes], rows) -> 
     ``source``, in which only the rows ``rows`` have changed since.
 
     The header and every other row are copied byte for byte from those
-    bytes, split at their line ends (:func:`_plain_rows`); the rows in ``rows`` get the cell text :func:`write_dyads`
-    gives them, spliced in, and every line ends in ``\\r\\n``.  The result
-    is hashed and written in one piece.  So a file that :func:`write_dyads`
-    wrote gets the bytes it would write for the table, while a hand-edited
-    row outside ``rows`` keeps its text (say ``1.50`` or `` d7``).  Where
-    no exact copy is possible, the whole table goes through
+    bytes, split at the line ends that :func:`_plain_rows` finds; the rows
+    in ``rows`` get the cell text :func:`write_dyads` gives them, spliced
+    in, and every line ends in ``\\r\\n``.  The result is hashed and
+    written in one piece.  So a file that :func:`write_dyads` wrote gets
+    the bytes it would write for the table, while a hand-edited row
+    outside ``rows`` keeps its text (say ``1.50`` or `` d7``).  Where no
+    exact copy is possible, the whole table goes through
     :func:`write_dyads`: when the text was not plain (or ``source`` is
-    empty), does not hold a line per row of ``table``, or the header is not ``id``
-    followed by the table's columns in order.  Either way the parsed copy
-    is written beside the file; the other rows read back as the values
-    that ``table`` holds, which were read from their text.
+    empty), does not hold a line per row of ``table``, or the header is
+    not ``id`` followed by the table's columns in order.  Either way the
+    parsed copy is written beside the file; the other rows read back as
+    the values that ``table`` holds, which were read from their text.
     """
     data, starts = (_plain_rows(source[0]) if source else None) or (None, None)
     header = ",".join(["id", *table.columns]).encode("utf-8") + b"\r\n"
@@ -622,47 +616,38 @@ def write_dyads_patch(path, table: DyadTable, source: Sequence[bytes], rows) -> 
         write_dyads(path, table)
         return
     rows = np.unique(np.asarray(rows, dtype=np.intp))
-    validated = table.columns["validated"][rows].tolist()
-    columns = [[table.ids[i] for i in rows.tolist()]]
-    for name, values in table.columns.items():
-        cells = list(map(str, _cell_values(name, values[rows])))
-        if is_phase2(name):
-            cells = [c if v else "" for c, v in zip(cells, validated)]
-        columns.append(cells)
     view, pieces, at = memoryview(data), [], 0
     for start, stop, cells in zip(starts[rows + 1].tolist(), starts[rows + 2].tolist(),
-                                  zip(*columns)):
-        pieces += (view[at:start], _csv_text([cells]).encode("utf-8"))
+                                  zip(*_dyads_cells(table, rows))):
+        pieces += (view[at:start], _csv_text([list(map(str, cells))]).encode("utf-8"))
         at = stop
     pieces.append(view[at:])
     data = b"".join(pieces)
     with open(path, "wb") as fh:
         fh.write(data)
-    _write_dyads_copy(path, hashlib.sha256(data).digest(), table, rows)
+    _save_copy(path, "dyads", hashlib.sha256(data).digest(), table.ids, list(table.columns),
+               _dyads_copy_values(table, rows))
 
 
-def _write_dyads_copy(path, digest: bytes, table: DyadTable, rows) -> None:
-    """Write the parsed copy of the dyads file at ``path``, whose bytes have
-    SHA-256 ``digest``, or remove the copy when the reader rejects them.
+def _dyads_copy_values(table: DyadTable, rows) -> np.ndarray | None:
+    """The values that :func:`read_dyads` gives the file that holds
+    ``table``, its rows ``rows`` (an index or a slice) printed by
+    :func:`write_dyads` and the other rows read from it; None when it
+    gives others or rejects the file.
 
-    The file holds ``table``, its rows ``rows`` (an index or a slice)
-    printed by :func:`write_dyads` and the other rows read from it, so the
-    copy takes the values that the reader gives those rows' cells: floats
-    print as their ``repr`` and read back bit for bit, integer fields
-    print truncated, and a phase-2 cell of a row that is not validated
-    is empty and reads as 0.  Ids are stripped.  There is no copy unless
-    the columns are those of ``records.column_names``, each flag boolean
-    and every other column float64 (other values print in other forms),
-    and the ids and values pass the reader's checks (:func:`_copy_ids`,
-    no repeated id, ``records.first_invalid_row``).
+    Floats print as their ``repr`` and read back bit for bit, integer
+    fields print truncated, and a phase-2 cell of a row that is not
+    validated is empty and reads as 0.  The values are None unless the
+    columns are those of ``records.column_names``, each flag boolean and
+    every other column float64 (other values print in other forms), and
+    the values pass ``records.first_invalid_row``.
     """
     cols, n = table.columns, len(table)
     names = list(cols)
     if (names != column_names(table.n_z, table.n_aux)
             or any(v.shape != (n,) or v.dtype != (bool if name in FLAGS else np.float64)
                    for name, v in cols.items())):
-        _remove_copy(path)
-        return
+        return None
     values = np.array([cols[name] for name in names], dtype=np.float64)
     with np.errstate(invalid="ignore"):  # a non-finite cell, which the checks reject
         for k, name in enumerate(names):
@@ -670,11 +655,9 @@ def _write_dyads_copy(path, digest: bytes, table: DyadTable, rows) -> None:
                 values[k, rows] = cols[name][rows].astype(np.int64)
     phase2 = [k for k, name in enumerate(names) if is_phase2(name)]
     values[phase2] = np.where(cols["validated"], values[phase2], 0.0)
-    ids = _copy_ids(table.ids)
-    if ids is None or len(set(ids)) < n or first_invalid_row(dict(zip(names, values))):
-        _remove_copy(path)
-        return
-    _save_copy(path, "dyads", digest, ids, values, columns=names)
+    if first_invalid_row(dict(zip(names, values))) is not None:
+        return None
+    return values
 
 
 def read_dyads(path, source: list | None = None) -> DyadTable:
@@ -693,9 +676,8 @@ def read_dyads(path, source: list | None = None) -> DyadTable:
     same ids, columns, dtypes and float bits.
     """
     data = _read_bytes(path)
-    copy = _load_copy(path, data, "dyads", _dyads_copy_shape)
-    table = (_parse_dyads(path, data) if copy is None
-             else DyadTable(copy[1], dict(zip(copy[0]["columns"], copy[2]))))
+    copy = _load_copy(path, data, "dyads")
+    table = _parse_dyads(path, data) if copy is None else DyadTable(*copy)
     if source is not None:
         source.append(data)
     return table
@@ -704,7 +686,7 @@ def read_dyads(path, source: list | None = None) -> DyadTable:
 def _parse_dyads(path, data: bytes) -> DyadTable:
     """:func:`read_dyads` of the bytes ``data`` by parsing their text."""
     problems: list = []
-    header, columns = _read_columns(path, problems, exact=True, text=_decode(path, data))
+    header, columns = _read_columns(path, problems, exact=True, data=data)
     if header is None:
         raise SchemaError("dyads file is empty; a header row is required")
     for col in ("id", "y_star", "delta_star", "x_star"):
@@ -760,15 +742,6 @@ def _parse_dyads(path, data: bytes) -> DyadTable:
     _repeated_key(ids, "id", problems)
     _raise_first(problems)
     return DyadTable(ids, columns)
-
-
-def _dyads_copy_shape(head: dict) -> tuple | None:
-    """The values' shape in a dyads copy: a row per ``records.column_names`` name."""
-    names = head.get("columns")
-    if not _is_strings(names) or names != column_names(
-            sum(c.startswith("z_star_") for c in names), sum(c.startswith("aux_") for c in names)):
-        return None
-    return (len(names), head["rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -1008,13 +981,10 @@ def write_influence(path, values: dict[str, float]) -> None:
     sha = hashlib.sha256()
     cells = column if floats else list(map(_fmt, column))
     _write_columns(path, ["id", "influence"], [ids, cells], sha)
-    keys = _copy_ids(ids)
-    column = np.array(column, dtype=np.float64) if floats else None
-    if (keys is None or column is None or len(set(keys)) < len(keys)
-            or not np.isfinite(column).all()):
-        _remove_copy(path)
-        return
-    _save_copy(path, "influence", sha.digest(), keys, column)
+    parsed = np.array([column], dtype=np.float64) if floats else None
+    if parsed is not None and not np.isfinite(parsed).all():
+        parsed = None  # the reader rejects a non-finite value
+    _save_copy(path, "influence", sha.digest(), ids, ["influence"], parsed)
 
 
 def _all_floats(column: list) -> bool:
@@ -1024,16 +994,16 @@ def _all_floats(column: list) -> bool:
     return set(map(type, column)) <= {float}
 
 
-def _read_keyed_floats(path, key: str, column: str, text: str | None = None
+def _read_keyed_floats(path, key: str, column: str, data: bytes | None = None
                        ) -> dict[str, float]:
     """``{key: value}`` from a two-column CSV with header ``key,column``.
 
     A key that appears on two rows raises SchemaError naming both rows,
-    and so does a non-finite value, naming its row.  ``text``, when
-    given, is the file's text, already read.
+    and so does a non-finite value, naming its row.  ``data``, when
+    given, is the file's bytes, already read.
     """
     problems: list = []
-    header, (key_cells, value_cells) = _read_columns(path, problems, 2, text=text)
+    header, (key_cells, value_cells) = _read_columns(path, problems, 2, data=data)
     if header is None or [c.strip() for c in header[:2]] != [key, column]:
         raise SchemaError(f"{path} must have header '{key},{column}'")
     keys = list(map(str.strip, key_cells))
@@ -1049,11 +1019,11 @@ def read_influence(path) -> dict[str, float]:
     :func:`write_influence` wrote when it holds the SHA-256 of the bytes
     read, else parsed as :func:`_read_keyed_floats` parses it."""
     data = _read_bytes(path)
-    copy = _load_copy(path, data, "influence", lambda head: (head["rows"],))
+    copy = _load_copy(path, data, "influence")
     if copy is not None:
-        _, ids, values = copy
-        return dict(zip(ids, values.tolist()))
-    return _read_keyed_floats(path, "id", "influence", _decode(path, data))
+        ids, columns = copy
+        return dict(zip(ids, columns["influence"].tolist()))
+    return _read_keyed_floats(path, "id", "influence", data)
 
 
 def read_gestation(path) -> dict[str, float]:
@@ -1166,8 +1136,8 @@ def write_truth(path, pop) -> None:
     ``delta`` and ``asthma`` print truncated, as integers.  The copy holds
     the stripped ids and each column as the reader parses its text; there
     is none unless every column is float64 with a row per id (others
-    print in other forms) and the reader would accept the file: ids it can
-    read back (:func:`_copy_ids`) and no repeated id.
+    print in other forms) and the reader would accept the ids
+    (:func:`_save_copy`).
     """
     ids, n_z = pop.ids(), pop.z.shape[1]
     names = [*_TRUTH_COLUMNS, *(f"z_{j}" for j in range(n_z))]
@@ -1175,15 +1145,12 @@ def write_truth(path, pop) -> None:
               pop.asthma.astype(np.int64), *(pop.z[:, j] for j in range(n_z))]
     sha = hashlib.sha256()
     _write_columns(path, ["id", *names], [ids, *(a.tolist() for a in arrays)], sha)
-    keys = _copy_ids(ids)
-    if (keys is None or len(set(keys)) < len(keys)
-            or any(a.shape != (len(keys),) for a in arrays)
-            or any(a.dtype != np.float64 for a in (pop.y, pop.x, pop.gestation, pop.z))):
-        _remove_copy(path)
-        return
-    values = np.array(arrays, dtype=np.float64)
-    values[np.isnan(values)] = np.nan  # every nan prints as "nan", read as this one
-    _save_copy(path, "truth", sha.digest(), keys, values, columns=names)
+    values = None
+    if (all(a.shape == (len(ids),) for a in arrays)
+            and all(a.dtype == np.float64 for a in (pop.y, pop.x, pop.gestation, pop.z))):
+        values = np.array(arrays, dtype=np.float64)
+        values[np.isnan(values)] = np.nan  # every nan prints as "nan", read as this one
+    _save_copy(path, "truth", sha.digest(), ids, names, values)
 
 
 def read_truth(path, ids: Iterable[str] | None = None
@@ -1205,12 +1172,12 @@ def read_truth(path, ids: Iterable[str] | None = None
     """
     wanted = None if ids is None else set(ids)
     data = _read_bytes(path)
-    copy = _load_copy(path, data, "truth", _truth_copy_shape)
+    copy = _load_copy(path, data, "truth")
     if copy is not None:
-        head, read, values = copy
+        read, columns = copy
         rows = np.array([i for i, rid in enumerate(read) if wanted is None or rid in wanted],
                         dtype=np.intp)
-        return [read[i] for i in rows.tolist()], dict(zip(head["columns"], values[:, rows]))
+        return [read[i] for i in rows.tolist()], {k: v[rows] for k, v in columns.items()}
     problems: list = []
     kept = {"ids": [], "rows": []}
 
@@ -1221,7 +1188,7 @@ def read_truth(path, ids: Iterable[str] | None = None
         kept.update(ids=[read[i] for i in rows], rows=rows)
         return rows
 
-    header, columns = _read_columns(path, problems, select=select, text=_decode(path, data))
+    header, columns = _read_columns(path, problems, select=select, data=data)
     if header is None or header[:1] != ["id"]:
         raise SchemaError("truth file must have an 'id' leading column")
     names = [*_TRUTH_COLUMNS, *(c for c in header if c.startswith("z_"))]
@@ -1233,17 +1200,6 @@ def read_truth(path, ids: Iterable[str] | None = None
                for name in names}
     _raise_first(problems)
     return kept["ids"], columns
-
-
-def _truth_copy_shape(head: dict) -> tuple | None:
-    """The values' shape in a truth copy: a row per column that
-    :func:`read_truth` returns, the ``z_`` ones after the others."""
-    names = head.get("columns")
-    if (not _is_strings(names) or names[:len(_TRUTH_COLUMNS)] != _TRUTH_COLUMNS
-            or not all(c.startswith("z_") for c in names[len(_TRUTH_COLUMNS):])
-            or len(set(names)) < len(names)):
-        return None
-    return (len(names), head["rows"])
 
 
 def write_report(path_csv, path_txt, report) -> None:

@@ -610,6 +610,42 @@ def test_a_negative_wave_gives_parse_exit(chain_dir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+OUT_OF_RANGE = {
+    # A traceback (ValueError: at least two imputation replicates), exit 1.
+    "mi_replicates": (lambda d: ["estimate", "--dyads", d / "dyads_3.csv", "--method",
+                                 "raking", "--aux", "mi", "--ledger", d / "ledger_O2.json",
+                                 "--mi-replicates", 1],
+                      "--mi-replicates must be at least 2, got 1"),
+    # Exit 0 with an empty report of "replicates: -3".
+    "replicates": (lambda d: ["simulate", "experiment", "--replicates", -3],
+                   "--replicates must be a positive integer, got -3"),
+    # The ValueError of fpca.flag_outliers, after both files were read.
+    "level": (lambda d: ["fpca", "flag", "--measurements", d / "none.csv",
+                         "--eigensystem", d / "none.json", "--level", 1.5],
+              "--level must be in (0, 1), got 1.5"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(OUT_OF_RANGE))
+def test_an_option_out_of_range_gives_parse_exit(chain_dir, tmp_path, capsys, option):
+    argv, message = OUT_OF_RANGE[option]
+    out = tmp_path / "out"
+    assert run(argv(chain_dir) + ["--out", out]) == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: parse: {message}"
+    assert not out.exists()
+
+
+def test_experiment_without_a_seed_uses_the_config_seed(tmp_path):
+    # It passed master_seed=None to run_experiment: a TypeError traceback, exit 1.
+    (tmp_path / "sim.json").write_text(json.dumps({"n": 1500}))
+    common = ["simulate", "experiment", "--config", tmp_path / "sim.json", "--replicates", 1]
+    assert run(common + ["--out", tmp_path / "a"]) == 0
+    assert run(common + ["--seed", simulate.SimConfig().seed, "--out", tmp_path / "b"]) == 0
+    report = (tmp_path / "a" / "report.csv").read_bytes()
+    assert report == (tmp_path / "b" / "report.csv").read_bytes()
+    assert report.count(b"\r\n") == 1 + 10  # the header, then one row per estimator
+
+
 def test_ledger_counts_draws_from_the_drawn_ids(chain_dir, tmp_path):
     # A stale per-wave count in an older ledger no longer moves the estimate.
     d = chain_dir

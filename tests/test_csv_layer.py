@@ -3,8 +3,9 @@
 ``_read_columns`` must give the header, cells and first problem that
 ``csv.reader`` followed by a row-to-column transpose gives, and every
 writer the bytes that ``csv.writer`` writes row by row.  The file read
-(``_read_text``) and the line split (``_plain_lines``) must give what the
-text-mode read and the four-count rule that they replaced gave.
+(``_read_text``) and the plain-line rule (``_plain_rows``, on the text's
+UTF-8 bytes) must give what the text-mode read and the four-count rule on
+the text that they replaced gave.
 """
 
 import csv
@@ -126,7 +127,7 @@ def text_mode_read(path):
 
 
 def four_count_lines(text):
-    """``fileio._plain_lines`` as four counts of the text decided it."""
+    """The plain-line rule as four counts of the text decided it."""
     if '"' in text or text.count("\r") != text.count("\r\n"):
         return None
     if "\r" in text and text.count("\n") != text.count("\r\n"):
@@ -179,20 +180,6 @@ def test_read_text_matches_a_text_mode_read_on_any_bytes(scratch, data):
 LINE_TEXT = st.text(st.sampled_from(list('a1,"\r\n\x85\u2028')), max_size=16)
 
 
-@settings(max_examples=500, deadline=None)
-@given(text=LINE_TEXT | csv_texts())
-def test_plain_lines_match_the_four_count_rule(text):
-    assert fileio._plain_lines(text) == four_count_lines(text)
-
-
-@pytest.mark.parametrize("text", [
-    "", "\r", "\n", "\r\n", "\n\r", "\r\r\n", "a\r\nb\nc", "a\nb\r\n", "a\rb\r\n",
-    "a\r\nb\r\n\r\n", "a,b\r\n1,2", "\u2028\r\n\x85\n",
-])
-def test_plain_lines_match_the_four_count_rule_on_line_ends(text):
-    assert fileio._plain_lines(text) == four_count_lines(text)
-
-
 def plain_rows_lines(text):
     """The lines that ``fileio._plain_rows`` marks in the text's UTF-8 bytes,
     or None; the bytes it keeps must be those lines, each ended in CRLF."""
@@ -208,16 +195,40 @@ def plain_rows_lines(text):
 
 @settings(max_examples=500, deadline=None)
 @given(text=LINE_TEXT | csv_texts())
-def test_the_plain_rule_on_bytes_agrees_with_plain_lines(text):
-    assert plain_rows_lines(text) == fileio._plain_lines(text)
+def test_plain_lines_match_the_four_count_rule(text):
+    assert plain_rows_lines(text) == four_count_lines(text)
 
 
-@pytest.mark.parametrize("text", [
+LINE_END_TEXTS = [
     "", "\r", "\n", "\r\n", "\n\r", "\r\r\n", "a\r\nb\nc", "a\nb\r\n", "a\rb\r\n",
-    "a\r\nb\r\n\r\n", "a,b\r\n1,2", "\u2028\r\n\x85\n", 'a,"b"\r\n', "é,中\n1,2",
-])
+    "a\r\nb\r\n\r\n", "a,b\r\n1,2", "\u2028\r\n\x85\n",
+]
+
+
+@pytest.mark.parametrize("text", LINE_END_TEXTS)
+def test_plain_lines_match_the_four_count_rule_on_line_ends(text):
+    assert plain_rows_lines(text) == four_count_lines(text)
+
+
+def assert_csv_reader_splits_at_commas(text):
+    """Where the rule finds plain lines, ``csv.reader`` reads each of them
+    as its split at commas, a blank line as a row of no cells."""
+    lines = plain_rows_lines(text)
+    if lines is not None:
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            line.split(",") if line else [] for line in lines]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=LINE_TEXT | csv_texts())
+def test_the_plain_rule_on_bytes_agrees_with_plain_lines(text):
+    assert_csv_reader_splits_at_commas(text)
+
+
+@pytest.mark.parametrize("text", LINE_END_TEXTS + ['a,"b"\r\n', "é,中\n1,2"])
 def test_the_plain_rule_on_bytes_agrees_with_plain_lines_on_line_ends(text):
-    assert plain_rows_lines(text) == fileio._plain_lines(text)
+    assert_csv_reader_splits_at_commas(text)
+    assert plain_rows_lines(text) == four_count_lines(text)
 
 
 @pytest.mark.parametrize("line", ["x", "é", "\u2028"])
@@ -227,8 +238,8 @@ def test_the_plain_rule_on_bytes_counts_a_long_line_in_characters(line, short):
     of fewer characters is plain, also when it has more bytes than that."""
     limit = csv.field_size_limit()
     text = "id,h\r\n" + line * (limit - short) + "\r\nr,1\r\n"
-    assert plain_rows_lines(text) == fileio._plain_lines(text)
-    assert (fileio._plain_lines(text) is None) == (short == 0)
+    assert plain_rows_lines(text) == four_count_lines(text)
+    assert (plain_rows_lines(text) is None) == (short == 0)
 
 
 @pytest.mark.parametrize("text", [

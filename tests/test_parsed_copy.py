@@ -63,9 +63,7 @@ def copy_of(path):
 
 def loads_copy(path, kind="dyads"):
     """Whether the reader of ``path`` would load its copy rather than parse."""
-    shape = {"dyads": fileio._dyads_copy_shape, "truth": fileio._truth_copy_shape,
-             "influence": lambda head: (head["rows"],)}[kind]
-    return fileio._load_copy(path, path.read_bytes(), kind, shape) is not None
+    return fileio._load_copy(path, path.read_bytes(), kind) is not None
 
 
 def lines_of(kept):
@@ -152,8 +150,10 @@ def test_the_copy_loads_as_the_parse_of_the_same_bytes(scratch, table, layout, s
             source.write_bytes(source.read_bytes().replace(b"\r\n", b"\n"))
         kept = []
         read = fileio.read_dyads(source, kept)
-        assert lines_of(kept) == (fileio._plain_lines(source.read_bytes().decode("utf-8"))
-                                  or [])
+        text = source.read_bytes().decode("utf-8")
+        # The writer quotes an id that holds a quote, CR or LF; other text is plain.
+        assert lines_of(kept) == ([] if '"' in text
+                                  else text.replace("\r\n", "\n").split("\n")[:-1])
         rng = np.random.default_rng(seed)
         waiting = np.flatnonzero(~read.columns["validated"])
         rows = np.sort(rng.choice(waiting, rng.integers(0, waiting.size + 1), replace=False))
@@ -238,7 +238,7 @@ def corrupt(copy, how):
     if how == "wrong digest":
         return rebuild({**meta, "sha256": "0" * 64}, text, values)
     if how == "wrong version":
-        return first.replace(b" 1", b" 2") + data[len(first):]
+        return first.rpartition(b" ")[0] + b" 0" + data[len(first):]
     if how == "wrong shape":
         return rebuild(meta, text, values[:, :-1])
     if how == "wrong dtype":
@@ -269,7 +269,7 @@ def test_a_broken_copy_falls_back_to_the_parse(tmp_path, caplog, how):
     assert_same_table(got, parse(path))
     [message] = [r.getMessage() for r in caplog.records]
     reason = {"wrong digest": "stale parsed copy",
-              "wrong version": "parsed copy of another version (2)"}
+              "wrong version": "parsed copy of another version (0)"}
     assert message.startswith(f"{path}: parsed the text: "
                               + reason.get(how, "unreadable parsed copy ("))
 
@@ -586,7 +586,7 @@ def test_a_broken_truth_copy_falls_back_to_the_parse(tmp_path, caplog, how):
         copy.write_bytes(copy.read_bytes()[:-9])
     elif how == "other version":
         data = copy.read_bytes()
-        copy.write_bytes(data.replace(b"copy 1\n", b"copy 7\n", 1))
+        copy.write_bytes(data.replace(b"copy %s\n" % fileio._COPY_FORMAT, b"copy 7\n", 1))
     else:
         first, head, body = copy.read_bytes().split(b"\n", 2)
         meta = json.loads(head)
