@@ -39,7 +39,14 @@ import numpy as np
 
 from twophase.errors import DegenerateDesignError, InfeasibleError, LedgerError
 from twophase.kernels import group_rows
-from twophase.records import DesignLedger, DyadTable, leaf_index
+from twophase.records import (
+    DesignLedger,
+    DyadTable,
+    id_order,
+    id_rows,
+    leaf_index,
+    row_ids,
+)
 
 __all__ = [
     "StratumStats",
@@ -373,12 +380,12 @@ def draw_sample(table: DyadTable, ledger: DesignLedger,
                 wave: int | None = None) -> DrawResult:
     """:func:`draw_within_strata` over a ledger's leaves and the rows of ``table``.
 
-    Rows are the frame members sorted by id and strata are visited in
-    leaf-id order; the RNG is ``SeedSequence([seed, wave])``.  Records
-    already drawn in this frame are ineligible.  Records validated
-    through the other frame remain drawable and are reported in
-    ``overlap_ids`` (their validation is reused, not repeated).
-    Deterministic for a given seed and ledger state.
+    Rows are the frame members sorted by id (``records.id_order``) and
+    strata are visited in leaf-id order; the RNG is ``SeedSequence([seed,
+    wave])``.  Records already drawn in this frame are ineligible.
+    Records validated through the other frame remain drawable and are
+    reported in ``overlap_ids`` (their validation is reused, not
+    repeated).  Deterministic for a given seed and ledger state.
     """
     wave = ledger.wave_count + 1 if wave is None else wave
     rows, leaves, idx = leaf_index(table, ledger)
@@ -387,17 +394,17 @@ def draw_sample(table: DyadTable, ledger: DesignLedger,
         if int(want) and sid not in leaf_ids:
             raise LedgerError(f"allocation targets unknown leaf {sid!r}")
     position = {sid: k for k, sid in enumerate(leaf_ids)}
-    member_ids = np.array([table.ids[r] for r in rows.tolist()], dtype=str)
-    order = np.argsort(member_ids, kind="stable")
-    ids = member_ids[order].tolist()
+    order = id_order(row_ids(table, rows))
+    sorted_rows = rows[order]
     assignment = np.array([position[s.id] for s in leaves], dtype=np.intp)[idx[order]]
-    already = ledger.sampled_ids()
-    eligible = np.fromiter((rid not in already for rid in ids), dtype=bool, count=len(ids))
+    eligible = np.ones(len(table), dtype=bool)
+    eligible[id_rows(table.ids, ledger.sampled_ids())] = False
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, wave]))
-    chosen = draw_within_strata(rng, assignment, leaf_ids, allocation, eligible)
-    by_stratum = {sid: [ids[i] for i in rows]
-                  for sid, rows in zip(leaf_ids, chosen) if int(allocation.get(sid, 0))}
-    validated = table.columns["validated"][rows[order]]
-    overlap = {ids[i] for drawn in chosen for i in drawn if validated[i]}
+    chosen = draw_within_strata(rng, assignment, leaf_ids, allocation, eligible[sorted_rows])
+    by_stratum = {sid: [table.ids[r] for r in sorted_rows[drawn].tolist()]
+                  for sid, drawn in zip(leaf_ids, chosen) if int(allocation.get(sid, 0))}
+    validated = table.columns["validated"]
+    overlap = {table.ids[r] for drawn in chosen for r in sorted_rows[drawn].tolist()
+               if validated[r]}
     return DrawResult(wave=wave, by_stratum=by_stratum, overlap_ids=overlap)

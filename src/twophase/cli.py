@@ -21,8 +21,12 @@ harness's weighted-estimation core, ``multiframe.weighted_sample`` and
 arrays that the ``--model`` working model, a ``models.AnalysisSpec``, reads
 from the table's columns for every fit: phase-1, IPW, raking and MI.
 
-Every step reads its inputs whole and checks them again, by design: the
-files between steps may have been edited by hand.  What each step pays
+Every step reads its inputs whole and checks them, by design: the files
+between steps may have been edited by hand.  Each id and row is checked
+once, where it enters a step; from there on a step works on row indices,
+sorted orders and leaf arrays, and turns rows back into ids only to write
+them (``records.id_rows``, ``records.id_order``,
+``fileio.read_influence_rows``).  What each step pays
 around that work is kept small, since a wave is several steps and a
 design many waves: a file is read as bytes and decoded once, a table's
 lines are found by numpy scans of its bytes (``fileio._plain_rows``), a
@@ -194,13 +198,13 @@ def cmd_simulate_reveal(args) -> int:
     draw = fileio.read_draw(args.draw)
     wave = _wave(args, draw["wave"])
     drawn = {rid for ids in draw["by_stratum"].values() for rid in ids}
-    unknown = drawn.difference(table.ids)
+    rows = rec.id_rows(table.ids, drawn)
+    unknown = drawn.difference(table.ids[i] for i in rows.tolist())
     if unknown:
         raise SchemaError(f"draw file {args.draw} names record {min(unknown)!r}, "
                           f"which is not in {args.dyads}")
     overlap = set(draw.get("overlap_ids", ()))
     cols = table.columns
-    rows = np.array([i for i, rid in enumerate(table.ids) if rid in drawn], dtype=np.intp)
     rows = rows[~cols["validated"][rows]]
     # Only the rows reveal validates are parsed out of the truth file.
     truth_ids, truth = fileio.read_truth(args.truth, [table.ids[i] for i in rows.tolist()])
@@ -216,9 +220,11 @@ def cmd_simulate_reveal(args) -> int:
         cols[name][rows] = truth[name][source]
     cols["wave_sampled"][rows] = wave
     cols["validated"][rows] = True
-    bad = rec.first_invalid_row(cols)
+    # The read checked every row; only the validated ones have changed since.
+    bad = rec.first_invalid_row({name: values[rows] for name, values in cols.items()})
     if bad is not None:
-        raise SchemaError(f"truth file {args.truth}: record {table.ids[bad[0]]}: {bad[1]}")
+        raise SchemaError(f"truth file {args.truth}: record {table.ids[rows[bad[0]]]}: "
+                          f"{bad[1]}")
     fileio.write_dyads_patch(args.out, table, kept, rows)
     log.info("validated %d newly drawn records (%d reused from overlap)",
              rows.size, len(overlap & drawn))
@@ -301,10 +307,10 @@ def cmd_design_init(args) -> int:
 
 def cmd_design_allocate(args) -> int:
     wave = _wave(args)
+    _check_range(args, "min_per_stratum", args.min_per_stratum >= 0, "a non-negative integer")
     ledger = fileio.read_ledger(args.ledger)
     table = fileio.read_dyads(args.dyads)
-    values = fileio.read_influence(args.influence)
-    h = np.array([values.get(rid, np.nan) for rid in table.ids], dtype=np.float64)
+    h = fileio.read_influence_rows(args.influence, table.ids)
     stats = allocation.stratum_sd(table, ledger, h)
     result = allocation.multiwave(
         stats, args.target, min_per_stratum=args.min_per_stratum,
@@ -405,7 +411,7 @@ def cmd_estimate(args) -> int:
     frame_rows = np.flatnonzero(in_frame)
 
     def emit(path, rows, h):
-        fileio.write_influence(path, dict(zip([ids[i] for i in rows], h.tolist())))
+        fileio.write_influence(path, dict(zip([ids[i] for i in rows], h.tolist())), table=table)
 
     if args.method == "phase1":
         fit = spec.phase1().fit(cols, frame_rows)
@@ -420,7 +426,7 @@ def cmd_estimate(args) -> int:
               for led in map(fileio.read_ledger, paths)]
     # Each frame's draws enter the sample in record-id order.
     draws, sample = multiframe.weighted_sample(
-        frames, in_frame, order=np.argsort(np.array(ids), kind="stable"),
+        frames, in_frame, order=rec.id_order(ids),
         validated=cols["validated"], ids=ids)
     if args.emit_weights:
         fileio.write_combined_weights(args.emit_weights, [ids[i] for i in draws.rows],
@@ -434,12 +440,11 @@ def cmd_estimate(args) -> int:
             if args.emit_mi_influence:
                 emit(args.emit_mi_influence, frame_rows, h)
         elif args.influence:
-            h_map = fileio.read_influence(args.influence)
-            try:
-                h = np.array([h_map[ids[i]] for i in frame_rows])
-            except KeyError as exc:
+            h = fileio.read_influence_rows(args.influence, [ids[i] for i in frame_rows])
+            missing = np.flatnonzero(np.isnan(h))
+            if missing.size:
                 raise SchemaError(f"influence file {args.influence} has no row for "
-                                  f"frame member {exc.args[0]!r}") from None
+                                  f"frame member {ids[frame_rows[missing[0]]]!r}")
         else:
             h = models.influence_for_target(spec.phase1().fit(cols, frame_rows), target)
     fit, weights, cal = raking.weighted_fit(spec.kind, *spec.arrays(cols, sample.rows),
@@ -637,6 +642,10 @@ def dispatch(argv) -> int:
     args = _parser().parse_args(argv)
     _log_config(args)
     try:
+        # A --seed seeds numpy's SeedSequence, which takes no negative integer, or is
+        # kept in a ledger as the design's seed.
+        if getattr(args, "seed", None) is not None:
+            _check_range(args, "seed", args.seed >= 0, "a non-negative integer")
         if args.command == "simulate":
             if args.action == "generate":
                 if not args.out:

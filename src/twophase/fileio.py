@@ -35,6 +35,16 @@ silently, as does any copy that a write could not finish.  A read never
 writes a file, and the copy may be deleted at any time.  One DEBUG line on
 the ``twophase.fileio`` logger per such read says which way the table was
 read, and why the text was parsed.
+
+Ids and rows are checked once, where they enter.  A parse checks every
+row and id of the text.  A writer checks what it is given before it
+writes a copy, and the copy then holds only values and ids that passed,
+so a table loaded from it is not checked again.  A table that
+:func:`read_dyads` loads from its copy keeps the loaded arrays as its
+columns and records its ids (``DyadTable.checked_ids``): a writer given
+the same ids, id for id, takes them as checked (:func:`_id_text`), and
+checks them in full once one has changed.  :func:`write_dyads_patch` checks only the
+rows it patches, since the read checked the others.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ from twophase.records import (
     Stratum,
     column_names,
     first_invalid_row,
+    id_rows,
     is_phase2,
     parse_bounds,
 )
@@ -440,7 +451,7 @@ def _remove_copy(path) -> None:
 
 
 def _save_copy(path, kind: str, digest: bytes, ids: Sequence, columns: list[str],
-               values: np.ndarray | None) -> None:
+               values: np.ndarray | None, checked: tuple | None = None) -> None:
     """Write the parsed copy of the table at ``path``, whose bytes have
     SHA-256 ``digest`` and whose header is ``id`` and then ``columns``: the
     ids as its reader gives them (stripped) and ``values``, a row per
@@ -448,26 +459,18 @@ def _save_copy(path, kind: str, digest: bytes, ids: Sequence, columns: list[str]
 
     Any old copy is removed instead when ``values`` is None, which a writer
     passes for a table that its reader would reject or read as other
-    values, and when the reader would reject the ids: one that is not a
-    string, is too long for ``csv.reader`` to read back or, stripped,
-    repeats another.  The copy is written to a temporary file that then
-    replaces it.  A write that fails, as in a read-only directory, leaves
-    no copy where it can, and at worst the old one, which no longer
-    matches the table.
+    values, and when the reader would reject the ids (:func:`_id_text`,
+    which skips its checks for the ids of a read, ``checked``, while
+    ``ids`` still equal them).  The copy is written to a temporary file
+    that then replaces it.  A write that fails, as in a read-only
+    directory, leaves no copy where it can, and at worst the old one,
+    which no longer matches the table.
     """
-    if (values is None or set(map(type, ids)) - {str}
-            or ids and max(map(len, ids)) >= csv.field_size_limit()):
+    text = None if values is None else _id_text(ids, checked)
+    if text is None:
         _remove_copy(path)
         return
-    ids = list(map(str.strip, ids))
-    joined = "".join(ids)
-    sep = "\n"
-    if sep in joined:
-        present = set(joined)
-        sep = next((c for c in map(chr, range(0xD800)) if c not in present), None)
-    if sep is None or len(set(ids)) < len(ids):
-        _remove_copy(path)
-        return
+    sep, joined = text
     head = json.dumps({"kind": kind, "sha256": digest.hex(), "rows": len(ids),
                        "separator": ord(sep), "columns": columns}, sort_keys=True)
     target = _copy_path(path)
@@ -475,7 +478,7 @@ def _save_copy(path, kind: str, digest: bytes, ids: Sequence, columns: list[str]
     try:
         with open(tmp, "wb") as fh:
             fh.write(b"%s %s\n%s\n" % (_COPY_MAGIC, _COPY_FORMAT, head.encode("utf-8")))
-            np.save(fh, np.frombuffer(sep.join(ids).encode("utf-8"), dtype=np.uint8),
+            np.save(fh, np.frombuffer(joined.encode("utf-8"), dtype=np.uint8),
                     allow_pickle=False)
             np.save(fh, values, allow_pickle=False)
         os.replace(tmp, target)
@@ -485,11 +488,40 @@ def _save_copy(path, kind: str, digest: bytes, ids: Sequence, columns: list[str]
         _remove_copy(path)
 
 
-def _load_copy(path, data: bytes, kind: str) -> tuple[list[str], dict] | None:
-    """``(ids, columns)`` from the parsed copy of the ``kind`` table at
-    ``path``, whose bytes are ``data``, or None when the text has to be
-    parsed.  ``columns`` maps each name after ``id`` in the table's header
-    to its float64 values.
+def _id_text(ids: Sequence, checked: tuple | None = None) -> tuple[str, str] | None:
+    """The ids as a parsed copy stores them, ``(sep, text)``: stripped and
+    joined by ``sep``, a character that none of them holds.  None when the
+    reader would reject them: an id that is not a string, is too long for
+    ``csv.reader`` to read back or, stripped, repeats another.
+
+    ``checked`` is ``(ids, sep, text)`` for ids that a read has already
+    found to pass (``DyadTable.checked_ids``).  While ``ids`` is a list
+    equal to them, id for id, their ``(sep, text)`` is returned without a
+    check; any other ids, one changed or repeated since the read
+    included, are checked in full.
+    """
+    if checked is not None and isinstance(ids, list) and ids == checked[0]:
+        return checked[1:]
+    if (set(map(type, ids)) - {str}
+            or ids and max(map(len, ids)) >= csv.field_size_limit()):
+        return None
+    ids = list(map(str.strip, ids))
+    joined = "".join(ids)
+    sep = "\n"
+    if sep in joined:
+        present = set(joined)
+        sep = next((c for c in map(chr, range(0xD800)) if c not in present), None)
+    if sep is None or len(set(ids)) < len(ids):
+        return None
+    return sep, sep.join(ids)
+
+
+def _load_copy(path, data: bytes, kind: str) -> tuple[list[str], dict, tuple] | None:
+    """``(ids, columns, (sep, text))`` from the parsed copy of the ``kind``
+    table at ``path``, whose bytes are ``data``, or None when the text has
+    to be parsed.  ``columns`` maps each name after ``id`` in the table's
+    header to its float64 values; ``text`` is the ids joined by ``sep``,
+    as the copy holds them.
 
     A copy whose column names are not those the header gives, or whose
     values are not a row of ``rows`` values per column, is not used.  One
@@ -504,7 +536,7 @@ def _load_copy(path, data: bytes, kind: str) -> tuple[list[str], dict] | None:
     return loaded
 
 
-def _read_copy(copy: Path, data: bytes, kind: str) -> tuple[list[str], dict]:
+def _read_copy(copy: Path, data: bytes, kind: str) -> tuple[list[str], dict, tuple]:
     try:
         fh = open(copy, "rb")
     except FileNotFoundError:
@@ -543,7 +575,7 @@ def _read_copy(copy: Path, data: bytes, kind: str) -> tuple[list[str], dict]:
     ids = joined.split(chr(sep)) if joined or rows else []
     if len(ids) != rows:
         raise _Unusable(f"unreadable parsed copy ({len(ids)} ids for {rows} rows)")
-    return ids, dict(zip(names, values))
+    return ids, dict(zip(names, values)), (chr(sep), joined)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +620,7 @@ def write_dyads(path, table: DyadTable) -> None:
     _write_columns(path, ["id", *table.columns], _dyads_cells(table, np.arange(len(table))),
                    sha)
     _save_copy(path, "dyads", sha.digest(), table.ids, list(table.columns),
-               _dyads_copy_values(table, slice(None)))
+               _dyads_copy_values(table, slice(None)), table.checked_ids)
 
 
 def write_dyads_patch(path, table: DyadTable, source: Sequence[bytes], rows) -> None:
@@ -605,9 +637,15 @@ def write_dyads_patch(path, table: DyadTable, source: Sequence[bytes], rows) -> 
     exact copy is possible, the whole table goes through
     :func:`write_dyads`: when the text was not plain (or ``source`` is
     empty), does not hold a line per row of ``table``, or the header is
-    not ``id`` followed by the table's columns in order.  Either way the
-    parsed copy is written beside the file; the other rows read back as
-    the values that ``table`` holds, which were read from their text.
+    not ``id`` followed by the table's columns in order.
+
+    Either way the parsed copy is written beside the file.  The other
+    rows read back as the values that ``table`` holds, which were read
+    from their text, and the read checked them and the ids, so only the
+    rows in ``rows`` are checked again (:func:`_dyads_copy_values`), and
+    the ids only when they are no longer those the read loaded from the
+    parsed copy (:func:`_id_text`): an id changed since the read, say to
+    repeat another, leaves no copy, as in :func:`write_dyads`.
     """
     data, starts = (_plain_rows(source[0]) if source else None) or (None, None)
     header = ",".join(["id", *table.columns]).encode("utf-8") + b"\r\n"
@@ -626,12 +664,12 @@ def write_dyads_patch(path, table: DyadTable, source: Sequence[bytes], rows) -> 
     with open(path, "wb") as fh:
         fh.write(data)
     _save_copy(path, "dyads", hashlib.sha256(data).digest(), table.ids, list(table.columns),
-               _dyads_copy_values(table, rows))
+               _dyads_copy_values(table, rows), table.checked_ids)
 
 
 def _dyads_copy_values(table: DyadTable, rows) -> np.ndarray | None:
     """The values that :func:`read_dyads` gives the file that holds
-    ``table``, its rows ``rows`` (an index or a slice) printed by
+    ``table``, its rows ``rows`` (an index array or a slice) printed by
     :func:`write_dyads` and the other rows read from it; None when it
     gives others or rejects the file.
 
@@ -640,7 +678,9 @@ def _dyads_copy_values(table: DyadTable, rows) -> np.ndarray | None:
     validated is empty and reads as 0.  The values are None unless the
     columns are those of ``records.column_names``, each flag boolean and
     every other column float64 (other values print in other forms), and
-    the values pass ``records.first_invalid_row``.
+    the rows ``rows`` pass ``records.first_invalid_row``.  The other rows
+    are taken as the table holds them: the read that gave them checked
+    them.
     """
     cols, n = table.columns, len(table)
     names = list(cols)
@@ -649,14 +689,15 @@ def _dyads_copy_values(table: DyadTable, rows) -> np.ndarray | None:
                    for name, v in cols.items())):
         return None
     values = np.array([cols[name] for name in names], dtype=np.float64)
+    printed = values[:, rows]
+    integer = [k for k, name in enumerate(names) if name in INTEGER_FIELDS]
     with np.errstate(invalid="ignore"):  # a non-finite cell, which the checks reject
-        for k, name in enumerate(names):
-            if name in INTEGER_FIELDS:
-                values[k, rows] = cols[name][rows].astype(np.int64)
+        printed[integer] = printed[integer].astype(np.int64)
     phase2 = [k for k, name in enumerate(names) if is_phase2(name)]
-    values[phase2] = np.where(cols["validated"], values[phase2], 0.0)
-    if first_invalid_row(dict(zip(names, values))) is not None:
+    printed[phase2] = np.where(cols["validated"][rows], printed[phase2], 0.0)
+    if first_invalid_row(dict(zip(names, printed))) is not None:
         return None
+    values[:, rows] = printed
     return values
 
 
@@ -673,11 +714,19 @@ def read_dyads(path, source: list | None = None) -> DyadTable:
     When the parsed copy that :func:`write_dyads` or
     :func:`write_dyads_patch` wrote beside the file holds the SHA-256 of
     the bytes read, the table is loaded from it instead of parsed: the
-    same ids, columns, dtypes and float bits.
+    same ids, columns, dtypes and float bits.  The table then keeps the
+    arrays just loaded as its columns, and its ``checked_ids`` record the
+    ids it was loaded with, which a writer of the same ids does not check
+    again.
     """
     data = _read_bytes(path)
     copy = _load_copy(path, data, "dyads")
-    table = _parse_dyads(path, data) if copy is None else DyadTable(*copy)
+    if copy is None:
+        table = _parse_dyads(path, data)
+    else:
+        ids, columns, (sep, text) = copy
+        table = DyadTable(ids, columns, copy=False)
+        table.checked_ids = (list(ids), sep, text)
     if source is not None:
         source.append(data)
     return table
@@ -968,12 +1017,15 @@ def read_ledger(path) -> DesignLedger:
 # simple tabular artifacts
 
 
-def write_influence(path, values: dict[str, float]) -> None:
+def write_influence(path, values: dict[str, float], *, table: DyadTable | None = None
+                    ) -> None:
     """One row per id, in sorted order, with the parsed copy beside the file.
 
     The copy holds the stripped ids and the values; there is none unless
     every value is a float (others print in other forms) and the reader
-    would accept the file: no repeated id and no non-finite value.
+    would accept the file: no repeated id and no non-finite value.  When
+    the ids are those of ``table``, one for one, and :func:`read_dyads`
+    loaded it from its parsed copy, they are not checked again.
     """
     ids = sorted(values)
     column = [values[rid] for rid in ids]
@@ -984,7 +1036,8 @@ def write_influence(path, values: dict[str, float]) -> None:
     parsed = np.array([column], dtype=np.float64) if floats else None
     if parsed is not None and not np.isfinite(parsed).all():
         parsed = None  # the reader rejects a non-finite value
-    _save_copy(path, "influence", sha.digest(), ids, ["influence"], parsed)
+    _save_copy(path, "influence", sha.digest(), ids, ["influence"], parsed,
+               None if table is None else table.checked_ids)
 
 
 def _all_floats(column: list) -> bool:
@@ -995,8 +1048,9 @@ def _all_floats(column: list) -> bool:
 
 
 def _read_keyed_floats(path, key: str, column: str, data: bytes | None = None
-                       ) -> dict[str, float]:
-    """``{key: value}`` from a two-column CSV with header ``key,column``.
+                       ) -> tuple[list[str], np.ndarray]:
+    """The keys and the float64 values of a two-column CSV with header
+    ``key,column``.
 
     A key that appears on two rows raises SchemaError naming both rows,
     and so does a non-finite value, naming its row.  ``data``, when
@@ -1011,24 +1065,50 @@ def _read_keyed_floats(path, key: str, column: str, data: bytes | None = None
     values = _float_column(value_cells, column, problems)
     _non_finite(values, value_cells, column, problems)
     _raise_first(problems)
-    return dict(zip(keys, values.tolist()))
+    return keys, values
 
 
-def read_influence(path) -> dict[str, float]:
-    """``{id: influence}``; loaded from the parsed copy that
-    :func:`write_influence` wrote when it holds the SHA-256 of the bytes
-    read, else parsed as :func:`_read_keyed_floats` parses it."""
+def _read_influence(path) -> tuple[list[str], np.ndarray]:
+    """The ids and values of an influence file: loaded from the parsed copy
+    that :func:`write_influence` wrote when it holds the SHA-256 of the
+    bytes read, else parsed as :func:`_read_keyed_floats` parses it."""
     data = _read_bytes(path)
     copy = _load_copy(path, data, "influence")
     if copy is not None:
-        ids, columns = copy
-        return dict(zip(ids, columns["influence"].tolist()))
+        ids, columns, _ = copy
+        return ids, columns["influence"]
     return _read_keyed_floats(path, "id", "influence", data)
+
+
+def read_influence(path) -> dict[str, float]:
+    """``{id: influence}`` of an influence file."""
+    ids, values = _read_influence(path)
+    return dict(zip(ids, values.tolist()))
+
+
+def read_influence_rows(path, ids: Sequence[str]) -> np.ndarray:
+    """The influence of each of ``ids``, in their order, as float64; nan for
+    an id that the file does not list (a listed value is never nan).
+
+    When the file lists exactly ``ids`` in that order, as the influence of
+    every row of a table with sorted ids does, its values are returned
+    after one comparison of the two id lists, without a lookup per id.
+    """
+    read, values = _read_influence(path)
+    ids = list(ids)
+    if read == ids:
+        return values
+    position = dict(zip(read, range(len(read))))
+    at = np.fromiter(map(position.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+    out = np.full(len(ids), np.nan)
+    out[at >= 0] = values[at[at >= 0]]
+    return out
 
 
 def read_gestation(path) -> dict[str, float]:
     """Gestation length in days per subject (header ``subject_id,gestation_days``)."""
-    return _read_keyed_floats(path, "subject_id", "gestation_days")
+    keys, values = _read_keyed_floats(path, "subject_id", "gestation_days")
+    return dict(zip(keys, values.tolist()))
 
 
 def write_allocation(path, draws: dict[str, int], *, wave: int, frame: str,
@@ -1171,12 +1251,15 @@ def read_truth(path, ids: Iterable[str] | None = None
     instead: the same ids, columns and float bits.
     """
     wanted = None if ids is None else set(ids)
+
+    def kept_rows(read):
+        return np.arange(len(read)) if wanted is None else id_rows(read, wanted)
+
     data = _read_bytes(path)
     copy = _load_copy(path, data, "truth")
     if copy is not None:
-        read, columns = copy
-        rows = np.array([i for i, rid in enumerate(read) if wanted is None or rid in wanted],
-                        dtype=np.intp)
+        read, columns, _ = copy
+        rows = kept_rows(read)
         return [read[i] for i in rows.tolist()], {k: v[rows] for k, v in columns.items()}
     problems: list = []
     kept = {"ids": [], "rows": []}
@@ -1184,7 +1267,7 @@ def read_truth(path, ids: Iterable[str] | None = None
     def select(first):
         read = list(map(str.strip, first))
         _repeated_key(read, "id", problems)
-        rows = [i for i, rid in enumerate(read) if wanted is None or rid in wanted]
+        rows = kept_rows(read).tolist()
         kept.update(ids=[read[i] for i in rows], rows=rows)
         return rows
 

@@ -17,6 +17,7 @@ attributed to the child each drawn record falls in.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -95,22 +96,35 @@ class DyadTable:
     ``x_star``, ``z_star_<j>`` and ``aux_<j>``; boolean ``in_asthma_frame``
     and ``validated``; float phase-2 ``wave_sampled``, ``y``, ``delta``,
     ``x`` and ``z_<j>``, which hold the validated values and 0 on the
-    other rows.  Integer fields are stored as whole floats.  The table
-    holds its own copy of each column; absent flag and phase-2 columns
-    are filled with False and 0.
+    other rows.  Integer fields are stored as whole floats.  Absent flag
+    and phase-2 columns are filled with False and 0.
+
+    By default the table holds its own copy of each column.  With
+    ``copy=False`` it keeps each given array that already has its
+    column's dtype, as ``fileio.read_dyads`` does with the arrays it has
+    just loaded and hands to no one else.
+
+    ``checked_ids`` is None, except on a table that ``fileio.read_dyads``
+    loaded from its parsed copy: then ``(ids, sep, text)``, a copy of the
+    ids it was loaded with, which passed the checks of the writer of that
+    copy, and their text in it.  A writer takes ``ids`` as checked while
+    they still equal that copy (``fileio._id_text``).
     """
 
-    def __init__(self, ids: list[str], columns: Mapping[str, Sequence]):
+    def __init__(self, ids: list[str], columns: Mapping[str, Sequence], *,
+                 copy: bool = True):
         n_z = sum(1 for name in columns if name.startswith("z_star_"))
         n_aux = sum(1 for name in columns if name.startswith("aux_"))
+        convert = np.array if copy else np.asarray
         self.ids = ids
+        self.checked_ids: tuple | None = None
         self.columns = {}
         for name in column_names(n_z, n_aux):
             dtype = bool if name in FLAGS else np.float64
             if name not in columns and (name in FLAGS or is_phase2(name)):
                 self.columns[name] = np.zeros(len(ids), dtype=dtype)
             else:
-                self.columns[name] = np.array(columns[name], dtype=dtype)
+                self.columns[name] = convert(columns[name], dtype=dtype)
         self.n_z, self.n_aux = n_z, n_aux
 
     def __len__(self) -> int:
@@ -228,17 +242,51 @@ def assign_strata_arrays(values: Mapping[str, np.ndarray], leaves: Sequence[Stra
     PartitionError if any record matches zero or multiple leaves, naming
     the first such record by its entry in ``ids`` (aligned with the
     values) or, without ``ids``, by its index.
+
+    The leaves' bounds cut each axis at a few edges, and a record's cell
+    is its interval between them on every bounded axis: on each, the
+    count of edges below its value.  All records of a cell match the same
+    leaves, so each leaf marks the box of cells it holds, and each record
+    takes its cell's count and leaf.  ``lo < value <= hi`` holds exactly
+    for the cells past ``lo``'s edge up to ``hi``'s, and a nan or -inf
+    value has no edge below it, so it falls in no bounded interval, as
+    the comparisons say.  When the grid of cells is larger than the
+    table (and than 4,096 cells), the boxes are tested on the cells that
+    records fall in instead, so the work and memory stay within a few
+    arrays of the table's length whatever the number of leaves.
     """
     n = len(next(iter(values.values())))
-    match_count = np.zeros(n, dtype=np.intp)
-    assignment = np.full(n, -1, dtype=np.intp)
-    for j, leaf in enumerate(leaves):
-        mask = np.ones(n, dtype=bool)
-        for axis, (lo, hi) in leaf.bounds.items():
-            v = values[axis]
-            mask &= (v > lo) & (v <= hi)
-        match_count += mask
-        assignment[mask] = j
+    axes = list(dict.fromkeys(axis for leaf in leaves for axis in leaf.bounds))
+    edges = [sorted({b for leaf in leaves for b in leaf.bounds.get(axis, ())}) for axis in axes]
+    cell = np.zeros(n, dtype=np.int64)
+    for axis, cuts in zip(axes, edges):
+        cell *= len(cuts) + 1
+        for cut in cuts:
+            cell += values[axis] > cut
+    shape = tuple(len(cuts) + 1 for cuts in edges)
+    place = [dict(zip(cuts, range(1, len(cuts) + 1))) for cuts in edges]
+    boxes = [tuple(slice(at[b[0]], at[b[1]]) if b else slice(None)
+                   for at, b in zip(place, map(leaf.bounds.get, axes))) for leaf in leaves]
+    if math.prod(shape) <= max(n, 4096):
+        count = np.zeros(shape, dtype=np.intp)
+        leaf_of = np.full(shape, -1, dtype=np.intp)
+        for j, box in enumerate(boxes):
+            count[box] += 1
+            leaf_of[box] = j
+        count, leaf_of = count.ravel(), leaf_of.ravel()
+    else:
+        cells, cell = np.unique(cell, return_inverse=True)
+        codes = np.unravel_index(cells, shape)
+        count = np.zeros(cells.size, dtype=np.intp)
+        leaf_of = np.full(cells.size, -1, dtype=np.intp)
+        for j, box in enumerate(boxes):
+            inside = np.ones(cells.size, dtype=bool)
+            for code, side in zip(codes, box):
+                if side != slice(None):
+                    inside &= (code >= side.start) & (code < side.stop)
+            count += inside
+            leaf_of[inside] = j
+    match_count, assignment = count[cell], leaf_of[cell]
     if np.any(match_count != 1):
         bad = int(np.flatnonzero(match_count != 1)[0])
         hits = [leaf.id for j, leaf in enumerate(leaves)
@@ -264,19 +312,52 @@ def leaf_index(table: DyadTable,
     """
     rows = np.flatnonzero(ledger.member_mask(table))
     leaves = ledger.leaves()
-    member_ids = [table.ids[r] for r in rows.tolist()]
     idx = (assign_strata_arrays({axis: table.columns[axis][rows] for axis in AXES}, leaves,
-                                ids=member_ids)
+                                ids=row_ids(table, rows))
            if rows.size else np.empty(0, dtype=np.intp))
     if any(s.total_sampled for s in leaves):
-        _check_counted_ids(table, ledger.frame, leaves, member_ids, idx)
+        _check_counted_ids(table, ledger.frame, leaves, rows, idx)
     return rows, leaves, idx
 
 
+def row_ids(table: DyadTable, rows: np.ndarray) -> Sequence[str]:
+    """The ids of ``rows``, ascending rows of ``table`` such as
+    :func:`leaf_index` gives: the table's own list when they are all of
+    its rows, so that a frame of every record costs no list."""
+    return table.ids if rows.size == len(table) else [table.ids[r] for r in rows.tolist()]
+
+
+def id_rows(ids: Sequence[str], wanted) -> np.ndarray:
+    """The positions in ``ids``, ascending, of the ids in the set ``wanted``:
+    one set lookup per id."""
+    return np.flatnonzero(np.fromiter(map(wanted.__contains__, ids), dtype=bool,
+                                      count=len(ids)))
+
+
+def id_order(ids: Sequence[str]) -> np.ndarray:
+    """Positions of ``ids`` in ascending id order, equal ids in position
+    order: a stable sort on Python's string order.  Ids that are sorted
+    already, as a table's usually are, take one ``sorted`` and one
+    comparison."""
+    ids = list(ids)
+    if sorted(ids) == ids:
+        return np.arange(len(ids))
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+
 def _check_counted_ids(table: DyadTable, frame: str, leaves: Sequence[Stratum],
-                       member_ids: list[str], idx: np.ndarray) -> None:
-    """LedgerError unless each leaf counts only its own members, each once."""
-    leaf_of = dict(zip(member_ids, idx.tolist()))
+                       rows: np.ndarray, idx: np.ndarray) -> None:
+    """LedgerError unless each leaf counts only its own members, each once.
+
+    The counted ids are found in the table by one pass over its ids, and
+    each one's leaf read off the rows, -1 outside the frame.
+    """
+    leaf_at = np.full(len(table), -1, dtype=np.intp)
+    leaf_at[rows] = idx
+    found = id_rows(table.ids, {rid for s in leaves for rid in s.all_drawn_ids()})
+    # In row order: of two rows with one id, the later one's leaf counts.
+    leaf_of = {table.ids[r]: k for r, k in zip(found.tolist(), leaf_at[found].tolist()) if k >= 0}
+    in_table = {table.ids[r] for r in found.tolist()}
     for j, s in enumerate(leaves):
         counted = s.all_drawn_ids()
         for rid in counted:
@@ -285,7 +366,7 @@ def _check_counted_ids(table: DyadTable, frame: str, leaves: Sequence[Stratum],
                 continue
             if k is not None:
                 where = f"a member of stratum {leaves[k].id!r}"
-            elif rid in table.ids:
+            elif rid in in_table:
                 where = f"not a member of frame {frame!r}"
             else:
                 where = "not a record of the table"
@@ -338,11 +419,12 @@ def frame_arrays(table: DyadTable,
             "sampling probability")
     pi = np.full(len(table), np.nan)
     pi[rows] = inclusion_probabilities(counts, sizes, idx)
-    leaf = np.full(len(table), "", dtype=object)
-    leaf[rows] = np.array([s.id for s in leaves], dtype=object)[idx]
-    drawn = ledger.sampled_ids()
-    sampled = np.fromiter((rid in drawn for rid in table.ids), dtype=bool, count=len(table))
-    return pi, leaf.astype(str), sampled
+    labels = np.array([s.id for s in leaves] or [""], dtype=str)
+    leaf = np.full(len(table), "", dtype=labels.dtype)
+    leaf[rows] = labels[idx]
+    sampled = np.zeros(len(table), dtype=bool)
+    sampled[id_rows(table.ids, ledger.sampled_ids())] = True
+    return pi, leaf, sampled
 
 
 def sampling_probabilities(table: DyadTable, ledger: DesignLedger) -> dict[str, float]:

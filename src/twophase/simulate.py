@@ -201,6 +201,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
+        if self.seed < 0:  # numpy's SeedSequence takes non-negative integers only
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

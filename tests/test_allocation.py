@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from twophase import allocation as al
 from twophase.errors import DegenerateDesignError, InfeasibleError
-from twophase.records import DesignLedger, DyadTable, Stratum, apply_draw, build_ledger
+from twophase.records import (
+    DesignLedger,
+    DyadTable,
+    Stratum,
+    apply_draw,
+    build_ledger,
+    leaf_index,
+)
 
 from allocation_oracle import oracle_allocation
 
@@ -311,3 +318,57 @@ class TestDrawSample:
         table, ledger = self._setup()
         with pytest.raises(InfeasibleError):
             al.draw_sample(table, ledger, {"ev0": 1000}, seed=1)
+
+
+def reference_draw(table, ledger, allocation, seed, wave):
+    """``draw_sample`` as it sorted a numpy string array of the member ids
+    and tested each for a draw, the reference on ids without a trailing NUL."""
+    rows, leaves, idx = leaf_index(table, ledger)
+    leaf_ids = sorted(s.id for s in leaves)
+    position = {sid: k for k, sid in enumerate(leaf_ids)}
+    member_ids = np.array([table.ids[r] for r in rows.tolist()], dtype=str)
+    order = np.argsort(member_ids, kind="stable")
+    ids = member_ids[order].tolist()
+    assignment = np.array([position[s.id] for s in leaves], dtype=np.intp)[idx[order]]
+    already = ledger.sampled_ids()
+    eligible = np.array([rid not in already for rid in ids], dtype=bool)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, wave]))
+    chosen = al.draw_within_strata(rng, assignment, leaf_ids, allocation, eligible)
+    validated = table.columns["validated"][rows[order]]
+    return ({sid: [ids[i] for i in drawn] for sid, drawn in zip(leaf_ids, chosen)
+             if allocation.get(sid, 0)},
+            {ids[i] for drawn in chosen for i in drawn if validated[i]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), sorted_ids=st.booleans())
+def test_draw_sample_matches_the_reference_over_waves_and_frames(seed, sorted_ids):
+    rng = np.random.default_rng(seed)
+    n = 80
+    ids = [f"r{k:03d}" for k in range(n)]
+    if not sorted_ids:
+        ids = [ids[k] for k in rng.permutation(n)]
+    table = DyadTable(ids, {"y_star": rng.uniform(1, 5, n), "delta_star": rng.integers(0, 2, n),
+                            "x_star": rng.normal(size=n), "in_asthma_frame": rng.random(n) < 0.6,
+                            "validated": rng.random(n) < 0.2})
+    specs = [{"id": f"e{d}x{h}", "bounds": {"delta_star": [[None, 0.5], [0.5, None]][d],
+                                            "x_star": [[None, 0.0], [0.0, None]][h]}}
+             for d in range(2) for h in range(2)]
+    for flag in (None, "in_asthma_frame"):
+        ledger = build_ledger("f", specs, table, member_flag=flag)
+        for wave in (1, 2):
+            want = {s.id: min(3, s.population_size - s.total_sampled) for s in ledger.leaves()}
+            got = al.draw_sample(table, ledger, want, seed=seed, wave=wave)
+            assert (got.by_stratum, got.overlap_ids) == reference_draw(table, ledger, want,
+                                                                       seed, wave)
+            ledger = apply_draw(ledger, wave, got.by_stratum)
+
+
+def test_draw_sample_gives_an_id_ending_in_nul_as_the_table_holds_it():
+    # A numpy string array drops trailing NULs: "r1\0" was drawn as "r1",
+    # an id that the table does not hold.
+    table = DyadTable(["r0", "r1\x00", "r2"], {"y_star": [1.0] * 3, "delta_star": [0] * 3,
+                                               "x_star": [0.0] * 3})
+    ledger = build_ledger("f", [{"id": "all", "bounds": {}}], table)
+    assert al.draw_sample(table, ledger, {"all": 3}, seed=1).by_stratum == {
+        "all": ["r0", "r1\x00", "r2"]}

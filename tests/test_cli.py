@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import logging
@@ -323,6 +324,18 @@ def test_design_chain_matches_pinned_outputs(chain_dir, tmp_path):
             (pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12)) for b, se in want]
 
 
+def test_a_patch_writes_the_copy_that_write_dyads_writes(chain_dir, tmp_path):
+    # Each revealed file of the chain is a patch of the one before, which
+    # checked only its newly validated rows and took the ids as read.
+    for name in ("dyads_1.csv", "dyads_2.csv", "dyads_3.csv"):
+        read = fileio.read_dyads(chain_dir / name)
+        # A table of its own, unknown to the reader: every row and id is checked.
+        fileio.write_dyads(tmp_path / name, rec.DyadTable(list(read.ids), read.columns))
+        for suffix in ("", ".parsed"):
+            assert ((tmp_path / f"{name}{suffix}").read_bytes()
+                    == (chain_dir / f"{name}{suffix}").read_bytes()), name + suffix
+
+
 class TestOneParserPerProcess:
     """dispatch builds its parser once per process; every call must still see
     what it would see in a fresh process."""
@@ -623,6 +636,11 @@ OUT_OF_RANGE = {
     "level": (lambda d: ["fpca", "flag", "--measurements", d / "none.csv",
                          "--eigensystem", d / "none.json", "--level", 1.5],
               "--level must be in (0, 1), got 1.5"),
+    # Exit 0, allocating as with a floor of 0.
+    "min_per_stratum": (lambda d: ["design", "allocate", "--ledger", d / "ledger_O0.json",
+                                   "--dyads", d / "dyads.csv", "--influence", d / "h.csv",
+                                   "--target", 50, "--wave", 1, "--min-per-stratum", -3],
+                        "--min-per-stratum must be a non-negative integer, got -3"),
 }
 
 
@@ -633,6 +651,88 @@ def test_an_option_out_of_range_gives_parse_exit(chain_dir, tmp_path, capsys, op
     assert run(argv(chain_dir) + ["--out", out]) == 4
     assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: parse: {message}"
     assert not out.exists()
+
+
+# Each command that reads --seed, before the option.  A negative seed was
+# the uncaught ValueError of numpy's SeedSequence (a traceback, exit 1),
+# and design init stored it in the ledger (exit 0).
+NEGATIVE_SEED = {
+    "simulate generate": lambda d: ["simulate", "generate", "--config", d / "sim.json"],
+    "simulate experiment": lambda d: ["simulate", "experiment", "--config", d / "sim.json",
+                                      "--replicates", 1],
+    "design init": lambda d: ["design", "init", "--frame", "O", "--dyads", d / "dyads.csv",
+                              "--strata", d / "strata_O.json"],
+    "design draw": lambda d: ["design", "draw", "--ledger", d / "ledger_O0.json",
+                              "--dyads", d / "dyads.csv", "--allocation", d / "alloc_O1.json"],
+    "estimate": lambda d: ["estimate", "--dyads", d / "dyads_3.csv", "--method", "raking",
+                           "--aux", "mi", "--ledger", d / "ledger_O2.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED))
+def test_a_negative_seed_gives_parse_exit(chain_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(NEGATIVE_SEED[command](chain_dir) + ["--seed", -4, "--out", out]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "error: parse: --seed must be a non-negative integer, got -4"
+    assert not out.exists()
+
+
+def test_a_negative_config_seed_gives_parse_exit(tmp_path, capsys):
+    (tmp_path / "sim.json").write_text(json.dumps({"n": 50, "seed": -1}))
+    assert run(["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "o"]) == 4
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+# A valid command line on the pinned chain for each integer option of each
+# (sub)command's parser, by the action that reads it.
+INTEGER_OPTIONS = {
+    ("simulate", "--seed"): lambda d: ["simulate", "--config", d / "sim.json"],
+    ("simulate", "--wave"): lambda d: ["simulate", "reveal", "--dyads", d / "dyads.csv",
+                                          "--truth", d / "truth.csv",
+                                          "--draw", d / "draw_O1.json"],
+    ("simulate", "--replicates"): lambda d: ["simulate", "experiment",
+                                                "--config", d / "sim.json"],
+    ("fpca", "fit", "--grid-size"): lambda d: ["fpca", "fit",
+                                                 "--measurements", d / "none.csv"],
+    ("design", "init", "--seed"): NEGATIVE_SEED["design init"],
+    **{("design", "allocate", option): lambda d: [
+        "design", "allocate", "--ledger", d / "ledger_O0.json", "--dyads", d / "dyads.csv",
+        "--influence", d / "h.csv", "--target", 50, "--wave", 1]
+       for option in ("--target", "--wave", "--min-per-stratum")},
+    **{("design", "draw", option): lambda d: [
+        "design", "draw", "--ledger", d / "ledger_O0.json", "--dyads", d / "dyads.csv",
+        "--allocation", d / "alloc_O1.json", "--seed", 41, "--wave", 1]
+       for option in ("--seed", "--wave")},
+    ("estimate", "--outcome-z"): lambda d: ["estimate", "--dyads", d / "dyads_3.csv",
+                                               "--model", "logistic", "--method", "phase1"],
+    **{("estimate", option): lambda d: [
+        "estimate", "--dyads", d / "dyads_3.csv", "--method", "raking", "--aux", "mi",
+        "--ledger", d / "ledger_O2.json", "--mi-replicates", 2]
+       for option in ("--mi-replicates", "--seed")},
+}
+
+
+def integer_options(parser, path=()):
+    """The command words and the option of every ``type=int`` option under
+    ``parser``, as one tuple each."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from integer_options(sub, (*path, name))
+        elif action.type is int:
+            yield (*path, action.option_strings[0])
+
+
+def test_every_integer_option_has_a_command_line_below():
+    assert set(integer_options(cli.build_parser())) == set(INTEGER_OPTIONS)
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_OPTIONS), ids=" ".join)
+def test_minus_one_for_an_integer_option_exits_with_a_mapped_code(chain_dir, tmp_path, key):
+    # The last value of an option wins, so -1 replaces any value given before.
+    argv = INTEGER_OPTIONS[key](chain_dir) + [key[-1], -1, "--out", tmp_path / "out"]
+    assert run(argv) in {code for _, code, _ in cli.EXIT_CODES}
 
 
 def test_experiment_without_a_seed_uses_the_config_seed(tmp_path):

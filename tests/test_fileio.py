@@ -320,6 +320,21 @@ def test_influence_round_trip(tmp_path):
     assert fileio.read_influence(path) == values
 
 
+@pytest.mark.parametrize("copy", [True, False])
+def test_influence_on_rows_aligns_by_id(tmp_path, copy):
+    path = tmp_path / "h.csv"
+    fileio.write_influence(path, {"r1": -1.5, "r2": 0.25, "r3": 4.0})
+    if not copy:
+        path.with_name("h.csv.parsed").unlink()
+    # The file's own ids in its order: its values as they are.
+    assert fileio.read_influence_rows(path, ["r1", "r2", "r3"]).tolist() == [-1.5, 0.25, 4.0]
+    # Any other ids: each one's value, nan where the file has none.
+    got = fileio.read_influence_rows(path, ("r3", "r9", "r1"))
+    assert got.dtype == np.float64
+    assert got.tolist()[::2] == [4.0, -1.5] and np.isnan(got[1])
+    assert fileio.read_influence_rows(path, []).tolist() == []
+
+
 @pytest.mark.parametrize("reader, header", [
     (fileio.read_influence, "id,influence"),
     (fileio.read_gestation, "subject_id,gestation_days"),

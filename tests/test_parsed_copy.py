@@ -387,6 +387,67 @@ def test_rows_a_patch_keeps_are_copied_as_their_text_reads(tmp_path):
     assert_same_table(got, parse(path))
 
 
+@pytest.mark.parametrize("change", ["repeat", "rename", "tuple"])
+def test_ids_changed_after_the_read_are_checked_in_full(tmp_path, change):
+    # A read from the copy lets the patch skip the id checks only while the
+    # table still holds the ids it read; any change brings the full checks.
+    source, path = tmp_path / "source.csv", tmp_path / "dyads.csv"
+    fileio.write_dyads(source, sample_table())
+    kept = []
+    table = fileio.read_dyads(source, kept)
+    assert loads_copy(source)
+    if change == "repeat":
+        table.ids[4] = table.ids[1]
+    elif change == "rename":
+        table.ids[4] = "e4"
+    else:
+        table.ids = tuple(table.ids)
+    fileio.write_dyads_patch(path, table, kept, [4])
+    if change == "repeat":
+        assert not copy_of(path).exists()
+        assert read_outcome(parse, path)[0] == "error"  # the repeated id
+        return
+    assert loads_copy(path)
+    assert_same_table(fileio.read_dyads(path), parse(path))
+    assert fileio.read_dyads(path).ids[4] == ("e4" if change == "rename" else "d4")
+
+
+@pytest.mark.parametrize("name, value", [("y_star", -1.0), ("delta", 2.0), ("x", np.nan)])
+def test_a_patched_row_the_reader_rejects_leaves_no_copy(tmp_path, name, value):
+    # The patch checks the rows it writes; row 3 is a validated row.
+    source, path = tmp_path / "source.csv", tmp_path / "dyads.csv"
+    fileio.write_dyads(source, sample_table())
+    kept = []
+    table = fileio.read_dyads(source, kept)
+    table.columns[name][3] = value
+    fileio.write_dyads_patch(path, table, kept, [3])
+    assert not copy_of(path).exists()
+    assert read_outcome(parse, path)[0] == "error"
+
+
+def test_a_table_read_from_its_copy_shares_nothing_with_a_later_read(tmp_path):
+    path = tmp_path / "dyads.csv"
+    fileio.write_dyads(path, sample_table())
+    want = parse(path)
+    first = fileio.read_dyads(path)
+    assert loads_copy(path)
+    y_star = first.columns["y_star"].copy()
+    first.columns["x_star"][:] = 7.5  # the other columns keep their values
+    assert first.columns["y_star"].tobytes() == y_star.tobytes()
+    for name, values in first.columns.items():
+        values[:] = ~values if name in FLAGS else 7.5
+    first.ids[0] = "changed"
+    assert_same_table(fileio.read_dyads(path), want)
+
+
+def test_a_table_built_by_a_caller_holds_its_own_columns():
+    x_star = np.array([0.5, 1.5])
+    table = DyadTable(["a", "b"], {"y_star": [1.0, 2.0], "delta_star": [0, 1],
+                                   "x_star": x_star})
+    x_star[:] = 9.0
+    assert table.columns["x_star"].tolist() == [0.5, 1.5]
+
+
 def test_a_table_that_does_not_print_its_values_as_read_gets_no_copy(tmp_path):
     """Columns of other dtypes print in other forms; the copy is left out."""
     table = sample_table()

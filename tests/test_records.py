@@ -5,12 +5,17 @@ from hypothesis import strategies as st
 
 from twophase.errors import LedgerError, PartitionError, SchemaError
 from twophase.records import (
+    AXES,
     DyadTable,
+    Stratum,
     apply_draw,
     assign_strata,
+    assign_strata_arrays,
     build_ledger,
     close_stratum,
     first_invalid_row,
+    id_order,
+    id_rows,
     sampling_probabilities,
     split_stratum,
 )
@@ -295,3 +300,82 @@ def test_sampling_probabilities_bulk_matches_scalar(table_design):
     pis = sampling_probabilities(head, ledger2)
     for row, rid in enumerate(head.ids):
         assert pis[rid] == sampling_probability(head, row, ledger2)
+
+
+def leaf_masks(values, leaves):
+    """Per-row match counts and leaves by one mask per leaf, the reference
+    for ``assign_strata_arrays``: the last matching leaf wins."""
+    n = len(next(iter(values.values())))
+    count, leaf = np.zeros(n, dtype=np.intp), np.full(n, -1, dtype=np.intp)
+    for j, s in enumerate(leaves):
+        mask = np.ones(n, dtype=bool)
+        for axis, (lo, hi) in s.bounds.items():
+            mask &= (values[axis] > lo) & (values[axis] <= hi)
+        count += mask
+        leaf[mask] = j
+    return count, leaf
+
+
+EDGES = [-np.inf, -1.0, -0.0, 0.5, 1.0, 2.0, np.inf]
+
+
+@st.composite
+def boxes(draw):
+    """Leaves with any (lo, hi] bounds on any axes, gaps and overlaps
+    included, and values on and between their edges, with nan and +-inf."""
+    leaves = []
+    for j in range(draw(st.integers(0, 6))):
+        bounds = {}
+        for axis in draw(st.lists(st.sampled_from(AXES), unique=True, max_size=3)):
+            lo, hi = sorted(draw(st.lists(st.sampled_from(EDGES), min_size=2, max_size=2,
+                                          unique=True)))
+            bounds[axis] = (lo, hi)
+        leaves.append(Stratum(id=f"s{j}", frame="f", bounds=bounds))
+    n = draw(st.integers(1, 30))
+    point = st.sampled_from([*EDGES, np.nan, 0.25, 1.5, 7.0, -3.0])
+    values = {axis: np.array(draw(st.lists(point, min_size=n, max_size=n))) for axis in AXES}
+    return values, leaves
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=boxes())
+def test_assign_strata_arrays_matches_one_mask_per_leaf(case):
+    values, leaves = case
+    count, leaf = leaf_masks(values, leaves)
+    if np.all(count == 1):
+        assert assign_strata_arrays(values, leaves).tolist() == leaf.tolist()
+    else:
+        bad = int(np.flatnonzero(count != 1)[0])
+        with pytest.raises(PartitionError, match=f"record index {bad} matches "
+                                                 f"{count[bad]} leaves"):
+            assign_strata_arrays(values, leaves)
+
+
+def test_assign_strata_arrays_on_a_grid_larger_than_the_table():
+    # 40 x 40 x 2 leaves cut the axes into 42 x 42 x 4 = 7,056 cells, more
+    # than the 50 records and 4,096: the leaves are tested on the records'
+    # cells only.
+    rng = np.random.default_rng(3)
+    cuts = np.linspace(0, 1, 41)
+    leaves = [Stratum(id=f"{i}.{j}.{d}", frame="f",
+                      bounds={"x_star": (cuts[i], cuts[i + 1]), "y_star": (cuts[j], cuts[j + 1]),
+                              "delta_star": ((-np.inf, 0.5), (0.5, np.inf))[d]})
+              for i in range(40) for j in range(40) for d in range(2)]
+    values = {"x_star": rng.uniform(0.01, 1, 50), "y_star": rng.uniform(0.01, 1, 50),
+              "delta_star": rng.integers(0, 2, 50).astype(float)}
+    assert assign_strata_arrays(values, leaves).tolist() == leaf_masks(values, leaves)[1].tolist()
+    values["x_star"][7] = 1.5  # outside every leaf
+    with pytest.raises(PartitionError, match="record index 7 matches 0 leaves"):
+        assign_strata_arrays(values, leaves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.sampled_from(list("ab\x00é")), max_size=3), max_size=12))
+def test_id_order_is_a_stable_sort_on_python_strings(ids):
+    assert id_order(ids).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+    assert id_order(sorted(ids)).tolist() == list(range(len(ids)))
+
+
+def test_id_rows_gives_the_positions_of_the_wanted_ids():
+    assert id_rows(["a", "b", "c", "b"], {"b", "z"}).tolist() == [1, 3]
+    assert id_rows([], {"b"}).tolist() == []
