@@ -1047,15 +1047,21 @@ def _all_floats(column: list) -> bool:
     return set(map(type, column)) <= {float}
 
 
-def _read_keyed_floats(path, key: str, column: str, data: bytes | None = None
+def _read_keyed_floats(path, key: str, column: str, kind: str | None = None
                        ) -> tuple[list[str], np.ndarray]:
     """The keys and the float64 values of a two-column CSV with header
-    ``key,column``.
+    ``key,column``: loaded from the parsed copy of the ``kind`` table,
+    when ``kind`` is given and the copy holds the SHA-256 of the bytes
+    read, else parsed.
 
     A key that appears on two rows raises SchemaError naming both rows,
-    and so does a non-finite value, naming its row.  ``data``, when
-    given, is the file's bytes, already read.
+    and so does a non-finite value, naming its row.
     """
+    data = _read_bytes(path)
+    copy = None if kind is None else _load_copy(path, data, kind)
+    if copy is not None:
+        keys, columns, _ = copy
+        return keys, columns[column]
     problems: list = []
     header, (key_cells, value_cells) = _read_columns(path, problems, 2, data=data)
     if header is None or [c.strip() for c in header[:2]] != [key, column]:
@@ -1068,21 +1074,10 @@ def _read_keyed_floats(path, key: str, column: str, data: bytes | None = None
     return keys, values
 
 
-def _read_influence(path) -> tuple[list[str], np.ndarray]:
-    """The ids and values of an influence file: loaded from the parsed copy
-    that :func:`write_influence` wrote when it holds the SHA-256 of the
-    bytes read, else parsed as :func:`_read_keyed_floats` parses it."""
-    data = _read_bytes(path)
-    copy = _load_copy(path, data, "influence")
-    if copy is not None:
-        ids, columns, _ = copy
-        return ids, columns["influence"]
-    return _read_keyed_floats(path, "id", "influence", data)
-
-
 def read_influence(path) -> dict[str, float]:
-    """``{id: influence}`` of an influence file."""
-    ids, values = _read_influence(path)
+    """``{id: influence}`` of an influence file, from the parsed copy that
+    :func:`write_influence` wrote beside it when the copy still matches."""
+    ids, values = _read_keyed_floats(path, "id", "influence", "influence")
     return dict(zip(ids, values.tolist()))
 
 
@@ -1094,7 +1089,7 @@ def read_influence_rows(path, ids: Sequence[str]) -> np.ndarray:
     every row of a table with sorted ids does, its values are returned
     after one comparison of the two id lists, without a lookup per id.
     """
-    read, values = _read_influence(path)
+    read, values = _read_keyed_floats(path, "id", "influence", "influence")
     ids = list(ids)
     if read == ids:
         return values

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -250,43 +251,41 @@ def assign_strata_arrays(values: Mapping[str, np.ndarray], leaves: Sequence[Stra
     takes its cell's count and leaf.  ``lo < value <= hi`` holds exactly
     for the cells past ``lo``'s edge up to ``hi``'s, and a nan or -inf
     value has no edge below it, so it falls in no bounded interval, as
-    the comparisons say.  When the grid of cells is larger than the
-    table (and than 4,096 cells), the boxes are tested on the cells that
-    records fall in instead, so the work and memory stay within a few
-    arrays of the table's length whatever the number of leaves.
+    the comparisons say.  A grid of more cells than the table has
+    records (and than 4,096, a few tens of KB) would cost more than the
+    records themselves, so each leaf then tests every record with one
+    mask instead: the work and memory stay within a few arrays of the
+    table's length whatever the number of leaves.
     """
     n = len(next(iter(values.values())))
     axes = list(dict.fromkeys(axis for leaf in leaves for axis in leaf.bounds))
     edges = [sorted({b for leaf in leaves for b in leaf.bounds.get(axis, ())}) for axis in axes]
-    cell = np.zeros(n, dtype=np.int64)
-    for axis, cuts in zip(axes, edges):
-        cell *= len(cuts) + 1
-        for cut in cuts:
-            cell += values[axis] > cut
     shape = tuple(len(cuts) + 1 for cuts in edges)
-    place = [dict(zip(cuts, range(1, len(cuts) + 1))) for cuts in edges]
-    boxes = [tuple(slice(at[b[0]], at[b[1]]) if b else slice(None)
-                   for at, b in zip(place, map(leaf.bounds.get, axes))) for leaf in leaves]
     if math.prod(shape) <= max(n, 4096):
+        cell = np.zeros(n, dtype=np.int64)
+        for axis, cuts in zip(axes, edges):
+            cell *= len(cuts) + 1
+            for cut in cuts:
+                cell += values[axis] > cut
+        place = [dict(zip(cuts, range(1, len(cuts) + 1))) for cuts in edges]
         count = np.zeros(shape, dtype=np.intp)
         leaf_of = np.full(shape, -1, dtype=np.intp)
-        for j, box in enumerate(boxes):
+        for j, leaf in enumerate(leaves):
+            box = tuple(slice(at[b[0]], at[b[1]]) if b else slice(None)
+                        for at, b in zip(place, map(leaf.bounds.get, axes)))
             count[box] += 1
             leaf_of[box] = j
-        count, leaf_of = count.ravel(), leaf_of.ravel()
+        match_count, assignment = count.ravel()[cell], leaf_of.ravel()[cell]
     else:
-        cells, cell = np.unique(cell, return_inverse=True)
-        codes = np.unravel_index(cells, shape)
-        count = np.zeros(cells.size, dtype=np.intp)
-        leaf_of = np.full(cells.size, -1, dtype=np.intp)
-        for j, box in enumerate(boxes):
-            inside = np.ones(cells.size, dtype=bool)
-            for code, side in zip(codes, box):
-                if side != slice(None):
-                    inside &= (code >= side.start) & (code < side.stop)
-            count += inside
-            leaf_of[inside] = j
-    match_count, assignment = count[cell], leaf_of[cell]
+        match_count = np.zeros(n, dtype=np.intp)
+        assignment = np.full(n, -1, dtype=np.intp)
+        for j, leaf in enumerate(leaves):
+            mask = np.ones(n, dtype=bool)
+            for axis, (lo, hi) in leaf.bounds.items():
+                v = values[axis]
+                mask &= (v > lo) & (v <= hi)
+            match_count += mask
+            assignment[mask] = j
     if np.any(match_count != 1):
         bad = int(np.flatnonzero(match_count != 1)[0])
         hits = [leaf.id for j, leaf in enumerate(leaves)
@@ -336,11 +335,12 @@ def id_rows(ids: Sequence[str], wanted) -> np.ndarray:
 
 def id_order(ids: Sequence[str]) -> np.ndarray:
     """Positions of ``ids`` in ascending id order, equal ids in position
-    order: a stable sort on Python's string order.  Ids that are sorted
-    already, as a table's usually are, take one ``sorted`` and one
-    comparison."""
+    order: a stable sort on Python's string order.  One pass of pairwise
+    comparisons, which stops at the first id smaller than the one before
+    it, finds ids that are in order already (every table that
+    ``simulate`` writes) and returns their positions unsorted."""
     ids = list(ids)
-    if sorted(ids) == ids:
+    if all(map(operator.le, ids, ids[1:])):
         return np.arange(len(ids))
     return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 

@@ -353,8 +353,8 @@ def test_assign_strata_arrays_matches_one_mask_per_leaf(case):
 
 def test_assign_strata_arrays_on_a_grid_larger_than_the_table():
     # 40 x 40 x 2 leaves cut the axes into 42 x 42 x 4 = 7,056 cells, more
-    # than the 50 records and 4,096: the leaves are tested on the records'
-    # cells only.
+    # than the 50 records and 4,096: no grid is built, each leaf tests
+    # every record.
     rng = np.random.default_rng(3)
     cuts = np.linspace(0, 1, 41)
     leaves = [Stratum(id=f"{i}.{j}.{d}", frame="f",
