@@ -10,9 +10,10 @@ exposure from reconstructed trajectories and flag observations that fall
 outside the prediction band from the subject's other observations.
 
 The fit holds each subject's spline Gram matrix as its lower band, the
-only part cubic B-splines make nonzero, and builds its statistics a block
-of subjects at a time, so its peak memory is the pooled least-squares
-start's whole-population basis rather than an L x L stack per subject.
+only part cubic B-splines make nonzero, and builds its least-squares
+start and its statistics a block of subjects at a time, so it holds no
+per-observation array of the whole population and no L x L stack per
+subject.
 
 Each EM step's E-step takes the subjects E_STEP_CHUNK at a time.  On a
 host where this process may run on more than one CPU, the chunks are
@@ -290,13 +291,29 @@ class EigenSystem:
         return self._values_at(self._check_domain(np.atleast_1d(t)))[1:]
 
 
-def _pool(series: Sequence[LongitudinalSeries], lo: float, hi: float):
-    """Times, values and subject index of every observation inside ``[lo, hi]``."""
-    times = np.concatenate([s.times for s in series])
-    values = np.concatenate([s.values for s in series])
-    subj = np.repeat(np.arange(len(series)), [s.times.size for s in series])
-    keep = (times >= lo) & (times <= hi)
-    return times[keep], values[keep], subj[keep]
+def _subject_blocks(series: Sequence[LongitudinalSeries], lo: float, hi: float):
+    """The points inside ``[lo, hi]`` of the subjects that have any, a block at a time.
+
+    Returns ``(counts, blocks)``.  ``counts[i]`` is the number of such
+    points of the i-th subject that has any, in series order; subjects
+    with none are dropped.  Each call of ``blocks()`` yields, for every
+    run of E_STEP_CHUNK of those subjects, ``(t, v, who)``: the block's
+    times and values, subject after subject, and each point's subject
+    index within the block.  The blocks are built afresh on each call and
+    one at a time, so no per-point array of the whole population is held.
+    """
+    spans = np.array([_inside(s.times, lo, hi) for s in series], dtype=np.intp).reshape(-1, 2)
+    kept = np.flatnonzero(spans[:, 1] > spans[:, 0])
+    counts = spans[kept, 1] - spans[kept, 0]
+
+    def blocks():
+        for first in range(0, kept.size, E_STEP_CHUNK):
+            rows = kept[first:first + E_STEP_CHUNK]
+            idx, (starts, ends) = rows.tolist(), spans[rows].T.tolist()
+            yield (np.concatenate([series[i].times[a:b] for i, a, b in zip(idx, starts, ends)]),
+                   np.concatenate([series[i].values[a:b] for i, a, b in zip(idx, starts, ends)]),
+                   np.repeat(np.arange(rows.size), counts[first:first + E_STEP_CHUNK]))
+    return counts, blocks
 
 
 def bspline_basis(t, lo: float, hi: float) -> np.ndarray:
@@ -335,43 +352,65 @@ def bspline_basis(t, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def _subject_stats(t, y, subj, n, lo: float, hi: float):
+def _subject_stats(blocks, n, lo: float, hi: float, offset=None):
     """Per-subject sufficient statistics ``(band, cross, sq)`` of the spline model.
 
-    Point p is at time ``t[p]`` with value ``y[p]`` and belongs to subject
-    ``subj[p]``, non-decreasing over 0..n-1; ``B_i`` is :func:`bspline_basis`
-    on [lo, hi] at subject i's times.  With the subject index last,
-    ``band[d, a, i] = (B_i^T B_i)[a + d, a]`` for ``d <= SPLINE_DEGREE``
-    ((SPLINE_DEGREE + 1) x L x n, 0 where ``a + d >= L``) is the lower band
-    of the Gram matrix: cubic B-splines overlap only within SPLINE_DEGREE
-    of each other, so every entry outside it is 0.  ``cross[:, i] = B_i^T
-    y_i`` (L x n) and ``sq[i] = y_i^T y_i``.
+    ``blocks`` yields one ``(t, y, who)`` for each run of E_STEP_CHUNK of
+    the n subjects, in subject order (fewer in the last): point p of the
+    block is at time ``t[p]`` with value ``y[p]`` and belongs to the
+    block's subject ``who[p]``, non-decreasing from 0 (:func:`_subject_blocks`).
+    ``B_i`` is :func:`bspline_basis` on [lo, hi] at subject i's times.
+    With the subject index last, ``band[d, a, i] = (B_i^T B_i)[a + d, a]``
+    for ``d <= SPLINE_DEGREE`` ((SPLINE_DEGREE + 1) x L x n, 0 where ``a +
+    d >= L``) is the lower band of the Gram matrix: cubic B-splines overlap
+    only within SPLINE_DEGREE of each other, so every entry outside it is
+    0.  ``cross[:, i] = B_i^T y_i`` (L x n) and ``sq[i] = y_i^T y_i``.
+    With ``offset`` (L), ``y_i`` is first replaced by its residual ``y_i -
+    B_i offset``, formed on the same basis rows.
 
-    Subjects are taken E_STEP_CHUNK at a time: the basis is evaluated at
-    the block's points only, and each entry is one bincount over them.  A
-    bincount adds each subject's points in order, so the statistics do
-    not depend on the block size, and no per-point outer product or
-    whole-population basis is held.
+    The basis is evaluated at one block's points at a time, and each entry
+    is one bincount over them.  A bincount adds each subject's points in
+    order, so the statistics do not depend on the block size, and no
+    per-point outer product or whole-population basis is held.
     """
     width = SPLINE_DEGREE + 1
     band = np.zeros((width, N_BASIS, n))
     cross = np.empty((N_BASIS, n))
     sq = np.empty(n)
-    firsts = range(0, n, E_STEP_CHUNK)
-    bounds = [*subj.searchsorted(firsts), subj.size]
-    for first, a, b in zip(firsts, bounds, bounds[1:]):
-        basis = bspline_basis(t[a:b], lo, hi)
-        block, who, yb = slice(first, first + E_STEP_CHUNK), subj[a:b] - first, y[a:b]
-        m = min(E_STEP_CHUNK, n - first)
+    for first, (t, y, who) in zip(range(0, n, E_STEP_CHUNK), blocks):
+        basis = bspline_basis(t, lo, hi)
+        if offset is not None:
+            y = y - basis @ offset
+        block, m = slice(first, first + E_STEP_CHUNK), min(E_STEP_CHUNK, n - first)
         for d in range(width):
             for col in range(N_BASIS - d):
                 band[d, col, block] = np.bincount(who, basis[:, col] * basis[:, col + d],
                                                   minlength=m)
         for col in range(N_BASIS):
-            cross[col, block] = np.bincount(who, basis[:, col] * yb, minlength=m)
-        sq[block] = np.bincount(who, yb * yb, minlength=m)
+            cross[col, block] = np.bincount(who, basis[:, col] * y, minlength=m)
+        sq[block] = np.bincount(who, y * y, minlength=m)
         del basis   # before the next block's basis is built beside it
     return band, cross, sq
+
+
+def _least_squares_mean(blocks, lo: float, hi: float) -> np.ndarray:
+    """Spline coefficients of the pooled least-squares mean curve.
+
+    ``B^T B`` and ``B^T v`` are summed over the blocks of
+    :func:`_subject_blocks`, so the basis is held one block at a time.
+    Raises IllConditionedError when ``B^T B`` is singular: some basis
+    function has no support among the observations.
+    """
+    gram = np.zeros((N_BASIS, N_BASIS))
+    moment = np.zeros(N_BASIS)
+    for t, v, _ in blocks:
+        basis = bspline_basis(t, lo, hi)
+        gram += basis.T @ basis
+        moment += basis.T @ v
+        del basis   # before the next block's basis is built beside it
+    if not _positive_definite(gram):
+        raise IllConditionedError("the observations leave part of the domain without support")
+    return np.linalg.solve(gram, moment)
 
 
 def _inverse_cholesky(band, prior, out):
@@ -653,11 +692,15 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     ``B S B^T`` under trapezoid quadrature.  The number of EM steps taken
     is returned as ``em_steps``.
 
-    Memory: the least-squares start solves on the whole-population basis
-    (len(t) x N_BASIS), which is then freed; the per-subject statistics
-    are built E_STEP_CHUNK subjects at a time, each Gram matrix kept as
-    its lower band (:func:`_subject_stats`).  So the basis sets the fit's
-    peak, or at a few thousand subjects the E-step's factor stack does.
+    Memory: the fit reads the series in blocks of E_STEP_CHUNK subjects
+    that have points inside ``TIME_DOMAIN`` (:func:`_subject_blocks`), in
+    two passes, and holds one block's points and basis at a time.  The
+    first pass sums ``B^T B`` and ``B^T v`` for the least-squares start
+    (:func:`_least_squares_mean`); the second forms each block's residuals
+    about it and its per-subject statistics, each Gram matrix kept as its
+    lower band (:func:`_subject_stats`).  So each point's basis is
+    evaluated twice, no per-observation array of the whole population is
+    held, and the E-step's statistics and factor stack set the fit's peak.
     With more than one CPU and more than one chunk, the E-step's chunks
     are split between this process and forked workers (:func:`_chunk_team`),
     which read the statistics through the fork without a copy.  Each
@@ -665,14 +708,15 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
     worker has about 11 MB of private memory beside the pages it shares
     with this process, and this process's ``RUSAGE_SELF`` peak does not
     count it.  Blocking changes no rounding in the per-subject
-    statistics: the bands of :func:`_subject_stats` are the same, bit for
-    bit, whatever E_STEP_CHUNK is.  The EM sums over subjects are not:
-    :func:`_em_step` adds them one chunk at a time in chunk order,
-    whichever process computed each chunk, so E_STEP_CHUNK sets their
-    rounding and the worker count does not, and the EM path carries it
-    into every fitted value.  At n = 3,000
-    (``generate`` seed 5) ``noise_var`` is 0.2424753 with chunks of 2,500,
-    0.2426634 with 1,000 and 0.2427749 with 700, each after 84 steps.
+    statistics: for a given start, the bands of :func:`_subject_stats`
+    are the same, bit for bit, whatever E_STEP_CHUNK is.  The start's
+    sums and the EM sums over subjects are not: they are added one block
+    at a time in block order, whichever process computed each chunk, so
+    E_STEP_CHUNK sets their rounding and the worker count does not, and
+    the EM path carries it into every fitted value.  At n = 3,000
+    (``generate`` seed 5) ``noise_var`` is 0.2423821 with chunks of 2,500
+    (84 steps), 0.2426918 with 1,000 (90 steps) and 0.2423051 with 700
+    (84 steps).
 
     The component count is the smallest K whose cumulative fraction of
     variance reaches ``fve_threshold``, at most ``MAX_COMPONENTS``.
@@ -698,34 +742,28 @@ def fit_eigensystem(series: Sequence[LongitudinalSeries], *,
             "at least two subjects are required to fit an eigensystem")
     lo, hi = TIME_DOMAIN
     grid = np.linspace(lo, hi, grid_size)
-    t, v, subj = _pool(series, lo, hi)
-    if t.size == 0:
+    counts, blocks = _subject_blocks(series, lo, hi)
+    if counts.size == 0:
         raise UnidentifiedModelError("no observations fall inside the fitting domain")
-    if np.bincount(subj).max() < 2:
+    if counts.max() < 2:
         raise UnidentifiedModelError(
             "no subject has two observations; covariance is unidentified")
-    _, subj = np.unique(subj, return_inverse=True)
 
-    basis = bspline_basis(t, lo, hi)
+    # Two passes over the blocks: the least-squares start, then each
+    # block's statistics of its residuals about it.
+    offset = _least_squares_mean(blocks(), lo, hi)
+    stats = _subject_stats(blocks(), counts.size, lo, hi, offset)
+    n_obs = int(counts.sum())
+    del counts, blocks   # and the spans of the points, which EM does not read
+    pooled_var = float(np.sum(stats[2])) / n_obs
     grid_basis = bspline_basis(grid, lo, hi)
-    gram = basis.T @ basis
-    if not _positive_definite(gram):
-        raise IllConditionedError("the observations leave part of the domain without support")
-    offset = np.linalg.solve(gram, basis.T @ v)
-    resid = np.subtract(v, basis @ offset, out=v)      # the values are not read again
-    del basis, v   # _subject_stats evaluates the basis again, a block at a time
-    pooled_var = float(np.mean(resid ** 2))
-    mean = grid_basis @ offset
     if pooled_var <= 1e-10:
         # Zero-variation population: mean curve explains everything.
-        return EigenSystem(grid=grid, mean=mean, eigenvalues=np.empty(0),
+        return EigenSystem(grid=grid, mean=grid_basis @ offset, eigenvalues=np.empty(0),
                            eigenfunctions=np.empty((0, grid_size)),
                            noise_var=0.0, fve=np.empty(0), zero_variation=True,
                            em_steps=0)
 
-    stats = _subject_stats(t, resid, subj, int(subj.max()) + 1, lo, hi)
-    n_obs = t.size
-    del t, resid, subj  # free the per-point arrays before EM's batched work
     try:
         (shift, cov, noise_var), em_steps = _fit_spline_model(
             stats, n_obs, offset, pooled_var * np.eye(N_BASIS), INIT_NOISE_SHARE * pooled_var)

@@ -309,6 +309,23 @@ class TestFitEigensystem:
         assert isinstance(caught.value, IllConditionedError)
         assert isinstance(caught.value, ValueError)
 
+    def test_subjects_without_points_in_the_domain_leave_the_fit_unchanged(
+            self, monkeypatch):
+        # Blocks of 16 subjects.  In the padded list, subjects with no point
+        # inside TIME_DOMAIN sit at the start, middle and end of the first
+        # block, and fill the whole of the third.
+        _, _, series = make_population(n=60, m_range=(4, 12), seed=8)
+        monkeypatch.setattr(fpca, "E_STEP_CHUNK", 16)
+        lo, hi = fpca.TIME_DOMAIN
+        outside = ([lo - 50.0, lo - 1.0], [hi + 1.0], [lo - 10.0, hi + 10.0])
+        empty = {0, 8, 15, *range(32, 48)}
+        rest = iter(series)
+        padded = [fpca.LongitudinalSeries(f"out{k}", outside[k % 3], np.full(
+                      len(outside[k % 3]), 70.0)) if k in empty else next(rest)
+                  for k in range(len(series) + len(empty))]
+        assert next(rest, None) is None
+        assert fit_hex(fpca.fit_eigensystem(padded)) == fit_hex(fpca.fit_eigensystem(series))
+
     @pytest.mark.parametrize("options", [{"grid_size": 1}, {"grid_size": 0},
                                          {"fve_threshold": 0.0}, {"fve_threshold": 1.5},
                                          {"fve_threshold": float("nan")}])
@@ -396,6 +413,13 @@ def block_points(rng, n):
     return (rng.uniform(*fpca.TIME_DOMAIN, subj.size), rng.normal(0.0, 2.0, subj.size), subj)
 
 
+def as_blocks(t, y, subj, n):
+    """``(t, y, who)`` for each run of E_STEP_CHUNK of the n subjects of ``subj``."""
+    firsts = range(0, n, fpca.E_STEP_CHUNK)
+    bounds = [*subj.searchsorted(firsts), subj.size]
+    return [(t[a:b], y[a:b], subj[a:b] - first) for first, a, b in zip(firsts, bounds, bounds[1:])]
+
+
 class TestEStepKernel:
     def test_inverse_cholesky_matches_lapack(self):
         rng = np.random.default_rng(0)
@@ -419,7 +443,7 @@ class TestEStepKernel:
         lo, hi = fpca.TIME_DOMAIN
         n = 23
         t, y, subj = block_points(rng, n)
-        band, cross, sq = fpca._subject_stats(t, y, subj, n, lo, hi)
+        band, cross, sq = fpca._subject_stats(as_blocks(t, y, subj, n), n, lo, hi)
         dense = np.zeros((fpca.N_BASIS, fpca.N_BASIS, n))
         products, squares = np.zeros((fpca.N_BASIS, n)), np.zeros(n)
         for i in range(n):
@@ -440,9 +464,9 @@ class TestEStepKernel:
         lo, hi = fpca.TIME_DOMAIN
         n = 40                                       # blocks of 7: the last is partial
         t, y, subj = block_points(rng, n)
-        whole = fpca._subject_stats(t, y, subj, n, lo, hi)
+        whole = fpca._subject_stats(as_blocks(t, y, subj, n), n, lo, hi)
         monkeypatch.setattr(fpca, "E_STEP_CHUNK", 7)
-        blocks = fpca._subject_stats(t, y, subj, n, lo, hi)
+        blocks = fpca._subject_stats(as_blocks(t, y, subj, n), n, lo, hi)
         for a, b in zip(whole, blocks):
             assert np.array_equal(a, b)
 
@@ -461,8 +485,8 @@ class TestEStepKernel:
         cov = random_spd_stack(rng, size, 1)[:, :, 0] + np.eye(size)
         noise = 0.7
         monkeypatch.setattr(fpca, "E_STEP_CHUNK", 16)
-        got = fpca._em_step(fpca._subject_stats(t, y, subj, n, lo, hi), subj.size, mean, cov,
-                            noise)
+        stats = fpca._subject_stats(as_blocks(t, y, subj, n), n, lo, hi)
+        got = fpca._em_step(stats, subj.size, mean, cov, noise)
 
         prior = noise * np.linalg.inv(cov)
         ds, vs, sq_err = [], [], 0.0
@@ -494,6 +518,15 @@ def step_hex(theta):
     return [float(v).hex() for v in (*mean, *cov.ravel(), noise_var)]
 
 
+def pool(series, lo, hi):
+    """Times, values and subject index of every observation inside ``[lo, hi]``."""
+    times = np.concatenate([s.times for s in series])
+    values = np.concatenate([s.values for s in series])
+    subj = np.repeat(np.arange(len(series)), [s.times.size for s in series])
+    keep = (times >= lo) & (times <= hi)
+    return times[keep], values[keep], subj[keep]
+
+
 @pytest.fixture
 def split_fit(monkeypatch):
     """A population of 200 subjects in 13 chunks of 16, and a CPU-count setter."""
@@ -514,8 +547,9 @@ class TestSplitEStep:
             self, split_fit, monkeypatch):
         series, with_cpus = split_fit
         lo, hi = fpca.TIME_DOMAIN
-        t, y, subj = fpca._pool(series, lo, hi)
-        stats = fpca._subject_stats(t, y - y.mean(), subj, len(series), lo, hi)
+        t, y, subj = pool(series, lo, hi)
+        stats = fpca._subject_stats(as_blocks(t, y - y.mean(), subj, len(series)), len(series),
+                                   lo, hi)
         rng = np.random.default_rng(5)
         thetas = [(rng.normal(0.0, 1.0, fpca.N_BASIS),
                    random_spd_stack(rng, fpca.N_BASIS, 1)[:, :, 0] + np.eye(fpca.N_BASIS),
@@ -542,13 +576,12 @@ class TestSplitEStep:
 
     def test_a_pivot_in_a_workers_chunk_is_ill_conditioned(self, split_fit, monkeypatch):
         series, with_cpus = split_fit
-        build = fpca._subject_stats
+        fit = fpca._fit_spline_model
 
-        def broken_last_subject(*args):
-            band, cross, sq = build(*args)
-            band[0, :, -1] = -1.0       # the last chunk's, which the last worker owns
-            return band, cross, sq
-        monkeypatch.setattr(fpca, "_subject_stats", broken_last_subject)
+        def broken_last_subject(stats, *args):
+            stats[0][0, :, -1] = -1.0   # the last chunk's, which the last worker owns
+            return fit(stats, *args)
+        monkeypatch.setattr(fpca, "_fit_spline_model", broken_last_subject)
         for cpus in (1, 3):
             with_cpus(cpus)
             with deadline(60), pytest.raises(IllConditionedError):
@@ -628,8 +661,9 @@ class TestFitMemory:
     def test_traced_peak_of_the_fit(self):
         # n = 3,000, about 27k points.  Held as a dense L x L x n stack
         # beside the whole-population basis, the Gram matrices took the
-        # fit's traced peak to 8.6 MB; held as their band and built a block
-        # of subjects at a time, it is 5.6 MB, set by the E-step.
+        # fit's traced peak to 8.6 MB; held as their band, with the start
+        # and the statistics built a block of subjects at a time, it is
+        # about 6.3 MB, set by the E-step.
         pop = simulate.generate(simulate.SimConfig(n=3000), 5, include_series=True)
         tracemalloc.start()
         try:
@@ -639,6 +673,23 @@ class TestFitMemory:
             tracemalloc.stop()
         assert system.n_components >= 1
         assert peak < 7.0e6, f"traced peak {peak / 1e6:.2f} MB"
+
+    def test_every_basis_call_takes_one_block_or_the_grid(self, monkeypatch):
+        # 200 subjects in blocks of 16: each block's basis is evaluated
+        # twice, for the least-squares start and for the statistics, and
+        # the grid's once; no call sees the whole population.
+        _, _, series = make_population(n=200, m_range=(4, 12), seed=7)
+        monkeypatch.setattr(fpca, "E_STEP_CHUNK", 16)
+        blocks = [sum(s.times.size for s in series[a:a + 16]) for a in range(0, 200, 16)]
+        sizes, basis = [], fpca.bspline_basis
+
+        def recording(t, lo, hi):
+            sizes.append(np.size(t))
+            return basis(t, lo, hi)
+        monkeypatch.setattr(fpca, "bspline_basis", recording)
+        fpca.fit_eigensystem(series)
+        assert sizes == blocks + blocks + [fpca.DEFAULT_GRID_SIZE]
+        assert max(sizes) < sum(s.times.size for s in series) / 10
 
 
 class TestPaceScores:
