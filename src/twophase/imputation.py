@@ -2,25 +2,30 @@
 
 Imputation models are fit on the validated subsample only, one target at
 a time in a declared sequence (later targets may condition on earlier
-imputed ones, e.g. gestation length before a recomputed exposure).  Each
-imputation replicate draws model coefficients from their asymptotic
-normal law plus residual noise, so the auxiliary influence functions
-average over parameter uncertainty as well.  Every record given to
-:func:`impute` is imputed, validated ones included.  :func:`impute`
-yields the replicates, replicate ``j`` seeded by ``SeedSequence([seed,
-j])`` alone; :func:`mi_influence` averages over them the influence of the
-working model, a ``models.AnalysisSpec`` read from each completed
-dataset.  It imputes and refits only the working model's own population
-(``AnalysisSpec.members``), so the auxiliary is that model's influence on
-its own population, whether the caller passes every record or that
-population alone.
+imputed ones, e.g. gestation length before a recomputed exposure).  Every
+replicate imputes at the fitted coefficients: the auxiliary is a
+predictor of the true influence (Han, Shaw & Lumley 2021) and the raking
+variance is design-based, so a coefficient draw adds only noise, and on
+a quasi-separated binary model (every validated record with a surrogate
+of 1 has a target of 1) its Wald covariance made whole replicates
+collapse.  A binary target is imputed by its conditional probability
+(Rao-Blackwellization), and a continuous one by its fitted mean plus
+``resid_sd`` times a normal score that :func:`impute` stratifies across
+the replicates.  Every record given to :func:`impute` is imputed,
+validated ones included.  :func:`mi_influence` averages over the
+replicates the influence of the working model, a ``models.AnalysisSpec``
+read from each completed dataset.  It imputes and refits only the
+working model's own population (``AnalysisSpec.members``), so the
+auxiliary is that model's influence on its own population, whether the
+caller passes every record or that population alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from statistics import NormalDist
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +43,7 @@ class VariableSpec:
     """How to impute one target variable.
 
     ``kind`` is "continuous" (linear model plus Gaussian residual),
-    "binary" (logistic model, Bernoulli draw), or "derived"
+    "binary" (logistic model, imputed by its probability), or "derived"
     (deterministic function of previously imputed columns; no model).
     Predictors may name phase-1 columns or earlier targets in the
     sequence, whose imputed values are used.
@@ -59,7 +64,6 @@ class VariableSpec:
 @dataclass
 class _SubModel:
     coef: np.ndarray
-    coef_chol: np.ndarray | None   # None for degenerate targets
     resid_sd: float                # 0.0 for binary/degenerate
     constant: float | None = None  # set when the target was constant in phase 2
 
@@ -99,8 +103,7 @@ def fit_imputation(data: Columns, validated: np.ndarray,
                 f"target {spec.name!r} is constant in the validated data; "
                 "imputing the constant", stacklevel=2)
             model.fits[spec.name] = _SubModel(
-                coef=np.zeros(x.shape[1]), coef_chol=None, resid_sd=0.0,
-                constant=float(y[0]))
+                coef=np.zeros(x.shape[1]), resid_sd=0.0, constant=float(y[0]))
             continue
         if spec.kind == "binary":
             # Light data augmentation: both outcomes at the predictor mean
@@ -120,27 +123,26 @@ def fit_imputation(data: Columns, validated: np.ndarray,
             y_aug = np.concatenate([y, np.ones(len(pseudo)), np.zeros(len(pseudo))])
             w_aug = np.concatenate([np.ones(y.size),
                                     np.full(2 * len(pseudo), 0.25)])
-            fit = models.fit_logistic(y_aug, x_aug, w_aug)
-            coef, cov, resid_sd = fit.coefficients, fit.variance, 0.0
+            coef, resid_sd = models.fit_logistic(y_aug, x_aug, w_aug).coefficients, 0.0
         else:
             coef, *_ = np.linalg.lstsq(x, y, rcond=None)
             resid = y - x @ coef
             dof = max(len(y) - x.shape[1], 1)
-            s2 = float(resid @ resid) / dof
-            cov = s2 * np.linalg.pinv(x.T @ x)
-            resid_sd = float(np.sqrt(s2))
-        try:
-            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            chol = None
-        model.fits[spec.name] = _SubModel(coef=coef, coef_chol=chol,
-                                          resid_sd=resid_sd)
+            resid_sd = float(np.sqrt(float(resid @ resid) / dof))
+        model.fits[spec.name] = _SubModel(coef=coef, resid_sd=resid_sd)
     return model
 
 
 def impute_once(data: Columns, model: ImputationModel,
-                rng: np.random.Generator) -> Columns:
-    """One completed dataset: every record imputed, in sequence order."""
+                scores: Mapping[str, np.ndarray]) -> Columns:
+    """One completed dataset: every record imputed, in sequence order.
+
+    Each target is imputed at its fitted coefficients.  A continuous target
+    is its fitted mean plus ``resid_sd`` times ``scores[name]``, one
+    standard-normal score per record; a binary target is its fitted
+    probability; a constant target is its constant.  ``scores`` needs an
+    entry for each continuous target that is not constant.
+    """
     n = len(next(iter(data.values())))
     work: Columns = dict(data)
     out: Columns = {}
@@ -152,29 +154,42 @@ def impute_once(data: Columns, model: ImputationModel,
             if sub.constant is not None:
                 imputed = np.full(n, sub.constant)
             else:
-                coef = sub.coef
-                if sub.coef_chol is not None:
-                    coef = coef + sub.coef_chol @ rng.standard_normal(coef.size)
-                x = _design(work, spec.predictors, n)
-                eta = x @ coef
+                eta = _design(work, spec.predictors, n) @ sub.coef
                 if spec.kind == "binary":
-                    p = 1.0 / (1.0 + np.exp(-eta))
-                    imputed = (rng.uniform(size=n) < p).astype(np.float64)
+                    imputed = 1.0 / (1.0 + np.exp(-eta))
                 else:
-                    imputed = eta + sub.resid_sd * rng.standard_normal(n)
+                    imputed = eta + sub.resid_sd * scores[spec.name]
         out[spec.name] = imputed
-        work[spec.name] = imputed  # later targets condition on this draw
+        work[spec.name] = imputed  # later targets condition on this imputation
     return out
 
 
 def impute(data: Columns, model: ImputationModel, m: int,
            seed: int) -> Iterator[Columns]:
-    """Yield M completed datasets; replicate ``j`` depends only on ``(seed, j)``."""
+    """Yield M completed datasets (:func:`impute_once`), one at a time.
+
+    Each record's normal scores are stratified across the M replicates:
+    the scores are the standard normal quantiles at the midpoints of M
+    equal-probability bins, and for each record and each scored target
+    replicate j takes the bin that a random permutation of the M bins puts
+    at j.  So every record's M scores for a target are the same M
+    quantiles, in an order of its own, and their mean is 0.  The
+    permutations come from ``seed`` alone, drawn target by target in
+    sequence order; replicate j depends on the whole draw, not on
+    ``(seed, j)`` alone.
+    """
     if m < 2:
         raise ValueError("at least two imputation replicates are required")
+    n = len(next(iter(data.values())))
+    quantiles = np.array([NormalDist().inv_cdf((k + 0.5) / m) for k in range(m)])
+    rng = np.random.default_rng(seed)
+    # Permuted as intp, numpy's fastest here, and held in the smallest type.
+    bins = {spec.name: rng.permuted(np.broadcast_to(np.arange(m)[:, None], (m, n)), axis=0
+                                    ).astype(np.min_scalar_type(m - 1))
+            for spec in model.specs
+            if spec.kind == "continuous" and model.fits[spec.name].constant is None}
     for j in range(m):
-        yield impute_once(data, model,
-                          np.random.default_rng(np.random.SeedSequence([seed, j])))
+        yield impute_once(data, model, {name: quantiles.take(b[j]) for name, b in bins.items()})
 
 
 def _analysis_influence(completed: Columns, base: Columns, spec: models.AnalysisSpec,

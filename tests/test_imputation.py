@@ -1,4 +1,5 @@
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestFitImputation:
         validated[:200] = True
         model = imp.fit_imputation(data, validated,
                                    [imp.VariableSpec("x", "continuous", ("x_star",))])
-        one = imp.impute_once(data, model, np.random.default_rng(0))
+        one = imp.impute_once(data, model, {"x": np.random.default_rng(0).standard_normal(500)})
         np.testing.assert_allclose(one["x"], x, atol=1e-6)
 
     def test_constant_target_warns_and_imputes_constant(self):
@@ -55,7 +56,7 @@ class TestFitImputation:
         with pytest.warns(UserWarning, match="constant"):
             model = imp.fit_imputation(
                 data, validated, [imp.VariableSpec("c", "continuous", ("z",))])
-        out = imp.impute_once(data, model, np.random.default_rng(1))
+        out = imp.impute_once(data, model, {})
         assert np.all(out["c"] == 2.0)
 
     def test_too_few_validated(self):
@@ -87,10 +88,7 @@ class TestImpute:
         model = imp.fit_imputation(data, validated, SPECS)
         replicates = imp.impute(data, model, 3, seed=42)
         first = next(replicates)
-        np.testing.assert_array_equal(
-            first["x"],
-            imp.impute_once(data, model, np.random.default_rng(
-                np.random.SeedSequence([42, 0])))["x"])
+        np.testing.assert_array_equal(first["x"], next(imp.impute(data, model, 3, seed=42))["x"])
         assert len(list(replicates)) == 2
 
     def test_fewer_than_two_replicates_rejected(self):
@@ -98,6 +96,27 @@ class TestImpute:
         model = imp.fit_imputation(data, validated, SPECS)
         with pytest.raises(ValueError, match="two imputation replicates"):
             next(imp.impute(data, model, 1, seed=42))
+
+    def test_scores_are_stratified_across_replicates(self):
+        # Each record's m scores are the m midpoint quantiles, in an order
+        # of its own; a binary target is its fitted probability.
+        data, validated = toy_population(seed=5)
+        model = imp.fit_imputation(data, validated, SPECS)
+        m = 5
+        outs = list(imp.impute(data, model, m, seed=42))
+        fit = model.fits["x"]
+        eta = np.column_stack([np.ones(validated.size), data["x_star"], data["b_star"]]) @ fit.coef
+        scores = np.sort(np.array([(o["x"] - eta) / fit.resid_sd for o in outs]), axis=0)
+        quantiles = [NormalDist().inv_cdf((k + 0.5) / m) for k in range(m)]
+        np.testing.assert_allclose(scores, np.repeat(np.array(quantiles)[:, None],
+                                                     validated.size, axis=1), atol=1e-9)
+        orders = {tuple(np.argsort([(o["x"][i] - eta[i]) for o in outs])) for i in range(50)}
+        assert len(orders) > 20
+        b = model.fits["b"]
+        for o in outs:
+            p = 1.0 / (1.0 + np.exp(-np.column_stack([np.ones(validated.size), data["b_star"],
+                                                      o["x"]]) @ b.coef))
+            np.testing.assert_allclose(o["b"], p, rtol=1e-12)
 
     def test_degenerate_binary_probability(self):
         rng = np.random.default_rng(2)
@@ -107,7 +126,7 @@ class TestImpute:
         with pytest.warns(UserWarning, match="constant"):
             model = imp.fit_imputation(
                 data, validated, [imp.VariableSpec("b", "binary", ("z",))])
-        out = imp.impute_once(data, model, np.random.default_rng(3))
+        out = imp.impute_once(data, model, {})
         assert np.all(out["b"] == 0.0)
 
     def test_validated_reimputed_by_default_passthrough_optional(self):
@@ -115,8 +134,8 @@ class TestImpute:
         # pass-through of their observed values.
         data, validated = toy_population(seed=9)
         model = imp.fit_imputation(data, validated, SPECS)
-        rng = np.random.default_rng(0)
-        default = imp.impute_once(data, model, rng)
+        scores = {"x": np.random.default_rng(0).standard_normal(validated.size)}
+        default = imp.impute_once(data, model, scores)
         assert not np.allclose(default["x"][validated], data["x"][validated])
 
     def test_imputed_mean_matches_weighted_phase2_mean(self):
@@ -134,7 +153,8 @@ class TestImpute:
         specs = SPECS + [imp.VariableSpec(
             "x2", "derived", derive=lambda cols: cols["x"] ** 2)]
         model = imp.fit_imputation(data, validated, specs)
-        out = imp.impute_once(data, model, np.random.default_rng(4))
+        out = imp.impute_once(data, model,
+                              {"x": np.random.default_rng(4).standard_normal(validated.size)})
         np.testing.assert_allclose(out["x2"], out["x"] ** 2)
 
 
@@ -149,9 +169,7 @@ class TestMiInfluence:
         m = 6
         h = imp.mi_influence(data, model, m, self._analysis(), seed=3)
         parts = []
-        for j in range(m):
-            completed = imp.impute_once(
-                data, model, np.random.default_rng(np.random.SeedSequence([3, j])))
+        for completed in imp.impute(data, model, m, seed=3):
             fit = models.fit_logistic(completed["b"],
                                       np.column_stack([np.ones(len(completed["x"])),
                                                        completed["x"]]))
@@ -192,6 +210,35 @@ class TestMiInfluence:
         true_fit = models.fit_logistic(b, np.column_stack([np.ones(n), x]))
         h_true = models.influence_for_target(true_fit, 1)
         assert np.corrcoef(h_mi, h_true)[0, 1] > np.corrcoef(h_star, h_true)[0, 1]
+
+    def test_quasi_separated_target_keeps_every_replicate_correlated(self):
+        # Every record with delta_star = 1 has delta = 1, so the logistic
+        # imputation model of delta is quasi-separated.  Each replicate's
+        # influence still tracks the census influence about as well as the
+        # naive one; a coefficient draw from the Wald covariance took some
+        # replicates to 0.73 of it.
+        rng = np.random.default_rng(61)
+        n = 3000
+        x = rng.normal(size=n)
+        x_star = x + rng.normal(0, 0.2, n)
+        delta = (rng.uniform(size=n) < 1 / (1 + np.exp(-(-0.5 + x)))).astype(float)
+        delta_star = np.where(rng.uniform(size=n) < 0.8, delta, 0.0)
+        validated = np.zeros(n, dtype=bool)
+        validated[rng.choice(n, 300, replace=False)] = True
+        assert np.all(delta[validated & (delta_star == 1)] == 1)
+        data = {"x": x, "x_star": x_star, "delta": delta, "delta_star": delta_star}
+        model = imp.fit_imputation(data, validated, [
+            imp.VariableSpec("x", "continuous", ("x_star",)),
+            imp.VariableSpec("delta", "binary", ("delta_star", "x"))])
+
+        def influence(outcome, covariate):
+            fit = models.fit_logistic(outcome, np.column_stack([np.ones(n), covariate]))
+            return models.influence_for_target(fit, 1)
+        h_true = influence(delta, x)
+        naive = np.corrcoef(influence(delta_star, x_star), h_true)[0, 1]
+        for completed in imp.impute(data, model, 20, seed=5):
+            h = influence(completed["delta"], completed["x"])
+            assert np.corrcoef(h, h_true)[0, 1] > 0.9 * naive
 
     def test_failed_replicates_dropped_with_flag(self):
         data, validated = toy_population(seed=41)
@@ -288,9 +335,7 @@ class TestFramedWarmStartedMi:
         rows = spec.members(data)
         base = {k: v[rows] for k, v in data.items()}
         parts = []
-        for j in range(m):
-            completed = imp.impute_once(
-                base, model, np.random.default_rng(np.random.SeedSequence([3, j])))
+        for completed in imp.impute(base, model, m, seed=3):
             fit = models.fit(spec.kind, *spec.arrays({**base, **completed}))
             parts.append(fit.influence[:, spec.coefficient])
         cold = np.mean(parts, axis=0)
