@@ -302,7 +302,7 @@ def _subject_blocks(series: Sequence[LongitudinalSeries], lo: float, hi: float):
     index within the block.  The blocks are built afresh on each call and
     one at a time, so no per-point array of the whole population is held.
     """
-    spans = np.array([_inside(s.times, lo, hi) for s in series], dtype=np.intp).reshape(-1, 2)
+    spans = np.array([_inside(s.times, lo, hi) for s in series], dtype=np.intp)
     kept = np.flatnonzero(spans[:, 1] > spans[:, 0])
     counts = spans[kept, 1] - spans[kept, 0]
 

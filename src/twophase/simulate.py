@@ -637,7 +637,7 @@ def run_design(pop: Population, spec: DesignSpec, seed: int,
 
 
 def _cox_imputation_specs() -> list[imputation.VariableSpec]:
-    # Later targets condition on earlier imputed draws so the completed
+    # Later targets condition on earlier imputed values so the completed
     # data carry the joint dependence the influence function needs.
     V = imputation.VariableSpec
     return [
