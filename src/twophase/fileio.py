@@ -1152,8 +1152,9 @@ def read_draw(path) -> dict:
 def write_combined_weights(path, ids: Sequence[str], frames: Sequence[str],
                            weights: Sequence[float]) -> None:
     """One row per combined-frame draw; the record id is its variance cluster."""
-    _write_columns(path, ["id", "frame", "weight", "cluster"],
-                   [ids, frames, list(map(_fmt, weights)), ids])
+    column = weights.tolist() if isinstance(weights, np.ndarray) else list(weights)
+    cells = column if _all_floats(column) else list(map(_fmt, column))
+    _write_columns(path, ["id", "frame", "weight", "cluster"], [ids, frames, cells, ids])
 
 
 def write_estimates(path, rows, terms: Sequence[str]) -> None:

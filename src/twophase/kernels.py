@@ -9,8 +9,14 @@ weights, the tie groups that hold an event, ``we @ x`` and a feature-major
 per-row risk ``w e^eta``, its two reversed cumulative sums and the
 information product, and returns its sums for the residuals.  The
 residuals are computed feature-major too, so every elementwise pass runs
-along n, and are copied back to row-major (n x p) once at the end.  The
-local-linear smoothers serve ``smoothing``.
+along n, and are copied back to row-major (n x p) once at the end.
+
+When every row is its own event group (no tied times, every event weight
+positive, as in the multiply-imputed Cox refits, whose event indicators
+are probabilities), the running sums are already in row order: both
+kernels then read them as views, with no gather by event group.  The
+values are the gathered ones, bit for bit.  The local-linear smoothers
+serve ``smoothing``.
 
 :func:`group_rows` is the one way rows are visited by group (strata in
 ``models.sandwich_variance``, ``allocation.influence_sd`` and
@@ -165,7 +171,7 @@ class RiskSets(NamedTuple):
     :func:`cox_breslow` and :func:`cox_score_residuals` reads it.
     """
 
-    event: np.ndarray      # 0/1 event indicator, time-sorted
+    event: np.ndarray      # event indicator in [0, 1], time-sorted
     w: np.ndarray          # case weights, time-sorted
     we: np.ndarray         # w * event
     ew: np.ndarray         # summed event weight at each tie group holding an event
@@ -174,6 +180,7 @@ class RiskSets(NamedTuple):
     we_x: np.ndarray       # we @ x, the score's first term
     x: np.ndarray          # n x p covariates, time-sorted
     xt: np.ndarray         # the same covariates feature-major: p x n, C-contiguous
+    each_row_an_event: bool  # no tied times and every we > 0: each row is an event group
 
 
 def risk_sets(event, w, x, starts, group_index) -> RiskSets:
@@ -191,7 +198,8 @@ def risk_sets(event, w, x, starts, group_index) -> RiskSets:
     return RiskSets(event=event, w=w, we=we, ew=ew[has_event],
                     tail_rows=event.size - 1 - starts[has_event],
                     k=np.cumsum(has_event).take(group_index), we_x=we @ x, x=x,
-                    xt=np.ascontiguousarray(x.T))
+                    xt=np.ascontiguousarray(x.T),
+                    each_row_an_event=starts.size == event.size and bool(has_event.all()))
 
 
 class BreslowSums(NamedTuple):
@@ -208,11 +216,14 @@ class BreslowSums(NamedTuple):
     a: np.ndarray          # cumulative hazard at each row's latest event group
 
 
-def _running_sum(values, k):
-    """Running sums of ``values`` along the last axis, read at ``k - 1``; 0 where k is 0."""
+def _running_sum(values, risk: RiskSets):
+    """Running sums of ``values`` along the last axis, read at ``risk.k - 1``; 0
+    where k is 0.  When each row is an event, ``k - 1`` is the row itself."""
     total = np.cumsum(values, axis=-1)
+    if risk.each_row_an_event:
+        return total
     zero = np.zeros(total.shape[:-1] + (1,))
-    return np.concatenate([zero, total], axis=-1).take(k, axis=-1)
+    return np.concatenate([zero, total], axis=-1).take(risk.k, axis=-1)
 
 
 def cox_breslow(risk: RiskSets, eta):
@@ -227,20 +238,27 @@ def cox_breslow(risk: RiskSets, eta):
     read at the tie groups that hold an event: per-row risk ``r = w e^eta``,
     ``s0`` the total of ``r`` from each event group's first row on, and
     the risk-set weighted covariate mean ``m`` (groups x p), whose sum runs
-    along the contiguous axis of ``xt``.
+    along the contiguous axis of ``xt``.  When each row is an event, the
+    event groups are the rows and the sums are read reversed, in place.
     """
     exp_eta = np.exp(eta)
     r = risk.w * exp_eta
-    s0 = np.cumsum(r[::-1]).take(risk.tail_rows)
-    m = np.cumsum((risk.xt * r)[:, ::-1], axis=1).T.take(risk.tail_rows, axis=0)
-    m /= s0[:, None]
+    s0 = np.cumsum(r[::-1])
+    m = np.cumsum((risk.xt * r)[:, ::-1], axis=1)
+    if risk.each_row_an_event:
+        s0 = s0[::-1]
+        m = np.divide(m[:, ::-1].T, s0[:, None], order="C")
+    else:
+        s0 = s0.take(risk.tail_rows)
+        m = m.T.take(risk.tail_rows, axis=0)
+        m /= s0[:, None]
     ew = risk.ew
     loglik = float(risk.we @ eta) - float(ew @ np.log(s0))
     score = risk.we_x - ew @ m
     # info = sum_i r_i a_i x_i x_i' - sum_g ew_g m_g m_g', with a_i the
     # Breslow cumulative hazard at row i.
     haz = ew / s0
-    a = _running_sum(haz, risk.k)
+    a = _running_sum(haz, risk)
     info = (risk.xt * (r * a)) @ risk.xt.T - (ew[:, None] * m).T @ m
     info = 0.5 * (info + info.T)
     return loglik, score, info, BreslowSums(eta, exp_eta, m, haz, a)
@@ -255,10 +273,13 @@ def cox_score_residuals(risk: RiskSets, sums: BreslowSums):
     returns the ``n x p`` row-major copy.
     """
     mt = sums.m.T
-    b = _running_sum(sums.haz * mt, risk.k)
+    b = _running_sum(sums.haz * mt, risk)
     # m at row i's latest event group: only event rows use it, and an
     # event row's own group is that group.
     xt = risk.xt
-    m_i = np.concatenate([np.zeros((xt.shape[0], 1)), mt], axis=1).take(risk.k, axis=1)
+    if risk.each_row_an_event:
+        m_i = mt
+    else:
+        m_i = np.concatenate([np.zeros((xt.shape[0], 1)), mt], axis=1).take(risk.k, axis=1)
     resid = risk.event * (xt - m_i) - sums.exp_eta * (xt * sums.a - b)
     return np.ascontiguousarray(resid.T)

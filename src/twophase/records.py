@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -514,9 +514,8 @@ def apply_draw(ledger: DesignLedger, wave: int,
     if wave != ledger.wave_count + 1:
         raise LedgerError(
             f"wave {wave} out of order; ledger has {ledger.wave_count} waves")
-    new = copy.deepcopy(ledger)
-    leaf_ids = set(new.leaf_ids())
-    already = new.sampled_ids()
+    leaf_ids = set(ledger.leaf_ids())
+    already = ledger.sampled_ids()
     for sid, ids in draws.items():
         if sid not in leaf_ids:
             raise LedgerError(f"draw targets non-leaf stratum {sid!r}")
@@ -524,14 +523,15 @@ def apply_draw(ledger: DesignLedger, wave: int,
         if dup:
             raise LedgerError(f"records {sorted(dup)[:3]} already drawn in this frame")
         already.update(ids)
-    for sid in new.strata:
-        s = new.strata[sid]
+    # Each stratum gets a new ``drawn`` list; the rest of it is shared with
+    # ``ledger``, which the ledger functions never change in place.
+    strata = {}
+    for sid, s in ledger.strata.items():
         ids = list(draws.get(sid, ()))
         if s.closed and ids:
             raise LedgerError(f"stratum {sid!r} is closed but received draws")
-        s.drawn.append(ids)
+        s = strata[sid] = replace(s, drawn=[*s.drawn, ids])
         if s.total_sampled > s.population_size:
             raise LedgerError(
                 f"stratum {sid!r}: {s.total_sampled} draws exceed N_s={s.population_size}")
-    new.wave_count += 1
-    return new
+    return replace(ledger, strata=strata, wave_count=wave)

@@ -307,14 +307,21 @@ def row_major_residuals(risk, sums):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 400), p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       digits=st.integers(0, 2))
-def test_cox_score_residuals_equal_the_row_major_formula(n, p, seed, digits):
+       digits=st.one_of(st.integers(0, 2), st.none()), fractional=st.booleans())
+def test_cox_score_residuals_equal_the_row_major_formula(n, p, seed, digits, fractional):
+    # Fractional events in (0, 1] on distinct (unrounded) times are the MI
+    # refits' case: every row is an event group and the sums are read in place.
     rng = np.random.default_rng(seed)
-    time = np.round(rng.exponential(size=n), digits) + 0.01
-    event = (rng.uniform(size=n) < 0.4).astype(float)
+    time = rng.exponential(size=n)
+    if digits is not None:
+        time = np.round(time, digits) + 0.01
+    draw = rng.uniform(size=n)
+    event = 1.0 - draw if fractional else (draw < 0.4).astype(float)
     x = rng.normal(size=(n, p))
     order, ev, xs, starts, group_index = models._prepare_cox(time, event, x)
     risk = kernels.risk_sets(ev, rng.uniform(0.5, 5.0, n), xs, starts, group_index)
+    if fractional and digits is None:
+        assert risk.each_row_an_event
     _, _, _, sums = kernels.cox_breslow(risk, xs @ rng.normal(size=p) * 0.3)
     got = kernels.cox_score_residuals(risk, sums)
     assert got.flags.c_contiguous and got.shape == (n, p)

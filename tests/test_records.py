@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,34 @@ class TestSplitStratum:
         ledger = close_stratum(ledger, "all")
         with pytest.raises(LedgerError):
             apply_draw(ledger, 1, {"all": ["r0"]})
+
+
+def test_apply_draw_leaves_the_callers_ledger_as_it_was():
+    table = phase1_table(1.0, 0, np.arange(12) + 0.5)
+    specs = [{"id": "lo", "bounds": {"x_star": [None, 4.0]}},
+             {"id": "mid", "bounds": {"x_star": [4.0, 8.0]}},
+             {"id": "hi", "bounds": {"x_star": [8.0, None]}}]
+    ledger = apply_draw(build_ledger("f", specs, table), 1, {"lo": ["r0"], "hi": ["r9"]})
+    ledger = split_stratum(ledger, table, "hi", "x_star", [10.0])  # hi.1 inherits r9
+    ledger = close_stratum(ledger, "hi.2")
+    before = copy.deepcopy(ledger)
+    failing = {
+        "out-of-order wave": (3, {"lo": ["r1"]}),
+        "non-leaf stratum": (2, {"lo": ["r1"], "hi": ["r8"]}),
+        "repeated id": (2, {"mid": ["r4"], "hi.1": ["r9"]}),
+        "closed stratum": (2, {"mid": ["r4"], "hi.2": ["r10"]}),
+        "N_s exceeded": (2, {"mid": ["r4"], "hi.1": ["r8", "r10"]}),
+    }
+    for case, (wave, draws) in failing.items():
+        with pytest.raises(LedgerError):
+            apply_draw(ledger, wave, draws)
+        assert ledger == before, case
+    new = apply_draw(ledger, 2, {"mid": ["r4"], "hi.1": ["r8"]})
+    assert ledger == before
+    assert new.wave_count == 2
+    assert {sid: s.drawn for sid, s in new.strata.items()} == {
+        "lo": [["r0"], []], "mid": [[], ["r4"]], "hi": [["r9"], []],
+        "hi.1": [[], ["r8"]], "hi.2": [[], []]}
 
 
 @settings(max_examples=25, deadline=None)
