@@ -28,7 +28,9 @@ The design core is array functions in ``allocation``, ``records`` and
 ``multiframe``.  The experiment harness (``simulate``) and the CLI are I/O
 around it: the harness feeds it population arrays, the CLI the columns of
 a ``records.DyadTable`` read from ``dyads.csv`` and ledgers mapped onto
-its rows.
+its rows.  Both fit the same two endpoints, defined once in
+``simulate.WORKING_MODELS``: obesity as a Cox hazard and asthma as a
+logistic odds, each with its imputation model.
 """
 
 __version__ = "0.1.0"

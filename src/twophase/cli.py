@@ -19,7 +19,11 @@ rows, spliced into the bytes of the file it read
 harness's weighted-estimation core, ``multiframe.weighted_sample`` and
 ``raking.weighted_fit``, on the ledgers' ``records.frame_arrays`` and the
 arrays that the ``--model`` working model, a ``models.AnalysisSpec``, reads
-from the table's columns for every fit: phase-1, IPW, raking and MI.
+from the table's columns for every fit: phase-1, IPW, raking and MI.  The
+CLI's endpoints are the harness's: ``--model`` picks an entry of
+``simulate.WORKING_MODELS``, the obesity Cox model or the asthma logistic
+model with its imputation specs, and ``--aux mi`` is the harness's
+``simulate._mi_influence``.
 
 Every step reads its inputs whole and checks them, by design: the files
 between steps may have been edited by hand.  Each id and row is checked
@@ -192,7 +196,9 @@ def cmd_simulate_reveal(args) -> int:
     """Validate the drawn records that are not validated yet and write the
     table to ``--out`` as a patch of ``--dyads``: only those rows are
     formatted again, and every other line keeps the bytes it was read with
-    (``fileio.write_dyads_patch``)."""
+    (``fileio.write_dyads_patch``).  Validating fills ``y``, ``delta``,
+    ``x``, the ``z_<j>`` and, in a table with the asthma pair, ``asthma``
+    from the truth file."""
     kept: list = []
     table = fileio.read_dyads(args.dyads, kept)
     draw = fileio.read_draw(args.draw)
@@ -213,7 +219,8 @@ def cmd_simulate_reveal(args) -> int:
         source = np.array([truth_row[table.ids[i]] for i in rows.tolist()], dtype=np.intp)
     except KeyError as exc:
         raise SchemaError(f"truth file has no row for drawn record {exc.args[0]!r}") from None
-    fields = ["y", "delta", "x"] + [f"z_{j}" for j in range(table.n_z)]
+    fields = (["y", "delta", "x"] + [f"z_{j}" for j in range(table.n_z)]
+              + ["asthma"] * table.has_asthma)
     for name in fields:
         if name not in truth:
             raise SchemaError(f"truth file {args.truth} has no column {name!r}")
@@ -368,43 +375,38 @@ def cmd_design_draw(args) -> int:
 # estimate
 
 
-def _working_model(args, n_z) -> models.AnalysisSpec:
-    """The ``--model`` working model on the table's columns, named as in ``DyadTable``."""
-    zs = [f"z_{j}" for j in range(n_z)]
-    if args.model == "cox":
-        return models.AnalysisSpec("cox", "y", "delta", ("x", *zs), target=0)
-    if not 0 <= args.outcome_z < n_z:
-        raise SchemaError(f"--outcome-z {args.outcome_z} is out of range for "
-                          f"the {n_z} z columns of {args.dyads}")
-    outcome = zs.pop(args.outcome_z)
-    return models.AnalysisSpec("logistic", outcome, None, ("x", *zs), target=0,
-                               intercept=True, frame="in_asthma_frame")
+def _working_model(args, table):
+    """The ``--model`` endpoint's working model and imputation specs
+    (``simulate.WORKING_MODELS``); SchemaError names the first phase-1
+    column of the model that ``table`` lacks (its phase-2 ones come with it)."""
+    spec, imputation_specs = simulate.WORKING_MODELS[args.model]
+    p1 = spec.phase1()
+    for name in filter(None, (p1.outcome, p1.event, *p1.covariates)):
+        if name not in table.columns:
+            raise SchemaError(f"{args.dyads} has no column {name!r}, which "
+                              f"--model {args.model} reads")
+    return spec, imputation_specs()
 
 
-def _generic_mi_influence(data, analysis, mi_replicates, seed):
-    """Multiply-imputed influence of ``analysis`` from a generic per-column imputation spec.
-
-    ``data`` holds the ``records.DyadTable`` columns of the analysis frame.
-    """
-    n_z = sum(1 for name in data if name.startswith("z_star_"))
-    V = imputation.VariableSpec
-    specs = []
-    for j in range(n_z):
-        binary = set(np.unique(data[f"z_star_{j}"])) <= {0.0, 1.0}
-        specs.append(V(f"z_{j}", "binary" if binary else "continuous",
-                       (f"z_star_{j}",)))
-    specs.append(V("x", "continuous", ("x_star",)
-                   + tuple(f"z_star_{j}" for j in range(n_z))))
-    specs.append(V("delta", "binary", ("delta_star", "x_star", "y_star")))
-    specs.append(V("y", "continuous", ("y_star", "delta_star")))
-    model_fit = imputation.fit_imputation(data, data["validated"], specs)
-    return imputation.mi_influence(data, model_fit, mi_replicates, analysis, seed)
+def _reject_unread_options(args) -> None:
+    """SchemaError naming an ``estimate`` option that the method never reads,
+    and the option that makes it so."""
+    if args.method == "phase1":
+        given, unread = "--method phase1", ("emit_weights", "emit_mi_influence", "influence")
+    elif args.method == "ipw":
+        given, unread = "--method ipw", ("emit_mi_influence", "influence")
+    else:
+        given, unread = f"--aux {args.aux}", (
+            ("influence",) if args.aux == "mi" else ("emit_mi_influence",))
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise SchemaError(f"--{name.replace('_', '-')} is not read with {given}")
 
 
 def cmd_estimate(args) -> int:
     table = fileio.read_dyads(args.dyads)
     cols, ids = table.columns, table.ids
-    spec = _working_model(args, table.n_z)
+    spec, imputation_specs = _working_model(args, table)
     terms = ["intercept"] * spec.intercept + list(spec.covariates)
     target = spec.coefficient
     in_frame = spec.members(cols)
@@ -434,9 +436,9 @@ def cmd_estimate(args) -> int:
 
     h = None
     if args.method == "raking":  # on [1, h], h the phase-1 or MI influence of the frame
-        if args.aux == "mi":
-            h = _generic_mi_influence({k: v[frame_rows] for k, v in cols.items()},
-                                      spec, args.mi_replicates, args.seed)
+        if args.aux == "mi":  # imputed from every validated record, refitted on the frame
+            h = simulate._mi_influence(cols, cols["validated"], imputation_specs, spec,
+                                       args.mi_replicates, args.seed)
             if args.emit_mi_influence:
                 emit(args.emit_mi_influence, frame_rows, h)
         elif args.influence:
@@ -597,7 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="phase-1, IPW, and raking estimators")
     p_est.add_argument("--dyads", required=True)
-    p_est.add_argument("--model", choices=["cox", "logistic"], default="cox")
+    p_est.add_argument("--model", choices=list(simulate.WORKING_MODELS), default="cox",
+                       help="cox: the obesity endpoint, a Cox model of (y, delta) on x, z_0 "
+                            "and z_1; logistic: the asthma endpoint, a logistic model of "
+                            "asthma on x, z_0 and delta in the in_asthma_frame records, "
+                            "which needs the asthma_star and asthma columns. Both are the "
+                            "experiment harness's models, imputation models included")
     p_est.add_argument("--method", choices=["phase1", "ipw", "raking"],
                        required=True)
     p_est.add_argument("--frame", choices=["single", "multi"], default="single")
@@ -606,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--asthma-ledger", default=None)
     p_est.add_argument("--influence", default=None,
                        help="aux influence CSV for raking (overrides --aux naive refit)")
-    p_est.add_argument("--outcome-z", type=int, default=1,
-                       help="z index holding the binary logistic outcome")
     p_est.add_argument("--mi-replicates", type=int,
                        default=imputation.DEFAULT_REPLICATES)
     p_est.add_argument("--seed", type=int, default=0)
@@ -673,6 +678,7 @@ def dispatch(argv) -> int:
                 raise SchemaError("--frame multi requires --asthma-ledger")
             if args.method == "raking" and args.aux == "mi":
                 _check_range(args, "mi_replicates", args.mi_replicates >= 2, "at least 2")
+            _reject_unread_options(args)
             return cmd_estimate(args)
         if args.command == "report":
             return cmd_report(args)

@@ -684,7 +684,7 @@ def _dyads_copy_values(table: DyadTable, rows) -> np.ndarray | None:
     """
     cols, n = table.columns, len(table)
     names = list(cols)
-    if (names != column_names(table.n_z, table.n_aux)
+    if (names != column_names(table.n_z, table.n_aux, table.has_asthma)
             or any(v.shape != (n,) or v.dtype != (bool if name in FLAGS else np.float64)
                    for name, v in cols.items())):
         return None
@@ -704,8 +704,10 @@ def _dyads_copy_values(table: DyadTable, rows) -> np.ndarray | None:
 def read_dyads(path, source: list | None = None) -> DyadTable:
     """``dyads.csv`` as a :class:`DyadTable`.
 
-    Phase-2 cells are read on validated rows only.  Raises SchemaError
-    for a missing column, a row with the wrong cell count, a flag cell
+    Phase-2 cells are read on validated rows only, and the asthma pair
+    when the header has ``asthma_star``.  Raises SchemaError for a
+    missing column (``asthma_star``, when the header has ``asthma``), a
+    row with the wrong cell count, a flag cell
     (``validated``, ``in_asthma_frame``) other than 0 or 1, a non-numeric
     or empty cell, a row breaking :func:`records.first_invalid_row`, a
     repeated id or a repeated column name.  When ``source`` is given, the
@@ -769,8 +771,12 @@ def _parse_dyads(path, data: bytes) -> DyadTable:
     phase1 = {"y_star": "y_star", "delta_star": "delta_star", "x_star": "x_star",
               **{f"z_star_{j}": c for j, c in enumerate(zs_cols)},
               **{f"aux_{j}": c for j, c in enumerate(aux_cols)}}
+    if "asthma" in header and "asthma_star" not in header:
+        raise SchemaError("dyads file has column 'asthma' but no 'asthma_star'")
+    if "asthma_star" in header:
+        phase1["asthma_star"], phase2["asthma"] = "asthma_star", "asthma"
     if validated.size:
-        for name in PHASE2_FIELDS:
+        for name in phase2.values():
             if name not in text:
                 raise SchemaError(f"dyads file missing column {name!r}, which "
                                   "validated rows need")
@@ -1195,7 +1201,7 @@ def population_to_records(pop) -> DyadTable:
         "y_star": pop.y_star, "delta_star": pop.delta_star, "x_star": pop.x_star,
         **{f"z_star_{j}": pop.z_star[:, j] for j in range(pop.z_star.shape[1])},
         **{f"aux_{j}": pop.aux[:, j] for j in range(pop.aux.shape[1])},
-        "in_asthma_frame": pop.in_asthma_frame})
+        "asthma_star": pop.asthma_star, "in_asthma_frame": pop.in_asthma_frame})
     bad = first_invalid_row(table.columns)
     if bad is not None:
         raise ValueError(f"record {table.ids[bad[0]]}: {bad[1]}")

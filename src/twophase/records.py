@@ -34,12 +34,15 @@ POS_INF = float("inf")
 # Phase-2 fields besides the ``z_<j>`` columns; they hold values on validated rows only.
 PHASE2_FIELDS = ("wave_sampled", "y", "delta", "x")
 FLAGS = ("in_asthma_frame", "validated")
-INTEGER_FIELDS = ("delta_star", "wave_sampled", "delta")
+# The asthma outcome, phase-1 and phase-2: a table holds both columns or neither.
+ASTHMA = ("asthma_star", "asthma")
+INTEGER_FIELDS = ("delta_star", "wave_sampled", "delta", *ASTHMA)
 
 
 def is_phase2(name: str) -> bool:
     """Whether column ``name`` holds a phase-2 (validated) value."""
-    return name in PHASE2_FIELDS or (name.startswith("z_") and not name.startswith("z_star_"))
+    return (name in PHASE2_FIELDS or name == "asthma"
+            or (name.startswith("z_") and not name.startswith("z_star_")))
 
 
 def phase1_name(name: str) -> str:
@@ -54,7 +57,8 @@ def first_invalid_row(columns: Mapping[str, Sequence]) -> tuple[int, str] | None
     on the validated rows only.  The rules, in the order one row reports
     them: every counted value is finite; ``y_star > 0``; ``delta_star``
     is 0 or 1; ``wave_sampled`` is a whole number; ``y > 0``; ``delta``
-    is 0 or 1.
+    is 0 or 1; and, when the columns hold the asthma pair, ``asthma_star``
+    is 0 or 1 and ``asthma`` is 0 or 1.
     """
     validated = np.asarray(columns["validated"], dtype=bool)
     names = [name for name in columns if name not in FLAGS]
@@ -69,6 +73,8 @@ def first_invalid_row(columns: Mapping[str, Sequence]) -> tuple[int, str] | None
         (validated & (np.floor(wave) != wave), "wave_sampled must be a whole number"),
         (validated & (value["y"] <= 0), "y must be positive"),
         (validated & (delta != 0) & (delta != 1), "delta must be 0 or 1"),
+        *(((validated if is_phase2(name) else True) & (value[name] != 0) & (value[name] != 1),
+           f"{name} must be 0 or 1") for name in ASTHMA if name in value),
     ]
     bad = nonfinite.any(axis=0)
     for mask, _ in rules:
@@ -81,13 +87,16 @@ def first_invalid_row(columns: Mapping[str, Sequence]) -> tuple[int, str] | None
     return row, next(rule for mask, rule in rules if mask[row])
 
 
-def column_names(n_z: int, n_aux: int) -> list[str]:
-    """:class:`DyadTable` columns in ``dyads.csv`` order (after ``id``)."""
+def column_names(n_z: int, n_aux: int, asthma: bool = False) -> list[str]:
+    """:class:`DyadTable` columns in ``dyads.csv`` order (after ``id``); with
+    ``asthma``, ``asthma_star`` after the phase-1 columns and ``asthma`` last."""
     return (["y_star", "delta_star", "x_star"]
             + [f"z_star_{j}" for j in range(n_z)]
             + [f"aux_{j}" for j in range(n_aux)]
+            + ["asthma_star"] * asthma
             + [*FLAGS, *PHASE2_FIELDS]
-            + [f"z_{j}" for j in range(n_z)])
+            + [f"z_{j}" for j in range(n_z)]
+            + ["asthma"] * asthma)
 
 
 class DyadTable:
@@ -99,6 +108,11 @@ class DyadTable:
     ``x`` and ``z_<j>``, which hold the validated values and 0 on the
     other rows.  Integer fields are stored as whole floats.  Absent flag
     and phase-2 columns are filled with False and 0.
+
+    The asthma pair is optional: a table given ``asthma_star`` (0 or 1 on
+    every row) also holds the phase-2 ``asthma`` (0 or 1 on the validated
+    rows), and ``has_asthma`` says so; one given neither holds neither,
+    and only the Cox endpoint can be fitted to it.
 
     By default the table holds its own copy of each column.  With
     ``copy=False`` it keeps each given array that already has its
@@ -116,11 +130,12 @@ class DyadTable:
                  copy: bool = True):
         n_z = sum(1 for name in columns if name.startswith("z_star_"))
         n_aux = sum(1 for name in columns if name.startswith("aux_"))
+        self.has_asthma = "asthma_star" in columns
         convert = np.array if copy else np.asarray
         self.ids = ids
         self.checked_ids: tuple | None = None
         self.columns = {}
-        for name in column_names(n_z, n_aux):
+        for name in column_names(n_z, n_aux, self.has_asthma):
             dtype = bool if name in FLAGS else np.float64
             if name not in columns and (name in FLAGS or is_phase2(name)):
                 self.columns[name] = np.zeros(len(ids), dtype=dtype)

@@ -20,7 +20,9 @@ auxiliary and raking_mi), on one ``_Endpoint``; per endpoint only the
 working model differs, a ``models.AnalysisSpec`` (``COX_ANALYSIS``,
 ``ASTHMA_ANALYSIS``) read from ``_population_columns`` under the CLI's
 ``records.DyadTable`` names, with its own frame and imputation model
-(``_cox_imputation_specs``, ``_asthma_imputation_specs``).
+(``_cox_imputation_specs``, ``_asthma_imputation_specs``).  The pairs sit
+in one table, ``WORKING_MODELS``, which is also what ``estimate --model``
+fits: each endpoint is defined once, for the harness and the CLI.
 :func:`estimate_all` splits the ten estimates between two processes by
 cost: the obesity tail here, the obesity head and the asthma endpoint in
 a forked worker (``forking.team``), with the rows, warnings and errors
@@ -665,6 +667,10 @@ COX_ANALYSIS = models.AnalysisSpec(
 ASTHMA_ANALYSIS = models.AnalysisSpec(
     kind="logistic", outcome="asthma", event=None, covariates=("x", "z_0", "delta"),
     target=0, intercept=True, frame="in_asthma_frame")
+# The one definition of each endpoint, by its ``estimate --model`` name: the
+# working model and its imputation specs, which the harness and the CLI read.
+WORKING_MODELS = {"cox": (COX_ANALYSIS, _cox_imputation_specs),
+                  "logistic": (ASTHMA_ANALYSIS, _asthma_imputation_specs)}
 
 
 def _population_columns(pop: Population) -> imputation.Columns:
@@ -722,8 +728,8 @@ class _Endpoint:
 
 
 def _endpoint(pop: Population, designs: tuple[WaveDesign, WaveDesign], name: str,
-              analysis: models.AnalysisSpec, own: int, mi_specs, m: int,
-              mi_seed: int) -> _Endpoint:
+              model: str, own: int, m: int, mi_seed: int) -> _Endpoint:
+    analysis, mi_specs = WORKING_MODELS[model]
     cols = _population_columns(pop)
     frame = analysis.members(cols)
     frames = [multiframe.FrameDesign(f, *d.frame_arrays(pop.n))
@@ -733,7 +739,7 @@ def _endpoint(pop: Population, designs: tuple[WaveDesign, WaveDesign], name: str
     validated = np.zeros(pop.n, dtype=bool)
     validated[draws.rows] = True
     return _Endpoint(name, analysis, designs, own, cols, frame, single, sample,
-                     analysis.arrays(cols, sample.rows), validated, mi_specs, m, mi_seed)
+                     analysis.arrays(cols, sample.rows), validated, mi_specs(), m, mi_seed)
 
 
 def _rows(e: _Endpoint, fits: dict) -> list[EstimateRow]:
@@ -769,8 +775,8 @@ def _tail(e: _Endpoint) -> list[EstimateRow]:
 
 
 def _obesity(pop, obesity, asthma, spec, seed) -> _Endpoint:
-    return _endpoint(pop, (obesity, asthma), "obesity", COX_ANALYSIS, 0,
-                     _cox_imputation_specs(), spec.mi_replicates_estimator, seed + 7919)
+    return _endpoint(pop, (obesity, asthma), "obesity", "cox", 0,
+                     spec.mi_replicates_estimator, seed + 7919)
 
 
 def estimate_obesity(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign",
@@ -787,8 +793,8 @@ def estimate_asthma(pop: Population, obesity: "WaveDesign", asthma: "WaveDesign"
     Analysis population is the asthma frame; the working model is the
     generating one (exposure, continuous covariate, obesity indicator).
     """
-    e = _endpoint(pop, (obesity, asthma), "asthma", ASTHMA_ANALYSIS, 1,
-                  _asthma_imputation_specs(), spec.mi_replicates_estimator, seed + 104729)
+    e = _endpoint(pop, (obesity, asthma), "asthma", "logistic", 1,
+                  spec.mi_replicates_estimator, seed + 104729)
     return _head(e) + _tail(e)
 
 

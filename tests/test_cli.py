@@ -5,6 +5,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import twophase
-from twophase import cli, fileio, forking, fpca, imputation, models, raking, simulate
+from twophase import cli, fileio, forking, fpca, imputation, kernels, models, raking, simulate
 from twophase import records as rec
 from twophase.cli import dispatch
 
@@ -28,6 +29,12 @@ def package_env():
     src = str(Path(twophase.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def without_asthma(table):
+    """``table`` without the asthma pair, as a table written before it existed."""
+    return rec.DyadTable(table.ids, {name: values for name, values in table.columns.items()
+                                     if name not in rec.ASTHMA})
 
 
 @pytest.fixture(scope="module")
@@ -187,20 +194,25 @@ class TestDesignCli:
 
 
 class TestEstimateCli:
-    def test_logistic_default_outcome_is_binary_z(self, sim_dir, tmp_path):
+    def test_logistic_fits_the_asthma_model(self, sim_dir, tmp_path):
         assert run(["estimate", "--dyads", sim_dir / "dyads.csv",
                     "--model", "logistic", "--method", "phase1",
                     "--out", tmp_path / "est.csv"]) == 0
         rows = fileio.read_estimates(tmp_path / "est.csv")
-        assert [r["term"] for r in rows] == ["intercept", "x", "z_0"]
+        assert [r["term"] for r in rows] == ["intercept", "x", "z_0", "delta"]
         assert all(np.isfinite(r["beta"]) and r["se"] > 0 for r in rows)
 
-    def test_out_of_range_outcome_z_gives_parse_exit(self, sim_dir, tmp_path, capsys):
-        code = run(["estimate", "--dyads", sim_dir / "dyads.csv",
-                    "--model", "logistic", "--method", "phase1",
-                    "--outcome-z", 2, "--out", tmp_path / "est.csv"])
+    def test_logistic_without_the_asthma_pair_gives_parse_exit(self, sim_dir, tmp_path,
+                                                                capsys):
+        fileio.write_dyads(tmp_path / "d.csv",
+                           without_asthma(fileio.read_dyads(sim_dir / "dyads.csv")))
+        code = run(["estimate", "--dyads", tmp_path / "d.csv", "--model", "logistic",
+                    "--method", "phase1", "--out", tmp_path / "est.csv"])
         assert code == 4
-        assert "error: parse:" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"error: parse: {tmp_path / 'd.csv'} has no column 'asthma_star', which "
+            "--model logistic reads")
+        assert not (tmp_path / "est.csv").exists()
 
     @pytest.mark.parametrize("column, value", [("y_star", "nan"), ("z_star_1", "")])
     def test_bad_first_row_cell_gives_parse_exit(self, sim_dir, tmp_path, capsys,
@@ -265,8 +277,9 @@ def chain_dir(tmp_path_factory):
     return build_chain(tmp_path_factory.mktemp("chain"))
 
 
-def build_chain(d):
-    """Run the pinned chain in directory ``d`` and return ``d``."""
+def build_chain(d, asthma=True):
+    """Run the pinned chain in directory ``d`` and return ``d``; without
+    ``asthma``, on a ``dyads.csv`` without the asthma pair."""
     (d / "sim.json").write_text(json.dumps({"n": 1000}))
     (d / "strata_O.json").write_text(json.dumps(
         [{"id": f"{e}{s}", "bounds": {"delta_star": db, "x_star": xb}}
@@ -276,6 +289,8 @@ def build_chain(d):
         [{"id": "A:ev", "bounds": {"delta_star": [0.5, None]}},
          {"id": "A:no", "bounds": {"delta_star": [None, 0.5]}}]))
     assert run(["simulate", "--config", d / "sim.json", "--out", d, "--seed", 8]) == 0
+    if not asthma:
+        fileio.write_dyads(d / "dyads.csv", without_asthma(fileio.read_dyads(d / "dyads.csv")))
     assert run(["design", "init", "--frame", "O", "--dyads", d / "dyads.csv",
                 "--strata", d / "strata_O.json", "--out", d / "ledger_O0.json"]) == 0
     assert run(["estimate", "--dyads", d / "dyads.csv", "--method", "phase1",
@@ -322,6 +337,16 @@ def test_design_chain_matches_pinned_outputs(chain_dir, tmp_path):
             (name, "x"), (name, "z_0"), (name, "z_1")]
         assert [(r["beta"], r["se"]) for r in rows] == [
             (pytest.approx(b, rel=1e-12), pytest.approx(se, rel=1e-12)) for b, se in want]
+
+
+def test_a_table_without_the_asthma_pair_runs_the_pinned_cox_chain(tmp_path):
+    (tmp_path / "chain").mkdir()
+    d = build_chain(tmp_path / "chain", asthma=False)
+    for name in ("dyads.csv", "dyads_1.csv", "dyads_2.csv", "dyads_3.csv"):
+        header = (d / name).read_text().splitlines()[0].split(",")
+        assert not set(rec.ASTHMA) & set(header), name
+        assert not fileio.read_dyads(d / name).has_asthma
+    test_design_chain_matches_pinned_outputs(d, tmp_path)
 
 
 def test_a_patch_writes_the_copy_that_write_dyads_writes(chain_dir, tmp_path):
@@ -653,6 +678,41 @@ def test_an_option_out_of_range_gives_parse_exit(chain_dir, tmp_path, capsys, op
     assert not out.exists()
 
 
+# An estimate option with a method that never reads it, and the message that
+# names both: each was ignored with exit 0, the file to emit never written or
+# the influence file never opened.
+UNREAD_OPTIONS = {
+    "emit-weights with phase1": (["--method", "phase1", "--emit-weights", "w.csv"],
+                                 "--emit-weights is not read with --method phase1"),
+    "emit-mi-influence with phase1": (["--method", "phase1", "--emit-mi-influence", "h.csv"],
+                                      "--emit-mi-influence is not read with --method phase1"),
+    "emit-mi-influence with ipw": (["--method", "ipw", "--emit-mi-influence", "h.csv"],
+                                   "--emit-mi-influence is not read with --method ipw"),
+    "emit-mi-influence with naive raking": (
+        ["--method", "raking", "--emit-mi-influence", "h.csv"],
+        "--emit-mi-influence is not read with --aux naive"),
+    "influence with phase1": (["--method", "phase1", "--influence", "in.csv"],
+                              "--influence is not read with --method phase1"),
+    "influence with ipw": (["--method", "ipw", "--influence", "in.csv"],
+                           "--influence is not read with --method ipw"),
+    "influence with mi raking": (["--method", "raking", "--aux", "mi", "--influence", "in.csv"],
+                                 "--influence is not read with --aux mi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_OPTIONS))
+def test_an_option_the_method_never_reads_gives_parse_exit(chain_dir, tmp_path, capsys, case):
+    d = chain_dir
+    argv, message = UNREAD_OPTIONS[case]
+    (tmp_path / "in.csv").write_bytes((d / "h.csv").read_bytes())
+    out = tmp_path / "est.csv"
+    assert run(["estimate", "--dyads", d / "dyads_3.csv", "--ledger", d / "ledger_O2.json",
+                "--out", out] + [tmp_path / a if a.endswith(".csv") else a
+                                 for a in argv]) == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: parse: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
 # Each command that reads --seed, before the option.  A negative seed was
 # the uncaught ValueError of numpy's SeedSequence (a traceback, exit 1),
 # and design init stored it in the ledger (exit 0).
@@ -704,8 +764,6 @@ INTEGER_OPTIONS = {
         "design", "draw", "--ledger", d / "ledger_O0.json", "--dyads", d / "dyads.csv",
         "--allocation", d / "alloc_O1.json", "--seed", 41, "--wave", 1]
        for option in ("--seed", "--wave")},
-    ("estimate", "--outcome-z"): lambda d: ["estimate", "--dyads", d / "dyads_3.csv",
-                                               "--model", "logistic", "--method", "phase1"],
     **{("estimate", option): lambda d: [
         "estimate", "--dyads", d / "dyads_3.csv", "--method", "raking", "--aux", "mi",
         "--ledger", d / "ledger_O2.json", "--mi-replicates", 2]
@@ -722,6 +780,32 @@ def integer_options(parser, path=()):
                 yield from integer_options(sub, (*path, name))
         elif action.type is int:
             yield (*path, action.option_strings[0])
+
+
+def test_every_option_is_read_as_an_args_attribute():
+    """Every option of every (sub)command is read as ``args.<dest>`` in cli.py,
+    so deleting the code that reads an option cannot leave the option behind."""
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+
+    def dests(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from dests(sub)
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield action.dest
+    options = set(dests(cli.build_parser()))
+    assert {"dyads", "emit_mi_influence", "mi_replicates"} <= options
+    assert "outcome_z" not in options and "outcome_z" not in source
+    assert [dest for dest in sorted(options)
+            if not re.search(rf"\bargs\.{dest}\b", source)] == []
+
+
+def test_outcome_z_is_no_option(chain_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["estimate", "--dyads", chain_dir / "dyads_3.csv", "--model", "logistic",
+             "--method", "phase1", "--outcome-z", 1, "--out", tmp_path / "est.csv"])
+    assert exc.value.code == 2
 
 
 def test_every_integer_option_has_a_command_line_below():
@@ -921,20 +1005,69 @@ def test_wave1_allocation_matches_harness(tmp_path):
 
 
 def test_phase1_estimate_matches_harness(tmp_path):
-    """The CLI's phase-1 Cox fit is the harness's, bit for bit: one working model."""
+    """The CLI's phase-1 fit of each endpoint is the harness's, bit for bit:
+    one working model per endpoint."""
     spec = simulate.DesignSpec()
     pop = simulate.generate(simulate.SimConfig(n=3000), seed=21)
     fileio.write_dyads(tmp_path / "dyads.csv", fileio.population_to_records(pop))
-    assert run(["estimate", "--dyads", tmp_path / "dyads.csv", "--model", "cox",
-                "--method", "phase1", "--out", tmp_path / "est.csv"]) == 0
-    cli_x = fileio.read_estimates(tmp_path / "est.csv")[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         obesity, asthma = simulate.run_design(pop, spec, seed=21)
-        rows = simulate.estimate_obesity(pop, obesity, asthma, spec, seed=21)
-    harness = next(r for r in rows if r.estimator == "phase1")
-    assert cli_x["term"] == "x"
-    assert (cli_x["beta"], cli_x["se"]) == (harness.beta, harness.se)
+        harness = {"cox": simulate.estimate_obesity(pop, obesity, asthma, spec, seed=21),
+                   "logistic": simulate.estimate_asthma(pop, obesity, asthma, spec, seed=21)}
+    for model, rows in harness.items():
+        assert run(["estimate", "--dyads", tmp_path / "dyads.csv", "--model", model,
+                    "--method", "phase1", "--out", tmp_path / f"{model}.csv"]) == 0
+        cli_x = fileio.read_estimates(tmp_path / f"{model}.csv")[
+            simulate.WORKING_MODELS[model][0].coefficient]
+        phase1 = next(r for r in rows if r.estimator == "phase1")
+        assert cli_x["term"] == "x"
+        assert (cli_x["beta"], cli_x["se"]) == (phase1.beta, phase1.se), model
+
+
+@pytest.mark.parametrize("model, ledger", [("cox", "ledger_O2.json"),
+                                           ("logistic", "ledger_A1.json")])
+def test_mi_influence_is_the_harness_one(chain_dir, tmp_path, model, ledger):
+    """estimate --aux mi emits the harness's MI influence of the endpoint, bit for
+    bit, given the same phase-1 columns, validated records and seed: imputed from
+    every validated record, refitted on the analysis frame."""
+    d = chain_dir
+    assert run(["estimate", "--dyads", d / "dyads_3.csv", "--model", model,
+                "--ledger", d / ledger, "--method", "raking", "--aux", "mi",
+                "--mi-replicates", 4, "--seed", 5, "--out", tmp_path / "est.csv",
+                "--emit-mi-influence", tmp_path / "h.csv"]) == 0
+    table = fileio.read_dyads(d / "dyads_3.csv")
+    analysis, specs = simulate.WORKING_MODELS[model]
+    # The chain's population, whose phase-2 columns hold the truth on every row.
+    cols = simulate._population_columns(simulate.generate(simulate.SimConfig(n=1000), 8))
+    want = simulate._mi_influence(cols, table.columns["validated"], specs(), analysis, 4, 5)
+    members = np.flatnonzero(analysis.members(table.columns))
+    got = fileio.read_influence_rows(tmp_path / "h.csv", [table.ids[i] for i in members])
+    assert 0 < members.size == want.size
+    assert got.tolist() == want.tolist()
+
+
+def test_every_cox_mi_refit_reads_its_risk_sets_in_place(chain_dir, tmp_path, monkeypatch):
+    # The harness's imputation model imputes y from y_star and the imputed
+    # delta, so no two imputed times tie and every row is its own event group.
+    # The CLI's own per-column model imputed y from (y_star, delta_star) alone,
+    # which tied every record sharing those, and no refit had the flag.
+    seen = []
+
+    def recording(event, *args, real=kernels.risk_sets):
+        risk = real(event, *args)
+        seen.append((event.size, risk.each_row_an_event))
+        return risk
+    monkeypatch.setattr(kernels, "risk_sets", recording)
+    d = chain_dir
+    assert run(["estimate", "--dyads", d / "dyads_3.csv", "--ledger", d / "ledger_O2.json",
+                "--model", "cox", "--method", "raking", "--aux", "mi", "--mi-replicates", 4,
+                "--out", tmp_path / "est.csv"]) == 0
+    n = len(fileio.read_dyads(d / "dyads_3.csv"))
+    # Four refits on every record, then the raking fit on the validated ones,
+    # whose times may tie.
+    assert [size for size, _ in seen] == [n] * 4 + [seen[-1][0]] and seen[-1][0] < n
+    assert all(flag for _, flag in seen[:4])
 
 
 class TestFpcaCli:

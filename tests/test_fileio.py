@@ -528,6 +528,52 @@ def test_bad_dyads_rows_are_rejected(tmp_path, rows, match):
         fileio.read_dyads(path)
 
 
+ASTHMA_HEADER = HEADER + ",asthma_star,asthma"
+
+
+@pytest.mark.parametrize("header, rows, match", [
+    (ASTHMA_HEADER, ["r1,2.0,0,0.3,1.0,0,0,,,,,,,1,", "r2,2.0,0,0.3,1.0,0,0,,,,,,,2,"],
+     r"row 3: record r2: asthma_star must be 0 or 1"),
+    (ASTHMA_HEADER, ["r1,2.0,0,0.3,1.0,0,1,1,2.0,1,0.3,1.0,0,1,0.5"],
+     r"row 2: record r1: asthma must be 0 or 1"),
+    (ASTHMA_HEADER, ["r1,2.0,0,0.3,1.0,0,1,1,2.0,1,0.3,1.0,0,1,"],
+     r"row 2: column 'asthma' has non-numeric value ''"),
+    (HEADER + ",asthma_star", ["r1,2.0,0,0.3,1.0,0,1,1,2.0,1,0.3,1.0,0,1"],
+     r"missing column 'asthma', which validated rows need"),
+    (HEADER + ",asthma", ["r1,2.0,0,0.3,1.0,0,0,,,,,,,"],
+     r"column 'asthma' but no 'asthma_star'"),
+])
+def test_bad_asthma_pairs_are_rejected(tmp_path, header, rows, match):
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(SchemaError, match=match):
+        fileio.read_dyads(path)
+
+
+def test_the_asthma_pair_reads_as_delta_star_and_delta_do(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([HEADER + ",asthma_star", "r1,2.0,0,0.3,1.0,0,0,,,,,,,1",
+                               "r2,2.0,1,0.3,1.0,0,0,,,,,,,0"]) + "\n")
+    table = fileio.read_dyads(path)
+    assert table.has_asthma and list(table.columns)[-1] == "asthma"
+    assert table.columns["asthma_star"].tolist() == [1.0, 0.0]
+    assert table.columns["asthma"].tolist() == [0.0, 0.0]
+    fileio.write_dyads(tmp_path / "again.csv", table)
+    header, *rows = (tmp_path / "again.csv").read_text().splitlines()
+    assert header.split(",")[6:9] == ["asthma_star", "in_asthma_frame", "validated"]
+    assert [r.split(",")[6] for r in rows] == ["1", "0"]
+
+
+def test_reveal_fills_asthma_from_the_truth_file(chain_files):
+    table = fileio.read_dyads(chain_files / "dyads_1.csv")
+    rows = np.flatnonzero(table.columns["validated"])
+    ids, truth = fileio.read_truth(chain_files / "truth.csv", [table.ids[i] for i in rows])
+    assert table.has_asthma and ids == [table.ids[i] for i in rows]
+    assert table.columns["asthma"][rows].tolist() == truth["asthma"].tolist()
+    assert 0 < table.columns["asthma"][rows].sum() < rows.size
+    assert not table.columns["asthma"][table.columns["validated"] == 0].any()
+
+
 FLAG_HEADER = HEADER + ",in_asthma_frame"
 
 

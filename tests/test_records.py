@@ -140,6 +140,19 @@ class TestFirstInvalidRow:
         table.columns["delta_star"][2] = 1.0
         assert first_invalid_row(table.columns) is None
 
+    def test_the_asthma_pair_follows_the_delta_rules(self):
+        table = DyadTable(["a", "b"], {"y_star": [1.0, 1.0], "delta_star": [0, 1],
+                                       "x_star": [0.3, 0.3], "asthma_star": [1, 0.5]})
+        assert table.has_asthma and list(table.columns)[-1] == "asthma"
+        assert first_invalid_row(table.columns) == (1, "asthma_star must be 0 or 1")
+        table.columns["asthma_star"][1] = 0.0
+        table.columns["asthma"][:] = 2.0        # not validated: not counted
+        assert first_invalid_row(table.columns) is None
+        table.columns["validated"][0] = True
+        table.columns["y"][0] = 1.0
+        assert first_invalid_row(table.columns) == (0, "asthma must be 0 or 1")
+        assert not phase1_table(1.0, 0, 0.3).has_asthma
+
 
 class TestAssignStrata:
     def test_published_example_record(self, table_design):
