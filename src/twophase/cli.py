@@ -556,8 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     d_init.add_argument(
         "--strata", required=True,
         help='JSON list of the leaves, each {"id": ..., "bounds": {axis: [lo, hi]}} with '
-             "axis one of delta_star, y_star, x_star and lo, hi JSON numbers or null "
-             "for unbounded. Bounds are half-open, (lo, hi]: a leaf holds the records "
+             "axis one of delta_star, y_star, x_star and, on a table with the asthma "
+             "pair, asthma_star, and lo, hi JSON numbers or null for unbounded. Bounds "
+             "are half-open, (lo, hi]: a leaf holds the records "
              "with lo < value <= hi on each axis it bounds. The leaves must partition "
              "the frame")
     d_init.add_argument("--out", required=True)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from twophase import models
-from twophase.errors import ConvergenceError
+from twophase.errors import ConvergenceError, UnidentifiedModelError
 
 Columns = dict[str, np.ndarray]
 
@@ -87,10 +87,12 @@ def fit_imputation(data: Columns, validated: np.ndarray,
 
     ``data`` maps column names to full-population arrays; targets hold
     their validated values on the rows where ``validated`` is True.
+    Fewer than ``MIN_VALIDATED`` validated records raise
+    UnidentifiedModelError (an IllConditionedError and a ValueError).
     """
     rows = np.flatnonzero(np.asarray(validated, dtype=bool))
     if rows.size < MIN_VALIDATED:
-        raise ValueError(
+        raise UnidentifiedModelError(
             f"{rows.size} validated records; at least {MIN_VALIDATED} required")
     model = ImputationModel(specs=tuple(specs))
     for spec in specs:

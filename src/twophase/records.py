@@ -6,12 +6,14 @@ field, row ``i`` being record ``i``.  Every path that builds or changes a
 table checks it with one rule set, :func:`first_invalid_row`.
 
 A ledger is a tree of strata per sampling frame.  Leaves partition the
-frame population on the error-prone variables ``(delta_star, y_star,
-x_star)`` with half-open ``(lo, hi]`` bounds, read from ``strata.json`` and
-``ledger.json`` by :func:`parse_bounds` and tested by
-:func:`assign_strata_arrays`.  Splits refine leaves; wave history stays on
-the stratum where sampling happened, and draws made before a split are
-attributed to the child each drawn record falls in.
+frame population on the error-prone variables (:data:`AXES`: the obesity
+frame's ``delta_star``, ``y_star`` and ``x_star``, and the asthma frame's
+``asthma_star``) with half-open ``(lo, hi]`` bounds, read from
+``strata.json`` and ``ledger.json`` by :func:`parse_bounds` and tested by
+:func:`assign_strata_arrays` on the axes the leaves bound.  Splits refine
+leaves; wave history stays on the stratum where sampling happened, and
+draws made before a split are attributed to the child each drawn record
+falls in.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from twophase.errors import LedgerError, PartitionError, SchemaError
 
-AXES = ("delta_star", "y_star", "x_star")
+AXES = ("delta_star", "y_star", "x_star", "asthma_star")
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -254,10 +256,12 @@ def assign_strata_arrays(values: Mapping[str, np.ndarray], leaves: Sequence[Stra
                          ids: Sequence[str] | None = None) -> np.ndarray:
     """Vectorized leaf assignment.
 
-    Returns the leaf index (into ``leaves``) per record.  Raises
-    PartitionError if any record matches zero or multiple leaves, naming
-    the first such record by its entry in ``ids`` (aligned with the
-    values) or, without ``ids``, by its index.
+    Returns the leaf index (into ``leaves``) per record.  ``values`` holds
+    each axis the leaves bound; the records are counted by ``ids`` when
+    given (aligned with the values), so leaves that bound no axis need no
+    values.  Raises PartitionError if any record matches zero or multiple
+    leaves, naming the first such record by its entry in ``ids`` or,
+    without ``ids``, by its index.
 
     The leaves' bounds cut each axis at a few edges, and a record's cell
     is its interval between them on every bounded axis: on each, the
@@ -272,7 +276,7 @@ def assign_strata_arrays(values: Mapping[str, np.ndarray], leaves: Sequence[Stra
     mask instead: the work and memory stay within a few arrays of the
     table's length whatever the number of leaves.
     """
-    n = len(next(iter(values.values())))
+    n = len(ids) if ids is not None else len(next(iter(values.values())))
     axes = list(dict.fromkeys(axis for leaf in leaves for axis in leaf.bounds))
     edges = [sorted({b for leaf in leaves for b in leaf.bounds.get(axis, ())}) for axis in axes]
     shape = tuple(len(cuts) + 1 for cuts in edges)
@@ -326,12 +330,25 @@ def leaf_index(table: DyadTable,
     """
     rows = np.flatnonzero(ledger.member_mask(table))
     leaves = ledger.leaves()
-    idx = (assign_strata_arrays({axis: table.columns[axis][rows] for axis in AXES}, leaves,
-                                ids=row_ids(table, rows))
+    values = _axis_values(table, rows, leaves)
+    idx = (assign_strata_arrays(values, leaves, ids=row_ids(table, rows))
            if rows.size else np.empty(0, dtype=np.intp))
     if any(s.total_sampled for s in leaves):
         _check_counted_ids(table, ledger.frame, leaves, rows, idx)
     return rows, leaves, idx
+
+
+def _axis_values(table: DyadTable, rows: np.ndarray,
+                 leaves: Sequence[Stratum]) -> dict[str, np.ndarray]:
+    """Each axis that ``leaves`` bound, as its column of ``table`` on ``rows``;
+    SchemaError names a bound axis that the table has no column for."""
+    axes = dict.fromkeys(axis for leaf in leaves for axis in leaf.bounds)
+    missing = [axis for axis in axes if axis not in table.columns]
+    if missing:
+        leaf = next(leaf for leaf in leaves if missing[0] in leaf.bounds)
+        raise SchemaError(f"stratum {leaf.id!r} bounds axis {missing[0]!r}, which the "
+                          "table has no column for")
+    return {axis: table.columns[axis][rows] for axis in axes}
 
 
 def row_ids(table: DyadTable, rows: np.ndarray) -> Sequence[str]:
@@ -499,7 +516,7 @@ def split_stratum(ledger: DesignLedger, table: DyadTable, stratum_id: str,
             f"{parent.population_size}"
         )
     member_ids = [table.ids[r] for r in members.tolist()]
-    child_of = assign_strata_arrays({a: table.columns[a][members] for a in AXES}, children,
+    child_of = assign_strata_arrays(_axis_values(table, members, children), children,
                                     ids=member_ids)
     for child, count in zip(children, np.bincount(child_of, minlength=len(children))):
         child.population_size = int(count)

@@ -503,6 +503,9 @@ MALFORMED_JSON = {
     "config with no eigenvalues":
         ("sim.json", lambda p: {"n": 50, "trajectory": {"eigenvalues": []}},
          "eigenvalues must be 1 to 3 finite positive values"),
+    # Exited 0: the basis was orthonormal on this domain, the series drawn on fpca's.
+    "config with a trajectory domain":
+        ("sim.json", lambda p: {"n": 50, "trajectory": {"domain": [0.0, 100.0]}}, "domain"),
     "ledger holding a list": ("ledger_O0.json", lambda p: [], "a JSON object"),
     "ledger bounds that are a list":
         ("ledger_O0.json", lambda p: {**p, "strata": [{**p["strata"][0], "bounds": [1, 2]}]},
@@ -972,16 +975,20 @@ class TestEstimateOnTheChain:
         assert "error: ledger: record 'd" in err and "primary frame 'A'" in err
 
 
+def leaf_specs(strata):
+    """Harness strata as the leaf specs of a strata file."""
+    return [{"id": s.id, "bounds": {k: [None if math.isinf(v) else float(v) for v in b]
+                                    for k, b in s.bounds.items()}}
+            for s in strata]
+
+
 def test_wave1_allocation_matches_harness(tmp_path):
     """The CLI's first wave reproduces the harness's first obesity wave."""
     spec = simulate.DesignSpec()
     pop = simulate.generate(simulate.SimConfig(n=3000), seed=21)
     fileio.write_dyads(tmp_path / "dyads.csv", fileio.population_to_records(pop))
     strata = simulate.obesity_strata(pop, spec)[0]
-    leaves = [{"id": s.id, "bounds": {k: [None if math.isinf(v) else float(v) for v in b]
-                                      for k, b in s.bounds.items()}}
-              for s in strata]
-    (tmp_path / "strata.json").write_text(json.dumps(leaves))
+    (tmp_path / "strata.json").write_text(json.dumps(leaf_specs(strata)))
     assert run(["design", "init", "--frame", "O", "--dyads", tmp_path / "dyads.csv",
                 "--strata", tmp_path / "strata.json",
                 "--out", tmp_path / "ledger.json"]) == 0
@@ -1068,6 +1075,144 @@ def test_every_cox_mi_refit_reads_its_risk_sets_in_place(chain_dir, tmp_path, mo
     # whose times may tie.
     assert [size for size, _ in seen] == [n] * 4 + [seen[-1][0]] and seen[-1][0] < n
     assert all(flag for _, flag in seen[:4])
+
+
+@pytest.fixture(scope="module")
+def harness_run(tmp_path_factory):
+    """``run_design`` on ``generate(SimConfig(n=3000), 21)`` as CLI files:
+    ``dyads.csv`` with every drawn record revealed from the truth, and the
+    two frames' ledgers, built from the harness's strata and given its
+    draws wave by wave."""
+    d = tmp_path_factory.mktemp("harness")
+    spec = simulate.DesignSpec()
+    pop = simulate.generate(simulate.SimConfig(n=3000), 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        designs = simulate.run_design(pop, spec, 21)
+    truth = simulate._population_columns(pop)
+    table = fileio.population_to_records(pop)
+    wave = np.zeros(pop.n)
+    for design in reversed(designs):  # a record's first draw is an obesity one
+        wave[design.member_index[design.sampled]] = design.wave_of[design.sampled]
+    drawn = wave > 0
+    columns = {**table.columns, "validated": drawn, "wave_sampled": wave,
+               **{name: np.where(drawn, truth[name], 0.0)
+                  for name in ("y", "delta", "x", "z_0", "z_1", "asthma")}}
+    table = rec.DyadTable(table.ids, columns)
+    fileio.write_dyads(d / "dyads.csv", table)
+    for frame, design, budgets, flag in (("O", designs[0], spec.obesity_waves, None),
+                                         ("A", designs[1], spec.asthma_waves,
+                                          "in_asthma_frame")):
+        ledger = rec.build_ledger(frame, leaf_specs(design.strata), table,
+                                  member_flag=flag)
+        member_ids = np.array(table.ids)[design.member_index]
+        for k in range(1, len(budgets) + 1):
+            ledger = rec.apply_draw(ledger, k, {
+                s.id: member_ids[(design.wave_of == k) & (design.assignment == j)].tolist()
+                for j, s in enumerate(design.strata)})
+        fileio.write_ledger(d / f"ledger_{frame}.json", ledger)
+    return d, pop, spec, designs
+
+
+@pytest.mark.parametrize("model", ["cox", "logistic"])
+def test_harness_design_as_ledgers_gives_the_harness_estimates(harness_run, tmp_path,
+                                                               model):
+    """Both frames' harness strata are leaf specs the CLI reads, the asthma
+    frame's on its own axis, so the CLI's ipw and naive raking estimates on
+    the harness's design are the harness's."""
+    d, pop, spec, designs = harness_run
+    endpoint = {"cox": simulate.estimate_obesity, "logistic": simulate.estimate_asthma}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = {r.estimator: (r.beta, r.se) for r in endpoint[model](pop, *designs, spec, 21)}
+    assert all("asthma_star" in s.bounds for s in designs[1].strata)
+    base = ["estimate", "--dyads", d / "dyads.csv", "--model", model]
+    multi = ["--ledger", d / "ledger_O.json", "--frame", "multi",
+             "--asthma-ledger", d / "ledger_A.json"]
+    runs = {"ipw_sf": ["--method", "ipw", "--ledger",
+                       d / ("ledger_O.json" if model == "cox" else "ledger_A.json")],
+            "ipw_mf": ["--method", "ipw", *multi],
+            "raking_nv": ["--method", "raking", "--aux", "naive", *multi]}
+    target = simulate.WORKING_MODELS[model][0].coefficient
+    for name, argv in runs.items():
+        assert run(base + argv + ["--out", tmp_path / f"{name}.csv"]) == 0, name
+        got = fileio.read_estimates(tmp_path / f"{name}.csv")[target]
+        assert got["term"] == "x"
+        assert (got["beta"], got["se"]) == (pytest.approx(want[name][0], rel=1e-12),
+                                            pytest.approx(want[name][1], rel=1e-12)), name
+
+
+def test_an_asthma_axis_on_a_table_without_the_pair_gives_parse_exit(chain_dir, tmp_path,
+                                                                     capsys):
+    d = chain_dir
+    fileio.write_dyads(tmp_path / "dyads.csv",
+                       without_asthma(fileio.read_dyads(d / "dyads.csv")))
+    (tmp_path / "strata.json").write_text(json.dumps(
+        [{"id": f"A:a{a}", "bounds": {"asthma_star": bounds}}
+         for a, bounds in enumerate([[None, 0.5], [0.5, None]])]))
+    init = ["design", "init", "--frame", "A", "--strata", tmp_path / "strata.json",
+            "--member-flag", "in_asthma_frame"]
+    assert run(init + ["--dyads", d / "dyads.csv", "--out", tmp_path / "ledger.json"]) == 0
+    # The strata file, and a ledger written on a table with the pair.
+    assert run(init + ["--dyads", tmp_path / "dyads.csv",
+                       "--out", tmp_path / "pairless.json"]) == 4
+    assert run(["estimate", "--dyads", tmp_path / "dyads.csv", "--model", "cox",
+                "--method", "ipw", "--ledger", d / "ledger_O2.json", "--frame", "multi",
+                "--asthma-ledger", tmp_path / "ledger.json", "--out", tmp_path / "est.csv"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all(
+        line.startswith("error: parse: stratum 'A:a0' bounds axis 'asthma_star'")
+        for line in err)
+    assert not (tmp_path / "pairless.json").exists() and not (tmp_path / "est.csv").exists()
+
+
+def test_split_on_the_asthma_axis(chain_dir, tmp_path):
+    """A leaf splits on asthma_star, and each child inherits the draws in it."""
+    d = chain_dir
+    assert run(["design", "split", "--ledger", d / "ledger_A1.json", "--dyads",
+                d / "dyads_3.csv", "--stratum", "A:ev", "--axis", "asthma_star",
+                "--cuts", "0.5", "--out", tmp_path / "split.json"]) == 0
+    table = fileio.read_dyads(d / "dyads_3.csv")
+    parent = fileio.read_ledger(d / "ledger_A1.json").strata["A:ev"]
+    split = fileio.read_ledger(tmp_path / "split.json")
+    asthma = dict(zip(table.ids, table.columns["asthma_star"].tolist()))
+    members = [rid for rid, flag, event in zip(table.ids, table.columns["in_asthma_frame"],
+                                               table.columns["delta_star"])
+               if flag and event == 1]
+    for cid, value in (("A:ev.1", 0.0), ("A:ev.2", 1.0)):
+        child = split.strata[cid]
+        assert child.bounds == {"delta_star": (0.5, math.inf),
+                                "asthma_star": ((-math.inf, 0.5), (0.5, math.inf))[int(value)]}
+        assert child.population_size == sum(asthma[rid] == value for rid in members) > 0
+        assert child.inherited_ids == [rid for rid in parent.all_drawn_ids()
+                                       if asthma[rid] == value]
+    assert run(["estimate", "--dyads", d / "dyads_3.csv", "--model", "logistic",
+                "--method", "ipw", "--ledger", tmp_path / "split.json",
+                "--out", tmp_path / "est.csv"]) == 0
+
+
+def test_mi_after_too_few_validated_records_gives_ill_conditioned_exit(chain_dir, tmp_path,
+                                                                      capsys):
+    # This ended in a ValueError traceback: fit_imputation needs 30 validated records.
+    d = chain_dir
+    assert run(["design", "allocate", "--ledger", d / "ledger_O0.json", "--dyads",
+                d / "dyads.csv", "--influence", d / "h.csv", "--target", 20, "--wave", 1,
+                "--out", tmp_path / "alloc.json"]) == 0
+    assert run(["design", "draw", "--ledger", d / "ledger_O0.json", "--dyads",
+                d / "dyads.csv", "--allocation", tmp_path / "alloc.json", "--seed", 3,
+                "--out", tmp_path / "draw.json", "--update-ledger",
+                tmp_path / "ledger.json"]) == 0
+    assert run(["simulate", "reveal", "--dyads", d / "dyads.csv", "--truth",
+                d / "truth.csv", "--draw", tmp_path / "draw.json",
+                "--out", tmp_path / "dyads.csv"]) == 0
+    capsys.readouterr()
+    assert run(["estimate", "--dyads", tmp_path / "dyads.csv", "--ledger",
+                tmp_path / "ledger.json", "--method", "raking", "--aux", "mi",
+                "--out", tmp_path / "est.csv"]) == 11
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: ill-conditioned: 20 validated records; at least "
+                   f"{imputation.MIN_VALIDATED} required"]
+    assert not (tmp_path / "est.csv").exists()
 
 
 class TestFpcaCli:

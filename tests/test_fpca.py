@@ -39,7 +39,7 @@ def make_population(n=250, m_range=(15, 30), noise=0.5, seed=0,
     rng = np.random.default_rng(seed)
     scores = model.draw_scores(n, rng)
     series = []
-    lo, hi = model.domain
+    lo, hi = fpca.TIME_DOMAIN
     for i in range(n):
         m = int(rng.integers(*m_range))
         t = np.unique(np.round(np.sort(rng.uniform(lo, hi, size=m)), 3))

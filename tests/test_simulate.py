@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -416,16 +417,21 @@ class TestDesignSpec:
     def test_a_bad_value_is_rejected_by_name(self, name, value):
         # asthma_waves=() died mid-replicate in a numpy reduction, and
         # mi_replicates_estimator=1 only after the whole design had run.
-        with pytest.raises(ValueError, match=f"^{name} "):
+        # The strata and the allocation floor are constants of the class,
+        # which the constructor refuses by name whatever the value.
+        constant = name not in {f.name for f in dataclasses.fields(sim.DesignSpec)}
+        with pytest.raises(TypeError if constant else ValueError,
+                           match=f"'{name}'" if constant else f"^{name} "):
             sim.DesignSpec(**{name: value})
 
     def test_edge_values_are_accepted(self):
         sim.DesignSpec(obesity_waves=(1,), asthma_waves=(np.int64(3),),
-                       mi_replicates_allocation=2, mi_replicates_estimator=2,
-                       exposure_quantiles=(), asthma_quantiles=(0.5,),
-                       followup_cuts_censored=(), followup_cuts_event=(-1.0,),
-                       sd_shrinkage=0.0, min_per_stratum=0)
+                       mi_replicates_allocation=2, mi_replicates_estimator=2)
 
+    def test_the_constructor_takes_the_waves_and_mi_counts_only(self):
+        assert [f.name for f in dataclasses.fields(sim.DesignSpec)] == [
+            "obesity_waves", "asthma_waves", "mi_replicates_allocation",
+            "mi_replicates_estimator"]
 
 def mark(text):
     warnings.warn(text)        # every marker from this one line
